@@ -18,12 +18,11 @@ use dcfa_mpi::{launch, Communicator, LaunchOpts, MpiConfig, Src, TagSel};
 use fabric::{Cluster, ClusterConfig};
 use parking_lot::Mutex;
 use scif::ScifFabric;
-use serde::Serialize;
 use simcore::Simulation;
 use verbs::IbFabric;
 
 /// One data point of Fig. 10.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CommOnly {
     pub size: u64,
     /// Mean per-iteration time in microseconds.

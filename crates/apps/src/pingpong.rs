@@ -8,12 +8,11 @@ use dcfa_mpi::{launch, Communicator, LaunchOpts, MpiConfig, Src, TagSel};
 use fabric::{Cluster, ClusterConfig, Domain, MemRef, NodeId};
 use parking_lot::Mutex;
 use scif::ScifFabric;
-use serde::Serialize;
 use simcore::Simulation;
 use verbs::IbFabric;
 
 /// RDMA-write direction pairs of Fig. 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     HostToHost,
     HostToPhi,
@@ -49,7 +48,7 @@ impl Direction {
 }
 
 /// One ping-pong measurement.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PingPong {
     pub size: u64,
     /// Mean round-trip (blocking) or exchange-iteration (non-blocking)

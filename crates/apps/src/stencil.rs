@@ -17,7 +17,6 @@ use dcfa_mpi::{launch, Communicator, Datatype, LaunchOpts, MpiConfig, ReduceOp, 
 use fabric::{Buffer, Cluster, ClusterConfig};
 use parking_lot::Mutex;
 use scif::ScifFabric;
-use serde::Serialize;
 use simcore::{Ctx, Simulation};
 use verbs::IbFabric;
 
@@ -25,7 +24,7 @@ use crate::omp::OmpModel;
 
 /// Problem parameters. The paper uses n = 1282, 100 iterations, procs ∈
 /// {1,2,4,8}, threads up to 56.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StencilParams {
     pub n: usize,
     pub iters: u32,
@@ -56,7 +55,7 @@ impl StencilParams {
 }
 
 /// One measurement.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StencilResult {
     pub procs: usize,
     pub threads: u32,

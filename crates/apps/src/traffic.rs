@@ -8,11 +8,10 @@
 use dcfa_mpi::{Communicator, Src, TagSel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 use simcore::Ctx;
 
 /// One scripted message of a traffic pattern.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TrafficMsg {
     pub from: usize,
     pub to: usize,
@@ -23,7 +22,7 @@ pub struct TrafficMsg {
 }
 
 /// A reproducible random traffic pattern over `n` ranks.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TrafficPattern {
     pub seed: u64,
     pub msgs: Vec<TrafficMsg>,

@@ -28,18 +28,18 @@
 //!                      # diff the current run against a saved report;
 //!                      # exits 1 if p99/bandwidth drift beyond PCT
 //!                      # (default 25), 2 if a report cannot be parsed
-//! repro --ranks N [--shards S] [--no-srq]
+//! repro --ranks N [--no-srq]
 //!                      # audited neighbor-halo fault soak at N ranks (one
-//!                      # per node) on S DES shards; SRQ receive pooling is
-//!                      # on unless --no-srq. Gates: auditor OK, 0 corrupt
-//!                      # payloads, established pairs O(ranks), per-rank
-//!                      # buffer memory under a flat ceiling. Exits 1 on
-//!                      # any violation.
-//! repro --scale-curve PATH [--shards S] [--no-srq]
+//!                      # per node); SRQ receive pooling is on unless
+//!                      # --no-srq. Gates: auditor OK, 0 corrupt payloads,
+//!                      # established pairs O(ranks), per-rank buffer
+//!                      # memory under a flat ceiling. Exits 1 on any
+//!                      # violation.
+//! repro --scale-curve PATH [--no-srq]
 //!                      # sweep ranks 8/16/32/64, write the memory-per-rank
 //!                      # curve to PATH as CSV, and gate sub-quadratic
 //!                      # growth of pairs and buffer bytes
-//! repro --kill SPEC [--ranks N] [--shards S] [--no-srq]
+//! repro --kill SPEC [--ranks N] [--no-srq]
 //!                      # rank-death soak at N ranks (default 64): SPEC is
 //!                      # a comma list of <after_ops>:<rank> fail-stop
 //!                      # kills, e.g. "10:7,25:31,40:12,55:50". Survivors
@@ -48,7 +48,7 @@
 //!                      # any violation. --metrics-json / --compare-metrics
 //!                      # apply to this run's report (with its `failures`
 //!                      # section) instead of the 4-rank profile
-//! repro --chaos [--seed N] [--ranks N] [--shards S] [--no-srq]
+//! repro --chaos [--seed N] [--ranks N] [--no-srq]
 //!                      # deterministic chaos fuzzing: sample a kill
 //!                      # schedule from the seed, soak it twice (replay
 //!                      # must be bit-for-bit identical), gate the outcome,
@@ -66,6 +66,9 @@
 //!                      # message sent by RANK with pair sequence SEQ
 //!                      # (same run selection as --trace-out)
 //! ```
+//!
+//! An unknown `--flag`, or a value flag with its value missing, prints the
+//! offender and exits 2.
 
 use bench::{
     ablation_eager_threshold, ablation_host_staged_bcast, ablation_mr_cache,
@@ -74,158 +77,145 @@ use bench::{
 };
 use fabric::ClusterConfig;
 
-fn minor_faults() -> u64 {
-    std::fs::read_to_string("/proc/self/stat")
-        .ok()
-        .and_then(|s| s.split(' ').nth(9).and_then(|v| v.parse().ok()))
-        .unwrap_or(0)
+/// Flags that consume the next argument as their value.
+const VALUE_FLAGS: &[&str] = &[
+    "--csv",
+    "--faults",
+    "--daemon-faults",
+    "--metrics-json",
+    "--compare-metrics",
+    "--tolerance",
+    "--ranks",
+    "--scale-curve",
+    "--kill",
+    "--seed",
+    "--trace-out",
+    "--explain-msg",
+];
+
+/// Flags that stand alone.
+const BOOL_FLAGS: &[&str] = &[
+    "--quick", "--stats", "--trace", "--srq", "--no-srq", "--chaos",
+];
+
+/// The command line split against the two flag tables; everything that is
+/// not a flag or a flag's value is a table/figure selector.
+struct Args {
+    values: Vec<(&'static str, String)>,
+    bools: Vec<&'static str>,
+    wanted: Vec<String>,
+}
+
+impl Args {
+    fn scan(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let mut out = Args {
+            values: Vec::new(),
+            bools: Vec::new(),
+            wanted: Vec::new(),
+        };
+        let mut args = args.into_iter().peekable();
+        while let Some(a) = args.next() {
+            if let Some(flag) = VALUE_FLAGS.iter().find(|f| **f == a) {
+                match args.next_if(|v| !v.starts_with("--")) {
+                    Some(v) => out.values.push((flag, v)),
+                    None => return Err(format!("{flag} needs a value")),
+                }
+            } else if let Some(flag) = BOOL_FLAGS.iter().find(|f| **f == a) {
+                out.bools.push(flag);
+            } else if a.starts_with("--") {
+                return Err(format!("unknown flag {a}"));
+            } else {
+                out.wanted.push(a);
+            }
+        }
+        Ok(out)
+    }
+
+    fn value(&self, flag: &str) -> Option<&String> {
+        self.values.iter().find(|(f, _)| *f == flag).map(|(_, v)| v)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.bools.contains(&flag)
+    }
+
+    /// Parse `flag`'s value with `parse`, exiting 2 with `expected` in the
+    /// message when it does not parse.
+    fn parsed<T>(
+        &self,
+        flag: &str,
+        expected: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Option<T> {
+        self.value(flag).map(|s| {
+            parse(s).unwrap_or_else(|| {
+                eprintln!("bad {flag} {s:?}: expected {expected}");
+                std::process::exit(2);
+            })
+        })
+    }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let args = match Args::scan(std::env::args().skip(1)) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("repro: {e} (see the usage header of crates/bench/src/bin/repro.rs)");
+            std::process::exit(2);
+        }
+    };
+    let quick = args.has("--quick");
     // `--csv DIR` additionally writes figN.csv data files into DIR.
-    let csv_dir: Option<std::path::PathBuf> = args
-        .iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
+    let csv_dir = args.value("--csv").map(std::path::PathBuf::from);
     if let Some(d) = &csv_dir {
         std::fs::create_dir_all(d).expect("cannot create csv dir");
     }
     // `--faults SPEC` runs the fault-injection soak instead of a sweep.
-    let fault_spec: Option<&String> = args
-        .iter()
-        .position(|a| a == "--faults")
-        .and_then(|i| args.get(i + 1));
+    let fault_spec = args.value("--faults");
     // `--daemon-faults SPEC` runs the control-plane chaos soak.
-    let daemon_fault_spec: Option<&String> = args
-        .iter()
-        .position(|a| a == "--daemon-faults")
-        .and_then(|i| args.get(i + 1));
+    let daemon_fault_spec = args.value("--daemon-faults");
     // `--metrics-json PATH` writes the versioned JSON performance report.
-    let metrics_json: Option<&String> = args
-        .iter()
-        .position(|a| a == "--metrics-json")
-        .and_then(|i| args.get(i + 1));
+    let metrics_json = args.value("--metrics-json");
     // `--compare-metrics BASELINE` gates the current run against a saved
     // report, at `--tolerance PCT` (default 25%).
-    let compare_metrics: Option<&String> = args
-        .iter()
-        .position(|a| a == "--compare-metrics")
-        .and_then(|i| args.get(i + 1));
+    let compare_metrics = args.value("--compare-metrics");
     let tolerance: f64 = args
-        .iter()
-        .position(|a| a == "--tolerance")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| match s.parse::<f64>() {
-            Ok(v) if v >= 0.0 => v,
-            _ => {
-                eprintln!("bad --tolerance {s:?}: expected a non-negative percentage");
-                std::process::exit(2);
-            }
+        .parsed("--tolerance", "a non-negative percentage", |s| {
+            s.parse().ok().filter(|v| *v >= 0.0)
         })
         .unwrap_or(25.0);
-    let parse_count = |flag: &str| -> Option<usize> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(|s| match s.parse::<usize>() {
-                Ok(v) if v >= 1 => v,
-                _ => {
-                    eprintln!("bad {flag} {s:?}: expected a positive integer");
-                    std::process::exit(2);
-                }
-            })
-    };
-    // `--ranks N [--shards S] [--no-srq]` runs the audited scale soak.
-    let scale_ranks = parse_count("--ranks");
-    let scale_shards = parse_count("--shards").unwrap_or(1);
-    let scale_srq = !args.iter().any(|a| a == "--no-srq");
+    // `--ranks N [--no-srq]` runs the audited scale soak.
+    let scale_ranks: Option<usize> = args.parsed("--ranks", "a positive integer", |s| {
+        s.parse().ok().filter(|v| *v >= 1)
+    });
+    let scale_srq = !args.has("--no-srq");
     // `--srq` moves the 4-rank `--faults` soak onto the SRQ pool.
-    let fault_srq = args.iter().any(|a| a == "--srq");
+    let fault_srq = args.has("--srq");
     // `--kill SPEC` runs the rank-death soak; `--chaos [--seed N]` the
     // deterministic chaos fuzzer. Both default to 64 ranks.
-    let kill_spec: Option<&String> = args
-        .iter()
-        .position(|a| a == "--kill")
-        .and_then(|i| args.get(i + 1));
-    let chaos = args.iter().any(|a| a == "--chaos");
+    let kill_spec = args.value("--kill");
+    let chaos = args.has("--chaos");
     let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| match s.parse::<u64>() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!("bad --seed {s:?}: expected an unsigned integer");
-                std::process::exit(2);
-            }
-        })
+        .parsed("--seed", "an unsigned integer", |s| s.parse().ok())
         .unwrap_or(1);
     // `--scale-curve PATH` sweeps rank counts and writes the memory curve.
-    let scale_curve: Option<&String> = args
-        .iter()
-        .position(|a| a == "--scale-curve")
-        .and_then(|i| args.get(i + 1));
+    let scale_curve = args.value("--scale-curve");
     // `--trace-out PATH.json` exports the traced run as Perfetto
     // trace-event JSON; `--explain-msg RANK:SEQ` prints one message's
     // cross-rank causal timeline. Both apply to the kill soak when
     // `--kill` is given, otherwise to the 4-rank mixed run.
-    let trace_out: Option<&String> = args
-        .iter()
-        .position(|a| a == "--trace-out")
-        .and_then(|i| args.get(i + 1));
-    let explain_msg: Option<(usize, u64)> = args
-        .iter()
-        .position(|a| a == "--explain-msg")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| {
-            let parsed = s
-                .split_once(':')
-                .and_then(|(r, q)| Some((r.trim().parse().ok()?, q.trim().parse().ok()?)));
-            match parsed {
-                Some(v) => v,
-                None => {
-                    eprintln!("bad --explain-msg {s:?}: expected <rank>:<seq>");
-                    std::process::exit(2);
-                }
-            }
-        });
-    let mut skip_next = false;
-    let wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--csv"
-                || *a == "--faults"
-                || *a == "--daemon-faults"
-                || *a == "--metrics-json"
-                || *a == "--compare-metrics"
-                || *a == "--tolerance"
-                || *a == "--ranks"
-                || *a == "--shards"
-                || *a == "--scale-curve"
-                || *a == "--kill"
-                || *a == "--seed"
-                || *a == "--trace-out"
-                || *a == "--explain-msg"
-            {
-                skip_next = true;
-            }
-            !a.starts_with("--")
-        })
-        .map(|s| s.as_str())
-        .collect();
-    let show_stats = args.iter().any(|a| a == "--stats");
-    let show_trace = args.iter().any(|a| a == "--trace");
+    let trace_out = args.value("--trace-out");
+    let explain_msg: Option<(usize, u64)> = args.parsed("--explain-msg", "<rank>:<seq>", |s| {
+        let (r, q) = s.split_once(':')?;
+        Some((r.trim().parse().ok()?, q.trim().parse().ok()?))
+    });
+    let wanted = &args.wanted;
+    let show_stats = args.has("--stats");
+    let show_trace = args.has("--trace");
     // A bare `repro --stats` / `--trace` / `--faults` / `--daemon-faults`
     // / `--metrics-json` / `--compare-metrics` runs only that report, not
     // the full figure sweep.
-    let all = wanted.contains(&"all")
+    let all = wanted.iter().any(|w| w == "all")
         || (wanted.is_empty()
             && !show_stats
             && !show_trace
@@ -239,13 +229,12 @@ fn main() {
             && kill_spec.is_none()
             && trace_out.is_none()
             && explain_msg.is_none());
-    let want = |k: &str| all || wanted.contains(&k);
+    let want = |k: &str| all || wanted.iter().any(|w| w == k);
 
     if let Some(spec) = kill_spec {
         kill_soak(
             spec,
             scale_ranks.unwrap_or(64),
-            scale_shards,
             scale_srq,
             metrics_json,
             compare_metrics,
@@ -256,14 +245,14 @@ fn main() {
     } else if let Some(ranks) = scale_ranks {
         // With `--chaos`, `--ranks` parameterizes the fuzzer instead.
         if !chaos {
-            scale_soak(ranks, scale_shards, scale_srq);
+            scale_soak(ranks, scale_srq);
         }
     }
     if chaos {
-        chaos_fuzz(seed, scale_ranks.unwrap_or(64), scale_shards, scale_srq);
+        chaos_fuzz(seed, scale_ranks.unwrap_or(64), scale_srq);
     }
     if let Some(path) = scale_curve {
-        scale_curve_sweep(path, scale_shards, scale_srq);
+        scale_curve_sweep(path, scale_srq);
     }
     if let Some(spec) = fault_spec {
         fault_soak(spec, fault_srq);
@@ -471,12 +460,12 @@ fn main() {
 /// never reach, but nothing fatal — every operation must still succeed.
 const SCALE_FAULT_SPEC: &str = "7:transient,23:retry,61:transient";
 
-/// `--ranks N [--shards S] [--no-srq]`: the audited neighbor-halo fault
+/// `--ranks N [--no-srq]`: the audited neighbor-halo fault
 /// soak at scale. Prints the scale counters and exits 1 if the auditor
 /// objects, a payload was corrupted, an operation failed, connections grew
 /// past the touched O(ranks) neighbor set, or per-rank buffer memory broke
 /// its flat ceiling.
-fn scale_soak(ranks: usize, shards: usize, srq: bool) {
+fn scale_soak(ranks: usize, srq: bool) {
     // 4 ring neighbors per rank, doubled for slack (boot-order effects).
     let max_pairs = ranks as u64 * 8;
     // One shared receive pool + a handful of per-neighbor stage rings;
@@ -484,12 +473,11 @@ fn scale_soak(ranks: usize, shards: usize, srq: bool) {
     let max_bytes_per_rank: u64 = 16 << 20;
     let faults = fabric::parse_fault_spec(SCALE_FAULT_SPEC).expect("builtin fault spec");
     println!(
-        "== scale soak: {ranks} ranks on {} DES shard(s), SRQ {}, {} transient fault plan(s) ==",
-        shards.max(1),
+        "== scale soak: {ranks} ranks, SRQ {}, {} transient fault plan(s) ==",
         if srq { "on" } else { "off" },
         faults.len()
     );
-    let run = bench::scale_run(ranks, shards, srq, &faults);
+    let run = bench::scale_run(ranks, srq, &faults);
     println!(
         "virtual time {:.1} ms | wall {:.1} ms | {} events",
         run.elapsed_ns as f64 / 1e6,
@@ -566,17 +554,16 @@ fn scale_soak(ranks: usize, shards: usize, srq: bool) {
 /// per-rank memory and connection curve as CSV, and gate sub-quadratic
 /// growth: connections scale linearly with ranks and per-rank buffer bytes
 /// stay flat. Exits 1 on a violation (including any per-run gate).
-fn scale_curve_sweep(path: &str, shards: usize, srq: bool) {
+fn scale_curve_sweep(path: &str, srq: bool) {
     let faults = fabric::parse_fault_spec(SCALE_FAULT_SPEC).expect("builtin fault spec");
     let sweep = [8usize, 16, 32, 64];
     let mut rows = Vec::new();
     println!(
-        "== scale curve: ranks {sweep:?} on {} DES shard(s), SRQ {} ==",
-        shards.max(1),
+        "== scale curve: ranks {sweep:?}, SRQ {} ==",
         if srq { "on" } else { "off" }
     );
     for &ranks in &sweep {
-        let run = bench::scale_run(ranks, shards, srq, &faults);
+        let run = bench::scale_run(ranks, srq, &faults);
         let audit_ok = run.audit.is_ok() && run.dropped == 0;
         println!(
             "ranks {ranks:>4}: {:>6} pairs, {:>9} B/rank, srq high-water {:>3}, audit {}",
@@ -659,7 +646,6 @@ fn scale_curve_sweep(path: &str, shards: usize, srq: bool) {
 fn kill_soak(
     spec: &str,
     ranks: usize,
-    shards: usize,
     srq: bool,
     json_path: Option<&String>,
     baseline_path: Option<&String>,
@@ -675,12 +661,11 @@ fn kill_soak(
         }
     };
     println!(
-        "== rank-death soak: {ranks} ranks on {} DES shard(s), SRQ {}, killing {} ==",
-        shards.max(1),
+        "== rank-death soak: {ranks} ranks, SRQ {}, killing {} ==",
         if srq { "on" } else { "off" },
         bench::kill_spec_string(&kills),
     );
-    let run = bench::kill_soak_run(ranks, shards, srq, &kills);
+    let run = bench::kill_soak_run(ranks, srq, &kills);
     println!(
         "virtual time {:.1} ms | wall {:.1} ms | {} events | fingerprint {:#018x}",
         run.obs.elapsed_ns as f64 / 1e6,
@@ -832,10 +817,9 @@ fn parse_kill_spec(spec: &str, ranks: usize) -> Result<Vec<dcfa_mpi::KillSpec>, 
 /// fingerprint bit-for-bit identically), gate the outcome, and on a
 /// failure print the greedily shrunk minimal reproducer in `--kill`
 /// syntax. Exits 1 if the schedule surfaced a violation.
-fn chaos_fuzz(seed: u64, ranks: usize, shards: usize, srq: bool) {
+fn chaos_fuzz(seed: u64, ranks: usize, srq: bool) {
     println!(
-        "== chaos fuzz: seed {seed}, {ranks} ranks on {} DES shard(s), SRQ {} ==",
-        shards.max(1),
+        "== chaos fuzz: seed {seed}, {ranks} ranks, SRQ {} ==",
         if srq { "on" } else { "off" },
     );
     // Print the sampled schedule before running, so a hang (itself a
@@ -846,7 +830,7 @@ fn chaos_fuzz(seed: u64, ranks: usize, shards: usize, srq: bool) {
         schedule.len(),
         bench::kill_spec_string(&schedule)
     );
-    let report = bench::chaos_run(seed, ranks, shards, srq);
+    let report = bench::chaos_run(seed, ranks, srq);
     println!(
         "fingerprint {:#018x} | replay {:#018x} ({}) | {} soak run(s)",
         report.fingerprint,
@@ -1137,14 +1121,7 @@ fn write_trace_json(path: &str, events: &[dcfa_mpi::TraceEvent]) {
 /// gate it against a saved baseline. Exits 1 on a drift violation, 2 when
 /// a report cannot be read or parsed.
 fn metrics_report(json_path: Option<&String>, baseline_path: Option<&String>, tolerance: f64) {
-    let faults_before = minor_faults();
     let run = bench::observability_run(&ClusterConfig::paper());
-    if std::env::var_os("SIM_PROFILE").is_some() {
-        eprintln!(
-            "SIM_PROFILE: minor faults during run: {}",
-            minor_faults() - faults_before
-        );
-    }
     if let Err(errors) = &run.audit {
         println!(
             "auditor: {} invariant violations in the profiled run",

@@ -12,7 +12,6 @@ use apps::{
 };
 use dcfa_mpi::MpiConfig;
 use fabric::ClusterConfig;
-use serde::Serialize;
 
 pub mod json;
 pub mod report;
@@ -37,7 +36,7 @@ pub fn iters_for(size: u64) -> u32 {
 }
 
 /// A labelled series of (size, value) points.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     pub label: String,
     pub points: Vec<(u64, f64)>,
@@ -146,7 +145,7 @@ pub fn fig10(ccfg: &ClusterConfig, max_pow: u32) -> Vec<Series> {
 }
 
 /// One Fig. 11/12 grid cell.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StencilCell {
     pub runtime: &'static str,
     pub procs: usize,
@@ -450,7 +449,7 @@ pub struct ObservabilityRun {
 /// Aggregated failure-plane counters of a run with rank kills armed:
 /// ground-truth kills, detections and their latency, and the recovery
 /// protocol's progress (revocations, shrink commits, reclaimed objects).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FailureSummary {
     /// Ranks fail-stop killed (ground truth).
     pub kills: u64,
@@ -933,7 +932,7 @@ pub fn daemon_fault_soak_run(
     }
 }
 
-// ---- scale (`repro --ranks N [--shards S]`) --------------------------------
+// ---- scale (`repro --ranks N`) ---------------------------------------------
 
 /// Result of the audited neighbor-halo soak behind `repro --ranks N`:
 /// per-rank counters, payload integrity and the auditor verdict at a rank
@@ -941,8 +940,6 @@ pub fn daemon_fault_soak_run(
 pub struct ScaleRun {
     /// Ranks launched (one per simulated node).
     pub ranks: usize,
-    /// DES event-wheel shards the run executed on.
-    pub shards: usize,
     /// Point-to-point waits that completed successfully.
     pub ops_ok: u64,
     /// Waits that surfaced a transport error to the caller.
@@ -999,14 +996,14 @@ impl ScaleRun {
     }
 }
 
-/// Run the audited neighbor-halo soak at `ranks` ranks (one per node) on
-/// `shards` DES shards. Every rank exchanges salted, content-checked halos
-/// with its ring neighbors at offsets 1 and 2 — the touched pairs stay
+/// Run the audited neighbor-halo soak at `ranks` ranks (one per node).
+/// Every rank exchanges salted, content-checked halos with its ring
+/// neighbors at offsets 1 and 2 — the touched pairs stay
 /// O(ranks), so with lazy connections only those ever get QPs and, in SRQ
 /// mode (`srq`), each rank's receive memory is one shared pool. Optional
 /// link-fault plans make it a fault soak; the workload tallies transport
 /// errors instead of panicking on them.
-pub fn scale_run(ranks: usize, shards: usize, srq: bool, faults: &[fabric::LinkFault]) -> ScaleRun {
+pub fn scale_run(ranks: usize, srq: bool, faults: &[fabric::LinkFault]) -> ScaleRun {
     use dcfa_mpi::{Communicator, MpiError, Src, TagSel};
     use std::sync::Arc;
 
@@ -1015,11 +1012,6 @@ pub fn scale_run(ranks: usize, shards: usize, srq: bool, faults: &[fabric::LinkF
 
     let mut sim = simcore::Simulation::new();
     let ccfg = ClusterConfig::with_nodes(ranks.max(2));
-    if shards > 1 {
-        // Lookahead = the IB wire latency: shard assignment is per node,
-        // so only inter-node events cross wheels.
-        sim.set_shards(shards, ccfg.cost.ib_latency);
-    }
     let cluster = fabric::Cluster::new(sim.scheduler(), ccfg.clone());
     for f in faults {
         cluster.inject_link_fault(*f);
@@ -1106,7 +1098,6 @@ pub fn scale_run(ranks: usize, shards: usize, srq: bool, faults: &[fabric::LinkF
     let (ops_ok, ops_failed, corrupt) = *tallies.lock();
     ScaleRun {
         ranks,
-        shards: shards.max(1),
         ops_ok,
         ops_failed,
         corrupt,
@@ -1315,12 +1306,7 @@ impl KillSoakRun {
 /// corpse dies before it could join the shrink agreement (kills beyond
 /// it would still be survived — the agreement restarts — but the
 /// single-commit gate below assumes the schedule fires in phase 1).
-pub fn kill_soak_run(
-    ranks: usize,
-    shards: usize,
-    srq: bool,
-    kills: &[dcfa_mpi::KillSpec],
-) -> KillSoakRun {
+pub fn kill_soak_run(ranks: usize, srq: bool, kills: &[dcfa_mpi::KillSpec]) -> KillSoakRun {
     use dcfa_mpi::{Communicator, MpiError, Src, TagSel};
     use std::sync::Arc;
 
@@ -1350,9 +1336,6 @@ pub fn kill_soak_run(
 
     let mut sim = simcore::Simulation::new();
     let ccfg = ClusterConfig::with_nodes(ranks);
-    if shards > 1 {
-        sim.set_shards(shards, ccfg.cost.ib_latency);
-    }
     let cluster = fabric::Cluster::new(sim.scheduler(), ccfg.clone());
     let ib = verbs::IbFabric::new(cluster.clone());
     let scif = scif::ScifFabric::new(cluster.clone());
@@ -1651,10 +1634,10 @@ pub fn kill_spec_string(kills: &[dcfa_mpi::KillSpec]) -> String {
 /// any divergence is itself a violation), gate the outcome, and on a
 /// failure greedily shrink the schedule to a minimal reproducer by
 /// dropping one kill at a time while the violation persists.
-pub fn chaos_run(seed: u64, ranks: usize, shards: usize, srq: bool) -> ChaosReport {
+pub fn chaos_run(seed: u64, ranks: usize, srq: bool) -> ChaosReport {
     let schedule = chaos_schedule(seed, ranks);
-    let first = kill_soak_run(ranks, shards, srq, &schedule);
-    let replay = kill_soak_run(ranks, shards, srq, &schedule);
+    let first = kill_soak_run(ranks, srq, &schedule);
+    let replay = kill_soak_run(ranks, srq, &schedule);
     let fingerprint = first.fingerprint();
     let replay_fingerprint = replay.fingerprint();
     let mut violations = first.healthy().err().unwrap_or_default();
@@ -1672,7 +1655,7 @@ pub fn chaos_run(seed: u64, ranks: usize, shards: usize, srq: bool) -> ChaosRepo
             let mut cand = cur.clone();
             cand.remove(i);
             runs += 1;
-            if kill_soak_run(ranks, shards, srq, &cand).healthy().is_err() {
+            if kill_soak_run(ranks, srq, &cand).healthy().is_err() {
                 cur = cand; // still reproduces without this kill: drop it
             } else {
                 i += 1; // this kill is load-bearing: keep it

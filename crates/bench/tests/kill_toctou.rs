@@ -26,7 +26,7 @@ fn kills(specs: &[(u64, usize)]) -> Vec<KillSpec> {
 /// isend/irecv and the idempotent corpse sweep on QP-flush errors.
 #[test]
 fn mid_entry_kill_does_not_strand_survivors() {
-    let run = kill_soak_run(8, 1, true, &kills(&[(13, 3), (59, 6)]));
+    let run = kill_soak_run(8, true, &kills(&[(13, 3), (59, 6)]));
     run.healthy().unwrap_or_else(|violations| {
         panic!("kill soak unhealthy: {violations:?}");
     });
@@ -38,11 +38,11 @@ fn mid_entry_kill_does_not_strand_survivors() {
 #[test]
 fn mid_entry_kill_recovers_without_srq_and_replays_identically() {
     let ks = kills(&[(13, 3), (59, 6)]);
-    let a = kill_soak_run(8, 1, false, &ks);
+    let a = kill_soak_run(8, false, &ks);
     a.healthy().unwrap_or_else(|violations| {
         panic!("kill soak unhealthy: {violations:?}");
     });
-    let b = kill_soak_run(8, 1, false, &ks);
+    let b = kill_soak_run(8, false, &ks);
     assert_eq!(
         a.fingerprint(),
         b.fingerprint(),
@@ -56,7 +56,7 @@ fn mid_entry_kill_recovers_without_srq_and_replays_identically() {
 #[test]
 fn last_op_kill_recovers() {
     assert_eq!(KILL_SOAK_MAX_AFTER_OPS, 65);
-    let run = kill_soak_run(8, 1, true, &kills(&[(KILL_SOAK_MAX_AFTER_OPS, 2)]));
+    let run = kill_soak_run(8, true, &kills(&[(KILL_SOAK_MAX_AFTER_OPS, 2)]));
     run.healthy().unwrap_or_else(|violations| {
         panic!("kill soak unhealthy: {violations:?}");
     });

@@ -1,8 +1,8 @@
 //! Integration gates for the cross-rank causal tracing subsystem: the
 //! stitched lifecycle DAG must account for (virtually) all of every
 //! completed message's end-to-end time on every protocol path, the
-//! critical path must be bit-for-bit identical across DES shard counts,
-//! and the Perfetto export must self-validate.
+//! critical path must be bit-for-bit identical from run to run, and the
+//! Perfetto export must self-validate.
 
 use bench::stitch::{self, MsgTimeline};
 use dcfa_mpi::KillSpec;
@@ -53,12 +53,11 @@ fn mixed_run_stitches_with_full_coverage() {
 }
 
 /// The kill soak (eager + SRQ reorder stash + rank death) must stitch
-/// and cover identically, and its critical path must not change when the
-/// same virtual cluster runs on 1, 2 or 4 DES shards — the trace stream
-/// is part of the shard-invariance contract (PR 7), and the critical
-/// path is a pure function of it.
+/// and cover fully, and a second run of the same virtual cluster must
+/// reproduce its fingerprint and critical path — the path is a pure
+/// function of the trace stream, which is deterministic.
 #[test]
-fn kill_soak_critical_path_is_shard_invariant_with_full_coverage() {
+fn kill_soak_critical_path_replays_with_full_coverage() {
     const RANKS: usize = 16;
     let kills = [
         KillSpec {
@@ -72,24 +71,19 @@ fn kill_soak_critical_path_is_shard_invariant_with_full_coverage() {
     ];
     let mut paths = Vec::new();
     let mut fingerprints = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let run = bench::kill_soak_run(RANKS, shards, true, &kills);
+    for run_no in 0..2 {
+        let run = bench::kill_soak_run(RANKS, true, &kills);
         run.healthy().expect("kill soak gates pass");
-        assert_eq!(run.obs.dropped, 0, "shards={shards}: trace ring saturated");
+        assert_eq!(run.obs.dropped, 0, "run {run_no}: trace ring saturated");
         let st = stitch::stitch(&run.obs.events, run.obs.dropped);
-        assert_full_coverage(&st.messages, &format!("kill/shards={shards}"));
+        assert_full_coverage(&st.messages, &format!("kill/run{run_no}"));
         paths.push(stitch::critical_path(&run.obs.events).expect("events present"));
         fingerprints.push(run.fingerprint());
     }
-    assert_eq!(paths[0], paths[1], "critical path differs on 2 shards");
-    assert_eq!(paths[0], paths[2], "critical path differs on 4 shards");
+    assert_eq!(paths[0], paths[1], "critical path differs between runs");
     assert_eq!(
         fingerprints[0], fingerprints[1],
-        "run fingerprint differs on 2 shards"
-    );
-    assert_eq!(
-        fingerprints[0], fingerprints[2],
-        "run fingerprint differs on 4 shards"
+        "run fingerprint differs between runs"
     );
     // The path is non-trivial: it spans time and crosses the wire.
     assert!(paths[0].total_ns > 0);

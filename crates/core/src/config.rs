@@ -41,9 +41,6 @@ pub struct MpiConfig {
     /// packets (completions, credits) retry without bound: dropping them
     /// would wedge the peer's ring.
     pub retry_limit: u32,
-    /// Base backoff before the first retry; doubles per attempt
-    /// (exponential backoff through the simulation scheduler).
-    pub retry_backoff: SimDuration,
     /// Rendezvous handshake watchdog: if a send/receive is still waiting
     /// for its completion packet this long after issuing RTS/RTR, the
     /// handshake packet is re-issued (duplicates are deduplicated by pair
@@ -106,7 +103,6 @@ impl MpiConfig {
             ring_slots: 64,
             ring_slot_payload: 8 << 10,
             retry_limit: 4,
-            retry_backoff: SimDuration::from_micros(10),
             // Far above any healthy handshake latency (µs scale), so the
             // watchdog never fires spuriously in fault-free runs.
             rndv_timeout: Some(SimDuration::from_millis(10)),
@@ -154,10 +150,6 @@ impl MpiConfig {
                 "offload send buffer is a Phi-only mode"
             );
         }
-        assert!(
-            self.retry_backoff > SimDuration::ZERO,
-            "retry backoff must be positive"
-        );
         if let Some(t) = self.rndv_timeout {
             assert!(t > SimDuration::ZERO, "rendezvous timeout must be positive");
         }

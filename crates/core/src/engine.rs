@@ -2904,12 +2904,16 @@ impl Engine {
         }
     }
 
+    /// Backoff before the first retry of a transiently failed WR; doubles
+    /// per attempt.
+    const RETRY_BACKOFF: SimDuration = SimDuration::from_micros(10);
+
     /// Put a transiently failed WR back on the wire after an exponential
     /// backoff (scheduled through the simulation clock; the progress
     /// event is poked at the due time so a waiting rank wakes up).
     fn schedule_retry(&mut self, ctx: &mut Ctx, mut entry: InflightWr) {
         let shift = (entry.attempts - 1).min(20);
-        let backoff = self.cfg.retry_backoff * (1u64 << shift);
+        let backoff = Self::RETRY_BACKOFF * (1u64 << shift);
         self.metrics
             .record_ns(Phase::Backoff, 0, Some(entry.dst), backoff.as_nanos());
         if let WrKind::Ring { hdr, .. } = entry.kind {

@@ -5,8 +5,7 @@
 use std::sync::Arc;
 
 use dcfa_mpi::{
-    launch, Comm, CommStats, Communicator, LaunchOpts, MpiConfig, MpiError, Src, StatsReport,
-    TagSel, TraceBuf, TraceEvent,
+    launch, Comm, CommStats, Communicator, LaunchOpts, MpiConfig, MpiError, Src, TagSel, TraceBuf,
 };
 use fabric::{Cluster, ClusterConfig};
 use parking_lot::Mutex;
@@ -269,84 +268,4 @@ fn srq_heals_transient_send_faults_with_reordered_arrivals() {
     let stats = stats.lock();
     let retries: u64 = stats.iter().map(|s| s.wr_retries).sum();
     assert!(retries >= 3, "fault plans never fired (retries={retries})");
-}
-
-/// One faulted SRQ halo run at a given DES shard count: every rank
-/// exchanges salted halos with its ring neighbors while transient Send
-/// faults fire. Returns the full protocol trace and per-rank counters.
-fn sharded_soak(shards: usize) -> (Vec<TraceEvent>, Vec<StatsReport>) {
-    let n = 8usize;
-    let mut sim = Simulation::new();
-    if shards > 1 {
-        // Lookahead = the paper cluster's 700 ns IB wire latency: shard
-        // assignment is per node, so only inter-node events cross wheels.
-        sim.set_shards(shards, simcore::SimDuration::from_nanos(700));
-    }
-    let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(n));
-    let ib = IbFabric::new(cluster.clone());
-    for after in [3u64, 11] {
-        ib.inject_fault_plan(FaultPlan {
-            status: WcStatus::RnrRetryExceeded,
-            after_matches: after,
-            op: Some(SendOpcode::Send),
-            ..Default::default()
-        });
-    }
-    let scif = ScifFabric::new(cluster);
-    let tracer = TraceBuf::new(1 << 16);
-    let opts = LaunchOpts {
-        tracer: Some(tracer.clone()),
-        ..Default::default()
-    };
-    let reports: Arc<Mutex<Vec<Option<StatsReport>>>> = Arc::new(Mutex::new(vec![None; n]));
-    let r2 = reports.clone();
-    launch(&sim, &ib, &scif, srq_cfg(), n, opts, move |ctx, comm| {
-        let me = comm.rank();
-        let len = 512u64;
-        let peers = [(me + 1) % n, (me + n - 1) % n];
-        let sbufs: Vec<_> = peers.iter().map(|_| comm.alloc(len).unwrap()).collect();
-        let rbufs: Vec<_> = peers.iter().map(|_| comm.alloc(len).unwrap()).collect();
-        for round in 0..4u32 {
-            // Post both neighbor exchanges before waiting — waiting on one
-            // neighbor at a time chains into a ring-wide cycle.
-            let mut reqs = Vec::with_capacity(4);
-            for (i, &peer) in peers.iter().enumerate() {
-                comm.write(&sbufs[i], 0, &pattern(len as usize, me as u8 ^ round as u8));
-                reqs.push(
-                    comm.irecv(ctx, &rbufs[i], Src::Rank(peer), TagSel::Tag(round))
-                        .unwrap(),
-                );
-                reqs.push(comm.isend(ctx, &sbufs[i], peer, round).unwrap());
-            }
-            comm.waitall(ctx, &reqs).unwrap();
-            for (i, &peer) in peers.iter().enumerate() {
-                assert_eq!(
-                    comm.read_vec(&rbufs[i]),
-                    pattern(len as usize, peer as u8 ^ round as u8)
-                );
-            }
-        }
-        r2.lock()[me] = Some(comm.dump());
-    });
-    sim.run_expect();
-    let stats = reports
-        .lock()
-        .iter()
-        .map(|r| r.expect("rank finished"))
-        .collect();
-    (tracer.snapshot(), stats)
-}
-
-#[test]
-fn shard_count_never_changes_execution() {
-    // The sharded DES must be a pure throughput optimization: the same
-    // seed-free deterministic run, faults included, produces an identical
-    // event trace and identical counters at any shard count.
-    let (t1, s1) = sharded_soak(1);
-    assert!(!t1.is_empty());
-    for shards in [2usize, 4] {
-        let (t, s) = sharded_soak(shards);
-        assert_eq!(t1, t, "trace diverged at {shards} shards");
-        assert_eq!(s1, s, "counters diverged at {shards} shards");
-    }
 }

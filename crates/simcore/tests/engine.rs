@@ -304,23 +304,22 @@ fn trace_hook_receives_messages() {
     assert_eq!(lines.lock().clone(), vec!["9:hello".to_string()]);
 }
 
-/// Mixed wake + device-callback workload, heavy enough (300 procs) to push
-/// the queued-event count past the staging threshold. Returns the full
-/// observable trace plus the processed-event count.
-fn sharded_trace(shards: usize) -> (Vec<(u64, usize, u32)>, u64) {
+/// Pinned execution order of the event queue: a mixed wake + device-callback
+/// workload (300 procs, `sleep` + `call_after`) must replay the exact
+/// `(time, proc, round)` trace and event count recorded before the queue
+/// was reduced to one heap. Any scheduler change is checked against this.
+#[test]
+fn event_order_is_pinned() {
     let log: Arc<Mutex<Vec<(u64, usize, u32)>>> = Arc::new(Mutex::new(Vec::new()));
     let mut sim = Simulation::new();
-    sim.set_shards(shards, SimDuration::from_nanos(700));
-    let n = 300;
-    for i in 0..n {
+    for i in 0..300 {
         let log = log.clone();
-        let pid = sim.spawn(format!("p{i}"), move |ctx| {
+        sim.spawn(format!("p{i}"), move |ctx| {
             for round in 0..6u32 {
                 let d = 1 + ((i as u64 * 7 + u64::from(round) * 13) % 97);
                 ctx.sleep(SimDuration::from_nanos(d));
                 log.lock().push((ctx.now().as_nanos(), i, round));
                 if round == 2 {
-                    // Device callback: exercises `Call` event shard routing.
                     let log = log.clone();
                     let sched = ctx.scheduler();
                     sched.call_after(SimDuration::from_nanos(50), move |s| {
@@ -329,41 +328,21 @@ fn sharded_trace(shards: usize) -> (Vec<(u64, usize, u32)>, u64) {
                 }
             }
         });
-        sim.assign_shard(pid, i % 8);
     }
     let report = sim.run_expect();
     let trace = log.lock().clone();
-    (trace, report.events_processed)
-}
-
-#[test]
-fn sharded_run_matches_unsharded() {
-    let (t1, e1) = sharded_trace(1);
-    let (t4, e4) = sharded_trace(4);
-    let (t8, e8) = sharded_trace(8);
-    assert_eq!(t1.len(), 300 * 7);
-    assert_eq!(t1, t4);
-    assert_eq!(t1, t8);
-    assert_eq!(e1, e4);
-    assert_eq!(e1, e8);
-}
-
-#[test]
-fn set_shards_rehomes_pending_events() {
-    let mut sim = Simulation::new();
-    let hit = Arc::new(Mutex::new(false));
-    let hit2 = hit.clone();
-    let sched = sim.scheduler();
-    sched.call_after(SimDuration::from_nanos(10), move |_| {
-        *hit2.lock() = true;
-    });
-    sim.set_shards(4, SimDuration::from_nanos(100));
-    assert_eq!(sim.shards(), 4);
-    sim.set_shards(2, SimDuration::from_nanos(100));
-    assert_eq!(sim.shards(), 2);
-    sim.spawn("p", |ctx| ctx.sleep(SimDuration::from_nanos(20)));
-    sim.run_expect();
-    assert!(*hit.lock());
+    assert_eq!(trace.len(), 300 * 7);
+    // FNV-1a over the little-endian words of every trace entry.
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &(time, proc, round) in &trace {
+        for word in [time, proc as u64, u64::from(round)] {
+            for b in word.to_le_bytes() {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(hash, 0x7ddd_9676_5570_8843);
+    assert_eq!(report.events_processed, 2400);
 }
 
 #[test]

@@ -60,15 +60,7 @@ pub mod channel {
     impl std::error::Error for RecvError {}
 
     /// Cap on the adaptive yield budget (see [`Receiver::recv`]).
-    fn yield_cap() -> u32 {
-        static B: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-        *B.get_or_init(|| {
-            std::env::var("CHAN_YIELD")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1024)
-        })
-    }
+    const YIELD_CAP: u32 = 1024;
 
     struct Inner<T> {
         queue: Mutex<VecDeque<T>>,
@@ -170,7 +162,7 @@ pub mod channel {
                         inner.len.store(q.len(), Ordering::Release);
                         // Reply arrived while polling: this receiver's
                         // waits are short — poll longer next time.
-                        self.budget.set((budget.max(1) * 2).min(yield_cap()));
+                        self.budget.set((budget.max(1) * 2).min(YIELD_CAP));
                         return Ok(v);
                     }
                 }
