@@ -3,60 +3,67 @@
 //! The paper's argument is that the message path must not pay for
 //! copies or allocator traffic; `crates/core/tests/alloc_hotpath.rs`
 //! enforces that claim with a counting global allocator. The engine
-//! brackets its MPI-library code with [`enter`] ("this thread is on
+//! brackets its MPI-library code with [`enter`] ("this process is on
 //! the hot path") and brackets excursions into the *device model* —
 //! the simulated HCA, fabric DMA and simulator parking, which model
 //! hardware rather than library software — with [`pause`]. The
 //! counting allocator then attributes an allocation to the hot path
-//! exactly when [`armed`] is true on the allocating thread.
+//! exactly when [`armed`] is true for the allocating process.
 //!
-//! All state is thread-local (`Cell<u32>` depth counters, const-init
-//! so TLS access itself never allocates), making the hooks free to
-//! leave compiled in: production builds simply never read them.
+//! All state is per simulated process, not per thread: every rank of a
+//! simulation runs as a coroutine on one OS thread, so a thread-local
+//! would leak one rank's section into the next rank the engine resumes
+//! and into device callbacks. The two depth counters are the halves of
+//! [`simcore::proc_local`], the one word the engine saves and restores
+//! around every resume (const-init TLS underneath, so reading it never
+//! allocates), making the hooks free to leave compiled in: production
+//! builds simply never read them.
 
-use std::cell::Cell;
+use simcore::proc_local;
 
-thread_local! {
-    static DEPTH: Cell<u32> = const { Cell::new(0) };
-    static PAUSE: Cell<u32> = const { Cell::new(0) };
-}
+/// Sections entered and not left: the low half of the process word.
+const DEPTH_ONE: u64 = 1;
+/// Pauses entered and not left: the high half.
+const PAUSE_ONE: u64 = 1 << 32;
 
-/// Whether the current thread is inside a hot-path section and not
+/// Whether the current process is inside a hot-path section and not
 /// paused for a device-model excursion.
+#[inline]
 pub fn armed() -> bool {
-    DEPTH.with(|d| d.get()) > 0 && PAUSE.with(|p| p.get()) == 0
+    let word = proc_local::get();
+    word != 0 && word < PAUSE_ONE
 }
 
 /// RAII marker for a hot-path section (see [`enter`]).
 pub struct HotSection(());
 
-/// Mark the current thread as executing MPI-library hot-path code
+/// Mark the current process as executing MPI-library hot-path code
 /// until the returned guard drops. Nests.
 pub fn enter() -> HotSection {
-    DEPTH.with(|d| d.set(d.get() + 1));
+    proc_local::set(proc_local::get() + DEPTH_ONE);
     HotSection(())
 }
 
 impl Drop for HotSection {
     fn drop(&mut self) {
-        DEPTH.with(|d| d.set(d.get() - 1));
+        proc_local::set(proc_local::get() - DEPTH_ONE);
     }
 }
 
 /// RAII marker for a device-model excursion (see [`pause`]).
 pub struct DevicePause(());
 
-/// Suspend hot-path attribution while the thread runs device-model or
+/// Suspend hot-path attribution while the process runs device-model or
 /// simulator-internal code (posting to the simulated HCA, parking the
 /// simulated process). Nests.
 pub fn pause() -> DevicePause {
-    PAUSE.with(|p| p.set(p.get() + 1));
+    proc_local::set(proc_local::get() + PAUSE_ONE);
     DevicePause(())
 }
 
 impl Drop for DevicePause {
     fn drop(&mut self) {
-        PAUSE.with(|p| p.set(p.get() - 1));
+        proc_local::set(proc_local::get() - PAUSE_ONE);
     }
 }
 

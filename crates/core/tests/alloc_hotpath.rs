@@ -1,8 +1,8 @@
 //! Allocation regression test for the zero-allocation hot path.
 //!
 //! A counting global allocator attributes every heap allocation made
-//! while `dcfa_mpi::hotpath::armed()` is true — i.e. on a simulated
-//! rank thread inside `isend`/`irecv`/`test`/`wait`/`progress`, and
+//! while `dcfa_mpi::hotpath::armed()` is true — i.e. by a simulated
+//! rank inside `isend`/`irecv`/`test`/`wait`/`progress`, and
 //! not paused for a device-model excursion — to the MPI library's hot
 //! path. After a warmup phase (which is allowed to allocate: slab
 //! slots, ring scratch, metric keys and scheduler heaps all grow to
@@ -11,6 +11,7 @@
 //! claim into an enforced invariant rather than an assertion in prose.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -20,26 +21,41 @@ use parking_lot::Mutex;
 struct HotCounting;
 
 static HOT_ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Armed allocations made by the negative control below. Counted apart
+/// so that it cannot land one in the other test's measured window: the
+/// two tests run concurrently, each with its whole simulation on its own
+/// test thread.
+static CONTROL_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set on the negative control's thread for its whole run.
+    static IS_CONTROL: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_if_armed() {
+    if dcfa_mpi::hotpath::armed() {
+        let counter = if IS_CONTROL.get() {
+            &CONTROL_ALLOCS
+        } else {
+            &HOT_ALLOCS
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for HotCounting {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        if dcfa_mpi::hotpath::armed() {
-            HOT_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         System.alloc(l)
     }
 
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        if dcfa_mpi::hotpath::armed() {
-            HOT_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         System.alloc_zeroed(l)
     }
 
     unsafe fn realloc(&self, p: *mut u8, l: Layout, new_size: usize) -> *mut u8 {
-        if dcfa_mpi::hotpath::armed() {
-            HOT_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         System.realloc(p, l, new_size)
     }
 
@@ -122,5 +138,54 @@ fn steady_state_eager_ops_do_not_allocate() {
         hot, 0,
         "steady-state eager ping-pong performed {hot} hot-path heap \
          allocations over {MEASURED_ROUNDS} rounds (expected zero)"
+    );
+}
+
+/// Negative control for the test above: arming is per simulated process.
+/// Every rank shares one OS thread, so a rank parked inside a `pause()`
+/// must not disarm the rank that runs next, and an allocation made in an
+/// armed section right after resuming from a park must be counted. Fails
+/// if the counters are shared between processes (the paused rank would
+/// hide the allocation) and fails if attribution is off altogether.
+#[test]
+fn armed_allocation_after_a_park_is_counted_while_a_peer_sits_paused() {
+    use dcfa_mpi::hotpath;
+    use simcore::SimDuration;
+
+    IS_CONTROL.set(true);
+    let mut sim = simcore::Simulation::new();
+    sim.spawn("allocates", |ctx| {
+        // Parks: "paused" starts at this instant and is queued first.
+        ctx.sleep(SimDuration::from_nanos(10));
+        let section = hotpath::enter();
+        assert!(
+            hotpath::armed(),
+            "the parked peer's pause leaked into this process"
+        );
+        let before = CONTROL_ALLOCS.load(Ordering::Relaxed);
+        let block = std::hint::black_box(Box::new([0u8; 64]));
+        let counted = CONTROL_ALLOCS.load(Ordering::Relaxed) - before;
+        drop(block);
+        drop(section);
+        assert_eq!(
+            counted, 1,
+            "an armed allocation after a park went uncounted"
+        );
+        assert!(!hotpath::armed());
+    });
+    sim.spawn("paused", |ctx| {
+        let _section = hotpath::enter();
+        let _pause = hotpath::pause();
+        // Parks inside the pause until after "allocates" has run.
+        ctx.sleep(SimDuration::from_nanos(100));
+        assert!(!hotpath::armed(), "this process is still paused");
+        let before = CONTROL_ALLOCS.load(Ordering::Relaxed);
+        drop(std::hint::black_box(Box::new([0u8; 64])));
+        assert_eq!(CONTROL_ALLOCS.load(Ordering::Relaxed), before);
+    });
+    sim.run_expect();
+    assert!(
+        !hotpath::armed(),
+        "a process's section leaked out of the run"
     );
 }

@@ -2,12 +2,30 @@
 //!
 //! # Execution model
 //!
-//! Every simulated process is an OS thread, but **exactly one** of them runs
-//! at any moment: the engine wakes a process, then parks itself until that
-//! process either blocks (via a [`Ctx`] call) or finishes. All events with
-//! equal timestamps fire in schedule order. The result is a fully
-//! deterministic simulation in which process code is ordinary imperative
-//! Rust — device models charge virtual time, processes wait on completions.
+//! A simulation uses **one OS thread**: the one that calls
+//! [`Simulation::run`]. Every simulated process is a stackful coroutine
+//! (`coro.rs`) with a 2 MiB stack of its own. The engine loop pops the next
+//! event; a wake resumes the target's coroutine *on the calling thread* and
+//! gets control back when the process blocks (a [`Ctx`] call that parks) or
+//! finishes, so exactly one process runs at any moment and the kernel has
+//! nothing to schedule. All events with equal timestamps fire in schedule
+//! order. The result is a fully deterministic simulation in which process
+//! code is ordinary imperative Rust — device models charge virtual time,
+//! processes wait on completions. Sharing a thread has two consequences:
+//!
+//! * **A simulation is tied to the thread that first ran it.** A parked
+//!   process's stack may hold addresses of thread-local storage and `!Send`
+//!   locals, so `run` records its thread on the first call, and it and the
+//!   teardown in `Drop` panic on any other. Building a simulation and
+//!   spawning into it on one thread, then running it on another, stays
+//!   legal: a process that has not started is only a `Send` closure.
+//! * **Thread-local state is shared by every process.** Code that wants a
+//!   per-process value uses [`proc_local`], one word the engine saves and
+//!   restores around every resume.
+//!
+//! Each stack ends in a guard page, so a process that overflows it dies
+//! with `SIGSEGV` at the overflowing instruction instead of scribbling on
+//! a neighbour.
 //!
 //! # Wake correctness
 //!
@@ -24,13 +42,11 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
+use crate::coro::{self, Coroutine, Resumed};
 use crate::error::{BlockedProc, SimError};
 use crate::sync::{CompletionInner, EventInner};
 use crate::time::{SimDuration, SimTime};
@@ -74,28 +90,40 @@ impl Ord for ScheduledEvent {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProcStatus {
-    /// Not yet started or currently blocked.
-    Blocked,
-    Running,
-    Finished,
-}
+/// One word of per-process state for code above the engine.
+///
+/// Every process of a simulation runs on one thread, so a thread-local is
+/// shared by all of them. This word is not: the engine swaps it on every
+/// resume and park, so a process reads back what *it* last stored (zero
+/// at its start), and code outside any process — device callbacks, the
+/// caller of `run` — has the thread's own value. Const-initialised and
+/// `Copy`, so access never allocates and is safe inside an allocator.
+pub mod proc_local {
+    use std::cell::Cell;
 
-enum Resume {
-    Go,
-    Abort,
-}
+    thread_local! {
+        static WORD: Cell<u64> = const { Cell::new(0) };
+    }
 
-enum Park {
-    Blocked(ProcId),
-    Finished(ProcId),
-    Panicked(ProcId, String),
+    /// The current process's word.
+    #[inline]
+    pub fn get() -> u64 {
+        WORD.get()
+    }
+
+    /// Set the current process's word.
+    #[inline]
+    pub fn set(word: u64) {
+        WORD.set(word);
+    }
+
+    pub(super) fn swap(word: u64) -> u64 {
+        WORD.replace(word)
+    }
 }
 
 struct ProcSlot {
     name: String,
-    status: ProcStatus,
     /// Daemon processes (servers that block forever waiting for requests)
     /// don't keep the simulation alive and don't count as deadlocked.
     daemon: bool,
@@ -103,9 +131,24 @@ struct ProcSlot {
     epoch: u64,
     /// Human-readable reason recorded at the blocking call site.
     block_reason: &'static str,
-    resume_tx: Sender<Resume>,
-    join: Option<JoinHandle<()>>,
+    /// The process itself while it is blocked (or not yet started); `None`
+    /// once it finished, and while the engine has it out to run it.
+    coro: Option<Coroutine>,
+    /// The process's [`proc_local`] word while it is not running.
+    local: u64,
 }
+
+// SAFETY: `Coroutine` is the only `!Send` field (the rest is owned plain
+// data). One that has never been resumed is a boxed `Send` closure and a
+// private mapping nothing points into, so it may move freely. One that is
+// parked mid-body may hold thread-bound state on its stack, but moving the
+// slot does not touch that stack; only a resume does, and every resume —
+// `Simulation::run` and the cancellation in `Simulation::drop` — first
+// passes `EngineState::claim_thread`, which pins the simulation to the
+// thread of its first resume. Unmapping a stack from another thread is
+// sound: finished and never-started stacks hold no live frames and a
+// parked one is leaked, not unmapped (see `coro.rs`).
+unsafe impl Send for ProcSlot {}
 
 /// Installed trace hook.
 type TraceHook = Box<dyn Fn(SimTime, &str) + Send>;
@@ -120,6 +163,8 @@ pub(crate) struct EngineState {
     events_processed: u64,
     event_limit: u64,
     trace: Option<TraceHook>,
+    /// The thread of the first `run`; see `claim_thread`.
+    home: Option<std::thread::Thread>,
 }
 
 impl EngineState {
@@ -130,20 +175,9 @@ impl EngineState {
         self.heap.push(Reverse(ScheduledEvent { time, seq, kind }));
     }
 
-    fn peek_next(&self) -> Option<&ScheduledEvent> {
-        self.heap.peek().map(|Reverse(e)| e)
-    }
-
     /// Earliest queued event time.
     fn earliest_time(&self) -> Option<SimTime> {
-        self.peek_next().map(|e| e.time)
-    }
-
-    /// Whether the next queued event is a process wake (vs a device `Call`
-    /// or nothing). Used by the direct-handoff fast path in [`Ctx::park`].
-    fn next_is_wake(&self) -> Option<bool> {
-        self.peek_next()
-            .map(|e| matches!(e.kind, EventKind::Wake(_)))
+        self.heap.peek().map(|Reverse(e)| e.time)
     }
 
     /// Pop the next event in `(time, seq)` order.
@@ -156,11 +190,23 @@ impl EngineState {
             t(self.now, msg);
         }
     }
+
+    /// Pin the simulation to the calling thread on first use and refuse
+    /// any other afterwards: parked stacks are only valid on the thread
+    /// that ran them (module docs). `what` names the refused operation.
+    fn claim_thread(&mut self, what: &str) {
+        let here = std::thread::current();
+        let home = self.home.get_or_insert_with(|| here.clone());
+        assert!(
+            home.id() == here.id(),
+            "a Simulation must be {what} on the thread that first ran it: it ran on {home:?} \
+             and this is {here:?}; its parked processes' stacks are bound to that thread",
+        );
+    }
 }
 
 struct Shared {
     state: Mutex<EngineState>,
-    park_tx: Sender<Park>,
 }
 
 /// Handle for scheduling future work; clonable and usable from process code
@@ -236,11 +282,7 @@ impl Scheduler {
 pub struct Ctx {
     pid: ProcId,
     scheduler: Scheduler,
-    resume_rx: Receiver<Resume>,
 }
-
-/// Internal marker used to unwind aborted process threads quietly.
-struct AbortMarker;
 
 impl Ctx {
     /// This process's id.
@@ -285,15 +327,15 @@ impl Ctx {
         {
             let mut st = self.scheduler.shared.state.lock();
             let t = st.now + d;
-            // Fast-forward: while this process runs, no other thread can
-            // mutate the scheduler (every other process is parked and the
-            // engine thread is waiting for our park), so if our wake
-            // would sort before everything queued, parking would only
-            // make the engine pop it straight back to us. Advance the
-            // clock inline instead and skip both thread handoffs — the
-            // event still counts, identically to the two-hop path. A
-            // queued event at the same instant wins (it holds an earlier
-            // sequence number), exactly as in the two-hop path.
+            // Fast-forward: while this process runs nothing else touches
+            // the scheduler (every other process is parked and the engine
+            // loop is waiting for our park), so if our wake would sort
+            // before everything queued, parking would only make the
+            // engine pop it straight back to us. Advance the clock inline
+            // instead and skip both switches — the event still counts,
+            // identically to the two-switch path. A queued event at the
+            // same instant wins (it holds an earlier sequence number),
+            // exactly as in the two-switch path.
             if st.events_processed < st.event_limit && st.earliest_time().is_none_or(|h| t < h) {
                 st.now = t;
                 st.events_processed += 1;
@@ -322,7 +364,7 @@ impl Ctx {
             let now = st.now;
             // Fast-forward (see `sleep`): with nothing else queued at the
             // current instant the yield is a no-op — requeueing would
-            // bounce straight back through the engine thread.
+            // bounce straight back through the engine loop.
             if st.events_processed < st.event_limit && st.earliest_time().is_none_or(|h| now < h) {
                 st.events_processed += 1;
                 return;
@@ -442,73 +484,11 @@ impl Ctx {
         }
     }
 
+    /// Hand control back to the engine loop until a wake for the current
+    /// block epoch resumes this process; unwinds (quietly) instead when the
+    /// simulation is being torn down.
     fn park(&mut self) {
-        // Direct handoff: while this thread runs, the engine thread sits
-        // blocked waiting for our park, so bouncing control through it
-        // costs two thread switches per event. If the next event is a
-        // plain wake of a parked process, deliver it from here: pop it,
-        // mark the target running and resume it directly — or, when the
-        // wake targets this very process, just keep running with no
-        // switch at all. Device callbacks (`Call`), an exhausted event
-        // budget, an empty queue (run end / deadlock detection) and
-        // process exit still go through the engine thread, which keeps
-        // sole authority over run termination and error reporting.
-        enum Hand {
-            SelfResume,
-            Direct(Sender<Resume>),
-            Engine,
-        }
-        let hand = {
-            let mut st = self.scheduler.shared.state.lock();
-            st.procs[self.pid.0].status = ProcStatus::Blocked;
-            loop {
-                if st.events_processed >= st.event_limit {
-                    // Let the engine thread pop the offending event and
-                    // report `SimError::EventLimit`.
-                    break Hand::Engine;
-                }
-                match st.next_is_wake() {
-                    Some(true) => {}
-                    Some(false) | None => break Hand::Engine,
-                }
-                let Some(ev) = st.pop_next() else {
-                    unreachable!("peeked event vanished under the state lock")
-                };
-                let EventKind::Wake(target) = ev.kind else {
-                    unreachable!("next_is_wake said wake")
-                };
-                debug_assert!(ev.time >= st.now);
-                st.now = ev.time;
-                st.events_processed += 1;
-                let slot = &mut st.procs[target.pid.0];
-                if slot.status != ProcStatus::Blocked || slot.epoch != target.epoch {
-                    continue; // stale wake, skipped exactly like the engine loop
-                }
-                slot.status = ProcStatus::Running;
-                if target.pid == self.pid {
-                    break Hand::SelfResume;
-                }
-                break Hand::Direct(slot.resume_tx.clone());
-            }
-        };
-        match hand {
-            Hand::SelfResume => return,
-            Hand::Direct(tx) => {
-                tx.send(Resume::Go).expect("process thread gone");
-            }
-            Hand::Engine => {
-                self.scheduler
-                    .shared
-                    .park_tx
-                    .send(Park::Blocked(self.pid))
-                    .expect("engine gone while parking");
-            }
-        }
-        match self.resume_rx.recv() {
-            Ok(Resume::Go) => {}
-            // resume_unwind skips the panic hook: teardown stays quiet.
-            Ok(Resume::Abort) | Err(_) => std::panic::resume_unwind(Box::new(AbortMarker)),
-        }
+        coro::suspend();
     }
 }
 
@@ -524,7 +504,6 @@ pub struct RunReport {
 /// A deterministic discrete-event simulation.
 pub struct Simulation {
     shared: Arc<Shared>,
-    park_rx: Receiver<Park>,
 }
 
 impl Default for Simulation {
@@ -537,59 +516,25 @@ fn spawn_inner<F>(shared: &Arc<Shared>, name: String, daemon: bool, f: F) -> Pro
 where
     F: FnOnce(&mut Ctx) + Send + 'static,
 {
-    let (resume_tx, resume_rx) = unbounded();
-    let pid;
-    {
-        let mut st = shared.state.lock();
-        pid = ProcId(st.procs.len());
-        st.procs.push(ProcSlot {
-            name: name.clone(),
-            status: ProcStatus::Blocked,
-            daemon,
-            epoch: 0,
-            block_reason: "start",
-            resume_tx,
-            join: None,
-        });
-        if !daemon {
-            st.live += 1;
-        }
-        let now = st.now;
-        st.schedule(now, EventKind::Wake(WakeTarget { pid, epoch: 0 }));
-    }
-    let mut ctx = Ctx {
-        pid,
-        scheduler: Scheduler {
-            shared: shared.clone(),
-        },
-        resume_rx,
+    let mut st = shared.state.lock();
+    let pid = ProcId(st.procs.len());
+    let scheduler = Scheduler {
+        shared: shared.clone(),
     };
-    let park_tx = shared.park_tx.clone();
-    let handle = std::thread::Builder::new()
-        .name(format!("sim:{name}"))
-        .spawn(move || {
-            // Wait for the first wake before touching anything.
-            match ctx.resume_rx.recv() {
-                Ok(Resume::Go) => {}
-                Ok(Resume::Abort) | Err(_) => return,
-            }
-            let result = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-            match result {
-                Ok(()) => {
-                    let _ = park_tx.send(Park::Finished(pid));
-                }
-                Err(payload) => {
-                    if payload.downcast_ref::<AbortMarker>().is_some() {
-                        // Quiet teardown; engine is gone or aborting us.
-                        return;
-                    }
-                    let msg = panic_message(payload.as_ref());
-                    let _ = park_tx.send(Park::Panicked(pid, msg));
-                }
-            }
-        })
-        .expect("failed to spawn sim process thread");
-    shared.state.lock().procs[pid.0].join = Some(handle);
+    let coro = Coroutine::new(move || f(&mut Ctx { pid, scheduler }));
+    st.procs.push(ProcSlot {
+        name,
+        daemon,
+        epoch: 0,
+        block_reason: "start",
+        coro: Some(coro),
+        local: 0,
+    });
+    if !daemon {
+        st.live += 1;
+    }
+    let now = st.now;
+    st.schedule(now, EventKind::Wake(WakeTarget { pid, epoch: 0 }));
     pid
 }
 
@@ -605,7 +550,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 impl Simulation {
     pub fn new() -> Self {
-        let (park_tx, park_rx) = unbounded();
         let shared = Arc::new(Shared {
             state: Mutex::new(EngineState {
                 now: SimTime::ZERO,
@@ -616,10 +560,10 @@ impl Simulation {
                 events_processed: 0,
                 event_limit: u64::MAX,
                 trace: None,
+                home: None,
             }),
-            park_tx,
         });
-        Simulation { shared, park_rx }
+        Simulation { shared }
     }
 
     /// Install a trace hook invoked by [`Ctx::trace`] / [`Scheduler::trace`].
@@ -657,28 +601,16 @@ impl Simulation {
     }
 
     /// Run until the event queue drains and every process has finished.
+    ///
+    /// # Panics
+    /// If an earlier `run` of this simulation happened on another thread
+    /// (see the module docs).
     pub fn run(&mut self) -> Result<RunReport, SimError> {
+        self.shared.state.lock().claim_thread("run");
+        let sched = self.scheduler();
         loop {
-            let ev = {
-                let mut st = self.shared.state.lock();
-                match st.pop_next() {
-                    Some(ev) => {
-                        debug_assert!(ev.time >= st.now);
-                        st.now = ev.time;
-                        st.events_processed += 1;
-                        if st.events_processed > st.event_limit {
-                            return Err(SimError::EventLimit {
-                                limit: st.event_limit,
-                                at: st.now,
-                            });
-                        }
-                        Some(ev)
-                    }
-                    None => None,
-                }
-            };
-            let Some(ev) = ev else {
-                let st = self.shared.state.lock();
+            let mut st = self.shared.state.lock();
+            let Some(ev) = st.pop_next() else {
                 if st.live == 0 {
                     return Ok(RunReport {
                         final_time: st.now,
@@ -688,7 +620,7 @@ impl Simulation {
                 let blocked = st
                     .procs
                     .iter()
-                    .filter(|p| p.status == ProcStatus::Blocked && !p.daemon)
+                    .filter(|p| p.coro.is_some() && !p.daemon)
                     .map(|p| BlockedProc {
                         name: p.name.clone(),
                         reason: p.block_reason.to_string(),
@@ -699,41 +631,57 @@ impl Simulation {
                     blocked,
                 });
             };
-            match ev.kind {
-                EventKind::Call(f) => f(&self.scheduler()),
-                EventKind::Wake(target) => {
-                    let resume_tx = {
-                        let mut st = self.shared.state.lock();
-                        let slot = &mut st.procs[target.pid.0];
-                        if slot.status != ProcStatus::Blocked || slot.epoch != target.epoch {
-                            continue; // stale wake
-                        }
-                        slot.status = ProcStatus::Running;
-                        slot.resume_tx.clone()
-                    };
-                    resume_tx.send(Resume::Go).expect("process thread gone");
-                    match self.park_rx.recv().expect("all process threads gone") {
-                        Park::Blocked(pid) => {
-                            self.shared.state.lock().procs[pid.0].status = ProcStatus::Blocked;
-                        }
-                        Park::Finished(pid) => {
-                            let mut st = self.shared.state.lock();
-                            st.procs[pid.0].status = ProcStatus::Finished;
-                            if !st.procs[pid.0].daemon {
-                                st.live -= 1;
-                            }
-                        }
-                        Park::Panicked(pid, message) => {
-                            let name = {
-                                let mut st = self.shared.state.lock();
-                                st.procs[pid.0].status = ProcStatus::Finished;
-                                if !st.procs[pid.0].daemon {
-                                    st.live -= 1;
-                                }
-                                st.procs[pid.0].name.clone()
-                            };
-                            return Err(SimError::ProcessPanic { name, message });
-                        }
+            debug_assert!(ev.time >= st.now);
+            st.now = ev.time;
+            st.events_processed += 1;
+            if st.events_processed > st.event_limit {
+                return Err(SimError::EventLimit {
+                    limit: st.event_limit,
+                    at: st.now,
+                });
+            }
+            let target = match ev.kind {
+                EventKind::Call(f) => {
+                    drop(st);
+                    f(&sched);
+                    continue;
+                }
+                EventKind::Wake(target) => target,
+            };
+            let slot = &mut st.procs[target.pid.0];
+            if slot.epoch != target.epoch {
+                continue; // stale wake: the process moved on
+            }
+            let Some(mut coro) = slot.coro.take() else {
+                continue; // stale wake: the process finished
+            };
+            let local = slot.local;
+            drop(st);
+
+            // Run the process, on this thread, until it parks or ends.
+            let outer = proc_local::swap(local);
+            let resumed = coro.resume();
+            let local = proc_local::swap(outer);
+
+            let mut st = self.shared.state.lock();
+            let slot = &mut st.procs[target.pid.0];
+            match resumed {
+                Resumed::Suspended => {
+                    slot.coro = Some(coro);
+                    slot.local = local;
+                }
+                Resumed::Finished(result) => {
+                    if !slot.daemon {
+                        st.live -= 1;
+                    }
+                    drop(st);
+                    // Unmaps the stack now, not when the simulation drops.
+                    drop(coro);
+                    if let Err(payload) = result {
+                        return Err(SimError::ProcessPanic {
+                            name: self.proc_name(target.pid),
+                            message: panic_message(payload.as_ref()),
+                        });
                     }
                 }
             }
@@ -756,23 +704,19 @@ impl Simulation {
 
 impl Drop for Simulation {
     fn drop(&mut self) {
-        // Abort any still-parked process threads so their stacks unwind and
-        // the threads exit; then join them.
-        let mut handles = Vec::new();
-        {
-            let mut st = self.shared.state.lock();
-            for slot in st.procs.iter_mut() {
-                if slot.status != ProcStatus::Finished {
-                    let _ = slot.resume_tx.send(Resume::Abort);
-                }
-                if let Some(h) = slot.join.take() {
-                    handles.push(h);
-                }
-            }
+        // Take every remaining process out of the table — each holds a
+        // `Scheduler`, so leaving them would keep the table alive forever —
+        // and tear it down outside the lock, since destructors of process
+        // locals may call back into the scheduler: a process parked
+        // mid-body is unwound so its locals drop, one that never started
+        // just drops its closure.
+        let mut st = self.shared.state.lock();
+        let coros: Vec<Coroutine> = st.procs.iter_mut().filter_map(|p| p.coro.take()).collect();
+        if coros.iter().any(Coroutine::is_mid_body) {
+            st.claim_thread("dropped");
         }
-        for h in handles {
-            let _ = h.join();
-        }
+        drop(st);
+        coros.into_iter().for_each(Coroutine::cancel);
     }
 }
 

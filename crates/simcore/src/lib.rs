@@ -1,9 +1,10 @@
 //! # simcore — deterministic discrete-event simulation engine
 //!
 //! The substrate under the DCFA-MPI reproduction: a discrete-event engine
-//! whose simulated processes are cooperative OS threads. Exactly one process
-//! runs at a time and all simultaneous events fire in schedule order, so runs
-//! are bit-for-bit deterministic while process code stays ordinary Rust.
+//! whose simulated processes are stackful coroutines, all run on the one
+//! thread that calls [`Simulation::run`]. Exactly one process runs at a time
+//! and all simultaneous events fire in schedule order, so runs are
+//! bit-for-bit deterministic while process code stays ordinary Rust.
 //!
 //! ## Concepts
 //!
@@ -34,12 +35,13 @@
 //! assert_eq!(report.final_time.as_micros_f64(), 3.0);
 //! ```
 
+mod coro;
 mod engine;
 mod error;
 mod sync;
 mod time;
 
-pub use engine::{Ctx, ProcId, RunReport, Scheduler, Simulation};
+pub use engine::{proc_local, Ctx, ProcId, RunReport, Scheduler, Simulation};
 pub use error::{BlockedProc, SimError};
 pub use sync::{Completion, Mailbox, SimEvent};
 pub use time::{bandwidth, transfer_time, SimDuration, SimTime};

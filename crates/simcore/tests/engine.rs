@@ -1,10 +1,14 @@
 //! Integration tests for the discrete-event engine: determinism, ordering,
 //! blocking primitives, deadlock and panic reporting.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use simcore::{Completion, Mailbox, SimDuration, SimError, SimEvent, SimTime, Simulation};
+use simcore::{
+    proc_local, Completion, Mailbox, SimDuration, SimError, SimEvent, SimTime, Simulation,
+};
 
 #[test]
 fn single_process_advances_time() {
@@ -361,4 +365,253 @@ fn many_processes_scale() {
     }
     sim.run_expect();
     assert_eq!(*done.lock(), n);
+}
+
+/// Bumps a shared counter when dropped.
+struct CountDrop(Arc<AtomicUsize>);
+
+impl Drop for CountDrop {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p
+            .downcast_ref::<&str>()
+            .map_or(String::new(), |s| s.to_string()),
+    }
+}
+
+/// A process stack is the 2 MiB a spawned thread gets: recursing through
+/// more than 1 MiB of frames and parking at the bottom must work.
+#[test]
+fn process_stack_holds_a_mebibyte_of_frames() {
+    const DEPTH_BYTES: usize = (1 << 20) + (256 << 10);
+
+    /// Recurse until the frames below `top` span `DEPTH_BYTES`, park
+    /// there, and return how many frames that took.
+    #[inline(never)]
+    fn descend(ctx: &mut simcore::Ctx, top: usize) -> u64 {
+        let mut frame = [0u8; 512];
+        std::hint::black_box(&mut frame);
+        if top - frame.as_ptr() as usize >= DEPTH_BYTES {
+            ctx.sleep(SimDuration::from_nanos(1));
+            return u64::from(frame[0]);
+        }
+        descend(ctx, top) + 1 + u64::from(frame[511])
+    }
+    let mut sim = Simulation::new();
+    // A second process so the sleep at the bottom really parks.
+    sim.spawn("peer", |ctx| ctx.sleep(SimDuration::from_nanos(2)));
+    sim.spawn("deep", |ctx| {
+        let top = 0u8;
+        let frames = descend(ctx, &raw const top as usize);
+        assert!(
+            frames >= 16,
+            "only {frames} frames: the recursion was flattened"
+        );
+    });
+    sim.run_expect();
+}
+
+/// Optimised builds keep floating-point values in callee-saved vector
+/// registers across a park; a switch that dropped them would show here.
+#[test]
+fn floating_point_state_survives_parks() {
+    fn mix(acc: &mut [f64; 4], round: u32, seed: f64) {
+        for a in acc {
+            *a = *a * 1.25 + f64::from(round) * seed;
+        }
+    }
+    let mut sim = Simulation::new();
+    for seed in [0.5f64, 3.25] {
+        sim.spawn(format!("fp{seed}"), move |ctx| {
+            let mut expected = [1.5 * seed, 2.5, 3.5, 4.5];
+            (0..8).for_each(|round| mix(&mut expected, round, seed));
+            let mut acc = [1.5 * seed, 2.5, 3.5, 4.5];
+            for round in 0..8 {
+                ctx.sleep(SimDuration::from_nanos(1)); // the peer runs in between
+                mix(&mut acc, round, seed);
+            }
+            assert_eq!(acc, expected);
+        });
+    }
+    sim.run_expect();
+}
+
+#[test]
+fn panic_is_reported_and_parked_processes_unwind_once_on_drop() {
+    let drops = Arc::new(AtomicUsize::new(0));
+    let never = Completion::new();
+    let mut sim = Simulation::new();
+    for name in ["parked-a", "parked-b"] {
+        let (drops, never) = (drops.clone(), never.clone());
+        sim.spawn(name, move |ctx| {
+            let _local = CountDrop(drops);
+            ctx.wait(&never);
+            unreachable!("the completion never fires");
+        });
+    }
+    sim.spawn("bad", |ctx| {
+        ctx.sleep(SimDuration::from_nanos(5));
+        panic!("boom at five");
+    });
+    match sim.run() {
+        Err(SimError::ProcessPanic { name, message }) => {
+            assert_eq!(name, "bad");
+            assert_eq!(message, "boom at five");
+        }
+        other => panic!("expected panic error, got {other:?}"),
+    }
+    assert_eq!(drops.load(Ordering::SeqCst), 0, "still parked mid-body");
+    drop(sim);
+    assert_eq!(drops.load(Ordering::SeqCst), 2, "each local dropped once");
+}
+
+#[test]
+fn unstarted_processes_drop_their_closures_unrun() {
+    let drops = Arc::new(AtomicUsize::new(0));
+    let ran = Arc::new(AtomicBool::new(false));
+    let sim = Simulation::new();
+    for i in 0..3 {
+        let (captured, ran) = (CountDrop(drops.clone()), ran.clone());
+        sim.spawn(format!("p{i}"), move |_ctx| {
+            let _captured = captured;
+            ran.store(true, Ordering::SeqCst);
+        });
+    }
+    drop(sim);
+    assert_eq!(drops.load(Ordering::SeqCst), 3);
+    assert!(!ran.load(Ordering::SeqCst));
+}
+
+/// The per-process word follows the process across parks and is not what
+/// device callbacks or the caller of `run` see.
+#[test]
+fn proc_local_word_is_per_process() {
+    let seen_by_call = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = Simulation::new();
+    for me in 1..=3u64 {
+        let seen_by_call = seen_by_call.clone();
+        sim.spawn(format!("p{me}"), move |ctx| {
+            assert_eq!(proc_local::get(), 0, "a process starts with a zero word");
+            for round in 0..4 {
+                proc_local::set(me * 100 + round);
+                let seen = seen_by_call.clone();
+                ctx.scheduler()
+                    .call_after(SimDuration::from_nanos(1), move |_| {
+                        seen.lock().push(proc_local::get());
+                    });
+                ctx.sleep(SimDuration::from_nanos(me));
+                assert_eq!(proc_local::get(), me * 100 + round);
+            }
+        });
+    }
+    proc_local::set(7);
+    sim.run_expect();
+    assert_eq!(proc_local::get(), 7, "the caller's word is restored");
+    proc_local::set(0);
+    assert_eq!(*seen_by_call.lock(), vec![7; 12]);
+}
+
+#[test]
+fn built_on_one_thread_runs_on_another() {
+    let hits = Arc::new(AtomicUsize::new(0));
+    let mut sim = Simulation::new();
+    for i in 0..4 {
+        let hits = hits.clone();
+        sim.spawn(format!("p{i}"), move |ctx| {
+            ctx.sleep(SimDuration::from_nanos(10 + i));
+            hits.fetch_add(1, Ordering::SeqCst);
+        });
+    }
+    let report = std::thread::spawn(move || sim.run_expect())
+        .join()
+        .expect("runs on the second thread");
+    assert_eq!(report.final_time.as_nanos(), 13);
+    assert_eq!(hits.load(Ordering::SeqCst), 4);
+}
+
+/// Parked stacks belong to the thread that ran them: resuming or tearing
+/// them down anywhere else is refused, naming both threads.
+#[test]
+fn a_simulation_that_ran_is_bound_to_its_thread() {
+    let first = std::thread::Builder::new().name("first-runner".into());
+    let mut sim = first
+        .spawn(|| {
+            let mut sim = Simulation::new();
+            let never = Completion::new();
+            sim.spawn("parked", move |ctx| ctx.wait(&never));
+            assert!(matches!(sim.run(), Err(SimError::Deadlock { .. })));
+            sim
+        })
+        .expect("spawn")
+        .join()
+        .expect("first run");
+    let here = std::thread::current();
+    let here = here.name().expect("test threads are named");
+
+    let refused = catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("run must be refused");
+    let text = panic_text(refused);
+    assert!(text.contains("must be run on the thread"), "{text}");
+    assert!(
+        text.contains("first-runner") && text.contains(here),
+        "{text}"
+    );
+
+    let refused = catch_unwind(AssertUnwindSafe(move || drop(sim))).expect_err("drop too");
+    let text = panic_text(refused);
+    assert!(text.contains("must be dropped on the thread"), "{text}");
+    assert!(
+        text.contains("first-runner") && text.contains(here),
+        "{text}"
+    );
+}
+
+/// The engine's stack pointer is saved per resumed process, not per
+/// thread, so a process may build and run a whole simulation of its own.
+#[test]
+fn a_simulation_runs_nested_inside_a_process() {
+    let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let mut outer = Simulation::new();
+    for name in ["host-a", "host-b"] {
+        let log = log.clone();
+        outer.spawn(name, move |ctx| {
+            ctx.sleep(SimDuration::from_nanos(10));
+            let mut inner = Simulation::new();
+            let mb: Mailbox<u64> = Mailbox::new();
+            let (tx, rx) = (mb.clone(), mb);
+            inner.spawn("tx", move |ictx| {
+                for i in 0..3 {
+                    ictx.sleep(SimDuration::from_nanos(7));
+                    tx.send(&ictx.scheduler(), i);
+                }
+            });
+            let ilog = log.clone();
+            inner.spawn("rx", move |ictx| {
+                for _ in 0..3 {
+                    let v = rx.recv(ictx);
+                    ilog.lock()
+                        .push(format!("{name} inner {v}@{}", ictx.now().as_nanos()));
+                }
+            });
+            let report = inner.run_expect();
+            assert_eq!(report.final_time.as_nanos(), 21);
+            // Still a process of the outer simulation, on the outer clock.
+            assert_eq!(ctx.now().as_nanos(), 10);
+            ctx.sleep(SimDuration::from_nanos(5));
+            log.lock()
+                .push(format!("{name} outer@{}", ctx.now().as_nanos()));
+        });
+    }
+    assert_eq!(outer.run_expect().final_time.as_nanos(), 15);
+    let inner = |n: &'static str| (0..3).map(move |i| format!("{n} inner {i}@{}", 7 * (i + 1)));
+    let expected: Vec<String> = inner("host-a")
+        .chain(inner("host-b"))
+        .chain(["host-a outer@15".into(), "host-b outer@15".into()])
+        .collect();
+    assert_eq!(*log.lock(), expected);
 }
