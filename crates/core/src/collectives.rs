@@ -156,8 +156,8 @@ pub fn gather(
         let recv = recv.expect("root needs a receive buffer");
         assert!(recv.len >= send.len * n as u64, "gather buffer too small");
         // Own block.
-        let mine = c.cluster().read_vec(send);
-        c.cluster().write(recv, root as u64 * send.len, &mine);
+        c.cluster()
+            .copy(send, 0, recv, root as u64 * send.len, send.len);
         for p in 0..n {
             if p == root {
                 continue;
@@ -188,8 +188,7 @@ pub fn scatter(
         for p in 0..n {
             let slot = send.slice(p as u64 * recv.len, recv.len);
             if p == root {
-                let mine = c.cluster().read_vec(&slot);
-                c.cluster().write(recv, 0, &mine);
+                c.cluster().copy(&slot, 0, recv, 0, slot.len);
             } else {
                 c.send(ctx, &slot, p, COLL_TAG + 67)?;
             }
@@ -213,8 +212,7 @@ pub fn allgather(
     let me = c.rank();
     let blk = send.len;
     assert!(recv.len >= blk * n as u64, "allgather buffer too small");
-    let mine = c.cluster().read_vec(send);
-    c.cluster().write(recv, me as u64 * blk, &mine);
+    c.cluster().copy(send, 0, recv, me as u64 * blk, blk);
     if n == 1 {
         return Ok(());
     }
@@ -296,8 +294,7 @@ pub fn gatherv(
             if counts[p] > 0 {
                 let slot = recv.slice(off, counts[p]);
                 if p == root {
-                    let mine = c.cluster().read_vec(&send.slice(0, counts[p]));
-                    c.cluster().write(&slot, 0, &mine);
+                    c.cluster().copy(send, 0, &slot, 0, counts[p]);
                 } else {
                     c.recv(ctx, &slot, Src::Rank(p), TagSel::Tag(COLL_TAG + 70))?;
                 }
@@ -335,8 +332,7 @@ pub fn scatterv(
             if counts[p] > 0 {
                 let slot = send.slice(off, counts[p]);
                 if p == root {
-                    let mine = c.cluster().read_vec(&slot);
-                    c.cluster().write(recv, 0, &mine);
+                    c.cluster().copy(&slot, 0, recv, 0, slot.len);
                 } else {
                     c.send(ctx, &slot, p, COLL_TAG + 71)?;
                 }
@@ -378,11 +374,10 @@ pub fn alltoallv(
     let me = c.rank();
     // Own block.
     if send_counts[me] > 0 {
-        let mine = c
-            .cluster()
-            .read_vec(&send.slice(send_offs[me], send_counts[me]));
+        // Slicing keeps the copy inside this rank's own receive block.
+        let to = recv.slice(recv_offs[me], recv_counts[me]);
         c.cluster()
-            .write(&recv.slice(recv_offs[me], recv_counts[me]), 0, &mine);
+            .copy(send, send_offs[me], &to, 0, send_counts[me]);
     }
     for k in 1..n {
         let dst = (me + k) % n;
@@ -418,8 +413,8 @@ pub fn alltoall(
     let me = c.rank();
     assert!(send.len >= blk * n as u64 && recv.len >= blk * n as u64);
     // Own block.
-    let mine = c.cluster().read_vec(&send.slice(me as u64 * blk, blk));
-    c.cluster().write(recv, me as u64 * blk, &mine);
+    c.cluster()
+        .copy(send, me as u64 * blk, recv, me as u64 * blk, blk);
     for k in 1..n {
         let dst = (me + k) % n;
         let src = (me + n - k) % n;

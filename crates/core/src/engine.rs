@@ -423,8 +423,6 @@ pub struct Engine {
     timeout_scratch: Vec<TimeoutKind>,
     /// Reusable scratch: completions drained per CQ batch.
     cq_scratch: Vec<Wc>,
-    /// Reusable scratch: staging-copy bounce buffer for payload moves.
-    copy_scratch: Vec<u8>,
     /// Recycled payload buffers for the unexpected-message queue: eager
     /// copy-out pops one here instead of allocating, and consuming the
     /// unexpected message pushes it back.
@@ -583,7 +581,6 @@ impl Engine {
             retry_scratch: Vec::new(),
             timeout_scratch: Vec::new(),
             cq_scratch: Vec::with_capacity(CQ_BATCH),
-            copy_scratch: Vec::new(),
             payload_pool: Vec::new(),
             coalesce_next_post: false,
             dead_rx: HashSet::new(),
@@ -2196,14 +2193,7 @@ impl Engine {
         hdr.encode_into(&mut hdr_bytes);
         cluster.write(&stage, base, &hdr_bytes);
         if let Some(p) = payload {
-            // Bounce through the reusable scratch buffer — the eager
-            // protocol's "one copy", allocation-free in steady state.
-            let mut data = std::mem::take(&mut self.copy_scratch);
-            data.clear();
-            data.resize(p.len as usize, 0);
-            cluster.read(p, 0, &mut data);
-            cluster.write(&stage, base + HEADER_LEN, &data);
-            self.copy_scratch = data;
+            cluster.copy(p, 0, &stage, base + HEADER_LEN, p.len);
             let t0 = self.metrics.start(|| ctx.now());
             ctx.sleep(cluster.copy_duration(mem_domain, payload_len));
             self.metrics
@@ -3809,12 +3799,7 @@ impl Engine {
             }
             None => {
                 let src_buf = self.in_slot_buf(p);
-                let mut data = std::mem::take(&mut self.copy_scratch);
-                data.clear();
-                data.resize(hdr.len as usize, 0);
-                cluster.read(&src_buf, slot_base + HEADER_LEN, &mut data);
-                cluster.write(&posted.buf, 0, &data);
-                self.copy_scratch = data;
+                cluster.copy(&src_buf, slot_base + HEADER_LEN, &posted.buf, 0, hdr.len);
             }
         }
         ctx.sleep(cluster.copy_duration(self.res.mem().domain, hdr.len));

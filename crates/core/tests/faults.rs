@@ -112,6 +112,13 @@ fn eager_transient_fault_recovers_invisibly() {
 
 #[test]
 fn eager_fatal_fault_fails_only_the_owning_request() {
+    // Every non-transient status is fatal for the owning request and for
+    // nothing else — a protection error as much as an access error.
+    eager_fatal_fault(WcStatus::RemoteAccessError);
+    eager_fatal_fault(WcStatus::LocalProtectionError);
+}
+
+fn eager_fatal_fault(status: WcStatus) {
     // The first eager write (tag 1) dies permanently. The sender's wait
     // must return Transport, the receiver's matching recv RemoteTransport,
     // and the follow-up message (tag 2) must sail through untouched.
@@ -121,7 +128,7 @@ fn eager_fatal_fault_fails_only_the_owning_request() {
         MpiConfig::dcfa(),
         2,
         vec![FaultPlan {
-            status: WcStatus::RemoteAccessError,
+            status,
             op: Some(SendOpcode::RdmaWrite),
             initiator: Some(NodeId(0)),
             ..Default::default()
@@ -137,8 +144,9 @@ fn eager_fatal_fault_fails_only_the_owning_request() {
                         err,
                         MpiError::Transport {
                             op: TransportOp::EagerWrite,
+                            status: s,
                             ..
-                        }
+                        } if s == status
                     ),
                     "sender error: {err:?}"
                 );

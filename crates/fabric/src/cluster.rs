@@ -14,8 +14,11 @@ use crate::health::HealthBoard;
 use crate::mem::{Buffer, MemRef, Memory, NodeId, OutOfMemory};
 
 /// A scheduled data movement: channel reservations are made at post time
-/// (deterministically), bytes land in the destination and `completion`
-/// fires at `end`.
+/// (deterministically); at `end` the bytes are copied from the source to
+/// the destination — one arena-to-arena memcpy, the source is read then,
+/// not sampled at post — and `completion` fires. Until `end` the
+/// destination keeps its old content, and the poster must leave the source
+/// alone, as MPI and verbs require of any in-flight buffer.
 #[derive(Clone)]
 pub struct Transfer {
     /// When the transfer actually starts (after queueing on busy channels).
@@ -210,13 +213,28 @@ impl Cluster {
         simcore::transfer_time(bytes, self.cfg.cost.copy_bw(domain))
     }
 
+    /// Move `len` bytes from `src[src_off..]` to `dst[dst_off..]` with one
+    /// memcpy, arena to arena (content plane only, like [`Cluster::write`]).
+    /// Every modelled hop moves its payload through here. Ranges within
+    /// one arena may overlap (memmove semantics).
+    pub fn copy(&self, src: &Buffer, src_off: u64, dst: &Buffer, dst_off: u64, len: u64) {
+        copy_between(
+            self.memory(src.mem),
+            src,
+            src_off,
+            self.memory(dst.mem),
+            dst,
+            dst_off,
+            len,
+        );
+    }
+
     /// CPU-driven local copy within one domain. Moves the bytes immediately
     /// and returns the duration the calling process must charge itself.
     pub fn local_copy(&self, src: &Buffer, dst: &Buffer) -> SimDuration {
         assert_eq!(src.mem, dst.mem, "local_copy must stay within one domain");
         assert_eq!(src.len, dst.len, "local_copy length mismatch");
-        let data = self.read_vec(src);
-        self.write(dst, 0, &data);
+        self.copy(src, 0, dst, 0, src.len);
         self.copy_duration(src.mem.domain, src.len)
     }
 
@@ -326,26 +344,22 @@ impl Cluster {
             latency += cost.ib_latency;
         }
 
-        // Collect the channels this stream occupies.
+        // The channels this stream occupies.
         let src_node = self.node(src.node);
         let dst_node = self.node(dst.node);
-        let mut channels: Vec<&Mutex<BwChannel>> = Vec::with_capacity(4);
-        if src.domain == Domain::Phi {
-            channels.push(&src_node.pci_p2h);
-        }
-        if src.node != dst.node {
-            channels.push(&src_node.ib_egress);
-            channels.push(&dst_node.ib_ingress);
-        }
-        if dst.domain == Domain::Phi {
-            channels.push(&dst_node.pci_h2p);
-        }
+        let crosses_wire = src.node != dst.node;
+        let channels = [
+            (src.domain == Domain::Phi).then_some(&src_node.pci_p2h),
+            crosses_wire.then_some(&src_node.ib_egress),
+            crosses_wire.then_some(&dst_node.ib_ingress),
+            (dst.domain == Domain::Phi).then_some(&dst_node.pci_h2p),
+        ];
 
         let mut start = after;
-        for ch in &channels {
+        for ch in channels.iter().flatten() {
             start = start.max(ch.lock().ready_at());
         }
-        for ch in &channels {
+        for ch in channels.iter().flatten() {
             ch.lock().reserve_stream(start, dur, bytes);
         }
         (start, start + dur + latency)
@@ -360,9 +374,14 @@ impl Cluster {
         self.sched.call_at(t, f);
     }
 
-    /// Move the bytes and fire the completion at `end`. Bytes are sampled at
-    /// post time (the DMA engine reads the source as the transfer starts; a
-    /// well-behaved protocol never mutates an in-flight buffer).
+    /// Move the bytes and fire the completion at `end`. The event carries
+    /// the two buffers, not the payload: the source is read at `end`, the
+    /// rule verbs delivery follows too. A correct program cannot tell this
+    /// from a DMA engine streaming the source over `[start, end]` — every
+    /// poster blocks on the completion before touching either buffer, and
+    /// mutating an in-flight source is an MPI/verbs usage error — while the
+    /// simulator pays one memcpy per hop instead of two plus a
+    /// payload-sized allocation.
     fn finish_transfer(
         &self,
         src: &Buffer,
@@ -370,13 +389,12 @@ impl Cluster {
         start: SimTime,
         end: SimTime,
     ) -> Transfer {
-        let data = self.read_vec(src);
-        let dst = dst.clone();
+        let (src, dst) = (src.clone(), dst.clone());
+        let (src_mem, dst_mem) = (self.memory(src.mem).clone(), self.memory(dst.mem).clone());
         let completion = Completion::new();
         let c2 = completion.clone();
-        let mem = self.memory(dst.mem).clone();
         self.sched.call_at(end, move |s| {
-            mem.lock().write(&dst, 0, &data);
+            copy_between(&src_mem, &src, 0, &dst_mem, &dst, 0, src.len);
             c2.complete_now(s);
         });
         Transfer {
@@ -406,6 +424,37 @@ impl Cluster {
                 .map(|c| c.lock().stats())
                 .collect(),
         }
+    }
+}
+
+/// The byte plane's one primitive: `len` bytes from `src[src_off..]` in
+/// arena `src_mem` to `dst[dst_off..]` in arena `dst_mem`, range-checked on
+/// both sides like `read`/`write`.
+fn copy_between(
+    src_mem: &Mutex<Memory>,
+    src: &Buffer,
+    src_off: u64,
+    dst_mem: &Mutex<Memory>,
+    dst: &Buffer,
+    dst_off: u64,
+    len: u64,
+) {
+    let len = len as usize;
+    if src.mem == dst.mem {
+        src_mem.lock().copy_within(src, src_off, dst, dst_off, len);
+    } else {
+        // Two arenas, two locks, always taken in arena order so that
+        // opposite copies can never deadlock.
+        let key = |m: MemRef| (m.node, m.domain == Domain::Phi);
+        let (from, mut to);
+        if key(src.mem) < key(dst.mem) {
+            from = src_mem.lock();
+            to = dst_mem.lock();
+        } else {
+            to = dst_mem.lock();
+            from = src_mem.lock();
+        }
+        to.copy_from(dst, dst_off, &from, src, src_off, len);
     }
 }
 

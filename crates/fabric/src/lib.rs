@@ -12,7 +12,8 @@
 //!   software stack is built from: [`Cluster::pci_dma`] (host↔Phi DMA
 //!   engine) and [`Cluster::ib_transfer`] (HCA→wire→HCA path, including the
 //!   slow DMA-read-from-Phi leg that motivates the paper's offloading send
-//!   buffer).
+//!   buffer). Both — and every other modelled hop — move their bytes with
+//!   [`Cluster::copy`]: one memcpy, arena to arena.
 //! * [`ClusterConfig`]/[`CostModel`] — Table-I-analogue configuration with
 //!   constants calibrated against the paper's printed numbers.
 

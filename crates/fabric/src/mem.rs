@@ -252,38 +252,60 @@ impl Memory {
         self.free.insert(base, blk_len);
     }
 
-    fn check_range(&self, buf: &Buffer, offset: u64, len: usize) {
+    /// Arena byte range of `[offset, offset+len)` within `buf`, with the
+    /// range checks every access makes.
+    fn range(&self, buf: &Buffer, offset: u64, len: usize) -> std::ops::Range<usize> {
+        assert_eq!(buf.mem, self.mem);
         assert!(
             offset.checked_add(len as u64).is_some_and(|e| e <= buf.len),
             "access {offset}+{len} out of buffer len {}",
             buf.len
         );
+        let start = (buf.addr + offset) as usize;
+        // `alloc` grows the arena to cover every buffer it hands out.
+        debug_assert!(start + len <= self.bytes.len(), "buffer beyond arena");
+        start..start + len
     }
 
     /// Write bytes into a buffer.
     pub fn write(&mut self, buf: &Buffer, offset: u64, data: &[u8]) {
-        assert_eq!(buf.mem, self.mem);
-        self.check_range(buf, offset, data.len());
-        let start = (buf.addr + offset) as usize;
-        if self.bytes.len() < start + data.len() {
-            self.bytes.resize(start + data.len(), 0);
-        }
-        self.bytes[start..start + data.len()].copy_from_slice(data);
+        let r = self.range(buf, offset, data.len());
+        self.bytes[r].copy_from_slice(data);
     }
 
     /// Read bytes out of a buffer.
     pub fn read(&self, buf: &Buffer, offset: u64, out: &mut [u8]) {
-        assert_eq!(buf.mem, self.mem);
-        self.check_range(buf, offset, out.len());
-        let start = (buf.addr + offset) as usize;
-        if self.bytes.len() >= start + out.len() {
-            out.copy_from_slice(&self.bytes[start..start + out.len()]);
-        } else {
-            // Lazily-grown arena: untouched memory reads as zero.
-            let have = self.bytes.len().saturating_sub(start);
-            out[..have].copy_from_slice(&self.bytes[start..start + have]);
-            out[have..].fill(0);
-        }
+        out.copy_from_slice(&self.bytes[self.range(buf, offset, out.len())]);
+    }
+
+    /// Copy `len` bytes between two buffers of this arena. The ranges may
+    /// overlap (memmove semantics).
+    pub fn copy_within(
+        &mut self,
+        src: &Buffer,
+        src_off: u64,
+        dst: &Buffer,
+        dst_off: u64,
+        len: usize,
+    ) {
+        let from = self.range(src, src_off, len);
+        let to = self.range(dst, dst_off, len);
+        self.bytes.copy_within(from, to.start);
+    }
+
+    /// Copy `len` bytes out of `src` in another arena into `dst` in this
+    /// one.
+    pub fn copy_from(
+        &mut self,
+        dst: &Buffer,
+        dst_off: u64,
+        from: &Memory,
+        src: &Buffer,
+        src_off: u64,
+        len: usize,
+    ) {
+        let to = self.range(dst, dst_off, len);
+        self.bytes[to].copy_from_slice(&from.bytes[from.range(src, src_off, len)]);
     }
 
     /// Read a buffer fully into a fresh Vec.

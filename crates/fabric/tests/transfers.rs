@@ -214,3 +214,172 @@ fn local_copy_duration_scales() {
     });
     sim.run_expect();
 }
+
+// ---- the byte plane ----------------------------------------------------------
+
+fn pattern(len: u64, salt: u8) -> Vec<u8> {
+    (0..len)
+        .map(|i| (i as u8).wrapping_mul(31).wrapping_add(salt))
+        .collect()
+}
+
+/// Run `body` as the only process of a fresh `nodes`-node cluster.
+fn on_cluster(nodes: usize, body: impl FnOnce(&mut simcore::Ctx, Arc<Cluster>) + Send + 'static) {
+    let mut sim = Simulation::new();
+    let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(nodes));
+    sim.spawn("p", move |ctx| body(ctx, cluster));
+    sim.run_expect();
+}
+
+/// One transfer `src_mem -> dst_mem`: the destination keeps its old bytes at
+/// every sampled time before `end` and equals the source at `end`.
+fn lands_at_end(src_mem: MemRef, dst_mem: MemRef) {
+    on_cluster(2, move |ctx, cl| {
+        let len = 64 << 10;
+        let src = cl.alloc_pages(src_mem, len).unwrap();
+        let dst = cl.alloc_pages(dst_mem, len).unwrap();
+        let (new, old) = (pattern(len, 1), pattern(len, 2));
+        cl.write(&src, 0, &new);
+        cl.write(&dst, 0, &old);
+        let t = if src_mem.node == dst_mem.node {
+            cl.pci_dma(&src, &dst, ctx.now())
+        } else {
+            cl.ib_transfer(&src, &dst, src_mem.node, ctx.now())
+        };
+        assert!(t.end > ctx.now());
+        let span = t.end - ctx.now();
+        let one_ns = simcore::SimDuration::from_secs_f64(1e-9);
+        for at in [t.start, ctx.now() + span / 2, t.end - one_ns] {
+            let (cl, dst, old) = (cl.clone(), dst.clone(), old.clone());
+            cl.clone().call_at(at, move |_| {
+                assert_eq!(cl.read_vec(&dst), old, "destination changed before `end`");
+            });
+        }
+        assert_eq!(cl.read_vec(&dst), old, "destination changed at post");
+        ctx.wait(&t.completion);
+        assert_eq!(ctx.now(), t.end);
+        assert_eq!(cl.read_vec(&dst), new);
+        assert_eq!(cl.read_vec(&src), new, "source must be left alone");
+    });
+}
+
+#[test]
+fn pci_dma_lands_at_end_and_not_before() {
+    lands_at_end(phi(0), host(0));
+    lands_at_end(host(1), phi(1));
+}
+
+#[test]
+fn ib_transfer_lands_at_end_and_not_before() {
+    lands_at_end(host(0), phi(1));
+    lands_at_end(phi(0), phi(1));
+}
+
+#[test]
+fn source_is_read_at_end_not_sampled_at_post() {
+    // The documented rule (see `Transfer`): a poster that rewrites an
+    // in-flight source — a usage error — sees the late bytes delivered.
+    on_cluster(1, |ctx, cl| {
+        let src = cl.alloc_pages(phi(0), 4096).unwrap();
+        let dst = cl.alloc_pages(host(0), 4096).unwrap();
+        cl.write(&src, 0, &[1u8; 4096]);
+        let t = cl.pci_dma(&src, &dst, ctx.now());
+        cl.write(&src, 0, &[2u8; 4096]);
+        ctx.wait(&t.completion);
+        assert_eq!(cl.read_vec(&dst), vec![2u8; 4096]);
+    });
+}
+
+#[test]
+fn overlapping_copy_in_one_arena_is_a_memmove() {
+    on_cluster(1, |_ctx, cl| {
+        let buf = cl.alloc_pages(phi(0), 4096).unwrap();
+        let data = pattern(4096, 7);
+        // Forward overlap (dst above src) and backward overlap.
+        for (from, to) in [(0u64, 100u64), (100, 0)] {
+            cl.write(&buf, 0, &data);
+            cl.copy(&buf, from, &buf, to, 3000);
+            let mut want = data.clone();
+            want.copy_within(from as usize..from as usize + 3000, to as usize);
+            assert_eq!(cl.read_vec(&buf), want, "{from} -> {to}");
+        }
+        // Two buffers of one arena, at offsets.
+        let other = cl.alloc_pages(phi(0), 4096).unwrap();
+        cl.write(&buf, 0, &data);
+        cl.copy(&buf, 10, &other, 20, 1000);
+        assert_eq!(cl.read_vec(&other)[20..1020], data[10..1010]);
+        assert_eq!(cl.read_vec(&other)[..20], [0u8; 20]);
+        assert_eq!(cl.read_vec(&other)[1020..], [0u8; 4096 - 1020]);
+    });
+}
+
+#[test]
+fn copy_crosses_domains_and_nodes() {
+    on_cluster(2, |_ctx, cl| {
+        let data = pattern(5000, 3);
+        let src = cl.alloc_pages(phi(0), 5000).unwrap();
+        cl.write(&src, 0, &data);
+        // Either lock order: lower arena to higher and back.
+        for dst_mem in [host(0), phi(1), host(1)] {
+            let dst = cl.alloc_pages(dst_mem, 8192).unwrap();
+            cl.copy(&src, 8, &dst, 100, 4000);
+            assert_eq!(cl.read_vec(&dst)[100..4100], data[8..4008], "{dst_mem}");
+            let back = cl.alloc_pages(phi(0), 4000).unwrap();
+            cl.copy(&dst, 100, &back, 0, 4000);
+            assert_eq!(cl.read_vec(&back), data[8..4008], "{dst_mem} back");
+        }
+    });
+}
+
+#[test]
+fn zero_length_copy_moves_nothing() {
+    on_cluster(1, |ctx, cl| {
+        let a = cl.alloc_pages(phi(0), 64).unwrap();
+        let b = cl.alloc_pages(host(0), 64).unwrap();
+        cl.write(&b, 0, &[9u8; 64]);
+        // At the very end of both buffers is still in range.
+        cl.copy(&a, 64, &b, 64, 0);
+        cl.copy(&a, 64, &a, 0, 0);
+        assert_eq!(cl.read_vec(&b), vec![9u8; 64]);
+        // A zero-length allocation is one byte long; its transfer completes.
+        let (z1, z2) = (
+            cl.alloc(phi(0), 0, 1).unwrap(),
+            cl.alloc(host(0), 0, 1).unwrap(),
+        );
+        let t = cl.pci_dma(&z1, &z2, ctx.now());
+        ctx.wait(&t.completion);
+    });
+}
+
+/// `copy` with one side out of range, same arena or across arenas.
+fn out_of_range_copy(dst_mem: MemRef, src_off: u64, dst_off: u64) {
+    on_cluster(1, move |_ctx, cl| {
+        let src = cl.alloc_pages(phi(0), 4096).unwrap();
+        let dst = cl.alloc_pages(dst_mem, 4096).unwrap();
+        cl.copy(&src, src_off, &dst, dst_off, 4096);
+    });
+}
+
+#[test]
+#[should_panic(expected = "access 1+4096 out of buffer len 4096")]
+fn copy_source_out_of_range_panics() {
+    out_of_range_copy(host(0), 1, 0);
+}
+
+#[test]
+#[should_panic(expected = "access 2+4096 out of buffer len 4096")]
+fn copy_destination_out_of_range_panics() {
+    out_of_range_copy(host(0), 0, 2);
+}
+
+#[test]
+#[should_panic(expected = "access 3+4096 out of buffer len 4096")]
+fn copy_within_source_out_of_range_panics() {
+    out_of_range_copy(phi(0), 3, 0);
+}
+
+#[test]
+#[should_panic(expected = "access 4+4096 out of buffer len 4096")]
+fn copy_within_destination_out_of_range_panics() {
+    out_of_range_copy(phi(0), 0, 4);
+}

@@ -25,8 +25,12 @@ use simcore::{Ctx, Scheduler, SimEvent, SimTime};
 
 use crate::cq::CompletionQueue;
 use crate::types::{
-    MrKey, QpNum, RecvWr, SendOpcode, SendWr, Sge, VerbsError, Wc, WcOpcode, WcStatus,
+    MrKey, QpNum, RecvWr, SendOpcode, SendWr, Sge, SgeList, VerbsError, Wc, WcOpcode, WcStatus,
 };
+
+/// A work request's gather/scatter list resolved to buffer slices at post
+/// time, inline like the [`SgeList`] it came from.
+type LocalSlices = [Option<Buffer>; SgeList::MAX];
 
 struct MrEntry {
     buffer: Buffer,
@@ -56,6 +60,8 @@ struct QpState {
     srq: Option<Arc<SrqShared>>,
 }
 
+/// A Send held RNR-style: no receive was posted when it arrived, so its
+/// payload has no destination yet and lives in an owned copy.
 struct InboundSend {
     data: Vec<u8>,
     src: (NodeId, QpNum),
@@ -100,8 +106,7 @@ impl SharedReceiveQueue {
             drop(st);
             scatter_into(
                 &self.fabric,
-                self.fabric.cluster(),
-                &inbound.data,
+                SendData::Held(&inbound.data),
                 &wr,
                 inbound.src,
                 &recv_cq,
@@ -600,9 +605,16 @@ impl QueuePair {
         );
         if let Some(inbound) = st.backlog.pop_front() {
             // RNR-held send: deliver into this receive right away.
-            let (recv_cq, node) = (st.recv_cq.clone(), self.shared.node);
+            let recv_cq = st.recv_cq.clone();
             drop(st);
-            self.deliver_send_into(&sched, node, inbound, wr, &recv_cq);
+            scatter_into(
+                &self.fabric,
+                SendData::Held(&inbound.data),
+                &wr,
+                inbound.src,
+                &recv_cq,
+                &sched,
+            );
             return Ok(());
         }
         st.rq.push_back(wr);
@@ -629,7 +641,8 @@ impl QueuePair {
         wr: SendWr,
         ring_doorbell: bool,
     ) -> Result<(), VerbsError> {
-        let cost = self.fabric.cluster().config().cost.clone();
+        let cluster = self.fabric.cluster();
+        let cost = &cluster.config().cost;
         // Software post overhead + HCA doorbell/WQE fetch (the latter only
         // when this post rings its own doorbell).
         if ring_doorbell {
@@ -646,12 +659,11 @@ impl QueuePair {
             .ok_or(VerbsError::QpNotConnected)?;
 
         // Resolve the local gather/scatter list now (errors are synchronous).
-        let mut local_slices = Vec::with_capacity(wr.sges.len());
-        for sge in &wr.sges {
-            local_slices.push(self.fabric.resolve_sge(sge)?);
+        let mut local_slices = LocalSlices::default();
+        for (slice, sge) in local_slices.iter_mut().zip(&wr.sges) {
+            *slice = Some(self.fabric.resolve_sge(sge)?);
         }
         let bytes: u64 = wr.byte_len();
-        let cluster = self.fabric.cluster().clone();
 
         // Where does the data stream run? Send/RdmaWrite: local -> remote.
         // RdmaRead: remote -> local (initiator is the destination node).
@@ -659,7 +671,7 @@ impl QueuePair {
         // memory actually lives — this is exactly what the offloading send
         // buffer exploits: a Phi-resident process posting from a host twin
         // sources the transfer at host DMA speed (§IV-B4).
-        let local_mem = local_slices.first().map(|b| b.mem).unwrap_or(MemRef {
+        let local_mem = local_slices[0].as_ref().map(|b| b.mem).unwrap_or(MemRef {
             node: self.shared.node,
             domain: self.domain,
         });
@@ -744,19 +756,8 @@ impl QueuePair {
         // Schedule the delivery.
         let fabric = self.fabric.clone();
         let shared = self.shared.clone();
-        let wr2 = wr;
-        let domain = self.domain;
         cluster.call_at(end, move |s| {
-            deliver(
-                &fabric,
-                &shared,
-                domain,
-                wr2,
-                local_slices,
-                remote,
-                bytes,
-                s,
-            );
+            deliver(&fabric, &shared, wr, local_slices, remote, bytes, s);
         });
         Ok(())
     }
@@ -785,76 +786,108 @@ impl QueuePair {
         let (buf, _) = self.fabric.resolve_mr(sge.lkey)?;
         Some(buf.mem.domain)
     }
+}
 
-    fn deliver_send_into(
-        &self,
-        sched: &Scheduler,
-        _node: NodeId,
-        inbound: InboundSend,
-        rwr: RecvWr,
-        recv_cq: &CompletionQueue,
-    ) {
-        let cluster = self.fabric.cluster();
-        scatter_into(
-            &self.fabric,
-            cluster,
-            &inbound.data,
-            &rwr,
-            inbound.src,
-            recv_cq,
-            sched,
-        );
+/// Where an inbound Send's payload is when it meets its receive.
+enum SendData<'a> {
+    /// Still in the sender's registered memory: the gather list, in SGE
+    /// order.
+    Gather(&'a LocalSlices),
+    /// Held RNR-style: the backlog's owned copy.
+    Held(&'a [u8]),
+}
+
+impl SendData<'_> {
+    fn len(&self) -> u64 {
+        match self {
+            SendData::Gather(slices) => slices.iter().flatten().map(|s| s.len).sum(),
+            SendData::Held(data) => data.len() as u64,
+        }
+    }
+
+    /// Move payload bytes `[off, off + len)` to the start of `dst`.
+    fn copy_to(&self, cluster: &Cluster, off: u64, dst: &Buffer, len: u64) {
+        match self {
+            SendData::Held(data) => {
+                cluster.write(dst, 0, &data[off as usize..(off + len) as usize]);
+            }
+            SendData::Gather(slices) => {
+                let (mut skip, mut done) = (off, 0);
+                for s in slices.iter().flatten() {
+                    if done == len {
+                        break;
+                    }
+                    if skip >= s.len {
+                        skip -= s.len;
+                        continue;
+                    }
+                    let take = (s.len - skip).min(len - done);
+                    cluster.copy(s, skip, dst, done, take);
+                    skip = 0;
+                    done += take;
+                }
+            }
+        }
     }
 }
 
-/// Scatter `data` into a receive WR's SGEs and complete it.
+/// Copy a gathered payload out of the sender's memory, for a Send that has
+/// to wait for its receive.
+fn hold(cluster: &Cluster, slices: &LocalSlices, bytes: u64) -> Vec<u8> {
+    let mut held = vec![0u8; bytes as usize];
+    let mut off = 0;
+    for s in slices.iter().flatten() {
+        cluster.read(s, 0, &mut held[off..off + s.len as usize]);
+        off += s.len as usize;
+    }
+    held
+}
+
+/// Scatter an inbound Send into a receive WR's SGEs — straight from where
+/// the payload is — and complete the receive.
 fn scatter_into(
-    fabric: &Arc<IbFabric>,
-    cluster: &Arc<Cluster>,
-    data: &[u8],
+    fabric: &IbFabric,
+    data: SendData<'_>,
     rwr: &RecvWr,
     src: (NodeId, QpNum),
     recv_cq: &CompletionQueue,
     sched: &Scheduler,
 ) {
-    if (data.len() as u64) > rwr.byte_len() {
+    let len = data.len();
+    let complete = |status: WcStatus| {
         recv_cq.push(
             sched,
             Wc {
                 wr_id: rwr.wr_id,
-                status: WcStatus::LocalLengthError,
+                status,
                 opcode: WcOpcode::Recv,
-                byte_len: data.len() as u64,
+                byte_len: len,
                 src: Some(src),
             },
         );
-        return;
+    };
+    if len > rwr.byte_len() {
+        return complete(WcStatus::LocalLengthError);
     }
-    let mut off = 0usize;
+    let mut off = 0u64;
     for sge in &rwr.sges {
-        if off >= data.len() {
+        if off >= len {
             break;
         }
-        let take = (sge.len as usize).min(data.len() - off);
-        if let Ok(slice) = fabric.resolve_sge(&Sge {
+        let take = sge.len.min(len - off);
+        let Ok(slice) = fabric.resolve_sge(&Sge {
             addr: sge.addr,
-            len: take as u64,
+            len: take,
             lkey: sge.lkey,
-        }) {
-            cluster.write(&slice, 0, &data[off..off + take]);
-        }
+        }) else {
+            // The region was deregistered after the receive was posted:
+            // the HCA stops here, so nothing lands past this SGE.
+            return complete(WcStatus::LocalProtectionError);
+        };
+        data.copy_to(fabric.cluster(), off, &slice, take);
         off += take;
     }
-    recv_cq.push(
-        sched,
-        Wc {
-            wr_id: rwr.wr_id,
-            status: WcStatus::Success,
-            opcode: WcOpcode::Recv,
-            byte_len: data.len() as u64,
-            src: Some(src),
-        },
-    );
+    complete(WcStatus::Success);
 }
 
 fn wc_opcode_for(op: SendOpcode) -> WcOpcode {
@@ -867,19 +900,18 @@ fn wc_opcode_for(op: SendOpcode) -> WcOpcode {
     }
 }
 
-/// Executed at transfer end time, in engine context.
-#[allow(clippy::too_many_arguments)]
+/// Executed at transfer end time, in engine context. Every payload byte
+/// moves here, once, straight between the registered buffers.
 fn deliver(
-    fabric: &Arc<IbFabric>,
-    shared: &Arc<QpShared>,
-    _domain: Domain,
+    fabric: &IbFabric,
+    shared: &QpShared,
     wr: SendWr,
-    local_slices: Vec<Buffer>,
+    local_slices: LocalSlices,
     remote: (NodeId, QpNum),
     bytes: u64,
     sched: &Scheduler,
 ) {
-    let cluster = fabric.cluster().clone();
+    let cluster = fabric.cluster();
     let push_local = |status: WcStatus, opcode: WcOpcode| {
         if wr.signaled {
             let send_cq = shared.state.lock().send_cq.clone();
@@ -908,11 +940,6 @@ fn deliver(
 
     match wr.opcode {
         SendOpcode::Send => {
-            // Gather now (completion-time content).
-            let mut data = Vec::with_capacity(bytes as usize);
-            for s in &local_slices {
-                data.extend_from_slice(&cluster.read_vec(s));
-            }
             let rqp = {
                 let st = fabric.state.lock();
                 st.qps.get(&(remote.0, remote.1 .0)).cloned()
@@ -921,50 +948,31 @@ fn deliver(
                 push_local(WcStatus::RemoteAccessError, WcOpcode::Send);
                 return;
             };
+            // The payload is still in the sender's SGEs (completion-time
+            // content). A matched receive takes it from there; only a
+            // Send that has to wait for its receive is copied out.
+            let payload = SendData::Gather(&local_slices);
+            let src = (shared.node, shared.qpn);
             let mut rst = rqp.state.lock();
+            let recv_cq = rst.recv_cq.clone();
             if let Some(srq) = rst.srq.clone() {
                 // SRQ-attached QP: consume from the shared pool; complete
                 // on this QP's recv CQ.
-                let recv_cq = rst.recv_cq.clone();
                 drop(rst);
                 let mut sst = srq.state.lock();
                 if let Some(rwr) = sst.rq.pop_front() {
                     drop(sst);
-                    scatter_into(
-                        fabric,
-                        &cluster,
-                        &data,
-                        &rwr,
-                        (shared.node, shared.qpn),
-                        &recv_cq,
-                        sched,
-                    );
+                    scatter_into(fabric, payload, &rwr, src, &recv_cq, sched);
                 } else {
-                    sst.backlog.push_back((
-                        InboundSend {
-                            data,
-                            src: (shared.node, shared.qpn),
-                        },
-                        recv_cq,
-                    ));
+                    let data = hold(cluster, &local_slices, bytes);
+                    sst.backlog.push_back((InboundSend { data, src }, recv_cq));
                 }
             } else if let Some(rwr) = rst.rq.pop_front() {
-                let recv_cq = rst.recv_cq.clone();
                 drop(rst);
-                scatter_into(
-                    fabric,
-                    &cluster,
-                    &data,
-                    &rwr,
-                    (shared.node, shared.qpn),
-                    &recv_cq,
-                    sched,
-                );
+                scatter_into(fabric, payload, &rwr, src, &recv_cq, sched);
             } else {
-                rst.backlog.push_back(InboundSend {
-                    data,
-                    src: (shared.node, shared.qpn),
-                });
+                let data = hold(cluster, &local_slices, bytes);
+                rst.backlog.push_back(InboundSend { data, src });
             }
             push_local(WcStatus::Success, WcOpcode::Send);
         }
@@ -975,9 +983,8 @@ fn deliver(
             };
             // Deliver payload in SGE order (tail lands last — pollable).
             let mut off = 0u64;
-            for s in &local_slices {
-                let data = cluster.read_vec(s);
-                cluster.write(&rbuf.slice(off, s.len), 0, &data);
+            for s in local_slices.iter().flatten() {
+                cluster.copy(s, 0, &rbuf, off, s.len);
                 off += s.len;
             }
             wev.notify_all(sched);
@@ -988,11 +995,10 @@ fn deliver(
                 push_local(WcStatus::RemoteAccessError, WcOpcode::RdmaRead);
                 return;
             };
-            let data = cluster.read_vec(&rbuf);
-            let mut off = 0usize;
-            for s in &local_slices {
-                cluster.write(s, 0, &data[off..off + s.len as usize]);
-                off += s.len as usize;
+            let mut off = 0u64;
+            for s in local_slices.iter().flatten() {
+                cluster.copy(&rbuf, off, s, 0, s.len);
+                off += s.len;
             }
             push_local(WcStatus::Success, WcOpcode::RdmaRead);
         }
@@ -1017,7 +1023,10 @@ fn deliver(
                 wev.notify_all(sched);
             }
             // Original value lands in the local result SGE.
-            cluster.write(&local_slices[0], 0, &original.to_le_bytes());
+            let result = local_slices[0]
+                .as_ref()
+                .expect("atomics carry a result SGE");
+            cluster.write(result, 0, &original.to_le_bytes());
             push_local(WcStatus::Success, opcode);
         }
     }

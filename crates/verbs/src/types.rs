@@ -279,6 +279,11 @@ pub enum WcStatus {
     Success,
     /// Inbound Send larger than the posted receive buffers.
     LocalLengthError,
+    /// A receive SGE's `lkey` no longer names a registered region
+    /// (IBV_WC_LOC_PROT_ERR): the MR was deregistered between posting the
+    /// receive and the Send arriving. Never transient — the receive's
+    /// bytes are lost.
+    LocalProtectionError,
     /// RDMA access outside the registered remote region / bad key.
     RemoteAccessError,
     /// Receiver-not-ready retry budget exhausted (IBV_WC_RNR_RETRY_EXC_ERR):
@@ -444,6 +449,7 @@ mod tests {
         assert!(WcStatus::TransportRetryExceeded.is_transient());
         assert!(!WcStatus::Success.is_transient());
         assert!(!WcStatus::LocalLengthError.is_transient());
+        assert!(!WcStatus::LocalProtectionError.is_transient());
         assert!(!WcStatus::RemoteAccessError.is_transient());
         assert!(!WcStatus::WrFlushErr.is_transient());
     }
