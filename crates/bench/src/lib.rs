@@ -363,10 +363,10 @@ pub fn ablation_rndv_skew(ccfg: &ClusterConfig, msg: u64) -> (f64, f64) {
 }
 
 /// Host-staged-collective ablation (the paper's §VI future work,
-/// implemented in `dcfa_mpi::hostcoll`): plain vs host-staged broadcast
+/// implemented in `dcfa_mpi::collectives`): plain vs host-staged broadcast
 /// across 8 ranks. Returns `(plain_us, staged_us)` for `msg` bytes.
 pub fn ablation_host_staged_bcast(ccfg: &ClusterConfig, msg: u64) -> (f64, f64) {
-    use dcfa_mpi::{collectives, hostcoll};
+    use dcfa_mpi::collectives;
     use std::sync::Arc;
 
     let mut sim = simcore::Simulation::new();
@@ -391,7 +391,7 @@ pub fn ablation_host_staged_bcast(ccfg: &ClusterConfig, msg: u64) -> (f64, f64) 
             collectives::barrier(comm, ctx).unwrap();
             let plain = (ctx.now() - t0).as_micros_f64();
             let t1 = ctx.now();
-            hostcoll::bcast_host_staged(comm, ctx, &buf, 0).unwrap();
+            collectives::bcast_host_staged(comm, ctx, &buf, 0).unwrap();
             collectives::barrier(comm, ctx).unwrap();
             let staged = (ctx.now() - t1).as_micros_f64();
             if comm.rank() == 0 {

@@ -87,8 +87,8 @@ pub fn metrics_report_json(run: &ObservabilityRun) -> String {
     let _ = writeln!(out, "\"elapsed_ns\":{},", run.elapsed_ns);
 
     // Wall-clock throughput of the simulator itself. These depend on the
-    // machine that ran the report, so the comparator gates them as floors
-    // (see `throughput_floor`), never as symmetric drift.
+    // machine that ran the report, so the comparator never gates them
+    // (host time is `benchmark/`'s job).
     let wall_secs = run.wall_ns as f64 / 1e9;
     let events_per_sec = if run.wall_ns == 0 {
         0.0
@@ -448,32 +448,6 @@ pub fn compare_reports_full(
         }
     }
 
-    // Wall-clock throughput floors. Unlike the virtual-time gates above,
-    // these are machine-dependent, so the baseline carries explicit floor
-    // values (chosen with headroom for runner jitter) and the check is
-    // one-sided: the current run may be arbitrarily faster, never slower
-    // than the floor.
-    if let Some(floor) = base.get("throughput_floor") {
-        for key in ["events_per_sec", "ops_per_sec"] {
-            let Some(min) = floor.get(key).and_then(JsonValue::as_f64) else {
-                continue;
-            };
-            match cur
-                .get("wall")
-                .and_then(|w| w.get(key))
-                .and_then(JsonValue::as_f64)
-            {
-                None => violations.push(format!(
-                    "throughput floor: baseline requires {key} >= {min:.0} but the \
-                     current report has no wall.{key}"
-                )),
-                Some(got) if got < min => violations.push(format!(
-                    "throughput floor: {key} {got:.0} below the baseline floor {min:.0}"
-                )),
-                Some(_) => {}
-            }
-        }
-    }
     Ok((violations, warnings))
 }
 
@@ -555,61 +529,6 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("RndvRead"), "{v:?}");
         assert!(v[0].contains("missing from current"), "{v:?}");
-    }
-
-    fn report_with_wall(events_per_sec: f64) -> String {
-        format!(
-            r#"{{"schema":"{METRICS_SCHEMA}","bandwidth_gbs":1.0,
-                "wall":{{"wall_ns":1000,"sim_events":10,"mpi_ops":4,
-                         "events_per_sec":{events_per_sec},"ops_per_sec":1.0}},
-                "phases":[{{"phase":"Eager","p99_ns":100}}]}}"#
-        )
-    }
-
-    fn baseline_with_floor(floor: f64) -> String {
-        format!(
-            r#"{{"schema":"{METRICS_SCHEMA}","bandwidth_gbs":1.0,
-                "throughput_floor":{{"events_per_sec":{floor}}},
-                "phases":[{{"phase":"Eager","p99_ns":100}}]}}"#
-        )
-    }
-
-    #[test]
-    fn throughput_floor_is_one_sided() {
-        // Below the floor: violation.
-        let v = compare_reports(
-            &baseline_with_floor(5000.0),
-            &report_with_wall(4000.0),
-            25.0,
-        )
-        .unwrap();
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("below the baseline floor"), "{v:?}");
-        // At or above the floor — even far above: no violation.
-        for fast in [5000.0, 500_000.0] {
-            let v = compare_reports(&baseline_with_floor(5000.0), &report_with_wall(fast), 25.0)
-                .unwrap();
-            assert!(v.is_empty(), "{v:?}");
-        }
-    }
-
-    #[test]
-    fn throughput_floor_requires_wall_section() {
-        // A baseline that demands a floor fails a candidate without wall
-        // metrics (it cannot prove its throughput).
-        let cur = format!(
-            r#"{{"schema":"{METRICS_SCHEMA}","bandwidth_gbs":1.0,
-                "phases":[{{"phase":"Eager","p99_ns":100}}]}}"#
-        );
-        let v = compare_reports(&baseline_with_floor(5000.0), &cur, 25.0).unwrap();
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("no wall.events_per_sec"), "{v:?}");
-        // No floor in the baseline: wall-less candidates stay compatible.
-        let base = format!(
-            r#"{{"schema":"{METRICS_SCHEMA}","bandwidth_gbs":1.0,
-                "phases":[{{"phase":"Eager","p99_ns":100}}]}}"#
-        );
-        assert!(compare_reports(&base, &cur, 25.0).unwrap().is_empty());
     }
 
     fn report_with_failures(detections: u64, latency_p99: u64) -> String {

@@ -7,7 +7,7 @@
 use fabric::Buffer;
 use simcore::Ctx;
 
-use crate::comm::Communicator;
+use crate::comm::{Comm, Communicator};
 use crate::types::{Datatype, MpiError, Rank, ReduceOp, Src, Tag, TagSel};
 
 /// Internal tag namespace for collectives (well above application tags).
@@ -45,17 +45,16 @@ pub fn barrier(c: &mut impl Communicator, ctx: &mut Ctx) -> Result<(), MpiError>
     Ok(())
 }
 
-/// Binomial-tree broadcast of `buf` from `root`.
-pub fn bcast(
+/// Binomial broadcast tree from `root` over `hop` — the buffer every hop
+/// of this rank receives into and forwards from — under `tag`.
+fn bcast_tree(
     c: &mut impl Communicator,
     ctx: &mut Ctx,
-    buf: &Buffer,
+    hop: &Buffer,
+    tag: Tag,
     root: Rank,
 ) -> Result<(), MpiError> {
     let n = c.size();
-    if n <= 1 {
-        return Ok(());
-    }
     // Rotate so the root is virtual rank 0.
     let me = (c.rank() + n - root) % n;
     let mut mask = 1usize;
@@ -63,7 +62,7 @@ pub fn bcast(
     while mask < n {
         if me & mask != 0 {
             let parent = (me - mask + root) % n;
-            c.recv(ctx, buf, Src::Rank(parent), TagSel::Tag(COLL_TAG + 64))?;
+            c.recv(ctx, hop, Src::Rank(parent), TagSel::Tag(tag))?;
             break;
         }
         mask *= 2;
@@ -73,11 +72,74 @@ pub fn bcast(
     while mask > 0 {
         if me + mask < n {
             let child = (me + mask + root) % n;
-            c.send(ctx, buf, child, COLL_TAG + 64)?;
+            c.send(ctx, hop, child, tag)?;
         }
         mask /= 2;
     }
     Ok(())
+}
+
+/// Binomial reduction tree toward `root` over `hop` under `tag`: each
+/// rank combines its children's partials into `hop` elementwise with
+/// `op`, then sends `hop` to its parent. Partials land in a scratch
+/// buffer next to `hop`, and the combine is charged at the memcpy rate
+/// of the domain `hop` lives in.
+fn reduce_tree(
+    c: &mut impl Communicator,
+    ctx: &mut Ctx,
+    hop: &Buffer,
+    tag: Tag,
+    dtype: Datatype,
+    op: ReduceOp,
+    root: Rank,
+) -> Result<(), MpiError> {
+    let n = c.size();
+    if n <= 1 {
+        return Ok(());
+    }
+    let scratch = c
+        .cluster()
+        .alloc_pages(hop.mem, hop.len.max(1))
+        .map_err(|_| MpiError::OutOfMemory)?;
+    let me = (c.rank() + n - root) % n;
+    let mut hops = || {
+        let mut mask = 1usize;
+        while mask < n {
+            if me & mask != 0 {
+                // Send our partial to the parent and stop.
+                let parent = (me - mask + root) % n;
+                return c.send(ctx, hop, parent, tag);
+            }
+            let child = me + mask;
+            if child < n {
+                let child_rank = (child + root) % n;
+                c.recv(ctx, &scratch, Src::Rank(child_rank), TagSel::Tag(tag))?;
+                // Combine: read both, apply, write back. Charge the
+                // memcpy-rate cost of touching both operands.
+                let mut a = c.cluster().read_vec(hop);
+                let b = c.cluster().read_vec(&scratch);
+                op.apply(dtype, &mut a, &b);
+                c.cluster().write(hop, 0, &a);
+                ctx.sleep(c.cluster().copy_duration(hop.mem.domain, hop.len * 2));
+            }
+            mask *= 2;
+        }
+        Ok(())
+    };
+    // The scratch goes back whether or not a hop failed.
+    let done = hops();
+    c.cluster().free(&scratch);
+    done
+}
+
+/// Binomial-tree broadcast of `buf` from `root`.
+pub fn bcast(
+    c: &mut impl Communicator,
+    ctx: &mut Ctx,
+    buf: &Buffer,
+    root: Rank,
+) -> Result<(), MpiError> {
+    bcast_tree(c, ctx, buf, COLL_TAG + 64, root)
 }
 
 /// Binomial-tree reduction of `buf` (in place on `root`; all ranks' `buf`
@@ -91,42 +153,7 @@ pub fn reduce(
     op: ReduceOp,
     root: Rank,
 ) -> Result<(), MpiError> {
-    let n = c.size();
-    if n <= 1 {
-        return Ok(());
-    }
-    let me = (c.rank() + n - root) % n;
-    let scratch = tmp(c, buf.len)?;
-    let mut mask = 1usize;
-    while mask < n {
-        if me & mask != 0 {
-            // Send our partial to the parent and stop.
-            let parent = (me - mask + root) % n;
-            c.send(ctx, buf, parent, COLL_TAG + 65)?;
-            break;
-        }
-        let child = me + mask;
-        if child < n {
-            let child_rank = (child + root) % n;
-            c.recv(
-                ctx,
-                &scratch,
-                Src::Rank(child_rank),
-                TagSel::Tag(COLL_TAG + 65),
-            )?;
-            // Combine: read both, apply, write back. Charge the memcpy-rate
-            // cost of touching both operands.
-            let mut a = c.cluster().read_vec(buf);
-            let b = c.cluster().read_vec(&scratch);
-            op.apply(dtype, &mut a, &b);
-            c.cluster().write(buf, 0, &a);
-            let d = c.cluster().copy_duration(c.mem().domain, buf.len * 2);
-            ctx.sleep(d);
-        }
-        mask *= 2;
-    }
-    c.cluster().free(&scratch);
-    Ok(())
+    reduce_tree(c, ctx, buf, COLL_TAG + 65, dtype, op, root)
 }
 
 /// Allreduce = reduce to rank 0 + broadcast.
@@ -139,6 +166,86 @@ pub fn allreduce(
 ) -> Result<(), MpiError> {
     reduce(c, ctx, buf, dtype, op, 0)?;
     bcast(c, ctx, buf, 0)
+}
+
+// ---- host-staged variants --------------------------------------------------
+//
+// The paper's stated future work: "some heavy functions, such as
+// collective communication ... are planned to be offloaded to the host
+// CPU" (§VI). The plain trees above move data between Phi-resident
+// buffers, so every hop re-stages through the offloading send buffer
+// (sync up, wire, write down into Phi) and a `log2(n)`-deep tree pays the
+// PCIe crossing at *every* level. The host-staged variants run the same
+// trees over each rank's host twin: one DMA up, every hop host-sourced at
+// full InfiniBand speed, one DMA down.
+//
+//   plain      : phi →(sync)→ host →(wire)→ phi →(sync)→ host →(wire)→ phi ...
+//   host-staged: phi →(sync)→ host →(wire)→ host →(wire)→ host →(dma)→ phi
+//
+// They fall back to the plain algorithms on host placement or when the
+// offloading buffer is disabled.
+
+/// Tag namespace of the host-staged trees.
+const HOST_TAG: Tag = 0xF100_0000;
+
+/// Binomial-tree broadcast through host twins.
+pub fn bcast_host_staged(
+    c: &mut Comm,
+    ctx: &mut Ctx,
+    buf: &Buffer,
+    root: Rank,
+) -> Result<(), MpiError> {
+    if c.size() <= 1 {
+        return Ok(());
+    }
+    let Some(twin) = c.host_twin(ctx, buf) else {
+        return bcast(c, ctx, buf, root);
+    };
+    if c.rank() == root {
+        c.sync_to_twin(ctx, buf, &twin);
+    }
+    bcast_tree(c, ctx, &twin, HOST_TAG, root)?;
+    if c.rank() != root {
+        c.sync_from_twin(ctx, &twin, buf);
+    }
+    Ok(())
+}
+
+/// Binomial-tree reduce through host twins (result on `root`'s `buf`).
+/// The combine runs on the host side of the stage — exactly the "offload
+/// heavy functions to the host CPU" benefit.
+pub fn reduce_host_staged(
+    c: &mut Comm,
+    ctx: &mut Ctx,
+    buf: &Buffer,
+    dtype: Datatype,
+    op: ReduceOp,
+    root: Rank,
+) -> Result<(), MpiError> {
+    if c.size() <= 1 {
+        return Ok(());
+    }
+    let Some(twin) = c.host_twin(ctx, buf) else {
+        return reduce(c, ctx, buf, dtype, op, root);
+    };
+    c.sync_to_twin(ctx, buf, &twin);
+    reduce_tree(c, ctx, &twin, HOST_TAG + 1, dtype, op, root)?;
+    if c.rank() == root {
+        c.sync_from_twin(ctx, &twin, buf);
+    }
+    Ok(())
+}
+
+/// Allreduce through host twins: host-staged reduce + host-staged bcast.
+pub fn allreduce_host_staged(
+    c: &mut Comm,
+    ctx: &mut Ctx,
+    buf: &Buffer,
+    dtype: Datatype,
+    op: ReduceOp,
+) -> Result<(), MpiError> {
+    reduce_host_staged(c, ctx, buf, dtype, op, 0)?;
+    bcast_host_staged(c, ctx, buf, 0)
 }
 
 /// Gather equal-size blocks to `root`. `recv` must be `n * send.len` long

@@ -108,7 +108,7 @@ pub trait Communicator {
 
 /// `MPI_COMM_WORLD` for a DCFA-MPI (or host-YAMPII) rank.
 pub struct Comm {
-    engine: Engine,
+    pub(crate) engine: Engine,
 }
 
 impl Comm {
@@ -127,8 +127,9 @@ impl Comm {
         self.engine.iprobe(ctx, src, tag)
     }
 
-    /// Blocking probe (`MPI_Probe`).
-    pub fn probe(&mut self, ctx: &mut Ctx, src: Src, tag: TagSel) -> Status {
+    /// Blocking probe (`MPI_Probe`); fails like a receive would when the
+    /// named peer is dead or the communicator revoked.
+    pub fn probe(&mut self, ctx: &mut Ctx, src: Src, tag: TagSel) -> Result<Status, MpiError> {
         self.engine.probe(ctx, src, tag)
     }
 
@@ -270,7 +271,7 @@ impl Comm {
     /// Whether this rank has observed a revocation that no shrink has
     /// cleared yet.
     pub fn is_revoked(&self) -> bool {
-        self.engine.is_revoked()
+        self.engine.health.revoked
     }
 
     /// Revoke the communicator (ULFM `MPI_Comm_revoke` analogue): flood
@@ -280,7 +281,7 @@ impl Comm {
     /// until [`Comm::shrink`] agrees on a surviving-ranks world. No-op
     /// when the failure subsystem is not installed.
     pub fn revoke(&mut self, ctx: &mut Ctx) {
-        let Some(board) = self.engine.health().cloned() else {
+        let Some(board) = self.engine.health.board.clone() else {
             return;
         };
         {
@@ -304,7 +305,7 @@ impl Comm {
     pub fn shrink(&mut self, ctx: &mut Ctx) -> Result<SubComm<'_>, MpiError> {
         let me = self.engine.rank;
         let n = self.engine.size;
-        let board = self.engine.health().cloned();
+        let board = self.engine.health.board.clone();
         // Send/recv handles and their backing buffers are carried across
         // restart attempts and retired after the commit: an in-flight
         // eager send always reaches a terminal state (completion or a
@@ -349,10 +350,10 @@ impl Comm {
                             self.engine.cancel_recv(ctx, r);
                         }
                     }
-                    self.engine.note_agreement_restart();
+                    self.engine.stats.agreement_restarts += 1;
                     continue 'attempt;
                 }
-                let seen = self.engine.progress_epoch();
+                let seen = self.engine.progress_event.epoch();
                 self.engine.progress(ctx);
                 let mut progressed = false;
                 let mut j = 0;
@@ -408,7 +409,7 @@ impl Comm {
                 if committed {
                     break (epoch, survivors);
                 }
-                self.engine.note_agreement_restart();
+                self.engine.stats.agreement_restarts += 1;
                 continue 'attempt;
             }
             // Non-root: report up, then wait for the root's commit (or a
@@ -424,7 +425,7 @@ impl Comm {
                 Err(e) => {
                     self.free(&sbuf);
                     if board.death_epoch() != epoch {
-                        self.engine.note_agreement_restart();
+                        self.engine.stats.agreement_restarts += 1;
                         continue 'attempt;
                     }
                     return Err(e);
@@ -438,10 +439,10 @@ impl Comm {
                     break 'attempt (epoch, survivors);
                 }
                 if board.death_epoch() != epoch {
-                    self.engine.note_agreement_restart();
+                    self.engine.stats.agreement_restarts += 1;
                     continue 'attempt;
                 }
-                let seen = self.engine.progress_epoch();
+                let seen = self.engine.progress_event.epoch();
                 self.engine.progress(ctx);
                 if board.shrink_commit() == epoch || board.death_epoch() != epoch {
                     continue;

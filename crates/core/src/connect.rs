@@ -23,7 +23,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use simcore::{Scheduler, SimDuration, SimEvent};
 
-use crate::engine::PeerEndpoint;
+use crate::channel::PeerEndpoint;
 use crate::types::Rank;
 
 /// A connection-management frame (never touches the data rings).

@@ -40,18 +40,22 @@
 //! assert_eq!(&*got.lock(), b"hello phi");
 //! ```
 
+mod channel;
 pub mod collectives;
 mod comm;
 mod config;
 mod connect;
 pub mod datatype;
 mod engine;
-pub mod hostcoll;
 pub mod hotpath;
+mod matching;
 pub mod metrics;
 mod mrcache;
 mod packet;
+mod recovery;
 mod resources;
+#[cfg(test)]
+mod seam_tests;
 pub mod slots;
 mod stats;
 pub mod subcomm;

@@ -41,7 +41,7 @@ fn probe_reports_envelope_without_consuming() {
             comm.send(ctx, &buf, 1, 9).unwrap();
         } else {
             // Blocking probe sees the message before any receive is posted.
-            let st = comm.probe(ctx, Src::Rank(0), TagSel::Tag(9));
+            let st = comm.probe(ctx, Src::Rank(0), TagSel::Tag(9)).unwrap();
             assert_eq!(st.len, 300);
             assert_eq!(st.source, 0);
             assert_eq!(st.tag, 9);
@@ -78,7 +78,7 @@ fn probe_sees_rendezvous_rts_envelope() {
             let buf = comm.alloc(len).unwrap();
             comm.send(ctx, &buf, 1, 3).unwrap();
         } else {
-            let st = comm.probe(ctx, Src::Any, TagSel::Any);
+            let st = comm.probe(ctx, Src::Any, TagSel::Any).unwrap();
             assert_eq!(st.len, len);
             let buf = comm.alloc(len).unwrap();
             comm.recv(ctx, &buf, Src::Rank(0), TagSel::Tag(3)).unwrap();
@@ -195,4 +195,101 @@ fn stale_rtr_counter_increments_on_mispredict() {
     });
     let st = stats.lock().unwrap();
     assert_eq!(st.stale_rtrs_dropped, 1, "{st:?}");
+}
+
+/// A rank whose Phi memory is full cannot allocate its half of a new
+/// pair (ring + staging region). That used to abort the rank; it must
+/// surface as `OutOfMemory` from `isend`/`irecv` before a pair sequence
+/// id is burnt, so the same operations succeed once memory is back.
+#[test]
+fn first_touch_under_exhausted_phi_memory_is_an_error() {
+    let mut sim = Simulation::new();
+    let ccfg = ClusterConfig {
+        phi_mem_capacity: 8 << 20,
+        ..ClusterConfig::with_nodes(3)
+    };
+    let cluster = Cluster::new(sim.scheduler(), ccfg);
+    let ib = IbFabric::new(cluster.clone());
+    let scif = ScifFabric::new(cluster);
+    let delivered = Arc::new(Mutex::new(0u8));
+    let delivered2 = delivered.clone();
+    let f = move |ctx: &mut Ctx, comm: &mut Comm| {
+        let buf = comm.alloc(256).unwrap();
+        match comm.rank() {
+            0 => {
+                // An established pair keeps working throughout.
+                comm.send(ctx, &buf, 1, 1).unwrap();
+                let mut hog = Vec::new();
+                while let Ok(b) = comm.alloc(64 << 10) {
+                    hog.push(b);
+                }
+                let oom = Err(dcfa_mpi::MpiError::OutOfMemory);
+                assert_eq!(comm.isend(ctx, &buf, 2, 2).map(|_| ()), oom);
+                assert_eq!(
+                    comm.irecv(ctx, &buf, Src::Rank(2), TagSel::Tag(3))
+                        .map(|_| ()),
+                    oom
+                );
+                comm.send(ctx, &buf, 1, 1).unwrap();
+                hog.iter().for_each(|b| comm.free(b));
+                comm.write(&buf, 0, &[0xAB; 256]);
+                comm.send(ctx, &buf, 2, 2).unwrap();
+            }
+            1 => {
+                comm.recv(ctx, &buf, Src::Rank(0), TagSel::Tag(1)).unwrap();
+                comm.recv(ctx, &buf, Src::Rank(0), TagSel::Tag(1)).unwrap();
+            }
+            _ => {
+                // Any-source: rank 2 touches the pair only when rank 0 does.
+                comm.recv(ctx, &buf, Src::Any, TagSel::Tag(2)).unwrap();
+                *delivered2.lock() = comm.read_vec(&buf)[255];
+            }
+        }
+    };
+    launch(
+        &sim,
+        &ib,
+        &scif,
+        MpiConfig::dcfa(),
+        3,
+        LaunchOpts::default(),
+        f,
+    );
+    sim.run_expect();
+    assert_eq!(*delivered.lock(), 0xAB);
+}
+
+/// Same for the shared receive pool: when it does not fit, the rank comes
+/// up anyway and every first touch reports `OutOfMemory`.
+#[test]
+fn receive_pool_that_does_not_fit_is_an_error() {
+    let mut sim = Simulation::new();
+    let ccfg = ClusterConfig {
+        phi_mem_capacity: 1 << 20,
+        ..ClusterConfig::with_nodes(2)
+    };
+    let cluster = Cluster::new(sim.scheduler(), ccfg);
+    let ib = IbFabric::new(cluster.clone());
+    let scif = ScifFabric::new(cluster);
+    let cfg = MpiConfig {
+        srq_depth: Some(256),
+        ..MpiConfig::dcfa()
+    };
+    launch(
+        &sim,
+        &ib,
+        &scif,
+        cfg,
+        2,
+        LaunchOpts::default(),
+        |ctx, comm| {
+            let buf = comm.alloc(64).unwrap();
+            let peer = 1 - comm.rank();
+            assert_eq!(
+                comm.isend(ctx, &buf, peer, 0).map(|_| ()),
+                Err(dcfa_mpi::MpiError::OutOfMemory)
+            );
+        },
+    );
+    sim.run_expect();
 }

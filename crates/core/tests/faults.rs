@@ -420,7 +420,7 @@ fn fatal_fault_on_completion_packet_is_retried_not_swallowed() {
                 // rank pumps progress, so a fixed sleep no longer
                 // guarantees arrival).
                 ctx.sleep(SimDuration::from_millis(1));
-                comm.probe(ctx, Src::Rank(0), TagSel::Tag(1));
+                comm.probe(ctx, Src::Rank(0), TagSel::Tag(1)).unwrap();
                 let st = comm.recv(ctx, &buf, Src::Rank(0), TagSel::Tag(1)).unwrap();
                 assert_eq!(st.len, len);
                 assert_eq!(comm.read_vec(&buf), pattern(len as usize, 6));

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use dcfa_mpi::{collectives, hostcoll};
+use dcfa_mpi::collectives;
 use dcfa_mpi::{launch, Comm, Communicator, Datatype, LaunchOpts, MpiConfig, ReduceOp};
 use fabric::{Cluster, ClusterConfig};
 use parking_lot::Mutex;
@@ -34,7 +34,7 @@ fn host_staged_bcast_delivers_content() {
             if comm.rank() == root {
                 comm.write(&buf, 0, &vec![0xCD; len as usize]);
             }
-            hostcoll::bcast_host_staged(comm, ctx, &buf, root).unwrap();
+            collectives::bcast_host_staged(comm, ctx, &buf, root).unwrap();
             assert_eq!(
                 comm.read_vec(&buf),
                 vec![0xCD; len as usize],
@@ -65,7 +65,7 @@ fn host_staged_reduce_matches_plain() {
         let a = mk(comm);
         let b = mk(comm);
         collectives::reduce(comm, ctx, &a, Datatype::F64, ReduceOp::Sum, 0).unwrap();
-        hostcoll::reduce_host_staged(comm, ctx, &b, Datatype::F64, ReduceOp::Sum, 0).unwrap();
+        collectives::reduce_host_staged(comm, ctx, &b, Datatype::F64, ReduceOp::Sum, 0).unwrap();
         if comm.rank() == 0 {
             r2.lock().push((comm.read_vec(&a), comm.read_vec(&b)));
         }
@@ -85,7 +85,7 @@ fn host_staged_allreduce_all_ranks_agree() {
     run_mpi(MpiConfig::dcfa(), 6, move |ctx, comm| {
         let buf = comm.alloc(8).unwrap();
         comm.write(&buf, 0, &((comm.rank() + 1) as f64).to_le_bytes());
-        hostcoll::allreduce_host_staged(comm, ctx, &buf, Datatype::F64, ReduceOp::Sum).unwrap();
+        collectives::allreduce_host_staged(comm, ctx, &buf, Datatype::F64, ReduceOp::Sum).unwrap();
         let v = f64::from_le_bytes(comm.read_vec(&buf).try_into().unwrap());
         g2.lock().push(v);
     });
@@ -105,14 +105,14 @@ fn host_staged_bcast_faster_than_plain_for_large_buffers() {
         // use, so the timed comparison measures steady-state data
         // movement rather than first-touch QP/ring setup.
         collectives::bcast(comm, ctx, &buf, 0).unwrap();
-        hostcoll::bcast_host_staged(comm, ctx, &buf, 0).unwrap();
+        collectives::bcast_host_staged(comm, ctx, &buf, 0).unwrap();
         collectives::barrier(comm, ctx).unwrap();
         let t0 = ctx.now();
         collectives::bcast(comm, ctx, &buf, 0).unwrap();
         collectives::barrier(comm, ctx).unwrap();
         let plain = (ctx.now() - t0).as_nanos();
         let t1 = ctx.now();
-        hostcoll::bcast_host_staged(comm, ctx, &buf, 0).unwrap();
+        collectives::bcast_host_staged(comm, ctx, &buf, 0).unwrap();
         collectives::barrier(comm, ctx).unwrap();
         let staged = (ctx.now() - t1).as_nanos();
         if comm.rank() == 0 {
@@ -137,9 +137,61 @@ fn host_placement_falls_back_to_plain() {
         if comm.rank() == 2 {
             comm.write(&buf, 0, &vec![9u8; 64 << 10]);
         }
-        hostcoll::bcast_host_staged(comm, ctx, &buf, 2).unwrap();
+        collectives::bcast_host_staged(comm, ctx, &buf, 2).unwrap();
         assert_eq!(comm.read_vec(&buf), vec![9u8; 64 << 10]);
         *ok2.lock() += 1;
     });
     assert_eq!(*ok.lock(), 4);
+}
+
+#[test]
+fn failed_host_staged_reduce_returns_its_host_scratch() {
+    // Rank 3 dies on its way into the reduction, so rank 2's hop from it
+    // fails mid-tree with `PeerFailed`. The early return used to skip
+    // freeing the host-side scratch buffer; host memory must be back at
+    // its pre-call level on every survivor.
+    use dcfa_mpi::{KillSpec, MpiError};
+    use fabric::{Domain, MemRef};
+    let mut sim = Simulation::new();
+    let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(4));
+    let ib = IbFabric::new(cluster.clone());
+    let scif = ScifFabric::new(cluster);
+    let opts = LaunchOpts {
+        kills: vec![KillSpec {
+            rank: 3,
+            after_ops: 1,
+        }],
+        ..Default::default()
+    };
+    let cfg = MpiConfig {
+        peer_ttl: Some(simcore::SimDuration::from_micros(50)),
+        ..MpiConfig::dcfa()
+    };
+    let failed = Arc::new(Mutex::new(Vec::new()));
+    let failed2 = failed.clone();
+    launch(&sim, &ib, &scif, cfg, 4, opts, move |ctx, comm| {
+        let buf = comm.alloc(64 << 10).unwrap();
+        // The twin is cached by design; only the scratch may not stay.
+        comm.host_twin(ctx, &buf).unwrap();
+        let host = MemRef {
+            domain: Domain::Host,
+            ..comm.mem()
+        };
+        let before = comm.cluster().mem_used(host);
+        let out = collectives::reduce_host_staged(comm, ctx, &buf, Datatype::F64, ReduceOp::Sum, 0);
+        if out == Err(MpiError::PeerFailed(3)) {
+            comm.revoke(ctx); // release the ranks waiting on us
+        }
+        assert_eq!(
+            comm.cluster().mem_used(host),
+            before,
+            "rank {}",
+            comm.rank()
+        );
+        failed2.lock().push((comm.rank(), out.is_err()));
+    });
+    sim.run_expect();
+    let mut failed = failed.lock().clone();
+    failed.sort();
+    assert_eq!(failed, [(0, true), (1, false), (2, true)]);
 }

@@ -26,11 +26,40 @@ fn rig(nodes: usize) -> Rig {
     Rig { sim, ib, scif }
 }
 
+thread_local! {
+    /// Receive mode of the case running on this test thread: `None` for
+    /// per-pair rings, `Some(depth)` for the shared receive pool.
+    static SRQ_DEPTH: std::cell::Cell<Option<u32>> = const { std::cell::Cell::new(None) };
+}
+
+/// Every case below is one body run on both receive modes: `cases!`
+/// turns `fn case()` into the tests `case::rings` and `case::pool`, and
+/// `run_mpi` launches with the mode of the test it is called from.
+macro_rules! cases {
+    ($($case:ident),* $(,)?) => {$(
+        mod $case {
+            #[test]
+            fn rings() {
+                super::$case()
+            }
+            #[test]
+            fn pool() {
+                super::SRQ_DEPTH.set(Some(256));
+                super::$case()
+            }
+        }
+    )*};
+}
+
 fn run_mpi<F>(cfg: MpiConfig, nprocs: usize, f: F)
 where
     F: Fn(&mut Ctx, &mut Comm) + Send + Sync + 'static,
 {
     let mut r = rig(nprocs.max(2));
+    let cfg = MpiConfig {
+        srq_depth: SRQ_DEPTH.get(),
+        ..cfg
+    };
     launch(
         &r.sim,
         &r.ib,
@@ -70,31 +99,26 @@ fn roundtrip_size(cfg: MpiConfig, len: u64) {
     assert!(*ok.lock());
 }
 
-#[test]
 fn eager_roundtrip_phi() {
     roundtrip_size(MpiConfig::dcfa(), 4);
     roundtrip_size(MpiConfig::dcfa(), 1024);
     roundtrip_size(MpiConfig::dcfa(), 16 << 10); // exactly at threshold
 }
 
-#[test]
 fn rndv_roundtrip_phi() {
     roundtrip_size(MpiConfig::dcfa(), (16 << 10) + 1);
     roundtrip_size(MpiConfig::dcfa(), 1 << 20);
 }
 
-#[test]
 fn rndv_roundtrip_phi_no_offload() {
     roundtrip_size(MpiConfig::dcfa_no_offload(), 1 << 20);
 }
 
-#[test]
 fn roundtrips_host_placement() {
     roundtrip_size(MpiConfig::host(), 4);
     roundtrip_size(MpiConfig::host(), 1 << 20);
 }
 
-#[test]
 fn receiver_first_rendezvous() {
     // Receiver posts early (RTR path): sender arrives late, RDMA-writes.
     let done = Arc::new(Mutex::new(false));
@@ -117,7 +141,6 @@ fn receiver_first_rendezvous() {
     assert!(*done.lock());
 }
 
-#[test]
 fn sender_first_rendezvous() {
     // Sender posts early (RTS sits unexpected), receiver arrives late and
     // RDMA-reads.
@@ -140,7 +163,6 @@ fn sender_first_rendezvous() {
     assert!(*done.lock());
 }
 
-#[test]
 fn simultaneous_rendezvous() {
     // Both sides send large messages to each other at the same instant via
     // non-blocking ops; both RTS and RTR cross on the wire.
@@ -166,7 +188,6 @@ fn simultaneous_rendezvous() {
     assert_eq!(*done.lock(), 2);
 }
 
-#[test]
 fn message_ordering_same_tag() {
     // MPI guarantees order between a pair for the same tag.
     let got = Arc::new(Mutex::new(Vec::new()));
@@ -190,7 +211,6 @@ fn message_ordering_same_tag() {
     assert_eq!(*got.lock(), (0..20u8).collect::<Vec<_>>());
 }
 
-#[test]
 fn tag_selective_matching_eager() {
     // Two eager messages with different tags; receiver takes tag 2 first.
     let got = Arc::new(Mutex::new(Vec::new()));
@@ -215,7 +235,6 @@ fn tag_selective_matching_eager() {
     assert_eq!(*got.lock(), vec![(2, 2), (1, 1)]);
 }
 
-#[test]
 fn any_source_receives() {
     // Rank 2 receives from both peers with ANY_SOURCE.
     let got = Arc::new(Mutex::new(Vec::new()));
@@ -238,7 +257,6 @@ fn any_source_receives() {
     assert_eq!(got, vec![(0, 1), (1, 2)]);
 }
 
-#[test]
 fn any_source_locks_later_receives() {
     // Paper §IV-B3: an unmatched ANY_SOURCE receive blocks sequence
     // assignment; once it matches, the locked receives proceed.
@@ -276,7 +294,6 @@ fn any_source_locks_later_receives() {
     assert_eq!(*got.lock(), vec![(0, 0xAA), (1, 0xBB)]);
 }
 
-#[test]
 fn truncation_is_an_error() {
     // Rendezvous message bigger than the receive buffer => MPI error on
     // the receiver (paper's sender-rendezvous / receiver-eager case).
@@ -299,7 +316,6 @@ fn truncation_is_an_error() {
     assert!(*saw_error.lock());
 }
 
-#[test]
 fn eager_mispredict_receiver_expected_rendezvous() {
     // Receiver posts a LARGE buffer (sends RTR); sender sends a SMALL
     // (eager) message. Receiver must complete from the eager packet and
@@ -328,7 +344,6 @@ fn eager_mispredict_receiver_expected_rendezvous() {
     assert!(*done.lock());
 }
 
-#[test]
 fn many_outstanding_isends_flow_control() {
     // More eager messages in flight than ring slots: the credit protocol
     // must keep things moving.
@@ -355,7 +370,6 @@ fn many_outstanding_isends_flow_control() {
     assert_eq!(*count.lock(), 300);
 }
 
-#[test]
 fn bidirectional_flood_no_deadlock() {
     run_mpi(MpiConfig::dcfa(), 2, move |ctx, comm| {
         let n = 150usize;
@@ -374,7 +388,6 @@ fn bidirectional_flood_no_deadlock() {
     });
 }
 
-#[test]
 fn sendrecv_exchange() {
     run_mpi(MpiConfig::dcfa(), 2, move |ctx, comm| {
         let me = comm.rank();
@@ -387,7 +400,6 @@ fn sendrecv_exchange() {
     });
 }
 
-#[test]
 fn deterministic_virtual_times() {
     // The same program must produce bit-identical completion times.
     fn run_once() -> u64 {
@@ -408,7 +420,6 @@ fn deterministic_virtual_times() {
     assert_eq!(run_once(), run_once());
 }
 
-#[test]
 fn eight_rank_ring_pass() {
     // Token passes around an 8-node ring (the paper's cluster size).
     let sum = Arc::new(Mutex::new(0u64));
@@ -436,7 +447,6 @@ fn eight_rank_ring_pass() {
     assert_eq!(*sum.lock(), 1 + (1..8u64).sum::<u64>());
 }
 
-#[test]
 fn mr_cache_hits_on_reuse() {
     let stats = Arc::new(Mutex::new((0u64, 0u64)));
     let s2 = stats.clone();
@@ -460,7 +470,6 @@ fn mr_cache_hits_on_reuse() {
     );
 }
 
-#[test]
 fn offload_cache_hits_on_reuse() {
     let stats = Arc::new(Mutex::new((0u64, 0u64)));
     let s2 = stats.clone();
@@ -482,7 +491,6 @@ fn offload_cache_hits_on_reuse() {
     assert!(hits >= 4);
 }
 
-#[test]
 fn self_and_out_of_range_ranks_rejected() {
     run_mpi(MpiConfig::dcfa(), 2, move |ctx, comm| {
         let buf = comm.alloc(8).unwrap();
@@ -500,3 +508,27 @@ fn self_and_out_of_range_ranks_rejected() {
         ));
     });
 }
+
+cases!(
+    eager_roundtrip_phi,
+    rndv_roundtrip_phi,
+    rndv_roundtrip_phi_no_offload,
+    roundtrips_host_placement,
+    receiver_first_rendezvous,
+    sender_first_rendezvous,
+    simultaneous_rendezvous,
+    message_ordering_same_tag,
+    tag_selective_matching_eager,
+    any_source_receives,
+    any_source_locks_later_receives,
+    truncation_is_an_error,
+    eager_mispredict_receiver_expected_rendezvous,
+    many_outstanding_isends_flow_control,
+    bidirectional_flood_no_deadlock,
+    sendrecv_exchange,
+    deterministic_virtual_times,
+    eight_rank_ring_pass,
+    mr_cache_hits_on_reuse,
+    offload_cache_hits_on_reuse,
+    self_and_out_of_range_ranks_rejected,
+);

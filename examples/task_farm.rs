@@ -64,8 +64,9 @@ fn main() {
                         }
                         TAG_RESULT => {
                             // Probe for the variable-size payload that follows.
-                            let env =
-                                comm.probe(ctx, Src::Rank(st.source), TagSel::Tag(TAG_RESULT));
+                            let env = comm
+                                .probe(ctx, Src::Rank(st.source), TagSel::Tag(TAG_RESULT))
+                                .unwrap();
                             let buf = comm.alloc(env.len).unwrap();
                             comm.recv(ctx, &buf, Src::Rank(st.source), TagSel::Tag(TAG_RESULT))
                                 .unwrap();

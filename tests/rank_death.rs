@@ -500,3 +500,68 @@ fn dropped_connect_handshake_is_retried() {
         assert_eq!(used, 0, "node {node} leaked {used} host bytes");
     }
 }
+
+/// A blocking probe must not outlive the peer it names or the
+/// communicator it runs on: `probe` used to re-check only the unexpected
+/// queue — which the reap/drain has just emptied — and park again
+/// forever. Rank 2 dies after one farewell; rank 0 is already parked in
+/// a probe toward it when the TTL promotes the corpse, rank 1 probes a
+/// millisecond after the verdict, and both see `PeerFailed(2)`. Rank 1
+/// then revokes while rank 0 sits in an any-source probe, which ends
+/// with `Revoked` like a probe issued after the revocation does.
+#[test]
+fn probe_fails_for_a_dead_peer_and_a_revoked_communicator() {
+    const N: usize = 3;
+    let mut sim = Simulation::new();
+    let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(N));
+    let ib = IbFabric::new(cluster.clone());
+    let scif = ScifFabric::new(cluster);
+    let opts = LaunchOpts {
+        kills: vec![KillSpec {
+            rank: 2,
+            after_ops: 2,
+        }],
+        ..Default::default()
+    };
+    let cfg = MpiConfig {
+        peer_ttl: Some(SimDuration::from_micros(50)),
+        ..MpiConfig::dcfa()
+    };
+    let seen: Arc<Mutex<Vec<Vec<MpiError>>>> = Arc::new(Mutex::new(vec![Vec::new(); N]));
+    let seen2 = seen.clone();
+    launch(&sim, &ib, &scif, cfg, N, opts, move |ctx, comm| {
+        let r = comm.rank();
+        let buf = comm.alloc(64).unwrap();
+        let mut errs = Vec::new();
+        match r {
+            2 => loop {
+                let _ = comm.send(ctx, &buf, 0, 7);
+            },
+            0 => {
+                comm.recv(ctx, &buf, Src::Rank(2), TagSel::Tag(7)).unwrap();
+                // Parked before the verdict; the reap wakes it.
+                errs.push(comm.probe(ctx, Src::Rank(2), TagSel::Tag(99)).unwrap_err());
+                // Parked before the revocation; the drain wakes it.
+                errs.push(comm.probe(ctx, Src::Any, TagSel::Tag(5)).unwrap_err());
+            }
+            _ => {
+                ctx.sleep(SimDuration::from_millis(1));
+                // Issued after the verdict: refused at entry.
+                errs.push(comm.probe(ctx, Src::Rank(2), TagSel::Any).unwrap_err());
+                comm.revoke(ctx);
+                errs.push(comm.probe(ctx, Src::Rank(0), TagSel::Tag(5)).unwrap_err());
+            }
+        }
+        comm.free(&buf);
+        seen2.lock()[r] = errs;
+    });
+    sim.run_expect();
+    let seen = seen.lock();
+    for r in [0, 1] {
+        assert_eq!(
+            seen[r],
+            [MpiError::PeerFailed(2), MpiError::Revoked],
+            "rank {r}"
+        );
+    }
+}
