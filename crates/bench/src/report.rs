@@ -10,12 +10,9 @@
 //!
 //! # Comparison semantics
 //!
-//! The gate is a *symmetric drift* check: for each per-phase p99 and for
-//! the aggregate bandwidth, `|current - baseline| / baseline` must stay
-//! within the tolerance. Regressions beyond tolerance fail for the obvious
-//! reason; improvements beyond tolerance also fail, because they mean the
-//! checked-in baseline no longer describes the code and must be refreshed
-//! (otherwise it would mask a later regression of the same magnitude).
+//! Everything gated is virtual time or a count, hence deterministic, so
+//! [`compare_reports`] is *exact*; the `wall` section is real machine time
+//! and is never compared.
 
 use std::fmt::Write as _;
 
@@ -23,7 +20,7 @@ use dcfa_mpi::{HistogramSnapshot, MpiConfig, Phase};
 
 use crate::json::{self, JsonValue};
 use crate::stitch;
-use crate::ObservabilityRun;
+use crate::Run;
 
 /// Schema identifier stamped into (and required of) every report.
 pub const METRICS_SCHEMA: &str = "dcfa-mpi-metrics/1";
@@ -52,11 +49,79 @@ fn push_hist_fields(out: &mut String, s: &HistogramSnapshot) {
     push_kv_num(out, "p99_ns", s.p99());
 }
 
+/// Names of the report's count sections, in the order written. All but
+/// `counters` are additive: absent from old baselines or from run types
+/// that do not produce them, so adding one keeps the schema version;
+/// presence is gated asymmetrically — see [`compare_reports`].
+const SECTIONS: [&str; 4] = ["counters", "scale", "failures", "critical_path"];
+
+/// The additive sections `run` carries, as one `(section, [(key, value)])`
+/// list: the writer loops over it, and the comparator gates whatever keys
+/// it finds under the same names — no per-section code on either side.
+fn sections(run: &Run) -> Vec<(&'static str, Vec<(String, u64)>)> {
+    let kv = |pairs: &[(&str, u64)]| pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+    let sum = |f: fn(&dcfa_mpi::StatsReport) -> u64| run.reports().map(f).sum();
+    let mut out = vec![
+        // Counters aggregated across ranks.
+        (
+            "counters",
+            kv(&[
+                ("bytes_sent", sum(|r| r.comm.bytes_sent)),
+                ("bytes_received", sum(|r| r.comm.bytes_received)),
+                ("eager_sends", sum(|r| r.comm.eager_sends)),
+                ("rndv_sends", sum(|r| r.comm.rndv_sends)),
+                ("offload_syncs", sum(|r| r.comm.offload_syncs)),
+                ("packets_processed", sum(|r| r.comm.packets_processed)),
+                ("mr_cache_hits", sum(|r| r.mr_cache.hits)),
+                ("mr_cache_misses", sum(|r| r.mr_cache.misses)),
+            ]),
+        ),
+        // Scale: the QP pairs lazy connection establishment actually
+        // touched, the per-rank communication-buffer footprint, and the
+        // SRQ pool's peak occupancy (0 on the per-pair ring path).
+        (
+            "scale",
+            kv(&[
+                ("ranks", run.scenario.ranks as u64),
+                ("established_pairs", run.established_pairs()),
+                ("bytes_per_rank", run.bytes_per_rank()),
+                ("srq_highwater", run.srq_highwater()),
+            ]),
+        ),
+    ];
+    // Failure plane: only runs with kills armed have one.
+    if let Some(f) = &run.failures {
+        out.push((
+            "failures",
+            kv(&[
+                ("kills", f.kills),
+                ("detections", f.detections),
+                ("detection_latency_p99_ns", f.detection_latency_p99_ns),
+                ("revokes", f.revokes),
+                ("shrinks", f.shrinks),
+                ("reclaimed", f.reclaimed),
+            ]),
+        ));
+    }
+    // Critical path: the heaviest causal chain through the stitched
+    // message-lifecycle DAG, split by edge kind.
+    if let Some(cp) = stitch::critical_path(&run.events) {
+        let mut keys: Vec<(String, u64)> = kv(&[("total_ns", cp.total_ns), ("edges", cp.edges)]);
+        keys.extend(
+            cp.breakdown
+                .iter()
+                .map(|(kind, ns)| (format!("{kind}_ns"), *ns)),
+        );
+        out.push(("critical_path", keys));
+    }
+    out
+}
+
 /// Serialize the run's metrics as a versioned JSON report: config
 /// fingerprint, aggregated counters, derived bandwidth, per-phase
 /// roll-ups with percentiles, and the full per-(phase, size-class, peer)
 /// histograms with sparse bucket lists.
-pub fn metrics_report_json(run: &ObservabilityRun) -> String {
+pub fn metrics_report_json(run: &Run) -> String {
     let cfg: &MpiConfig = &run.cfg;
     let mut out = String::with_capacity(16 << 10);
     out.push_str("{\n");
@@ -64,24 +129,16 @@ pub fn metrics_report_json(run: &ObservabilityRun) -> String {
 
     // Config fingerprint: every knob that shapes the latency distributions.
     out.push_str("\"config\":{");
-    let _ = write!(out, "\"ranks\":{},", run.ranks);
+    let _ = write!(out, "\"ranks\":{},", run.scenario.ranks);
     let _ = write!(out, "\"placement\":\"{:?}\",", cfg.placement);
+    let opt = |v: Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
     let _ = write!(out, "\"eager_threshold\":{},", cfg.eager_threshold);
-    match cfg.offload_threshold {
-        Some(t) => {
-            let _ = write!(out, "\"offload_threshold\":{t},");
-        }
-        None => out.push_str("\"offload_threshold\":null,"),
-    }
+    let offload = opt(cfg.offload_threshold);
+    let _ = write!(out, "\"offload_threshold\":{offload},");
     let _ = write!(out, "\"mr_cache_capacity\":{},", cfg.mr_cache_capacity);
     let _ = write!(out, "\"ring_slots\":{},", cfg.ring_slots);
     let _ = write!(out, "\"ring_slot_payload\":{},", cfg.ring_slot_payload);
-    match cfg.srq_depth {
-        Some(d) => {
-            let _ = write!(out, "\"srq_depth\":{d}");
-        }
-        None => out.push_str("\"srq_depth\":null"),
-    }
+    let _ = write!(out, "\"srq_depth\":{}", opt(cfg.srq_depth.map(u64::from)));
     out.push_str("},\n");
 
     let _ = writeln!(out, "\"elapsed_ns\":{},", run.elapsed_ns);
@@ -90,109 +147,35 @@ pub fn metrics_report_json(run: &ObservabilityRun) -> String {
     // machine that ran the report, so the comparator never gates them
     // (host time is `benchmark/`'s job).
     let wall_secs = run.wall_ns as f64 / 1e9;
-    let events_per_sec = if run.wall_ns == 0 {
-        0.0
-    } else {
-        run.sim_events as f64 / wall_secs
-    };
-    let ops_per_sec = if run.wall_ns == 0 {
-        0.0
-    } else {
-        run.mpi_ops as f64 / wall_secs
+    let mpi_ops = run.mpi_ops();
+    let per_sec = |n: u64| {
+        if run.wall_ns == 0 {
+            0.0
+        } else {
+            n as f64 / wall_secs
+        }
     };
     out.push_str("\"wall\":{");
     let _ = write!(
         out,
-        "\"wall_ns\":{},\"sim_events\":{},\"mpi_ops\":{},",
-        run.wall_ns, run.sim_events, run.mpi_ops
+        "\"wall_ns\":{},\"sim_events\":{},\"mpi_ops\":{mpi_ops},",
+        run.wall_ns, run.sim_events
     );
-    push_kv_num(&mut out, "events_per_sec", events_per_sec);
+    push_kv_num(&mut out, "events_per_sec", per_sec(run.sim_events));
     out.push(',');
-    push_kv_num(&mut out, "ops_per_sec", ops_per_sec);
+    push_kv_num(&mut out, "ops_per_sec", per_sec(mpi_ops));
     out.push_str("},\n");
 
-    // Counters aggregated across ranks.
-    let mut bytes_sent = 0u64;
-    let mut bytes_received = 0u64;
-    let mut eager_sends = 0u64;
-    let mut rndv_sends = 0u64;
-    let mut offload_syncs = 0u64;
-    let mut packets = 0u64;
-    let mut mr_hits = 0u64;
-    let mut mr_misses = 0u64;
-    for r in &run.reports {
-        bytes_sent += r.comm.bytes_sent;
-        bytes_received += r.comm.bytes_received;
-        eager_sends += r.comm.eager_sends;
-        rndv_sends += r.comm.rndv_sends;
-        offload_syncs += r.comm.offload_syncs;
-        packets += r.comm.packets_processed;
-        mr_hits += r.mr_cache.hits;
-        mr_misses += r.mr_cache.misses;
-    }
-    out.push_str("\"counters\":{");
-    let _ = write!(
-        out,
-        "\"bytes_sent\":{bytes_sent},\"bytes_received\":{bytes_received},\
-         \"eager_sends\":{eager_sends},\"rndv_sends\":{rndv_sends},\
-         \"offload_syncs\":{offload_syncs},\"packets_processed\":{packets},\
-         \"mr_cache_hits\":{mr_hits},\"mr_cache_misses\":{mr_misses}"
-    );
-    out.push_str("},\n");
-
-    // Scale counters: how many QP pairs lazy connection establishment
-    // actually touched, the per-rank communication-buffer footprint, and
-    // the SRQ pool's peak occupancy (0 on the per-pair ring path).
-    let pairs: u64 = run.reports.iter().map(|r| r.comm.pairs_established).sum();
-    let bytes_per_rank = run
-        .reports
-        .iter()
-        .map(|r| r.comm.comm_buffer_bytes)
-        .max()
-        .unwrap_or(0);
-    let srq_hw = run
-        .reports
-        .iter()
-        .map(|r| r.comm.srq_highwater)
-        .max()
-        .unwrap_or(0);
-    out.push_str("\"scale\":{");
-    let _ = write!(
-        out,
-        "\"ranks\":{},\"established_pairs\":{pairs},\
-         \"bytes_per_rank\":{bytes_per_rank},\"srq_highwater\":{srq_hw}",
-        run.ranks
-    );
-    out.push_str("},\n");
-
-    // Failure-plane counters, present only when the run had the failure
-    // subsystem armed (kill soaks). Additive: readers of failure-less
-    // reports are unaffected, so the schema version stays.
-    if let Some(f) = &run.failures {
-        out.push_str("\"failures\":{");
-        let _ = write!(
-            out,
-            "\"kills\":{},\"detections\":{},\"detection_latency_p99_ns\":{},\
-             \"revokes\":{},\"shrinks\":{},\"reclaimed\":{}",
-            f.kills, f.detections, f.detection_latency_p99_ns, f.revokes, f.shrinks, f.reclaimed
-        );
-        out.push_str("},\n");
-    }
-
-    // Critical path of the traced run (additive, like `failures`): the
-    // heaviest causal chain through the stitched message-lifecycle DAG,
-    // split by edge kind. Virtual-time, hence deterministic — the
-    // comparator gates it at the drift tolerance when both sides have it.
-    if let Some(cp) = stitch::critical_path(&run.events) {
-        out.push_str("\"critical_path\":{");
-        let _ = write!(out, "\"total_ns\":{},\"edges\":{}", cp.total_ns, cp.edges);
-        for (kind, ns) in &cp.breakdown {
-            let _ = write!(out, ",\"{kind}_ns\":{ns}");
+    for (section, keys) in sections(run) {
+        let _ = write!(out, "\"{section}\":{{");
+        for (i, (key, v)) in keys.iter().enumerate() {
+            let _ = write!(out, "{}\"{key}\":{v}", if i == 0 { "" } else { "," });
         }
         out.push_str("},\n");
     }
 
     // Aggregate payload bandwidth over the run's virtual lifetime.
+    let bytes_sent: u64 = run.reports().map(|r| r.comm.bytes_sent).sum();
     let bw_gbs = if run.elapsed_ns == 0 {
         0.0
     } else {
@@ -280,77 +263,24 @@ fn phase_p99s(doc: &JsonValue) -> Result<Vec<(String, f64)>, String> {
     Ok(out)
 }
 
-fn drift_pct(base: f64, cur: f64) -> f64 {
-    if base == 0.0 {
-        if cur == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        (cur - base).abs() / base * 100.0
-    }
-}
-
-/// Additive report sections (each may be absent from old reports) and the
-/// numeric keys the comparator gates inside them. Presence is asymmetric
-/// by design — see [`compare_reports_full`].
-const ADDITIVE_SECTIONS: &[(&str, &[&str])] = &[
-    ("scale", &["established_pairs", "bytes_per_rank"]),
-    (
-        "failures",
-        &[
-            "kills",
-            "detections",
-            "detection_latency_p99_ns",
-            "revokes",
-            "shrinks",
-            "reclaimed",
-        ],
-    ),
-    (
-        "critical_path",
-        &[
-            "total_ns",
-            "edges",
-            "wire_ns",
-            "stash_dwell_ns",
-            "credit_stall_ns",
-            "daemon_ns",
-            "rdma_ns",
-            "host_copy_ns",
-            "local_ns",
-        ],
-    ),
-];
-
-/// Diff two serialized reports under a symmetric drift tolerance (in
-/// percent). See [`compare_reports_full`]; this wrapper drops the
-/// warnings and returns only the gating violations.
+/// Diff two serialized reports, exactly: each per-phase p99, the aggregate
+/// bandwidth and every key of every shared section must equal the
+/// baseline's. A regression fails for the obvious reason; an improvement
+/// fails too, because the checked-in baseline no longer describes the
+/// code and must be regenerated in the same commit (otherwise it would
+/// mask a later regression of the same magnitude). `Ok((violations,
+/// warnings))` — empty violations means the gate passes; `Err` means an
+/// input could not be parsed or is not a metrics report.
+///
+/// Additive sections ([`SECTIONS`]) gate *asymmetrically*: present on
+/// both sides → every key either side carries must be equal; only in
+/// the baseline → a warning (an old baseline must keep passing against a
+/// candidate whose run type doesn't produce the section); only in the
+/// candidate → a violation, because silently skipping would let the new
+/// section regress unwatched forever.
 pub fn compare_reports(
     baseline: &str,
     current: &str,
-    tolerance_pct: f64,
-) -> Result<Vec<String>, String> {
-    compare_reports_full(baseline, current, tolerance_pct).map(|(v, _)| v)
-}
-
-/// Diff two serialized reports under a symmetric drift tolerance (in
-/// percent). `Ok((violations, warnings))` — empty violations means the
-/// gate passes; `Err` means one of the inputs could not be parsed or is
-/// not a metrics report.
-///
-/// Additive sections (`scale`, `failures`, `critical_path`) gate
-/// *asymmetrically*: present on both sides → per-key drift check; only in
-/// the baseline → a warning (an old baseline must keep passing against a
-/// candidate whose run type doesn't produce the section); only in the
-/// candidate → a violation, because the baseline no longer describes what
-/// the code emits and silently skipping would let the new section regress
-/// unwatched forever (refresh the baseline instead).
-pub fn compare_reports_full(
-    baseline: &str,
-    current: &str,
-    tolerance_pct: f64,
 ) -> Result<(Vec<String>, Vec<String>), String> {
     let base = json::parse(baseline).map_err(|e| format!("baseline: {e}"))?;
     let cur = json::parse(current).map_err(|e| format!("current: {e}"))?;
@@ -367,21 +297,16 @@ pub fn compare_reports_full(
     }
 
     let mut violations = Vec::new();
+    let mut warnings = Vec::new();
 
-    let base_bw = base
-        .get("bandwidth_gbs")
-        .and_then(JsonValue::as_f64)
-        .ok_or("baseline: no numeric bandwidth_gbs")?;
-    let cur_bw = cur
-        .get("bandwidth_gbs")
-        .and_then(JsonValue::as_f64)
-        .ok_or("current: no numeric bandwidth_gbs")?;
-    let bw_drift = drift_pct(base_bw, cur_bw);
-    if bw_drift > tolerance_pct {
-        violations.push(format!(
-            "bandwidth_gbs drifted {bw_drift:.1}% ({base_bw:.4} -> {cur_bw:.4}), \
-             tolerance {tolerance_pct}%"
-        ));
+    let bw = |label: &str, doc: &JsonValue| {
+        doc.get("bandwidth_gbs")
+            .and_then(JsonValue::as_f64)
+            .ok_or(format!("{label}: no numeric bandwidth_gbs"))
+    };
+    let (base_bw, cur_bw) = (bw("baseline", &base)?, bw("current", &cur)?);
+    if base_bw != cur_bw {
+        violations.push(format!("bandwidth_gbs moved ({base_bw} -> {cur_bw})"));
     }
 
     let base_phases = phase_p99s(&base).map_err(|e| format!("baseline: {e}"))?;
@@ -391,47 +316,34 @@ pub fn compare_reports_full(
             None => violations.push(format!(
                 "phase {name}: present in baseline but missing from current run"
             )),
-            Some((_, cur_p99)) => {
-                let d = drift_pct(*base_p99, *cur_p99);
-                if d > tolerance_pct {
-                    violations.push(format!(
-                        "phase {name}: p99 drifted {d:.1}% ({base_p99:.0} ns -> {cur_p99:.0} ns), \
-                         tolerance {tolerance_pct}%"
-                    ));
-                }
-            }
+            Some((_, cur_p99)) if cur_p99 != base_p99 => violations.push(format!(
+                "phase {name}: p99 moved ({base_p99} ns -> {cur_p99} ns)"
+            )),
+            Some(_) => {}
         }
     }
     for (name, _) in &cur_phases {
         if !base_phases.iter().any(|(n, _)| n == name) {
             violations.push(format!(
-                "phase {name}: new in current run, absent from baseline (refresh the baseline)"
+                "phase {name}: new in current run, absent from baseline (regenerate the baseline)"
             ));
         }
     }
 
-    // Additive-section gates. All their metrics are deterministic in
-    // virtual time (connection counts, failure-plane outcomes, critical
-    // path), but stay under the symmetric drift tolerance so a deliberate
-    // workload change only requires a baseline refresh, not a schema
-    // bump. Presence is checked per the asymmetric rule in the doc
-    // comment above.
-    let mut warnings = Vec::new();
-    for (section, keys) in ADDITIVE_SECTIONS {
+    for section in SECTIONS {
         match (base.get(section), cur.get(section)) {
-            (Some(bs), Some(cs)) => {
-                for key in *keys {
-                    let (Some(b), Some(c)) = (
-                        bs.get(key).and_then(JsonValue::as_f64),
-                        cs.get(key).and_then(JsonValue::as_f64),
-                    ) else {
-                        continue;
-                    };
-                    let d = drift_pct(b, c);
-                    if d > tolerance_pct {
+            (Some(JsonValue::Obj(bs)), Some(JsonValue::Obj(cs))) => {
+                for key in bs.keys().chain(cs.keys().filter(|k| !bs.contains_key(*k))) {
+                    let (b, c) = (bs.get(key), cs.get(key));
+                    if b != c {
+                        let show = |v: Option<&JsonValue>| {
+                            v.and_then(JsonValue::as_f64)
+                                .map_or("absent".to_string(), |n| n.to_string())
+                        };
                         violations.push(format!(
-                            "{section} {key} drifted {d:.1}% ({b:.0} -> {c:.0}), \
-                             tolerance {tolerance_pct}%"
+                            "{section} {key} moved ({} -> {})",
+                            show(b),
+                            show(c)
                         ));
                     }
                 }
@@ -441,10 +353,10 @@ pub fn compare_reports_full(
                  (expected when the run type doesn't produce it)"
             )),
             (None, Some(_)) => violations.push(format!(
-                "{section}: new in current run, absent from baseline (refresh the baseline \
+                "{section}: new in current run, absent from baseline (regenerate the baseline \
                  so the section is gated)"
             )),
-            (None, None) => {}
+            _ => {}
         }
     }
 
@@ -454,6 +366,11 @@ pub fn compare_reports_full(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Violations only — what the exit code hangs on.
+    fn gate(baseline: &str, current: &str) -> Result<Vec<String>, String> {
+        compare_reports(baseline, current).map(|(v, _)| v)
+    }
 
     fn fake_report(p99_scale: f64, bw: f64) -> String {
         format!(
@@ -473,25 +390,21 @@ mod tests {
     #[test]
     fn identical_reports_pass() {
         let r = fake_report(1.0, 1.5);
-        assert_eq!(compare_reports(&r, &r, 0.0).unwrap(), Vec::<String>::new());
+        assert_eq!(gate(&r, &r).unwrap(), Vec::<String>::new());
     }
 
     #[test]
-    fn drift_within_tolerance_passes() {
-        let v = compare_reports(&fake_report(1.0, 1.5), &fake_report(1.1, 1.4), 25.0).unwrap();
-        assert!(v.is_empty(), "{v:?}");
+    fn any_p99_move_fails_in_either_direction() {
+        for (base, cur) in [(1.0, 1.001), (1.001, 1.0)] {
+            let v = gate(&fake_report(base, 1.5), &fake_report(cur, 1.5)).unwrap();
+            assert_eq!(v.len(), 2, "{v:?}"); // both phases moved
+            assert!(v[0].contains("p99 moved"), "{v:?}");
+        }
     }
 
     #[test]
-    fn doubled_p99_fails() {
-        let v = compare_reports(&fake_report(2.0, 1.5), &fake_report(1.0, 1.5), 25.0).unwrap();
-        assert_eq!(v.len(), 2, "{v:?}"); // both phases drifted 50%
-        assert!(v[0].contains("p99 drifted"), "{v:?}");
-    }
-
-    #[test]
-    fn bandwidth_regression_fails() {
-        let v = compare_reports(&fake_report(1.0, 2.0), &fake_report(1.0, 1.0), 25.0).unwrap();
+    fn bandwidth_move_fails() {
+        let v = gate(&fake_report(1.0, 2.0), &fake_report(1.0, 1.99)).unwrap();
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("bandwidth_gbs"), "{v:?}");
     }
@@ -506,7 +419,7 @@ mod tests {
             r#"{{"schema":"{METRICS_SCHEMA}","bandwidth_gbs":1.0,
                 "phases":[{{"phase":"RndvWrite","p99_ns":100}}]}}"#
         );
-        let v = compare_reports(&base, &cur, 25.0).unwrap();
+        let v = gate(&base, &cur).unwrap();
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().any(|m| m.contains("missing from current")));
         assert!(v.iter().any(|m| m.contains("absent from baseline")));
@@ -515,7 +428,7 @@ mod tests {
     #[test]
     fn missing_phase_alone_fails_even_when_shared_metrics_match() {
         // The dropped phase must be a violation in its own right, not
-        // something that only surfaces via drift on surviving phases.
+        // something that only surfaces via the surviving phases.
         let base = format!(
             r#"{{"schema":"{METRICS_SCHEMA}","bandwidth_gbs":1.0,
                 "phases":[{{"phase":"Eager","p99_ns":100}},
@@ -525,42 +438,10 @@ mod tests {
             r#"{{"schema":"{METRICS_SCHEMA}","bandwidth_gbs":1.0,
                 "phases":[{{"phase":"Eager","p99_ns":100}}]}}"#
         );
-        let v = compare_reports(&base, &cur, 25.0).unwrap();
+        let v = gate(&base, &cur).unwrap();
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("RndvRead"), "{v:?}");
         assert!(v[0].contains("missing from current"), "{v:?}");
-    }
-
-    fn report_with_failures(detections: u64, latency_p99: u64) -> String {
-        format!(
-            r#"{{"schema":"{METRICS_SCHEMA}","bandwidth_gbs":1.0,
-                "failures":{{"kills":4,"detections":{detections},
-                             "detection_latency_p99_ns":{latency_p99},
-                             "revokes":60,"shrinks":1,"reclaimed":71}},
-                "phases":[{{"phase":"Eager","p99_ns":100}}]}}"#
-        )
-    }
-
-    #[test]
-    fn failure_counters_gate_when_present_on_both_sides() {
-        // Identical failure planes pass even at zero tolerance.
-        let r = report_with_failures(4, 7000);
-        assert!(compare_reports(&r, &r, 0.0).unwrap().is_empty());
-        // A missed detection (4 -> 3 = 25% drift) and a doubled detection
-        // latency both violate.
-        let v = compare_reports(
-            &report_with_failures(4, 7000),
-            &report_with_failures(3, 14000),
-            20.0,
-        )
-        .unwrap();
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().any(|m| m.contains("failures detections")), "{v:?}");
-        assert!(
-            v.iter()
-                .any(|m| m.contains("failures detection_latency_p99_ns")),
-            "{v:?}"
-        );
     }
 
     fn report_without_sections() -> String {
@@ -578,28 +459,72 @@ mod tests {
         )
     }
 
+    /// One body per additive section, for the presence tests below.
+    const SECTION_BODIES: [(&str, &str); 3] = [
+        ("scale", r#""established_pairs":6,"bytes_per_rank":1000"#),
+        ("failures", r#""kills":4,"detections":4"#),
+        (
+            "critical_path",
+            r#""total_ns":5000,"edges":12,"wire_ns":3000"#,
+        ),
+    ];
+
+    #[test]
+    fn shared_sections_gate_every_key_either_side_carries() {
+        let failures = |detections: u64, latency: u64| {
+            report_with_section(
+                "failures",
+                &format!(
+                    r#""kills":4,"detections":{detections},"detection_latency_p99_ns":{latency}"#
+                ),
+            )
+        };
+        assert!(gate(&failures(4, 7000), &failures(4, 7000))
+            .unwrap()
+            .is_empty());
+        // A missed detection and a moved latency both violate.
+        let v = gate(&failures(4, 7000), &failures(3, 7001)).unwrap();
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(
+            v.iter()
+                .any(|m| m.contains("failures detections moved (4 -> 3)")),
+            "{v:?}"
+        );
+        assert!(
+            v.iter()
+                .any(|m| m.contains("failures detection_latency_p99_ns")),
+            "{v:?}"
+        );
+        // No key list is kept by hand: a key only one side carries (an
+        // edge kind appearing on the critical path) is a violation too.
+        let base = report_with_section("critical_path", r#""total_ns":10000,"wire_ns":6000"#);
+        let cur = report_with_section(
+            "critical_path",
+            r#""total_ns":10000,"wire_ns":6000,"stash_dwell_ns":1"#,
+        );
+        for (a, b, want) in [
+            (&base, &cur, "(absent -> 1)"),
+            (&cur, &base, "(1 -> absent)"),
+        ] {
+            let v = gate(a, b).unwrap();
+            assert_eq!(v.len(), 1, "{v:?}");
+            assert!(v[0].contains("critical_path stash_dwell_ns moved"), "{v:?}");
+            assert!(v[0].contains(want), "{v:?}");
+        }
+    }
+
     #[test]
     fn additive_section_only_in_baseline_warns_but_passes() {
         // An old baseline (with the section) against a run type that does
         // not produce it: the gate cannot bind, which is legitimate —
-        // warn, don't fail. One direction test per additive section.
-        for (section, body) in [
-            ("scale", r#""established_pairs":6,"bytes_per_rank":1000"#),
-            ("failures", r#""kills":4,"detections":4"#),
-            (
-                "critical_path",
-                r#""total_ns":5000,"edges":12,"wire_ns":3000"#,
-            ),
-        ] {
+        // warn, don't fail.
+        for (section, body) in SECTION_BODIES {
             let with = report_with_section(section, body);
-            let without = report_without_sections();
-            let (v, w) = compare_reports_full(&with, &without, 0.0).unwrap();
+            let (v, w) = compare_reports(&with, &report_without_sections()).unwrap();
             assert!(v.is_empty(), "{section}: {v:?}");
             assert_eq!(w.len(), 1, "{section}: {w:?}");
             assert!(w[0].contains(section), "{w:?}");
             assert!(w[0].contains("not gated"), "{w:?}");
-            // The violations-only wrapper keeps passing.
-            assert!(compare_reports(&with, &without, 0.0).unwrap().is_empty());
         }
     }
 
@@ -607,49 +532,33 @@ mod tests {
     fn additive_section_only_in_candidate_is_a_violation() {
         // The code grew a section the baseline has never seen: skipping
         // silently would leave it ungated forever, so this direction
-        // demands a baseline refresh. One direction test per section.
-        for (section, body) in [
-            ("scale", r#""established_pairs":6,"bytes_per_rank":1000"#),
-            ("failures", r#""kills":4,"detections":4"#),
-            (
-                "critical_path",
-                r#""total_ns":5000,"edges":12,"wire_ns":3000"#,
-            ),
-        ] {
+        // demands a regenerated baseline.
+        for (section, body) in SECTION_BODIES {
             let with = report_with_section(section, body);
-            let without = report_without_sections();
-            let (v, w) = compare_reports_full(&without, &with, 0.0).unwrap();
+            let (v, w) = compare_reports(&report_without_sections(), &with).unwrap();
             assert_eq!(v.len(), 1, "{section}: {v:?}");
             assert!(v[0].contains(section), "{v:?}");
-            assert!(v[0].contains("refresh the baseline"), "{v:?}");
+            assert!(v[0].contains("regenerate the baseline"), "{v:?}");
             assert!(w.is_empty(), "{section}: {w:?}");
         }
     }
 
     #[test]
-    fn critical_path_drift_gates_when_present_on_both_sides() {
-        let base = report_with_section(
-            "critical_path",
-            r#""total_ns":10000,"edges":20,"wire_ns":6000,"stash_dwell_ns":1000"#,
-        );
-        assert!(compare_reports(&base, &base, 0.0).unwrap().is_empty());
-        let cur = report_with_section(
-            "critical_path",
-            r#""total_ns":15000,"edges":20,"wire_ns":6000,"stash_dwell_ns":1000"#,
-        );
-        let v = compare_reports(&base, &cur, 25.0).unwrap();
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(
-            v[0].contains("critical_path total_ns drifted 50.0%"),
-            "{v:?}"
-        );
+    fn every_written_section_is_a_gated_section() {
+        let run = crate::run(&crate::Scenario {
+            faults: "5:kill@3".parse().unwrap(),
+            ..crate::Scenario::halo_soak(8)
+        })
+        .unwrap();
+        let written: Vec<&str> = sections(&run).iter().map(|(s, _)| *s).collect();
+        assert_eq!(written, SECTIONS);
     }
 
     #[test]
     fn schema_mismatch_is_an_error() {
         let bad = r#"{"schema":"dcfa-mpi-metrics/0","bandwidth_gbs":1.0,"phases":[]}"#;
-        assert!(compare_reports(bad, bad, 25.0).is_err());
-        assert!(compare_reports("{", "{}", 25.0).is_err());
-        assert!(compare_reports("{}", "{}", 25.0).is_err());
+        assert!(gate(bad, bad).is_err());
+        assert!(gate("{", "{}").is_err());
+        assert!(gate("{}", "{}").is_err());
     }
 }

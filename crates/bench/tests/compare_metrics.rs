@@ -1,10 +1,9 @@
 //! End-to-end regression tests for the `repro --compare-metrics` gate:
 //! the process must exit 1 whenever a phase present in the baseline is
 //! missing from the candidate report (a silently dropped phase used to
-//! evade the p99 drift check entirely), when a new phase appears that the
-//! baseline does not know, and when wall-clock throughput falls below a
-//! baseline floor. Exit codes are observed on the real binary via
-//! `CARGO_BIN_EXE_repro`.
+//! evade the p99 check entirely), when a new phase appears that the
+//! baseline does not know, and when any gated number moved. Exit codes
+//! are observed on the real binary via `CARGO_BIN_EXE_repro`.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -36,14 +35,12 @@ fn current_report() -> String {
     report
 }
 
-/// Exit status of `repro --compare-metrics <baseline>` with a generous
-/// tolerance, so only structural violations (phases, floors) can fail.
+/// Exit status of `repro --compare-metrics <baseline>`.
 fn compare_exit(baseline: &str, label: &str) -> (i32, String) {
     let path = tmp(label);
     std::fs::write(&path, baseline).unwrap();
     let out = repro()
         .args(["--compare-metrics", path.to_str().unwrap()])
-        .args(["--tolerance", "75"])
         .output()
         .expect("spawn repro");
     let _ = std::fs::remove_file(&path);
@@ -56,13 +53,24 @@ fn compare_exit(baseline: &str, label: &str) -> (i32, String) {
 }
 
 #[test]
-fn phase_mismatches_and_floors_gate_the_exit_code() {
+fn phase_mismatches_and_moved_numbers_gate_the_exit_code() {
     let report = current_report();
 
     // Sanity: the run is virtually deterministic, so comparing a fresh
     // run against its own report passes.
     let (code, text) = compare_exit(&report, "self.json");
     assert_eq!(code, 0, "self-compare must pass:\n{text}");
+
+    // The gate is exact: one established pair more in the baseline's
+    // `scale` section is a violation naming the key.
+    let moved = report.replacen("\"established_pairs\":10,", "\"established_pairs\":11,", 1);
+    assert_ne!(moved, report, "scale section not found");
+    let (code, text) = compare_exit(&moved, "moved.json");
+    assert_eq!(code, 1, "a moved count must fail the gate:\n{text}");
+    assert!(
+        text.contains("scale established_pairs moved (11 -> 10)"),
+        "violation names the key:\n{text}"
+    );
 
     // Baseline knows a phase (Backoff — never produced by the clean
     // profiled run) that the candidate does not: exit 1.

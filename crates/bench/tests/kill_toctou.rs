@@ -11,14 +11,22 @@
 //! a second kill scheduled near the end of phase 1 (op 59) that the
 //! first wedge used to keep from ever firing.
 
-use bench::{kill_soak_run, KILL_SOAK_MAX_AFTER_OPS};
-use dcfa_mpi::KillSpec;
+use bench::{Channel, Run, Scenario, KILL_SOAK_MAX_AFTER_OPS};
 
-fn kills(specs: &[(u64, usize)]) -> Vec<KillSpec> {
-    specs
-        .iter()
-        .map(|&(after_ops, rank)| KillSpec { rank, after_ops })
-        .collect()
+/// The 8-rank kill soak under `spec`; it must pass every gate.
+fn soak(channel: Channel, spec: &str) -> Run {
+    let run = bench::run(&Scenario {
+        channel,
+        faults: spec.parse().unwrap(),
+        ..Scenario::halo_soak(8)
+    })
+    .unwrap();
+    assert_eq!(
+        run.violations(),
+        Vec::<String>::new(),
+        "kill soak unhealthy"
+    );
+    run
 }
 
 /// The minimized chaos schedule: early death racing entry calls plus a
@@ -26,23 +34,16 @@ fn kills(specs: &[(u64, usize)]) -> Vec<KillSpec> {
 /// isend/irecv and the idempotent corpse sweep on QP-flush errors.
 #[test]
 fn mid_entry_kill_does_not_strand_survivors() {
-    let run = kill_soak_run(8, true, &kills(&[(13, 3), (59, 6)]));
-    run.healthy().unwrap_or_else(|violations| {
-        panic!("kill soak unhealthy: {violations:?}");
-    });
-    assert_eq!(run.expected_shrunk(), 6);
+    let run = soak(Channel::Srq, "13:kill@3,59:kill@6");
+    assert_eq!(run.outs.iter().flatten().count(), 6);
 }
 
 /// The same shape must also recover on the per-pair ring path (no SRQ)
 /// and stay bit-for-bit deterministic across runs.
 #[test]
 fn mid_entry_kill_recovers_without_srq_and_replays_identically() {
-    let ks = kills(&[(13, 3), (59, 6)]);
-    let a = kill_soak_run(8, false, &ks);
-    a.healthy().unwrap_or_else(|violations| {
-        panic!("kill soak unhealthy: {violations:?}");
-    });
-    let b = kill_soak_run(8, false, &ks);
+    let a = soak(Channel::Ring, "13:kill@3,59:kill@6");
+    let b = soak(Channel::Ring, "13:kill@3,59:kill@6");
     assert_eq!(
         a.fingerprint(),
         b.fingerprint(),
@@ -56,9 +57,6 @@ fn mid_entry_kill_recovers_without_srq_and_replays_identically() {
 #[test]
 fn last_op_kill_recovers() {
     assert_eq!(KILL_SOAK_MAX_AFTER_OPS, 65);
-    let run = kill_soak_run(8, true, &kills(&[(KILL_SOAK_MAX_AFTER_OPS, 2)]));
-    run.healthy().unwrap_or_else(|violations| {
-        panic!("kill soak unhealthy: {violations:?}");
-    });
-    assert_eq!(run.expected_shrunk(), 7);
+    let run = soak(Channel::Srq, "65:kill@2");
+    assert_eq!(run.outs.iter().flatten().count(), 7);
 }

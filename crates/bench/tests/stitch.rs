@@ -5,8 +5,7 @@
 //! Perfetto export must self-validate.
 
 use bench::stitch::{self, MsgTimeline};
-use dcfa_mpi::KillSpec;
-use fabric::ClusterConfig;
+use bench::Scenario;
 
 /// ISSUE 9 acceptance bar: the DAG explains at least this fraction of
 /// each completed message's lifetime. (The stitcher's telescoping edges
@@ -36,7 +35,7 @@ fn assert_full_coverage(messages: &[MsgTimeline], label: &str) {
 /// stream must pass schema validation.
 #[test]
 fn mixed_run_stitches_with_full_coverage() {
-    let run = bench::observability_run(&ClusterConfig::paper());
+    let run = bench::run(&Scenario::default()).unwrap();
     assert_eq!(run.dropped, 0, "mixed run must not saturate the trace ring");
     let st = stitch::stitch(&run.events, run.dropped);
     assert!(st.warnings.is_empty(), "{:?}", st.warnings);
@@ -58,26 +57,18 @@ fn mixed_run_stitches_with_full_coverage() {
 /// function of the trace stream, which is deterministic.
 #[test]
 fn kill_soak_critical_path_replays_with_full_coverage() {
-    const RANKS: usize = 16;
-    let kills = [
-        KillSpec {
-            rank: 3,
-            after_ops: 5,
-        },
-        KillSpec {
-            rank: 11,
-            after_ops: 20,
-        },
-    ];
+    let sc = Scenario {
+        faults: "5:kill@3,20:kill@11".parse().unwrap(),
+        ..Scenario::halo_soak(16)
+    };
     let mut paths = Vec::new();
     let mut fingerprints = Vec::new();
     for run_no in 0..2 {
-        let run = bench::kill_soak_run(RANKS, true, &kills);
-        run.healthy().expect("kill soak gates pass");
-        assert_eq!(run.obs.dropped, 0, "run {run_no}: trace ring saturated");
-        let st = stitch::stitch(&run.obs.events, run.obs.dropped);
+        let run = bench::run(&sc).unwrap();
+        assert_eq!(run.violations(), Vec::<String>::new(), "kill soak gates");
+        let st = stitch::stitch(&run.events, run.dropped);
         assert_full_coverage(&st.messages, &format!("kill/run{run_no}"));
-        paths.push(stitch::critical_path(&run.obs.events).expect("events present"));
+        paths.push(stitch::critical_path(&run.events).expect("events present"));
         fingerprints.push(run.fingerprint());
     }
     assert_eq!(paths[0], paths[1], "critical path differs between runs");
@@ -96,17 +87,17 @@ fn kill_soak_critical_path_replays_with_full_coverage() {
 }
 
 /// The metrics report of a traced run carries the critical_path section
-/// and it round-trips through the comparator at zero tolerance.
+/// and it round-trips through the (exact) comparator.
 #[test]
 fn critical_path_report_section_round_trips() {
-    let run = bench::observability_run(&ClusterConfig::paper());
+    let run = bench::run(&Scenario::default()).unwrap();
     let report = bench::metrics_report_json(&run);
     assert!(
         report.contains("\"critical_path\":{\"total_ns\":"),
         "report lacks the critical_path section"
     );
     let (violations, warnings) =
-        bench::compare_reports_full(&report, &report, 0.0).expect("self-compare parses");
+        bench::compare_reports(&report, &report).expect("self-compare parses");
     assert!(violations.is_empty(), "{violations:?}");
     assert!(warnings.is_empty(), "{warnings:?}");
 }

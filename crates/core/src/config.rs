@@ -46,14 +46,6 @@ pub struct MpiConfig {
     /// handshake packet is re-issued (duplicates are deduplicated by pair
     /// sequence id). `None` disables the watchdog.
     pub rndv_timeout: Option<SimDuration>,
-    /// DCFA command-channel reply timeout: how long a rank waits for the
-    /// delegation daemon's reply before retransmitting the command
-    /// (Phi placement only; commands carry sequence ids and the daemon
-    /// deduplicates, so retransmission is safe).
-    pub cmd_timeout: SimDuration,
-    /// Command retransmissions before the rank gives up on the connection
-    /// and re-attaches (reconnect + resource-journal replay).
-    pub cmd_retry_limit: u32,
     /// Lease-renewal heartbeat period for the DCFA session. `None`
     /// disables the sidecar; the daemon then sees the rank as alive only
     /// while it issues commands (fine unless a lease TTL is configured).
@@ -106,11 +98,6 @@ impl MpiConfig {
             // Far above any healthy handshake latency (µs scale), so the
             // watchdog never fires spuriously in fault-free runs.
             rndv_timeout: Some(SimDuration::from_millis(10)),
-            // Generously above the worst-case daemon service time (a
-            // multi-MiB registration costs tens of µs), well below the
-            // rendezvous watchdog.
-            cmd_timeout: SimDuration::from_micros(500),
-            cmd_retry_limit: 3,
             heartbeat_interval: None,
             max_requests: 1 << 20,
             srq_depth: None,
@@ -153,10 +140,6 @@ impl MpiConfig {
         if let Some(t) = self.rndv_timeout {
             assert!(t > SimDuration::ZERO, "rendezvous timeout must be positive");
         }
-        assert!(
-            self.cmd_timeout > SimDuration::ZERO,
-            "command timeout must be positive"
-        );
         if let Some(h) = self.heartbeat_interval {
             assert!(h > SimDuration::ZERO, "heartbeat interval must be positive");
         }

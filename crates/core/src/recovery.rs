@@ -61,7 +61,7 @@ pub(crate) enum TimeoutKind {
     Rtr { req: u64 },
     /// Lazy-connect handshake: re-issue the connect Req if the pair is
     /// still unwired (the Req or its Ack was lost on the out-of-band
-    /// channel). `attempt` counts re-issues; past `cmd_retry_limit` the
+    /// channel). `attempt` counts re-issues; past `dcfa::CMD_RETRY_LIMIT` the
     /// peer is declared dead instead of retried forever.
     Conn { peer: Rank, attempt: u32 },
 }
@@ -470,7 +470,7 @@ impl Engine {
     /// its Ack; a rendezvous one is a no-op when `rndv_timeout` is off.
     pub(crate) fn arm_watchdog(&mut self, ctx: &mut Ctx, kind: TimeoutKind) {
         let period = match kind {
-            TimeoutKind::Conn { .. } => Some(self.cfg.cmd_timeout),
+            TimeoutKind::Conn { .. } => Some(dcfa::CMD_TIMEOUT),
             _ => self.cfg.rndv_timeout,
         };
         let Some(period) = period else { return };
@@ -562,7 +562,7 @@ impl Engine {
         if !self.ch.unwired(peer) || self.board_says_dead(peer) {
             return;
         }
-        if attempt > self.cfg.cmd_retry_limit {
+        if attempt > dcfa::CMD_RETRY_LIMIT {
             // Without a board there is nothing better than keeping the
             // queued packets parked; the caller's own timeout machinery
             // (or test harness) owns the verdict.

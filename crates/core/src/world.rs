@@ -297,8 +297,6 @@ where
             let res = match cfg.placement {
                 Placement::Phi => {
                     let dcfg = dcfa::DcfaConfig {
-                        cmd_timeout: cfg.cmd_timeout,
-                        cmd_retry_limit: cfg.cmd_retry_limit,
                         heartbeat_interval: cfg.heartbeat_interval,
                         stats: daemon_stats.clone().unwrap_or_default(),
                         hook: ctrl_hook,

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use dcfa_mpi::{launch, Comm, Communicator, LaunchOpts, MpiConfig, MpiError, Request, Src, TagSel};
-use fabric::{Cluster, ClusterConfig};
+use fabric::{Cluster, ClusterConfig, LinkFault, LinkFaultKind};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use scif::ScifFabric;
@@ -102,8 +102,11 @@ proptest! {
 
     #[test]
     fn backpressure_recovers_without_stranding_requests(shape in shape_strategy()) {
+        // "3:transient,11:retry" in `repro --faults` syntax.
         let faults = if shape.faults {
-            fabric::parse_fault_spec("3:transient,11:retry").unwrap()
+            [(3, LinkFaultKind::Rnr), (11, LinkFaultKind::Retry)]
+                .map(|(after_ops, kind)| LinkFault { after_ops, kind, from: None, to: None })
+                .to_vec()
         } else {
             Vec::new()
         };

@@ -77,6 +77,15 @@ impl std::fmt::Display for DcfaError {
 
 impl std::error::Error for DcfaError {}
 
+/// Default command reply timeout: generously above the worst-case daemon
+/// service time (a multi-MiB registration costs tens of µs), well below the
+/// MPI rendezvous watchdog. The MPI core's lazy-connect watchdog rides the
+/// same out-of-band channel and runs on the same period.
+pub const CMD_TIMEOUT: SimDuration = SimDuration::from_micros(500);
+/// Default retransmissions of one command (and re-issues of one connect
+/// handshake) before giving up on the connection.
+pub const CMD_RETRY_LIMIT: u32 = 3;
+
 /// Client-side knobs for the fault-tolerant command channel.
 #[derive(Clone)]
 pub struct DcfaConfig {
@@ -123,8 +132,8 @@ impl fmt::Debug for DcfaConfig {
 impl Default for DcfaConfig {
     fn default() -> Self {
         DcfaConfig {
-            cmd_timeout: SimDuration::from_micros(500),
-            cmd_retry_limit: 3,
+            cmd_timeout: CMD_TIMEOUT,
+            cmd_retry_limit: CMD_RETRY_LIMIT,
             cmd_backoff: SimDuration::from_micros(50),
             reconnect_limit: 8,
             reconnect_backoff: SimDuration::from_micros(50),

@@ -195,51 +195,6 @@ pub struct DaemonFault {
     pub node: Option<NodeId>,
 }
 
-/// Parse a `repro --daemon-faults` spec: comma-separated terms of the form
-/// `<after>:<kind>[@<node>]`, where `<after>` counts sequenced commands to
-/// skip, `<kind>` is one of `crash`, `drop`, `delay`, and the optional
-/// scope restricts the fault to one node's daemon (`*` means any node).
-///
-/// Example: `6:crash,20:drop@1,35:delay`.
-pub fn parse_daemon_fault_spec(spec: &str) -> Result<Vec<DaemonFault>, String> {
-    let mut out = Vec::new();
-    for term in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-        let (after_s, rest) = term
-            .split_once(':')
-            .ok_or_else(|| format!("`{term}`: expected `<after>:<kind>[@<node>]`"))?;
-        let after_cmds: u64 = after_s
-            .trim()
-            .parse()
-            .map_err(|_| format!("`{term}`: bad command count `{after_s}`"))?;
-        let (kind_s, scope) = match rest.split_once('@') {
-            Some((k, s)) => (k, Some(s.trim())),
-            None => (rest, None),
-        };
-        let kind = match kind_s.trim() {
-            "crash" => DaemonFaultKind::Crash,
-            "drop" => DaemonFaultKind::DropReply,
-            "delay" => DaemonFaultKind::DelayReply,
-            other => return Err(format!("`{term}`: unknown daemon fault kind `{other}`")),
-        };
-        let node = match scope {
-            None | Some("*") => None,
-            Some(s) => Some(NodeId(
-                s.parse::<usize>()
-                    .map_err(|_| format!("`{term}`: bad node `{s}`"))?,
-            )),
-        };
-        out.push(DaemonFault {
-            after_cmds,
-            kind,
-            node,
-        });
-    }
-    if out.is_empty() {
-        return Err("empty daemon fault spec".into());
-    }
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------------
 // Daemon configuration
 // ---------------------------------------------------------------------------
@@ -928,31 +883,4 @@ fn with_session<R>(
 
 fn ib_mr(ib: &Arc<IbFabric>, key: u32) -> Option<verbs::MemoryRegion> {
     ib.mr_handle(verbs::MrKey(key))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn daemon_fault_spec_round_trips() {
-        let plans = parse_daemon_fault_spec("6:crash, 20:drop@1, 35:delay@*").unwrap();
-        assert_eq!(plans.len(), 3);
-        assert_eq!(plans[0].after_cmds, 6);
-        assert_eq!(plans[0].kind, DaemonFaultKind::Crash);
-        assert_eq!(plans[0].node, None);
-        assert_eq!(plans[1].kind, DaemonFaultKind::DropReply);
-        assert_eq!(plans[1].node, Some(NodeId(1)));
-        assert_eq!(plans[2].kind, DaemonFaultKind::DelayReply);
-        assert_eq!(plans[2].node, None);
-    }
-
-    #[test]
-    fn bad_daemon_fault_specs_rejected() {
-        assert!(parse_daemon_fault_spec("").is_err());
-        assert!(parse_daemon_fault_spec("crash").is_err());
-        assert!(parse_daemon_fault_spec("x:crash").is_err());
-        assert!(parse_daemon_fault_spec("1:meteor").is_err());
-        assert!(parse_daemon_fault_spec("1:crash@phi").is_err());
-    }
 }

@@ -24,9 +24,8 @@ mod context;
 mod daemon;
 pub mod wire;
 
-pub use context::{DcfaConfig, DcfaContext, DcfaError, OffloadMr};
+pub use context::{DcfaConfig, DcfaContext, DcfaError, OffloadMr, CMD_RETRY_LIMIT, CMD_TIMEOUT};
 pub use daemon::{
-    parse_daemon_fault_spec, spawn_daemons, spawn_daemons_with, spawn_node_daemon, CtrlEvent,
-    CtrlHook, CtrlOp, CtrlPerf, DaemonConfig, DaemonFault, DaemonFaultKind, DcfaCounters,
-    DcfaStats, PerfProbe, DCFA_PORT,
+    spawn_daemons, spawn_daemons_with, spawn_node_daemon, CtrlEvent, CtrlHook, CtrlOp, CtrlPerf,
+    DaemonConfig, DaemonFault, DaemonFaultKind, DcfaCounters, DcfaStats, PerfProbe, DCFA_PORT,
 };

@@ -1,7 +1,7 @@
 //! Cluster-level fault planning: per-link fault plans armed by node pair,
 //! consumed by the device layers (the verbs HCA model consults the plan on
-//! every posted data operation), plus the textual spec format used by
-//! `repro --faults` and the DCFA control channel.
+//! every posted data operation). Plans are typed; the textual `--faults`
+//! grammar is a CLI concern and lives in `bench::spec`.
 
 use crate::mem::NodeId;
 
@@ -41,97 +41,26 @@ impl LinkFault {
     }
 }
 
-/// Parse a `repro --faults` spec: comma-separated terms of the form
-/// `<after>:<kind>[@<src>-><dst>]`, where `<after>` counts matching posted
-/// operations to skip, `<kind>` is one of `transient`/`rnr`, `retry`,
-/// `fatal`/`access`, and the optional scope restricts the fault to
-/// operations initiated by node `<src>` targeting node `<dst>` (`*` for
-/// either side means any node).
-///
-/// Example: `2:transient,9:fatal@0->1`.
-pub fn parse_fault_spec(spec: &str) -> Result<Vec<LinkFault>, String> {
-    let mut out = Vec::new();
-    for term in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-        let (after_s, rest) = term
-            .split_once(':')
-            .ok_or_else(|| format!("`{term}`: expected `<after>:<kind>[@<src>-><dst>]`"))?;
-        let after_ops: u64 = after_s
-            .trim()
-            .parse()
-            .map_err(|_| format!("`{term}`: bad operation count `{after_s}`"))?;
-        let (kind_s, scope) = match rest.split_once('@') {
-            Some((k, s)) => (k, Some(s)),
-            None => (rest, None),
-        };
-        let kind = match kind_s.trim() {
-            "transient" | "rnr" => LinkFaultKind::Rnr,
-            "retry" => LinkFaultKind::Retry,
-            "fatal" | "access" => LinkFaultKind::Fatal,
-            other => return Err(format!("`{term}`: unknown fault kind `{other}`")),
-        };
-        let (from, to) = match scope {
-            None => (None, None),
-            Some(s) => {
-                let (a, b) = s
-                    .split_once("->")
-                    .ok_or_else(|| format!("`{term}`: scope must be `<src>-><dst>`"))?;
-                (parse_node(term, a)?, parse_node(term, b)?)
-            }
-        };
-        out.push(LinkFault {
-            after_ops,
-            kind,
-            from,
-            to,
-        });
-    }
-    if out.is_empty() {
-        return Err("empty fault spec".into());
-    }
-    Ok(out)
-}
-
-fn parse_node(term: &str, t: &str) -> Result<Option<NodeId>, String> {
-    let t = t.trim();
-    if t == "*" {
-        return Ok(None);
-    }
-    t.parse::<usize>()
-        .map(|n| Some(NodeId(n)))
-        .map_err(|_| format!("`{term}`: bad node `{t}`"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn spec_round_trips_kinds_and_scopes() {
-        let plans = parse_fault_spec("2:transient, 9:fatal@0->1, 0:retry@*->3").unwrap();
-        assert_eq!(plans.len(), 3);
-        assert_eq!(plans[0].after_ops, 2);
-        assert_eq!(plans[0].kind, LinkFaultKind::Rnr);
-        assert_eq!((plans[0].from, plans[0].to), (None, None));
-        assert_eq!(plans[1].kind, LinkFaultKind::Fatal);
-        assert_eq!(
-            (plans[1].from, plans[1].to),
-            (Some(NodeId(0)), Some(NodeId(1)))
-        );
-        assert_eq!(plans[2].kind, LinkFaultKind::Retry);
-        assert_eq!((plans[2].from, plans[2].to), (None, Some(NodeId(3))));
-        assert!(plans[1].matches(NodeId(0), NodeId(1)));
-        assert!(!plans[1].matches(NodeId(1), NodeId(0)));
-        assert!(plans[2].matches(NodeId(7), NodeId(3)));
-    }
-
-    #[test]
-    fn bad_specs_rejected() {
-        assert!(parse_fault_spec("").is_err());
-        assert!(parse_fault_spec("transient").is_err());
-        assert!(parse_fault_spec("x:transient").is_err());
-        assert!(parse_fault_spec("1:meteor").is_err());
-        assert!(parse_fault_spec("1:fatal@0-1").is_err());
-        assert!(parse_fault_spec("1:fatal@a->b").is_err());
+    fn scope_matches_initiator_and_target() {
+        let scoped = LinkFault {
+            after_ops: 9,
+            kind: LinkFaultKind::Fatal,
+            from: Some(NodeId(0)),
+            to: Some(NodeId(1)),
+        };
+        assert!(scoped.matches(NodeId(0), NodeId(1)));
+        assert!(!scoped.matches(NodeId(1), NodeId(0)));
+        let any_src = LinkFault {
+            from: None,
+            to: Some(NodeId(3)),
+            ..scoped
+        };
+        assert!(any_src.matches(NodeId(7), NodeId(3)));
     }
 
     #[test]

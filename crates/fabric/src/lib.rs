@@ -27,6 +27,6 @@ mod mem;
 pub use channel::{BwChannel, ChannelStats};
 pub use cluster::{Cluster, FabricStats, Transfer};
 pub use config::{ClusterConfig, CostModel, Domain, PAGE_SIZE};
-pub use faults::{parse_fault_spec, LinkFault, LinkFaultKind};
+pub use faults::{LinkFault, LinkFaultKind};
 pub use health::{HealthBoard, PeerState};
 pub use mem::{Buffer, MemRef, Memory, NodeId, OutOfMemory};

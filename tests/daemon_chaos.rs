@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use dcfa_mpi_repro::dcfa::{self, DaemonConfig};
+use dcfa_mpi_repro::dcfa::{DaemonConfig, DaemonFault, DaemonFaultKind};
 use dcfa_mpi_repro::dcfa_mpi::{
     audit, launch, Communicator, LaunchOpts, MpiConfig, Src, TagSel, TraceBuf,
 };
@@ -40,7 +40,18 @@ fn four_ranks_survive_daemon_crash_drop_and_delay() {
     let opts = LaunchOpts {
         tracer: Some(tracer.clone()),
         daemon: DaemonConfig {
-            faults: dcfa::parse_daemon_fault_spec("6:crash,20:drop,35:delay").expect("valid spec"),
+            // "6:crash,20:drop,35:delay" in `repro --faults` syntax.
+            faults: [
+                (6, DaemonFaultKind::Crash),
+                (20, DaemonFaultKind::DropReply),
+                (35, DaemonFaultKind::DelayReply),
+            ]
+            .map(|(after_cmds, kind)| DaemonFault {
+                after_cmds,
+                kind,
+                node: None,
+            })
+            .to_vec(),
             lease_ttl: Some(SimDuration::from_millis(2)),
             reaper_period: SimDuration::from_micros(500),
             ..Default::default()
