@@ -606,13 +606,22 @@ impl Channel {
         let cluster = res.cluster();
         let rank = self.rank;
 
+        // The whole slot under one acquisition of each arena involved
+        // (one, unless the payload lives elsewhere than the staging
+        // region). Nobody reads the slot before the post below.
         let mut hdr_bytes = [0u8; HEADER_BYTES];
         hdr.encode_into(&mut hdr_bytes);
-        cluster.write(&stage, base, &hdr_bytes);
-        if let Some(p) = payload {
+        let tail = tail_word(slot_seq).to_le_bytes();
+        cluster.with_mems(stage.mem, payload.map_or(stage.mem, |p| p.mem), |m| {
+            m.write(&stage, base, &hdr_bytes);
+            if let Some(p) = payload {
+                m.copy(p, 0, &stage, base + HEADER_LEN, p.len);
+            }
+            m.write(&stage, base + HEADER_LEN + payload_len, &tail);
+        });
+        if payload.is_some() {
             // The eager protocol's "one copy", charged at the local
             // domain's memcpy bandwidth.
-            cluster.copy(p, 0, &stage, base + HEADER_LEN, p.len);
             let t0 = self.metrics.start(|| ctx.now());
             ctx.sleep(cluster.copy_duration(res.mem().domain, payload_len));
             self.metrics
@@ -621,11 +630,6 @@ impl Channel {
                 self.msg_life(ctx, rank, dst, hdr.seq, MsgStage::Copy, payload_len);
             }
         }
-        cluster.write(
-            &stage,
-            base + HEADER_LEN + payload_len,
-            &tail_word(slot_seq).to_le_bytes(),
-        );
 
         if ctx.has_trace() {
             ctx.trace(&format!(
@@ -707,17 +711,19 @@ impl Channel {
     /// sequence in its tail word. `None` for an empty, stale or corrupt
     /// slot.
     fn parse_slot(&self, res: &Resources, buf: &Buffer, base: u64) -> Option<(PacketHeader, u64)> {
-        let cluster = res.cluster();
-        let mut hdr_bytes = [0u8; HEADER_BYTES];
-        cluster.read(buf, base, &mut hdr_bytes);
-        let hdr = PacketHeader::decode(&hdr_bytes)?;
-        let payload_len = payload_len(&hdr);
-        if HEADER_LEN + payload_len + TAIL_LEN > self.slot_size {
-            return None;
-        }
-        let mut tail = [0u8; 8];
-        cluster.read(buf, base + HEADER_LEN + payload_len, &mut tail);
-        Some((hdr, tail_seq(u64::from_le_bytes(tail))?))
+        // Header and tail under one acquisition of the ring's arena.
+        res.cluster().with_mem(buf.mem, |m| {
+            let mut hdr_bytes = [0u8; HEADER_BYTES];
+            m.read(buf, base, &mut hdr_bytes);
+            let hdr = PacketHeader::decode(&hdr_bytes)?;
+            let payload_len = payload_len(&hdr);
+            if HEADER_LEN + payload_len + TAIL_LEN > self.slot_size {
+                return None;
+            }
+            let mut tail = [0u8; 8];
+            m.read(buf, base + HEADER_LEN + payload_len, &mut tail);
+            Some((hdr, tail_seq(u64::from_le_bytes(tail))?))
+        })
     }
 
     /// Account one in-order arrival from `p` — the single place inbound

@@ -376,12 +376,11 @@ impl DcfaContext {
         seq: u32,
         cmd: &Cmd,
     ) -> Result<Option<Reply>, DcfaError> {
-        let client = self.client_id();
         for attempt in 0..=self.cfg.cmd_retry_limit {
             if attempt > 0 {
                 self.cfg.stats.update(|c| c.cmd_retries += 1);
                 self.emit(CtrlEvent::CmdRetry {
-                    client,
+                    client: self.client_id(),
                     seq,
                     attempt,
                 });
@@ -397,7 +396,10 @@ impl DcfaContext {
                 }
                 None => {
                     self.cfg.stats.update(|c| c.cmd_timeouts += 1);
-                    self.emit(CtrlEvent::CmdTimeout { client, seq });
+                    self.emit(CtrlEvent::CmdTimeout {
+                        client: self.client_id(),
+                        seq,
+                    });
                 }
             }
         }

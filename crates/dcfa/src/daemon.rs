@@ -640,7 +640,6 @@ fn handler(ctx: &mut Ctx, ep: ScifEndpoint, ctl: Arc<NodeCtl>, my_epoch: u32) {
             continue;
         }
 
-        ctl.stats.update(|c| c.commands += 1);
         // Host CPU work to service any offloaded command.
         ctx.sleep(cost.cmd_host_work);
 
@@ -658,7 +657,10 @@ fn handler(ctx: &mut Ctx, ep: ScifEndpoint, ctl: Arc<NodeCtl>, my_epoch: u32) {
                 })
             };
             if let Some(r) = cached {
-                ctl.stats.update(|c| c.reply_replays += 1);
+                ctl.stats.update(|c| {
+                    c.commands += 1;
+                    c.reply_replays += 1;
+                });
                 emit(
                     &ctl,
                     CtrlEvent::ReplyReplayed {
@@ -676,6 +678,7 @@ fn handler(ctx: &mut Ctx, ep: ScifEndpoint, ctl: Arc<NodeCtl>, my_epoch: u32) {
         let mut drop_reply = false;
         match take_daemon_fault(&ctl) {
             Some(DaemonFaultKind::Crash) => {
+                ctl.stats.update(|c| c.commands += 1);
                 crash(ctx, &ctl, &vctx, &cluster, my_epoch);
                 return;
             }
@@ -685,6 +688,11 @@ fn handler(ctx: &mut Ctx, ep: ScifEndpoint, ctl: Arc<NodeCtl>, my_epoch: u32) {
         }
 
         let mut terminate = false;
+        // What this command counts besides itself. A command's counters
+        // go in under one acquisition, on whichever path it leaves by —
+        // always before its reply does, so a client that has its answer
+        // also sees the command counted.
+        let mut outcome: Option<fn(&mut DcfaCounters)> = None;
         let reply = match cmd {
             Cmd::Hello {
                 client: wire_client,
@@ -704,7 +712,7 @@ fn handler(ctx: &mut Ctx, ep: ScifEndpoint, ctl: Arc<NodeCtl>, my_epoch: u32) {
                 };
                 ctl.session_added.notify_all(&ctx.scheduler());
                 if wire_client != CLIENT_NONE {
-                    ctl.stats.update(|c| c.reattaches += 1);
+                    outcome = Some(|c| c.reattaches += 1);
                 }
                 client = Some(id);
                 Reply::Hello { client: id }
@@ -722,7 +730,7 @@ fn handler(ctx: &mut Ctx, ep: ScifEndpoint, ctl: Arc<NodeCtl>, my_epoch: u32) {
                         s.objects.insert(mr.key().0, (buffer.clone(), false));
                     });
                     if adopted.is_some() {
-                        ctl.stats.update(|c| c.mr_registered += 1);
+                        outcome = Some(|c| c.mr_registered += 1);
                         Reply::MrKey { key: mr.key().0 }
                     } else {
                         // The lease expired during the registration sleep;
@@ -742,7 +750,7 @@ fn handler(ctx: &mut Ctx, ep: ScifEndpoint, ctl: Arc<NodeCtl>, my_epoch: u32) {
                         with_session(&ctl, client, |s| {
                             s.objects.insert(key, (buffer.clone(), false));
                         });
-                        ctl.stats.update(|c| c.mrs_adopted += 1);
+                        outcome = Some(|c| c.mrs_adopted += 1);
                         Reply::MrKey { key }
                     }
                     None => Reply::Error {
@@ -760,7 +768,7 @@ fn handler(ctx: &mut Ctx, ep: ScifEndpoint, ctl: Arc<NodeCtl>, my_epoch: u32) {
                         if is_offload {
                             cluster.free(&buffer);
                         }
-                        ctl.stats.update(|c| c.mr_deregistered += 1);
+                        outcome = Some(|c| c.mr_deregistered += 1);
                         Reply::Ok
                     }
                     None => Reply::Error {
@@ -785,7 +793,7 @@ fn handler(ctx: &mut Ctx, ep: ScifEndpoint, ctl: Arc<NodeCtl>, my_epoch: u32) {
                                 s.objects.insert(mr.key().0, (host_buf.clone(), true));
                             });
                             if adopted.is_some() {
-                                ctl.stats.update(|c| c.offload_registered += 1);
+                                outcome = Some(|c| c.offload_registered += 1);
                                 Reply::Offload {
                                     key: mr.key().0,
                                     host_addr: host_buf.addr,
@@ -815,13 +823,13 @@ fn handler(ctx: &mut Ctx, ep: ScifEndpoint, ctl: Arc<NodeCtl>, my_epoch: u32) {
                         vctx.dereg_mr(&mr);
                     }
                     cluster.free(&buffer);
-                    ctl.stats.update(|c| c.offload_deregistered += 1);
+                    outcome = Some(|c| c.offload_deregistered += 1);
                 }
                 Reply::Ok
             }
             Cmd::InjectFault(fault) => {
                 cluster.inject_link_fault(fault);
-                ctl.stats.update(|c| c.faults_armed += 1);
+                outcome = Some(|c| c.faults_armed += 1);
                 Reply::Ok
             }
             Cmd::Bye => {
@@ -831,9 +839,14 @@ fn handler(ctx: &mut Ctx, ep: ScifEndpoint, ctl: Arc<NodeCtl>, my_epoch: u32) {
             }
         };
 
-        if matches!(reply, Reply::Error { .. }) {
-            ctl.stats.update(|c| c.errors += 1);
-        }
+        let failed = matches!(reply, Reply::Error { .. });
+        ctl.stats.update(|c| {
+            c.commands += 1;
+            if let Some(count) = outcome {
+                count(c);
+            }
+            c.errors += u64::from(failed);
+        });
         // Remember the reply for retransmit deduplication.
         if let Some(id) = client {
             let depth = ctl.cfg.dedup_depth;

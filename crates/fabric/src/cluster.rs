@@ -2,6 +2,7 @@
 //! the InfiniBand network, plus the data-movement primitives every higher
 //! layer is built from.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -51,6 +52,10 @@ pub struct Cluster {
     /// Armed per-link fault plans (see [`crate::faults`]). Device models
     /// consult these on every posted data operation.
     link_faults: Mutex<Vec<LinkFault>>,
+    /// `link_faults.len()`, stored only with `link_faults` held and loaded
+    /// without it: a post on a fabric with nothing armed — every post of a
+    /// fault-free run — takes no lock to learn that.
+    link_faults_armed: AtomicUsize,
     /// Rank-health board, installed by the MPI world at launch (see
     /// [`crate::health`]). `None` for bare fabric-level tests.
     health: Mutex<Option<Arc<HealthBoard>>>,
@@ -88,6 +93,7 @@ impl Cluster {
             sched,
             nodes,
             link_faults: Mutex::new(Vec::new()),
+            link_faults_armed: AtomicUsize::new(0),
             health: Mutex::new(None),
         })
     }
@@ -132,7 +138,9 @@ impl Cluster {
     /// Arm a per-link fault plan. The plan fires once, on the data
     /// operation posted `after_ops` matching operations from now.
     pub fn inject_link_fault(&self, fault: LinkFault) {
-        self.link_faults.lock().push(fault);
+        let mut plans = self.link_faults.lock();
+        plans.push(fault);
+        self.link_faults_armed.store(plans.len(), Ordering::Release);
     }
 
     /// Consult the fault plans for one posted data operation initiated by
@@ -140,6 +148,9 @@ impl Cluster {
     /// the first exhausted plan fires (and is removed). Called by the
     /// device layers at post time.
     pub fn take_link_fault(&self, from: NodeId, to: NodeId) -> Option<LinkFaultKind> {
+        if self.pending_link_faults() == 0 {
+            return None;
+        }
         let mut plans = self.link_faults.lock();
         let mut fired = None;
         plans.retain_mut(|p| {
@@ -156,12 +167,13 @@ impl Cluster {
             }
             true
         });
+        self.link_faults_armed.store(plans.len(), Ordering::Release);
         fired
     }
 
-    /// Number of armed fault plans still waiting to fire.
+    /// Number of armed fault plans still waiting to fire. Takes no lock.
     pub fn pending_link_faults(&self) -> usize {
-        self.link_faults.lock().len()
+        self.link_faults_armed.load(Ordering::Acquire)
     }
 
     fn memory(&self, mem: MemRef) -> &Arc<Mutex<Memory>> {
@@ -193,14 +205,29 @@ impl Cluster {
         self.memory(mem).lock().used()
     }
 
+    /// Run `f` on the arena of `mem`, locked once for everything `f` does
+    /// there (content plane only, like [`Cluster::write`]): a caller with
+    /// several reads or writes in one arena — a ring slot's header and
+    /// tail — makes them one acquisition instead of one each.
+    pub fn with_mem<R>(&self, mem: MemRef, f: impl FnOnce(&mut Arenas<'_>) -> R) -> R {
+        self.with_mems(mem, mem, f)
+    }
+
+    /// [`Cluster::with_mem`] for work between two arenas (which may be the
+    /// same one): all of a work request's gather/scatter copies under one
+    /// acquisition per side.
+    pub fn with_mems<R>(&self, a: MemRef, b: MemRef, f: impl FnOnce(&mut Arenas<'_>) -> R) -> R {
+        with_arenas(self.memory(a), a, self.memory(b), b, f)
+    }
+
     /// Write bytes (content plane only — charge time separately if needed).
     pub fn write(&self, buf: &Buffer, offset: u64, data: &[u8]) {
-        self.memory(buf.mem).lock().write(buf, offset, data);
+        self.with_mem(buf.mem, |m| m.write(buf, offset, data));
     }
 
     /// Read bytes.
     pub fn read(&self, buf: &Buffer, offset: u64, out: &mut [u8]) {
-        self.memory(buf.mem).lock().read(buf, offset, out);
+        self.with_mem(buf.mem, |m| m.read(buf, offset, out));
     }
 
     /// Read a whole buffer.
@@ -218,15 +245,9 @@ impl Cluster {
     /// Every modelled hop moves its payload through here. Ranges within
     /// one arena may overlap (memmove semantics).
     pub fn copy(&self, src: &Buffer, src_off: u64, dst: &Buffer, dst_off: u64, len: u64) {
-        copy_between(
-            self.memory(src.mem),
-            src,
-            src_off,
-            self.memory(dst.mem),
-            dst,
-            dst_off,
-            len,
-        );
+        self.with_mems(src.mem, dst.mem, |m| {
+            m.copy(src, src_off, dst, dst_off, len)
+        });
     }
 
     /// CPU-driven local copy within one domain. Moves the bytes immediately
@@ -355,12 +376,17 @@ impl Cluster {
             (dst.domain == Domain::Phi).then_some(&dst_node.pci_h2p),
         ];
 
-        let mut start = after;
-        for ch in channels.iter().flatten() {
-            start = start.max(ch.lock().ready_at());
-        }
-        for ch in channels.iter().flatten() {
-            ch.lock().reserve_stream(start, dur, bytes);
+        // One pass, each channel locked once: take them all (the array is
+        // in the fabric's lock order — p2h < egress < ingress < h2p, so a
+        // stream the other way takes its locks in the same global order),
+        // find the common start, reserve, release.
+        let mut held = channels.map(|ch| ch.map(|ch| ch.lock()));
+        let start = held
+            .iter()
+            .flatten()
+            .fold(after, |t, ch| t.max(ch.ready_at()));
+        for ch in held.iter_mut().flatten() {
+            ch.reserve_stream(start, dur, bytes);
         }
         (start, start + dur + latency)
     }
@@ -394,7 +420,9 @@ impl Cluster {
         let completion = Completion::new();
         let c2 = completion.clone();
         self.sched.call_at(end, move |s| {
-            copy_between(&src_mem, &src, 0, &dst_mem, &dst, 0, src.len);
+            with_arenas(&src_mem, src.mem, &dst_mem, dst.mem, |m| {
+                m.copy(&src, 0, &dst, 0, src.len);
+            });
             c2.complete_now(s);
         });
         Transfer {
@@ -427,35 +455,93 @@ impl Cluster {
     }
 }
 
-/// The byte plane's one primitive: `len` bytes from `src[src_off..]` in
-/// arena `src_mem` to `dst[dst_off..]` in arena `dst_mem`, range-checked on
-/// both sides like `read`/`write`.
-fn copy_between(
-    src_mem: &Mutex<Memory>,
-    src: &Buffer,
-    src_off: u64,
-    dst_mem: &Mutex<Memory>,
-    dst: &Buffer,
-    dst_off: u64,
-    len: u64,
-) {
-    let len = len as usize;
-    if src.mem == dst.mem {
-        src_mem.lock().copy_within(src, src_off, dst, dst_off, len);
-    } else {
-        // Two arenas, two locks, always taken in arena order so that
-        // opposite copies can never deadlock.
-        let key = |m: MemRef| (m.node, m.domain == Domain::Phi);
-        let (from, mut to);
-        if key(src.mem) < key(dst.mem) {
-            from = src_mem.lock();
-            to = dst_mem.lock();
-        } else {
-            to = dst_mem.lock();
-            from = src_mem.lock();
+/// The one or two arenas a closure given to [`Cluster::with_mem`] /
+/// [`Cluster::with_mems`] works on, locked for as long as it runs. Every
+/// method is range-checked like [`Memory`]'s and panics on a buffer that
+/// lives in neither arena.
+pub struct Arenas<'a> {
+    first: &'a mut Memory,
+    second: Option<&'a mut Memory>,
+}
+
+impl Arenas<'_> {
+    fn arena(&mut self, mem: MemRef) -> &mut Memory {
+        if self.first.mem_ref() == mem {
+            return self.first;
         }
-        to.copy_from(dst, dst_off, &from, src, src_off, len);
+        match self.second.as_deref_mut() {
+            Some(second) if second.mem_ref() == mem => second,
+            _ => panic!("buffer in {mem}, an arena this call did not lock"),
+        }
     }
+
+    /// Write bytes into a buffer.
+    pub fn write(&mut self, buf: &Buffer, offset: u64, data: &[u8]) {
+        self.arena(buf.mem).write(buf, offset, data);
+    }
+
+    /// Read bytes out of a buffer.
+    pub fn read(&mut self, buf: &Buffer, offset: u64, out: &mut [u8]) {
+        self.arena(buf.mem).read(buf, offset, out);
+    }
+
+    /// The byte plane's one primitive: `len` bytes from `src[src_off..]` to
+    /// `dst[dst_off..]` with one memcpy. Ranges within one arena may
+    /// overlap (memmove semantics).
+    pub fn copy(&mut self, src: &Buffer, src_off: u64, dst: &Buffer, dst_off: u64, len: u64) {
+        let len = len as usize;
+        if src.mem == dst.mem {
+            return self
+                .arena(src.mem)
+                .copy_within(src, src_off, dst, dst_off, len);
+        }
+        let Some(second) = self.second.as_deref_mut() else {
+            panic!("copy from {} to {} with one arena locked", src.mem, dst.mem);
+        };
+        let (from, to) = if self.first.mem_ref() == src.mem {
+            (&*self.first, second)
+        } else {
+            (&*second, &mut *self.first)
+        };
+        assert!(
+            from.mem_ref() == src.mem && to.mem_ref() == dst.mem,
+            "copy from {} to {}, arenas this call did not lock",
+            src.mem,
+            dst.mem
+        );
+        to.copy_from(dst, dst_off, from, src, src_off, len);
+    }
+}
+
+/// Lock arena `a` and, if it is another one, arena `b` — always in arena
+/// order, so that opposite copies can never deadlock — and run `f` on them.
+fn with_arenas<R>(
+    a_mem: &Mutex<Memory>,
+    a: MemRef,
+    b_mem: &Mutex<Memory>,
+    b: MemRef,
+    f: impl FnOnce(&mut Arenas<'_>) -> R,
+) -> R {
+    if a == b {
+        let mut only = a_mem.lock();
+        return f(&mut Arenas {
+            first: &mut only,
+            second: None,
+        });
+    }
+    let key = |m: MemRef| (m.node, m.domain == Domain::Phi);
+    let (mut first, mut second);
+    if key(a) < key(b) {
+        first = a_mem.lock();
+        second = b_mem.lock();
+    } else {
+        second = b_mem.lock();
+        first = a_mem.lock();
+    }
+    f(&mut Arenas {
+        first: &mut first,
+        second: Some(&mut second),
+    })
 }
 
 /// Per-node fabric utilization snapshot (see [`Cluster::fabric_stats`]).

@@ -25,7 +25,7 @@ mod health;
 mod mem;
 
 pub use channel::{BwChannel, ChannelStats};
-pub use cluster::{Cluster, FabricStats, Transfer};
+pub use cluster::{Arenas, Cluster, FabricStats, Transfer};
 pub use config::{ClusterConfig, CostModel, Domain, PAGE_SIZE};
 pub use faults::{LinkFault, LinkFaultKind};
 pub use health::{HealthBoard, PeerState};

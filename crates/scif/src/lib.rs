@@ -212,8 +212,8 @@ impl ScifEndpoint {
         let copy = simcore::transfer_time(data.len() as u64, cost.scif_msg_bw);
         ctx.sleep(cost.cpu_op(self.local.domain));
         let arrive = ctx.now() + cost.scif_msg_latency + copy;
-        let sched = ctx.scheduler();
-        self.tx.send_at(&sched, arrive, data.to_vec());
+        self.tx
+            .send_at(self.cluster.scheduler(), arrive, data.to_vec());
     }
 
     /// Blocking receive of one message.

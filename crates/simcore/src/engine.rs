@@ -39,16 +39,27 @@
 //! Pending events live in one binary heap ordered by `(time, seq)`, where
 //! `seq` is the global schedule counter. That pair is the whole ordering
 //! contract: the same program yields the same trace on every run.
+//!
+//! # Locks
+//!
+//! The queue and the process table sit behind one mutex, never contended
+//! while a simulation runs (one thread) and still paid for per acquisition,
+//! so the engine takes it sparingly: the run loop once per event (it lets
+//! go only around the code the event runs), a wake-up of many waiters once.
+//! The virtual clock is an atomic beside the mutex — [`Scheduler::now`]
+//! takes no lock — and so is the trace hook, a set-once cell called with no
+//! lock held. DESIGN.md "Locking discipline" has the rule and the numbers.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
 use crate::coro::{self, Coroutine, Resumed};
 use crate::error::{BlockedProc, SimError};
-use crate::sync::{CompletionInner, EventInner};
+use crate::sync::{CompletionInner, EventShared};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a simulated process, dense from zero in spawn order.
@@ -151,10 +162,9 @@ struct ProcSlot {
 unsafe impl Send for ProcSlot {}
 
 /// Installed trace hook.
-type TraceHook = Box<dyn Fn(SimTime, &str) + Send>;
+type TraceHook = Box<dyn Fn(SimTime, &str) + Send + Sync>;
 
 pub(crate) struct EngineState {
-    now: SimTime,
     next_seq: u64,
     /// Pending events; the top is the next to fire.
     heap: BinaryHeap<Reverse<ScheduledEvent>>,
@@ -162,14 +172,12 @@ pub(crate) struct EngineState {
     live: usize,
     events_processed: u64,
     event_limit: u64,
-    trace: Option<TraceHook>,
     /// The thread of the first `run`; see `claim_thread`.
     home: Option<std::thread::Thread>,
 }
 
 impl EngineState {
-    pub(crate) fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        debug_assert!(time >= self.now, "event scheduled in the past");
+    fn push(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse(ScheduledEvent { time, seq, kind }));
@@ -183,12 +191,6 @@ impl EngineState {
     /// Pop the next event in `(time, seq)` order.
     fn pop_next(&mut self) -> Option<ScheduledEvent> {
         self.heap.pop().map(|Reverse(e)| e)
-    }
-
-    fn trace(&self, msg: &str) {
-        if let Some(t) = &self.trace {
-            t(self.now, msg);
-        }
     }
 
     /// Pin the simulation to the calling thread on first use and refuse
@@ -207,6 +209,35 @@ impl EngineState {
 
 struct Shared {
     state: Mutex<EngineState>,
+    /// The virtual clock, in nanoseconds. Stored only with `state` held —
+    /// by the run loop when it pops an event and by [`Ctx::sleep`]'s
+    /// fast-forward — and loaded without it: there is no second copy to
+    /// drift. `Relaxed` is enough: on the simulation's thread program
+    /// order gives every reader the latest store, and a thread that reads
+    /// the clock after `run` returned got its happens-before from
+    /// whatever handed it the result (a `join`, a channel).
+    now: AtomicU64,
+    /// The trace hook: installed at most once, before `run`, and called
+    /// with no lock held — so the hook itself may use the scheduler.
+    trace: OnceLock<TraceHook>,
+}
+
+impl Shared {
+    fn now(&self) -> SimTime {
+        SimTime(self.now.load(Ordering::Relaxed))
+    }
+
+    /// Advance the clock. The caller holds `state`.
+    fn set_now(&self, t: SimTime) {
+        debug_assert!(t >= self.now(), "the clock ran backwards");
+        self.now.store(t.0, Ordering::Relaxed);
+    }
+
+    /// Queue `kind` for `time`. The caller holds `state`, as `st`.
+    fn schedule(&self, st: &mut EngineState, time: SimTime, kind: EventKind) {
+        debug_assert!(time >= self.now(), "event scheduled in the past");
+        st.push(time, kind);
+    }
 }
 
 /// Handle for scheduling future work; clonable and usable from process code
@@ -217,9 +248,10 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Current virtual time.
+    /// Current virtual time. Takes no lock.
+    #[inline]
     pub fn now(&self) -> SimTime {
-        self.shared.state.lock().now
+        self.shared.now()
     }
 
     /// Run `f` at virtual time `t` (engine context, no process running).
@@ -227,9 +259,9 @@ impl Scheduler {
     where
         F: FnOnce(&Scheduler) + Send + 'static,
     {
+        let kind = EventKind::Call(Box::new(f));
         let mut st = self.shared.state.lock();
-        let t = t.max(st.now);
-        st.schedule(t, EventKind::Call(Box::new(f)));
+        self.shared.schedule(&mut st, t.max(self.now()), kind);
     }
 
     /// Run `f` after `d` virtual time.
@@ -237,19 +269,23 @@ impl Scheduler {
     where
         F: FnOnce(&Scheduler) + Send + 'static,
     {
-        let mut st = self.shared.state.lock();
-        let t = st.now + d;
-        st.schedule(t, EventKind::Call(Box::new(f)));
+        self.call_at(self.now() + d, f);
     }
 
-    /// Emit a trace line through the installed trace hook, if any.
+    /// Emit a trace line through the installed trace hook, if any. The
+    /// hook runs with no engine lock held: it may read the clock and
+    /// schedule work.
     pub fn trace(&self, msg: &str) {
-        self.shared.state.lock().trace(msg);
+        if let Some(hook) = self.shared.trace.get() {
+            hook(self.now(), msg);
+        }
     }
 
     /// Whether a trace hook is installed (lets hot paths skip formatting).
+    /// Takes no lock.
+    #[inline]
     pub fn has_trace(&self) -> bool {
-        self.shared.state.lock().trace.is_some()
+        self.shared.trace.get().is_some()
     }
 
     /// Spawn a new simulated process; it becomes runnable at the current
@@ -270,10 +306,19 @@ impl Scheduler {
         spawn_inner(&self.shared, name.into(), true, f)
     }
 
-    pub(crate) fn wake_at(&self, t: SimTime, target: WakeTarget) {
+    /// Make every process in `waiters` runnable now, in the order given,
+    /// under one acquisition of the engine state: consecutive sequence
+    /// numbers at the current instant, exactly what one `schedule` per
+    /// waiter would assign.
+    fn wake_all(&self, waiters: Vec<WakeTarget>) {
+        if waiters.is_empty() {
+            return;
+        }
         let mut st = self.shared.state.lock();
-        let t = t.max(st.now);
-        st.schedule(t, EventKind::Wake(target));
+        let now = self.now();
+        for w in waiters {
+            self.shared.schedule(&mut st, now, EventKind::Wake(w));
+        }
     }
 }
 
@@ -325,8 +370,9 @@ impl Ctx {
             return;
         }
         {
-            let mut st = self.scheduler.shared.state.lock();
-            let t = st.now + d;
+            let shared = &self.scheduler.shared;
+            let mut st = shared.state.lock();
+            let t = shared.now() + d;
             // Fast-forward: while this process runs nothing else touches
             // the scheduler (every other process is parked and the engine
             // loop is waiting for our park), so if our wake would sort
@@ -337,7 +383,7 @@ impl Ctx {
             // same instant wins (it holds an earlier sequence number),
             // exactly as in the two-switch path.
             if st.events_processed < st.event_limit && st.earliest_time().is_none_or(|h| t < h) {
-                st.now = t;
+                shared.set_now(t);
                 st.events_processed += 1;
                 return;
             }
@@ -345,13 +391,11 @@ impl Ctx {
             slot.epoch += 1;
             slot.block_reason = "sleep";
             let epoch = slot.epoch;
-            st.schedule(
-                t,
-                EventKind::Wake(WakeTarget {
-                    pid: self.pid,
-                    epoch,
-                }),
-            );
+            let wake = EventKind::Wake(WakeTarget {
+                pid: self.pid,
+                epoch,
+            });
+            shared.schedule(&mut st, t, wake);
         }
         self.park();
     }
@@ -360,8 +404,9 @@ impl Ctx {
     /// the current instant.
     pub fn yield_now(&mut self) {
         {
-            let mut st = self.scheduler.shared.state.lock();
-            let now = st.now;
+            let shared = &self.scheduler.shared;
+            let now = shared.now();
+            let mut st = shared.state.lock();
             // Fast-forward (see `sleep`): with nothing else queued at the
             // current instant the yield is a no-op — requeueing would
             // bounce straight back through the engine loop.
@@ -373,13 +418,11 @@ impl Ctx {
             slot.epoch += 1;
             slot.block_reason = "yield";
             let epoch = slot.epoch;
-            st.schedule(
-                now,
-                EventKind::Wake(WakeTarget {
-                    pid: self.pid,
-                    epoch,
-                }),
-            );
+            let wake = EventKind::Wake(WakeTarget {
+                pid: self.pid,
+                epoch,
+            });
+            shared.schedule(&mut st, now, wake);
         }
         self.park();
     }
@@ -431,15 +474,22 @@ impl Ctx {
     ) -> u64 {
         loop {
             {
+                // Already notified: the usual answer, and it costs no
+                // lock. Otherwise register — re-reading the epoch with the
+                // waiter list held, where it is stored, so that a notify
+                // can never fall between the check and the registration.
+                if ev.epoch() != seen {
+                    return ev.epoch();
+                }
                 let mut st = self.scheduler.shared.state.lock();
-                let mut inner = ev.inner().lock();
-                if inner.epoch != seen {
-                    return inner.epoch;
+                let mut waiters = ev.shared().waiters.lock();
+                if ev.epoch() != seen {
+                    return ev.epoch();
                 }
                 let slot = &mut st.procs[self.pid.0];
                 slot.epoch += 1;
                 slot.block_reason = reason;
-                inner.waiters.push(WakeTarget {
+                waiters.push(WakeTarget {
                     pid: self.pid,
                     epoch: slot.epoch,
                 });
@@ -462,13 +512,17 @@ impl Ctx {
     ) -> u64 {
         loop {
             {
-                let mut st = self.scheduler.shared.state.lock();
-                let mut inner = ev.inner().lock();
-                if inner.epoch != seen {
-                    return inner.epoch;
+                if ev.epoch() != seen {
+                    return ev.epoch();
                 }
-                if st.now >= deadline {
+                if self.now() >= deadline {
                     return seen;
+                }
+                let shared = &self.scheduler.shared;
+                let mut st = shared.state.lock();
+                let mut waiters = ev.shared().waiters.lock();
+                if ev.epoch() != seen {
+                    return ev.epoch();
                 }
                 let slot = &mut st.procs[self.pid.0];
                 slot.epoch += 1;
@@ -477,8 +531,8 @@ impl Ctx {
                     pid: self.pid,
                     epoch: slot.epoch,
                 };
-                inner.waiters.push(target);
-                st.schedule(deadline, EventKind::Wake(target));
+                waiters.push(target);
+                shared.schedule(&mut st, deadline, EventKind::Wake(target));
             }
             self.park();
         }
@@ -533,8 +587,8 @@ where
     if !daemon {
         st.live += 1;
     }
-    let now = st.now;
-    st.schedule(now, EventKind::Wake(WakeTarget { pid, epoch: 0 }));
+    let start = EventKind::Wake(WakeTarget { pid, epoch: 0 });
+    shared.schedule(&mut st, shared.now(), start);
     pid
 }
 
@@ -552,23 +606,30 @@ impl Simulation {
     pub fn new() -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(EngineState {
-                now: SimTime::ZERO,
                 next_seq: 0,
                 heap: BinaryHeap::new(),
                 procs: Vec::new(),
                 live: 0,
                 events_processed: 0,
                 event_limit: u64::MAX,
-                trace: None,
                 home: None,
             }),
+            now: AtomicU64::new(0),
+            trace: OnceLock::new(),
         });
         Simulation { shared }
     }
 
-    /// Install a trace hook invoked by [`Ctx::trace`] / [`Scheduler::trace`].
-    pub fn set_trace(&self, hook: impl Fn(SimTime, &str) + Send + 'static) {
-        self.shared.state.lock().trace = Some(Box::new(hook));
+    /// Install the trace hook invoked by [`Ctx::trace`] / [`Scheduler::trace`].
+    /// The hook is installed once, before `run`: it lives in a set-once
+    /// cell so that `has_trace`/`trace` take no lock, and it is called with
+    /// no engine lock held, so it may read the clock and schedule work.
+    ///
+    /// # Panics
+    /// If a hook is already installed.
+    pub fn set_trace(&self, hook: impl Fn(SimTime, &str) + Send + Sync + 'static) {
+        let installed = self.shared.trace.set(Box::new(hook));
+        assert!(installed.is_ok(), "the trace hook is installed once");
     }
 
     /// Cap the number of processed events (livelock guard for tests).
@@ -606,14 +667,19 @@ impl Simulation {
     /// If an earlier `run` of this simulation happened on another thread
     /// (see the module docs).
     pub fn run(&mut self) -> Result<RunReport, SimError> {
-        self.shared.state.lock().claim_thread("run");
+        let shared = &*self.shared;
         let sched = self.scheduler();
+        // One acquisition per event: the lock is let go only around the
+        // code an event runs — a callback, or a process until it parks —
+        // and taken back once, for that event's bookkeeping *and* the
+        // next pop.
+        let mut st = shared.state.lock();
+        st.claim_thread("run");
         loop {
-            let mut st = self.shared.state.lock();
             let Some(ev) = st.pop_next() else {
                 if st.live == 0 {
                     return Ok(RunReport {
-                        final_time: st.now,
+                        final_time: shared.now(),
                         events_processed: st.events_processed,
                     });
                 }
@@ -627,23 +693,23 @@ impl Simulation {
                     })
                     .collect();
                 return Err(SimError::Deadlock {
-                    at: st.now,
+                    at: shared.now(),
                     blocked,
                 });
             };
-            debug_assert!(ev.time >= st.now);
-            st.now = ev.time;
+            shared.set_now(ev.time);
             st.events_processed += 1;
             if st.events_processed > st.event_limit {
                 return Err(SimError::EventLimit {
                     limit: st.event_limit,
-                    at: st.now,
+                    at: ev.time,
                 });
             }
             let target = match ev.kind {
                 EventKind::Call(f) => {
                     drop(st);
                     f(&sched);
+                    st = shared.state.lock();
                     continue;
                 }
                 EventKind::Wake(target) => target,
@@ -663,7 +729,7 @@ impl Simulation {
             let resumed = coro.resume();
             let local = proc_local::swap(outer);
 
-            let mut st = self.shared.state.lock();
+            st = shared.state.lock();
             let slot = &mut st.procs[target.pid.0];
             match resumed {
                 Resumed::Suspended => {
@@ -674,12 +740,11 @@ impl Simulation {
                     if !slot.daemon {
                         st.live -= 1;
                     }
-                    drop(st);
                     // Unmaps the stack now, not when the simulation drops.
                     drop(coro);
                     if let Err(payload) = result {
                         return Err(SimError::ProcessPanic {
-                            name: self.proc_name(target.pid),
+                            name: st.procs[target.pid.0].name.clone(),
                             message: panic_message(payload.as_ref()),
                         });
                     }
@@ -730,20 +795,14 @@ pub(crate) fn fire_completion(sched: &Scheduler, inner: &Mutex<CompletionInner>)
         c.done = true;
         std::mem::take(&mut c.waiters)
     };
-    let now = sched.now();
-    for w in waiters {
-        sched.wake_at(now, w);
-    }
+    sched.wake_all(waiters);
 }
 
-pub(crate) fn fire_event(sched: &Scheduler, inner: &Mutex<EventInner>) {
+pub(crate) fn fire_event(sched: &Scheduler, ev: &EventShared) {
     let waiters = {
-        let mut e = inner.lock();
-        e.epoch += 1;
-        std::mem::take(&mut e.waiters)
+        let mut waiters = ev.waiters.lock();
+        ev.bump_epoch();
+        std::mem::take(&mut *waiters)
     };
-    let now = sched.now();
-    for w in waiters {
-        sched.wake_at(now, w);
-    }
+    sched.wake_all(waiters);
 }

@@ -2,6 +2,7 @@
 //! one-shot [`Completion`]s, broadcast [`SimEvent`]s and FIFO [`Mailbox`]es.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -58,9 +59,22 @@ impl Completion {
     }
 }
 
-pub(crate) struct EventInner {
-    pub(crate) epoch: u64,
-    pub(crate) waiters: Vec<WakeTarget>,
+pub(crate) struct EventShared {
+    /// Notification count. Stored only with `waiters` held (a waiter
+    /// re-reads it under that lock before registering, so it cannot miss a
+    /// bump) and loaded without it: polling "anything new?" costs no lock.
+    /// `Release`/`Acquire`, so whoever sees a new epoch also sees what the
+    /// notifier wrote before notifying.
+    epoch: AtomicU64,
+    pub(crate) waiters: Mutex<Vec<WakeTarget>>,
+}
+
+impl EventShared {
+    /// Count one notification. The caller holds `waiters`.
+    pub(crate) fn bump_epoch(&self) {
+        let next = self.epoch.load(Ordering::Relaxed) + 1;
+        self.epoch.store(next, Ordering::Release);
+    }
 }
 
 /// A broadcast notification channel in virtual time, analogous to a condition
@@ -68,7 +82,7 @@ pub(crate) struct EventInner {
 /// until the epoch changes.
 #[derive(Clone)]
 pub struct SimEvent {
-    inner: Arc<Mutex<EventInner>>,
+    shared: Arc<EventShared>,
 }
 
 impl Default for SimEvent {
@@ -80,50 +94,55 @@ impl Default for SimEvent {
 impl SimEvent {
     pub fn new() -> Self {
         SimEvent {
-            inner: Arc::new(Mutex::new(EventInner {
-                epoch: 0,
-                waiters: Vec::new(),
-            })),
+            shared: Arc::new(EventShared {
+                epoch: AtomicU64::new(0),
+                waiters: Mutex::new(Vec::new()),
+            }),
         }
     }
 
-    /// Current notification epoch.
+    /// Current notification epoch. Takes no lock.
+    #[inline]
     pub fn epoch(&self) -> u64 {
-        self.inner.lock().epoch
+        self.shared.epoch.load(Ordering::Acquire)
     }
 
     /// Wake all current waiters at the present virtual time.
     pub fn notify_all(&self, sched: &Scheduler) {
-        fire_event(sched, &self.inner);
+        fire_event(sched, &self.shared);
     }
 
     /// Wake all waiters registered at time `t` when it arrives.
     pub fn notify_at(&self, sched: &Scheduler, t: SimTime) {
-        let inner = self.inner.clone();
-        sched.call_at(t, move |s| fire_event(s, &inner));
+        let shared = self.shared.clone();
+        sched.call_at(t, move |s| fire_event(s, &shared));
     }
 
-    pub(crate) fn inner(&self) -> &Mutex<EventInner> {
-        &self.inner
+    pub(crate) fn shared(&self) -> &EventShared {
+        &self.shared
     }
 }
 
-struct MailboxInner<T> {
-    queue: VecDeque<T>,
+struct MailboxShared<T> {
+    /// `queue.len()`, stored only with `queue` held and loaded without it
+    /// (`Release`/`Acquire`, like [`EventShared::epoch`]): an empty mailbox
+    /// is polled without a lock.
+    len: AtomicUsize,
+    queue: Mutex<VecDeque<T>>,
 }
 
 /// An unbounded FIFO channel in virtual time: sends are instantaneous
 /// (callers model any transfer cost themselves); receives block the calling
 /// process until an item is available.
 pub struct Mailbox<T> {
-    inner: Arc<Mutex<MailboxInner<T>>>,
+    shared: Arc<MailboxShared<T>>,
     event: SimEvent,
 }
 
 impl<T> Clone for Mailbox<T> {
     fn clone(&self) -> Self {
         Mailbox {
-            inner: self.inner.clone(),
+            shared: self.shared.clone(),
             event: self.event.clone(),
         }
     }
@@ -138,16 +157,21 @@ impl<T> Default for Mailbox<T> {
 impl<T> Mailbox<T> {
     pub fn new() -> Self {
         Mailbox {
-            inner: Arc::new(Mutex::new(MailboxInner {
-                queue: VecDeque::new(),
-            })),
+            shared: Arc::new(MailboxShared {
+                len: AtomicUsize::new(0),
+                queue: Mutex::new(VecDeque::new()),
+            }),
             event: SimEvent::new(),
         }
     }
 
     /// Enqueue an item now and wake any waiting receiver.
     pub fn send(&self, sched: &Scheduler, item: T) {
-        self.inner.lock().queue.push_back(item);
+        {
+            let mut queue = self.shared.queue.lock();
+            queue.push_back(item);
+            self.shared.len.store(queue.len(), Ordering::Release);
+        }
         self.event.notify_all(sched);
     }
 
@@ -156,17 +180,19 @@ impl<T> Mailbox<T> {
     where
         T: Send + 'static,
     {
-        let inner = self.inner.clone();
-        let event = self.event.clone();
-        sched.call_at(t, move |s| {
-            inner.lock().queue.push_back(item);
-            event.notify_all(s);
-        });
+        let mailbox = self.clone();
+        sched.call_at(t, move |s| mailbox.send(s, item));
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<T> {
-        self.inner.lock().queue.pop_front()
+        if self.is_empty() {
+            return None;
+        }
+        let mut queue = self.shared.queue.lock();
+        let item = queue.pop_front();
+        self.shared.len.store(queue.len(), Ordering::Release);
+        item
     }
 
     /// Blocking receive in virtual time.
@@ -194,9 +220,9 @@ impl<T> Mailbox<T> {
         }
     }
 
-    /// Number of queued items.
+    /// Number of queued items. Takes no lock.
     pub fn len(&self) -> usize {
-        self.inner.lock().queue.len()
+        self.shared.len.load(Ordering::Acquire)
     }
 
     pub fn is_empty(&self) -> bool {

@@ -308,6 +308,129 @@ fn trace_hook_receives_messages() {
     assert_eq!(lines.lock().clone(), vec!["9:hello".to_string()]);
 }
 
+/// A tracer that stamps from the scheduler or batches through it: the hook
+/// runs with no engine lock held, so neither deadlocks. (When the hook
+/// lived inside the engine state and was called under its lock, this test
+/// never returned.)
+#[test]
+fn a_trace_hook_may_read_the_clock_and_schedule() {
+    let lines: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = Simulation::new();
+    let sched = sim.scheduler();
+    let l2 = lines.clone();
+    sim.set_trace(move |t, msg| {
+        assert_eq!(sched.now(), t, "the hook is handed the clock's own time");
+        let (lines, line) = (l2.clone(), format!("{}:{msg}", t.as_nanos()));
+        let flush_at = t + SimDuration::from_nanos(5);
+        sched.call_at(flush_at, move |s| {
+            lines
+                .lock()
+                .push(format!("{line} flushed@{}", s.now().as_nanos()));
+        });
+    });
+    sim.spawn("p", |ctx| {
+        ctx.sleep(SimDuration::from_nanos(9));
+        assert!(ctx.has_trace());
+        ctx.trace("hello");
+    });
+    let report = sim.run_expect();
+    assert_eq!(*lines.lock(), vec!["9:hello flushed@14".to_string()]);
+    assert_eq!(report.final_time, SimTime(14));
+}
+
+/// One clock, three ways to move it, every reader agrees: `now()` is the
+/// time a `call_at` callback was scheduled for, the time a fast-forwarded
+/// `sleep` advanced to, the time a parked `sleep` woke at — and, once `run`
+/// has returned, what any other thread reads.
+#[test]
+fn now_is_the_one_clock() {
+    let seen: Arc<Mutex<Vec<(&'static str, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = Simulation::new();
+    let s2 = seen.clone();
+    sim.scheduler().call_at(SimTime(40), move |s| {
+        s2.lock().push(("call", s.now().as_nanos()));
+    });
+    let s3 = seen.clone();
+    sim.spawn("p", move |ctx| {
+        // Nothing is queued before t=40: this sleep advances the clock
+        // inline, without a trip through the event loop...
+        ctx.sleep(SimDuration::from_nanos(25));
+        s3.lock().push(("fast-forward", ctx.now().as_nanos()));
+        // ...and this one crosses the callback, so it parks.
+        ctx.sleep(SimDuration::from_nanos(30));
+        s3.lock().push(("park", ctx.now().as_nanos()));
+        assert_eq!(ctx.scheduler().now(), ctx.now());
+    });
+    let report = sim.run_expect();
+    assert_eq!(
+        *seen.lock(),
+        vec![("fast-forward", 25), ("call", 40), ("park", 55)]
+    );
+    assert_eq!(report.final_time, SimTime(55));
+    let sched = sim.scheduler();
+    let elsewhere = std::thread::spawn(move || sched.now())
+        .join()
+        .expect("reader thread");
+    assert_eq!(elsewhere, report.final_time);
+}
+
+/// The reads a progress loop makes when nothing is new take no lock at
+/// all, and the run loop takes the engine state once per event it pops:
+/// the lock is let go around the event's code and taken back once, for the
+/// bookkeeping and the next pop. (Counted by the lock shim, debug builds
+/// only.)
+#[cfg(debug_assertions)]
+#[test]
+fn polling_reads_take_no_lock_and_the_run_loop_one_per_event() {
+    use parking_lot::lock_count;
+
+    const CALLS: u64 = 100;
+    const SLEEPS: u64 = 50;
+    let locks_of = |f: &mut dyn FnMut()| {
+        let before = lock_count::total();
+        f();
+        lock_count::total() - before
+    };
+
+    // Callbacks only: one acquisition to start, one after each callback.
+    let mut sim = Simulation::new();
+    let sched = sim.scheduler();
+    let ev = SimEvent::new();
+    let mb: Mailbox<u8> = Mailbox::new();
+    for i in 0..CALLS {
+        let (ev, mb) = (ev.clone(), mb.clone());
+        sched.call_at(SimTime(i), move |s| {
+            let before = lock_count::total();
+            let _ = (s.now(), s.has_trace(), ev.epoch(), mb.len(), mb.try_recv());
+            assert_eq!(lock_count::total(), before, "an empty poll took a lock");
+        });
+    }
+    let locks = locks_of(&mut || {
+        sim.run_expect();
+    });
+    assert_eq!(locks, 1 + CALLS);
+
+    // Two processes whose sleeps interleave, so that every sleep but the
+    // first of "b" finds the other's wake queued ahead of its own and
+    // parks: the loop's acquisitions are one to start and one per popped
+    // event; each `sleep` call makes one of its own.
+    let mut sim = Simulation::new();
+    for (name, offset) in [("a", 0), ("b", 5)] {
+        sim.spawn(name, move |ctx| {
+            ctx.sleep(SimDuration::from_nanos(offset));
+            for _ in 0..SLEEPS {
+                ctx.sleep(SimDuration::from_nanos(10));
+            }
+        });
+    }
+    let mut events = 0;
+    let locks = locks_of(&mut || events = sim.run_expect().events_processed);
+    let sleep_calls = 2 * SLEEPS + 1; // a zero sleep returns at once
+    let fast_forwarded = 1; // "b"'s offset: counted as an event, never queued
+    assert_eq!(events, 2 + sleep_calls);
+    assert_eq!(locks, 1 + (events - fast_forwarded) + sleep_calls);
+}
+
 /// Pinned execution order of the event queue: a mixed wake + device-callback
 /// workload (300 procs, `sleep` + `call_after`) must replay the exact
 /// `(time, proc, round)` trace and event count recorded before the queue

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use fabric::{Buffer, Cluster, Domain, LinkFaultKind, MemRef, NodeId};
+use fabric::{Arenas, Buffer, Cluster, Domain, LinkFaultKind, MemRef, NodeId};
 use parking_lot::Mutex;
 use simcore::{Ctx, Scheduler, SimEvent, SimTime};
 
@@ -40,6 +40,12 @@ struct MrEntry {
 struct QpShared {
     qpn: QpNum,
     node: NodeId,
+    // Fixed at creation, so they sit beside the state lock, not under it:
+    // a completion reaches its CQ without locking (or cloning) anything.
+    send_cq: CompletionQueue,
+    recv_cq: CompletionQueue,
+    /// Shared receive queue this QP draws receives from instead of `rq`.
+    srq: Option<Arc<SrqShared>>,
     state: Mutex<QpState>,
 }
 
@@ -54,10 +60,6 @@ struct QpState {
     rq: std::collections::VecDeque<RecvWr>,
     /// Sends that arrived before a receive was posted (RNR-style holding).
     backlog: std::collections::VecDeque<InboundSend>,
-    send_cq: CompletionQueue,
-    recv_cq: CompletionQueue,
-    /// Shared receive queue this QP draws receives from instead of `rq`.
-    srq: Option<Arc<SrqShared>>,
 }
 
 /// A Send held RNR-style: no receive was posted when it arrived, so its
@@ -95,23 +97,14 @@ impl SharedReceiveQueue {
     /// into this receive immediately, completing on the recv CQ of the QP
     /// it arrived on.
     pub fn post_recv(&self, ctx: &mut Ctx, wr: RecvWr) -> Result<(), VerbsError> {
-        for sge in &wr.sges {
-            self.fabric.resolve_sge(sge)?;
-        }
+        self.fabric.validate(&wr)?;
         let cost = &self.fabric.cluster().config().cost;
         ctx.sleep(cost.cpu_op(self.domain));
-        let sched = ctx.scheduler();
         let mut st = self.shared.state.lock();
         if let Some((inbound, recv_cq)) = st.backlog.pop_front() {
             drop(st);
-            scatter_into(
-                &self.fabric,
-                SendData::Held(&inbound.data),
-                &wr,
-                inbound.src,
-                &recv_cq,
-                &sched,
-            );
+            self.fabric
+                .deliver_held(&inbound, &wr, &recv_cq, &ctx.scheduler());
             return Ok(());
         }
         st.rq.push_back(wr);
@@ -217,60 +210,6 @@ impl IbFabric {
         self.state.lock().fault_plans.push(plan);
     }
 
-    /// One fault-plan tick per posted data operation. Consults, in order:
-    /// the global FIFO (every op ticks it), the filtered plans (matching
-    /// ops tick each of them), then the cluster's per-link plans.
-    fn take_fault(
-        &self,
-        op: SendOpcode,
-        initiator: NodeId,
-        target: NodeId,
-        bytes: u64,
-    ) -> Option<WcStatus> {
-        {
-            let mut st = self.state.lock();
-            if let Some(front) = st.faults.front_mut() {
-                if front.remaining == 0 {
-                    let f = st.faults.pop_front().expect("front exists");
-                    return Some(f.status);
-                }
-                front.remaining -= 1;
-            }
-            let mut fired = None;
-            st.fault_plans.retain_mut(|p| {
-                if !p.matches(op, initiator, target, bytes) {
-                    return true;
-                }
-                if p.after_matches > 0 {
-                    p.after_matches -= 1;
-                    return true;
-                }
-                if fired.is_none() {
-                    fired = Some(p.status);
-                    return false;
-                }
-                true
-            });
-            if fired.is_some() {
-                return fired;
-            }
-        }
-        self.cluster
-            .take_link_fault(initiator, target)
-            .map(|k| match k {
-                LinkFaultKind::Rnr => WcStatus::RnrRetryExceeded,
-                LinkFaultKind::Retry => WcStatus::TransportRetryExceeded,
-                LinkFaultKind::Fatal => WcStatus::RemoteAccessError,
-            })
-    }
-
-    fn resolve_mr(&self, key: MrKey) -> Option<(Buffer, SimEvent)> {
-        let st = self.state.lock();
-        st.mrs
-            .get(&key.0)
-            .map(|e| (e.buffer.clone(), e.write_event.clone()))
-    }
-
     /// Transition every QP owned by `node` to the error state (fail-stop
     /// teardown): subsequent deliveries on them — in either direction —
     /// flush with [`WcStatus::WrFlushErr`] and move no data. In the
@@ -285,25 +224,16 @@ impl IbFabric {
         }
     }
 
-    /// Is the QP registered as `(node, qpn)` in the error state (or
-    /// gone entirely)?
-    fn qp_dead(&self, node: NodeId, qpn: QpNum) -> bool {
-        let st = self.state.lock();
-        match st.qps.get(&(node, qpn.0)) {
-            Some(qp) => qp.state.lock().dead,
-            None => true,
-        }
-    }
-
     /// Rebuild a [`MemoryRegion`] handle from its key (used by the DCFA
     /// command client after the host daemon performed the registration).
     pub fn mr_handle(&self, key: MrKey) -> Option<MemoryRegion> {
-        self.resolve_mr(key)
-            .map(|(buffer, write_event)| MemoryRegion {
-                key,
-                buffer,
-                write_event,
-            })
+        let st = self.state.lock();
+        let entry = st.mrs.get(&key.0)?;
+        Some(MemoryRegion {
+            key,
+            buffer: entry.buffer.clone(),
+            write_event: entry.write_event.clone(),
+        })
     }
 
     /// Replace the write-notification event of a registered region and
@@ -320,33 +250,100 @@ impl IbFabric {
         })
     }
 
+    /// Check a receive's scatter list eagerly, under one table acquisition.
+    fn validate(&self, wr: &RecvWr) -> Result<(), VerbsError> {
+        let st = self.state.lock();
+        wr.sges
+            .iter()
+            .try_for_each(|sge| st.resolve_sge(sge).map(drop))
+    }
+
+    /// Deliver a Send that was held RNR-style into the receive just posted
+    /// for it.
+    fn deliver_held(
+        &self,
+        inbound: &InboundSend,
+        wr: &RecvWr,
+        recv_cq: &CompletionQueue,
+        sched: &Scheduler,
+    ) {
+        let data = SendData::Held(&inbound.data);
+        let table = self.state.lock();
+        scatter_into(&table, &self.cluster, data, wr, inbound.src, recv_cq, sched);
+    }
+}
+
+/// Everything below works on the table already locked: an operation takes
+/// the fabric-wide lock once and resolves all its keys and QPs under it.
+impl FabState {
+    /// The table's part of the fault plans, one tick per posted data
+    /// operation: the global FIFO (every op ticks it), then the filtered
+    /// plans (matching ops tick each of them). The cluster's per-link
+    /// plans come after these; see `post_send_inner`.
+    fn take_fault(
+        &mut self,
+        op: SendOpcode,
+        initiator: NodeId,
+        target: NodeId,
+        bytes: u64,
+    ) -> Option<WcStatus> {
+        if let Some(front) = self.faults.front_mut() {
+            if front.remaining == 0 {
+                return self.faults.pop_front().map(|f| f.status);
+            }
+            front.remaining -= 1;
+        }
+        let mut fired = None;
+        self.fault_plans.retain_mut(|p| {
+            if !p.matches(op, initiator, target, bytes) {
+                return true;
+            }
+            if p.after_matches > 0 {
+                p.after_matches -= 1;
+                return true;
+            }
+            if fired.is_none() {
+                fired = Some(p.status);
+                return false;
+            }
+            true
+        });
+        fired
+    }
+
+    fn qp(&self, (node, qpn): (NodeId, QpNum)) -> Option<&Arc<QpShared>> {
+        self.qps.get(&(node, qpn.0))
+    }
+
     /// Resolve an SGE to a concrete buffer slice, validating key and range.
     fn resolve_sge(&self, sge: &Sge) -> Result<Buffer, VerbsError> {
-        let (buf, _ev) = self
-            .resolve_mr(sge.lkey)
-            .ok_or(VerbsError::InvalidLKey(sge.lkey))?;
-        let end = sge
-            .addr
-            .checked_add(sge.len)
-            .ok_or(VerbsError::SgeOutOfRange {
-                addr: sge.addr,
-                len: sge.len,
-            })?;
+        let out_of_range = VerbsError::SgeOutOfRange {
+            addr: sge.addr,
+            len: sge.len,
+        };
+        let buf = &self
+            .mrs
+            .get(&sge.lkey.0)
+            .ok_or(VerbsError::InvalidLKey(sge.lkey))?
+            .buffer;
+        let Some(end) = sge.addr.checked_add(sge.len) else {
+            return Err(out_of_range);
+        };
         if sge.addr < buf.addr || end > buf.addr + buf.len {
-            return Err(VerbsError::SgeOutOfRange {
-                addr: sge.addr,
-                len: sge.len,
-            });
+            return Err(out_of_range);
         }
         Ok(buf.slice(sge.addr - buf.addr, sge.len))
     }
 
-    fn resolve_remote(&self, rkey: MrKey, addr: u64, len: u64) -> Option<(Buffer, SimEvent)> {
-        let (buf, ev) = self.resolve_mr(rkey)?;
+    /// The slice `[addr, addr + len)` of the region `rkey` names, and the
+    /// region's write event.
+    fn resolve_remote(&self, rkey: MrKey, addr: u64, len: u64) -> Option<(Buffer, &SimEvent)> {
+        let entry = self.mrs.get(&rkey.0)?;
+        let buf = &entry.buffer;
         if addr < buf.addr || addr + len > buf.addr + buf.len {
             return None;
         }
-        Some((buf.slice(addr - buf.addr, len), ev))
+        Some((buf.slice(addr - buf.addr, len), &entry.write_event))
     }
 }
 
@@ -479,22 +476,24 @@ impl VerbsContext {
         let shared = Arc::new(QpShared {
             qpn,
             node: self.node,
+            send_cq: send_cq.clone(),
+            recv_cq: recv_cq.clone(),
+            srq,
             state: Mutex::new(QpState {
                 remote: None,
                 dead: false,
                 sq_busy: SimTime::ZERO,
                 rq: Default::default(),
                 backlog: Default::default(),
-                send_cq: send_cq.clone(),
-                recv_cq: recv_cq.clone(),
-                srq,
             }),
         });
         st.qps.insert((self.node, qpn.0), shared.clone());
         QueuePair {
-            fabric: self.fabric.clone(),
-            shared,
-            domain: self.domain,
+            qp: Arc::new(Qp {
+                fabric: self.fabric.clone(),
+                shared,
+                domain: self.domain,
+            }),
         }
     }
 }
@@ -553,6 +552,15 @@ impl MemoryRegion {
 
 /// A reliable-connected queue pair.
 pub struct QueuePair {
+    /// One `Arc` for everything a delivery needs, so that the event a post
+    /// schedules owns a single clone of it.
+    qp: Arc<Qp>,
+}
+
+/// What a [`QueuePair`] handle is made of. The registry holds only
+/// `shared` (which must not point back at the fabric that owns the
+/// registry).
+struct Qp {
     fabric: Arc<IbFabric>,
     shared: Arc<QpShared>,
     domain: Domain,
@@ -560,27 +568,27 @@ pub struct QueuePair {
 
 impl QueuePair {
     pub fn qpn(&self) -> QpNum {
-        self.shared.qpn
+        self.qp.shared.qpn
     }
 
     pub fn node(&self) -> NodeId {
-        self.shared.node
+        self.qp.shared.node
     }
 
     /// Transition to RTR/RTS against a remote QP (both sides must connect).
     pub fn connect(&self, remote_node: NodeId, remote_qpn: QpNum) {
-        self.shared.state.lock().remote = Some((remote_node, remote_qpn));
+        self.qp.shared.state.lock().remote = Some((remote_node, remote_qpn));
     }
 
     /// Transition this QP to the error state: deliveries flush with
     /// [`WcStatus::WrFlushErr`] from now on.
     pub fn set_error(&self) {
-        self.shared.state.lock().dead = true;
+        self.qp.shared.state.lock().dead = true;
     }
 
     /// Is this QP in the error state?
     pub fn is_error(&self) -> bool {
-        self.shared.state.lock().dead
+        self.qp.shared.state.lock().dead
     }
 
     /// Convenience: wire two QPs to each other.
@@ -591,30 +599,22 @@ impl QueuePair {
 
     /// Post a receive work request.
     pub fn post_recv(&self, ctx: &mut Ctx, wr: RecvWr) -> Result<(), VerbsError> {
-        // Validate scatter list eagerly.
-        for sge in &wr.sges {
-            self.fabric.resolve_sge(sge)?;
-        }
-        let cost = &self.fabric.cluster().config().cost;
-        ctx.sleep(cost.cpu_op(self.domain));
-        let sched = ctx.scheduler();
-        let mut st = self.shared.state.lock();
+        let Qp {
+            fabric,
+            shared,
+            domain,
+        } = &*self.qp;
+        fabric.validate(&wr)?;
+        ctx.sleep(fabric.cluster().config().cost.cpu_op(*domain));
         debug_assert!(
-            st.srq.is_none(),
+            shared.srq.is_none(),
             "post_recv on an SRQ-attached QP (post to the SRQ instead)"
         );
+        let mut st = shared.state.lock();
         if let Some(inbound) = st.backlog.pop_front() {
             // RNR-held send: deliver into this receive right away.
-            let recv_cq = st.recv_cq.clone();
             drop(st);
-            scatter_into(
-                &self.fabric,
-                SendData::Held(&inbound.data),
-                &wr,
-                inbound.src,
-                &recv_cq,
-                &sched,
-            );
+            fabric.deliver_held(&inbound, &wr, &shared.recv_cq, &ctx.scheduler());
             return Ok(());
         }
         st.rq.push_back(wr);
@@ -641,29 +641,63 @@ impl QueuePair {
         wr: SendWr,
         ring_doorbell: bool,
     ) -> Result<(), VerbsError> {
-        let cluster = self.fabric.cluster();
+        let Qp {
+            fabric,
+            shared,
+            domain,
+        } = &*self.qp;
+        let cluster = fabric.cluster();
         let cost = &cluster.config().cost;
         // Software post overhead + HCA doorbell/WQE fetch (the latter only
         // when this post rings its own doorbell).
         if ring_doorbell {
-            ctx.sleep(cost.cpu_op(self.domain) + cost.hca_wqe_overhead);
+            ctx.sleep(cost.cpu_op(*domain) + cost.hca_wqe_overhead);
         } else {
-            ctx.sleep(cost.cpu_op(self.domain));
+            ctx.sleep(cost.cpu_op(*domain));
         }
 
-        let remote = self
-            .shared
-            .state
-            .lock()
-            .remote
-            .ok_or(VerbsError::QpNotConnected)?;
-
-        // Resolve the local gather/scatter list now (errors are synchronous).
-        let mut local_slices = LocalSlices::default();
-        for (slice, sge) in local_slices.iter_mut().zip(&wr.sges) {
-            *slice = Some(self.fabric.resolve_sge(sge)?);
-        }
+        // One acquisition of this QP for the whole post — `remote` and
+        // `sq_busy` are read and `sq_busy` written under it — and, inside
+        // it, one of the fabric table for every key the post names.
+        let mut qp = shared.state.lock();
+        let remote = qp.remote.ok_or(VerbsError::QpNotConnected)?;
         let bytes: u64 = wr.byte_len();
+        let mut local_slices = LocalSlices::default();
+        let (remote_mem, fault) = {
+            let mut table = fabric.state.lock();
+            // Resolve the local gather/scatter list now (errors are
+            // synchronous).
+            for (slice, sge) in local_slices.iter_mut().zip(&wr.sges) {
+                *slice = Some(table.resolve_sge(sge)?);
+            }
+            // The remote side of RDMA ops is wherever the remote region
+            // lives; for Send it is wherever the matched receive's SGEs
+            // live, which is only known at delivery — for path costing,
+            // assume the domain of the receive the remote QP has posted
+            // first, Host if it has posted none.
+            let remote_mem = match wr.opcode {
+                SendOpcode::Send => MemRef {
+                    node: remote.0,
+                    domain: remote_recv_domain(&table, shared, &qp, remote).unwrap_or(Domain::Host),
+                },
+                SendOpcode::RdmaWrite | SendOpcode::RdmaRead => {
+                    let (rbuf, _) = table
+                        .resolve_remote(wr.rkey, wr.remote_addr, bytes)
+                        .ok_or(VerbsError::MissingRemote)?;
+                    rbuf.mem
+                }
+                SendOpcode::FetchAdd | SendOpcode::CompareSwap => {
+                    assert_eq!(bytes, 8, "IB atomics operate on one 8-byte word");
+                    let (rbuf, _) = table
+                        .resolve_remote(wr.rkey, wr.remote_addr, 8)
+                        .ok_or(VerbsError::MissingRemote)?;
+                    rbuf.mem
+                }
+            };
+            // Last, so that a post refused above ticks no fault plan.
+            let fault = table.take_fault(wr.opcode, shared.node, remote.0, bytes);
+            (remote_mem, fault)
+        };
 
         // Where does the data stream run? Send/RdmaWrite: local -> remote.
         // RdmaRead: remote -> local (initiator is the destination node).
@@ -672,51 +706,9 @@ impl QueuePair {
         // buffer exploits: a Phi-resident process posting from a host twin
         // sources the transfer at host DMA speed (§IV-B4).
         let local_mem = local_slices[0].as_ref().map(|b| b.mem).unwrap_or(MemRef {
-            node: self.shared.node,
-            domain: self.domain,
+            node: shared.node,
+            domain: *domain,
         });
-        // The remote side of RDMA ops is wherever the remote region lives;
-        // for Send it is wherever the matched receive's SGEs live. We take
-        // the remote memory domain from the registered region / remote QP's
-        // context at delivery time; for path costing we resolve it now.
-        let remote_mem = match wr.opcode {
-            SendOpcode::Send => {
-                // Cost with the remote QP's receive buffers; approximated by
-                // the domain of the first backing region at delivery. For
-                // path costing use the remote node with the same domain as
-                // the registered RQ entries — resolved at delivery; assume
-                // the common case (same domain as the remote QP's first
-                // posted buffer is unknowable now) and cost conservatively
-                // against the slower Phi write only if the remote node's QP
-                // was created from Phi. We look that up via the registry.
-                let rdomain = self.remote_qp_domain(remote).unwrap_or(Domain::Host);
-                MemRef {
-                    node: remote.0,
-                    domain: rdomain,
-                }
-            }
-            SendOpcode::RdmaWrite | SendOpcode::RdmaRead => {
-                let (rbuf, _) = self
-                    .fabric
-                    .resolve_remote(wr.rkey, wr.remote_addr, bytes)
-                    .ok_or(VerbsError::MissingRemote)?;
-                rbuf.mem
-            }
-            SendOpcode::FetchAdd | SendOpcode::CompareSwap => {
-                assert_eq!(bytes, 8, "IB atomics operate on one 8-byte word");
-                let (rbuf, _) = self
-                    .fabric
-                    .resolve_remote(wr.rkey, wr.remote_addr, 8)
-                    .ok_or(VerbsError::MissingRemote)?;
-                rbuf.mem
-            }
-        };
-
-        let after = {
-            let st = self.shared.state.lock();
-            st.sq_busy.max(ctx.now())
-        };
-
         let (src_mem, dst_mem) = match wr.opcode {
             SendOpcode::Send | SendOpcode::RdmaWrite => (local_mem, remote_mem),
             // Reads and atomics: the payload flows back to the initiator
@@ -725,66 +717,86 @@ impl QueuePair {
                 (remote_mem, local_mem)
             }
         };
+        let after = qp.sq_busy.max(ctx.now());
         let (_start, end) =
-            cluster.reserve_ib_path(src_mem, dst_mem, bytes.max(1), self.shared.node, after);
-        self.shared.state.lock().sq_busy = end;
+            cluster.reserve_ib_path(src_mem, dst_mem, bytes.max(1), shared.node, after);
+        qp.sq_busy = end;
+        drop(qp);
 
-        // Fault plan: a planned failure completes with an error WC at the
-        // would-be completion time and moves no data.
-        if let Some(status) = self
-            .fabric
-            .take_fault(wr.opcode, self.shared.node, remote.0, bytes)
-        {
-            let shared = self.shared.clone();
-            let (wr_id, opcode) = (wr.wr_id, wc_opcode_for(wr.opcode));
-            cluster.call_at(end, move |s| {
-                let send_cq = shared.state.lock().send_cq.clone();
-                send_cq.push(
-                    s,
-                    Wc {
-                        wr_id,
-                        status,
-                        opcode,
-                        byte_len: bytes,
-                        src: None,
-                    },
-                );
-            });
-            return Ok(());
-        }
+        // Fault plans: the table's came first (above), then the cluster's
+        // per-link plans. A planned failure completes with an error WC at
+        // the would-be completion time and moves no data.
+        let fault = fault.or_else(|| {
+            let kind = cluster.take_link_fault(shared.node, remote.0)?;
+            Some(match kind {
+                LinkFaultKind::Rnr => WcStatus::RnrRetryExceeded,
+                LinkFaultKind::Retry => WcStatus::TransportRetryExceeded,
+                LinkFaultKind::Fatal => WcStatus::RemoteAccessError,
+            })
+        });
 
         // Schedule the delivery.
-        let fabric = self.fabric.clone();
-        let shared = self.shared.clone();
-        cluster.call_at(end, move |s| {
-            deliver(&fabric, &shared, wr, local_slices, remote, bytes, s);
+        let qp = self.qp.clone();
+        cluster.call_at(end, move |s| match fault {
+            Some(status) => qp.shared.send_cq.push(
+                s,
+                Wc {
+                    wr_id: wr.wr_id,
+                    status,
+                    opcode: wc_opcode_for(wr.opcode),
+                    byte_len: bytes,
+                    src: None,
+                },
+            ),
+            None => deliver(&qp, wr, local_slices, remote, bytes, s),
         });
         Ok(())
     }
+}
 
-    fn remote_qp_domain(&self, remote: (NodeId, QpNum)) -> Option<Domain> {
-        // The receive buffers of a Phi-resident process live in Phi memory.
-        // We infer the domain from the remote QP's posted receives if any;
-        // otherwise default to Host. This only affects path *costing* of
-        // two-sided sends (DCFA-MPI uses RDMA for all data movement).
-        let st = self.fabric.state.lock();
-        let qp = st.qps.get(&(remote.0, remote.1 .0))?.clone();
-        drop(st);
-        let qst = qp.state.lock();
-        let sge = match qst.srq.clone() {
-            Some(srq) => {
-                drop(qst);
-                let sst = srq.state.lock();
-                sst.rq.front().map(|wr| wr.sges[0])?
+/// The memory domain of the first receive posted on QP `remote` (its own
+/// queue, or the SRQ it draws from), for costing a two-sided Send from
+/// `mine`, whose state the caller holds locked as `mine_state`. The
+/// receive buffers of a Phi-resident process live in Phi memory. This only
+/// affects path *costing* of two-sided sends (DCFA-MPI uses RDMA for all
+/// data movement on rings).
+fn remote_recv_domain(
+    table: &FabState,
+    mine: &Arc<QpShared>,
+    mine_state: &QpState,
+    remote: (NodeId, QpNum),
+) -> Option<Domain> {
+    let rqp = table.qp(remote)?;
+    let first = |rq: &std::collections::VecDeque<RecvWr>| rq.front().map(|wr| wr.sges[0]);
+    let sge = match &rqp.srq {
+        Some(srq) => first(&srq.state.lock().rq),
+        // A QP connected to itself: its lock is the one already held.
+        None if Arc::ptr_eq(rqp, mine) => first(&mine_state.rq),
+        None => first(&rqp.state.lock().rq),
+    }?;
+    Some(table.mrs.get(&sge.lkey.0)?.buffer.mem.domain)
+}
+
+/// Visit the gather list in order as `f(arenas, slice, offset of the slice
+/// in the gathered payload)`, with the slice's arena and `other` held
+/// locked — once per side for each run of slices from one arena, which in
+/// practice is the whole list (a packet's header, payload and tail share a
+/// staging slot).
+fn for_each_slice(
+    cluster: &Cluster,
+    slices: &LocalSlices,
+    other: MemRef,
+    mut f: impl FnMut(&mut Arenas<'_>, &Buffer, u64),
+) {
+    let mut rest = slices.iter().flatten().peekable();
+    let mut off = 0;
+    while let Some(mem) = rest.peek().map(|s| s.mem) {
+        cluster.with_mems(mem, other, |m| {
+            while let Some(s) = rest.next_if(|s| s.mem == mem) {
+                f(m, s, off);
+                off += s.len;
             }
-            None => {
-                let sge = qst.rq.front().map(|wr| wr.sges[0]);
-                drop(qst);
-                sge?
-            }
-        };
-        let (buf, _) = self.fabric.resolve_mr(sge.lkey)?;
-        Some(buf.mem.domain)
+        });
     }
 }
 
@@ -811,22 +823,13 @@ impl SendData<'_> {
             SendData::Held(data) => {
                 cluster.write(dst, 0, &data[off as usize..(off + len) as usize]);
             }
-            SendData::Gather(slices) => {
-                let (mut skip, mut done) = (off, 0);
-                for s in slices.iter().flatten() {
-                    if done == len {
-                        break;
-                    }
-                    if skip >= s.len {
-                        skip -= s.len;
-                        continue;
-                    }
-                    let take = (s.len - skip).min(len - done);
-                    cluster.copy(s, skip, dst, done, take);
-                    skip = 0;
-                    done += take;
+            SendData::Gather(slices) => for_each_slice(cluster, slices, dst.mem, |m, s, at| {
+                // The part of this slice inside the wanted range.
+                let (from, to) = (off.max(at), (off + len).min(at + s.len));
+                if from < to {
+                    m.copy(s, from - at, dst, from - off, to - from);
                 }
-            }
+            }),
         }
     }
 }
@@ -846,7 +849,8 @@ fn hold(cluster: &Cluster, slices: &LocalSlices, bytes: u64) -> Vec<u8> {
 /// Scatter an inbound Send into a receive WR's SGEs — straight from where
 /// the payload is — and complete the receive.
 fn scatter_into(
-    fabric: &IbFabric,
+    table: &FabState,
+    cluster: &Cluster,
     data: SendData<'_>,
     rwr: &RecvWr,
     src: (NodeId, QpNum),
@@ -875,7 +879,7 @@ fn scatter_into(
             break;
         }
         let take = sge.len.min(len - off);
-        let Ok(slice) = fabric.resolve_sge(&Sge {
+        let Ok(slice) = table.resolve_sge(&Sge {
             addr: sge.addr,
             len: take,
             lkey: sge.lkey,
@@ -884,7 +888,7 @@ fn scatter_into(
             // the HCA stops here, so nothing lands past this SGE.
             return complete(WcStatus::LocalProtectionError);
         };
-        data.copy_to(fabric.cluster(), off, &slice, take);
+        data.copy_to(cluster, off, &slice, take);
         off += take;
     }
     complete(WcStatus::Success);
@@ -901,21 +905,22 @@ fn wc_opcode_for(op: SendOpcode) -> WcOpcode {
 }
 
 /// Executed at transfer end time, in engine context. Every payload byte
-/// moves here, once, straight between the registered buffers.
+/// moves here, once, straight between the registered buffers. The fabric
+/// table is locked once, for the whole delivery; each endpoint QP once.
 fn deliver(
-    fabric: &IbFabric,
-    shared: &QpShared,
+    qp: &Qp,
     wr: SendWr,
     local_slices: LocalSlices,
     remote: (NodeId, QpNum),
     bytes: u64,
     sched: &Scheduler,
 ) {
-    let cluster = fabric.cluster();
-    let push_local = |status: WcStatus, opcode: WcOpcode| {
+    let shared = &*qp.shared;
+    let cluster = qp.fabric.cluster();
+    let opcode = wc_opcode_for(wr.opcode);
+    let push_local = |status: WcStatus| {
         if wr.signaled {
-            let send_cq = shared.state.lock().send_cq.clone();
-            send_cq.push(
+            shared.send_cq.push(
                 sched,
                 Wc {
                     wr_id: wr.wr_id,
@@ -929,105 +934,112 @@ fn deliver(
     };
 
     // Fail-stop check at delivery time: if either endpoint QP has been
-    // transitioned to the error state since this WR was posted, the WR
-    // flushes — an error completion surfaces locally and no data moves.
-    // This covers every opcode (RDMA ops resolve payload buffers by rkey
-    // and would otherwise never consult the remote QP at all).
-    if shared.state.lock().dead || fabric.qp_dead(remote.0, remote.1) {
-        push_local(WcStatus::WrFlushErr, wc_opcode_for(wr.opcode));
-        return;
+    // transitioned to the error state since this WR was posted (or the
+    // remote one is gone entirely), the WR flushes — an error completion
+    // surfaces locally and no data moves. This covers every opcode (RDMA
+    // ops resolve payload buffers by rkey and would otherwise never
+    // consult the remote QP at all).
+    let local_dead = shared.state.lock().dead;
+    let table = qp.fabric.state.lock();
+    let Some(rqp) = table.qp(remote).filter(|_| !local_dead) else {
+        return push_local(WcStatus::WrFlushErr);
+    };
+    // The remote QP's state, locked once: `dead` for every opcode, and for
+    // a Send the receive queue too.
+    let mut rst = rqp.state.lock();
+    if rst.dead {
+        return push_local(WcStatus::WrFlushErr);
     }
 
     match wr.opcode {
         SendOpcode::Send => {
-            let rqp = {
-                let st = fabric.state.lock();
-                st.qps.get(&(remote.0, remote.1 .0)).cloned()
-            };
-            let Some(rqp) = rqp else {
-                push_local(WcStatus::RemoteAccessError, WcOpcode::Send);
-                return;
-            };
             // The payload is still in the sender's SGEs (completion-time
             // content). A matched receive takes it from there; only a
             // Send that has to wait for its receive is copied out.
-            let payload = SendData::Gather(&local_slices);
             let src = (shared.node, shared.qpn);
-            let mut rst = rqp.state.lock();
-            let recv_cq = rst.recv_cq.clone();
-            if let Some(srq) = rst.srq.clone() {
+            let held = || InboundSend {
+                data: hold(cluster, &local_slices, bytes),
+                src,
+            };
+            let rwr = match &rqp.srq {
                 // SRQ-attached QP: consume from the shared pool; complete
                 // on this QP's recv CQ.
-                drop(rst);
-                let mut sst = srq.state.lock();
-                if let Some(rwr) = sst.rq.pop_front() {
-                    drop(sst);
-                    scatter_into(fabric, payload, &rwr, src, &recv_cq, sched);
-                } else {
-                    let data = hold(cluster, &local_slices, bytes);
-                    sst.backlog.push_back((InboundSend { data, src }, recv_cq));
+                Some(srq) => {
+                    drop(rst);
+                    let mut sst = srq.state.lock();
+                    let rwr = sst.rq.pop_front();
+                    if rwr.is_none() {
+                        sst.backlog.push_back((held(), rqp.recv_cq.clone()));
+                    }
+                    rwr
                 }
-            } else if let Some(rwr) = rst.rq.pop_front() {
-                drop(rst);
-                scatter_into(fabric, payload, &rwr, src, &recv_cq, sched);
-            } else {
-                let data = hold(cluster, &local_slices, bytes);
-                rst.backlog.push_back(InboundSend { data, src });
+                None => {
+                    let rwr = rst.rq.pop_front();
+                    if rwr.is_none() {
+                        rst.backlog.push_back(held());
+                    }
+                    drop(rst);
+                    rwr
+                }
+            };
+            if let Some(rwr) = rwr {
+                let payload = SendData::Gather(&local_slices);
+                scatter_into(&table, cluster, payload, &rwr, src, &rqp.recv_cq, sched);
             }
-            push_local(WcStatus::Success, WcOpcode::Send);
+            push_local(WcStatus::Success);
         }
         SendOpcode::RdmaWrite => {
-            let Some((rbuf, wev)) = fabric.resolve_remote(wr.rkey, wr.remote_addr, bytes) else {
-                push_local(WcStatus::RemoteAccessError, WcOpcode::RdmaWrite);
-                return;
+            drop(rst);
+            let Some((rbuf, wev)) = table.resolve_remote(wr.rkey, wr.remote_addr, bytes) else {
+                return push_local(WcStatus::RemoteAccessError);
             };
             // Deliver payload in SGE order (tail lands last — pollable).
-            let mut off = 0u64;
-            for s in local_slices.iter().flatten() {
-                cluster.copy(s, 0, &rbuf, off, s.len);
-                off += s.len;
-            }
+            for_each_slice(cluster, &local_slices, rbuf.mem, |m, s, off| {
+                m.copy(s, 0, &rbuf, off, s.len);
+            });
             wev.notify_all(sched);
-            push_local(WcStatus::Success, WcOpcode::RdmaWrite);
+            push_local(WcStatus::Success);
         }
         SendOpcode::RdmaRead => {
-            let Some((rbuf, _wev)) = fabric.resolve_remote(wr.rkey, wr.remote_addr, bytes) else {
-                push_local(WcStatus::RemoteAccessError, WcOpcode::RdmaRead);
-                return;
+            drop(rst);
+            let Some((rbuf, _wev)) = table.resolve_remote(wr.rkey, wr.remote_addr, bytes) else {
+                return push_local(WcStatus::RemoteAccessError);
             };
-            let mut off = 0u64;
-            for s in local_slices.iter().flatten() {
-                cluster.copy(&rbuf, off, s, 0, s.len);
-                off += s.len;
-            }
-            push_local(WcStatus::Success, WcOpcode::RdmaRead);
+            for_each_slice(cluster, &local_slices, rbuf.mem, |m, s, off| {
+                m.copy(&rbuf, off, s, 0, s.len);
+            });
+            push_local(WcStatus::Success);
         }
         SendOpcode::FetchAdd | SendOpcode::CompareSwap => {
-            let opcode = wc_opcode_for(wr.opcode);
-            let Some((rbuf, wev)) = fabric.resolve_remote(wr.rkey, wr.remote_addr, 8) else {
-                push_local(WcStatus::RemoteAccessError, opcode);
-                return;
+            drop(rst);
+            let Some((rbuf, wev)) = table.resolve_remote(wr.rkey, wr.remote_addr, 8) else {
+                return push_local(WcStatus::RemoteAccessError);
             };
-            // The serialized engine makes the read-modify-write atomic by
-            // construction (the HCA guarantee).
-            let mut word = [0u8; 8];
-            cluster.read(&rbuf, 0, &mut word);
-            let original = u64::from_le_bytes(word);
-            let new = match wr.opcode {
-                SendOpcode::FetchAdd => Some(original.wrapping_add(wr.compare_add)),
-                SendOpcode::CompareSwap => (original == wr.compare_add).then_some(wr.swap),
-                _ => unreachable!(),
-            };
-            if let Some(v) = new {
-                cluster.write(&rbuf, 0, &v.to_le_bytes());
-                wev.notify_all(sched);
-            }
-            // Original value lands in the local result SGE.
             let result = local_slices[0]
                 .as_ref()
                 .expect("atomics carry a result SGE");
-            cluster.write(result, 0, &original.to_le_bytes());
-            push_local(WcStatus::Success, opcode);
+            // The serialized engine makes the read-modify-write atomic by
+            // construction (the HCA guarantee).
+            let written = cluster.with_mems(rbuf.mem, result.mem, |m| {
+                let mut word = [0u8; 8];
+                m.read(&rbuf, 0, &mut word);
+                let original = u64::from_le_bytes(word);
+                let new = match wr.opcode {
+                    SendOpcode::FetchAdd => Some(original.wrapping_add(wr.compare_add)),
+                    SendOpcode::CompareSwap => (original == wr.compare_add).then_some(wr.swap),
+                    _ => unreachable!(),
+                };
+                if let Some(v) = new {
+                    m.write(&rbuf, 0, &v.to_le_bytes());
+                }
+                // Original value lands in the local result SGE.
+                m.write(result, 0, &original.to_le_bytes());
+                new.is_some()
+            });
+            if written {
+                wev.notify_all(sched);
+            }
+            push_local(WcStatus::Success);
         }
     }
 }

@@ -580,3 +580,63 @@ fn srq_pools_receives_across_qps_and_holds_backlog() {
     assert_eq!(got[2].2.map(|(n, _)| n), Some(NodeId(0)));
     assert_eq!(got[2].1, vec![1u8; 1024]);
 }
+
+/// The locking rule on the data path (counted by the lock shim, debug
+/// builds only): a post takes its QP's lock and the fabric table's once
+/// each, and every channel of the path once; the delivery takes each
+/// endpoint QP's lock, the table's, and each side's arena once — however
+/// many SGEs the work request gathers.
+#[cfg(debug_assertions)]
+#[test]
+fn a_post_and_its_delivery_take_each_lock_once() {
+    use parking_lot::lock_count;
+
+    /// Acquisitions so far at the `.lock()` sites of one source file.
+    fn locks_in(file: &str) -> u64 {
+        lock_count::by_site()
+            .into_iter()
+            .filter(|(site, _)| site.file().ends_with(file))
+            .map(|(_, n)| n)
+            .sum()
+    }
+
+    let mut r = rig(2);
+    let fabric = r.fabric.clone();
+    r.sim.spawn("writer", move |ctx| {
+        let cl = fabric.cluster().clone();
+        let ctx_a = VerbsContext::open(fabric.clone(), NodeId(0), Domain::Phi);
+        let ctx_b = VerbsContext::open(fabric.clone(), NodeId(1), Domain::Phi);
+        let src_buf = cl.alloc_pages(mem(0, Domain::Phi), 4096).unwrap();
+        let dst_buf = cl.alloc_pages(mem(1, Domain::Phi), 4096).unwrap();
+        cl.write(&src_buf, 0, &[0x5A; 4096]);
+        let mr_src = ctx_a.reg_mr(ctx, src_buf);
+        let mr_dst = ctx_b.reg_mr_uncharged(dst_buf.clone());
+        let cq_a = ctx_a.create_cq();
+        let cq_b = ctx_b.create_cq();
+        let qp_a = ctx_a.create_qp(&cq_a, &cq_a);
+        let qp_b = ctx_b.create_qp(&cq_b, &cq_b);
+        verbs::QueuePair::connect_pair(&qp_a, &qp_b);
+
+        let (verbs_before, fabric_before) = (locks_in("verbs/src/api.rs"), locks_in("cluster.rs"));
+        // Header, payload and tail, the shape of an eager packet.
+        let sges = vec![
+            mr_src.sge(0, 64),
+            mr_src.sge(64, 4000),
+            mr_src.sge(4064, 32),
+        ];
+        qp_a.post_send(
+            ctx,
+            SendWr::rdma_write(1, sges, mr_dst.addr(), mr_dst.rkey()),
+        )
+        .unwrap();
+        assert_eq!(cq_a.wait(ctx).status, WcStatus::Success);
+        // Post: this QP + the table. Delivery: this QP, the table, the
+        // remote QP.
+        assert_eq!(locks_in("verbs/src/api.rs") - verbs_before, 2 + 3);
+        // Post: Phi -> Phi across the wire is four channels. Delivery: the
+        // source arena and the destination arena.
+        assert_eq!(locks_in("cluster.rs") - fabric_before, 4 + 2);
+        assert_eq!(cl.read_vec(&dst_buf), vec![0x5A; 4096]);
+    });
+    r.sim.run_expect();
+}
