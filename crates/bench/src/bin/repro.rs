@@ -267,6 +267,15 @@ fn scenario(cli: &Cli, channel: Option<Channel>, out: &mut Out) -> Result<bool, 
     Ok(ok && chaos.minimal.is_none())
 }
 
+/// Minor page faults this process has taken so far (`minflt`, the tenth
+/// field of `/proc/self/stat`; the second, the command name, may itself
+/// hold spaces, so count from its closing parenthesis).
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    let after_comm = stat.rsplit_once(')')?.1;
+    after_comm.split_whitespace().nth(7)?.parse().ok()
+}
+
 /// The one reporter: what ran and how it ended, the auditor's verdict,
 /// every violated gate, then whichever outputs were asked for.
 fn report(
@@ -300,6 +309,16 @@ fn report(
         ranks * (ranks - 1),
         run.bytes_per_rank(),
         run.srq_highwater()
+    );
+    // Where the simulator's own memory is: the node (one rank each) whose
+    // arenas hold most of it, and the page faults that put it there.
+    let (resident, allocated) = run.arena.iter().max().copied().unwrap_or_default();
+    writeln!(
+        out,
+        "arena resident per rank: max {} KiB of {} KiB allocated; minor faults {}",
+        resident >> 10,
+        allocated >> 10,
+        minor_faults().map_or("n/a".into(), |n| n.to_string())
     );
     // The control plane, when it did anything worth a line (or on request).
     let busy = |d: &dcfa::DcfaCounters| d.daemon_crashes + d.cmd_timeouts + d.reply_replays > 0;

@@ -430,6 +430,10 @@ pub struct Run {
     /// They must match — a daemon crash, a lease reclamation or a dead
     /// rank must never leak a host twin page.
     pub host_mem: Vec<(u64, u64)>,
+    /// Per node, both arenas together: bytes of host memory backing them
+    /// when the run ended, and bytes they ever extended over. Where the
+    /// simulator's own memory is (machine-dependent, never gated).
+    pub arena: Vec<(u64, u64)>,
     /// The recorded protocol events, in causal order.
     pub events: Vec<dcfa_mpi::TraceEvent>,
     /// Events dropped by the trace ring (must be 0 for the audit to bind).
@@ -582,6 +586,18 @@ pub fn run(sc: &Scenario) -> Result<Run, String> {
             .map(|n| cluster.fabric_stats(NodeId(n)))
             .collect(),
         host_mem: mem_before.into_iter().zip(host_used(&cluster)).collect(),
+        arena: (0..cluster.num_nodes())
+            .map(|n| {
+                let arenas = [Domain::Host, Domain::Phi].map(|domain| MemRef {
+                    node: NodeId(n),
+                    domain,
+                });
+                (
+                    arenas.iter().map(|&m| cluster.mem_resident(m)).sum(),
+                    arenas.iter().map(|&m| cluster.mem_high_water(m)).sum(),
+                )
+            })
+            .collect(),
         // Stamp the ring's drop counter into the report, so the loss
         // diagnosis travels next to the invariant verdict.
         audit: dcfa_mpi::audit(&events).map(|mut a| {

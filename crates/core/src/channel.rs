@@ -77,9 +77,13 @@ struct Link {
     out_slot_seq: u64,
     /// Cumulative slots the peer reported consumed (credits).
     out_consumed: u64,
-    /// Local staging region mirroring the remote ring layout.
+    /// Local staging region, one slot per ring slot, and the stack of its
+    /// free slots: a slot write stages in the most recently freed one and
+    /// holds it until the write ends for good, so the pages a pair keeps
+    /// hot are as many as it keeps packets in flight.
     stage: Buffer,
     stage_mr: MemoryRegion,
+    stage_free: Vec<u32>,
     /// Local inbound ring this peer writes into; `None` when arrivals
     /// come through the shared pool.
     in_ring: Option<(Buffer, MemoryRegion)>,
@@ -269,7 +273,14 @@ impl Channel {
                 held: None,
                 draining: None,
             };
+            // The SRQ hands its receives out in posting order whatever the
+            // traffic, so `depth` arrivals write `depth` slots: back the
+            // bytes of an empty packet in each as it is posted — a posted
+            // receive is pinned memory on real hardware — and leave payload
+            // pages to the packets that carry one.
             for slot in 0..depth as usize {
+                let at = slot as u64 * slot_size;
+                res.cluster().commit(&pool.pool, at, HEADER_LEN + TAIL_LEN);
                 pool.post(ctx, slot, slot_size);
             }
             stats.comm_buffer_bytes += pool_bytes;
@@ -312,8 +323,8 @@ impl Channel {
 
     /// Allocate this rank's half of the pair with `p`: QP, inbound ring
     /// (registered with the progress event so an inbound packet wakes
-    /// us) and the staging region mirroring the peer's ring. Returns the
-    /// endpoint to advertise. The outbound half stays unwired until the
+    /// us) and the staging region, a slot for each of the peer's ring.
+    /// Returns the endpoint to advertise. The outbound half stays unwired until the
     /// peer's endpoint arrives (`Req` or `Ack`).
     fn alloc_link(
         &mut self,
@@ -336,37 +347,30 @@ impl Channel {
                 .alloc_pages(res.mem(), ring_bytes)
                 .map_err(|_| MpiError::OutOfMemory)
         };
-        // With a shared pool the QP draws receives from it and needs no
-        // per-pair inbound ring — only the outbound stage scales with the
-        // number of touched peers.
-        let (qp, in_ring) = match &self.srq {
-            Some(pool) => {
-                let qp = res.create_qp_with_srq(ctx, &self.cq, &pool.recv_cq, &pool.srq);
-                (qp, None)
-            }
-            None => {
-                let qp = res.create_qp(ctx, &self.cq, &self.cq);
-                let ring = alloc()?;
-                // Registration cost through the placement-appropriate
-                // path, then attach the shared progress event.
-                let mr = res.reg_mr(ctx, ring.clone());
-                let mr = res
-                    .ib()
-                    .set_write_event(mr.key(), self.progress_event.clone())
-                    .expect("ring MR was registered on the line above");
-                (qp, Some((ring, mr)))
-            }
+        // Memory first, ring then stage: a first touch refused for lack of
+        // it leaves nothing behind — no queue pair, no daemon command —
+        // however often the caller retries. With a shared pool the QP
+        // draws receives from it and needs no per-pair inbound ring: only
+        // the outbound stage scales with the number of touched peers.
+        let ring = match &self.srq {
+            Some(_) => None,
+            None => Some(alloc()?),
         };
-        let stage = match alloc() {
-            Ok(stage) => stage,
-            Err(e) => {
-                if let Some((ring, mr)) = &in_ring {
-                    res.dereg_mr(ctx, mr);
-                    cluster.free(ring);
-                }
-                return Err(e);
-            }
+        let stage = alloc().inspect_err(|_| ring.iter().for_each(|r| cluster.free(r)))?;
+        let qp = match &self.srq {
+            Some(pool) => res.create_qp_with_srq(ctx, &self.cq, &pool.recv_cq, &pool.srq),
+            None => res.create_qp(ctx, &self.cq, &self.cq),
         };
+        let in_ring = ring.map(|ring| {
+            // Registration cost through the placement-appropriate path,
+            // then attach the shared progress event.
+            let mr = res.reg_mr(ctx, ring.clone());
+            let mr = res
+                .ib()
+                .set_write_event(mr.key(), self.progress_event.clone())
+                .expect("ring MR was registered on the line above");
+            (ring, mr)
+        });
         let stage_mr = res.reg_mr(ctx, stage.clone());
         let link = Link {
             qp,
@@ -377,6 +381,7 @@ impl Channel {
             out_consumed: 0,
             stage,
             stage_mr,
+            stage_free: (0..self.slots as u32).rev().collect(),
             in_ring,
             in_next_seq: 0,
             in_unreported: 0,
@@ -507,12 +512,16 @@ impl Channel {
     }
 
     /// *room*: may a data packet of `kind` go to `dst` right now — the
-    /// pair wired, nothing queued ahead of it, and the window open?
+    /// pair wired, nothing queued ahead of it, the window open and a
+    /// staging slot free? (The last never decides: a slot write's
+    /// completion is handled before the credit for its slot can arrive,
+    /// so writes in flight never outnumber the window.)
     pub(crate) fn room(&self, dst: Rank, kind: PacketKind) -> bool {
         let link = self.link(dst);
         link.connected
             && link.pending_ctrl.is_empty()
             && link.out_slot_seq - link.out_consumed < self.window(kind)
+            && !link.stage_free.is_empty()
     }
 
     /// Queue a control packet for `dst`; [`Self::next_ctrl`] drains it.
@@ -536,8 +545,10 @@ impl Channel {
             self.window(PacketKind::Eager),
         );
         let link = self.links[dst].as_mut()?;
-        if !link.connected {
-            return None; // queue until the lazy-connect handshake wires us
+        // Queue until the lazy-connect handshake wires us (and, as in
+        // `room`, while no staging slot is free).
+        if !link.connected || link.stage_free.is_empty() {
+            return None;
         }
         let used = link.out_slot_seq - link.out_consumed;
         let front = link.pending_ctrl.front()?;
@@ -571,11 +582,13 @@ impl Channel {
 
     // ---- put ---------------------------------------------------------------
 
-    /// *put*: assemble `header ‖ payload ‖ tail` in the staging slot and
-    /// build the work request that carries it to `dst` (the caller has
-    /// verified the window). `slot` names an already-claimed outbound
-    /// slot to rewrite; `None` claims the next one. Returns the request
-    /// and the slot sequence it occupies.
+    /// *put*: assemble `header ‖ payload ‖ tail` in a free staging slot
+    /// and build the work request that carries it to `dst` (the caller
+    /// has verified the window). `slot` names an already-claimed outbound
+    /// slot to rewrite; `None` claims the next one. Returns the request,
+    /// the slot sequence it occupies and the staging slot it holds — the
+    /// caller's to give back with [`Self::release_stage`] once the write
+    /// has ended for good.
     ///
     /// Rewriting is the transport-abort path: the slot's original write
     /// failed and delivered nothing, so the receiver is still waiting for
@@ -592,7 +605,7 @@ impl Channel {
         hdr: PacketHeader,
         payload: Option<&Buffer>,
         slot: Option<u64>,
-    ) -> (SendWr, u64) {
+    ) -> (SendWr, u64, u32) {
         let payload_len = payload.map_or(0, |b| b.len);
         assert!(payload_len <= self.slot_payload, "payload exceeds slot");
         let link = self.link_mut(dst);
@@ -600,9 +613,13 @@ impl Channel {
             link.out_slot_seq += 1;
             link.out_slot_seq - 1
         });
+        // Invariant: `room` / `next_ctrl` saw a free staging slot, and a
+        // rewrite's caller has just released the failed write's.
+        let held = link.stage_free.pop().expect("a free staging slot");
         let (stage, lkey) = (link.stage.clone(), link.stage_mr.key());
         let (ring_addr, ring_rkey) = (link.out_ring_addr, link.out_ring_rkey);
-        let base = (slot_seq % self.slots) * self.slot_size;
+        let base = held as u64 * self.slot_size;
+        let ring_off = (slot_seq % self.slots) * self.slot_size;
         let cluster = res.cluster();
         let rank = self.rank;
 
@@ -676,9 +693,32 @@ impl Channel {
         let wr = if self.srq.is_some() {
             SendWr::send(0, sge)
         } else {
-            SendWr::rdma_write(0, sge, ring_addr + base, ring_rkey)
+            SendWr::rdma_write(0, sge, ring_addr + ring_off, ring_rkey)
         };
-        (wr, slot_seq)
+        (wr, slot_seq, held)
+    }
+
+    /// A slot write toward `dst` has ended for good — completed, failed
+    /// permanently or reaped with its peer: its staging slot is the next
+    /// one *put* uses. (A write waiting out a retry backoff keeps its
+    /// slot: the re-post reads the same bytes.)
+    pub(crate) fn release_stage(&mut self, dst: Rank, held: u32) {
+        let link = self.link_mut(dst);
+        debug_assert!(!link.stage_free.contains(&held), "staging slot freed twice");
+        link.stage_free.push(held);
+    }
+
+    /// The staging region toward `p` and the stack of its free slots.
+    #[cfg(test)]
+    pub(crate) fn stage(&self, p: Rank) -> (&Buffer, &[u32]) {
+        (&self.link(p).stage, &self.link(p).stage_free)
+    }
+
+    /// Whether every staging slot of every pair is free — true whenever no
+    /// slot write is in flight.
+    pub(crate) fn stages_idle(&self) -> bool {
+        let idle = |l: &Link| l.stage_free.len() as u64 == self.slots;
+        self.links.iter().flatten().all(idle)
     }
 
     /// Post a send-side work request on the QP toward `dst`. `coalesce`

@@ -160,12 +160,18 @@ impl Comm {
         self.engine.requests_live()
     }
 
-    /// Allocate a page-aligned buffer in this rank's memory domain.
+    /// Allocate a page-aligned buffer in this rank's memory domain. The
+    /// Phi the paper ran on has no demand paging: what an application
+    /// allocates is backed from the start, so the simulator backs it here
+    /// too, where an application allocates — in its set-up — and not at the
+    /// first message into it.
     pub fn alloc(&self, len: u64) -> Result<Buffer, MpiError> {
-        self.engine
-            .cluster()
+        let cluster = self.engine.cluster();
+        let buf = cluster
             .alloc_pages(self.engine.mem(), len)
-            .map_err(|_| MpiError::OutOfMemory)
+            .map_err(|_| MpiError::OutOfMemory)?;
+        cluster.commit(&buf, 0, buf.len);
+        Ok(buf)
     }
 
     /// Free a buffer allocated with [`Comm::alloc`].

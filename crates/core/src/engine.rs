@@ -820,6 +820,7 @@ impl Engine {
                 || !self.wr.inflight.is_empty()
                 || !self.wr.retry_due.is_empty();
             if !pending {
+                debug_assert!(self.ch.stages_idle(), "a staging slot leaked");
                 self.dump(); // publish final pre-teardown counters
                 return;
             }
@@ -985,8 +986,14 @@ impl Engine {
         slot: Option<u64>,
     ) {
         let (res, stats) = (&self.res, &mut self.stats);
-        let (wr, slot_seq) = self.ch.put(ctx, res, stats, dst, hdr, payload, slot);
-        self.post_tracked(ctx, dst, wr, WrKind::Ring { hdr, slot_seq, req });
+        let (wr, slot_seq, stage) = self.ch.put(ctx, res, stats, dst, hdr, payload, slot);
+        let kind = WrKind::Ring {
+            hdr,
+            slot_seq,
+            stage,
+            req,
+        };
+        self.post_tracked(ctx, dst, wr, kind);
     }
 
     /// One progress sweep: drain CQ completions, then inbound packets.

@@ -33,6 +33,8 @@ pub(crate) enum WrKind {
     Ring {
         hdr: PacketHeader,
         slot_seq: u64,
+        /// Staging slot the packet sits in until the write ends for good.
+        stage: u32,
         /// Owning request for EAGER data packets; control packets find
         /// their owner (if any) through `hdr` at failure time.
         req: Option<u64>,
@@ -166,6 +168,7 @@ impl Engine {
             return;
         };
         if wc.status == WcStatus::Success {
+            self.release_stage(&entry);
             self.complete_wr(ctx, entry);
             return;
         }
@@ -185,6 +188,7 @@ impl Engine {
             // traffic toward a corpse would only flush again.
             match self.health.board.clone() {
                 Some(board) => {
+                    self.release_stage(&entry);
                     self.promote_dead(&board, peer);
                     self.observe_health(ctx);
                     // The epoch-transition reap in `observe_health` is
@@ -208,6 +212,14 @@ impl Engine {
             self.schedule_retry(ctx, entry);
         } else {
             self.fail_wr(ctx, entry, wc.status, true);
+        }
+    }
+
+    /// `entry`, already out of the inflight table, will not be posted
+    /// again: if it was a slot write, its staging slot is free.
+    fn release_stage(&mut self, entry: &InflightWr) {
+        if let WrKind::Ring { stage, .. } = entry.kind {
+            self.ch.release_stage(entry.dst, stage);
         }
     }
 
@@ -381,8 +393,13 @@ impl Engine {
             op,
             attempts,
         };
+        // Before anything below stages the filler: it goes where the dead
+        // packet was.
+        self.release_stage(&entry);
         match entry.kind {
-            WrKind::Ring { hdr, slot_seq, req } => {
+            WrKind::Ring {
+                hdr, slot_seq, req, ..
+            } => {
                 let seq = hdr.seq;
                 if !owned(hdr.kind) {
                     // Ownerless control packets only land here on a
@@ -713,7 +730,9 @@ impl Engine {
         let dead_wrs: Vec<u64> = self.wr.inflight.iter().filter_map(toward).collect();
         let mut reclaimed = dead_wrs.len() as u64;
         for id in dead_wrs {
-            self.wr.inflight.remove(id);
+            if let Some(entry) = self.wr.inflight.remove(id) {
+                self.release_stage(&entry);
+            }
         }
         // Requests whose progress depends on the corpse.
         let depends = |(id, st): (u64, &ReqState)| {

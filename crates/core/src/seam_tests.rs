@@ -1,16 +1,32 @@
 //! Unit tests of the seams inside the engine — the channel's operations
 //! and `Engine::resolve` — driven on two real ranks of a simulated world.
 
+use fabric::{Buffer, LinkFault, LinkFaultKind, NodeId};
 use simcore::{Ctx, SimDuration, Simulation};
 
 use crate::channel::{Inbound, Payload};
 use crate::engine::{Engine, ReqState, SendLease};
 use crate::packet::{PacketHeader, PacketKind};
+use crate::recovery::{InflightWr, WrKind};
 use crate::types::TransportOp;
-use crate::{launch, LaunchOpts, MetricsHub, MpiConfig, MpiError, Phase, Rank, Request, Status};
+use crate::{
+    launch, KillSpec, LaunchOpts, MetricsHub, MpiConfig, MpiError, Phase, Rank, Request, Src,
+    Status, TagSel,
+};
+
+/// Slots per ring in these worlds.
+const SLOTS: usize = 8;
 
 /// Run `f` on both engines of a two-rank world with 8-slot rings.
 fn world(srq_depth: Option<u32>, f: impl Fn(&mut Ctx, &mut Engine) + Send + Sync + 'static) {
+    world_with(srq_depth, LaunchOpts::default(), f)
+}
+
+fn world_with(
+    srq_depth: Option<u32>,
+    opts: LaunchOpts,
+    f: impl Fn(&mut Ctx, &mut Engine) + Send + Sync + 'static,
+) {
     let mut sim = Simulation::new();
     let cluster = fabric::Cluster::new(sim.scheduler(), fabric::ClusterConfig::with_nodes(2));
     let (ib, scif) = (
@@ -18,12 +34,12 @@ fn world(srq_depth: Option<u32>, f: impl Fn(&mut Ctx, &mut Engine) + Send + Sync
         scif::ScifFabric::new(cluster),
     );
     let cfg = MpiConfig {
-        ring_slots: 8,
+        ring_slots: SLOTS as u32,
         srq_depth,
         ..MpiConfig::dcfa()
     };
     let body = move |ctx: &mut Ctx, comm: &mut crate::Comm| f(ctx, &mut comm.engine);
-    launch(&sim, &ib, &scif, cfg, 2, LaunchOpts::default(), body);
+    launch(&sim, &ib, &scif, cfg, 2, opts, body);
     sim.run_expect();
 }
 
@@ -59,6 +75,8 @@ fn window_closes_two_slots_early_and_credits_use_the_reserve() {
                 let put =
                     e.ch.put(ctx, &e.res, &mut e.stats, 1, ctrl(rts, 1), None, Some(1));
                 assert_eq!(put.1, 1);
+                // Never posted, so no completion gives its staging slot back.
+                e.ch.release_stage(1, put.2);
             }
         }
         assert_eq!(sent, 8 - 2);
@@ -87,12 +105,16 @@ fn pool_overtaker_is_stashed_and_drained_in_order() {
             // retried send does to its successors.
             let mut put = |seq| {
                 let hdr = ctrl(PacketKind::Done, seq);
-                e.ch.put(ctx, &e.res, &mut e.stats, 1, hdr, None, None).0
+                e.ch.put(ctx, &e.res, &mut e.stats, 1, hdr, None, None)
             };
-            let wrs = [put(0), put(1), put(2)];
+            let puts = [put(0), put(1), put(2)];
             for i in [1, 2, 0] {
-                e.ch.post(ctx, &mut e.stats, 1, wrs[i], false).unwrap();
+                e.ch.post(ctx, &mut e.stats, 1, puts[i].0, false).unwrap();
             }
+            // Posted untracked: nothing routes their completions, so wait
+            // them out and hand the staging slots back by hand.
+            ctx.sleep(SimDuration::from_millis(1));
+            puts.iter().for_each(|put| e.ch.release_stage(1, put.2));
             return;
         }
         ctx.sleep(SimDuration::from_millis(1));
@@ -197,5 +219,199 @@ fn resolve_ends_every_state_once_and_leaves_nothing_held() {
             assert!(e.open_spans.iter().all(Option::is_none));
             assert_eq!(e.test(ctx, Request(req)), Some(outcome.clone()));
         }
+    });
+}
+
+// ---- staging slots -------------------------------------------------------
+
+/// `(slot sequence, staging slot, kind)` of every slot write in flight.
+fn slot_writes(e: &Engine) -> Vec<(u64, u32, PacketKind)> {
+    let ring = |(_, w): (u64, &InflightWr)| match w.kind {
+        WrKind::Ring {
+            hdr,
+            slot_seq,
+            stage,
+            ..
+        } => Some((slot_seq, stage, hdr.kind)),
+        _ => None,
+    };
+    let mut writes: Vec<_> = e.wr.inflight.iter().filter_map(ring).collect();
+    writes.sort_unstable_by_key(|w| w.0);
+    writes
+}
+
+/// A 64-byte buffer in `e`'s memory filled with `fill`.
+fn filled(e: &Engine, fill: u8) -> Buffer {
+    let buf = e.res.cluster().alloc_pages(e.res.mem(), 64).unwrap();
+    e.res.cluster().write(&buf, 0, &[fill; 64]);
+    buf
+}
+
+/// Arm a fault for the next data operation rank 0's node posts toward
+/// rank 1's.
+fn fail_next_write(e: &Engine, kind: LinkFaultKind) {
+    e.res.cluster().inject_link_fault(LinkFault {
+        after_ops: 0,
+        kind,
+        from: Some(NodeId(0)),
+        to: Some(NodeId(1)),
+    });
+}
+
+/// Drive progress until `until` holds.
+fn progress_until(ctx: &mut Ctx, e: &mut Engine, until: impl Fn(&Engine) -> bool) {
+    while !until(e) {
+        ctx.sleep(SimDuration::from_micros(1));
+        e.progress(ctx);
+    }
+}
+
+#[test]
+fn a_pingpong_stages_in_the_slot_it_last_freed() {
+    world(None, |ctx, e| {
+        let peer = 1 - e.rank;
+        let buf = filled(e, 7);
+        for round in 0..50 {
+            for half in 0..2 {
+                let req = if (half == 0) == (e.rank == 0) {
+                    e.isend(ctx, &buf, peer, round)
+                } else {
+                    e.irecv(ctx, &buf, Src::Rank(peer), TagSel::Tag(round))
+                };
+                e.wait(ctx, req.unwrap()).unwrap();
+            }
+        }
+        e.quiesce(ctx);
+        assert!(e.ch.stages_idle());
+        // Every packet starts with its non-zero kind byte: a staging slot
+        // that still reads zero there was never staged in. 100 packets and
+        // their credits went through the slot freed last and, when a credit
+        // met a data packet, one more — round-robin walked all eight.
+        let (stage, free) = e.ch.stage(peer);
+        assert_eq!(free.len(), SLOTS);
+        let slot_size = stage.len / SLOTS as u64;
+        let mut kind = [0u8];
+        let used = (0..SLOTS as u64).filter(|slot| {
+            e.res.cluster().read(stage, slot * slot_size, &mut kind);
+            kind[0] != 0
+        });
+        let used = used.count();
+        assert!((1..=2).contains(&used), "{used} staging slots used");
+    });
+}
+
+#[test]
+fn a_retried_slot_write_keeps_its_staging_slot_through_the_backoff() {
+    world(None, |ctx, e| {
+        // Eight packets around the one that fails: 0–2 before it, 4–7
+        // while it waits out its backoff, 8 after.
+        const FAILS: usize = 3;
+        if e.rank == 1 {
+            let bufs: Vec<Buffer> = (0..9).map(|_| filled(e, 0xFF)).collect();
+            let post = |b| e.irecv(ctx, b, Src::Rank(0), TagSel::Tag(0)).unwrap();
+            let reqs: Vec<Request> = bufs.iter().map(post).collect();
+            e.waitall(ctx, &reqs).unwrap();
+            for (i, b) in bufs.iter().enumerate() {
+                assert_eq!(e.res.cluster().read_vec(b), [i as u8; 64], "message {i}");
+            }
+            return;
+        }
+        let bufs: Vec<Buffer> = (0..9).map(|i| filled(e, i)).collect();
+        for b in &bufs[..FAILS] {
+            let req = e.isend(ctx, b, 1, 0).unwrap();
+            e.wait(ctx, req).unwrap();
+        }
+        fail_next_write(e, LinkFaultKind::Rnr);
+        let failing = e.isend(ctx, &bufs[FAILS], 1, 0).unwrap();
+        progress_until(ctx, e, |e| e.stats.wr_faults == 1);
+        // Waiting for its re-post, it still holds the slot its bytes are in.
+        let [(_, held, PacketKind::Eager)] = slot_writes(e)[..] else {
+            panic!("the failed write alone is in flight: {:?}", slot_writes(e));
+        };
+        assert!(!e.ch.stage(1).1.contains(&held));
+        let post = |b| e.isend(ctx, b, 1, 0).unwrap();
+        let mut reqs: Vec<Request> = bufs[FAILS + 1..8].iter().map(post).collect();
+        assert_eq!(e.stats.wr_retries, 0, "still backing off");
+        let mut stages: Vec<u32> = slot_writes(e).iter().map(|w| w.1).collect();
+        stages.sort_unstable();
+        stages.dedup();
+        assert_eq!(stages.len(), 5, "five writes in five staging slots");
+        reqs.push(failing);
+        e.waitall(ctx, &reqs).unwrap();
+        assert_eq!(e.stats.wr_retries, 1);
+        let req = e.isend(ctx, &bufs[8], 1, 0).unwrap();
+        e.wait(ctx, req).unwrap();
+        e.quiesce(ctx);
+        assert_eq!(e.ch.stage(1).1.len(), SLOTS);
+    });
+}
+
+#[test]
+fn a_dead_slot_write_frees_its_staging_slot_for_the_filler() {
+    world(None, |ctx, e| {
+        let buf = filled(e, 1);
+        if e.rank == 1 {
+            let lost = e.irecv(ctx, &buf, Src::Rank(0), TagSel::Tag(0)).unwrap();
+            let lost = e.wait(ctx, lost);
+            assert!(
+                matches!(lost, Err(MpiError::RemoteTransport { .. })),
+                "{lost:?}"
+            );
+            // The stream stayed consumable.
+            let next = e.irecv(ctx, &buf, Src::Rank(0), TagSel::Tag(0)).unwrap();
+            e.wait(ctx, next).unwrap();
+            return;
+        }
+        // A first message, so the pair is wired and the failing one is
+        // not at slot sequence 0.
+        let req = e.isend(ctx, &buf, 1, 9).unwrap();
+        e.wait(ctx, req).unwrap();
+        fail_next_write(e, LinkFaultKind::Fatal);
+        let dead = e.isend(ctx, &buf, 1, 0).unwrap();
+        let [(slot_seq, held, PacketKind::Eager)] = slot_writes(e)[..] else {
+            panic!("the doomed write alone is in flight: {:?}", slot_writes(e));
+        };
+        progress_until(ctx, e, |e| e.stats.transport_failures == 1);
+        // The filler took the slot the dead packet gave up — it was on top
+        // of the stack — and goes to the ring slot the receiver is polling.
+        assert_eq!(slot_writes(e), [(slot_seq, held, PacketKind::NackSend)]);
+        assert_eq!(e.ch.stage(1).1.len(), SLOTS - 1);
+        let dead = e.wait(ctx, dead);
+        assert!(matches!(dead, Err(MpiError::Transport { .. })), "{dead:?}");
+        let req = e.isend(ctx, &buf, 1, 0).unwrap();
+        e.wait(ctx, req).unwrap();
+        e.quiesce(ctx);
+        assert_eq!(e.ch.stage(1).1.len(), SLOTS);
+    });
+}
+
+#[test]
+fn reaping_a_peer_returns_every_staging_slot_held_toward_it() {
+    let kills = vec![KillSpec {
+        rank: 1,
+        after_ops: 1,
+    }];
+    let opts = LaunchOpts {
+        kills,
+        ..LaunchOpts::default()
+    };
+    world_with(None, opts, |ctx, e| {
+        wire(ctx, e, 1 - e.rank);
+        if e.rank == 1 {
+            // Its first MPI operation is its last.
+            let buf = filled(e, 0);
+            let _ = e.irecv(ctx, &buf, Src::Rank(0), TagSel::Tag(0));
+            unreachable!("rank 1 was to die on entry");
+        }
+        ctx.sleep(SimDuration::from_micros(100));
+        for seq in 0..5 {
+            e.transmit(ctx, 1, ctrl(PacketKind::Done, seq), None, None, None);
+        }
+        assert_eq!(e.ch.stage(1).1.len(), SLOTS - 5);
+        // One flush completion is enough: it reaps the corpse, and the
+        // reap gives back what the four writes behind it hold.
+        progress_until(ctx, e, |e| e.stats.wr_faults > 0);
+        assert_eq!(e.ch.stage(1).1.len(), SLOTS);
+        assert!(e.wr.inflight.is_empty());
     });
 }

@@ -1,7 +1,7 @@
 //! Tests for the extended request-management API (probe/iprobe, waitany)
 //! and the protocol telemetry counters.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dcfa_mpi::{launch, Comm, Communicator, LaunchOpts, MpiConfig, Src, TagSel};
 use fabric::{Cluster, ClusterConfig};
@@ -200,9 +200,11 @@ fn stale_rtr_counter_increments_on_mispredict() {
 /// A rank whose Phi memory is full cannot allocate its half of a new
 /// pair (ring + staging region). That used to abort the rank; it must
 /// surface as `OutOfMemory` from `isend`/`irecv` before a pair sequence
-/// id is burnt, so the same operations succeed once memory is back.
-#[test]
-fn first_touch_under_exhausted_phi_memory_is_an_error() {
+/// id is burnt — and before a queue pair is created: a refused first
+/// touch costs the daemon nothing, however often it is retried — so the
+/// same operations succeed once memory is back, for exactly the commands
+/// a first touch always takes.
+fn first_touch_under_exhausted_phi_memory(srq_depth: Option<u32>) {
     let mut sim = Simulation::new();
     let ccfg = ClusterConfig {
         phi_mem_capacity: 8 << 20,
@@ -213,50 +215,77 @@ fn first_touch_under_exhausted_phi_memory_is_an_error() {
     let scif = ScifFabric::new(cluster);
     let delivered = Arc::new(Mutex::new(0u8));
     let delivered2 = delivered.clone();
+    let daemons = Arc::new(OnceLock::<dcfa::DcfaStats>::new());
+    let daemons2 = daemons.clone();
     let f = move |ctx: &mut Ctx, comm: &mut Comm| {
         let buf = comm.alloc(256).unwrap();
+        let commands = || daemons2.get().expect("set before run").snapshot().commands;
         match comm.rank() {
             0 => {
-                // An established pair keeps working throughout.
+                // Once every rank's own set-up commands are behind us: what
+                // a fresh pair costs, both halves (rank 1 sets its up when
+                // our request arrives, and answers only then).
+                ctx.sleep(SimDuration::from_millis(1));
+                let before = commands();
                 comm.send(ctx, &buf, 1, 1).unwrap();
+                let fresh = commands() - before;
+                assert!(fresh > 0);
                 let mut hog = Vec::new();
                 while let Ok(b) = comm.alloc(64 << 10) {
                     hog.push(b);
                 }
+                let before = commands();
                 let oom = Err(dcfa_mpi::MpiError::OutOfMemory);
-                assert_eq!(comm.isend(ctx, &buf, 2, 2).map(|_| ()), oom);
-                assert_eq!(
-                    comm.irecv(ctx, &buf, Src::Rank(2), TagSel::Tag(3))
-                        .map(|_| ()),
-                    oom
-                );
+                for _retry in 0..3 {
+                    assert_eq!(comm.isend(ctx, &buf, 2, 2).map(|_| ()), oom);
+                    assert_eq!(
+                        comm.irecv(ctx, &buf, Src::Rank(2), TagSel::Tag(3))
+                            .map(|_| ()),
+                        oom
+                    );
+                }
+                assert_eq!(commands(), before, "a refused first touch cost commands");
+                // An established pair keeps working throughout.
                 comm.send(ctx, &buf, 1, 1).unwrap();
                 hog.iter().for_each(|b| comm.free(b));
                 comm.write(&buf, 0, &[0xAB; 256]);
+                let before = commands();
                 comm.send(ctx, &buf, 2, 2).unwrap();
+                assert_eq!(commands() - before, fresh, "the refusals left something");
             }
             1 => {
-                comm.recv(ctx, &buf, Src::Rank(0), TagSel::Tag(1)).unwrap();
+                // Any-source: touches the pair only when rank 0 does.
+                comm.recv(ctx, &buf, Src::Any, TagSel::Tag(1)).unwrap();
                 comm.recv(ctx, &buf, Src::Rank(0), TagSel::Tag(1)).unwrap();
             }
             _ => {
-                // Any-source: rank 2 touches the pair only when rank 0 does.
                 comm.recv(ctx, &buf, Src::Any, TagSel::Tag(2)).unwrap();
                 *delivered2.lock() = comm.read_vec(&buf)[255];
             }
         }
     };
-    launch(
-        &sim,
-        &ib,
-        &scif,
-        MpiConfig::dcfa(),
-        3,
-        LaunchOpts::default(),
-        f,
-    );
+    let cfg = MpiConfig {
+        srq_depth,
+        ..MpiConfig::dcfa()
+    };
+    let stats = launch(&sim, &ib, &scif, cfg, 3, LaunchOpts::default(), f);
+    daemons
+        .set(stats.expect("Phi ranks have daemons"))
+        .expect("set once");
     sim.run_expect();
     assert_eq!(*delivered.lock(), 0xAB);
+}
+
+#[test]
+fn first_touch_under_exhausted_phi_memory_is_an_error() {
+    first_touch_under_exhausted_phi_memory(None);
+}
+
+/// With a receive pool only the staging region is per pair, and its
+/// queue pair is the one a refusal must not leave behind.
+#[test]
+fn first_touch_under_exhausted_phi_memory_is_an_error_on_the_pool() {
+    first_touch_under_exhausted_phi_memory(Some(128));
 }
 
 /// Same for the shared receive pool: when it does not fit, the rank comes

@@ -1,0 +1,151 @@
+//! Host-memory budget for the simulated machine's arenas.
+//!
+//! The rule (DESIGN "Host memory: touch what a message touches") is that
+//! the simulator's resident memory is the pages simulated software wrote,
+//! and that none of them is first written inside a timed path. The kernel
+//! says which pages of an arena are backed (`Cluster::mem_resident`); this
+//! test runs the four steady-state loops of `lock_budget.rs`, warmed up as
+//! the benchmark warms its workloads, and holds two numbers per loop under
+//! ceilings: (i) resident KiB per rank, over both arenas of its node, when
+//! the loop ends; (ii) the most pages any rank's node gained between the
+//! end of warm-up and the end of the loop. On failure it names the arenas
+//! that grew.
+
+use fabric::{Cluster, Domain, MemRef, NodeId};
+use simcore::mapping::page_size;
+
+mod loops;
+use loops::{eager_pp, halo, mr_churn, rndv_stream, Loop, PerOp};
+
+/// Resident bytes of every arena, in node order, host before Phi.
+fn residency(cluster: &Cluster) -> Vec<(MemRef, u64)> {
+    let arenas = (0..cluster.num_nodes()).flat_map(|n| {
+        [Domain::Host, Domain::Phi].map(|domain| MemRef {
+            node: NodeId(n),
+            domain,
+        })
+    });
+    arenas.map(|m| (m, cluster.mem_resident(m))).collect()
+}
+
+struct Measured {
+    name: &'static str,
+    /// (i).
+    resident_kib_per_rank: f64,
+    /// (ii): the node that gained most.
+    worst_gain_pages: u64,
+    report: String,
+}
+
+/// The loop warmed up as the benchmark warms the workload it is shaped
+/// like: long enough to wrap every ring it uses.
+fn warmed(spec: Loop, warm: usize) -> Loop {
+    let blocks = spec.blocks.iter().map(|&(size, _, n)| (size, warm, n));
+    Loop {
+        blocks: blocks.collect(),
+        ..spec
+    }
+}
+
+fn measure(spec: Loop) -> Measured {
+    let loops::Counted { start, end, .. } = loops::run(&spec, residency);
+    let page = page_size() as u64;
+    let total: u64 = end.iter().map(|a| a.1).sum();
+    let resident_kib_per_rank = total as f64 / 1024.0 / spec.ranks as f64;
+    // One rank per node: a node's two arenas are a rank's.
+    let mut gains: Vec<(MemRef, u64)> = start
+        .iter()
+        .zip(&end)
+        .map(|(s, e)| (e.0, e.1.saturating_sub(s.1) / page))
+        .collect();
+    let per_node = gains.chunks(2).map(|node| node[0].1 + node[1].1);
+    let worst_gain_pages = per_node.max().unwrap_or(0);
+    gains.retain(|g| g.1 > 0);
+    gains.sort_by_key(|g| std::cmp::Reverse(g.1));
+    let mut report = format!(
+        "{}: {resident_kib_per_rank:.0} KiB resident per rank at the end; at most \
+         {worst_gain_pages} pages first touched after warm-up on one node\n",
+        spec.name
+    );
+    for (mem, pages) in gains.iter().take(8) {
+        report += &format!("    {pages:>6} pages gained in {mem}\n");
+    }
+    Measured {
+        name: spec.name,
+        resident_kib_per_rank,
+        worst_gain_pages,
+        report,
+    }
+}
+
+/// Ceiling (ii), the same for every loop: what a few packets larger than
+/// any the warm-up happened to stage may still add, and far below the
+/// hundreds of pages a ring, a pool or a set of receive buffers adds when
+/// its first touches are left to the timed rounds.
+const TIMED_GAIN_PAGES: u64 = 32;
+
+/// `Err` with the attribution report when `m` is over either ceiling.
+fn check(m: &Measured, resident_kib: f64) -> Result<(), String> {
+    println!("{}", m.report);
+    if m.resident_kib_per_rank > resident_kib {
+        return Err(format!(
+            "{} keeps {:.0} KiB resident per rank, over its ceiling of {resident_kib}\n{}",
+            m.name, m.resident_kib_per_rank, m.report
+        ));
+    }
+    if m.worst_gain_pages > TIMED_GAIN_PAGES {
+        return Err(format!(
+            "{} first touches {} pages of one node after warm-up, over the ceiling of \
+             {TIMED_GAIN_PAGES}\n{}",
+            m.name, m.worst_gain_pages, m.report
+        ));
+    }
+    Ok(())
+}
+
+// Ceilings (i): about 1.25x what these loops measured when the rule went
+// in — 540 / 28,304 / 34,120 / 1,508 KiB per rank, with 0 / 0 / 0 / 7 pages
+// gained after warm-up. At the parent commit, where a growing arena copied
+// itself and staging walked every slot, 1,024 / 28,679 / 34,372 / 4,394 KiB
+// (0 / 0 / 0 / 2 pages: the copy was also an accidental pre-touch); with
+// the copy gone and nothing else changed, 1,024 / 28,544 / 34,368 / 1,344
+// KiB and 0 / 0 / 2,048 / 208 pages first touched inside the counted rounds
+// — which is what ceiling (ii) is for. The rendezvous loops are their user
+// buffers, resident on both sides of this change.
+const EAGER_KIB: f64 = 675.0;
+const RNDV_KIB: f64 = 35_400.0;
+const CHURN_KIB: f64 = 42_650.0;
+const HALO_KIB: f64 = 1_885.0;
+
+#[test]
+fn eager_pingpong_stays_under_its_footprint() {
+    check(&measure(warmed(eager_pp(), 64)), EAGER_KIB).unwrap_or_else(|e| panic!("{e}"));
+}
+
+#[test]
+fn windowed_rendezvous_stays_under_its_footprint() {
+    check(&measure(warmed(rndv_stream(), 4)), RNDV_KIB).unwrap_or_else(|e| panic!("{e}"));
+}
+
+#[test]
+fn registration_churn_stays_under_its_footprint() {
+    check(&measure(warmed(mr_churn(), 128)), CHURN_KIB).unwrap_or_else(|e| panic!("{e}"));
+}
+
+#[test]
+fn srq_halo_stays_under_its_footprint() {
+    check(&measure(warmed(halo(), 2)), HALO_KIB).unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// Negative control: the gate is live. One byte into a fresh page per
+/// operation — a first touch in the timed path — trips ceiling (ii), and
+/// the failure says which arena it happened in.
+#[test]
+fn one_fresh_page_per_op_trips_the_ceiling() {
+    let spec = Loop {
+        per_op: PerOp::FreshPage,
+        ..warmed(eager_pp(), 64)
+    };
+    let err = check(&measure(spec), f64::MAX).expect_err("first touches went unseen");
+    assert!(err.contains("pages gained in n0/phi"), "{err}");
+}

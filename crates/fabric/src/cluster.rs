@@ -205,6 +205,26 @@ impl Cluster {
         self.memory(mem).lock().used()
     }
 
+    /// The extent of a domain's arena: the highest allocation end it ever
+    /// handed out.
+    pub fn mem_high_water(&self, mem: MemRef) -> u64 {
+        self.memory(mem).lock().high_water()
+    }
+
+    /// Bytes of host memory backing a domain's arena right now (whole host
+    /// pages, as the kernel counts them): what the simulated software
+    /// wrote, not what it allocated.
+    pub fn mem_resident(&self, mem: MemRef) -> u64 {
+        let pages = self.memory(mem).lock().resident_pages();
+        (pages * simcore::mapping::page_size()) as u64
+    }
+
+    /// Back `[offset, offset+len)` of `buf` with real host pages, contents
+    /// unchanged (see [`Memory::commit`]).
+    pub fn commit(&self, buf: &Buffer, offset: u64, len: u64) {
+        self.memory(buf.mem).lock().commit(buf, offset, len);
+    }
+
     /// Run `f` on the arena of `mem`, locked once for everything `f` does
     /// there (content plane only, like [`Cluster::write`]): a caller with
     /// several reads or writes in one arena — a ring slot's header and

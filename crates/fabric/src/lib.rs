@@ -17,6 +17,8 @@
 //! * [`ClusterConfig`]/[`CostModel`] — Table-I-analogue configuration with
 //!   constants calibrated against the paper's printed numbers.
 
+#![forbid(unsafe_code)]
+
 mod channel;
 mod cluster;
 mod config;

@@ -8,6 +8,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use simcore::mapping::Mapping;
+
 use crate::config::{Domain, PAGE_SIZE};
 
 /// Node index within the cluster.
@@ -94,13 +96,19 @@ impl fmt::Display for OutOfMemory {
 
 impl std::error::Error for OutOfMemory {}
 
+/// The smallest backing store an arena in use gets (or its whole
+/// capacity, if that is less); it doubles from there.
+const ARENA_FLOOR: usize = 4 << 20;
+
 /// One memory domain: a byte arena plus a first-fit allocator.
 pub struct Memory {
     mem: MemRef,
     capacity: u64,
     used: u64,
-    /// Arena backing store, grown lazily.
-    bytes: Vec<u8>,
+    /// Arena backing store: one mapping, grown in place as allocations
+    /// reach beyond it. The host's resident memory is the pages simulated
+    /// software wrote — growth neither copies nor touches any.
+    bytes: Mapping,
     /// Highest allocation end ever handed out. Space above this line has
     /// never been allocated, so it still reads as fresh (lazy) zeros and
     /// must not be scrubbed — scrubbing would fault in pages the
@@ -120,7 +128,7 @@ impl Memory {
             mem,
             capacity,
             used: 0,
-            bytes: Vec::new(),
+            bytes: Mapping::new(),
             high_water: 0,
             free,
             live: BTreeMap::new(),
@@ -173,12 +181,12 @@ impl Memory {
         }
         self.live.insert(aligned, len);
         self.used += len;
-        // Grow backing store to cover the allocation, and zero the range:
-        // freshly mapped pages read as zero (kernel semantics), including
-        // recycled arena space.
+        // Grow the backing store to cover the allocation: geometrically,
+        // with a floor, so a warming-up arena is remapped O(log n) times.
         let need = end as usize;
         if self.bytes.len() < need {
-            self.grow_arena(need);
+            let floor = ARENA_FLOOR.min(self.capacity as usize);
+            self.bytes.grow(need.max(self.bytes.len() * 2).max(floor));
         }
         // Fresh arena space — above the allocation high-water mark — is
         // still (lazily) zero; explicitly zeroing it would fault in every
@@ -200,26 +208,6 @@ impl Memory {
     /// Allocate page-aligned.
     pub fn alloc_pages(&mut self, len: u64) -> Result<Buffer, OutOfMemory> {
         self.alloc(len, PAGE_SIZE)
-    }
-
-    /// Grow the backing arena to at least `need` bytes.
-    ///
-    /// Deliberately NOT `Vec::resize`: a resize both memsets the new
-    /// tail (faulting in every page even if the simulated software
-    /// never touches it) and, on reallocation, copies the whole arena.
-    /// Instead allocate a fresh zeroed buffer — `alloc_zeroed` maps
-    /// demand-zero pages that are only faulted in on first real use —
-    /// and copy just the live prefix. Growth is geometric with a floor,
-    /// so a warming-up arena reallocates O(log n) times.
-    fn grow_arena(&mut self, need: usize) {
-        const ARENA_FLOOR: usize = 4 << 20;
-        let target = need
-            .max(self.bytes.capacity() * 2)
-            .max(ARENA_FLOOR.min(self.capacity as usize))
-            .max(1);
-        let mut fresh = vec![0u8; target];
-        fresh[..self.bytes.len()].copy_from_slice(&self.bytes);
-        self.bytes = fresh;
     }
 
     /// Free an allocation by its buffer. Panics on double free or on a
@@ -313,6 +301,26 @@ impl Memory {
         let mut v = vec![0u8; buf.len as usize];
         self.read(buf, 0, &mut v);
         v
+    }
+
+    /// Back `[offset, offset+len)` of `buf` with real host pages, contents
+    /// unchanged — what pinned or non-pageable memory is on the modelled
+    /// hardware. For set-up code whose buffers will be written inside
+    /// something timed: the first-touch faults happen here instead.
+    pub fn commit(&mut self, buf: &Buffer, offset: u64, len: u64) {
+        let r = self.range(buf, offset, len as usize);
+        self.bytes.commit(r);
+    }
+
+    /// Highest allocation end ever handed out: the arena's extent.
+    pub fn high_water(&self) -> u64 {
+        self.high_water
+    }
+
+    /// Host pages ([`simcore::mapping::page_size`] bytes each) backing the
+    /// arena right now, as the kernel counts them over `[0, high_water)`.
+    pub fn resident_pages(&self) -> usize {
+        self.bytes.resident_pages(0..self.high_water as usize)
     }
 }
 

@@ -1,0 +1,265 @@
+//! The arena against a model, across growth.
+//!
+//! A [`Memory`]'s backing store is one mapping that grows in place
+//! (DESIGN.md "Host memory: touch what a message touches"). Growth must be
+//! invisible to simulated software — every live byte keeps its value and
+//! its address, fresh and recycled space reads zero — and invisible to the
+//! host too: it neither copies nor touches a page.
+
+use std::collections::BTreeMap;
+
+use fabric::{Buffer, Domain, MemRef, Memory, NodeId, PAGE_SIZE};
+use proptest::prelude::*;
+use simcore::mapping::page_size;
+
+const MIB: u64 = 1 << 20;
+
+fn arena(capacity: u64) -> Memory {
+    let node = NodeId(0);
+    Memory::new(
+        MemRef {
+            node,
+            domain: Domain::Phi,
+        },
+        capacity,
+    )
+}
+
+/// The allocator's placement rule, written down a second time: first fit
+/// over address-ordered free blocks, the aligned start's leading pad and
+/// the trailing remainder stay free, neighbours coalesce on free.
+struct FirstFit {
+    free: BTreeMap<u64, u64>,
+}
+
+impl FirstFit {
+    fn alloc(&mut self, len: u64, align: u64) -> Option<u64> {
+        let (base, blk, at) = self.free.iter().find_map(|(&base, &blk)| {
+            let at = base.next_multiple_of(align);
+            (at + len <= base + blk).then_some((base, blk, at))
+        })?;
+        self.free.remove(&base);
+        if at > base {
+            self.free.insert(base, at - base);
+        }
+        if base + blk > at + len {
+            self.free.insert(at + len, base + blk - (at + len));
+        }
+        Some(at)
+    }
+
+    fn free(&mut self, addr: u64, len: u64) {
+        let (mut base, mut blk) = (addr, len);
+        if let Some((&p, &plen)) = self.free.range(..addr).next_back() {
+            if p + plen == addr {
+                self.free.remove(&p);
+                (base, blk) = (p, blk + plen);
+            }
+        }
+        if let Some(nlen) = self.free.remove(&(addr + len)) {
+            blk += nlen;
+        }
+        self.free.insert(base, blk);
+    }
+}
+
+/// An offset and a length, clamped to whichever buffer they land in.
+type Span = (u64, u64);
+
+/// Buffers are picked by an arbitrary number modulo the live count.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Length and log2 of the alignment.
+    Alloc(u64, u32),
+    Free(usize),
+    Write(usize, Span, u8),
+    Read(usize, Span),
+    /// From one buffer to another — or the same.
+    Copy(usize, usize, Span),
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    let alloc = || (1u64..3 * MIB, 0u32..13).prop_map(|(len, align)| Op::Alloc(len, align));
+    let pick = any::<usize>;
+    let span = || (0u64..3 * MIB, 1u64..MIB);
+    // Two arms of allocation to one of freeing: the arena fills.
+    prop_oneof![
+        alloc(),
+        alloc(),
+        pick().prop_map(Op::Free),
+        (pick(), span(), any::<u8>()).prop_map(|(buf, span, salt)| Op::Write(buf, span, salt)),
+        (pick(), span()).prop_map(|(buf, span)| Op::Read(buf, span)),
+        (pick(), pick(), span()).prop_map(|(from, to, span)| Op::Copy(from, to, span)),
+    ]
+}
+
+/// The arena and its model: where first fit puts every buffer, and what
+/// every live buffer holds.
+struct Checked {
+    mem: Memory,
+    placement: FirstFit,
+    live: BTreeMap<u64, Vec<u8>>,
+}
+
+impl Checked {
+    fn buffer(&self, pick: usize) -> Option<Buffer> {
+        let (&addr, bytes) = self.live.iter().nth(pick % self.live.len().max(1))?;
+        Some(Buffer {
+            mem: self.mem.mem_ref(),
+            addr,
+            len: bytes.len() as u64,
+        })
+    }
+
+    /// `span` clamped to a `len`-byte buffer, as array indices.
+    fn clamp(len: u64, (at, want): Span) -> (usize, usize) {
+        let at = at % len;
+        (at as usize, want.min(len - at) as usize)
+    }
+
+    fn alloc(&mut self, len: u64, align: u64) {
+        let want = self.placement.alloc(len, align);
+        let got = self.mem.alloc(len, align).ok();
+        prop_assert_eq!(got.as_ref().map(|b| b.addr), want, "not first fit");
+        if let Some(buf) = got {
+            // Fresh or recycled, allocated space reads zero.
+            let zeros = vec![0u8; len as usize];
+            prop_assert!(self.mem.read_vec(&buf) == zeros, "dirty allocation");
+            self.live.insert(buf.addr, zeros);
+        }
+    }
+
+    fn apply(&mut self, op: Op) {
+        match op {
+            Op::Alloc(len, align_pow) => self.alloc(len, 1 << align_pow),
+            Op::Free(pick) => {
+                if let Some(buf) = self.buffer(pick) {
+                    self.mem.free(&buf);
+                    self.placement.free(buf.addr, buf.len);
+                    self.live.remove(&buf.addr);
+                }
+            }
+            Op::Write(pick, span, salt) => {
+                if let Some(buf) = self.buffer(pick) {
+                    let (at, len) = Self::clamp(buf.len, span);
+                    let data: Vec<u8> = (0..len).map(|i| salt.wrapping_add(i as u8)).collect();
+                    self.mem.write(&buf, at as u64, &data);
+                    let model = self.live.get_mut(&buf.addr).expect("live");
+                    model[at..at + len].copy_from_slice(&data);
+                }
+            }
+            Op::Read(pick, span) => {
+                if let Some(buf) = self.buffer(pick) {
+                    let (at, len) = Self::clamp(buf.len, span);
+                    let mut out = vec![0xEE; len];
+                    self.mem.read(&buf, at as u64, &mut out);
+                    let want = &self.live[&buf.addr][at..at + len];
+                    prop_assert!(out == want, "read differs from the model");
+                }
+            }
+            Op::Copy(from, to, span) => {
+                if let (Some(src), Some(dst)) = (self.buffer(from), self.buffer(to)) {
+                    // Within one buffer the two ranges overlap, which
+                    // memmove semantics must survive.
+                    let (at, len) = Self::clamp(src.len.min(dst.len), span);
+                    let to = if src.addr == dst.addr { at / 2 } else { at };
+                    self.mem.copy_within(&src, at as u64, &dst, to as u64, len);
+                    let moved = self.live[&src.addr][at..at + len].to_vec();
+                    let model = self.live.get_mut(&dst.addr).expect("live");
+                    model[to..to + len].copy_from_slice(&moved);
+                }
+            }
+        }
+    }
+
+    fn check_every_live_byte(&self) {
+        for (&addr, want) in &self.live {
+            let len = want.len() as u64;
+            let mem = self.mem.mem_ref();
+            let got = self.mem.read_vec(&Buffer { mem, addr, len });
+            prop_assert!(&got == want, "buffer at {:#x} lost bytes", addr);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // (a) Random traffic, then — whatever the traffic reached — keep
+    // allocating past 32 MiB, three doublings above the 4 MiB floor,
+    // checking every live byte after each step.
+    #[test]
+    fn every_live_byte_survives_every_growth(
+        ops in proptest::collection::vec(op_strategy(), 20..90),
+    ) {
+        let capacity = 64 * MIB;
+        let mut c = Checked {
+            mem: arena(capacity),
+            placement: FirstFit { free: BTreeMap::from([(0, capacity)]) },
+            live: BTreeMap::new(),
+        };
+        for op in ops {
+            c.apply(op);
+        }
+        c.check_every_live_byte();
+        let mut salt = 0u8;
+        while c.mem.high_water() <= 32 * MIB {
+            salt = salt.wrapping_add(41);
+            c.alloc(3 * MIB - 5, PAGE_SIZE);
+            let pick = c.live.len() - 1;
+            c.apply(Op::Write(pick, (MIB - 3, 4096), salt));
+            c.check_every_live_byte();
+        }
+        prop_assert!(c.mem.high_water() > 32 * MIB);
+    }
+}
+
+/// (b) 64 MiB allocated in 64 KiB pieces — five doublings — with one byte
+/// written into the first and the last piece costs the host two pages (and
+/// whatever a neighbouring page-table quirk adds): growth commits nothing.
+/// At the parent commit, where the arena grew by allocating a fresh one and
+/// copying the old one over, the same count over the `Vec` read 8,194.
+#[test]
+fn growth_commits_nothing() {
+    let mut mem = arena(64 * MIB);
+    let pieces: Vec<Buffer> = (0..1024)
+        .map(|_| mem.alloc(64 << 10, PAGE_SIZE).expect("fits"))
+        .collect();
+    assert_eq!(mem.high_water(), 64 * MIB);
+    mem.write(&pieces[0], 0, &[1]);
+    mem.write(&pieces[1023], (64 << 10) - 1, &[2]);
+    assert!(
+        mem.resident_pages() <= 4,
+        "{} pages resident behind two written bytes",
+        mem.resident_pages()
+    );
+}
+
+/// (c) `commit` backs exactly the pages of its range and changes no byte.
+#[test]
+fn commit_backs_exactly_its_range_and_changes_no_byte() {
+    let page = page_size() as u64;
+    let mut mem = arena(64 * MIB);
+    let _offset = mem.alloc(3 * page, page).unwrap();
+    let buf = mem.alloc(16 * page, page).unwrap();
+    mem.write(&buf, 2 * page + 5, &[7, 8, 9]);
+    assert_eq!(mem.resident_pages(), 1);
+    // From the last byte of page 1 to the first of page 4: four pages, one
+    // of them resident already.
+    mem.commit(&buf, 2 * page - 1, 2 * page + 2);
+    assert_eq!(mem.resident_pages(), 4);
+    mem.commit(&buf, 9 * page, 0);
+    assert_eq!(mem.resident_pages(), 4, "an empty range is no page");
+    let mut want = vec![0u8; 16 * page as usize];
+    want[2 * page as usize + 5..][..3].copy_from_slice(&[7, 8, 9]);
+    assert_eq!(mem.read_vec(&buf), want);
+}
+
+/// (d) A backing store the kernel will not map is a panic that says how
+/// much was asked for, not a silent abort.
+#[test]
+#[should_panic(expected = "cannot map 1125899906842624 bytes")]
+fn an_arena_that_cannot_be_mapped_panics_with_its_size() {
+    let mut mem = arena(1 << 60);
+    let _ = mem.alloc(1 << 50, 1);
+}

@@ -1,16 +1,17 @@
-//! Stackful coroutines: the one module of `simcore` that touches raw memory.
+//! Stackful coroutines: with [`crate::mapping`], which makes their stacks,
+//! the only code of `simcore` that touches raw memory.
 //!
 //! [`Coroutine::resume`] switches the calling thread onto the coroutine's
 //! private stack and runs its body until the body calls [`suspend`] (the
 //! frames stay put, control returns to the resumer) or ends. No kernel
 //! involvement: a switch is a dozen register moves.
 //!
-//! **Stacks.** One anonymous `mmap` of 2 MiB — what `std` gives a spawned
-//! thread, which is what process bodies were written against — above one
-//! `PROT_NONE` guard page. Pages are committed on first touch. The guard
-//! page turns an overflow into `SIGSEGV` at the faulting instruction
-//! rather than silent corruption of the mapping below (Rust probes every
-//! page of a large frame, so none can step over it). The mapping goes
+//! **Stacks.** One [`Mapping::stack`] of 2 MiB — what `std` gives a spawned
+//! thread, which is what process bodies were written against — above its
+//! guard page. Pages are committed on first touch. The guard page turns an
+//! overflow into `SIGSEGV` at the faulting instruction rather than silent
+//! corruption of the mapping below (Rust probes every page of a large
+//! frame, so none can step over it). The mapping goes
 //! when the coroutine is dropped, except under a body still parked in
 //! `suspend`: scoped borrows rely on a frame never vanishing without
 //! unwinding, so that case leaks it. [`Coroutine::cancel`] unwinds first.
@@ -34,9 +35,10 @@
 
 use std::any::Any;
 use std::cell::Cell;
-use std::ffi::c_void;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::ptr;
+
+use crate::mapping::Mapping;
 
 #[cfg(not(all(
     target_os = "linux",
@@ -47,19 +49,7 @@ compile_error!("simcore's coroutine switch is written for Linux on x86_64 and aa
 /// Usable bytes per stack: `std`'s default for a spawned thread.
 const STACK_BYTES: usize = 2 << 20;
 
-// <sys/mman.h> and <unistd.h> on Linux, the same on both architectures.
-const PROT_NONE: i32 = 0;
-const PROT_READ_WRITE: i32 = 1 | 2;
-const MAP_PRIVATE_ANONYMOUS_STACK: i32 = 0x02 | 0x20 | 0x2_0000;
-const SC_PAGESIZE: i32 = 30;
-
 extern "C" {
-    fn mmap(addr: *mut c_void, len: usize, prot: i32, flags: i32, fd: i32, off: i64)
-        -> *mut c_void;
-    fn mprotect(addr: *mut c_void, len: usize, prot: i32) -> i32;
-    fn munmap(addr: *mut c_void, len: usize) -> i32;
-    fn sysconf(name: i32) -> i64;
-
     fn simcore_coro_switch(save: *mut *mut u8, to: *mut u8);
     /// First return address of a fresh stack; never called from Rust.
     fn simcore_coro_trampoline();
@@ -184,31 +174,16 @@ pub(crate) struct Coroutine {
     /// A `Box<Control>`, raw because the body reaches it through
     /// [`CURRENT`] while `resume` holds `&mut self`.
     ctl: *mut Control,
-    /// The mapping: guard page at `stack`, `stack_len` bytes in all.
-    stack: *mut u8,
-    stack_len: usize,
+    /// `None` once `drop` has leaked it under frames still parked on it.
+    stack: Option<Mapping>,
 }
 
 impl Coroutine {
     /// A coroutine that runs `body` on its first resume. `Send`, because a
     /// never-started coroutine may change threads with its owner.
     pub(crate) fn new(body: impl FnOnce() + Send + 'static) -> Coroutine {
-        // SAFETY: `sysconf` takes no pointers.
-        let page = usize::try_from(unsafe { sysconf(SC_PAGESIZE) }).expect("page size is known");
-        let stack_len = STACK_BYTES + page;
-        // SAFETY: a fresh private anonymous mapping placed by the kernel
-        // aliases nothing; its first page, unused so far, becomes the guard.
-        let stack = unsafe {
-            let flags = MAP_PRIVATE_ANONYMOUS_STACK;
-            let base = mmap(ptr::null_mut(), stack_len, PROT_READ_WRITE, flags, -1, 0);
-            let mapped = base as isize != -1;
-            assert!(
-                mapped && mprotect(base, page, PROT_NONE) == 0,
-                "cannot map a {stack_len}-byte stack for a simulated process: {}",
-                std::io::Error::last_os_error()
-            );
-            base.cast::<u8>()
-        };
+        let mut stack = Mapping::stack(STACK_BYTES);
+        let top = stack.as_mut_ptr_range().end;
         let ctl = Box::into_raw(Box::new(Control {
             sp: ptr::null_mut(),
             resumer_sp: ptr::null_mut(),
@@ -226,15 +201,12 @@ impl Coroutine {
         // unaliased and aligned (it is page-aligned and whole pages long);
         // `ctl` was allocated two statements up.
         unsafe {
-            let sp = stack.add(stack_len).cast::<usize>().sub(seed.len());
+            let sp = top.cast::<usize>().sub(seed.len());
             sp.copy_from_nonoverlapping(seed.as_ptr(), seed.len());
             (*ctl).sp = sp.cast();
         }
-        Coroutine {
-            ctl,
-            stack,
-            stack_len,
-        }
+        let stack = Some(stack);
+        Coroutine { ctl, stack }
     }
 
     /// Run the body until it suspends or ends.
@@ -288,9 +260,8 @@ impl Drop for Coroutine {
     fn drop(&mut self) {
         // Frames still parked on the stack (the owner did not `cancel`) may
         // be borrowed from elsewhere: leak the mapping with them.
-        if !self.is_mid_body() {
-            // SAFETY: exactly the mapping `new` made, with no live frame.
-            unsafe { munmap(self.stack.cast(), self.stack_len) };
+        if self.is_mid_body() {
+            std::mem::forget(self.stack.take());
         }
         // SAFETY: boxed in `new`, freed only here; the body is not running
         // and a leaked stack is never resumed, so nothing reads it again.

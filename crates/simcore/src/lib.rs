@@ -38,6 +38,7 @@
 mod coro;
 mod engine;
 mod error;
+pub mod mapping;
 mod sync;
 mod time;
 
