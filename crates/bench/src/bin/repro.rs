@@ -287,12 +287,14 @@ fn report(
     let (ranks, t) = (run.scenario.ranks as u64, &run.tally);
     writeln!(
         out,
-        "virtual time {:.1} ms | wall {:.1} ms | {} events | {} sends | fingerprint {:#018x}",
+        "virtual time {:.1} ms | wall {:.1} ms | {} events | {} sends | fingerprint {:#018x} \
+         (virtual {:#018x})",
         run.elapsed_ns as f64 / 1e6,
         run.wall_ns as f64 / 1e6,
         run.sim_events,
         run.mpi_ops(),
-        run.fingerprint()
+        run.fingerprint(),
+        run.virtual_fingerprint()
     );
     writeln!(
         out,

@@ -6,6 +6,7 @@
 //! must satisfy from the same value, so a new combination (faults × kills
 //! × channel) needs no new harness code.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dcfa_mpi::{Comm, Communicator, KillSpec, MpiConfig, MpiError, Request, Src, TagSel};
@@ -442,7 +443,10 @@ pub struct Run {
     pub audit: Result<dcfa_mpi::AuditReport, Vec<String>>,
     /// Latency histograms recorded by every rank.
     pub metrics: dcfa_mpi::MetricsHub,
-    /// Virtual time the whole simulation took, in nanoseconds.
+    /// Virtual time the run took, in nanoseconds: the latest instant at
+    /// which a rank's body returned or was killed. (The simulation itself
+    /// goes on until its queue is empty — finalize, then whatever stale
+    /// timers are still parked in it — which is not part of the run.)
     pub elapsed_ns: u64,
     /// Wall-clock time it took to execute (machine-dependent, never gated).
     pub wall_ns: u64,
@@ -450,6 +454,16 @@ pub struct Run {
     pub sim_events: u64,
     /// Present exactly when kills were armed.
     pub failures: Option<FailureSummary>,
+}
+
+/// Stamps the latest virtual instant at which a rank body ended, by return
+/// or by unwinding, into the shared cell when dropped.
+struct EndStamp(simcore::Scheduler, Arc<AtomicU64>);
+
+impl Drop for EndStamp {
+    fn drop(&mut self) {
+        self.1.fetch_max(self.0.now().0, Ordering::Relaxed);
+    }
 }
 
 /// Nearest-rank p99 (0 for no samples), the latency histograms' convention.
@@ -518,6 +532,8 @@ pub fn run(sc: &Scenario) -> Result<Run, String> {
     let mem_before = host_used(&cluster);
     let outs = Arc::new(parking_lot::Mutex::new(vec![None; ranks]));
     let outs2 = outs.clone();
+    let ended = Arc::new(AtomicU64::new(0));
+    let ended2 = ended.clone();
     let workload = sc.workload;
     let daemon = dcfa_mpi::launch(
         &sim,
@@ -527,6 +543,8 @@ pub fn run(sc: &Scenario) -> Result<Run, String> {
         ranks,
         opts,
         move |ctx, comm| {
+            // Dropped when the body returns and when a kill unwinds it.
+            let _ended = EndStamp(ctx.scheduler(), ended2.clone());
             let mut tally = Tally::default();
             let (world, post_ok) = match workload {
                 Workload::Mixed => {
@@ -607,7 +625,7 @@ pub fn run(sc: &Scenario) -> Result<Run, String> {
         events,
         dropped,
         metrics,
-        elapsed_ns: done.final_time.0,
+        elapsed_ns: ended.load(Ordering::Relaxed),
         wall_ns,
         sim_events: done.events_processed,
         failures,
@@ -762,6 +780,17 @@ impl Run {
     /// the same scenario must produce identical fingerprints — the
     /// chaos fuzzer's bit-for-bit replay gate.
     pub fn fingerprint(&self) -> u64 {
+        self.digest(Some(self.sim_events))
+    }
+
+    /// [`Run::fingerprint`] without the scheduler's event count: what the
+    /// modelled system did, whatever the simulator spent doing it. A
+    /// change that only makes the simulator cheaper leaves this alone.
+    pub fn virtual_fingerprint(&self) -> u64 {
+        self.digest(None)
+    }
+
+    fn digest(&self, sim_events: Option<u64>) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x100_0000_01b3;
         let mut h = FNV_OFFSET;
@@ -780,7 +809,9 @@ impl Run {
         mix(self.tally.revoked);
         mix(self.tally.corrupt);
         mix(self.elapsed_ns);
-        mix(self.sim_events);
+        if let Some(n) = sim_events {
+            mix(n);
+        }
         mix(self.events.len() as u64);
         for out in &self.outs {
             match out {

@@ -3,6 +3,12 @@
 //! baseline, on both receive channels. Virtual time is deterministic, so
 //! these are exact on any machine; a change that moves one on purpose
 //! re-pins it here in the same commit.
+//!
+//! Each run is pinned twice: `fingerprint()` mixes the scheduler's event
+//! count and so moves whenever the simulator does the same thing in fewer
+//! events; `virtual_fingerprint()` leaves it out and moves only when the
+//! modelled system behaves differently. A simulator-side change re-pins
+//! the first column and the event counts and must leave the second alone.
 
 use bench::{Channel, Scenario};
 
@@ -12,10 +18,14 @@ fn on(channel: Channel, sc: Scenario) -> Scenario {
 
 #[test]
 fn halo_64_on_both_channels() {
-    for (channel, events, highwater) in [(Channel::Srq, 35_923, 1), (Channel::Ring, 19_552, 0)] {
+    for (channel, events, virt, highwater) in [
+        (Channel::Srq, 35_923, 0xc495_6f24_ea55_8e71_u64, 1),
+        (Channel::Ring, 19_552, 0xd11f_849b_e596_a615, 0),
+    ] {
         let run = bench::run(&on(channel, Scenario::halo_soak(64))).unwrap();
         assert_eq!(run.violations(), Vec::<String>::new(), "{channel:?}");
         assert_eq!(run.sim_events, events, "{channel:?}");
+        assert_eq!(run.virtual_fingerprint(), virt, "{channel:?}");
         assert_eq!((run.tally.ok, run.tally.failed), (2048, 0), "{channel:?}");
         assert_eq!(run.established_pairs(), 256);
         assert_eq!(run.bytes_per_rank(), 4_217_344);
@@ -27,13 +37,14 @@ fn halo_64_on_both_channels() {
 fn kill_soaks_fingerprint() {
     let four = "10:kill@7,25:kill@31,40:kill@12,55:kill@50";
     let two = "5:kill@3,20:kill@11";
-    for (ranks, channel, spec, events, fingerprint, ended) in [
+    for (ranks, channel, spec, events, fingerprint, virt, ended) in [
         (
             64,
             Channel::Srq,
             four,
             51_060,
-            0xc65a_d9c3_d861_647b_u64,
+            0xc255_a798_51e4_7072_u64,
+            0x52ce_2609_1671_a087,
             (3308, 128, 404),
         ),
         (
@@ -41,7 +52,8 @@ fn kill_soaks_fingerprint() {
             Channel::Ring,
             four,
             36_161,
-            0x41d7_4285_6823_b9b3,
+            0xafea_6d9f_a391_988a,
+            0xadb9_a216_8555_6e5c,
             (3320, 128, 392),
         ),
         (
@@ -49,7 +61,8 @@ fn kill_soaks_fingerprint() {
             Channel::Srq,
             two,
             12_012,
-            0xc1aa_3d09_59f2_8ad9,
+            0x8ac4_952f_a109_6d0e,
+            0xd754_9a98_d362_4bd4,
             (731, 103, 62),
         ),
         (
@@ -57,7 +70,8 @@ fn kill_soaks_fingerprint() {
             Channel::Ring,
             two,
             8_306,
-            0xeaf6_9fd3_f350_a268,
+            0x4cc3_2558_e8bf_dfa7,
+            0xdc70_d295_79fd_44c5,
             (724, 103, 69),
         ),
     ] {
@@ -75,6 +89,7 @@ fn kill_soaks_fingerprint() {
         );
         assert_eq!(run.sim_events, events, "{ranks} {channel:?}");
         assert_eq!(run.fingerprint(), fingerprint, "{ranks} {channel:?}");
+        assert_eq!(run.virtual_fingerprint(), virt, "{ranks} {channel:?}");
         assert_eq!(
             (t.ok, t.peer_failed, t.revoked),
             ended,
@@ -91,9 +106,13 @@ fn chaos_seed_1_schedule_fingerprint_and_replay() {
     };
     sc.faults.kills = bench::chaos_schedule(1, 64).unwrap();
     assert_eq!(sc.faults.to_string(), "13:kill@39,59:kill@30");
-    for (channel, fingerprint) in [
-        (Channel::Srq, 0x9440_6c88_d093_a018_u64),
-        (Channel::Ring, 0x5eeb_5684_2354_3b2f),
+    for (channel, fingerprint, virt) in [
+        (
+            Channel::Srq,
+            0x731f_fb79_cbe1_c60a_u64,
+            0xbd47_b49a_f0b8_e8c7_u64,
+        ),
+        (Channel::Ring, 0x462d_d69f_3414_3f79, 0x754a_6d9a_6825_0eb4),
     ] {
         let chaos = bench::chaos_run(&on(channel, sc.clone())).unwrap();
         assert_eq!(
@@ -104,6 +123,7 @@ fn chaos_seed_1_schedule_fingerprint_and_replay() {
         assert!(chaos.minimal.is_none(), "{channel:?}");
         assert_eq!(chaos.first.fingerprint(), fingerprint, "{channel:?}");
         assert_eq!(chaos.replay_fingerprint, fingerprint, "{channel:?}");
+        assert_eq!(chaos.first.virtual_fingerprint(), virt, "{channel:?}");
     }
 }
 
@@ -126,8 +146,25 @@ fn profile_report_equals_committed_baseline() {
     let run = bench::run(&Scenario::default()).unwrap();
     assert_eq!(run.violations(), Vec::<String>::new());
     assert_eq!(run.sim_events, 953);
+    assert_eq!(run.fingerprint(), 0x9b62_9290_5712_2ac7);
+    assert_eq!(run.virtual_fingerprint(), 0x5723_4ca4_82e3_2ccf);
     assert_eq!(
         without_wall(&bench::metrics_report_json(&run)),
         without_wall(&baseline)
     );
+}
+
+/// CI's daemon-chaos soak (`repro --faults "6:crash,20:drop@1,35:delay"`):
+/// a crash, a lost reply and a held reply on the 4-rank mixed scenario.
+#[test]
+fn daemon_chaos_soak_fingerprint() {
+    let run = bench::run(&Scenario {
+        faults: "6:crash,20:drop@1,35:delay".parse().unwrap(),
+        ..Scenario::default()
+    })
+    .unwrap();
+    assert_eq!(run.violations(), Vec::<String>::new());
+    assert_eq!(run.sim_events, 1_560);
+    assert_eq!(run.fingerprint(), 0x5c7a_1693_3492_8623);
+    assert_eq!(run.virtual_fingerprint(), 0xec4a_c138_b831_dfc1);
 }
