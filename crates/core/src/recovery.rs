@@ -15,9 +15,10 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use fabric::{HealthBoard, PeerState};
-use simcore::{Ctx, SimDuration};
+use simcore::{Ctx, SimDuration, SimTime};
 use verbs::{SendWr, Wc, WcStatus};
 
+use crate::channel::Channel;
 use crate::engine::{is_shrink_tag, Engine, KillMarker, ReqState, SHRINK_TAG_BASE};
 use crate::metrics::Phase;
 use crate::packet::{PacketHeader, PacketKind};
@@ -82,6 +83,14 @@ pub(crate) struct TrackedWrs {
     pub(crate) retry_due: TimerHeap<u64>,
     /// Armed handshake watchdogs, by due time.
     rndv_timeouts: TimerHeap<TimeoutKind>,
+    /// Due time of the scheduler wake armed for `rndv_timeouts` (the
+    /// earliest, should there be two). One wake serves the whole heap:
+    /// while the heap is non-empty a wake is armed at or before its first
+    /// live entry, and `pump_rndv_timeouts` moves it on when it fires.
+    pub(crate) watchdog_wake: Option<SimTime>,
+    /// Scheduler wakes armed for the watchdog heap so far.
+    #[cfg(test)]
+    pub(crate) watchdog_wakes_armed: u64,
     /// Reusable scratch: elapsed retry wr_ids / fired watchdogs popped
     /// per sweep.
     retry_scratch: Vec<u64>,
@@ -118,6 +127,17 @@ pub(crate) struct Health {
     /// Fail-stop trigger: when set, the rank kills itself (teardown +
     /// [`KillMarker`] unwind) upon issuing its `kill_after`-th entry op.
     pub(crate) kill_after: Option<u64>,
+}
+
+/// Whether the handshake a watchdog guards is still waiting for its answer.
+fn watchdog_live(reqs: &SlotTable<ReqState>, ch: &Channel, kind: &TimeoutKind) -> bool {
+    match *kind {
+        TimeoutKind::Rts { req } => {
+            matches!(reqs.get(req), Some(ReqState::RndvSendAwaitDone { .. }))
+        }
+        TimeoutKind::Rtr { req } => matches!(reqs.get(req), Some(ReqState::RecvAwaitDone)),
+        TimeoutKind::Conn { peer, .. } => ch.unwired(peer),
+    }
 }
 
 /// Whether a slot write of this kind has a request that fails with it
@@ -493,6 +513,23 @@ impl Engine {
         let Some(period) = period else { return };
         let due = ctx.now() + period;
         self.wr.rndv_timeouts.push(due, kind);
+        self.wake_for_watchdogs(due);
+    }
+
+    /// See that the rank is woken at `due` for its watchdog heap: arm a
+    /// scheduler wake unless one is already outstanding at or before it.
+    /// A rendezvous arms a watchdog per handshake and nearly all of them
+    /// resolve long before they are due; one wake moved along the heap
+    /// serves them all.
+    fn wake_for_watchdogs(&mut self, due: SimTime) {
+        if self.wr.watchdog_wake.is_some_and(|armed| armed <= due) {
+            return;
+        }
+        self.wr.watchdog_wake = Some(due);
+        #[cfg(test)]
+        {
+            self.wr.watchdog_wakes_armed += 1;
+        }
         self.progress_event
             .notify_at(self.res.cluster().scheduler(), due);
     }
@@ -504,24 +541,28 @@ impl Engine {
         // heap — thousands of ranks re-arming rendezvous watchdogs would
         // otherwise grow it without bound between (rare) fires.
         let Engine { wr, reqs, ch, .. } = self;
-        wr.rndv_timeouts.maybe_compact(|k| match *k {
-            TimeoutKind::Rts { req } => {
-                matches!(reqs.get(req), Some(ReqState::RndvSendAwaitDone { .. }))
-            }
-            TimeoutKind::Rtr { req } => matches!(reqs.get(req), Some(ReqState::RecvAwaitDone)),
-            TimeoutKind::Conn { peer, .. } => ch.unwired(peer),
-        });
+        wr.rndv_timeouts
+            .maybe_compact(|k| watchdog_live(reqs, ch, k));
+        // No live watchdog is due before the armed wake is.
         let now = ctx.now();
-        if self.wr.rndv_timeouts.peek_due().is_none_or(|d| d > now) {
+        if wr.watchdog_wake.is_none_or(|armed| armed > now) {
             return;
         }
-        let mut fired = std::mem::take(&mut self.wr.timeout_scratch);
+        wr.watchdog_wake = None;
+        let mut fired = std::mem::take(&mut wr.timeout_scratch);
         fired.clear();
-        self.wr.rndv_timeouts.drain_due(now, &mut fired);
+        wr.rndv_timeouts.drain_due(now, &mut fired);
         for kind in fired.drain(..) {
             self.handle_timeout(ctx, kind);
         }
         self.wr.timeout_scratch = fired;
+        // The wake has fired: move it on to the first watchdog still
+        // waiting for something (one re-armed just now has seen to itself).
+        let Engine { wr, reqs, ch, .. } = self;
+        let next = wr.rndv_timeouts.skip_dead(|k| watchdog_live(reqs, ch, k));
+        if let Some(due) = next {
+            self.wake_for_watchdogs(due);
+        }
     }
 
     /// Whether the handshake packet `hdr` is still on its way out of this

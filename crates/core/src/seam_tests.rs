@@ -2,12 +2,12 @@
 //! and `Engine::resolve` — driven on two real ranks of a simulated world.
 
 use fabric::{Buffer, LinkFault, LinkFaultKind, NodeId};
-use simcore::{Ctx, SimDuration, Simulation};
+use simcore::{Ctx, SimDuration, SimTime, Simulation};
 
 use crate::channel::{Inbound, Payload};
 use crate::engine::{Engine, ReqState, SendLease};
 use crate::packet::{PacketHeader, PacketKind};
-use crate::recovery::{InflightWr, WrKind};
+use crate::recovery::{InflightWr, TimeoutKind, WrKind};
 use crate::types::TransportOp;
 use crate::{
     launch, KillSpec, LaunchOpts, MetricsHub, MpiConfig, MpiError, Phase, Rank, Request, Src,
@@ -27,17 +27,25 @@ fn world_with(
     opts: LaunchOpts,
     f: impl Fn(&mut Ctx, &mut Engine) + Send + Sync + 'static,
 ) {
+    let cfg = MpiConfig {
+        ring_slots: SLOTS as u32,
+        srq_depth,
+        ..MpiConfig::dcfa()
+    };
+    world_cfg(cfg, opts, f)
+}
+
+fn world_cfg(
+    cfg: MpiConfig,
+    opts: LaunchOpts,
+    f: impl Fn(&mut Ctx, &mut Engine) + Send + Sync + 'static,
+) {
     let mut sim = Simulation::new();
     let cluster = fabric::Cluster::new(sim.scheduler(), fabric::ClusterConfig::with_nodes(2));
     let (ib, scif) = (
         verbs::IbFabric::new(cluster.clone()),
         scif::ScifFabric::new(cluster),
     );
-    let cfg = MpiConfig {
-        ring_slots: SLOTS as u32,
-        srq_depth,
-        ..MpiConfig::dcfa()
-    };
     let body = move |ctx: &mut Ctx, comm: &mut crate::Comm| f(ctx, &mut comm.engine);
     launch(&sim, &ib, &scif, cfg, 2, opts, body);
     sim.run_expect();
@@ -413,5 +421,116 @@ fn reaping_a_peer_returns_every_staging_slot_held_toward_it() {
         progress_until(ctx, e, |e| e.stats.wr_faults > 0);
         assert_eq!(e.ch.stage(1).1.len(), SLOTS);
         assert!(e.wr.inflight.is_empty());
+    });
+}
+
+// ---- the watchdog heap's one armed wake ------------------------------------
+
+/// A 16 KiB buffer: over the eager threshold, so a rendezvous.
+fn rndv_buf(e: &Engine) -> Buffer {
+    e.res.cluster().alloc_pages(e.res.mem(), 16 << 10).unwrap()
+}
+
+/// Block on the progress event, as `wait` does, until a progress pass
+/// makes `until` hold; returns the instant that pass began.
+fn wait_until(ctx: &mut Ctx, e: &mut Engine, until: impl Fn(&Engine) -> bool) -> SimTime {
+    loop {
+        let (seen, woke) = (e.progress_event.epoch(), ctx.now());
+        e.progress(ctx);
+        if until(e) {
+            return woke;
+        }
+        ctx.wait_event(&e.progress_event, seen, "seam test");
+    }
+}
+
+#[test]
+fn a_thousand_rendezvous_arm_two_scheduler_wakes() {
+    // A watchdog period the whole exchange (18 ms) fits in: none fires.
+    let cfg = MpiConfig {
+        ring_slots: SLOTS as u32,
+        rndv_timeout: Some(SimDuration::from_millis(100)),
+        ..MpiConfig::dcfa()
+    };
+    world_cfg(cfg, LaunchOpts::default(), |ctx, e| {
+        let buf = rndv_buf(e);
+        let reqs: Vec<Request> = if e.rank == 0 {
+            // Every `isend` arms a watchdog a period out; the connect
+            // armed one 500 us out before them.
+            let post = |tag| e.isend(ctx, &buf, 1, tag).unwrap();
+            (0..1000).map(post).collect()
+        } else {
+            // Sender-first: the RTSes are there before their receives.
+            ctx.sleep(SimDuration::from_micros(100));
+            let post = |tag| e.irecv(ctx, &buf, Src::Rank(0), TagSel::Tag(tag)).unwrap();
+            (0..1000).map(post).collect()
+        };
+        e.waitall(ctx, &reqs).unwrap();
+        e.quiesce(ctx);
+        assert!(ctx.now().as_nanos() < 100_000_000, "before any was due");
+        // The connect's, and the one it moved on to when it fired.
+        let armed = e.wr.watchdog_wakes_armed;
+        assert!(armed <= 2, "rank {}: {armed} wakes armed", e.rank);
+        assert_eq!(e.stats.handshake_reissues, 0);
+    });
+}
+
+#[test]
+fn a_watchdog_fires_on_time_behind_five_hundred_resolved_ones() {
+    world(None, |ctx, e| {
+        let buf = rndv_buf(e);
+        let period = e.cfg.rndv_timeout.unwrap();
+        for tag in 0..500 {
+            let req = match e.rank {
+                0 => e.isend(ctx, &buf, 1, tag),
+                _ => e.irecv(ctx, &buf, Src::Rank(0), TagSel::Tag(tag)),
+            };
+            e.wait(ctx, req.unwrap()).unwrap();
+        }
+        if e.rank == 1 {
+            // Deaf for a period and a half: the RTS sits in the ring.
+            ctx.sleep(period + period / 2);
+            let req = e.irecv(ctx, &buf, Src::Rank(0), TagSel::Tag(500));
+            return e.wait(ctx, req.unwrap()).map(drop).unwrap();
+        }
+        // Those took longer than a period, so the wake has fired and moved
+        // on; whatever it is armed for now, it is not this one's deadline.
+        let req = e.isend(ctx, &buf, 1, 500).unwrap();
+        let due = ctx.now() + period;
+        assert!(e.wr.watchdog_wake.is_some_and(|armed| armed < due));
+        let woke = wait_until(ctx, e, |e| e.stats.handshake_reissues == 1);
+        assert_eq!(woke, due, "re-issued at exactly its deadline");
+        e.wait(ctx, req).unwrap();
+    });
+}
+
+#[test]
+fn a_connect_watchdog_fires_on_time_under_a_later_armed_wake() {
+    let opts = LaunchOpts {
+        conn_drops: Some((0, 1)), // the first connect Req is lost
+        ..LaunchOpts::default()
+    };
+    world_with(None, opts, |ctx, e| {
+        let buf = filled(e, 3);
+        if e.rank == 1 {
+            // From anyone: touches no peer, so rank 0's Req is the first.
+            let req = e.irecv(ctx, &buf, Src::Any, TagSel::Tag(0)).unwrap();
+            return e.wait(ctx, req).map(drop).unwrap();
+        }
+        // A wake a rendezvous period out is outstanding …
+        e.arm_watchdog(ctx, TimeoutKind::Rtr { req: u64::MAX });
+        let late = e.wr.watchdog_wake.unwrap();
+        // … when the connect arms its watchdog, one command timeout out
+        // (what `isend`'s first touch of a peer does).
+        assert!(e.ch.connect(ctx, &e.res, &mut e.stats, 1).unwrap());
+        let (peer, attempt) = (1, 1);
+        e.arm_watchdog(ctx, TimeoutKind::Conn { peer, attempt });
+        let due = ctx.now() + dcfa::CMD_TIMEOUT;
+        assert_eq!(e.wr.watchdog_wake, Some(due));
+        assert!(due < late && e.wr.watchdog_wakes_armed == 2);
+        let woke = wait_until(ctx, e, |e| e.stats.conn_retries == 1);
+        assert_eq!(woke, due, "retried at exactly its deadline");
+        let req = e.isend(ctx, &buf, 1, 0).unwrap();
+        e.wait(ctx, req).unwrap();
     });
 }

@@ -289,6 +289,20 @@ impl<K: Eq> TimerHeap<K> {
         true
     }
 
+    /// Pop entries off the front for as long as `live` rejects them and
+    /// return the deadline of the first it accepts: the next instant at
+    /// which something still has to happen.
+    pub fn skip_dead<F: FnMut(&K) -> bool>(&mut self, mut live: F) -> Option<SimTime> {
+        while let Some(Reverse(e)) = self.heap.peek() {
+            if live(&e.key) {
+                return Some(e.due);
+            }
+            self.heap.pop();
+            self.dead = self.dead.saturating_sub(1);
+        }
+        None
+    }
+
     /// Earliest deadline, if any.
     pub fn peek_due(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(e)| e.due)

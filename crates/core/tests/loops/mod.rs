@@ -1,7 +1,8 @@
 //! The four steady-state loops the budget tests count over, shaped like
 //! the benchmark's four workloads, and the driver that runs one with a
 //! probe read at both ends of its counted rounds. `lock_budget.rs` probes
-//! lock acquisitions, `footprint.rs` resident memory.
+//! lock acquisitions, `footprint.rs` resident memory; `event_budget.rs`
+//! reads the scheduler's event count of whole runs.
 #![allow(dead_code)] // each budget uses its own subset
 
 use std::sync::Arc;
@@ -33,6 +34,8 @@ pub enum PerOp {
     Lock,
     /// One more first touch: a byte into a page nothing wrote before.
     FreshPage,
+    /// One more scheduler event: a wake parked a watchdog period out.
+    Wake,
 }
 
 #[derive(Clone)]
@@ -178,6 +181,11 @@ impl Rank<'_> {
                 comm.write(fresh, self.touched * PAGE_SIZE, &[1]);
                 self.touched += 1;
             }
+            (PerOp::Wake, _) => {
+                let sched = comm.cluster().scheduler();
+                let period = self.spec.cfg.rndv_timeout.expect("watchdogs are on");
+                SimEvent::new().notify_at(sched, sched.now() + period);
+            }
             _ => {}
         }
     }
@@ -305,12 +313,29 @@ fn rank_body<T>(ctx: &mut Ctx, comm: &mut Comm, spec: &Loop, shared: &Shared<T>)
     shared.barrier(ctx, comm, n, 1);
 }
 
-/// `probe` read where the counted rounds start and where they end, and
-/// the operations completed in between.
+/// `probe` read where the counted rounds start and where they end, the
+/// operations completed in between, and the scheduler events of the whole
+/// run, set-up and teardown included.
 pub struct Counted<T> {
     pub start: T,
     pub end: T,
     pub ops: u64,
+    pub events: u64,
+}
+
+impl Loop {
+    /// The same run without its counted rounds: what a whole-run count
+    /// holds besides them.
+    pub fn setup_only(&self) -> Loop {
+        Loop {
+            blocks: self
+                .blocks
+                .iter()
+                .map(|&(s, warm, _)| (s, warm, 0))
+                .collect(),
+            ..self.clone()
+        }
+    }
 }
 
 /// Run `spec` once, reading `probe` at both ends of its counted rounds.
@@ -342,13 +367,19 @@ pub fn run<T: Send + 'static>(
         LaunchOpts::default(),
         move |ctx, comm| rank_body(ctx, comm, &spec2, &shared2),
     );
-    sim.run_expect();
+    let events = sim.run_expect().events_processed;
 
     let mut marks = std::mem::take(&mut *shared.marks.lock());
     let (Some(end), Some(start), None) = (marks.pop(), marks.pop(), marks.pop()) else {
         panic!("{}: ranks did not reach both boundaries", spec.name);
     };
     let ops = *shared.ops.lock();
-    assert!(ops > 0, "{}: no operation completed", spec.name);
-    Counted { start, end, ops }
+    let counted = spec.blocks.iter().any(|b| b.2 > 0);
+    assert!(ops > 0 || !counted, "{}: no operation completed", spec.name);
+    Counted {
+        start,
+        end,
+        ops,
+        events,
+    }
 }

@@ -19,15 +19,13 @@ use std::sync::Arc;
 use fabric::{Buffer, Cluster, Domain, MemRef, NodeId};
 use parking_lot::Mutex;
 use scif::{ScifEndpoint, ScifError, ScifFabric};
-use simcore::{Ctx, SimDuration};
+use simcore::{Ctx, Scheduler, SimDuration, SimTime};
 use verbs::{
     CompletionQueue, IbFabric, MemoryRegion, MrKey, QueuePair, SharedReceiveQueue, VerbsContext,
 };
 
 use crate::daemon::{CtrlEvent, CtrlHook, CtrlOp, CtrlPerf, DcfaStats, PerfProbe, DCFA_PORT};
-use crate::wire::{
-    decode_reply_frame, encode_cmd_frame, err_code, Cmd, Reply, CLIENT_NONE, SEQ_NONE,
-};
+use crate::wire::{cmd_frame, decode_reply_frame, err_code, Cmd, Reply, CLIENT_NONE, SEQ_NONE};
 
 /// Errors surfaced by the DCFA user-space library.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -302,24 +300,21 @@ impl DcfaContext {
         }
     }
 
-    /// Spawn the lease-renewal sidecar, if configured. It shares the
-    /// command endpoint (heartbeats are fire-and-forget, so it never
-    /// consumes command replies) and follows reconnects.
+    /// Start the lease-renewal sidecar, if configured: a tick that sends
+    /// a heartbeat on the command endpoint (fire-and-forget, so it never
+    /// consumes command replies), following reconnects, and queues itself
+    /// again one interval after the heartbeat has left.
     fn start_heartbeat(&self, ctx: &mut Ctx) {
         let Some(interval) = self.cfg.heartbeat_interval else {
             return;
         };
-        let state = self.state.clone();
-        let stop = self.hb_stop.clone();
-        let name = format!("dcfa-hb-{}c{}", self.node(), self.client_id());
-        ctx.scheduler().spawn_daemon(name, move |hctx| loop {
-            hctx.sleep(interval);
-            if stop.load(Ordering::Relaxed) {
-                return;
-            }
-            let ep = state.lock().ep.clone();
-            ep.send(hctx, &encode_cmd_frame(SEQ_NONE, &Cmd::Heartbeat));
-        });
+        let beat = Heartbeat {
+            state: self.state.clone(),
+            stop: self.hb_stop.clone(),
+            interval,
+            send_cost: self.cluster.config().cost.cpu_op(Domain::Phi),
+        };
+        beat.tick_at(&ctx.scheduler(), ctx.now() + interval);
     }
 
     // -- fault-tolerant command transport ---------------------------------
@@ -345,6 +340,15 @@ impl DcfaContext {
             });
         }
         result
+    }
+
+    /// [`DcfaContext::command`] for a command answered with a bare `Ok`.
+    fn command_ok(&self, ctx: &mut Ctx, cmd: Cmd) -> Result<(), DcfaError> {
+        match self.command(ctx, cmd)? {
+            Reply::Ok => Ok(()),
+            Reply::Error { code } => Err(DcfaError::from_code(code)),
+            _ => Err(DcfaError::Protocol),
+        }
     }
 
     fn command_inner(&self, ctx: &mut Ctx, cmd: Cmd) -> Result<Reply, DcfaError> {
@@ -388,7 +392,7 @@ impl DcfaContext {
                 ctx.sleep(self.cfg.cmd_backoff * (1u64 << (attempt - 1).min(10)));
             }
             let ep = self.state.lock().ep.clone();
-            ep.send(ctx, &encode_cmd_frame(seq, cmd));
+            ep.send(ctx, &cmd_frame(seq, cmd));
             match self.await_reply(ctx, &ep, seq)? {
                 Some((epoch, reply)) => {
                     self.state.lock().daemon_epoch = epoch;
@@ -419,13 +423,12 @@ impl DcfaContext {
             if ctx.now() >= deadline {
                 return Ok(None);
             }
-            let Some(raw) = ep.recv_timeout(ctx, deadline - ctx.now()) else {
-                return Ok(None);
-            };
-            match decode_reply_frame(&raw) {
-                None => return Err(DcfaError::Protocol),
-                Some((rseq, epoch, reply)) if rseq == seq => return Ok(Some((epoch, reply))),
-                Some(_) => {} // duplicate reply to an abandoned attempt
+            let wait = deadline - ctx.now();
+            match ep.recv_timeout_with(ctx, wait, decode_reply_frame) {
+                None => return Ok(None),
+                Some(None) => return Err(DcfaError::Protocol),
+                Some(Some((rseq, epoch, reply))) if rseq == seq => return Ok(Some((epoch, reply))),
+                Some(Some(_)) => {} // duplicate reply to an abandoned attempt
             }
         }
     }
@@ -461,100 +464,61 @@ impl DcfaContext {
         Err(last_err)
     }
 
+    /// One command of the replay under a fresh sequence id, on the current
+    /// endpoint only: a timeout fails the replay (and the caller moves on
+    /// to the next reconnect attempt) instead of re-attaching recursively.
+    fn replay_one(&self, ctx: &mut Ctx, cmd: &Cmd) -> Result<Reply, DcfaError> {
+        let seq = self.alloc_seq();
+        self.command_attempts(ctx, seq, cmd)?
+            .ok_or(DcfaError::Timeout)
+    }
+
     fn replay_journal(&self, ctx: &mut Ctx) -> Result<(), DcfaError> {
         let (client, journal) = {
             let st = self.state.lock();
             (st.client, st.journal.clone())
         };
-        let hello_seq = self.alloc_seq();
-        let id = match self.command_attempts(ctx, hello_seq, &Cmd::Hello { client })? {
-            Some(Reply::Hello { client }) => client,
-            Some(Reply::Error { code }) => return Err(DcfaError::from_code(code)),
-            Some(_) => return Err(DcfaError::Protocol),
-            None => return Err(DcfaError::Timeout),
+        let id = match self.replay_one(ctx, &Cmd::Hello { client })? {
+            Reply::Hello { client } => client,
+            Reply::Error { code } => return Err(DcfaError::from_code(code)),
+            _ => return Err(DcfaError::Protocol),
         };
         self.state.lock().client = id;
 
         let journaled = journal.len() as u64;
-        let mut replayed = 0u64;
         let mut new_journal = Vec::with_capacity(journal.len());
         for entry in journal {
-            match entry {
-                JournalEntry::Mr { key, buffer } => {
-                    let seq = self.alloc_seq();
-                    let adopted = self.command_attempts(ctx, seq, &Cmd::AdoptMr { key })?;
-                    match adopted {
-                        Some(Reply::MrKey { key }) => {
-                            replayed += 1;
-                            new_journal.push(JournalEntry::Mr { key, buffer });
-                        }
-                        Some(Reply::Error {
-                            code: err_code::UNKNOWN_KEY,
-                        }) => {
-                            // The MR did not survive (lease reclaimed before
-                            // we noticed): register it afresh. Holders of
-                            // the old key rediscover it via cache
-                            // invalidation.
-                            let seq = self.alloc_seq();
-                            let reg = self.command_attempts(
-                                ctx,
-                                seq,
-                                &Cmd::RegMr {
-                                    mem: buffer.mem,
-                                    addr: buffer.addr,
-                                    len: buffer.len,
-                                },
-                            )?;
-                            match reg {
-                                Some(Reply::MrKey { key }) => {
-                                    replayed += 1;
-                                    new_journal.push(JournalEntry::Mr { key, buffer });
-                                }
-                                Some(Reply::Error { code }) => {
-                                    return Err(DcfaError::from_code(code))
-                                }
-                                Some(_) => return Err(DcfaError::Protocol),
-                                None => return Err(DcfaError::Timeout),
-                            }
-                        }
-                        Some(Reply::Error { code }) => return Err(DcfaError::from_code(code)),
-                        Some(_) => return Err(DcfaError::Protocol),
-                        None => return Err(DcfaError::Timeout),
-                    }
-                }
-                JournalEntry::Cq => {
-                    let seq = self.alloc_seq();
-                    match self.command_attempts(ctx, seq, &Cmd::CreateCq)? {
-                        Some(Reply::Ok) => {
-                            replayed += 1;
-                            new_journal.push(JournalEntry::Cq);
-                        }
-                        Some(Reply::Error { code }) => return Err(DcfaError::from_code(code)),
-                        Some(_) => return Err(DcfaError::Protocol),
-                        None => return Err(DcfaError::Timeout),
-                    }
-                }
-                JournalEntry::Qp => {
-                    let seq = self.alloc_seq();
-                    match self.command_attempts(ctx, seq, &Cmd::CreateQp)? {
-                        Some(Reply::Ok) => {
-                            replayed += 1;
-                            new_journal.push(JournalEntry::Qp);
-                        }
-                        Some(Reply::Error { code }) => return Err(DcfaError::from_code(code)),
-                        Some(_) => return Err(DcfaError::Protocol),
-                        None => return Err(DcfaError::Timeout),
-                    }
+            let cmd = match &entry {
+                JournalEntry::Mr { key, .. } => Cmd::AdoptMr { key: *key },
+                JournalEntry::Cq => Cmd::CreateCq,
+                JournalEntry::Qp => Cmd::CreateQp,
+            };
+            let mut reply = self.replay_one(ctx, &cmd)?;
+            if let (JournalEntry::Mr { buffer, .. }, Reply::Error { code }) = (&entry, reply) {
+                if code == err_code::UNKNOWN_KEY {
+                    // The MR did not survive (lease reclaimed before we
+                    // noticed): register it afresh. Holders of the old key
+                    // rediscover it via cache invalidation.
+                    let (mem, addr, len) = (buffer.mem, buffer.addr, buffer.len);
+                    reply = self.replay_one(ctx, &Cmd::RegMr { mem, addr, len })?;
                 }
             }
+            new_journal.push(match (entry, reply) {
+                (_, Reply::Error { code }) => return Err(DcfaError::from_code(code)),
+                (JournalEntry::Mr { buffer, .. }, Reply::MrKey { key }) => {
+                    JournalEntry::Mr { key, buffer }
+                }
+                (entry @ (JournalEntry::Cq | JournalEntry::Qp), Reply::Ok) => entry,
+                _ => return Err(DcfaError::Protocol),
+            });
         }
-        let (epoch, ctrl_epoch) = {
+        let replayed = new_journal.len() as u64;
+        let epoch = {
             let mut st = self.state.lock();
             st.journal = new_journal;
             st.ctrl_epoch += 1;
-            (st.daemon_epoch, st.ctrl_epoch)
+            st.daemon_epoch
         };
-        let _ = ctrl_epoch;
         // (The daemon counts `reattaches` when it sees the re-Hello; we
         // only emit the richer client-side event.)
         self.emit(CtrlEvent::Reattach {
@@ -605,11 +569,7 @@ impl DcfaContext {
     /// Deregister a memory region through the daemon.
     pub fn dereg_mr(&self, ctx: &mut Ctx, mr: &MemoryRegion) -> Result<(), DcfaError> {
         let key = mr.key().0;
-        let result = match self.command(ctx, Cmd::DeregMr { key })? {
-            Reply::Ok => Ok(()),
-            Reply::Error { code } => Err(DcfaError::from_code(code)),
-            _ => Err(DcfaError::Protocol),
-        };
+        let result = self.command_ok(ctx, Cmd::DeregMr { key });
         // Either way the resource is gone; stop journaling it.
         self.state
             .lock()
@@ -621,14 +581,9 @@ impl DcfaContext {
     /// Create a completion queue (resource setup offloaded; the CQ itself
     /// lives in Phi memory and is polled directly).
     pub fn create_cq(&self, ctx: &mut Ctx) -> Result<CompletionQueue, DcfaError> {
-        match self.command(ctx, Cmd::CreateCq)? {
-            Reply::Ok => {
-                self.state.lock().journal.push(JournalEntry::Cq);
-                Ok(self.vctx.create_cq())
-            }
-            Reply::Error { code } => Err(DcfaError::from_code(code)),
-            _ => Err(DcfaError::Protocol),
-        }
+        self.command_ok(ctx, Cmd::CreateCq)?;
+        self.state.lock().journal.push(JournalEntry::Cq);
+        Ok(self.vctx.create_cq())
     }
 
     /// Create a reliable-connected QP. Resource initialization runs on the
@@ -639,27 +594,17 @@ impl DcfaContext {
         send_cq: &CompletionQueue,
         recv_cq: &CompletionQueue,
     ) -> Result<QueuePair, DcfaError> {
-        match self.command(ctx, Cmd::CreateQp)? {
-            Reply::Ok => {
-                self.state.lock().journal.push(JournalEntry::Qp);
-                Ok(self.vctx.create_qp(send_cq, recv_cq))
-            }
-            Reply::Error { code } => Err(DcfaError::from_code(code)),
-            _ => Err(DcfaError::Protocol),
-        }
+        self.command_ok(ctx, Cmd::CreateQp)?;
+        self.state.lock().journal.push(JournalEntry::Qp);
+        Ok(self.vctx.create_qp(send_cq, recv_cq))
     }
 
     /// Create a shared receive queue. Queue-object setup is offloaded to
     /// the host like a CQ; posts are issued from the Phi directly.
     pub fn create_srq(&self, ctx: &mut Ctx) -> Result<SharedReceiveQueue, DcfaError> {
-        match self.command(ctx, Cmd::CreateCq)? {
-            Reply::Ok => {
-                self.state.lock().journal.push(JournalEntry::Cq);
-                Ok(self.vctx.create_srq())
-            }
-            Reply::Error { code } => Err(DcfaError::from_code(code)),
-            _ => Err(DcfaError::Protocol),
-        }
+        self.command_ok(ctx, Cmd::CreateCq)?;
+        self.state.lock().journal.push(JournalEntry::Cq);
+        Ok(self.vctx.create_srq())
     }
 
     /// Create a reliable-connected QP attached to a shared receive queue.
@@ -670,14 +615,9 @@ impl DcfaContext {
         recv_cq: &CompletionQueue,
         srq: &SharedReceiveQueue,
     ) -> Result<QueuePair, DcfaError> {
-        match self.command(ctx, Cmd::CreateQp)? {
-            Reply::Ok => {
-                self.state.lock().journal.push(JournalEntry::Qp);
-                Ok(self.vctx.create_qp_with_srq(send_cq, recv_cq, srq))
-            }
-            Reply::Error { code } => Err(DcfaError::from_code(code)),
-            _ => Err(DcfaError::Protocol),
-        }
+        self.command_ok(ctx, Cmd::CreateQp)?;
+        self.state.lock().journal.push(JournalEntry::Qp);
+        Ok(self.vctx.create_qp_with_srq(send_cq, recv_cq, srq))
     }
 
     /// `reg_offload_mr`: allocate + register a host twin for `phi_buffer`
@@ -741,16 +681,8 @@ impl DcfaContext {
     /// host MR and free the host twin. Idempotent: a twin the daemon
     /// already reclaimed (crash or expired lease) tears down as `Ok`.
     pub fn dereg_offload_mr(&self, ctx: &mut Ctx, omr: OffloadMr) -> Result<(), DcfaError> {
-        match self.command(
-            ctx,
-            Cmd::DeregOffloadMr {
-                key: omr.host_mr.key().0,
-            },
-        )? {
-            Reply::Ok => Ok(()),
-            Reply::Error { code } => Err(DcfaError::from_code(code)),
-            _ => Err(DcfaError::Protocol),
-        }
+        let key = omr.host_mr.key().0;
+        self.command_ok(ctx, Cmd::DeregOffloadMr { key })
     }
 
     /// Arm a link-fault plan on the cluster fabric through the host
@@ -758,15 +690,11 @@ impl DcfaContext {
     /// (consumed by the HCA model on matching posted operations) without
     /// any host-side assist code.
     pub fn inject_fault(&self, ctx: &mut Ctx, fault: fabric::LinkFault) -> Result<(), DcfaError> {
-        match self.command(ctx, Cmd::InjectFault(fault))? {
-            Reply::Ok => Ok(()),
-            Reply::Error { code } => Err(DcfaError::from_code(code)),
-            _ => Err(DcfaError::Protocol),
-        }
+        self.command_ok(ctx, Cmd::InjectFault(fault))
     }
 
-    /// Tell the daemon this client is going away (handler exits) and stop
-    /// the heartbeat sidecar.
+    /// Tell the daemon this client is going away (its connection closes)
+    /// and stop the heartbeat sidecar.
     pub fn close(&self, ctx: &mut Ctx) {
         self.hb_stop.store(true, Ordering::Relaxed);
         let _ = self.command(ctx, Cmd::Bye);
@@ -779,6 +707,32 @@ impl DcfaContext {
     /// exactly as it would for a really crashed card.
     pub fn abandon(&self) {
         self.hb_stop.store(true, Ordering::Relaxed);
+    }
+}
+
+/// The lease-renewal sidecar: not a process but a tick that re-queues
+/// itself, like `fabric::health`'s failure-detector sidecar.
+struct Heartbeat {
+    state: Arc<Mutex<ClientState>>,
+    stop: Arc<AtomicBool>,
+    interval: SimDuration,
+    /// The Phi-side `cpu_op` a send costs before the message leaves.
+    send_cost: SimDuration,
+}
+
+impl Heartbeat {
+    fn tick_at(self, sched: &Scheduler, at: SimTime) {
+        sched.call_at(at, move |s| {
+            if self.stop.load(Ordering::Relaxed) {
+                return;
+            }
+            // Read at fire time: a re-attach may have replaced the endpoint.
+            let ep = self.state.lock().ep.clone();
+            let depart = s.now() + self.send_cost;
+            ep.send_from(depart, &cmd_frame(SEQ_NONE, &Cmd::Heartbeat));
+            let next = depart + self.interval;
+            self.tick_at(s, next);
+        });
     }
 }
 

@@ -1,12 +1,21 @@
 //! The host-side DCFA CMD server: the delegation process that services
 //! offloaded InfiniBand resource operations for Phi-resident programs.
 //!
-//! One daemon runs per node; each connecting CMD client (one per MPI rank)
-//! gets a dedicated handler process, mirroring the paper's `mcexec`
-//! delegation process with the DCFA CMD server "registered as an extension
-//! of the delegation process" (§IV-B1). Created InfiniBand objects are kept
-//! in per-client *sessions* shared across the node's handlers, keyed by the
-//! published MR key.
+//! One daemon runs per node, mirroring the paper's `mcexec` delegation
+//! process with the DCFA CMD server "registered as an extension of the
+//! delegation process" (§IV-B1); each connecting CMD client (one per MPI
+//! rank) gets a connection served one command at a time. Created
+//! InfiniBand objects are kept in per-client *sessions* shared across the
+//! node's connections, keyed by the published MR key.
+//!
+//! The daemon runs no MPI code, so it is not a simulated process: it is
+//! state ([`NodeCtl`]) and the events that act on it. A command is served
+//! by a small state machine ([`Conn`]) stepped at exactly the instants a
+//! handler process would have touched shared state — after the receive
+//! `cpu_op`, after `cmd_host_work`, after the registration charge — and
+//! the lease reaper is a tick that re-arms itself while there is a session
+//! to watch. What that costs the host is a few `Call` events per command
+//! instead of a coroutine per client (DESIGN "Control plane on events").
 //!
 //! The daemon is a first-class failure domain. Three mechanisms make the
 //! control plane fault-tolerant:
@@ -22,23 +31,22 @@
 //!   bumped incarnation epoch. Replies carry the epoch so clients detect the
 //!   restart and replay their resource journal ([`Cmd::AdoptMr`]).
 //! * **Lease reclamation** — clients renew a lease with fire-and-forget
-//!   [`Cmd::Heartbeat`]s; a per-node reaper reclaims the sessions of expired
-//!   clients, deregistering MRs and freeing offload twins, so a client that
-//!   dies without `Bye` cannot leak host memory for the life of the run.
+//!   [`Cmd::Heartbeat`]s; a per-node reaper tick reclaims the sessions of
+//!   expired clients, deregistering MRs and freeing offload twins, so a
+//!   client that dies without `Bye` cannot leak host memory for the life of
+//!   the run.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use fabric::{Buffer, Cluster, Domain, MemRef, NodeId};
 use parking_lot::Mutex;
 use scif::{ScifEndpoint, ScifFabric};
-use simcore::{Ctx, Scheduler, SimDuration, SimEvent, SimTime};
+use simcore::{Scheduler, SimDuration, SimTime};
 use verbs::{IbFabric, VerbsContext};
 
-use crate::wire::{
-    decode_cmd_frame, encode_reply_frame, err_code, Cmd, Reply, CLIENT_NONE, SEQ_NONE,
-};
+use crate::wire::{decode_cmd_frame, err_code, reply_frame, Cmd, Reply, CLIENT_NONE, SEQ_NONE};
 
 /// The well-known SCIF port the DCFA daemon listens on.
 pub const DCFA_PORT: scif::Port = 4791;
@@ -83,8 +91,8 @@ pub struct DcfaCounters {
     pub heartbeats: u64,
 }
 
-/// Shared handle to the daemons' counters, returned by [`spawn_daemons`]
-/// / [`spawn_node_daemon`]. Clones observe the same counters. The client
+/// Shared handle to the daemons' counters, returned by [`spawn_daemons`].
+/// Clones observe the same counters. The client
 /// side ([`crate::DcfaContext`]) tallies its retry/timeout counters into
 /// the same handle when given one.
 #[derive(Debug, Clone, Default)]
@@ -211,7 +219,7 @@ pub struct DaemonConfig {
     pub reaper_period: SimDuration,
     /// Replies remembered per session for retransmit deduplication.
     pub dedup_depth: usize,
-    /// Consecutive undecodable commands before the handler assumes a
+    /// Consecutive undecodable commands before the daemon assumes a
     /// corrupt peer, drains its session and disconnects.
     pub decode_storm_limit: u32,
     /// How long a `DelayReply` fault holds the reply (should exceed the
@@ -257,9 +265,9 @@ impl Default for DaemonConfig {
 // Shared per-node state
 // ---------------------------------------------------------------------------
 
-/// One client's control-plane state, shared across the node's handler
-/// incarnations so crash drains, lease reclamation and reconnecting
-/// handlers all see the same objects.
+/// One client's control-plane state, shared across the node's connections
+/// so crash drains, lease reclamation and reconnects all see the same
+/// objects.
 struct Session {
     /// key -> (registered buffer, host twin if offload-mode).
     objects: HashMap<u32, (Buffer, bool)>,
@@ -280,25 +288,117 @@ impl Session {
 }
 
 struct NodeShared {
-    /// Daemon incarnation; bumped on crash so stale handlers die.
+    /// Daemon incarnation; bumped on crash so its connections die.
     epoch: u32,
     next_client: u32,
     sessions: HashMap<u32, Session>,
     faults: Vec<DaemonFault>,
+    /// Whether a lease-reaper tick is queued. It is armed by the first
+    /// session and not re-armed by a tick that leaves none: a tick with
+    /// nothing to watch would keep the event queue, and so the simulation,
+    /// alive forever.
+    reaper_armed: bool,
 }
 
-/// Everything a node's daemon processes share.
+impl NodeShared {
+    fn session(&mut self, client: Option<u32>) -> Option<&mut Session> {
+        self.sessions.get_mut(&client?)
+    }
+
+    /// Tick every armed plan matching `node`; fire (and consume) the first
+    /// that has skipped its quota. Mirrors `Cluster::take_link_fault`.
+    fn take_fault(&mut self, node: NodeId) -> Option<DaemonFaultKind> {
+        let mut fired = None;
+        self.faults.retain_mut(|p| {
+            if p.node.is_some_and(|n| n != node) {
+                return true;
+            }
+            if p.after_cmds > 0 {
+                p.after_cmds -= 1;
+                return true;
+            }
+            if fired.is_none() {
+                fired = Some(p.kind);
+                return false;
+            }
+            true
+        });
+        fired
+    }
+}
+
+/// A node's delegation process: what every connection, the reaper tick and
+/// the supervisor act on.
 struct NodeCtl {
-    scif: Arc<ScifFabric>,
+    /// Weak: the fabric's listener table owns this daemon, not the reverse.
+    scif: Weak<ScifFabric>,
     ib: Arc<IbFabric>,
+    vctx: VerbsContext,
     node: NodeId,
     stats: DcfaStats,
     cfg: DaemonConfig,
     shared: Mutex<NodeShared>,
-    /// Notified when a session is created; the lease reaper blocks on it
-    /// while there is nothing to watch (a polling daemon would otherwise
-    /// keep the event queue non-empty and the simulation alive forever).
-    session_added: SimEvent,
+}
+
+impl NodeCtl {
+    fn cluster(&self) -> &Arc<Cluster> {
+        self.ib.cluster()
+    }
+
+    fn cost(&self) -> &fabric::CostModel {
+        &self.cluster().config().cost
+    }
+
+    fn emit(&self, ev: CtrlEvent) {
+        if let Some(hook) = &self.cfg.hook {
+            hook(&ev);
+        }
+    }
+
+    /// Whether `client` has a live session: without one (no `Hello` yet,
+    /// or the lease was reclaimed) it must re-attach.
+    fn has_session(&self, client: Option<u32>) -> bool {
+        self.shared.lock().session(client).is_some()
+    }
+
+    /// Run `f` on `client`'s session if it still exists.
+    fn with_session<R>(&self, client: Option<u32>, f: impl FnOnce(&mut Session) -> R) -> Option<R> {
+        self.shared.lock().session(client).map(f)
+    }
+
+    /// Deregister `key` on the HCA and, for a host twin, free its pages.
+    fn release(&self, key: u32, buf: &Buffer, is_offload: bool) {
+        if let Some(mr) = self.ib.mr_handle(verbs::MrKey(key)) {
+            self.vctx.dereg_mr(&mr);
+        }
+        if is_offload {
+            self.cluster().free(buf);
+        }
+    }
+
+    /// Clean teardown of a session's objects: deregister every MR and free
+    /// offload twins. Used by `Bye`, decode-storm disconnects and the reaper.
+    fn drain_objects(&self, objects: HashMap<u32, (Buffer, bool)>) {
+        for (key, (buf, is_offload)) in objects {
+            self.release(key, &buf, is_offload);
+            self.stats.update(|c| {
+                if is_offload {
+                    c.offload_deregistered += 1;
+                } else {
+                    c.mr_deregistered += 1;
+                }
+            });
+        }
+    }
+
+    /// Remove `client`'s session (if any) and drain it cleanly.
+    fn drain_client(&self, client: Option<u32>) {
+        let Some(id) = client else { return };
+        let sess = self.shared.lock().sessions.remove(&id);
+        if let Some(sess) = sess {
+            self.drain_objects(sess.objects);
+        }
+    }
 }
 
 fn host_ref(node: NodeId) -> MemRef {
@@ -308,19 +408,12 @@ fn host_ref(node: NodeId) -> MemRef {
     }
 }
 
-fn emit(ctl: &NodeCtl, ev: CtrlEvent) {
-    if let Some(hook) = &ctl.cfg.hook {
-        hook(&ev);
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Spawning
+// Bringing a daemon up
 // ---------------------------------------------------------------------------
 
-/// Spawn one DCFA host daemon per cluster node. Must run before any
-/// [`crate::DcfaContext::open`] (clients retry briefly, so same-instant
-/// spawn ordering is forgiving). Returns a cluster-wide counter handle
+/// Start one DCFA host daemon per cluster node. Must run before any
+/// [`crate::DcfaContext::open`]. Returns a cluster-wide counter handle
 /// aggregated across all node daemons.
 pub fn spawn_daemons(
     sched: &Scheduler,
@@ -333,46 +426,19 @@ pub fn spawn_daemons(
 /// [`spawn_daemons`] with explicit daemon tunables (fault plans, lease
 /// TTL, restart delay, control-plane hook).
 pub fn spawn_daemons_with(
-    sched: &Scheduler,
+    _sched: &Scheduler,
     scif_fabric: &Arc<ScifFabric>,
     ib: &Arc<IbFabric>,
     cfg: DaemonConfig,
 ) -> DcfaStats {
     let stats = DcfaStats::default();
     for n in 0..scif_fabric.cluster().num_nodes() {
-        spawn_node_daemon_cfg(
-            sched,
-            scif_fabric,
-            ib,
-            NodeId(n),
-            cfg.clone(),
-            stats.clone(),
-        );
+        start_node_daemon(scif_fabric, ib, NodeId(n), cfg.clone(), stats.clone());
     }
     stats
 }
 
-/// Spawn the DCFA host daemon for one node.
-pub fn spawn_node_daemon(
-    sched: &Scheduler,
-    scif_fabric: &Arc<ScifFabric>,
-    ib: &Arc<IbFabric>,
-    node: NodeId,
-) -> DcfaStats {
-    let stats = DcfaStats::default();
-    spawn_node_daemon_cfg(
-        sched,
-        scif_fabric,
-        ib,
-        node,
-        DaemonConfig::default(),
-        stats.clone(),
-    );
-    stats
-}
-
-fn spawn_node_daemon_cfg(
-    sched: &Scheduler,
+fn start_node_daemon(
     scif_fabric: &Arc<ScifFabric>,
     ib: &Arc<IbFabric>,
     node: NodeId,
@@ -381,8 +447,9 @@ fn spawn_node_daemon_cfg(
 ) {
     let faults = cfg.faults.clone();
     let ctl = Arc::new(NodeCtl {
-        scif: scif_fabric.clone(),
+        scif: Arc::downgrade(scif_fabric),
         ib: ib.clone(),
+        vctx: VerbsContext::open(ib.clone(), node, Domain::Host),
         node,
         stats,
         cfg,
@@ -391,140 +458,90 @@ fn spawn_node_daemon_cfg(
             next_client: 1,
             sessions: HashMap::new(),
             faults,
+            reaper_armed: false,
         }),
-        session_added: SimEvent::new(),
     });
-    spawn_acceptor(sched, ctl.clone(), 1);
-    spawn_reaper(sched, ctl);
+    listen(ctl);
 }
 
-/// One daemon incarnation: listen, accept, hand each connection to a
-/// dedicated handler stamped with the current epoch.
-fn spawn_acceptor(sched: &Scheduler, ctl: Arc<NodeCtl>, incarnation: u32) {
-    sched.spawn_daemon(
-        format!("dcfa-daemon-{}.e{incarnation}", ctl.node),
-        move |ctx| {
-            let listener = ctl.scif.listen(host_ref(ctl.node), DCFA_PORT);
-            let mut conn_id = 0u32;
-            loop {
-                let ep = listener.accept(ctx);
-                ctl.stats.update(|c| c.connections += 1);
-                let epoch = ctl.shared.lock().epoch;
-                let ctl2 = ctl.clone();
-                ctx.scheduler().spawn_daemon(
-                    format!("dcfa-handler-{}.e{epoch}.{conn_id}", ctl.node),
-                    move |hctx| handler(hctx, ep, ctl2, epoch),
-                );
-                conn_id += 1;
-            }
-        },
-    );
-}
-
-/// Periodically reclaim sessions whose lease expired (client died without
-/// `Bye`, or lost its command channel for longer than the TTL).
-fn spawn_reaper(sched: &Scheduler, ctl: Arc<NodeCtl>) {
-    let Some(ttl) = ctl.cfg.lease_ttl else {
-        return;
+/// One daemon incarnation opens the port: every connection accepted from
+/// now on is served under the incarnation current at its accept.
+fn listen(ctl: Arc<NodeCtl>) {
+    let Some(scif) = ctl.scif.upgrade() else {
+        return; // the simulation's fabric is gone
     };
-    sched.spawn_daemon(format!("dcfa-reaper-{}", ctl.node), move |ctx| {
-        let vctx = VerbsContext::open(ctl.ib.clone(), ctl.node, Domain::Host);
-        let cluster = ctl.ib.cluster().clone();
-        loop {
-            // Quiesce while there are no leases to watch: a timed poll here
-            // would keep the simulation's event queue busy forever.
-            let seen = ctl.session_added.epoch();
-            if ctl.shared.lock().sessions.is_empty() {
-                ctx.wait_event(&ctl.session_added, seen, "lease reaper idle");
-                continue;
-            }
-            ctx.sleep(ctl.cfg.reaper_period);
-            let now = ctx.now();
-            let expired: Vec<(u32, Session)> = {
-                let mut sh = ctl.shared.lock();
-                let dead: Vec<u32> = sh
-                    .sessions
-                    .iter()
-                    .filter(|(_, s)| now - s.last_seen > ttl)
-                    .map(|(id, _)| *id)
-                    .collect();
-                dead.into_iter()
-                    .filter_map(|id| sh.sessions.remove(&id).map(|s| (id, s)))
-                    .collect()
-            };
-            for (id, sess) in expired {
-                let n = sess.objects.len() as u64;
-                drain_objects(&ctl, &vctx, &cluster, sess.objects);
-                ctl.stats.update(|c| c.leases_reclaimed += 1);
-                emit(
-                    &ctl,
-                    CtrlEvent::LeaseReclaim {
-                        node: ctl.node,
-                        client: id,
-                        objects: n,
-                    },
-                );
-            }
-        }
+    scif.listen_with(host_ref(ctl.node), DCFA_PORT, move |_, ep| {
+        ctl.stats.update(|c| c.connections += 1);
+        let conn = Arc::new(Conn {
+            ctl: ctl.clone(),
+            epoch: ctl.shared.lock().epoch,
+            st: Mutex::new(ConnState {
+                client: None,
+                decode_failures: 0,
+                inbox: VecDeque::new(),
+                busy: false,
+                free_at: SimTime::ZERO,
+                closed: false,
+            }),
+        });
+        ep.on_recv(move |sched, ep, raw| conn.arrived(sched, ep, raw));
     });
 }
 
 // ---------------------------------------------------------------------------
-// Fault firing and drains
+// Lease reaper
 // ---------------------------------------------------------------------------
 
-/// Tick every armed plan matching this node; fire (and consume) the first
-/// that has skipped its quota. Mirrors `Cluster::take_link_fault`.
-fn take_daemon_fault(ctl: &NodeCtl) -> Option<DaemonFaultKind> {
-    let node = ctl.node;
-    let mut sh = ctl.shared.lock();
-    let mut fired = None;
-    sh.faults.retain_mut(|p| {
-        if p.node.is_some_and(|n| n != node) {
-            return true;
-        }
-        if p.after_cmds > 0 {
-            p.after_cmds -= 1;
-            return true;
-        }
-        if fired.is_none() {
-            fired = Some(p.kind);
-            return false;
-        }
-        true
-    });
-    fired
+/// A session exists (the caller holds `sh`, having just made sure of
+/// one): see that a reaper tick is queued, one `reaper_period` from now.
+fn arm_reaper(ctl: &Arc<NodeCtl>, sh: &mut NodeShared, sched: &Scheduler) {
+    if ctl.cfg.lease_ttl.is_none() || std::mem::replace(&mut sh.reaper_armed, true) {
+        return;
+    }
+    let ctl = ctl.clone();
+    sched.call_after(ctl.cfg.reaper_period, move |s| reaper_tick(ctl, s));
 }
 
-/// Clean teardown of a session's objects: deregister every MR and free
-/// offload twins. Used by `Bye`, decode-storm disconnects and the reaper.
-fn drain_objects(
-    ctl: &NodeCtl,
-    vctx: &VerbsContext,
-    cluster: &Arc<Cluster>,
-    objects: HashMap<u32, (Buffer, bool)>,
-) {
-    for (key, (buf, is_offload)) in objects {
-        if let Some(mr) = ib_mr(&ctl.ib, key) {
-            vctx.dereg_mr(&mr);
+/// Reclaim sessions whose lease expired (client died without `Bye`, or
+/// lost its command channel for longer than the TTL), then tick again one
+/// period on — unless no session is left to watch.
+fn reaper_tick(ctl: Arc<NodeCtl>, sched: &Scheduler) {
+    let ttl = ctl.cfg.lease_ttl.expect("armed only with a TTL");
+    let now = sched.now();
+    let expired: Vec<(u32, Session)> = {
+        let mut sh = ctl.shared.lock();
+        let dead: Vec<u32> = sh
+            .sessions
+            .iter()
+            .filter(|(_, s)| now - s.last_seen > ttl)
+            .map(|(id, _)| *id)
+            .collect();
+        let expired = dead
+            .into_iter()
+            .filter_map(|id| sh.sessions.remove(&id).map(|s| (id, s)))
+            .collect();
+        sh.reaper_armed = !sh.sessions.is_empty();
+        if sh.reaper_armed {
+            let ctl = ctl.clone();
+            sched.call_after(ctl.cfg.reaper_period, move |s| reaper_tick(ctl, s));
         }
-        if is_offload {
-            cluster.free(&buf);
-            ctl.stats.update(|c| c.offload_deregistered += 1);
-        } else {
-            ctl.stats.update(|c| c.mr_deregistered += 1);
-        }
+        expired
+    };
+    for (id, sess) in expired {
+        let n = sess.objects.len() as u64;
+        ctl.drain_objects(sess.objects);
+        ctl.stats.update(|c| c.leases_reclaimed += 1);
+        ctl.emit(CtrlEvent::LeaseReclaim {
+            node: ctl.node,
+            client: id,
+            objects: n,
+        });
     }
 }
 
-/// Remove `client`'s session (if any) and drain it cleanly.
-fn drain_client(ctl: &NodeCtl, vctx: &VerbsContext, cluster: &Arc<Cluster>, client: Option<u32>) {
-    let Some(id) = client else { return };
-    let sess = ctl.shared.lock().sessions.remove(&id);
-    if let Some(sess) = sess {
-        drain_objects(ctl, vctx, cluster, sess.objects);
-    }
-}
+// ---------------------------------------------------------------------------
+// Crash and respawn
+// ---------------------------------------------------------------------------
 
 /// The delegation process dies: all sessions are lost. Host twin buffers
 /// lived in the daemon's address space, so they are deregistered and their
@@ -532,313 +549,440 @@ fn drain_client(ctl: &NodeCtl, vctx: &VerbsContext, cluster: &Arc<Cluster>, clie
 /// are kernel-owned) but their hash-table metadata is gone until the client
 /// replays its journal. The listen port closes until the supervisor
 /// respawns the daemon one `restart_delay` later under a bumped epoch.
-fn crash(
-    ctx: &mut Ctx,
-    ctl: &Arc<NodeCtl>,
-    vctx: &VerbsContext,
-    cluster: &Arc<Cluster>,
-    my_epoch: u32,
-) {
+/// Every connection of the dead incarnation stops where it is: a command
+/// it was serving is never answered.
+fn crash(ctl: &Arc<NodeCtl>, sched: &Scheduler, my_epoch: u32) {
     let sessions = {
         let mut sh = ctl.shared.lock();
         if sh.epoch != my_epoch {
-            return; // another handler already crashed this incarnation
+            return; // another connection already crashed this incarnation
         }
         sh.epoch = my_epoch + 1;
         std::mem::take(&mut sh.sessions)
     };
     let new_epoch = my_epoch + 1;
     ctl.stats.update(|c| c.daemon_crashes += 1);
-    emit(
-        ctl,
-        CtrlEvent::DaemonCrash {
-            node: ctl.node,
-            epoch: new_epoch,
-        },
-    );
+    ctl.emit(CtrlEvent::DaemonCrash {
+        node: ctl.node,
+        epoch: new_epoch,
+    });
     for (_, sess) in sessions {
         for (key, (buf, is_offload)) in sess.objects {
             if is_offload {
-                if let Some(mr) = ib_mr(&ctl.ib, key) {
-                    vctx.dereg_mr(&mr);
-                }
-                cluster.free(&buf);
+                ctl.release(key, &buf, true);
                 ctl.stats.update(|c| c.offload_deregistered += 1);
             }
         }
     }
-    ctl.scif.unlisten(host_ref(ctl.node), DCFA_PORT);
-    let ctl2 = ctl.clone();
-    ctx.scheduler()
-        .call_after(ctl.cfg.restart_delay, move |sched| {
-            ctl2.stats.update(|c| c.daemon_respawns += 1);
-            emit(
-                &ctl2,
-                CtrlEvent::DaemonRespawn {
-                    node: ctl2.node,
-                    epoch: new_epoch,
-                },
-            );
-            spawn_acceptor(sched, ctl2.clone(), new_epoch);
+    if let Some(scif) = ctl.scif.upgrade() {
+        scif.unlisten(host_ref(ctl.node), DCFA_PORT);
+    }
+    let ctl = ctl.clone();
+    sched.call_after(ctl.cfg.restart_delay, move |_| {
+        ctl.stats.update(|c| c.daemon_respawns += 1);
+        ctl.emit(CtrlEvent::DaemonRespawn {
+            node: ctl.node,
+            epoch: new_epoch,
         });
+        listen(ctl);
+    });
 }
 
 // ---------------------------------------------------------------------------
-// The handler
+// Serving a connection
 // ---------------------------------------------------------------------------
 
-/// Serve one CMD client until `Bye`, a decode storm, or the death of this
-/// daemon incarnation.
-fn handler(ctx: &mut Ctx, ep: ScifEndpoint, ctl: Arc<NodeCtl>, my_epoch: u32) {
-    let vctx = VerbsContext::open(ctl.ib.clone(), ctl.node, Domain::Host);
-    let cluster = ctl.ib.cluster().clone();
-    let cost = cluster.config().cost.clone();
-    let mut client: Option<u32> = None;
-    let mut decode_failures = 0u32;
+/// One accepted connection. Nothing runs between its events: it is this
+/// record, stepped by `call_at` at the instants a handler process serving
+/// the connection would have read or written shared state.
+///
+/// | instant | event | reads / writes | fault that can fire |
+/// |---|---|---|---|
+/// | a frame arrives | `arrived` | decoded into the inbox; if idle, service starts when this side is free | — |
+/// | + receive `cpu_op` | `received` | incarnation; decode-failure count (storm → drain, disconnect); heartbeat → lease renewed, done | — |
+/// | + `cmd_host_work` | `worked` | incarnation; dedup cache (hit → replayed reply, done); fault plans tick; session; everything a non-registering command does | `Crash`, `DropReply`, `DelayReply` |
+/// | + registration charge | `registered` | incarnation; HCA registration; session insert, or undo if the lease went meanwhile | — |
+/// | reply leaves `cpu_op` later, arrives `scif_msg_latency` + copy after that | `answer` | counters, dedup cache; the next queued frame starts when the reply has left | held `delay_reply`, or never sent |
+///
+/// One command at a time: frames that arrive meanwhile wait in the inbox,
+/// in order. An incarnation that died (a crash fired from *any* of the
+/// node's connections) is noticed at the next step, which closes the
+/// connection and sends nothing.
+struct Conn {
+    ctl: Arc<NodeCtl>,
+    /// The incarnation that accepted this connection.
+    epoch: u32,
+    st: Mutex<ConnState>,
+}
 
-    loop {
-        let raw = ep.recv(ctx);
-        if ctl.shared.lock().epoch != my_epoch {
-            // Our incarnation crashed while we were blocked; the process is
-            // gone, so the command goes unanswered and the client's timeout
-            // path takes over.
-            return;
+struct ConnState {
+    client: Option<u32>,
+    /// Consecutive undecodable frames.
+    decode_failures: u32,
+    /// Frames received and not yet served, oldest first; `None` is one
+    /// that did not decode.
+    inbox: VecDeque<Option<(u32, Cmd)>>,
+    /// A frame is in service (or about to be: its first step is queued).
+    busy: bool,
+    /// When idle: the instant the last reply left, before which the next
+    /// frame cannot be taken up.
+    free_at: SimTime,
+    /// `Bye`, a decode storm or the incarnation's death ended service.
+    closed: bool,
+}
+
+/// The command in service, once the fault plans have ticked for it.
+#[derive(Clone, Copy)]
+struct Job {
+    client: Option<u32>,
+    seq: u32,
+    /// `DropReply` or `DelayReply`, if one fired for this command.
+    hold: Option<DaemonFaultKind>,
+}
+
+const NO_SESSION: Reply = Reply::Error {
+    code: err_code::NO_SESSION,
+};
+const UNKNOWN_KEY: Reply = Reply::Error {
+    code: err_code::UNKNOWN_KEY,
+};
+
+/// What a command counts besides itself.
+type Outcome = Option<fn(&mut DcfaCounters)>;
+
+impl Conn {
+    fn cpu_op(&self) -> SimDuration {
+        self.ctl.cost().cpu_op(Domain::Host)
+    }
+
+    /// The delivery event's sink: queue the frame and, if nothing is in
+    /// service, take it up as soon as this side is free.
+    fn arrived(self: &Arc<Self>, sched: &Scheduler, ep: &ScifEndpoint, raw: &[u8]) {
+        let start = {
+            let mut st = self.st.lock();
+            if st.closed {
+                return;
+            }
+            st.inbox.push_back(decode_cmd_frame(raw));
+            if std::mem::replace(&mut st.busy, true) {
+                return;
+            }
+            st.free_at.max(sched.now())
+        };
+        self.take_up(sched, ep.clone(), start);
+    }
+
+    /// Start on the oldest queued frame at `start`: its receive `cpu_op`.
+    fn take_up(self: &Arc<Self>, sched: &Scheduler, ep: ScifEndpoint, start: SimTime) {
+        let conn = self.clone();
+        sched.call_at(start + self.cpu_op(), move |s| conn.received(s, ep));
+    }
+
+    /// The frame in service is done with and this side is free from
+    /// `free_at` on: take up the next one then, or go idle.
+    fn done(self: &Arc<Self>, sched: &Scheduler, ep: ScifEndpoint, free_at: SimTime) {
+        {
+            let mut st = self.st.lock();
+            if st.inbox.is_empty() {
+                st.busy = false;
+                st.free_at = free_at;
+                return;
+            }
         }
-        let Some((seq, cmd)) = decode_cmd_frame(&raw) else {
+        self.take_up(sched, ep, free_at);
+    }
+
+    /// Stop serving: nothing queued is answered, nothing more is read.
+    fn close(&self) {
+        let mut st = self.st.lock();
+        st.closed = true;
+        st.inbox.clear();
+    }
+
+    /// Put `reply` on the wire now; it leaves when its `cpu_op` is paid.
+    fn send(&self, sched: &Scheduler, ep: &ScifEndpoint, seq: u32, reply: &Reply) -> SimTime {
+        let depart = sched.now() + self.cpu_op();
+        ep.send_from(depart, &reply_frame(seq, self.epoch, reply));
+        depart
+    }
+
+    /// Step 1, the receive `cpu_op` paid: is this incarnation still alive,
+    /// did the frame decode, and is it only a heartbeat?
+    fn received(self: Arc<Self>, sched: &Scheduler, ep: ScifEndpoint) {
+        let ctl = &self.ctl;
+        let (frame, client, storm) = {
+            let mut st = self.st.lock();
+            let frame = st.inbox.pop_front().expect("busy with a queued frame");
+            st.decode_failures = match frame {
+                Some(_) => 0,
+                None => st.decode_failures + 1,
+            };
+            let storm = st.decode_failures >= ctl.cfg.decode_storm_limit;
+            (frame, st.client, storm)
+        };
+        let heartbeat = matches!(frame, Some((_, Cmd::Heartbeat)));
+        {
+            let mut sh = ctl.shared.lock();
+            if sh.epoch != self.epoch {
+                // Our incarnation crashed; the process is gone, so the
+                // command goes unanswered and the client's timeout path
+                // takes over.
+                drop(sh);
+                return self.close();
+            }
+            if heartbeat {
+                // Fire-and-forget lease renewal: no reply, no fault ticking.
+                if let Some(s) = sh.session(client) {
+                    s.last_seen = sched.now();
+                }
+            }
+        }
+        let Some((seq, cmd)) = frame else {
             ctl.stats.update(|c| {
                 c.commands += 1;
                 c.errors += 1;
             });
-            decode_failures += 1;
-            if decode_failures >= ctl.cfg.decode_storm_limit {
-                drain_client(&ctl, &vctx, &cluster, client);
-                return;
+            if storm {
+                ctl.drain_client(client);
+                return self.close();
             }
-            ep.send(
-                ctx,
-                &encode_reply_frame(
-                    SEQ_NONE,
-                    my_epoch,
-                    &Reply::Error {
-                        code: err_code::BAD_REQUEST,
-                    },
-                ),
-            );
-            continue;
+            let bad = Reply::Error {
+                code: err_code::BAD_REQUEST,
+            };
+            let free_at = self.send(sched, &ep, SEQ_NONE, &bad);
+            return self.done(sched, ep, free_at);
         };
-        decode_failures = 0;
-
-        if matches!(cmd, Cmd::Heartbeat) {
-            // Fire-and-forget lease renewal: no reply, no fault ticking.
+        if heartbeat {
             ctl.stats.update(|c| c.heartbeats += 1);
-            if let Some(id) = client {
-                let now = ctx.now();
-                if let Some(s) = ctl.shared.lock().sessions.get_mut(&id) {
+            return self.done(sched, ep, sched.now());
+        }
+        // Host CPU work to service any offloaded command.
+        sched.call_after(ctl.cost().cmd_host_work, move |s| {
+            self.worked(s, ep, client, seq, cmd)
+        });
+    }
+
+    /// Step 2, the host work done: answer a retransmission from the dedup
+    /// cache, let the fault plans tick, and do what the command asks —
+    /// all of it unless it registers memory, whose charge comes first.
+    fn worked(
+        self: Arc<Self>,
+        sched: &Scheduler,
+        ep: ScifEndpoint,
+        client: Option<u32>,
+        seq: u32,
+        cmd: Cmd,
+    ) {
+        let ctl = &self.ctl;
+        let now = sched.now();
+        enum Verdict {
+            Dead,
+            Cached(Reply),
+            Fresh(Option<DaemonFaultKind>),
+        }
+        let verdict = {
+            let mut sh = ctl.shared.lock();
+            if sh.epoch != self.epoch {
+                Verdict::Dead
+            } else {
+                let cached = sh.session(client).and_then(|s| {
                     s.last_seen = now;
+                    s.replies.iter().find(|(s2, _)| *s2 == seq).map(|r| r.1)
+                });
+                match cached {
+                    Some(reply) => Verdict::Cached(reply),
+                    None => Verdict::Fresh(sh.take_fault(ctl.node)),
                 }
             }
-            continue;
-        }
-
-        // Host CPU work to service any offloaded command.
-        ctx.sleep(cost.cmd_host_work);
-
-        // Retransmission? Answer from the dedup cache without re-executing.
-        if let Some(id) = client {
-            let now = ctx.now();
-            let cached = {
-                let mut sh = ctl.shared.lock();
-                sh.sessions.get_mut(&id).and_then(|s| {
-                    s.last_seen = now;
-                    s.replies
-                        .iter()
-                        .find(|(s2, _)| *s2 == seq)
-                        .map(|(_, r)| r.clone())
-                })
-            };
-            if let Some(r) = cached {
+        };
+        let hold = match verdict {
+            Verdict::Dead => return self.close(),
+            Verdict::Cached(reply) => {
+                // A retransmission: answered, never re-executed.
                 ctl.stats.update(|c| {
                     c.commands += 1;
                     c.reply_replays += 1;
                 });
-                emit(
-                    &ctl,
-                    CtrlEvent::ReplyReplayed {
+                if let Some(id) = client {
+                    ctl.emit(CtrlEvent::ReplyReplayed {
                         node: ctl.node,
                         client: id,
                         seq,
-                    },
-                );
-                ep.send(ctx, &encode_reply_frame(seq, my_epoch, &r));
-                continue;
+                    });
+                }
+                let free_at = self.send(sched, &ep, seq, &reply);
+                return self.done(sched, ep, free_at);
             }
-        }
-
-        let mut delay_reply = false;
-        let mut drop_reply = false;
-        match take_daemon_fault(&ctl) {
-            Some(DaemonFaultKind::Crash) => {
+            Verdict::Fresh(Some(DaemonFaultKind::Crash)) => {
                 ctl.stats.update(|c| c.commands += 1);
-                crash(ctx, &ctl, &vctx, &cluster, my_epoch);
-                return;
+                crash(ctl, sched, self.epoch);
+                return self.close();
             }
-            Some(DaemonFaultKind::DropReply) => drop_reply = true,
-            Some(DaemonFaultKind::DelayReply) => delay_reply = true,
-            None => {}
-        }
+            Verdict::Fresh(hold) => hold,
+        };
 
-        let mut terminate = false;
-        // What this command counts besides itself. A command's counters
-        // go in under one acquisition, on whichever path it leaves by —
-        // always before its reply does, so a client that has its answer
-        // also sees the command counted.
-        let mut outcome: Option<fn(&mut DcfaCounters)> = None;
+        let mut outcome: Outcome = None;
+        let mut client = client;
+        let job = |client| Job { client, seq, hold };
         let reply = match cmd {
             Cmd::Hello {
                 client: wire_client,
             } => {
-                let now = ctx.now();
                 let id = {
                     let mut sh = ctl.shared.lock();
                     let id = if wire_client == CLIENT_NONE {
-                        let id = sh.next_client;
                         sh.next_client += 1;
-                        id
+                        sh.next_client - 1
                     } else {
                         wire_client
                     };
                     sh.sessions.entry(id).or_insert_with(|| Session::new(now));
+                    arm_reaper(ctl, &mut sh, sched);
                     id
                 };
-                ctl.session_added.notify_all(&ctx.scheduler());
                 if wire_client != CLIENT_NONE {
                     outcome = Some(|c| c.reattaches += 1);
                 }
                 client = Some(id);
+                self.st.lock().client = client;
                 Reply::Hello { client: id }
             }
-            Cmd::Heartbeat => unreachable!("handled above"),
+            Cmd::Heartbeat => unreachable!("answered at the receive"),
             Cmd::CreateQp | Cmd::CreateCq => Reply::Ok,
-            Cmd::RegMr { mem, addr, len } => match session_mut(&ctl, client) {
-                Err(e) => e,
-                Ok(()) => {
-                    let buffer = Buffer { mem, addr, len };
-                    // Pin + HCA translation-table update on the host side.
-                    ctx.sleep(cost.host_mr_reg_base + cost.host_mr_reg_per_page * buffer.pages());
-                    let mr = vctx.reg_mr_uncharged(buffer.clone());
-                    let adopted = with_session(&ctl, client, |s| {
-                        s.objects.insert(mr.key().0, (buffer.clone(), false));
-                    });
-                    if adopted.is_some() {
-                        outcome = Some(|c| c.mr_registered += 1);
-                        Reply::MrKey { key: mr.key().0 }
-                    } else {
-                        // The lease expired during the registration sleep;
-                        // undo so nothing dangles outside a session.
-                        vctx.dereg_mr(&mr);
-                        Reply::Error {
-                            code: err_code::NO_SESSION,
-                        }
-                    }
-                }
-            },
-            Cmd::AdoptMr { key } => match session_mut(&ctl, client) {
-                Err(e) => e,
-                Ok(()) => match ib_mr(&ctl.ib, key) {
-                    Some(mr) => {
-                        let buffer = mr.buffer().clone();
-                        with_session(&ctl, client, |s| {
-                            s.objects.insert(key, (buffer.clone(), false));
+            Cmd::RegMr { .. } | Cmd::RegOffloadMr { .. } if !ctl.has_session(client) => NO_SESSION,
+            Cmd::RegMr { .. } | Cmd::RegOffloadMr { .. } => {
+                let buffer = match cmd {
+                    Cmd::RegMr { mem, addr, len } => Ok(Buffer { mem, addr, len }),
+                    // "the corresponding host buffer is then allocated in
+                    // the host delegation process and registered as an
+                    // InfiniBand memory region" (§IV-B4).
+                    Cmd::RegOffloadMr { len } => ctl.cluster().alloc_pages(host_ref(ctl.node), len),
+                    _ => unreachable!("one of the two registrations"),
+                };
+                match buffer {
+                    Ok(buffer) => {
+                        // Pin + HCA translation-table update on the host.
+                        let cost = ctl.cost();
+                        let charge =
+                            cost.host_mr_reg_base + cost.host_mr_reg_per_page * buffer.pages();
+                        let (job, is_offload) =
+                            (job(client), matches!(cmd, Cmd::RegOffloadMr { .. }));
+                        return sched.call_after(charge, move |s| {
+                            self.registered(s, ep, job, buffer, is_offload)
                         });
-                        outcome = Some(|c| c.mrs_adopted += 1);
-                        Reply::MrKey { key }
                     }
-                    None => Reply::Error {
-                        code: err_code::UNKNOWN_KEY,
+                    Err(_) => Reply::Error {
+                        code: err_code::OOM,
                     },
-                },
+                }
+            }
+            Cmd::AdoptMr { .. } if !ctl.has_session(client) => NO_SESSION,
+            Cmd::AdoptMr { key } => match ctl.ib.mr_handle(verbs::MrKey(key)) {
+                Some(mr) => {
+                    let buffer = mr.buffer().clone();
+                    ctl.with_session(client, |s| s.objects.insert(key, (buffer, false)));
+                    outcome = Some(|c| c.mrs_adopted += 1);
+                    Reply::MrKey { key }
+                }
+                None => UNKNOWN_KEY,
             },
             Cmd::DeregMr { key } => {
-                let removed = with_session(&ctl, client, |s| s.objects.remove(&key)).flatten();
-                match removed {
+                match ctl
+                    .with_session(client, |s| s.objects.remove(&key))
+                    .flatten()
+                {
                     Some((buffer, is_offload)) => {
-                        if let Some(mr) = ib_mr(&ctl.ib, key) {
-                            vctx.dereg_mr(&mr);
-                        }
-                        if is_offload {
-                            cluster.free(&buffer);
-                        }
+                        ctl.release(key, &buffer, is_offload);
                         outcome = Some(|c| c.mr_deregistered += 1);
                         Reply::Ok
                     }
-                    None => Reply::Error {
-                        code: err_code::UNKNOWN_KEY,
-                    },
+                    None => UNKNOWN_KEY,
                 }
             }
-            Cmd::RegOffloadMr { len } => match session_mut(&ctl, client) {
-                Err(e) => e,
-                Ok(()) => {
-                    // "the corresponding host buffer is then allocated in the
-                    // host delegation process and registered as an InfiniBand
-                    // memory region" (§IV-B4).
-                    match cluster.alloc_pages(host_ref(ctl.node), len) {
-                        Ok(host_buf) => {
-                            ctx.sleep(
-                                cost.host_mr_reg_base
-                                    + cost.host_mr_reg_per_page * host_buf.pages(),
-                            );
-                            let mr = vctx.reg_mr_uncharged(host_buf.clone());
-                            let adopted = with_session(&ctl, client, |s| {
-                                s.objects.insert(mr.key().0, (host_buf.clone(), true));
-                            });
-                            if adopted.is_some() {
-                                outcome = Some(|c| c.offload_registered += 1);
-                                Reply::Offload {
-                                    key: mr.key().0,
-                                    host_addr: host_buf.addr,
-                                    host_len: host_buf.len,
-                                }
-                            } else {
-                                vctx.dereg_mr(&mr);
-                                cluster.free(&host_buf);
-                                Reply::Error {
-                                    code: err_code::NO_SESSION,
-                                }
-                            }
-                        }
-                        Err(_) => Reply::Error {
-                            code: err_code::OOM,
-                        },
-                    }
-                }
-            },
             Cmd::DeregOffloadMr { key } => {
                 // Idempotent teardown: a key the reaper (or a crash) already
                 // reclaimed — or a whole reclaimed session — is simply gone;
                 // the client's intent is satisfied either way.
-                let removed = with_session(&ctl, client, |s| s.objects.remove(&key)).flatten();
-                if let Some((buffer, _)) = removed {
-                    if let Some(mr) = ib_mr(&ctl.ib, key) {
-                        vctx.dereg_mr(&mr);
-                    }
-                    cluster.free(&buffer);
+                let removed = ctl.with_session(client, |s| s.objects.remove(&key));
+                if let Some((buffer, _)) = removed.flatten() {
+                    ctl.release(key, &buffer, true);
                     outcome = Some(|c| c.offload_deregistered += 1);
                 }
                 Reply::Ok
             }
             Cmd::InjectFault(fault) => {
-                cluster.inject_link_fault(fault);
+                ctl.cluster().inject_link_fault(fault);
                 outcome = Some(|c| c.faults_armed += 1);
                 Reply::Ok
             }
             Cmd::Bye => {
-                drain_client(&ctl, &vctx, &cluster, client);
-                terminate = true;
+                ctl.drain_client(client);
                 Reply::Ok
             }
         };
+        let bye = matches!(cmd, Cmd::Bye);
+        self.answer(sched, ep, job(client), reply, outcome, bye);
+    }
 
+    /// Step 3, the registration charge paid: register on the HCA and put
+    /// the key in the session — or undo, if the lease ran out meanwhile.
+    fn registered(
+        self: Arc<Self>,
+        sched: &Scheduler,
+        ep: ScifEndpoint,
+        job: Job,
+        buffer: Buffer,
+        is_offload: bool,
+    ) {
+        let ctl = &self.ctl;
+        if ctl.shared.lock().epoch != self.epoch {
+            // The process died during the charge: nothing was registered
+            // and a twin's pages go back with its address space.
+            if is_offload {
+                ctl.cluster().free(&buffer);
+            }
+            return self.close();
+        }
+        let key = ctl.vctx.reg_mr_uncharged(buffer.clone()).key().0;
+        let adopted = ctl.with_session(job.client, |s| {
+            s.objects.insert(key, (buffer.clone(), is_offload));
+        });
+        let (reply, outcome): (Reply, Outcome) = match (adopted, is_offload) {
+            (None, _) => {
+                // The lease expired during the charge; undo so nothing
+                // dangles outside a session.
+                ctl.release(key, &buffer, is_offload);
+                (NO_SESSION, None)
+            }
+            (Some(()), false) => (Reply::MrKey { key }, Some(|c| c.mr_registered += 1)),
+            (Some(()), true) => (
+                Reply::Offload {
+                    key,
+                    host_addr: buffer.addr,
+                    host_len: buffer.len,
+                },
+                Some(|c| c.offload_registered += 1),
+            ),
+        };
+        self.answer(sched, ep, job, reply, outcome, false);
+    }
+
+    /// The command has executed: count it, remember its reply for
+    /// retransmit deduplication, and send it — now, after `delay_reply`,
+    /// or never, as the fault that fired for it says.
+    fn answer(
+        self: Arc<Self>,
+        sched: &Scheduler,
+        ep: ScifEndpoint,
+        Job { client, seq, hold }: Job,
+        reply: Reply,
+        outcome: Outcome,
+        bye: bool,
+    ) {
+        let ctl = &self.ctl;
+        // A command's counters go in under one acquisition, on whichever
+        // path it leaves by — always before its reply does, so a client
+        // that has its answer also sees the command counted.
         let failed = matches!(reply, Reply::Error { .. });
         ctl.stats.update(|c| {
             c.commands += 1;
@@ -847,53 +991,34 @@ fn handler(ctx: &mut Ctx, ep: ScifEndpoint, ctl: Arc<NodeCtl>, my_epoch: u32) {
             }
             c.errors += u64::from(failed);
         });
-        // Remember the reply for retransmit deduplication.
-        if let Some(id) = client {
-            let depth = ctl.cfg.dedup_depth;
-            let mut sh = ctl.shared.lock();
-            if let Some(s) = sh.sessions.get_mut(&id) {
-                s.replies.push_back((seq, reply.clone()));
-                while s.replies.len() > depth {
-                    s.replies.pop_front();
-                }
+        let depth = ctl.cfg.dedup_depth;
+        ctl.with_session(client, |s| {
+            s.replies.push_back((seq, reply));
+            while s.replies.len() > depth {
+                s.replies.pop_front();
+            }
+        });
+        // After `Bye` nothing more is read; otherwise the next frame can
+        // be taken up when the reply has left.
+        let finish = move |conn: &Arc<Self>, sched: &Scheduler, ep, free_at| match bye {
+            true => conn.close(),
+            false => conn.done(sched, ep, free_at),
+        };
+        match hold {
+            Some(DaemonFaultKind::DropReply) => finish(&self, sched, ep, sched.now()),
+            Some(DaemonFaultKind::DelayReply) => {
+                sched.call_after(ctl.cfg.delay_reply, move |s| {
+                    if self.ctl.shared.lock().epoch != self.epoch {
+                        return self.close();
+                    }
+                    let free_at = self.send(s, &ep, seq, &reply);
+                    finish(&self, s, ep, free_at);
+                });
+            }
+            _ => {
+                let free_at = self.send(sched, &ep, seq, &reply);
+                finish(&self, sched, ep, free_at);
             }
         }
-        if delay_reply {
-            ctx.sleep(ctl.cfg.delay_reply);
-        }
-        if !drop_reply {
-            ep.send(ctx, &encode_reply_frame(seq, my_epoch, &reply));
-        }
-        if terminate {
-            return;
-        }
     }
-}
-
-/// `Ok(())` if `client` has a live session, else the error reply to send
-/// (no `Hello` yet, or the lease was reclaimed → client must re-attach).
-fn session_mut(ctl: &NodeCtl, client: Option<u32>) -> Result<(), Reply> {
-    let ok = client.is_some_and(|id| ctl.shared.lock().sessions.contains_key(&id));
-    if ok {
-        Ok(())
-    } else {
-        Err(Reply::Error {
-            code: err_code::NO_SESSION,
-        })
-    }
-}
-
-/// Run `f` on `client`'s session if it still exists.
-fn with_session<R>(
-    ctl: &NodeCtl,
-    client: Option<u32>,
-    f: impl FnOnce(&mut Session) -> R,
-) -> Option<R> {
-    let id = client?;
-    let mut sh = ctl.shared.lock();
-    sh.sessions.get_mut(&id).map(f)
-}
-
-fn ib_mr(ib: &Arc<IbFabric>, key: u32) -> Option<verbs::MemoryRegion> {
-    ib.mr_handle(verbs::MrKey(key))
 }

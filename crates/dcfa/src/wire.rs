@@ -5,10 +5,14 @@
 //!
 //! On the wire every command is framed with a client-assigned sequence id
 //! and every reply echoes that id plus the daemon's incarnation epoch
-//! ([`encode_cmd_frame`]/[`encode_reply_frame`]): sequence ids let the
-//! daemon deduplicate retransmissions (a timed-out command is answered from
-//! a reply cache, never re-executed), and the epoch lets a client detect
-//! that the daemon restarted underneath it and replay its resource journal.
+//! ([`cmd_frame`]/[`reply_frame`]): sequence ids let the daemon deduplicate
+//! retransmissions (a timed-out command is answered from a reply cache,
+//! never re-executed), and the epoch lets a client detect that the daemon
+//! restarted underneath it and replay its resource journal.
+//!
+//! Everything encodes in place into a [`Frame`], a fixed buffer on the
+//! caller's stack: the largest frame is 29 bytes, and the command channel
+//! makes no heap block for one.
 
 use fabric::{Domain, LinkFault, LinkFaultKind, MemRef, NodeId};
 
@@ -59,7 +63,7 @@ pub enum Cmd {
 }
 
 /// Replies from the host CMD server.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reply {
     Ok,
     /// MR registered under `key`.
@@ -93,12 +97,49 @@ pub mod err_code {
     pub const NO_SESSION: u8 = 4;
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Capacity of a [`Frame`]: the largest frame is a reply frame carrying
+/// [`Reply::Offload`], 4 + 4 + 1 + 4 + 8 + 8 = 29 bytes.
+pub const FRAME_MAX: usize = 32;
+
+/// An encoded command, reply or frame, by value. Reads as its bytes.
+#[derive(Clone, Copy)]
+pub struct Frame {
+    len: usize,
+    bytes: [u8; FRAME_MAX],
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+impl Frame {
+    fn new() -> Frame {
+        Frame {
+            len: 0,
+            bytes: [0; FRAME_MAX],
+        }
+    }
+
+    fn put(&mut self, field: &[u8]) {
+        self.bytes[self.len..self.len + field.len()].copy_from_slice(field);
+        self.len += field.len();
+    }
+
+    fn put_u8(&mut self, v: u8) {
+        self.put(&[v]);
+    }
+
+    fn put_u32(&mut self, v: u32) {
+        self.put(&v.to_le_bytes());
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.put(&v.to_le_bytes());
+    }
+}
+
+impl std::ops::Deref for Frame {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
 }
 
 struct Reader<'a> {
@@ -176,49 +217,53 @@ fn node_scope_from(v: u32) -> Option<NodeId> {
 }
 
 impl Cmd {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(32);
+    pub fn encode(&self) -> Frame {
+        let mut b = Frame::new();
+        self.encode_into(&mut b);
+        b
+    }
+
+    fn encode_into(&self, b: &mut Frame) {
         match self {
             Cmd::Hello { client } => {
-                b.push(0);
-                put_u32(&mut b, *client);
+                b.put_u8(0);
+                b.put_u32(*client);
             }
             Cmd::RegMr { mem, addr, len } => {
-                b.push(1);
-                put_u32(&mut b, mem.node.0 as u32);
-                b.push(domain_tag(mem.domain));
-                put_u64(&mut b, *addr);
-                put_u64(&mut b, *len);
+                b.put_u8(1);
+                b.put_u32(mem.node.0 as u32);
+                b.put_u8(domain_tag(mem.domain));
+                b.put_u64(*addr);
+                b.put_u64(*len);
             }
             Cmd::DeregMr { key } => {
-                b.push(2);
-                put_u32(&mut b, *key);
+                b.put_u8(2);
+                b.put_u32(*key);
             }
-            Cmd::CreateQp => b.push(3),
-            Cmd::CreateCq => b.push(4),
+            Cmd::CreateQp => b.put_u8(3),
+            Cmd::CreateCq => b.put_u8(4),
             Cmd::RegOffloadMr { len } => {
-                b.push(5);
-                put_u64(&mut b, *len);
+                b.put_u8(5);
+                b.put_u64(*len);
             }
             Cmd::DeregOffloadMr { key } => {
-                b.push(6);
-                put_u32(&mut b, *key);
+                b.put_u8(6);
+                b.put_u32(*key);
             }
-            Cmd::Bye => b.push(7),
+            Cmd::Bye => b.put_u8(7),
             Cmd::InjectFault(f) => {
-                b.push(8);
-                put_u64(&mut b, f.after_ops);
-                b.push(fault_kind_tag(f.kind));
-                put_u32(&mut b, node_scope_tag(f.from));
-                put_u32(&mut b, node_scope_tag(f.to));
+                b.put_u8(8);
+                b.put_u64(f.after_ops);
+                b.put_u8(fault_kind_tag(f.kind));
+                b.put_u32(node_scope_tag(f.from));
+                b.put_u32(node_scope_tag(f.to));
             }
-            Cmd::Heartbeat => b.push(9),
+            Cmd::Heartbeat => b.put_u8(9),
             Cmd::AdoptMr { key } => {
-                b.push(10);
-                put_u32(&mut b, *key);
+                b.put_u8(10);
+                b.put_u32(*key);
             }
         }
-        b
     }
 
     pub fn decode(data: &[u8]) -> Option<Cmd> {
@@ -255,10 +300,10 @@ impl Cmd {
 }
 
 /// Frame a command with its client-assigned sequence id.
-pub fn encode_cmd_frame(seq: u32, cmd: &Cmd) -> Vec<u8> {
-    let mut b = Vec::with_capacity(36);
-    put_u32(&mut b, seq);
-    b.extend_from_slice(&cmd.encode());
+pub fn cmd_frame(seq: u32, cmd: &Cmd) -> Frame {
+    let mut b = Frame::new();
+    b.put_u32(seq);
+    cmd.encode_into(&mut b);
     b
 }
 
@@ -273,11 +318,11 @@ pub fn decode_cmd_frame(data: &[u8]) -> Option<(u32, Cmd)> {
 
 /// Frame a reply with the sequence id it answers and the daemon's
 /// incarnation epoch.
-pub fn encode_reply_frame(seq: u32, epoch: u32, reply: &Reply) -> Vec<u8> {
-    let mut b = Vec::with_capacity(32);
-    put_u32(&mut b, seq);
-    put_u32(&mut b, epoch);
-    b.extend_from_slice(&reply.encode());
+pub fn reply_frame(seq: u32, epoch: u32, reply: &Reply) -> Frame {
+    let mut b = Frame::new();
+    b.put_u32(seq);
+    b.put_u32(epoch);
+    reply.encode_into(&mut b);
     b
 }
 
@@ -292,34 +337,38 @@ pub fn decode_reply_frame(data: &[u8]) -> Option<(u32, u32, Reply)> {
 }
 
 impl Reply {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(24);
+    pub fn encode(&self) -> Frame {
+        let mut b = Frame::new();
+        self.encode_into(&mut b);
+        b
+    }
+
+    fn encode_into(&self, b: &mut Frame) {
         match self {
-            Reply::Ok => b.push(0),
+            Reply::Ok => b.put_u8(0),
             Reply::MrKey { key } => {
-                b.push(1);
-                put_u32(&mut b, *key);
+                b.put_u8(1);
+                b.put_u32(*key);
             }
             Reply::Offload {
                 key,
                 host_addr,
                 host_len,
             } => {
-                b.push(2);
-                put_u32(&mut b, *key);
-                put_u64(&mut b, *host_addr);
-                put_u64(&mut b, *host_len);
+                b.put_u8(2);
+                b.put_u32(*key);
+                b.put_u64(*host_addr);
+                b.put_u64(*host_len);
             }
             Reply::Error { code } => {
-                b.push(3);
-                b.push(*code);
+                b.put_u8(3);
+                b.put_u8(*code);
             }
             Reply::Hello { client } => {
-                b.push(4);
-                put_u32(&mut b, *client);
+                b.put_u8(4);
+                b.put_u32(*client);
             }
         }
-        b
     }
 
     pub fn decode(data: &[u8]) -> Option<Reply> {
@@ -404,7 +453,8 @@ mod tests {
             from: None,
             to: None,
         })
-        .encode();
+        .encode()
+        .to_vec();
         enc[9] = 5; // corrupt the fault-kind byte (after tag + after_ops)
         assert_eq!(Cmd::decode(&enc), None);
     }
@@ -430,18 +480,18 @@ mod tests {
     #[test]
     fn frames_carry_seq_and_epoch() {
         let cmd = Cmd::RegOffloadMr { len: 4096 };
-        let enc = encode_cmd_frame(77, &cmd);
+        let enc = cmd_frame(77, &cmd);
         assert_eq!(decode_cmd_frame(&enc), Some((77, cmd)));
 
         let reply = Reply::MrKey { key: 5 };
-        let enc = encode_reply_frame(77, 3, &reply);
+        let enc = reply_frame(77, 3, &reply);
         assert_eq!(decode_reply_frame(&enc), Some((77, 3, reply)));
 
         // Truncated frames and frames wrapping garbage are rejected.
         assert_eq!(decode_cmd_frame(&[1, 2, 3]), None);
         assert_eq!(decode_cmd_frame(&77u32.to_le_bytes()), None);
         assert_eq!(decode_reply_frame(&[0; 7]), None);
-        let mut bad = encode_reply_frame(1, 1, &Reply::Ok);
+        let mut bad = reply_frame(1, 1, &Reply::Ok).to_vec();
         bad.push(0);
         assert_eq!(decode_reply_frame(&bad), None);
     }
@@ -458,11 +508,12 @@ mod tests {
             addr: 1,
             len: 2,
         }
-        .encode();
+        .encode()
+        .to_vec();
         enc.pop();
         assert_eq!(Cmd::decode(&enc), None);
         // Trailing junk rejected too.
-        let mut enc = Cmd::Heartbeat.encode();
+        let mut enc = Cmd::Heartbeat.encode().to_vec();
         enc.push(0);
         assert_eq!(Cmd::decode(&enc), None);
         assert_eq!(Reply::decode(&[9, 9]), None);

@@ -392,6 +392,77 @@ fn two_clients_survive_a_shared_daemon_crash() {
     assert!(c.reattaches >= 1, "{c:?}");
 }
 
+#[test]
+fn a_crashed_incarnation_does_not_answer_the_command_it_was_serving() {
+    // Two clients, one node. B's 1 MiB RegMr is in its registration charge
+    // (15.5 us) when A's command trips the crash plan. The delegation
+    // process is dead: B's command gets no reply — not the NO_SESSION a
+    // handler that outlived its incarnation used to send, stamped with the
+    // dead epoch — and nothing is registered for it. B times out,
+    // re-attaches, replays its journal and registers against the new
+    // incarnation.
+    let mut r = rig_with(
+        1,
+        DaemonConfig {
+            // Hello, Hello, B's first RegMr, B's 1 MiB RegMr; then A's.
+            faults: vec![crash_after(4)],
+            ..DaemonConfig::default()
+        },
+    );
+    let big_seq = Arc::new(Mutex::new(None));
+    let (ib, scif, cfg) = (r.ib.clone(), r.scif.clone(), client_cfg(&r));
+    r.sim.spawn("a", move |ctx| {
+        let cl = ib.cluster().clone();
+        let d = DcfaContext::open_with(ctx, &ib, &scif, NodeId(0), cfg).unwrap();
+        // B's big registration is in its charge from 79.9 to 95.4 us; a
+        // command issued now reaches its fault tick 9.4 us later.
+        ctx.sleep(SimDuration::from_micros(78) - ctx.now().since(simcore::SimTime::ZERO));
+        let mr = d
+            .reg_mr(ctx, cl.alloc_pages(phi(0), 4096).unwrap())
+            .unwrap();
+        assert_eq!(d.ctrl_epoch(), 1);
+        d.dereg_mr(ctx, &mr).unwrap();
+        d.close(ctx);
+    });
+    let (ib, scif, cfg) = (r.ib.clone(), r.scif.clone(), client_cfg(&r));
+    let big_seq2 = big_seq.clone();
+    r.sim.spawn("b", move |ctx| {
+        let cl = ib.cluster().clone();
+        let d = DcfaContext::open_with(ctx, &ib, &scif, NodeId(0), cfg).unwrap();
+        let small = d
+            .reg_mr(ctx, cl.alloc_pages(phi(0), 4096).unwrap())
+            .unwrap();
+        // Hello was sequence 1, the small registration 2.
+        *big_seq2.lock() = Some((d.client_id(), 3u32));
+        let big = d
+            .reg_mr(ctx, cl.alloc_pages(phi(0), 1 << 20).unwrap())
+            .unwrap();
+        assert_eq!(d.ctrl_epoch(), 1, "exactly one re-attach");
+        assert!(ib.mr_handle(small.key()).is_some(), "the journal replayed");
+        d.dereg_mr(ctx, &big).unwrap();
+        d.dereg_mr(ctx, &small).unwrap();
+        d.close(ctx);
+    });
+    r.sim.run_expect();
+    let c = r.stats.snapshot();
+    assert_eq!((c.daemon_crashes, c.daemon_respawns), (1, 1), "{c:?}");
+    assert_eq!(c.errors, 0, "a dead incarnation replied: {c:?}");
+    assert_eq!((c.reattaches, c.mrs_adopted), (2, 1), "{c:?}");
+    assert_eq!((c.mr_registered, c.mr_deregistered), (3, 3), "{c:?}");
+    let (client, seq) = big_seq.lock().expect("b got that far");
+    let evs = r.events.lock();
+    let timed_out = |e: &&CtrlEvent| matches!(e, CtrlEvent::CmdTimeout { client: c, seq: s } if (*c, *s) == (client, seq));
+    assert_eq!(
+        evs.iter().filter(timed_out).count(),
+        4,
+        "b's command was answered by the incarnation that died serving it"
+    );
+    // Nothing is left on the HCA outside a session: every key ever handed
+    // out is gone again.
+    let left = (1..16).filter(|&k| r.ib.mr_handle(verbs::MrKey(k)).is_some());
+    assert_eq!(left.count(), 0);
+}
+
 // ---- property: random control-plane faults never corrupt bookkeeping ------
 
 proptest! {

@@ -15,13 +15,34 @@
 //!
 //! The DCFA command channel and the Intel-MPI-on-Phi proxy path (HCA proxy
 //! + host IB proxy daemon) are both built on these endpoints.
+//!
+//! # Two delivery styles
+//!
+//! A message is delivered by one scheduler event at its arrival instant.
+//! What that event does is the receiver's choice:
+//!
+//! * **process style** — the receiver is a simulated process: the message
+//!   is queued and the process takes it with [`ScifListener::accept`] /
+//!   [`ScifEndpoint::recv`] / [`ScifEndpoint::recv_timeout`], parking
+//!   until there is one. Code that runs *as a program* on one side (an
+//!   MPI rank's command client, a proxy daemon's loop) reads this way.
+//! * **sink style** — the receiver is state, not a process: a listener
+//!   opened with [`ScifFabric::listen_with`] hands each accepted endpoint
+//!   to a callback, and an endpoint given a sink with
+//!   [`ScifEndpoint::on_recv`] has the delivery event call it with the
+//!   message. A sink charges its own receive work and answers with
+//!   [`ScifEndpoint::send_from`]. The DCFA daemon is served this way: a
+//!   command costs no coroutine and no hand-off.
+//!
+//! Either way a message up to [`INLINE_MAX`] bytes travels inside its
+//! delivery event; only longer ones take a heap block.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use fabric::{Buffer, Cluster, Domain, MemRef, NodeId, Transfer};
 use parking_lot::Mutex;
-use simcore::{Ctx, Mailbox, SimDuration, SimTime};
+use simcore::{Ctx, Mailbox, Scheduler, SimDuration, SimTime};
 
 /// A SCIF port number.
 pub type Port = u16;
@@ -52,12 +73,58 @@ impl std::fmt::Display for ScifError {
 
 impl std::error::Error for ScifError {}
 
-struct ListenerInner {
-    pending: Mailbox<ScifEndpoint>,
+/// Longest message carried inline in its delivery event.
+pub const INLINE_MAX: usize = 64;
+
+/// A message in flight or queued: by value when it fits.
+enum Msg {
+    Inline { len: u8, bytes: [u8; INLINE_MAX] },
+    Heap(Vec<u8>),
+}
+
+impl Msg {
+    fn new(data: &[u8]) -> Msg {
+        if data.len() > INLINE_MAX {
+            return Msg::Heap(data.to_vec());
+        }
+        let mut bytes = [0; INLINE_MAX];
+        bytes[..data.len()].copy_from_slice(data);
+        Msg::Inline {
+            len: data.len() as u8,
+            bytes,
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Msg::Inline { len, bytes } => &bytes[..*len as usize],
+            Msg::Heap(v) => v,
+        }
+    }
+
+    fn into_vec(self) -> Vec<u8> {
+        match self {
+            Msg::Heap(v) => v,
+            inline => inline.as_slice().to_vec(),
+        }
+    }
+}
+
+/// Called with each endpoint a sink-style listener accepts, at the instant
+/// the connection is established.
+type AcceptSink = Box<dyn Fn(&Scheduler, ScifEndpoint) + Send + Sync>;
+
+/// Called by the delivery event with the receiving endpoint and the message.
+type RecvSink = Box<dyn Fn(&Scheduler, &ScifEndpoint, &[u8]) + Send + Sync>;
+
+/// Where a listener's accepted endpoints go.
+enum Accepted {
+    Queue(Mailbox<ScifEndpoint>),
+    Sink(AcceptSink),
 }
 
 struct FabState {
-    listeners: HashMap<(NodeId, Domain, Port), Arc<ListenerInner>>,
+    listeners: HashMap<(NodeId, Domain, Port), Arc<Accepted>>,
 }
 
 /// Registry of SCIF listeners across the cluster.
@@ -80,19 +147,31 @@ impl ScifFabric {
         &self.cluster
     }
 
-    /// Open a listening port at `local`.
+    /// Open a listening port at `local`, process style: a process takes
+    /// the connections with [`ScifListener::accept`].
     pub fn listen(self: &Arc<Self>, local: MemRef, port: Port) -> ScifListener {
-        let inner = Arc::new(ListenerInner {
-            pending: Mailbox::new(),
-        });
+        let pending = Mailbox::new();
+        self.open(local, port, Accepted::Queue(pending.clone()));
+        ScifListener { pending }
+    }
+
+    /// Open a listening port at `local`, sink style: `on_accept` is called
+    /// with each accepted endpoint at the instant its connect completes
+    /// (in the connecting process's context — it must not block).
+    pub fn listen_with(
+        &self,
+        local: MemRef,
+        port: Port,
+        on_accept: impl Fn(&Scheduler, ScifEndpoint) + Send + Sync + 'static,
+    ) {
+        self.open(local, port, Accepted::Sink(Box::new(on_accept)));
+    }
+
+    fn open(&self, local: MemRef, port: Port, accepted: Accepted) {
         self.state
             .lock()
             .listeners
-            .insert((local.node, local.domain, port), inner.clone());
-        ScifListener {
-            fabric: self.clone(),
-            inner,
-        }
+            .insert((local.node, local.domain, port), Arc::new(accepted));
     }
 
     /// Close a listening port at `local`: later connects are refused. The
@@ -133,129 +212,199 @@ impl ScifFabric {
                 port,
             })?;
 
-        // Two unidirectional message lanes.
-        let a_to_b: Mailbox<Vec<u8>> = Mailbox::new();
-        let b_to_a: Mailbox<Vec<u8>> = Mailbox::new();
+        let conn = Arc::new(Conn {
+            cluster: self.cluster.clone(),
+            ends: [local, peer],
+            lanes: [Lane::default(), Lane::default()],
+        });
         let my_end = ScifEndpoint {
-            cluster: self.cluster.clone(),
-            local,
-            peer,
-            tx: a_to_b.clone(),
-            rx: b_to_a.clone(),
+            conn: conn.clone(),
+            side: 0,
         };
-        let their_end = ScifEndpoint {
-            cluster: self.cluster.clone(),
-            local: peer,
-            peer: local,
-            tx: b_to_a,
-            rx: a_to_b,
-        };
+        let their_end = ScifEndpoint { conn, side: 1 };
         // Handshake: one message latency each way.
         let lat = self.cluster.config().cost.scif_msg_latency;
         ctx.sleep(lat * 2);
         let sched = ctx.scheduler();
-        listener.pending.send(&sched, their_end);
+        match &*listener {
+            Accepted::Queue(pending) => pending.send(&sched, their_end),
+            Accepted::Sink(on_accept) => on_accept(&sched, their_end),
+        }
         Ok(my_end)
     }
 }
 
-/// A listening SCIF port.
+/// A listening SCIF port whose connections a process accepts.
 pub struct ScifListener {
-    #[allow(dead_code)]
-    fabric: Arc<ScifFabric>,
-    inner: Arc<ListenerInner>,
+    pending: Mailbox<ScifEndpoint>,
 }
 
 impl ScifListener {
     /// Block until a peer connects; returns the accepted endpoint.
     pub fn accept(&self, ctx: &mut Ctx) -> ScifEndpoint {
-        self.inner.pending.recv(ctx)
+        self.pending.recv(ctx)
     }
+}
+
+/// Messages on their way to one side of a connection: queued for a
+/// process, or handed to the side's sink if it installed one.
+#[derive(Default)]
+struct Lane {
+    queue: Mailbox<Msg>,
+    sink: OnceLock<RecvSink>,
+}
+
+/// An established connection: two ends, one lane toward each.
+struct Conn {
+    cluster: Arc<Cluster>,
+    ends: [MemRef; 2],
+    /// `lanes[side]` carries the messages addressed to `ends[side]`.
+    lanes: [Lane; 2],
 }
 
 /// One side of an established SCIF connection. Cloning yields a second
 /// handle onto the *same* connection (shared message lanes) so auxiliary
-/// processes — e.g. a heartbeat daemon — can send on an endpoint owned by
+/// senders — e.g. a heartbeat tick — can send on an endpoint owned by
 /// another process.
 #[derive(Clone)]
 pub struct ScifEndpoint {
-    cluster: Arc<Cluster>,
-    local: MemRef,
-    peer: MemRef,
-    tx: Mailbox<Vec<u8>>,
-    rx: Mailbox<Vec<u8>>,
+    conn: Arc<Conn>,
+    side: usize,
 }
 
 impl std::fmt::Debug for ScifEndpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScifEndpoint")
-            .field("local", &self.local)
-            .field("peer", &self.peer)
+            .field("local", &self.local())
+            .field("peer", &self.peer())
             .finish_non_exhaustive()
     }
 }
 
 impl ScifEndpoint {
     pub fn local(&self) -> MemRef {
-        self.local
+        self.conn.ends[self.side]
     }
 
     pub fn peer(&self) -> MemRef {
-        self.peer
+        self.conn.ends[1 - self.side]
+    }
+
+    fn cost(&self) -> &fabric::CostModel {
+        &self.conn.cluster.config().cost
     }
 
     /// Send a control message. Delivery is charged the SCIF message latency
     /// plus ring-copy serialization; the *caller* only pays its local copy
     /// into the ring (send returns before delivery, like `scif_send`).
     pub fn send(&self, ctx: &mut Ctx, data: &[u8]) {
-        let cost = &self.cluster.config().cost;
-        let copy = simcore::transfer_time(data.len() as u64, cost.scif_msg_bw);
-        ctx.sleep(cost.cpu_op(self.local.domain));
-        let arrive = ctx.now() + cost.scif_msg_latency + copy;
-        self.tx
-            .send_at(self.cluster.scheduler(), arrive, data.to_vec());
+        ctx.sleep(self.cost().cpu_op(self.local().domain));
+        self.send_from(ctx.now(), data);
+    }
+
+    /// [`ScifEndpoint::send`] for a sender that is not a process: the
+    /// message leaves this side's ring at `depart` — the caller has
+    /// accounted for its own copy into it — and is delivered one message
+    /// latency plus ring-copy serialization later.
+    pub fn send_from(&self, depart: SimTime, data: &[u8]) {
+        let to = ScifEndpoint {
+            conn: self.conn.clone(),
+            side: 1 - self.side,
+        };
+        let msg = Msg::new(data);
+        self.conn
+            .cluster
+            .scheduler()
+            .call_at(depart + self.message_cost(data.len()), move |s| {
+                let lane = &to.conn.lanes[to.side];
+                match lane.sink.get() {
+                    Some(sink) => sink(s, &to, msg.as_slice()),
+                    None => lane.queue.send(s, msg),
+                }
+            });
+    }
+
+    /// Receive sink style from now on: every message that arrives is
+    /// passed, with this endpoint, to `sink` by the event that delivers
+    /// it; nothing is queued and `recv` must not be used. The sink models
+    /// the receive work itself ([`fabric::CostModel::cpu_op`] is what
+    /// [`ScifEndpoint::recv`] charges). Install it before the peer can
+    /// have sent — at accept.
+    ///
+    /// # Panics
+    /// If this side already has a sink.
+    pub fn on_recv(&self, sink: impl Fn(&Scheduler, &ScifEndpoint, &[u8]) + Send + Sync + 'static) {
+        let installed = self.conn.lanes[self.side].sink.set(Box::new(sink));
+        assert!(installed.is_ok(), "an endpoint has one receive sink");
+    }
+
+    /// Take the next message, parking until `deadline` (forever without
+    /// one), and charge the receive.
+    fn take(&self, ctx: &mut Ctx, deadline: Option<SimTime>) -> Option<Msg> {
+        let queue = &self.conn.lanes[self.side].queue;
+        let msg = match deadline {
+            Some(deadline) => queue.recv_deadline(ctx, deadline)?,
+            None => queue.recv(ctx),
+        };
+        ctx.sleep(self.cost().cpu_op(self.local().domain));
+        Some(msg)
     }
 
     /// Blocking receive of one message.
     pub fn recv(&self, ctx: &mut Ctx) -> Vec<u8> {
-        let cost = self.cluster.config().cost.clone();
-        let msg = self.rx.recv(ctx);
-        ctx.sleep(cost.cpu_op(self.local.domain));
-        msg
+        let msg = self.take(ctx, None);
+        msg.expect("a receive without a deadline waits").into_vec()
     }
 
     /// Blocking receive that gives up after `timeout`: returns `None` if no
     /// message arrived by then. The timeout wake and the message wake share
     /// one block epoch, so an abandoned wait can never fire later.
     pub fn recv_timeout(&self, ctx: &mut Ctx, timeout: SimDuration) -> Option<Vec<u8>> {
-        let cost = self.cluster.config().cost.clone();
+        self.recv_timeout_with(ctx, timeout, <[u8]>::to_vec)
+    }
+
+    /// [`ScifEndpoint::recv_timeout`] that lends the message to `read`
+    /// instead of returning it: a short message is read where it arrived,
+    /// with no heap block made for it.
+    pub fn recv_timeout_with<R>(
+        &self,
+        ctx: &mut Ctx,
+        timeout: SimDuration,
+        read: impl FnOnce(&[u8]) -> R,
+    ) -> Option<R> {
         let deadline = ctx.now() + timeout;
-        let msg = self.rx.recv_deadline(ctx, deadline)?;
-        ctx.sleep(cost.cpu_op(self.local.domain));
-        Some(msg)
+        self.take(ctx, Some(deadline)).map(|m| read(m.as_slice()))
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Vec<u8>> {
-        self.rx.try_recv()
+        self.conn.lanes[self.side]
+            .queue
+            .try_recv()
+            .map(Msg::into_vec)
     }
 
     /// RMA write: DMA `local_buf` into `remote_buf` (peer domain, same
     /// node) through the PCIe DMA engine. Returns the in-flight transfer.
     pub fn writeto(&self, ctx: &mut Ctx, local_buf: &Buffer, remote_buf: &Buffer) -> Transfer {
-        assert_eq!(local_buf.mem, self.local, "writeto source must be local");
-        assert_eq!(remote_buf.mem, self.peer, "writeto target must be the peer");
-        self.cluster.pci_dma(local_buf, remote_buf, ctx.now())
+        assert_eq!(local_buf.mem, self.local(), "writeto source must be local");
+        assert_eq!(
+            remote_buf.mem,
+            self.peer(),
+            "writeto target must be the peer"
+        );
+        self.conn.cluster.pci_dma(local_buf, remote_buf, ctx.now())
     }
 
     /// RMA read: DMA `remote_buf` (peer domain) into `local_buf`.
     pub fn readfrom(&self, ctx: &mut Ctx, local_buf: &Buffer, remote_buf: &Buffer) -> Transfer {
-        assert_eq!(local_buf.mem, self.local, "readfrom target must be local");
+        assert_eq!(local_buf.mem, self.local(), "readfrom target must be local");
         assert_eq!(
-            remote_buf.mem, self.peer,
+            remote_buf.mem,
+            self.peer(),
             "readfrom source must be the peer"
         );
-        self.cluster.pci_dma(remote_buf, local_buf, ctx.now())
+        self.conn.cluster.pci_dma(remote_buf, local_buf, ctx.now())
     }
 
     /// Convenience: RMA write and wait for completion. Returns when the
@@ -275,7 +424,7 @@ impl ScifEndpoint {
 
     /// One-way control-message cost for `len` bytes (for modeling layers).
     pub fn message_cost(&self, len: usize) -> SimDuration {
-        let cost = &self.cluster.config().cost;
+        let cost = self.cost();
         cost.scif_msg_latency + simcore::transfer_time(len as u64, cost.scif_msg_bw)
     }
 }
@@ -332,6 +481,55 @@ mod tests {
             assert!(ctx.now() - t0 >= min);
         });
         sim.run_expect();
+    }
+
+    /// Round-trip time of `msg` through a host-side echo, as the client sees it.
+    fn echo_rtt(sink_style: bool, msg: &'static [u8]) -> SimDuration {
+        let (mut sim, fabric) = setup();
+        if sink_style {
+            // The sink pays what the process below pays by sleeping: a
+            // `cpu_op` to receive and one to send.
+            let work = fabric.cluster().config().cost.cpu_op(Domain::Host) * 2;
+            fabric.listen_with(host(0), 1, move |_, ep| {
+                ep.on_recv(move |s, ep, msg| ep.send_from(s.now() + work, msg));
+            });
+        } else {
+            let listener = fabric.listen(host(0), 1);
+            sim.spawn_daemon("echo", move |ctx| {
+                let ep = listener.accept(ctx);
+                loop {
+                    let msg = ep.recv(ctx);
+                    ep.send(ctx, &msg);
+                }
+            });
+        }
+        let rtt = Arc::new(Mutex::new(None));
+        let rtt2 = rtt.clone();
+        sim.spawn("client", move |ctx| {
+            let ep = fabric.connect(ctx, phi(0), Domain::Host, 1).unwrap();
+            for _ in 0..3 {
+                let t0 = ctx.now();
+                ep.send(ctx, msg);
+                let wait = SimDuration::from_millis(1);
+                let same = ep.recv_timeout_with(ctx, wait, |reply| reply == msg);
+                assert_eq!(same, Some(true), "echoed intact");
+                *rtt2.lock() = Some(ctx.now() - t0);
+            }
+        });
+        sim.run_expect();
+        let rtt = rtt.lock().expect("the client finished");
+        rtt
+    }
+
+    #[test]
+    fn a_sink_serves_at_the_instants_a_process_would() {
+        let short = b"reg_mr request";
+        assert_eq!(echo_rtt(true, short), echo_rtt(false, short));
+        // Past the inline capacity the message takes a heap block, and
+        // nothing else changes.
+        const LONG: [u8; 3 * INLINE_MAX] = [0xA5; 3 * INLINE_MAX];
+        assert_eq!(echo_rtt(true, &LONG), echo_rtt(false, &LONG));
+        assert!(echo_rtt(true, &LONG) > echo_rtt(true, short));
     }
 
     #[test]
