@@ -82,13 +82,18 @@ struct Link {
     /// holds it until the write ends for good, so the pages a pair keeps
     /// hot are as many as it keeps packets in flight.
     stage: Buffer,
-    stage_mr: MemoryRegion,
+    stage_lkey: MrKey,
     stage_free: Vec<u32>,
-    /// Local inbound ring this peer writes into; `None` when arrivals
-    /// come through the shared pool.
-    in_ring: Option<(Buffer, MemoryRegion)>,
+    /// Local inbound ring this peer writes into (the region's buffer);
+    /// `None` when arrivals come through the shared pool.
+    in_ring: Option<MemoryRegion>,
     /// Next inbound slot sequence to consume.
     in_next_seq: u64,
+    /// `Some(n)`: no write has landed in `in_ring` since its next slot was
+    /// parsed and found empty, at [`MemoryRegion::writes`] `== n` — so it
+    /// still is, and *poll* need not look. Forgotten whenever which slot
+    /// is next changes.
+    in_idle_at: Option<u64>,
     /// Consumed slots not yet reported as credit.
     in_unreported: u64,
     /// Whether any *non-credit* packet was consumed since the last credit
@@ -113,8 +118,8 @@ impl Link {
         PeerEndpoint {
             qpn: self.qp.qpn(),
             node: self.qp.node(),
-            ring_addr: self.in_ring.as_ref().map_or(0, |(r, _)| r.addr),
-            ring_rkey: self.in_ring.as_ref().map_or(MrKey(0), |(_, mr)| mr.key()),
+            ring_addr: self.in_ring.as_ref().map_or(0, MemoryRegion::addr),
+            ring_rkey: self.in_ring.as_ref().map_or(MrKey(0), MemoryRegion::key),
         }
     }
 }
@@ -227,6 +232,9 @@ pub(crate) struct Channel {
     /// Attached by `Engine::set_tracer` / `set_metrics`.
     pub(crate) trace: Trace,
     pub(crate) metrics: Metrics,
+    /// Slots parsed so far, for the tests of the idle-ring rule.
+    #[cfg(test)]
+    pub(crate) slot_parses: std::cell::Cell<u64>,
 }
 
 impl Channel {
@@ -304,6 +312,8 @@ impl Channel {
             payload_pool: Vec::new(),
             trace: Trace::default(),
             metrics: Metrics::default(),
+            #[cfg(test)]
+            slot_parses: Default::default(),
         }
     }
 
@@ -364,14 +374,12 @@ impl Channel {
         let in_ring = ring.map(|ring| {
             // Registration cost through the placement-appropriate path,
             // then attach the shared progress event.
-            let mr = res.reg_mr(ctx, ring.clone());
-            let mr = res
-                .ib()
+            let mr = res.reg_mr(ctx, ring);
+            res.ib()
                 .set_write_event(mr.key(), self.progress_event.clone())
-                .expect("ring MR was registered on the line above");
-            (ring, mr)
+                .expect("ring MR was registered on the line above")
         });
-        let stage_mr = res.reg_mr(ctx, stage.clone());
+        let stage_lkey = res.reg_mr(ctx, stage.clone()).key();
         let link = Link {
             qp,
             connected: false,
@@ -380,10 +388,11 @@ impl Channel {
             out_slot_seq: 0,
             out_consumed: 0,
             stage,
-            stage_mr,
+            stage_lkey,
             stage_free: (0..self.slots as u32).rev().collect(),
             in_ring,
             in_next_seq: 0,
+            in_idle_at: None,
             in_unreported: 0,
             in_noncredit_pending: false,
             pending_ctrl: VecDeque::new(),
@@ -616,7 +625,7 @@ impl Channel {
         // Invariant: `room` / `next_ctrl` saw a free staging slot, and a
         // rewrite's caller has just released the failed write's.
         let held = link.stage_free.pop().expect("a free staging slot");
-        let (stage, lkey) = (link.stage.clone(), link.stage_mr.key());
+        let (stage, lkey) = (link.stage.clone(), link.stage_lkey);
         let (ring_addr, ring_rkey) = (link.out_ring_addr, link.out_ring_rkey);
         let base = held as u64 * self.slot_size;
         let ring_off = (slot_seq % self.slots) * self.slot_size;
@@ -751,6 +760,8 @@ impl Channel {
     /// sequence in its tail word. `None` for an empty, stale or corrupt
     /// slot.
     fn parse_slot(&self, res: &Resources, buf: &Buffer, base: u64) -> Option<(PacketHeader, u64)> {
+        #[cfg(test)]
+        self.slot_parses.set(self.slot_parses.get() + 1);
         // Header and tail under one acquisition of the ring's arena.
         res.cluster().with_mem(buf.mem, |m| {
             let mut hdr_bytes = [0u8; HEADER_BYTES];
@@ -772,6 +783,7 @@ impl Channel {
     fn consume(&mut self, ctx: &mut Ctx, stats: &mut CommStats, p: Rank, kind: PacketKind) {
         let link = self.link_mut(p);
         link.in_next_seq += 1;
+        link.in_idle_at = None;
         link.in_unreported += 1;
         link.in_noncredit_pending |= kind != PacketKind::Credit;
         ctx.sleep(self.cpu_op);
@@ -818,7 +830,11 @@ impl Channel {
         }
         let p = self.active[next];
         let link = self.link(p);
-        if let Some((ring, _)) = &link.in_ring {
+        // An idle ring is not parsed again until something is written into
+        // it: the arena acquisition, two reads and header decode are paid
+        // once per write, not once per sweep.
+        let ring = link.in_ring.as_ref().map(|mr| (mr.buffer(), mr.writes()));
+        if let Some((ring, writes)) = ring.filter(|&(_, n)| link.in_idle_at != Some(n)) {
             let base = (link.in_next_seq % self.slots) * self.slot_size;
             let arrived = self
                 .parse_slot(res, ring, base)
@@ -831,6 +847,7 @@ impl Channel {
                 self.consume(ctx, stats, p, hdr.kind);
                 return Some(Inbound::Packet(p, hdr, payload));
             }
+            self.link_mut(p).in_idle_at = Some(writes);
         }
         self.sweep = Some(Sweep::Pairs(next + 1, end));
         Some(Inbound::Drained(p))
@@ -1038,6 +1055,7 @@ impl Channel {
             return 0;
         };
         let stash = std::mem::take(&mut link.stash);
+        link.in_idle_at = None;
         let reclaimed = (link.pending_ctrl.len() + stash.len()) as u64;
         link.pending_ctrl.clear();
         for (_, _, data) in stash {

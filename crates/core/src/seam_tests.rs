@@ -32,22 +32,25 @@ fn world_with(
         srq_depth,
         ..MpiConfig::dcfa()
     };
-    world_cfg(cfg, opts, f)
+    world_of(2, cfg, opts, f)
 }
 
-fn world_cfg(
+/// Run `f` on every engine of a `ranks`-rank world, one rank per node.
+fn world_of(
+    ranks: usize,
     cfg: MpiConfig,
     opts: LaunchOpts,
     f: impl Fn(&mut Ctx, &mut Engine) + Send + Sync + 'static,
 ) {
     let mut sim = Simulation::new();
-    let cluster = fabric::Cluster::new(sim.scheduler(), fabric::ClusterConfig::with_nodes(2));
+    let nodes = fabric::ClusterConfig::with_nodes(ranks);
+    let cluster = fabric::Cluster::new(sim.scheduler(), nodes);
     let (ib, scif) = (
         verbs::IbFabric::new(cluster.clone()),
         scif::ScifFabric::new(cluster),
     );
     let body = move |ctx: &mut Ctx, comm: &mut crate::Comm| f(ctx, &mut comm.engine);
-    launch(&sim, &ib, &scif, cfg, 2, opts, body);
+    launch(&sim, &ib, &scif, cfg, ranks, opts, body);
     sim.run_expect();
 }
 
@@ -424,6 +427,139 @@ fn reaping_a_peer_returns_every_staging_slot_held_toward_it() {
     });
 }
 
+// ---- an idle ring is not parsed again until something is written into it ----
+
+/// One raw inbound sweep: the slots it parsed and the packets it found.
+fn sweep(ctx: &mut Ctx, e: &mut Engine) -> (u64, Vec<(Rank, PacketKind, u64)>) {
+    let before = e.ch.slot_parses.get();
+    let mut got = Vec::new();
+    while let Some(step) = e.ch.poll(ctx, &e.res, &mut e.stats) {
+        if let Inbound::Packet(from, hdr, _) = step {
+            got.push((from, hdr.kind, hdr.seq));
+        }
+    }
+    (e.ch.slot_parses.get() - before, got)
+}
+
+/// Post DONE packets `seqs` toward `dst` and see their writes complete.
+fn send_done(ctx: &mut Ctx, e: &mut Engine, dst: Rank, seqs: std::ops::Range<u64>) {
+    for seq in seqs {
+        e.transmit(ctx, dst, ctrl(PacketKind::Done, seq), None, None, None);
+    }
+    progress_until(ctx, e, |e| e.ch.stages_idle());
+}
+
+#[test]
+fn an_idle_ring_is_parsed_once_and_then_not_until_a_write_lands() {
+    let cfg = MpiConfig {
+        ring_slots: SLOTS as u32,
+        ..MpiConfig::dcfa()
+    };
+    world_of(5, cfg, LaunchOpts::default(), |ctx, e| {
+        let done = PacketKind::Done;
+        let until = |ctx: &mut Ctx, us: u64| ctx.sleep(SimTime(us * 1_000) - ctx.now());
+        if e.rank != 0 {
+            wire(ctx, e, 0);
+            // Ranks 1–3 never send. Rank 4 sends once rank 0 has gone
+            // idle on every ring, and again later.
+            if e.rank == 4 {
+                until(ctx, 2_000);
+                send_done(ctx, e, 0, 0..2);
+                until(ctx, 3_000);
+                send_done(ctx, e, 0, 2..3);
+            }
+            return until(ctx, 5_000);
+        }
+        (1..5).for_each(|p| wire(ctx, e, p));
+        // Four empty rings: each next slot is parsed once...
+        assert_eq!(sweep(ctx, e), (4, vec![]));
+        // ...and not again while nothing is written, however often we look.
+        for _ in 0..50 {
+            ctx.sleep(SimDuration::from_micros(1));
+            assert_eq!(sweep(ctx, e), (0, vec![]));
+        }
+        // Two packets land in rank 4's ring while it is marked idle: the
+        // very next sweep sees both (two parses, and a third that finds
+        // the slot behind them empty); the three idle rings are not looked at.
+        until(ctx, 2_500);
+        assert_eq!(sweep(ctx, e), (3, vec![(4, done, 0), (4, done, 1)]));
+        assert_eq!(sweep(ctx, e), (0, vec![]));
+        until(ctx, 3_500);
+        assert_eq!(sweep(ctx, e), (2, vec![(4, done, 2)]));
+        assert_eq!(sweep(ctx, e), (0, vec![]));
+        // Reaping a pair forgets what was remembered about its ring: it is
+        // parsed once more, found empty, and remembered again.
+        e.ch.reap(2);
+        assert_eq!(sweep(ctx, e), (1, vec![]));
+        assert_eq!(sweep(ctx, e), (0, vec![]));
+    });
+}
+
+#[test]
+fn the_idle_mark_follows_the_ring_around() {
+    world(None, |ctx, e| {
+        wire(ctx, e, 1 - e.rank);
+        const PACKETS: u64 = 20; // 2.5 times around the 8-slot ring
+        const SWEEPS: u64 = 400;
+        if e.rank == 0 {
+            // One at a time, so that the receiver goes idle in between;
+            // the credits that reopen the window come back through our ring.
+            for _ in 0..PACKETS {
+                let clear = |e: &Engine| e.ch.room(1, PacketKind::Credit) && e.ch.stages_idle();
+                progress_until(ctx, e, clear);
+                ctx.sleep(SimDuration::from_micros(5));
+                let hdr = e.credit_header(1);
+                e.transmit(ctx, 1, hdr, None, None, None);
+            }
+            return progress_until(ctx, e, |e| e.ch.stages_idle());
+        }
+        for _ in 0..SWEEPS {
+            ctx.sleep(SimDuration::from_micros(1));
+            e.progress(ctx);
+        }
+        let (packets, parses) = (e.stats.packets_processed, e.ch.slot_parses.get());
+        assert!(packets >= PACKETS, "only {packets} packets made it round");
+        // One parse per packet and at most one more, for the empty slot
+        // behind it, plus the first look — not one per sweep.
+        assert!(
+            parses <= 2 * packets + 1,
+            "{parses} parses for {packets} packets"
+        );
+        assert!(parses < SWEEPS / 4);
+    });
+}
+
+#[test]
+fn a_rewrite_of_the_awaited_slot_is_seen() {
+    world(None, |ctx, e| {
+        wire(ctx, e, 1 - e.rank);
+        let buf = filled(e, 1);
+        if e.rank == 0 {
+            let req = e.isend(ctx, &buf, 1, 9).unwrap();
+            e.wait(ctx, req).unwrap();
+            // Let the receiver find slot 1 empty, then fail the write into
+            // it for good: nothing lands, and the filler rewrites the slot.
+            ctx.sleep(SimDuration::from_micros(50));
+            fail_next_write(e, LinkFaultKind::Fatal);
+            let dead = e.isend(ctx, &buf, 1, 0).unwrap();
+            let dead = e.wait(ctx, dead);
+            assert!(matches!(dead, Err(MpiError::Transport { .. })), "{dead:?}");
+            return e.quiesce(ctx);
+        }
+        let mut seen = Vec::new();
+        let mut parses = 0;
+        while seen.len() < 2 {
+            ctx.sleep(SimDuration::from_micros(1));
+            let (parsed, got) = sweep(ctx, e);
+            parses += parsed;
+            seen.extend(got.into_iter().map(|(_, kind, _)| kind));
+        }
+        assert_eq!(seen, [PacketKind::Eager, PacketKind::NackSend]);
+        // The first look, each packet, and the empty slot behind each.
+        assert_eq!(parses, 1 + 2 + 2);
+    });
+}
+
 // ---- the watchdog heap's one armed wake ------------------------------------
 
 /// A 16 KiB buffer: over the eager threshold, so a rendezvous.
@@ -452,7 +588,7 @@ fn a_thousand_rendezvous_arm_two_scheduler_wakes() {
         rndv_timeout: Some(SimDuration::from_millis(100)),
         ..MpiConfig::dcfa()
     };
-    world_cfg(cfg, LaunchOpts::default(), |ctx, e| {
+    world_of(2, cfg, LaunchOpts::default(), |ctx, e| {
         let buf = rndv_buf(e);
         let reqs: Vec<Request> = if e.rank == 0 {
             // Every `isend` arms a watchdog a period out; the connect

@@ -1,19 +1,21 @@
 //! Stackful coroutines: with [`crate::mapping`], which makes their stacks,
 //! the only code of `simcore` that touches raw memory.
 //!
-//! [`Coroutine::resume`] switches the calling thread onto the coroutine's
-//! private stack and runs its body until the body calls [`suspend`] (the
-//! frames stay put, control returns to the resumer) or ends. No kernel
-//! involvement: a switch is a dozen register moves.
+//! A [`Coroutine`] is a body closure on a private stack. Nothing here
+//! schedules: the engine decides who runs next and names it by the stack
+//! pointer [`Coroutine::unpark`] hands out. [`switch`] leaves a plain thread
+//! stack for it, [`Running::park`] leaves one coroutine for another, and a
+//! body that has ended says where its thread goes next: control moves
+//! straight between any two contexts, a dozen register moves and no kernel.
 //!
 //! **Stacks.** One [`Mapping::stack`] of 2 MiB — what `std` gives a spawned
 //! thread, which is what process bodies were written against — above its
-//! guard page. Pages are committed on first touch. The guard page turns an
-//! overflow into `SIGSEGV` at the faulting instruction rather than silent
-//! corruption of the mapping below (Rust probes every page of a large
-//! frame, so none can step over it). The mapping goes
-//! when the coroutine is dropped, except under a body still parked in
-//! `suspend`: scoped borrows rely on a frame never vanishing without
+//! guard page, committed on first touch. The guard page turns an overflow
+//! into `SIGSEGV` at the faulting instruction rather than silent corruption
+//! of the mapping below (Rust probes every page of a large frame, so none
+//! can step over it). The mapping goes when the coroutine is dropped — by
+//! whoever runs next, never from its own stack — except under a body still
+//! parked mid-way: scoped borrows rely on a frame never vanishing without
 //! unwinding, so that case leaks it. [`Coroutine::cancel`] unwinds first.
 //!
 //! **The switch.** To the compiler `simcore_coro_switch(save, to)` is an
@@ -24,17 +26,17 @@
 //! adopts `to` and pops the same layout. A fresh stack is seeded with that
 //! layout so that its first "return" enters `simcore_coro_trampoline`,
 //! which calls [`entry`] and marks itself as the outermost frame for
-//! unwinders and backtraces. No panic crosses the hand-built frame:
-//! `entry` runs the body under `catch_unwind`.
+//! unwinders and backtraces. No panic crosses the hand-built frame: the
+//! body runs under `catch_unwind`, and everything it owned is dropped by
+//! the time `entry` makes the last switch off the stack.
 //!
 //! **Threads.** A parked stack may hold addresses of thread-local storage
-//! (the compiler may cache them across `suspend`) and `!Send` locals, so a
-//! coroutine that has run may only be resumed on the thread that ran it.
-//! `Coroutine` is `!Send`; the engine, which moves never-started ones
-//! between threads, carries that check (`EngineState::claim_thread`).
+//! and `!Send` locals, so a coroutine that has run may only be switched to
+//! on the thread that ran it. `Coroutine` is `!Send`; the engine, which
+//! moves never-started ones between threads, carries that check
+//! (`EngineState::claim_thread`).
 
 use std::any::Any;
-use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::ptr;
 
@@ -138,59 +140,117 @@ type Payload = Box<dyn Any + Send>;
 struct Control {
     /// The coroutine's stack pointer while it is not running.
     sp: *mut u8,
-    /// The resumer's stack pointer while it runs. Per coroutine rather
-    /// than per thread, so resumes nest: a body may resume coroutines.
-    resumer_sp: *mut u8,
+    /// [`Coroutine::cancel`]'s stack pointer while it unwinds the body.
+    canceller_sp: *mut u8,
     /// Not running and resumable: never started (`body` still there) or
-    /// inside [`suspend`]. False while it runs and once it has ended.
+    /// inside [`Running::park`]. False while it runs and once it has ended.
     parked: bool,
-    /// Set by [`Coroutine::cancel`]: [`suspend`] unwinds instead of parking.
+    /// Set by [`Coroutine::cancel`]: a park unwinds instead of returning.
     cancelled: bool,
-    body: Option<Box<dyn FnOnce() + Send>>,
-    result: Option<Result<(), Payload>>,
-}
-
-thread_local! {
-    /// The innermost coroutine running on this thread, null outside any.
-    /// Written only by `resume`, around its switch, so while it is non-null
-    /// the thread is executing on that coroutine's stack.
-    static CURRENT: Cell<*mut Control> = const { Cell::new(ptr::null_mut()) };
+    /// Runs the body, then says whose stack the thread adopts next.
+    body: Option<Box<dyn FnOnce(*const Control) -> *mut u8 + Send>>,
 }
 
 /// Payload that unwinds a cancelled body; raised with `resume_unwind`,
 /// which skips the panic hook, so teardown is silent.
 struct Cancelled;
 
-/// What [`Coroutine::resume`] came back with.
-pub(crate) enum Resumed {
-    /// The body called [`suspend`].
-    Suspended,
-    /// The body returned, or unwound with this payload.
-    Finished(Result<(), Payload>),
+/// Unwind the calling body, which [`Coroutine::cancel`] is tearing down.
+pub(crate) fn unwind_cancelled() -> ! {
+    resume_unwind(Box::new(Cancelled))
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static SWITCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Context switches this thread has made: debug builds only, like the lock
+/// shim's `lock_count`, for tests that pin the cost of a hand-off.
+#[cfg(debug_assertions)]
+pub fn switch_count() -> u64 {
+    SWITCHES.get()
+}
+
+/// Leave the running context, keeping its stack pointer at `save`, for the
+/// one whose stack pointer is `to`; returns when something switches back.
+///
+/// # Safety
+/// `save` is writable until then. `to` is what a switch last stored for a
+/// context that is still parked there (or a fresh coroutine's seed), on a
+/// stack that is still mapped and belongs to this thread, and nothing else
+/// switches to that context.
+pub(crate) unsafe fn switch(save: *mut *mut u8, to: *mut u8) {
+    #[cfg(debug_assertions)]
+    SWITCHES.set(SWITCHES.get() + 1);
+    // SAFETY: the caller's contract is the switch's.
+    unsafe { simcore_coro_switch(save, to) }
+}
+
+/// A coroutine seen from its own stack: how its body leaves it.
+#[derive(Clone, Copy)]
+pub(crate) struct Running(*mut Control);
+
+impl Running {
+    /// Park this coroutine, mid-body, and put its thread on the stack `to`;
+    /// returns when something switches to what [`Coroutine::unpark`] hands
+    /// out, and unwinds the body instead if that was [`Coroutine::cancel`].
+    ///
+    /// # Safety
+    /// Called on this coroutine's own stack; `to` as for [`switch`].
+    pub(crate) unsafe fn park(self, to: *mut u8) {
+        // SAFETY: we are running on its stack, so the owner has not dropped
+        // the coroutine and its control block is live, and stays so until a
+        // switch back — `cancel` holds it across its own.
+        unsafe {
+            (*self.0).parked = true;
+            switch(&raw mut (*self.0).sp, to);
+            if (*self.0).cancelled {
+                unwind_cancelled();
+            }
+        }
+    }
 }
 
 /// A body closure on a stack of its own (module docs).
 pub(crate) struct Coroutine {
-    /// A `Box<Control>`, raw because the body reaches it through
-    /// [`CURRENT`] while `resume` holds `&mut self`.
+    /// A `Box<Control>`, raw because the body reaches it through its
+    /// [`Running`] handle while the owner holds `self`.
     ctl: *mut Control,
     /// `None` once `drop` has leaked it under frames still parked on it.
     stack: Option<Mapping>,
 }
 
 impl Coroutine {
-    /// A coroutine that runs `body` on its first resume. `Send`, because a
-    /// never-started coroutine may change threads with its owner.
-    pub(crate) fn new(body: impl FnOnce() + Send + 'static) -> Coroutine {
+    /// A coroutine that runs `body` when first switched to and, once that
+    /// has returned or unwound with the payload given, `after`. Both are
+    /// `Send`: a never-started coroutine may change threads with its owner.
+    ///
+    /// # Safety
+    /// `after` returns the stack pointer the thread adopts for good, which
+    /// must be `to` as for [`switch`], and sees to it that the coroutine is
+    /// dropped only after that switch.
+    pub(crate) unsafe fn new(
+        body: impl FnOnce() + Send + 'static,
+        after: impl FnOnce(Result<(), Payload>) -> *mut u8 + Send + 'static,
+    ) -> Coroutine {
         let mut stack = Mapping::stack(STACK_BYTES);
         let top = stack.as_mut_ptr_range().end;
+        let run = move |ctl: *const Control| {
+            let result = catch_unwind(AssertUnwindSafe(body));
+            // SAFETY: `entry` passes the live control block (see there).
+            if unsafe { (*ctl).cancelled } {
+                unsafe { (*ctl).canceller_sp }
+            } else {
+                after(result)
+            }
+        };
         let ctl = Box::into_raw(Box::new(Control {
             sp: ptr::null_mut(),
-            resumer_sp: ptr::null_mut(),
+            canceller_sp: ptr::null_mut(),
             parked: true,
             cancelled: false,
-            body: Some(Box::new(body)),
-            result: None,
+            body: Some(Box::new(run)),
         }));
         let seed = arch::seed(
             entry as *const () as usize,
@@ -209,49 +269,44 @@ impl Coroutine {
         Coroutine { ctl, stack }
     }
 
-    /// Run the body until it suspends or ends.
-    ///
-    /// # Panics
-    /// If the body already ended.
-    pub(crate) fn resume(&mut self) -> Resumed {
-        let ctl = self.ctl;
-        // SAFETY: `ctl` is the live box from `new`. `&mut self` and the
-        // `parked` check mean the body is not running, so nothing else touches
-        // `ctl` before the switch. `sp` is the seeded frame or the one
-        // `suspend` pushed — the layout the switch pops — on a stack that
-        // stays mapped while `self` lives. The body reaches `ctl` only via
-        // `CURRENT`, restored before we return, so the pointer does not
-        // outlive `self`.
+    /// Mark the parked coroutine as running and return the stack pointer
+    /// the caller switches to next. Panics if it is running or has ended.
+    pub(crate) fn unpark(&self) -> *mut u8 {
+        // SAFETY: `ctl` is the live box from `new`; parked, the body is not
+        // running, so nothing else touches it.
         unsafe {
-            assert!((*ctl).parked, "resumed a finished coroutine");
-            (*ctl).parked = false;
-            let outer = CURRENT.replace(ctl);
-            simcore_coro_switch(&raw mut (*ctl).resumer_sp, (*ctl).sp);
-            CURRENT.set(outer);
-            match (*ctl).result.take() {
-                Some(result) => Resumed::Finished(result),
-                None => Resumed::Suspended,
-            }
+            assert!(
+                (*self.ctl).parked,
+                "switched to a running or ended coroutine"
+            );
+            (*self.ctl).parked = false;
+            (*self.ctl).sp
         }
     }
 
-    /// Whether the body has started and is parked in [`suspend`].
+    /// The handle its body leaves it by.
+    pub(crate) fn running(&self) -> Running {
+        Running(self.ctl)
+    }
+
+    /// Whether the body has started and is parked mid-way.
     pub(crate) fn is_mid_body(&self) -> bool {
-        // SAFETY: `ctl` is live and, given `&self`, the body is not running.
+        // SAFETY: `ctl` is live and, asked by its owner, the body is not running.
         unsafe { (*self.ctl).parked && (*self.ctl).body.is_none() }
     }
 
     /// Tear down: a body parked mid-way is unwound first (its locals drop,
     /// silently); one that never started is dropped without running.
-    pub(crate) fn cancel(mut self) {
+    pub(crate) fn cancel(self) {
         if self.is_mid_body() {
-            // SAFETY: as in `is_mid_body`.
-            unsafe { (*self.ctl).cancelled = true };
-            let resumed = self.resume();
-            assert!(
-                matches!(resumed, Resumed::Finished(_)),
-                "a cancelled coroutine cannot park again"
-            );
+            // SAFETY: `unpark`'s pointer is the frame `Running::park` pushed
+            // on a stack that stays mapped while `self` lives; with
+            // `cancelled` set that park unwinds the body and `entry` comes
+            // back through `canceller_sp`, which nothing else uses.
+            unsafe {
+                (*self.ctl).cancelled = true;
+                switch(&raw mut (*self.ctl).canceller_sp, self.unpark());
+            }
         }
     }
 }
@@ -264,47 +319,21 @@ impl Drop for Coroutine {
             std::mem::forget(self.stack.take());
         }
         // SAFETY: boxed in `new`, freed only here; the body is not running
-        // and a leaked stack is never resumed, so nothing reads it again.
+        // and a leaked stack is never switched to, so nothing reads it again.
         drop(unsafe { Box::from_raw(self.ctl) });
     }
 }
 
 /// First Rust frame of every coroutine; entered from the trampoline.
 extern "C" fn entry(ctl: *mut Control) -> ! {
-    // SAFETY: the trampoline passes the `ctl` seeded by `new`, live as
-    // argued in `resume`, whose caller is blocked in the switch meanwhile.
-    let body = unsafe { (*ctl).body.take() }.expect("a coroutine is entered once");
-    let result = catch_unwind(AssertUnwindSafe(body));
-    // SAFETY: as above; `resumer_sp` was stored by the switch of the
-    // `resume` that is waiting for us. `resume` refuses a finished
-    // coroutine, so this stack is never switched to again.
+    // SAFETY: the trampoline passes the `ctl` seeded by `new`, live while
+    // its stack runs (`Running::park`). `next` is a parked context's stack
+    // pointer by `new`'s contract, or `cancel`'s own; the box and all the
+    // body owned are gone, so the frames abandoned here hold nothing.
     unsafe {
-        (*ctl).result = Some(result);
-        simcore_coro_switch(&raw mut (*ctl).sp, (*ctl).resumer_sp);
+        let body = (*ctl).body.take().expect("a coroutine is entered once");
+        let next = body(ctl);
+        switch(&raw mut (*ctl).sp, next);
     }
-    unreachable!("a finished coroutine was resumed")
-}
-
-/// Park the coroutine running on this thread until its owner resumes it;
-/// unwind it instead if the owner cancelled it.
-///
-/// # Panics
-/// If no coroutine is running on this thread.
-pub(crate) fn suspend() {
-    let ctl = CURRENT.get();
-    assert!(!ctl.is_null(), "suspend called outside a coroutine");
-    // SAFETY: `CURRENT` is non-null only between the two switches of the
-    // `resume` that put us on this stack, so `ctl` is that live coroutine's
-    // control block, its owner is blocked in `resume`, and `resumer_sp` is
-    // the frame that call pushed. When the switch returns, a later `resume`
-    // of the same coroutine has run and the same holds for it.
-    unsafe {
-        if !(*ctl).cancelled {
-            (*ctl).parked = true;
-            simcore_coro_switch(&raw mut (*ctl).sp, (*ctl).resumer_sp);
-        }
-        if (*ctl).cancelled {
-            resume_unwind(Box::new(Cancelled));
-        }
-    }
+    unreachable!("an ended coroutine was switched to")
 }

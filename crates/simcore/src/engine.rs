@@ -4,28 +4,37 @@
 //!
 //! A simulation uses **one OS thread**: the one that calls
 //! [`Simulation::run`]. Every simulated process is a stackful coroutine
-//! (`coro.rs`) with a 2 MiB stack of its own. The engine loop pops the next
-//! event; a wake resumes the target's coroutine *on the calling thread* and
-//! gets control back when the process blocks (a [`Ctx`] call that parks) or
-//! finishes, so exactly one process runs at any moment and the kernel has
-//! nothing to schedule. All events with equal timestamps fire in schedule
-//! order. The result is a fully deterministic simulation in which process
-//! code is ordinary imperative Rust — device models charge virtual time,
-//! processes wait on completions. Sharing a thread has two consequences:
+//! (`coro.rs`) on a 2 MiB stack of its own, and nothing stands between
+//! them: **whoever has nothing left to do runs the event loop, and control
+//! goes straight to whoever is next.** `dispatch` pops events in order and
+//! is entered by the caller of `run`, by a process that blocks (a [`Ctx`]
+//! call that parks) and by a process whose body has returned. A callback
+//! runs in place, on whatever stack is dispatching; a wake for the
+//! dispatcher itself is a plain return; a wake for another process is one
+//! switch to it; a verdict — queue drained, deadlock, event limit, a
+//! panic — is one switch to the caller of `run`, which returns it. Exactly
+//! one process runs at any moment and events with equal timestamps fire in
+//! schedule order: a deterministic simulation whose process code is
+//! ordinary imperative Rust. Sharing a thread has consequences:
 //!
 //! * **A simulation is tied to the thread that first ran it.** A parked
-//!   process's stack may hold addresses of thread-local storage and `!Send`
-//!   locals, so `run` records its thread on the first call, and it and the
-//!   teardown in `Drop` panic on any other. Building a simulation and
-//!   spawning into it on one thread, then running it on another, stays
-//!   legal: a process that has not started is only a `Send` closure.
-//! * **Thread-local state is shared by every process.** Code that wants a
-//!   per-process value uses [`proc_local`], one word the engine saves and
-//!   restores around every resume.
-//!
-//! Each stack ends in a guard page, so a process that overflows it dies
-//! with `SIGSEGV` at the overflowing instruction instead of scribbling on
-//! a neighbour.
+//!   stack may hold addresses of thread-local storage and `!Send` locals,
+//!   so `run` records its thread on the first call, and it and the
+//!   teardown in `Drop` panic on any other. Building and spawning on one
+//!   thread, then running on another, stays legal: a process that has not
+//!   started is only a `Send` closure.
+//! * **Thread-local state is shared by every process.** A per-process
+//!   value goes in [`proc_local`], one word the engine trades at every
+//!   switch — and around a callback, which sees the word of `run`'s caller
+//!   whichever stack it borrows. Nor is a callback's panic its host's:
+//!   `dispatch` catches it and `run` re-raises it.
+//! * **A process that ends dispatches from its own stack**, so it cannot
+//!   unmap it: it leaves itself in `EngineState::reclaim`, and the next
+//!   context to park, to end or to leave `run` drops what it finds there —
+//!   one deep, so stacks go as processes end.
+//! * **Simulations nest** — a process may build and `run` one of its own —
+//!   because the stack pointer of `run`'s caller is kept per simulation
+//!   (`Shared::runner_sp`), not per thread.
 //!
 //! # Wake correctness
 //!
@@ -43,21 +52,25 @@
 //! # Locks
 //!
 //! The queue and the process table sit behind one mutex, never contended
-//! while a simulation runs (one thread) and still paid for per acquisition,
-//! so the engine takes it sparingly: the run loop once per event (it lets
-//! go only around the code the event runs), a wake-up of many waiters once.
-//! The virtual clock is an atomic beside the mutex — [`Scheduler::now`]
-//! takes no lock — and so is the trace hook, a set-once cell called with no
-//! lock held. DESIGN.md "Locking discipline" has the rule and the numbers.
+//! while a simulation runs (one thread) and still paid for per acquisition.
+//! A block is one: the blocking call registers its wake under the guard
+//! and hands the guard to `dispatch`, which pops the next event under it
+//! and lets go just before the switch (or the return). A callback event
+//! costs one more, to take the state back after the callback ran unlocked;
+//! a wake-up of many waiters one. The clock ([`Scheduler::now`]) and the
+//! trace hook are lock-free beside it. DESIGN.md §21 and §24 have the
+//! rules and the numbers.
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
-use crate::coro::{self, Coroutine, Resumed};
+use crate::coro::{self, Coroutine};
 use crate::error::{BlockedProc, SimError};
 use crate::sync::{CompletionInner, EventShared};
 use crate::time::{SimDuration, SimTime};
@@ -104,11 +117,12 @@ impl Ord for ScheduledEvent {
 /// One word of per-process state for code above the engine.
 ///
 /// Every process of a simulation runs on one thread, so a thread-local is
-/// shared by all of them. This word is not: the engine swaps it on every
-/// resume and park, so a process reads back what *it* last stored (zero
-/// at its start), and code outside any process — device callbacks, the
-/// caller of `run` — has the thread's own value. Const-initialised and
-/// `Copy`, so access never allocates and is safe inside an allocator.
+/// shared by all of them. This word is not: the engine trades it at every
+/// switch, so a process reads back what *it* last stored (zero at its
+/// start), and code outside any process — device callbacks, whichever
+/// stack they run on, and the caller of `run` — has the thread's own value.
+/// Const-initialised and `Copy`, so access never allocates and is safe
+/// inside an allocator.
 pub mod proc_local {
     use std::cell::Cell;
 
@@ -142,28 +156,32 @@ struct ProcSlot {
     epoch: u64,
     /// Human-readable reason recorded at the blocking call site.
     block_reason: &'static str,
-    /// The process itself while it is blocked (or not yet started); `None`
-    /// once it finished, and while the engine has it out to run it.
+    /// The process itself, from spawn until it ends: it stays here while
+    /// it runs. `None` afterwards (and during teardown).
     coro: Option<Coroutine>,
     /// The process's [`proc_local`] word while it is not running.
     local: u64,
 }
 
-// SAFETY: `Coroutine` is the only `!Send` field (the rest is owned plain
-// data). One that has never been resumed is a boxed `Send` closure and a
-// private mapping nothing points into, so it may move freely. One that is
-// parked mid-body may hold thread-bound state on its stack, but moving the
-// slot does not touch that stack; only a resume does, and every resume —
-// `Simulation::run` and the cancellation in `Simulation::drop` — first
-// passes `EngineState::claim_thread`, which pins the simulation to the
-// thread of its first resume. Unmapping a stack from another thread is
-// sound: finished and never-started stacks hold no live frames and a
-// parked one is leaked, not unmapped (see `coro.rs`).
-unsafe impl Send for ProcSlot {}
+type Payload = Box<dyn Any + Send>;
+
+/// What `run` returns — or the payload of a callback's panic, which it
+/// re-raises — left in the state by whichever context found it.
+type Verdict = Result<Result<RunReport, SimError>, Payload>;
+
+/// Who is running the event loop: the caller of `run`, a process that
+/// blocked, or one whose body has returned.
+#[derive(Clone, Copy, PartialEq)]
+enum Host {
+    Runner,
+    Proc(ProcId),
+    Ended,
+}
 
 /// Installed trace hook.
 type TraceHook = Box<dyn Fn(SimTime, &str) + Send + Sync>;
 
+#[derive(Default)]
 pub(crate) struct EngineState {
     next_seq: u64,
     /// Pending events; the top is the next to fire.
@@ -174,23 +192,58 @@ pub(crate) struct EngineState {
     event_limit: u64,
     /// The thread of the first `run`; see `claim_thread`.
     home: Option<std::thread::Thread>,
+    /// The [`proc_local`] word of `run`'s caller while a process runs.
+    outer_local: u64,
+    /// Why `run` is about to return; taken by it.
+    verdict: Option<Verdict>,
+    /// The process that ended last, whose stack it could not unmap from
+    /// under itself (module docs). `None` outside `run`.
+    reclaim: Option<Coroutine>,
 }
 
+// SAFETY: `Coroutine` (in `procs` and `reclaim`) is the only `!Send` part:
+// the counters, names and `home` are owned plain data, the heap's callbacks
+// and the verdict's panic payload are `Send` boxes. One that has never
+// been switched to is a boxed `Send` closure and a private mapping nothing
+// points into, so it may move freely. One that is parked mid-body may hold
+// thread-bound state on its stack, but moving the state does not touch
+// that stack; only a switch does, and every switch — under
+// `Simulation::run` and the cancellation in `Simulation::drop` — comes
+// after `EngineState::claim_thread`, which pins the simulation to the
+// thread of its first run. Unmapping a stack from another thread is sound:
+// ended and never-started stacks hold no live frames and a parked one is
+// leaked, not unmapped (see `coro.rs`).
+unsafe impl Send for EngineState {}
+
 impl EngineState {
-    fn push(&mut self, time: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(ScheduledEvent { time, seq, kind }));
+    /// Start a block of process `pid`: a new epoch, which the wakes
+    /// registered for it carry.
+    fn block(&mut self, pid: ProcId, reason: &'static str) -> WakeTarget {
+        let slot = &mut self.procs[pid.0];
+        slot.epoch += 1;
+        slot.block_reason = reason;
+        let epoch = slot.epoch;
+        WakeTarget { pid, epoch }
     }
 
-    /// Earliest queued event time.
-    fn earliest_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Pop the next event in `(time, seq)` order.
-    fn pop_next(&mut self) -> Option<ScheduledEvent> {
-        self.heap.pop().map(|Reverse(e)| e)
+    /// The verdict on an empty queue, at virtual time `at`.
+    fn drained(&self, at: SimTime) -> Result<RunReport, SimError> {
+        if self.live == 0 {
+            return Ok(RunReport {
+                final_time: at,
+                events_processed: self.events_processed,
+            });
+        }
+        let blocked = self
+            .procs
+            .iter()
+            .filter(|p| p.coro.is_some() && !p.daemon)
+            .map(|p| BlockedProc {
+                name: p.name.clone(),
+                reason: p.block_reason.to_string(),
+            })
+            .collect();
+        Err(SimError::Deadlock { at, blocked })
     }
 
     /// Pin the simulation to the calling thread on first use and refuse
@@ -209,8 +262,12 @@ impl EngineState {
 
 struct Shared {
     state: Mutex<EngineState>,
+    /// The stack pointer of `run`'s caller while a process runs. Written
+    /// by the switch that leaves that stack and read by the one that goes
+    /// back, both on the simulation's thread: an atomic only to be `Sync`.
+    runner_sp: AtomicPtr<u8>,
     /// The virtual clock, in nanoseconds. Stored only with `state` held —
-    /// by the run loop when it pops an event and by [`Ctx::sleep`]'s
+    /// by `dispatch` when it pops an event and by [`Ctx::sleep`]'s
     /// fast-forward — and loaded without it: there is no second copy to
     /// drift. `Relaxed` is enough: on the simulation's thread program
     /// order gives every reader the latest store, and a thread that reads
@@ -236,8 +293,88 @@ impl Shared {
     /// Queue `kind` for `time`. The caller holds `state`, as `st`.
     fn schedule(&self, st: &mut EngineState, time: SimTime, kind: EventKind) {
         debug_assert!(time >= self.now(), "event scheduled in the past");
-        st.push(time, kind);
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        st.heap.push(Reverse(ScheduledEvent { time, seq, kind }));
     }
+
+    /// The bookkeeping of a switch from `host` to process `to` (`None`: the
+    /// caller of `run`): trade [`proc_local`] words, mark the target running
+    /// and return the stack pointer to switch to once `st` is let go.
+    fn hand_over(&self, st: &mut EngineState, host: Host, to: Option<ProcId>) -> *mut u8 {
+        let (word, sp) = match to {
+            Some(pid) => {
+                let slot = &st.procs[pid.0];
+                let coro = slot.coro.as_ref().expect("`dispatch` saw it alive");
+                (slot.local, coro.unpark())
+            }
+            None => (st.outer_local, self.runner_sp.load(Ordering::Relaxed)),
+        };
+        let mine = proc_local::swap(word);
+        match host {
+            Host::Runner => st.outer_local = mine,
+            Host::Proc(pid) => st.procs[pid.0].local = mine,
+            Host::Ended => {}
+        }
+        sp
+    }
+}
+
+/// The event loop (module docs). Entered holding the state, as `st`, by
+/// whoever has nothing left to do; pops events in `(time, seq)` order,
+/// running callbacks in place, until one is a live wake or the run is over.
+/// Returns the stack pointer `host` switches to now that `st` is let go, or
+/// `None` to carry on where it is: its own wake, or `run`'s own verdict.
+fn dispatch<'a>(
+    sched: &'a Scheduler,
+    mut st: MutexGuard<'a, EngineState>,
+    host: Host,
+) -> Option<*mut u8> {
+    let shared = &*sched.shared;
+    let verdict = loop {
+        // Before popping: an event the limit refuses stays queued, and the
+        // clock where it was, for a later `run` under a higher limit.
+        if st.events_processed >= st.event_limit {
+            if let Some(Reverse(next)) = st.heap.peek() {
+                let (limit, at) = (st.event_limit, next.time);
+                break Ok(Err(SimError::EventLimit { limit, at }));
+            }
+        }
+        let Some(Reverse(ev)) = st.heap.pop() else {
+            break Ok(st.drained(shared.now()));
+        };
+        shared.set_now(ev.time);
+        st.events_processed += 1;
+        match ev.kind {
+            EventKind::Call(f) => {
+                // Outside any process, whoever's stack this is; and the
+                // callback's panic is `run`'s to raise, not its host's.
+                let mine = (host != Host::Runner).then(|| proc_local::swap(st.outer_local));
+                drop(st);
+                let result = catch_unwind(AssertUnwindSafe(|| f(sched)));
+                st = shared.state.lock();
+                if let Some(mine) = mine {
+                    st.outer_local = proc_local::swap(mine);
+                }
+                if let Err(payload) = result {
+                    break Err(payload);
+                }
+            }
+            EventKind::Wake(WakeTarget { pid, epoch }) => {
+                let slot = &st.procs[pid.0];
+                // Stale: the process moved on, or ended.
+                if slot.epoch != epoch || slot.coro.is_none() {
+                    continue;
+                }
+                if host == Host::Proc(pid) {
+                    return None;
+                }
+                return Some(shared.hand_over(&mut st, host, Some(pid)));
+            }
+        }
+    };
+    st.verdict = Some(verdict);
+    (host != Host::Runner).then(|| shared.hand_over(&mut st, host, None))
 }
 
 /// Handle for scheduling future work; clonable and usable from process code
@@ -294,7 +431,7 @@ impl Scheduler {
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
-        spawn_inner(&self.shared, name.into(), false, f)
+        spawn_inner(self, name.into(), false, f)
     }
 
     /// Spawn a daemon process: a server that may block forever without
@@ -303,7 +440,7 @@ impl Scheduler {
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
-        spawn_inner(&self.shared, name.into(), true, f)
+        spawn_inner(self, name.into(), true, f)
     }
 
     /// Make every process in `waiters` runnable now, in the order given,
@@ -366,65 +503,38 @@ impl Ctx {
     /// Advance this process's virtual clock by `d` (models compute or fixed
     /// software overhead).
     pub fn sleep(&mut self, d: SimDuration) {
-        if d.is_zero() {
-            return;
+        if !d.is_zero() {
+            self.pause(d, "sleep");
         }
-        {
-            let shared = &self.scheduler.shared;
-            let mut st = shared.state.lock();
-            let t = shared.now() + d;
-            // Fast-forward: while this process runs nothing else touches
-            // the scheduler (every other process is parked and the engine
-            // loop is waiting for our park), so if our wake would sort
-            // before everything queued, parking would only make the
-            // engine pop it straight back to us. Advance the clock inline
-            // instead and skip both switches — the event still counts,
-            // identically to the two-switch path. A queued event at the
-            // same instant wins (it holds an earlier sequence number),
-            // exactly as in the two-switch path.
-            if st.events_processed < st.event_limit && st.earliest_time().is_none_or(|h| t < h) {
-                shared.set_now(t);
-                st.events_processed += 1;
-                return;
-            }
-            let slot = &mut st.procs[self.pid.0];
-            slot.epoch += 1;
-            slot.block_reason = "sleep";
-            let epoch = slot.epoch;
-            let wake = EventKind::Wake(WakeTarget {
-                pid: self.pid,
-                epoch,
-            });
-            shared.schedule(&mut st, t, wake);
-        }
-        self.park();
     }
 
     /// Yield the processor: requeue after every event already scheduled at
     /// the current instant.
     pub fn yield_now(&mut self) {
+        self.pause(SimDuration::ZERO, "yield");
+    }
+
+    /// Run again at `now + d`, behind everything already queued up to then.
+    fn pause(&mut self, d: SimDuration, reason: &'static str) {
+        let shared = &self.scheduler.shared;
+        let mut st = shared.state.lock();
+        let t = shared.now() + d;
+        // Fast-forward: while this process runs nothing else touches the
+        // scheduler, so if our wake would sort before everything queued,
+        // `dispatch` would only pop it straight back to us. Advance the
+        // clock inline instead — the event still counts, identically. A
+        // queued event at the same instant wins (it holds an earlier
+        // sequence number), exactly as it would in `dispatch`.
+        if st.events_processed < st.event_limit
+            && st.heap.peek().is_none_or(|Reverse(e)| t < e.time)
         {
-            let shared = &self.scheduler.shared;
-            let now = shared.now();
-            let mut st = shared.state.lock();
-            // Fast-forward (see `sleep`): with nothing else queued at the
-            // current instant the yield is a no-op — requeueing would
-            // bounce straight back through the engine loop.
-            if st.events_processed < st.event_limit && st.earliest_time().is_none_or(|h| now < h) {
-                st.events_processed += 1;
-                return;
-            }
-            let slot = &mut st.procs[self.pid.0];
-            slot.epoch += 1;
-            slot.block_reason = "yield";
-            let epoch = slot.epoch;
-            let wake = EventKind::Wake(WakeTarget {
-                pid: self.pid,
-                epoch,
-            });
-            shared.schedule(&mut st, now, wake);
+            shared.set_now(t);
+            st.events_processed += 1;
+            return;
         }
-        self.park();
+        let wake = EventKind::Wake(st.block(self.pid, reason));
+        shared.schedule(&mut st, t, wake);
+        self.park(st);
     }
 
     /// Block until the completion is signalled. Returns immediately if it
@@ -436,23 +546,14 @@ impl Ctx {
     /// Like [`Ctx::wait`] but records `reason` for deadlock diagnostics.
     pub fn wait_reason(&mut self, c: &crate::sync::Completion, reason: &'static str) {
         loop {
-            let registered = {
-                let mut st = self.scheduler.shared.state.lock();
-                let mut inner = c.inner().lock();
-                if inner.done {
-                    return;
-                }
-                let slot = &mut st.procs[self.pid.0];
-                slot.epoch += 1;
-                slot.block_reason = reason;
-                inner.waiters.push(WakeTarget {
-                    pid: self.pid,
-                    epoch: slot.epoch,
-                });
-                true
-            };
-            debug_assert!(registered);
-            self.park();
+            let mut st = self.scheduler.shared.state.lock();
+            let mut inner = c.inner().lock();
+            if inner.done {
+                return;
+            }
+            inner.waiters.push(st.block(self.pid, reason));
+            drop(inner);
+            self.park(st);
         }
     }
 
@@ -472,30 +573,7 @@ impl Ctx {
         seen: u64,
         reason: &'static str,
     ) -> u64 {
-        loop {
-            {
-                // Already notified: the usual answer, and it costs no
-                // lock. Otherwise register — re-reading the epoch with the
-                // waiter list held, where it is stored, so that a notify
-                // can never fall between the check and the registration.
-                if ev.epoch() != seen {
-                    return ev.epoch();
-                }
-                let mut st = self.scheduler.shared.state.lock();
-                let mut waiters = ev.shared().waiters.lock();
-                if ev.epoch() != seen {
-                    return ev.epoch();
-                }
-                let slot = &mut st.procs[self.pid.0];
-                slot.epoch += 1;
-                slot.block_reason = reason;
-                waiters.push(WakeTarget {
-                    pid: self.pid,
-                    epoch: slot.epoch,
-                });
-            }
-            self.park();
-        }
+        self.wait_event_inner(ev, seen, None, reason)
     }
 
     /// Like [`Ctx::wait_event`] but gives up at virtual time `deadline`:
@@ -510,39 +588,61 @@ impl Ctx {
         deadline: SimTime,
         reason: &'static str,
     ) -> u64 {
+        self.wait_event_inner(ev, seen, Some(deadline), reason)
+    }
+
+    fn wait_event_inner(
+        &mut self,
+        ev: &crate::sync::SimEvent,
+        seen: u64,
+        deadline: Option<SimTime>,
+        reason: &'static str,
+    ) -> u64 {
         loop {
-            {
-                if ev.epoch() != seen {
-                    return ev.epoch();
-                }
-                if self.now() >= deadline {
-                    return seen;
-                }
-                let shared = &self.scheduler.shared;
-                let mut st = shared.state.lock();
-                let mut waiters = ev.shared().waiters.lock();
-                if ev.epoch() != seen {
-                    return ev.epoch();
-                }
-                let slot = &mut st.procs[self.pid.0];
-                slot.epoch += 1;
-                slot.block_reason = reason;
-                let target = WakeTarget {
-                    pid: self.pid,
-                    epoch: slot.epoch,
-                };
-                waiters.push(target);
+            // Already notified: the usual answer, and it costs no lock.
+            // Otherwise register — re-reading the epoch with the waiter
+            // list held, where it is stored, so that a notify can never
+            // fall between the check and the registration.
+            if ev.epoch() != seen {
+                return ev.epoch();
+            }
+            if deadline.is_some_and(|d| self.now() >= d) {
+                return seen;
+            }
+            let shared = &self.scheduler.shared;
+            let mut st = shared.state.lock();
+            let mut waiters = ev.shared().waiters.lock();
+            if ev.epoch() != seen {
+                return ev.epoch();
+            }
+            let target = st.block(self.pid, reason);
+            waiters.push(target);
+            drop(waiters);
+            if let Some(deadline) = deadline {
                 shared.schedule(&mut st, deadline, EventKind::Wake(target));
             }
-            self.park();
+            self.park(st);
         }
     }
 
-    /// Hand control back to the engine loop until a wake for the current
-    /// block epoch resumes this process; unwinds (quietly) instead when the
-    /// simulation is being torn down.
-    fn park(&mut self) {
-        coro::suspend();
+    /// Block: run the event loop, under the guard the wake was registered
+    /// with, until it pops a wake for this block — in place, or else parked
+    /// behind a switch to whoever runs first. Unwinds (quietly) instead
+    /// when the simulation is being torn down.
+    fn park(&self, mut st: MutexGuard<'_, EngineState>) {
+        drop(st.reclaim.take());
+        let Some(me) = st.procs[self.pid.0].coro.as_ref().map(Coroutine::running) else {
+            // Torn down (`Simulation::drop` has the coroutine out of the
+            // table) and the body swallowed the unwinding: unwind again.
+            drop(st);
+            coro::unwind_cancelled()
+        };
+        if let Some(to) = dispatch(&self.scheduler, st, Host::Proc(self.pid)) {
+            // SAFETY: we run on `me`'s stack — it is this process — and
+            // `to` is what `hand_over` just took from a parked context of
+            // this simulation, which only this thread switches to.
+            unsafe { me.park(to) };
+        }
     }
 }
 
@@ -557,7 +657,7 @@ pub struct RunReport {
 
 /// A deterministic discrete-event simulation.
 pub struct Simulation {
-    shared: Arc<Shared>,
+    sched: Scheduler,
 }
 
 impl Default for Simulation {
@@ -566,16 +666,18 @@ impl Default for Simulation {
     }
 }
 
-fn spawn_inner<F>(shared: &Arc<Shared>, name: String, daemon: bool, f: F) -> ProcId
+fn spawn_inner<F>(sched: &Scheduler, name: String, daemon: bool, f: F) -> ProcId
 where
     F: FnOnce(&mut Ctx) + Send + 'static,
 {
+    let shared = &sched.shared;
     let mut st = shared.state.lock();
     let pid = ProcId(st.procs.len());
-    let scheduler = Scheduler {
-        shared: shared.clone(),
-    };
-    let coro = Coroutine::new(move || f(&mut Ctx { pid, scheduler }));
+    let (scheduler, sched) = (sched.clone(), sched.clone());
+    let body = move || f(&mut Ctx { pid, scheduler });
+    // SAFETY: `process_ended` returns what `hand_over` took from a parked
+    // context, having put the coroutine where only a later context drops it.
+    let coro = unsafe { Coroutine::new(body, move |end| process_ended(&sched, pid, end)) };
     st.procs.push(ProcSlot {
         name,
         daemon,
@@ -592,7 +694,29 @@ where
     pid
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The body of process `pid` has returned or unwound. Still on its stack:
+/// leave the process for the next context to drop, dispatch (or go straight
+/// to `run`'s caller with the panic), and return where the thread goes next.
+fn process_ended(sched: &Scheduler, pid: ProcId, end: Result<(), Payload>) -> *mut u8 {
+    let shared = &*sched.shared;
+    let mut st = shared.state.lock();
+    let slot = &mut st.procs[pid.0];
+    let ended = slot.coro.take();
+    if !slot.daemon {
+        st.live -= 1;
+    }
+    // Whoever ended before us goes now; we go with the next to park or end.
+    drop(std::mem::replace(&mut st.reclaim, ended));
+    if let Err(payload) = end {
+        let name = st.procs[pid.0].name.clone();
+        let message = panic_message(payload.as_ref());
+        st.verdict = Some(Ok(Err(SimError::ProcessPanic { name, message })));
+        return shared.hand_over(&mut st, Host::Ended, None);
+    }
+    dispatch(sched, st, Host::Ended).expect("nothing wakes an ended process")
+}
+
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -606,18 +730,16 @@ impl Simulation {
     pub fn new() -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(EngineState {
-                next_seq: 0,
-                heap: BinaryHeap::new(),
-                procs: Vec::new(),
-                live: 0,
-                events_processed: 0,
                 event_limit: u64::MAX,
-                home: None,
+                ..EngineState::default()
             }),
+            runner_sp: AtomicPtr::default(),
             now: AtomicU64::new(0),
             trace: OnceLock::new(),
         });
-        Simulation { shared }
+        Simulation {
+            sched: Scheduler { shared },
+        }
     }
 
     /// Install the trace hook invoked by [`Ctx::trace`] / [`Scheduler::trace`].
@@ -628,20 +750,18 @@ impl Simulation {
     /// # Panics
     /// If a hook is already installed.
     pub fn set_trace(&self, hook: impl Fn(SimTime, &str) + Send + Sync + 'static) {
-        let installed = self.shared.trace.set(Box::new(hook));
+        let installed = self.sched.shared.trace.set(Box::new(hook));
         assert!(installed.is_ok(), "the trace hook is installed once");
     }
 
     /// Cap the number of processed events (livelock guard for tests).
     pub fn set_event_limit(&self, limit: u64) {
-        self.shared.state.lock().event_limit = limit;
+        self.sched.shared.state.lock().event_limit = limit;
     }
 
     /// Scheduler handle for constructing device models before `run`.
     pub fn scheduler(&self) -> Scheduler {
-        Scheduler {
-            shared: self.shared.clone(),
-        }
+        self.sched.clone()
     }
 
     /// Spawn a root process; it becomes runnable at t=0 (or the current time
@@ -650,7 +770,7 @@ impl Simulation {
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
-        spawn_inner(&self.shared, name.into(), false, f)
+        spawn_inner(&self.sched, name.into(), false, f)
     }
 
     /// Spawn a daemon process (see [`Scheduler::spawn_daemon`]).
@@ -658,7 +778,7 @@ impl Simulation {
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
-        spawn_inner(&self.shared, name.into(), true, f)
+        spawn_inner(&self.sched, name.into(), true, f)
     }
 
     /// Run until the event queue drains and every process has finished.
@@ -667,90 +787,20 @@ impl Simulation {
     /// If an earlier `run` of this simulation happened on another thread
     /// (see the module docs).
     pub fn run(&mut self) -> Result<RunReport, SimError> {
-        let shared = &*self.shared;
-        let sched = self.scheduler();
-        // One acquisition per event: the lock is let go only around the
-        // code an event runs — a callback, or a process until it parks —
-        // and taken back once, for that event's bookkeeping *and* the
-        // next pop.
+        let shared = &*self.sched.shared;
         let mut st = shared.state.lock();
         st.claim_thread("run");
-        loop {
-            let Some(ev) = st.pop_next() else {
-                if st.live == 0 {
-                    return Ok(RunReport {
-                        final_time: shared.now(),
-                        events_processed: st.events_processed,
-                    });
-                }
-                let blocked = st
-                    .procs
-                    .iter()
-                    .filter(|p| p.coro.is_some() && !p.daemon)
-                    .map(|p| BlockedProc {
-                        name: p.name.clone(),
-                        reason: p.block_reason.to_string(),
-                    })
-                    .collect();
-                return Err(SimError::Deadlock {
-                    at: shared.now(),
-                    blocked,
-                });
-            };
-            shared.set_now(ev.time);
-            st.events_processed += 1;
-            if st.events_processed > st.event_limit {
-                return Err(SimError::EventLimit {
-                    limit: st.event_limit,
-                    at: ev.time,
-                });
-            }
-            let target = match ev.kind {
-                EventKind::Call(f) => {
-                    drop(st);
-                    f(&sched);
-                    st = shared.state.lock();
-                    continue;
-                }
-                EventKind::Wake(target) => target,
-            };
-            let slot = &mut st.procs[target.pid.0];
-            if slot.epoch != target.epoch {
-                continue; // stale wake: the process moved on
-            }
-            let Some(mut coro) = slot.coro.take() else {
-                continue; // stale wake: the process finished
-            };
-            let local = slot.local;
-            drop(st);
-
-            // Run the process, on this thread, until it parks or ends.
-            let outer = proc_local::swap(local);
-            let resumed = coro.resume();
-            let local = proc_local::swap(outer);
-
-            st = shared.state.lock();
-            let slot = &mut st.procs[target.pid.0];
-            match resumed {
-                Resumed::Suspended => {
-                    slot.coro = Some(coro);
-                    slot.local = local;
-                }
-                Resumed::Finished(result) => {
-                    if !slot.daemon {
-                        st.live -= 1;
-                    }
-                    // Unmaps the stack now, not when the simulation drops.
-                    drop(coro);
-                    if let Err(payload) = result {
-                        return Err(SimError::ProcessPanic {
-                            name: st.procs[target.pid.0].name.clone(),
-                            message: panic_message(payload.as_ref()),
-                        });
-                    }
-                }
-            }
+        if let Some(to) = dispatch(&self.sched, st, Host::Runner) {
+            // SAFETY: `to` is what `hand_over` just took from a parked
+            // process of this simulation, on this, its home thread; only
+            // the switch back with the verdict reads `runner_sp`.
+            unsafe { coro::switch(shared.runner_sp.as_ptr(), to) };
         }
+        let mut st = shared.state.lock();
+        drop(st.reclaim.take());
+        let verdict = st.verdict.take().expect("`run` resumes with a verdict");
+        drop(st);
+        verdict.unwrap_or_else(|callback_panic| resume_unwind(callback_panic))
     }
 
     /// Convenience: run and panic with a readable message on failure.
@@ -763,7 +813,7 @@ impl Simulation {
 
     /// Name of a process (for diagnostics).
     pub fn proc_name(&self, pid: ProcId) -> String {
-        self.shared.state.lock().procs[pid.0].name.clone()
+        self.sched.shared.state.lock().procs[pid.0].name.clone()
     }
 }
 
@@ -772,10 +822,9 @@ impl Drop for Simulation {
         // Take every remaining process out of the table — each holds a
         // `Scheduler`, so leaving them would keep the table alive forever —
         // and tear it down outside the lock, since destructors of process
-        // locals may call back into the scheduler: a process parked
-        // mid-body is unwound so its locals drop, one that never started
-        // just drops its closure.
-        let mut st = self.shared.state.lock();
+        // locals may call back into the scheduler: one parked mid-body is
+        // unwound so its locals drop, one never started drops its closure.
+        let mut st = self.sched.shared.state.lock();
         let coros: Vec<Coroutine> = st.procs.iter_mut().filter_map(|p| p.coro.take()).collect();
         if coros.iter().any(Coroutine::is_mid_body) {
             st.claim_thread("dropped");

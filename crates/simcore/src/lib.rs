@@ -42,6 +42,8 @@ pub mod mapping;
 mod sync;
 mod time;
 
+#[cfg(debug_assertions)]
+pub use coro::switch_count;
 pub use engine::{proc_local, Ctx, ProcId, RunReport, Scheduler, Simulation};
 pub use error::{BlockedProc, SimError};
 pub use sync::{Completion, Mailbox, SimEvent};

@@ -236,6 +236,48 @@ fn event_limit_catches_livelock() {
     }
 }
 
+/// The limit refuses an event before popping it: the event stays queued and
+/// the clock where it was, so a later `run` under a higher limit carries on
+/// as if nothing had happened. (The loop used to pop, count, find the count
+/// over the limit and return with the popped wake dropped on the floor: the
+/// second `run` then reported a deadlock for a program that cannot have one.)
+#[test]
+fn the_event_limit_leaves_the_refused_event_queued() {
+    let build = || {
+        let sim = Simulation::new();
+        let finished = Arc::new(AtomicUsize::new(0));
+        for name in ["a", "b"] {
+            let finished = finished.clone();
+            sim.spawn(name, move |ctx| {
+                for _ in 0..4 {
+                    ctx.sleep(SimDuration::from_nanos(10));
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        (sim, finished)
+    };
+    let (mut unlimited, _) = build();
+    let unlimited = unlimited.run_expect();
+
+    // Refused at limit 2, the first wake (t=10) leaves the clock at the
+    // starts' t=0; at limit 3 it is the second wake of that instant.
+    for (limit, clock) in [(2, 0), (3, 10)] {
+        let (mut sim, finished) = build();
+        sim.set_event_limit(limit);
+        match sim.run() {
+            Err(SimError::EventLimit { limit: l, at }) => assert_eq!((l, at), (limit, SimTime(10))),
+            other => panic!("expected the event limit, got {other:?}"),
+        }
+        assert_eq!(sim.scheduler().now(), SimTime(clock), "the clock moved");
+        sim.set_event_limit(1000);
+        let report = sim.run().expect("the refused wake was still queued");
+        assert_eq!(finished.load(Ordering::SeqCst), 2);
+        assert_eq!(report.events_processed, unlimited.events_processed);
+        assert_eq!(report.final_time, unlimited.final_time);
+    }
+}
+
 #[test]
 fn spawn_from_within_process() {
     let mut sim = Simulation::new();
@@ -375,13 +417,13 @@ fn now_is_the_one_clock() {
 }
 
 /// The reads a progress loop makes when nothing is new take no lock at
-/// all, and the run loop takes the engine state once per event it pops:
-/// the lock is let go around the event's code and taken back once, for the
-/// bookkeeping and the next pop. (Counted by the lock shim, debug builds
-/// only.)
+/// all, a callback event costs the engine state once (to take it back after
+/// the callback ran unlocked), and a block costs it once — from registering
+/// the wake through popping the next event — and at most one context
+/// switch. (Counted by the lock shim and the switch, debug builds only.)
 #[cfg(debug_assertions)]
 #[test]
-fn polling_reads_take_no_lock_and_the_run_loop_one_per_event() {
+fn polling_reads_take_no_lock_and_a_block_takes_one() {
     use parking_lot::lock_count;
 
     const CALLS: u64 = 100;
@@ -391,8 +433,10 @@ fn polling_reads_take_no_lock_and_the_run_loop_one_per_event() {
         f();
         lock_count::total() - before
     };
+    // What `run` itself takes: one on the way in, one to fetch the verdict.
+    const RUN: u64 = 2;
 
-    // Callbacks only: one acquisition to start, one after each callback.
+    // Callbacks only, all on `run`'s own stack: no switch at all.
     let mut sim = Simulation::new();
     let sched = sim.scheduler();
     let ev = SimEvent::new();
@@ -405,15 +449,19 @@ fn polling_reads_take_no_lock_and_the_run_loop_one_per_event() {
             assert_eq!(lock_count::total(), before, "an empty poll took a lock");
         });
     }
+    let switches = simcore::switch_count();
     let locks = locks_of(&mut || {
         sim.run_expect();
     });
-    assert_eq!(locks, 1 + CALLS);
+    assert_eq!(locks, RUN + CALLS);
+    assert_eq!(simcore::switch_count(), switches);
 
     // Two processes whose sleeps interleave, so that every sleep but the
     // first of "b" finds the other's wake queued ahead of its own and
-    // parks: the loop's acquisitions are one to start and one per popped
-    // event; each `sleep` call makes one of its own.
+    // blocks: each `sleep` call is one acquisition, fast-forwarded or not,
+    // and each process ending one more. Every popped event is a wake for
+    // the other process — one switch — and the last one out switches to
+    // `run`'s caller.
     let mut sim = Simulation::new();
     for (name, offset) in [("a", 0), ("b", 5)] {
         sim.spawn(name, move |ctx| {
@@ -424,11 +472,53 @@ fn polling_reads_take_no_lock_and_the_run_loop_one_per_event() {
         });
     }
     let mut events = 0;
+    let switches = simcore::switch_count();
     let locks = locks_of(&mut || events = sim.run_expect().events_processed);
+    let switches = simcore::switch_count() - switches;
     let sleep_calls = 2 * SLEEPS + 1; // a zero sleep returns at once
     let fast_forwarded = 1; // "b"'s offset: counted as an event, never queued
     assert_eq!(events, 2 + sleep_calls);
-    assert_eq!(locks, 1 + (events - fast_forwarded) + sleep_calls);
+    assert_eq!(locks, RUN + sleep_calls + 2);
+    assert_eq!(switches, events - fast_forwarded + 1);
+    assert!(switches <= events, "more than one switch per event");
+}
+
+/// A process that blocks with nobody else runnable runs the event loop
+/// itself: the callbacks it sleeps across run on its stack — seeing the word
+/// of `run`'s caller, not the process's — and its own wake is a plain
+/// return, so the whole sleep makes no context switch.
+#[test]
+fn a_process_alone_hosts_its_callbacks_and_never_switches() {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = Simulation::new();
+    let seen2 = seen.clone();
+    sim.spawn("host", move |ctx| {
+        proc_local::set(42);
+        for at in 1..=3 {
+            let seen = seen2.clone();
+            ctx.scheduler()
+                .call_after(SimDuration::from_nanos(at), move |s| {
+                    seen.lock().push((s.now().as_nanos(), proc_local::get()));
+                    proc_local::set(7 + at); // the outside word moves on
+                });
+        }
+        #[cfg(debug_assertions)]
+        let switches = simcore::switch_count();
+        ctx.sleep(SimDuration::from_nanos(10));
+        #[cfg(debug_assertions)]
+        assert_eq!(simcore::switch_count(), switches, "a switch for nobody");
+        assert_eq!(ctx.now(), SimTime(10));
+        assert_eq!(proc_local::get(), 42, "the process's own word is back");
+    });
+    proc_local::set(7);
+    sim.run_expect();
+    assert_eq!(*seen.lock(), vec![(1, 7), (2, 8), (3, 9)]);
+    assert_eq!(
+        proc_local::get(),
+        10,
+        "the caller's word, as the callbacks left it"
+    );
+    proc_local::set(0);
 }
 
 /// Pinned execution order of the event queue: a mixed wake + device-callback
@@ -592,6 +682,35 @@ fn panic_is_reported_and_parked_processes_unwind_once_on_drop() {
     assert_eq!(drops.load(Ordering::SeqCst), 0, "still parked mid-body");
     drop(sim);
     assert_eq!(drops.load(Ordering::SeqCst), 2, "each local dropped once");
+}
+
+/// A callback runs on whatever stack is dispatching, but its panic is not
+/// its host's: `run` unwinds with the callback's own payload on its caller's
+/// stack, and the process that happened to host it is left parked — its
+/// locals drop once, when the simulation is torn down.
+#[test]
+fn a_callbacks_panic_is_not_charged_to_its_host() {
+    let drops = Arc::new(AtomicUsize::new(0));
+    let mut sim = Simulation::new();
+    let guard = CountDrop(drops.clone());
+    sim.spawn("innocent", move |ctx| {
+        let _guard = guard;
+        ctx.scheduler()
+            .call_after(SimDuration::from_nanos(5), |_| panic!("callback blew up"));
+        // Blocks with nothing else runnable: hosts the callback.
+        ctx.sleep(SimDuration::from_nanos(10));
+        unreachable!("`run` never comes back to this process");
+    });
+    // What a `#[should_panic(expected = ..)]` caller would see.
+    let unwound = catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("run must unwind");
+    assert_eq!(panic_text(unwound), "callback blew up");
+    assert_eq!(
+        drops.load(Ordering::SeqCst),
+        0,
+        "the host is parked, not unwound"
+    );
+    drop(sim);
+    assert_eq!(drops.load(Ordering::SeqCst), 1, "its local dropped once");
 }
 
 #[test]

@@ -17,6 +17,8 @@
 //!   defined in the sender request").
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fabric::{Arenas, Buffer, Cluster, Domain, LinkFaultKind, MemRef, NodeId};
@@ -32,9 +34,58 @@ use crate::types::{
 /// time, inline like the [`SgeList`] it came from.
 type LocalSlices = [Option<Buffer>; SgeList::MAX];
 
+/// Hasher of the fabric tables: their keys are small integers this crate
+/// counts up itself (never outside input), resolved two or three times per
+/// post and per delivery, so one multiply per word replaces SipHash.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
 struct MrEntry {
     buffer: Buffer,
     write_event: SimEvent,
+    /// Remote writes delivered into the region ([`MemoryRegion::writes`]).
+    /// One writer at a time — a delivery, holding the fabric table — so a
+    /// plain load and a `Release` store; readers `Acquire` it without a
+    /// lock and see the bytes of every write they count.
+    writes: Arc<AtomicU64>,
+}
+
+impl MrEntry {
+    fn handle(&self, key: MrKey) -> MemoryRegion {
+        MemoryRegion {
+            key,
+            buffer: self.buffer.clone(),
+            write_event: self.write_event.clone(),
+            writes: self.writes.clone(),
+        }
+    }
+
+    /// A remote write has landed in the region: count it, wake its pollers.
+    fn written(&self, sched: &Scheduler) {
+        let n = self.writes.load(Ordering::Relaxed) + 1;
+        self.writes.store(n, Ordering::Release);
+        self.write_event.notify_all(sched);
+    }
 }
 
 struct QpShared {
@@ -161,8 +212,8 @@ impl FaultPlan {
 struct FabState {
     next_qpn: u32,
     next_key: u32,
-    mrs: HashMap<u32, MrEntry>,
-    qps: HashMap<(NodeId, u32), Arc<QpShared>>,
+    mrs: KeyMap<u32, MrEntry>,
+    qps: KeyMap<(NodeId, u32), Arc<QpShared>>,
     faults: std::collections::VecDeque<FaultSpec>,
     fault_plans: Vec<FaultPlan>,
 }
@@ -181,8 +232,8 @@ impl IbFabric {
             state: Mutex::new(FabState {
                 next_qpn: 1,
                 next_key: 1,
-                mrs: HashMap::new(),
-                qps: HashMap::new(),
+                mrs: KeyMap::default(),
+                qps: KeyMap::default(),
                 faults: std::collections::VecDeque::new(),
                 fault_plans: Vec::new(),
             }),
@@ -228,12 +279,7 @@ impl IbFabric {
     /// command client after the host daemon performed the registration).
     pub fn mr_handle(&self, key: MrKey) -> Option<MemoryRegion> {
         let st = self.state.lock();
-        let entry = st.mrs.get(&key.0)?;
-        Some(MemoryRegion {
-            key,
-            buffer: entry.buffer.clone(),
-            write_event: entry.write_event.clone(),
-        })
+        Some(st.mrs.get(&key.0)?.handle(key))
     }
 
     /// Replace the write-notification event of a registered region and
@@ -242,12 +288,8 @@ impl IbFabric {
     pub fn set_write_event(&self, key: MrKey, event: SimEvent) -> Option<MemoryRegion> {
         let mut st = self.state.lock();
         let entry = st.mrs.get_mut(&key.0)?;
-        entry.write_event = event.clone();
-        Some(MemoryRegion {
-            key,
-            buffer: entry.buffer.clone(),
-            write_event: event,
-        })
+        entry.write_event = event;
+        Some(entry.handle(key))
     }
 
     /// Check a receive's scatter list eagerly, under one table acquisition.
@@ -336,14 +378,14 @@ impl FabState {
     }
 
     /// The slice `[addr, addr + len)` of the region `rkey` names, and the
-    /// region's write event.
-    fn resolve_remote(&self, rkey: MrKey, addr: u64, len: u64) -> Option<(Buffer, &SimEvent)> {
+    /// region's entry.
+    fn resolve_remote(&self, rkey: MrKey, addr: u64, len: u64) -> Option<(Buffer, &MrEntry)> {
         let entry = self.mrs.get(&rkey.0)?;
         let buf = &entry.buffer;
         if addr < buf.addr || addr + len > buf.addr + buf.len {
             return None;
         }
-        Some((buf.slice(addr - buf.addr, len), &entry.write_event))
+        Some((buf.slice(addr - buf.addr, len), entry))
     }
 }
 
@@ -410,18 +452,14 @@ impl VerbsContext {
         let mut st = self.fabric.state.lock();
         let key = MrKey(st.next_key);
         st.next_key += 1;
-        st.mrs.insert(
-            key.0,
-            MrEntry {
-                buffer: buffer.clone(),
-                write_event: write_event.clone(),
-            },
-        );
-        MemoryRegion {
-            key,
+        let entry = MrEntry {
             buffer,
             write_event,
-        }
+            writes: Arc::default(),
+        };
+        let handle = entry.handle(key);
+        st.mrs.insert(key.0, entry);
+        handle
     }
 
     /// Deregister a memory region.
@@ -504,6 +542,7 @@ pub struct MemoryRegion {
     key: MrKey,
     buffer: Buffer,
     write_event: SimEvent,
+    writes: Arc<AtomicU64>,
 }
 
 impl MemoryRegion {
@@ -547,6 +586,15 @@ impl MemoryRegion {
     /// the simulation's stand-in for polling a cache line.
     pub fn write_event(&self) -> &SimEvent {
         &self.write_event
+    }
+
+    /// How many remote writes — RDMA WRITEs, and atomics that changed their
+    /// word — have been delivered into this region, through whichever
+    /// handle. Unlike the write event, which a process may share among
+    /// regions and completion queues, this answers "has *this* memory
+    /// changed since I last looked?". Takes no lock.
+    pub fn writes(&self) -> u64 {
+        self.writes.load(Ordering::Acquire)
     }
 }
 
@@ -990,19 +1038,19 @@ fn deliver(
         }
         SendOpcode::RdmaWrite => {
             drop(rst);
-            let Some((rbuf, wev)) = table.resolve_remote(wr.rkey, wr.remote_addr, bytes) else {
+            let Some((rbuf, region)) = table.resolve_remote(wr.rkey, wr.remote_addr, bytes) else {
                 return push_local(WcStatus::RemoteAccessError);
             };
             // Deliver payload in SGE order (tail lands last — pollable).
             for_each_slice(cluster, &local_slices, rbuf.mem, |m, s, off| {
                 m.copy(s, 0, &rbuf, off, s.len);
             });
-            wev.notify_all(sched);
+            region.written(sched);
             push_local(WcStatus::Success);
         }
         SendOpcode::RdmaRead => {
             drop(rst);
-            let Some((rbuf, _wev)) = table.resolve_remote(wr.rkey, wr.remote_addr, bytes) else {
+            let Some((rbuf, _)) = table.resolve_remote(wr.rkey, wr.remote_addr, bytes) else {
                 return push_local(WcStatus::RemoteAccessError);
             };
             for_each_slice(cluster, &local_slices, rbuf.mem, |m, s, off| {
@@ -1012,7 +1060,7 @@ fn deliver(
         }
         SendOpcode::FetchAdd | SendOpcode::CompareSwap => {
             drop(rst);
-            let Some((rbuf, wev)) = table.resolve_remote(wr.rkey, wr.remote_addr, 8) else {
+            let Some((rbuf, region)) = table.resolve_remote(wr.rkey, wr.remote_addr, 8) else {
                 return push_local(WcStatus::RemoteAccessError);
             };
             let result = local_slices[0]
@@ -1037,7 +1085,7 @@ fn deliver(
                 new.is_some()
             });
             if written {
-                wev.notify_all(sched);
+                region.written(sched);
             }
             push_local(WcStatus::Success);
         }

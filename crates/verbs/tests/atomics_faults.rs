@@ -252,3 +252,89 @@ fn faulted_op_moves_no_data() {
     });
     sim.run_expect();
 }
+
+/// `MemoryRegion::writes` counts the remote writes delivered into the
+/// region — one per RDMA WRITE, one per atomic that changed its word —
+/// whichever handle asks, and nothing else: not a read of it, not a Send
+/// scattered into it, not a WR a fault plan failed, not one flushed at a
+/// dead QP. It is what lets a poller skip memory nobody has written.
+#[test]
+fn writes_counts_delivered_remote_writes_and_nothing_else() {
+    use verbs::RecvWr;
+
+    let (mut sim, fabric) = setup();
+    let f = fabric.clone();
+    sim.spawn("p", move |ctx| {
+        let cl = f.cluster().clone();
+        let a = VerbsContext::open(f.clone(), NodeId(0), Domain::Host);
+        let b = VerbsContext::open(f.clone(), NodeId(1), Domain::Host);
+        let local = a.reg_mr_uncharged(cl.alloc_pages(host(0), 64).unwrap());
+        let target = b.reg_mr_uncharged(cl.alloc_pages(host(1), 64).unwrap());
+        // A second handle on the same region, its event swapped the way the
+        // engine does for its rings: one counter behind all of them.
+        let other = f
+            .set_write_event(target.key(), simcore::SimEvent::new())
+            .expect("registered above");
+        let cq = a.create_cq();
+        let qp = a.create_qp(&cq, &cq);
+        let cqb = b.create_cq();
+        let qpb = b.create_qp(&cqb, &cqb);
+        verbs::QueuePair::connect_pair(&qp, &qpb);
+
+        let (addr, rkey) = (target.addr(), target.rkey());
+        let post = |ctx: &mut simcore::Ctx, wr: SendWr, status: WcStatus, counted: u64| {
+            qp.post_send(ctx, wr).unwrap();
+            assert_eq!(cq.wait(ctx).status, status);
+            assert_eq!(target.writes(), counted);
+            assert_eq!(other.writes(), counted);
+            assert_eq!(f.mr_handle(target.key()).unwrap().writes(), counted);
+        };
+        let write = || SendWr::rdma_write(0, vec![local.sge(0, 8)], addr, rkey);
+        assert_eq!(target.writes(), 0);
+        post(ctx, write(), WcStatus::Success, 1);
+        post(ctx, write(), WcStatus::Success, 2);
+        post(
+            ctx,
+            SendWr::fetch_add(0, local.sge(0, 8), addr, rkey, 5),
+            WcStatus::Success,
+            3,
+        );
+        // The word is now 5: the first swap changes it, the second does not.
+        post(
+            ctx,
+            SendWr::compare_swap(0, local.sge(0, 8), addr, rkey, 5, 9),
+            WcStatus::Success,
+            4,
+        );
+        post(
+            ctx,
+            SendWr::compare_swap(0, local.sge(0, 8), addr, rkey, 5, 1),
+            WcStatus::Success,
+            4,
+        );
+        post(
+            ctx,
+            SendWr::rdma_read(0, vec![local.sge(0, 8)], addr, rkey),
+            WcStatus::Success,
+            4,
+        );
+        qpb.post_recv(ctx, RecvWr::new(0, vec![target.sge(0, 8)]))
+            .unwrap();
+        post(
+            ctx,
+            SendWr::send(0, vec![local.sge(0, 8)]),
+            WcStatus::Success,
+            4,
+        );
+        f.inject_fault(0, WcStatus::RemoteAccessError);
+        post(ctx, write(), WcStatus::RemoteAccessError, 4);
+        qpb.set_error();
+        post(ctx, write(), WcStatus::WrFlushErr, 4);
+        assert_eq!(
+            local.writes(),
+            0,
+            "nothing was written into the initiator's region"
+        );
+    });
+    sim.run_expect();
+}
