@@ -272,7 +272,7 @@ fn phase_p99s(doc: &JsonValue) -> Result<Vec<(String, f64)>, String> {
 /// warnings))` — empty violations means the gate passes; `Err` means an
 /// input could not be parsed or is not a metrics report.
 ///
-/// Additive sections ([`SECTIONS`]) gate *asymmetrically*: present on
+/// Additive sections (`SECTIONS`) gate *asymmetrically*: present on
 /// both sides → every key either side carries must be equal; only in
 /// the baseline → a warning (an old baseline must keep passing against a
 /// candidate whose run type doesn't produce the section); only in the

@@ -19,10 +19,10 @@ use crate::spec::Faults;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     /// Four ranks on the paper's 8-node cluster, through every protocol
-    /// path the trace layer instruments — see [`mixed`].
+    /// path the trace layer instruments — see `mixed`.
     Mixed,
     /// One rank per node exchanging halos with its ring neighbors, so the
-    /// touched pairs stay O(ranks) — see [`halo`].
+    /// touched pairs stay O(ranks) — see `halo`.
     Halo,
 }
 

@@ -657,15 +657,6 @@ impl Channel {
             }
         }
 
-        if ctx.has_trace() {
-            ctx.trace(&format!(
-                "rank{rank} -> rank{dst}: {:?} seq={} len={} (slot {})",
-                hdr.kind,
-                hdr.seq,
-                hdr.len,
-                slot_seq % self.slots
-            ));
-        }
         self.trace.record(|| TraceEvent::PacketTx {
             from: rank,
             to: dst,
@@ -1098,8 +1089,8 @@ impl Channel {
 
     /// Record one message-lifecycle edge event (the post-run stitcher's
     /// input). The timestamp is taken inside the record closure, so a
-    /// detached trace — or the `trace` feature compiled out — pays
-    /// nothing and the allocation-free hot path is unchanged.
+    /// detached trace pays nothing and the allocation-free hot path is
+    /// unchanged.
     #[inline]
     pub(crate) fn msg_life(
         &self,

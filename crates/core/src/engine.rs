@@ -47,7 +47,7 @@ use crate::packet::{PacketHeader, PacketKind};
 use crate::recovery::{Health, TimeoutKind, TrackedWrs, WrKind};
 use crate::resources::Resources;
 use crate::slots::SlotTable;
-use crate::stats::{StatsCell, StatsReport};
+use crate::stats::StatsReport;
 use crate::trace::{MsgStage, Trace, TraceBuf, TraceEvent};
 use crate::types::{MpiError, Rank, Request, Src, Status, Tag, TagSel};
 
@@ -217,9 +217,6 @@ pub struct Engine {
     pub(crate) health: Health,
     mpi_call: SimDuration,
     pub(crate) stats: CommStats,
-    /// Seqlock publication point for [`StatsReport`]s: observers on other
-    /// threads read the last published snapshot without tearing.
-    stats_cell: Arc<StatsCell>,
     pub(crate) trace: Trace,
     pub(crate) metrics: Metrics,
     /// Open latency spans, slot-indexed in step with `reqs` (the stored
@@ -244,7 +241,7 @@ pub struct Engine {
 
 impl Engine {
     /// Create a rank's engine. Per-peer resources materialize lazily on
-    /// first touch (see [`crate::channel`]).
+    /// first touch (see `channel.rs`).
     pub fn create(
         ctx: &mut Ctx,
         rank: Rank,
@@ -280,7 +277,6 @@ impl Engine {
             health: Health::default(),
             mpi_call,
             stats,
-            stats_cell: Arc::new(StatsCell::new()),
             trace: Trace::default(),
             metrics: Metrics::default(),
             open_spans: Vec::new(),
@@ -619,26 +615,16 @@ impl Engine {
     }
 
     /// Consolidated counter snapshot: protocol counters plus both cache
-    /// pools' hit/miss/lifetime statistics. Also publishes the snapshot
-    /// into the rank's [`StatsCell`] for concurrent observers.
+    /// pools' hit/miss/lifetime statistics.
     pub fn dump(&self) -> StatsReport {
-        let report = StatsReport {
+        StatsReport {
             rank: self.rank,
             comm: self.stats,
             mr_cache: self.mr_cache.stats(),
             offload: self.offload_cache.stats(),
             mr_cached: self.mr_cache.cached_regions(),
             mr_pinned: self.mr_cache.pinned_regions(),
-        };
-        self.stats_cell.publish(report);
-        report
-    }
-
-    /// The rank's seqlock stats cell: share the handle with any thread to
-    /// read the last published [`StatsReport`] without tearing. See the
-    /// staleness contract on [`StatsCell`].
-    pub fn stats_cell(&self) -> Arc<StatsCell> {
-        self.stats_cell.clone()
+        }
     }
 
     /// Live handshake-replay entries (`served_done` + `served_dw`) across
@@ -681,7 +667,7 @@ impl Engine {
     }
 
     /// Arm the fail-stop trigger: this rank tears down and unwinds with
-    /// [`KillMarker`] upon issuing its `n`-th MPI entry operation.
+    /// `KillMarker` upon issuing its `n`-th MPI entry operation.
     pub fn set_kill_after(&mut self, n: u64) {
         self.health.kill_after = Some(n);
     }
@@ -821,7 +807,6 @@ impl Engine {
                 || !self.wr.retry_due.is_empty();
             if !pending {
                 debug_assert!(self.ch.stages_idle(), "a staging slot leaked");
-                self.dump(); // publish final pre-teardown counters
                 return;
             }
             ctx.wait_event(&self.progress_event, seen, "finalize quiesce");
@@ -833,7 +818,6 @@ impl Engine {
         self.mr_cache.clear(ctx, &self.res);
         self.offload_cache.clear(ctx, &self.res);
         self.res.close(ctx);
-        self.dump();
     }
 
     // ---- protocol internals ------------------------------------------------
@@ -1037,12 +1021,6 @@ impl Engine {
 
     /// One in-order arrival from `p`.
     fn handle_packet(&mut self, ctx: &mut Ctx, p: Rank, hdr: PacketHeader, payload: Payload) {
-        if ctx.has_trace() {
-            ctx.trace(&format!(
-                "rank{} <- rank{p}: {:?} seq={} len={}",
-                self.rank, hdr.kind, hdr.seq, hdr.len
-            ));
-        }
         let rank = self.rank;
         let (src, tag, seq) = (hdr.src_rank, hdr.tag, hdr.seq);
         self.trace.record(|| TraceEvent::PacketRx {

@@ -15,10 +15,9 @@
 //!   and close it when the matching completion resolves the request.
 //! * [`MetricsHub`] — the shared registry a `World` hands to every rank's
 //!   engine; the exporter drains it into the versioned JSON report.
-//! * [`Metrics`] — the feature-gated per-engine handle, mirroring
-//!   [`crate::trace::Trace`]: without the `trace` feature (or with no hub
-//!   attached) every call compiles to nothing / a branch on `None`, so the
-//!   disabled build stays zero-cost.
+//! * [`Metrics`] — the per-engine handle, mirroring
+//!   [`crate::trace::Trace`]: with no hub attached every call is a branch
+//!   on `None`.
 //!
 //! Percentiles are computed by inverting the piecewise-linear CDF over the
 //! bucket boundaries. Because every histogram shares the same knots, the
@@ -434,52 +433,29 @@ impl MetricsHub {
     }
 }
 
-/// The per-engine metrics handle. Mirrors [`crate::trace::Trace`]: without
-/// the `trace` feature the struct is empty and every method body compiles
-/// away; with the feature but no hub attached, each call is one branch on
-/// `None`. Closures defer `ctx.now()` so disabled builds never read the
-/// clock.
+/// The per-engine metrics handle. Mirrors [`crate::trace::Trace`]: with
+/// no hub attached, each call is one branch on `None`. Closures defer
+/// `ctx.now()` so a detached handle never reads the clock.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
-    #[cfg(feature = "trace")]
     hub: Option<MetricsHub>,
 }
 
 impl Metrics {
     /// Attach a hub; subsequent calls record into it.
     pub fn attach(&mut self, hub: MetricsHub) {
-        #[cfg(feature = "trace")]
-        {
-            self.hub = Some(hub);
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = hub;
+        self.hub = Some(hub);
     }
 
     pub fn enabled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.hub.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
+        self.hub.is_some()
     }
 
     /// Start timing a synchronous section: `Some(now)` when metrics are
     /// live, `None` (and the clock untouched) otherwise.
     #[inline]
     pub fn start(&self, now: impl FnOnce() -> SimTime) -> Option<SimTime> {
-        #[cfg(feature = "trace")]
-        {
-            self.hub.as_ref().map(|_| now())
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = now;
-            None
-        }
+        self.hub.as_ref().map(|_| now())
     }
 
     /// Close a [`Metrics::start`] section, attributing the elapsed virtual
@@ -493,24 +469,18 @@ impl Metrics {
         bytes: u64,
         peer: Option<Rank>,
     ) {
-        #[cfg(feature = "trace")]
         if let (Some(hub), Some(t0)) = (&self.hub, start) {
             hub.record(phase, bytes, peer, now().since(t0).as_nanos());
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (start, now, phase, bytes, peer);
     }
 
     /// Record an already-measured duration (used by the control-plane
     /// perf probe, which reports elapsed ns across the crate boundary).
     #[inline]
     pub fn record_ns(&self, phase: Phase, bytes: u64, peer: Option<Rank>, ns: u64) {
-        #[cfg(feature = "trace")]
         if let Some(hub) = &self.hub {
             hub.record(phase, bytes, peer, ns);
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (phase, bytes, peer, ns);
     }
 
     /// Open a span for an asynchronous protocol stage. Returns `None`
@@ -525,29 +495,18 @@ impl Metrics {
         peer: Option<Rank>,
         now: impl FnOnce() -> SimTime,
     ) -> Option<Span> {
-        #[cfg(feature = "trace")]
-        {
-            self.hub
-                .as_ref()
-                .map(|_| Span::begin(phase, id, bytes, peer, now()))
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (phase, id, bytes, peer, now);
-            None
-        }
+        self.hub
+            .as_ref()
+            .map(|_| Span::begin(phase, id, bytes, peer, now()))
     }
 
     /// Close a span, recording its lifetime.
     #[inline]
     pub fn span_end(&self, span: Span, now: impl FnOnce() -> SimTime) {
-        #[cfg(feature = "trace")]
         if let Some(hub) = &self.hub {
             let (key, ns) = span.end(now());
             hub.record_key(key, ns);
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (span, now);
     }
 }
 
@@ -802,7 +761,6 @@ mod tests {
         assert_eq!(key.peer, Some(3));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn metrics_handle_gates_on_attachment() {
         let m = Metrics::default();

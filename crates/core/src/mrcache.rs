@@ -446,7 +446,7 @@ impl OffloadCache {
         })
     }
 
-    /// Release a lease obtained from [`OffloadCache::acquire`].
+    /// Release a lease obtained from [`OffloadCache::try_acquire`].
     pub fn release(&mut self, _ctx: &mut Ctx, _res: &Resources, lease: OffloadLease) {
         let rank = self.rank;
         let key = lease.host_mr.key().0;

@@ -248,11 +248,10 @@ impl Engine {
     /// it) keeps that outcome: the late success changes nothing.
     fn complete_wr(&mut self, ctx: &mut Ctx, entry: InflightWr) {
         let me = self.rank;
-        let (req, what) = match entry.kind {
+        let req = match entry.kind {
             WrKind::Ring { req: None, .. } => return,
-            WrKind::Ring { req: Some(id), .. } => (id, "slot-write"),
-            WrKind::RndvRead { req } => (req, "RDMA-read"),
-            WrKind::RndvWrite { req } => (req, "RDMA-write"),
+            WrKind::Ring { req: Some(id), .. } => id,
+            WrKind::RndvRead { req } | WrKind::RndvWrite { req } => req,
         };
         match (entry.kind, self.wr_owner(req)) {
             (WrKind::Ring { hdr, .. }, Some(ReqState::EagerSend { status })) => {
@@ -306,15 +305,9 @@ impl Engine {
                 self.answer(ctx, dst, done);
                 self.ch.msg_life(ctx, me, dst, seq, MsgStage::Complete, len);
             }
-            (_, None) => {}
-            // The request is in no state that expects this completion:
-            // nothing to advance, so it is dropped, noted in the
-            // simulation trace.
-            (_, Some(_)) => {
-                if ctx.has_trace() {
-                    ctx.trace(&format!("rank{me}: stray {what} completion, request {req}"));
-                }
-            }
+            // The request is gone, or in no state that expects this
+            // completion: nothing to advance, so it is dropped.
+            _ => {}
         }
     }
 

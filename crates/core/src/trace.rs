@@ -11,11 +11,9 @@
 //! time, so the ring's order *is* the simulation's causal order and a
 //! recorded run replays deterministically.
 //!
-//! Recording is zero-cost when the `trace` cargo feature is disabled:
-//! [`Trace::record`] takes the event as a closure and compiles to
-//! nothing, so even the event construction disappears. With the
-//! feature enabled (the default) an engine without an attached buffer
-//! pays one `Option` check per site.
+//! [`Trace::record`] takes the event as a closure, so an engine without
+//! an attached buffer pays one `Option` check per site and never builds
+//! the event.
 //!
 //! [`audit`] replays a recorded event stream and checks the protocol
 //! invariants the paper's design relies on (§IV-B3/§IV-B4):
@@ -262,8 +260,8 @@ pub enum TraceEvent {
     /// A message-lifecycle edge event observed at rank `at`, in virtual
     /// time `t` (nanoseconds). The message is identified by its stable
     /// `MsgId` `(src, dst, seq)` — the sender, the receiver, and the
-    /// sender-stream pair sequence id already carried in every
-    /// [`crate::packet::PacketHeader`] — which is what lets the
+    /// sender-stream pair sequence id already carried in every packet
+    /// header — which is what lets the
     /// post-run stitcher join per-rank streams into one cross-rank
     /// causal DAG. `stage` names the edge ending at this event; `len`
     /// is the message payload length (0 where unknown, e.g. NACKs).
@@ -345,36 +343,25 @@ impl fmt::Debug for TraceBuf {
     }
 }
 
-/// Per-engine recording handle: the rank stamp plus (when tracing is
-/// compiled in) an optional attachment to a shared [`TraceBuf`].
+/// Per-engine recording handle: an optional attachment to a shared
+/// [`TraceBuf`].
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    #[cfg(feature = "trace")]
     buf: Option<TraceBuf>,
 }
 
 impl Trace {
     /// Attach to a shared ring.
     pub fn attach(&mut self, buf: TraceBuf) {
-        #[cfg(feature = "trace")]
-        {
-            self.buf = Some(buf);
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = buf;
+        self.buf = Some(buf);
     }
 
-    /// Record an event. The closure only runs when a buffer is
-    /// attached; with the `trace` feature disabled the whole call
-    /// compiles away.
+    /// Record an event. The closure only runs when a buffer is attached.
     #[inline]
     pub fn record(&self, ev: impl FnOnce() -> TraceEvent) {
-        #[cfg(feature = "trace")]
         if let Some(buf) = &self.buf {
             buf.record(ev());
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = ev;
     }
 }
 

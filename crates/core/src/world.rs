@@ -43,9 +43,6 @@ pub struct KillSpec {
 /// Launch options beyond the MPI configuration itself.
 #[derive(Debug, Clone)]
 pub struct LaunchOpts {
-    /// Spawn the per-node DCFA daemons (needed exactly once per simulation
-    /// for Phi placement; set false if the caller already did).
-    pub spawn_daemons: bool,
     /// Node for rank r is `nodes[r % nodes.len()]`… by default simply
     /// `r % cluster nodes` (one rank per node up to the cluster size, like
     /// the paper's one-Phi-per-node runs).
@@ -56,20 +53,16 @@ pub struct LaunchOpts {
     /// verbs directly. `None` = homogeneous placement from the config.
     pub placements: Option<Vec<Placement>>,
     /// Shared protocol-event ring every rank's engine records into
-    /// (see [`crate::trace`]). `None` = tracing off. Only effective with
-    /// the `trace` cargo feature (default); without it the field is
-    /// accepted but ignored.
+    /// (see [`crate::trace`]). `None` = tracing off.
     pub tracer: Option<crate::trace::TraceBuf>,
     /// Tunables (and fault plans) for the node daemons this launch
-    /// spawns. Ignored when `spawn_daemons` is false. When a tracer is
+    /// spawns when any rank runs on the Phi. When a tracer is
     /// attached and no explicit hook is set, control-plane events are
     /// bridged into the trace ring so the auditor sees crash/respawn/
     /// re-attach alongside the data path.
     pub daemon: dcfa::DaemonConfig,
     /// Shared latency-metrics hub every rank's engine records into (see
-    /// [`crate::metrics`]). `None` = profiling off. Only effective with
-    /// the `trace` cargo feature (default); without it the field is
-    /// accepted but ignored.
+    /// [`crate::metrics`]). `None` = profiling off.
     pub metrics: Option<crate::metrics::MetricsHub>,
     /// Fail-stop kill schedule. Non-empty installs the failure subsystem
     /// (health board + QP teardown hooks); each spec tears one rank down
@@ -91,7 +84,6 @@ pub struct LaunchOpts {
 impl Default for LaunchOpts {
     fn default() -> Self {
         LaunchOpts {
-            spawn_daemons: true,
             ranks_per_node: 1,
             placements: None,
             tracer: None,
@@ -108,7 +100,6 @@ impl Default for LaunchOpts {
 /// command round-trips and offload-twin PCIe syncs become
 /// [`crate::metrics::Phase::CtrlRoundtrip`] / `OffloadSync` histogram
 /// entries (peer unknown at this layer).
-#[cfg(feature = "trace")]
 fn ctrl_perf_probe(hub: crate::metrics::MetricsHub) -> dcfa::PerfProbe {
     use crate::metrics::Phase;
     Arc::new(move |p: dcfa::CtrlPerf| {
@@ -123,7 +114,6 @@ fn ctrl_perf_probe(hub: crate::metrics::MetricsHub) -> dcfa::PerfProbe {
 /// Bridge [`dcfa::CtrlEvent`]s into the structured trace ring, so the
 /// auditor can check control-plane invariants (crash/respawn pairing,
 /// full journal replay) against the same stream as the data path.
-#[cfg(feature = "trace")]
 fn ctrl_trace_hook(buf: crate::trace::TraceBuf) -> dcfa::CtrlHook {
     use crate::trace::TraceEvent;
     use dcfa::CtrlEvent;
@@ -185,8 +175,7 @@ fn ctrl_trace_hook(buf: crate::trace::TraceBuf) -> dcfa::CtrlHook {
 /// `cfg.placement`.
 ///
 /// Returns the [`dcfa::DcfaStats`] counter handle for the daemons this
-/// call spawned (`None` when it spawned none — host placement, or
-/// `opts.spawn_daemons == false`).
+/// call spawned (`None` when it spawned none: every rank on the host).
 pub fn launch<F>(
     sim: &Simulation,
     ib: &Arc<IbFabric>,
@@ -211,16 +200,10 @@ where
         .unwrap_or(cfg.placement == Placement::Phi);
     // Bridge control-plane events into the trace ring (unless the caller
     // installed their own observer).
-    #[cfg(feature = "trace")]
     let ctrl_hook: Option<dcfa::CtrlHook> = opts.tracer.clone().map(ctrl_trace_hook);
-    #[cfg(not(feature = "trace"))]
-    let ctrl_hook: Option<dcfa::CtrlHook> = None;
     // Bridge control-plane latency samples into the metrics hub.
-    #[cfg(feature = "trace")]
     let ctrl_perf: Option<dcfa::PerfProbe> = opts.metrics.clone().map(ctrl_perf_probe);
-    #[cfg(not(feature = "trace"))]
-    let ctrl_perf: Option<dcfa::PerfProbe> = None;
-    let daemon_stats = if any_phi && opts.spawn_daemons {
+    let daemon_stats = if any_phi {
         let mut dcfg = opts.daemon.clone();
         if dcfg.hook.is_none() {
             dcfg.hook = ctrl_hook.clone();

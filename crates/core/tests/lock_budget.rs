@@ -176,7 +176,6 @@ fn nothing_new_reads_take_no_lock() {
     lock_free("Scheduler::now", &mut || {
         std::hint::black_box(sched.now());
     });
-    lock_free("Scheduler::has_trace", &mut || assert!(!sched.has_trace()));
     lock_free("SimEvent::epoch", &mut || assert_eq!(ev.epoch(), 0));
     lock_free("an empty poll_batch", &mut || {
         assert_eq!(cq.poll_batch(&mut Vec::new(), 16), 0);

@@ -80,25 +80,23 @@ impl std::error::Error for DcfaError {}
 /// MPI rendezvous watchdog. The MPI core's lazy-connect watchdog rides the
 /// same out-of-band channel and runs on the same period.
 pub const CMD_TIMEOUT: SimDuration = SimDuration::from_micros(500);
-/// Default retransmissions of one command (and re-issues of one connect
-/// handshake) before giving up on the connection.
+/// Retransmissions of one command (and re-issues of one connect
+/// handshake) before giving up on the connection: a command falls back to
+/// a full reconnect + journal replay.
 pub const CMD_RETRY_LIMIT: u32 = 3;
+/// Connect attempts during an initial connect or a re-attach (covers
+/// daemon respawn downtime).
+const RECONNECT_LIMIT: u32 = 8;
+/// Delay before reconnect attempt `n` is `n` times this: it grows linearly.
+const RECONNECT_BACKOFF: SimDuration = SimDuration::from_micros(50);
 
 /// Client-side knobs for the fault-tolerant command channel.
 #[derive(Clone)]
 pub struct DcfaConfig {
     /// How long to wait for a command reply before retransmitting.
     pub cmd_timeout: SimDuration,
-    /// Retransmissions of one command before falling back to a full
-    /// reconnect + journal replay.
-    pub cmd_retry_limit: u32,
     /// Base retransmit backoff; doubles per attempt.
     pub cmd_backoff: SimDuration,
-    /// Reconnect attempts during a re-attach (covers daemon respawn
-    /// downtime); backoff between attempts grows linearly.
-    pub reconnect_limit: u32,
-    /// Base delay between reconnect attempts.
-    pub reconnect_backoff: SimDuration,
     /// Period of the lease-renewal heartbeat sidecar; `None` disables it
     /// (a silent client relies on commands to renew its lease).
     pub heartbeat_interval: Option<SimDuration>,
@@ -116,10 +114,7 @@ impl fmt::Debug for DcfaConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DcfaConfig")
             .field("cmd_timeout", &self.cmd_timeout)
-            .field("cmd_retry_limit", &self.cmd_retry_limit)
             .field("cmd_backoff", &self.cmd_backoff)
-            .field("reconnect_limit", &self.reconnect_limit)
-            .field("reconnect_backoff", &self.reconnect_backoff)
             .field("heartbeat_interval", &self.heartbeat_interval)
             .field("hook", &self.hook.as_ref().map(|_| ".."))
             .field("perf", &self.perf.as_ref().map(|_| ".."))
@@ -131,10 +126,7 @@ impl Default for DcfaConfig {
     fn default() -> Self {
         DcfaConfig {
             cmd_timeout: CMD_TIMEOUT,
-            cmd_retry_limit: CMD_RETRY_LIMIT,
             cmd_backoff: SimDuration::from_micros(50),
-            reconnect_limit: 8,
-            reconnect_backoff: SimDuration::from_micros(50),
             heartbeat_interval: None,
             stats: DcfaStats::default(),
             hook: None,
@@ -230,7 +222,7 @@ impl DcfaContext {
         node: NodeId,
         cfg: DcfaConfig,
     ) -> Result<DcfaContext, DcfaError> {
-        let ep = connect_retry(ctx, scif_fabric, node, &cfg)?;
+        let ep = connect_retry(ctx, scif_fabric, node)?;
         let dcfa = DcfaContext {
             vctx: VerbsContext::open(ib.clone(), node, Domain::Phi),
             cluster: ib.cluster().clone(),
@@ -372,7 +364,7 @@ impl DcfaContext {
         }
     }
 
-    /// Send `cmd` under `seq` up to `1 + cmd_retry_limit` times on the
+    /// Send `cmd` under `seq` up to `1 + CMD_RETRY_LIMIT` times on the
     /// current endpoint. `Ok(None)` means every attempt timed out.
     fn command_attempts(
         &self,
@@ -380,7 +372,7 @@ impl DcfaContext {
         seq: u32,
         cmd: &Cmd,
     ) -> Result<Option<Reply>, DcfaError> {
-        for attempt in 0..=self.cfg.cmd_retry_limit {
+        for attempt in 0..=CMD_RETRY_LIMIT {
             if attempt > 0 {
                 self.cfg.stats.update(|c| c.cmd_retries += 1);
                 self.emit(CtrlEvent::CmdRetry {
@@ -440,9 +432,9 @@ impl DcfaContext {
     fn reattach(&self, ctx: &mut Ctx) -> Result<(), DcfaError> {
         let node = self.node();
         let mut last_err = DcfaError::Timeout;
-        for attempt in 0..self.cfg.reconnect_limit {
+        for attempt in 0..RECONNECT_LIMIT {
             if attempt > 0 {
-                ctx.sleep(self.cfg.reconnect_backoff * attempt as u64);
+                ctx.sleep(RECONNECT_BACKOFF * attempt as u64);
             }
             let local = MemRef {
                 node,
@@ -742,16 +734,15 @@ fn connect_retry(
     ctx: &mut Ctx,
     scif_fabric: &Arc<ScifFabric>,
     node: NodeId,
-    cfg: &DcfaConfig,
 ) -> Result<ScifEndpoint, DcfaError> {
     let local = MemRef {
         node,
         domain: Domain::Phi,
     };
     let mut last_err = None;
-    for attempt in 0..cfg.reconnect_limit.max(1) {
+    for attempt in 0..RECONNECT_LIMIT {
         if attempt > 0 {
-            ctx.sleep(cfg.reconnect_backoff * attempt as u64);
+            ctx.sleep(RECONNECT_BACKOFF * attempt as u64);
         } else {
             // Give a same-instant daemon spawn a chance to listen first.
             ctx.sleep(SimDuration::from_micros(1));

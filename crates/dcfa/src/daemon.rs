@@ -27,7 +27,7 @@
 //!   delegation process after N commands: every session is lost (host twin
 //!   buffers die with the process address space and are freed; plain MRs
 //!   survive on the HCA but their metadata is gone), the listen port closes,
-//!   and a supervisor respawns the daemon after `restart_delay` with a
+//!   and a supervisor respawns the daemon after [`RESTART_DELAY`] with a
 //!   bumped incarnation epoch. Replies carry the epoch so clients detect the
 //!   restart and replay their resource journal ([`Cmd::AdoptMr`]).
 //! * **Lease reclamation** — clients renew a lease with fire-and-forget
@@ -207,24 +207,25 @@ pub struct DaemonFault {
 // Daemon configuration
 // ---------------------------------------------------------------------------
 
+/// Downtime between a crash and the supervisor's respawn.
+const RESTART_DELAY: SimDuration = SimDuration::from_micros(100);
+/// Replies remembered per session for retransmit deduplication.
+const DEDUP_DEPTH: usize = 32;
+/// Consecutive undecodable commands before the daemon assumes a corrupt
+/// peer, drains its session and disconnects.
+const DECODE_STORM_LIMIT: u32 = 8;
+/// How long a `DelayReply` fault holds the reply: past the client's
+/// command timeout, to force a retransmit.
+const DELAY_REPLY: SimDuration = SimDuration::from_micros(2000);
+
 /// Tunables for the node daemons.
 #[derive(Clone)]
 pub struct DaemonConfig {
-    /// Downtime between a crash and the supervisor's respawn.
-    pub restart_delay: SimDuration,
     /// Client-lease time-to-live; `None` disables the reaper (sessions of
     /// silent clients are kept until `Bye`).
     pub lease_ttl: Option<SimDuration>,
     /// How often the reaper scans for expired leases.
     pub reaper_period: SimDuration,
-    /// Replies remembered per session for retransmit deduplication.
-    pub dedup_depth: usize,
-    /// Consecutive undecodable commands before the daemon assumes a
-    /// corrupt peer, drains its session and disconnects.
-    pub decode_storm_limit: u32,
-    /// How long a `DelayReply` fault holds the reply (should exceed the
-    /// client command timeout to force a retransmit).
-    pub delay_reply: SimDuration,
     /// Armed control-plane fault plans.
     pub faults: Vec<DaemonFault>,
     /// Control-plane event observer.
@@ -234,12 +235,8 @@ pub struct DaemonConfig {
 impl fmt::Debug for DaemonConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DaemonConfig")
-            .field("restart_delay", &self.restart_delay)
             .field("lease_ttl", &self.lease_ttl)
             .field("reaper_period", &self.reaper_period)
-            .field("dedup_depth", &self.dedup_depth)
-            .field("decode_storm_limit", &self.decode_storm_limit)
-            .field("delay_reply", &self.delay_reply)
             .field("faults", &self.faults)
             .field("hook", &self.hook.as_ref().map(|_| ".."))
             .finish()
@@ -249,12 +246,8 @@ impl fmt::Debug for DaemonConfig {
 impl Default for DaemonConfig {
     fn default() -> Self {
         DaemonConfig {
-            restart_delay: SimDuration::from_micros(100),
             lease_ttl: None,
             reaper_period: SimDuration::from_micros(200),
-            dedup_depth: 32,
-            decode_storm_limit: 8,
-            delay_reply: SimDuration::from_micros(2000),
             faults: Vec::new(),
             hook: None,
         }
@@ -548,7 +541,7 @@ fn reaper_tick(ctl: Arc<NodeCtl>, sched: &Scheduler) {
 /// pages freed (kernel reclaim); plain MRs survive on the HCA (IB objects
 /// are kernel-owned) but their hash-table metadata is gone until the client
 /// replays its journal. The listen port closes until the supervisor
-/// respawns the daemon one `restart_delay` later under a bumped epoch.
+/// respawns the daemon one [`RESTART_DELAY`] later under a bumped epoch.
 /// Every connection of the dead incarnation stops where it is: a command
 /// it was serving is never answered.
 fn crash(ctl: &Arc<NodeCtl>, sched: &Scheduler, my_epoch: u32) {
@@ -578,7 +571,7 @@ fn crash(ctl: &Arc<NodeCtl>, sched: &Scheduler, my_epoch: u32) {
         scif.unlisten(host_ref(ctl.node), DCFA_PORT);
     }
     let ctl = ctl.clone();
-    sched.call_after(ctl.cfg.restart_delay, move |_| {
+    sched.call_after(RESTART_DELAY, move |_| {
         ctl.stats.update(|c| c.daemon_respawns += 1);
         ctl.emit(CtrlEvent::DaemonRespawn {
             node: ctl.node,
@@ -602,7 +595,7 @@ fn crash(ctl: &Arc<NodeCtl>, sched: &Scheduler, my_epoch: u32) {
 /// | + receive `cpu_op` | `received` | incarnation; decode-failure count (storm → drain, disconnect); heartbeat → lease renewed, done | — |
 /// | + `cmd_host_work` | `worked` | incarnation; dedup cache (hit → replayed reply, done); fault plans tick; session; everything a non-registering command does | `Crash`, `DropReply`, `DelayReply` |
 /// | + registration charge | `registered` | incarnation; HCA registration; session insert, or undo if the lease went meanwhile | — |
-/// | reply leaves `cpu_op` later, arrives `scif_msg_latency` + copy after that | `answer` | counters, dedup cache; the next queued frame starts when the reply has left | held `delay_reply`, or never sent |
+/// | reply leaves `cpu_op` later, arrives `scif_msg_latency` + copy after that | `answer` | counters, dedup cache; the next queued frame starts when the reply has left | held [`DELAY_REPLY`], or never sent |
 ///
 /// One command at a time: frames that arrive meanwhile wait in the inbox,
 /// in order. An incarnation that died (a crash fired from *any* of the
@@ -717,7 +710,7 @@ impl Conn {
                 Some(_) => 0,
                 None => st.decode_failures + 1,
             };
-            let storm = st.decode_failures >= ctl.cfg.decode_storm_limit;
+            let storm = st.decode_failures >= DECODE_STORM_LIMIT;
             (frame, st.client, storm)
         };
         let heartbeat = matches!(frame, Some((_, Cmd::Heartbeat)));
@@ -968,7 +961,7 @@ impl Conn {
     }
 
     /// The command has executed: count it, remember its reply for
-    /// retransmit deduplication, and send it — now, after `delay_reply`,
+    /// retransmit deduplication, and send it — now, after [`DELAY_REPLY`],
     /// or never, as the fault that fired for it says.
     fn answer(
         self: Arc<Self>,
@@ -991,10 +984,9 @@ impl Conn {
             }
             c.errors += u64::from(failed);
         });
-        let depth = ctl.cfg.dedup_depth;
         ctl.with_session(client, |s| {
             s.replies.push_back((seq, reply));
-            while s.replies.len() > depth {
+            while s.replies.len() > DEDUP_DEPTH {
                 s.replies.pop_front();
             }
         });
@@ -1007,7 +999,7 @@ impl Conn {
         match hold {
             Some(DaemonFaultKind::DropReply) => finish(&self, sched, ep, sched.now()),
             Some(DaemonFaultKind::DelayReply) => {
-                sched.call_after(ctl.cfg.delay_reply, move |s| {
+                sched.call_after(DELAY_REPLY, move |s| {
                     if self.ctl.shared.lock().epoch != self.epoch {
                         return self.close();
                     }

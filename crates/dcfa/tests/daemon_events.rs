@@ -263,7 +263,7 @@ fn a_decode_storm_disconnects_at_the_limit() {
     // read, not even a well-formed command.
     let mut r = rig_with(DaemonConfig::default());
     let scif = r.scif.clone();
-    let limit = DaemonConfig::default().decode_storm_limit;
+    let limit = 8; // the daemon's decode-storm limit
     r.sim.spawn("garbler", move |ctx| {
         ctx.sleep(SimDuration::from_micros(1));
         let ep = scif.connect(ctx, PHI, Domain::Host, DCFA_PORT).unwrap();

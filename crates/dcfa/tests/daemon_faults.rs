@@ -274,7 +274,7 @@ fn abrupt_client_death_is_reclaimed_without_leaks() {
         // expired lease. An observer checks after the TTL.
         let cl2 = cl.clone();
         let stats2 = stats.clone();
-        ctx.scheduler().spawn_daemon("observer", move |octx| {
+        ctx.spawn("observer", move |octx| {
             octx.sleep(SimDuration::from_micros(2000));
             let c = stats2.snapshot();
             assert!(c.leases_reclaimed >= 1, "{c:?}");

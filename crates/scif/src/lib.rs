@@ -483,8 +483,10 @@ mod tests {
         sim.run_expect();
     }
 
-    /// Round-trip time of `msg` through a host-side echo, as the client sees it.
+    /// Round-trip time of `msg` through a host-side echo, as the client
+    /// sees it on the last of its `ROUNDS` round trips.
     fn echo_rtt(sink_style: bool, msg: &'static [u8]) -> SimDuration {
+        const ROUNDS: usize = 3;
         let (mut sim, fabric) = setup();
         if sink_style {
             // The sink pays what the process below pays by sleeping: a
@@ -495,9 +497,9 @@ mod tests {
             });
         } else {
             let listener = fabric.listen(host(0), 1);
-            sim.spawn_daemon("echo", move |ctx| {
+            sim.spawn("echo", move |ctx| {
                 let ep = listener.accept(ctx);
-                loop {
+                for _ in 0..ROUNDS {
                     let msg = ep.recv(ctx);
                     ep.send(ctx, &msg);
                 }
@@ -507,7 +509,7 @@ mod tests {
         let rtt2 = rtt.clone();
         sim.spawn("client", move |ctx| {
             let ep = fabric.connect(ctx, phi(0), Domain::Host, 1).unwrap();
-            for _ in 0..3 {
+            for _ in 0..ROUNDS {
                 let t0 = ctx.now();
                 ep.send(ctx, msg);
                 let wait = SimDuration::from_millis(1);

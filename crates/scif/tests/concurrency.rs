@@ -1,5 +1,7 @@
 //! SCIF concurrency tests: multiple connections per listener, message
 //! ordering, and PCIe contention between endpoints of the same node.
+//! Servers are sinks (`listen_with` + `on_recv` + `send_from`), as the
+//! DCFA daemon is, or processes that end once their clients are served.
 
 use std::sync::Arc;
 
@@ -29,19 +31,16 @@ fn one_listener_many_clients() {
     let fabric = ScifFabric::new(cluster);
     let served = Arc::new(Mutex::new(Vec::new()));
 
-    let f1 = fabric.clone();
     let s2 = served.clone();
-    sim.spawn_daemon("server", move |ctx| {
-        let listener = f1.listen(host(0), 9);
-        loop {
-            let ep = listener.accept(ctx);
-            let s3 = s2.clone();
-            ctx.scheduler().spawn_daemon("handler", move |hctx| {
-                let msg = ep.recv(hctx);
-                s3.lock().push(msg[0]);
-                ep.send(hctx, &[msg[0] + 100]);
-            });
-        }
+    // What a handler process pays by sleeping: a `cpu_op` to receive and
+    // one to send.
+    let work = fabric.cluster().config().cost.cpu_op(Domain::Host) * 2;
+    fabric.listen_with(host(0), 9, move |_, ep| {
+        let s3 = s2.clone();
+        ep.on_recv(move |s, ep, msg| {
+            s3.lock().push(msg[0]);
+            ep.send_from(s.now() + work, &[msg[0] + 100]);
+        });
     });
 
     for i in 0..4u8 {
@@ -67,15 +66,10 @@ fn message_order_is_fifo_per_connection() {
     let fabric = ScifFabric::new(cluster);
     let got = Arc::new(Mutex::new(Vec::new()));
 
-    let f1 = fabric.clone();
     let g2 = got.clone();
-    sim.spawn_daemon("rx", move |ctx| {
-        let listener = f1.listen(host(0), 1);
-        let ep = listener.accept(ctx);
-        loop {
-            let m = ep.recv(ctx);
-            g2.lock().push(m[0]);
-        }
+    fabric.listen_with(host(0), 1, move |_, ep| {
+        let g3 = g2.clone();
+        ep.on_recv(move |_, _, m| g3.lock().push(m[0]));
     });
     let f2 = fabric.clone();
     sim.spawn("tx", move |ctx| {
@@ -103,18 +97,11 @@ fn rma_contention_serializes_same_direction() {
     let fabric = ScifFabric::new(cluster.clone());
     let times = Arc::new(Mutex::new(Vec::new()));
 
-    let f1 = fabric.clone();
-    sim.spawn_daemon("srv", move |ctx| {
-        let l = f1.listen(host(0), 2);
-        loop {
-            let _ep = l.accept(ctx);
-            // Keep the endpoint alive by leaking it into a handler that
-            // parks forever.
-            ctx.scheduler().spawn_daemon("h", move |hctx| {
-                let _keep = &_ep;
-                let mb: simcore::Mailbox<()> = simcore::Mailbox::new();
-                mb.recv(hctx);
-            });
+    // RMA needs no work from the host side: accepting is all it does.
+    let l = fabric.listen(host(0), 2);
+    sim.spawn("srv", move |ctx| {
+        for _ in 0..2 {
+            l.accept(ctx);
         }
     });
 
@@ -162,11 +149,12 @@ fn cross_node_endpoints_do_not_contend() {
         let cl = cluster.clone();
         let t2 = times.clone();
         let fl = fabric.clone();
-        sim.spawn_daemon(format!("srv{i}"), move |ctx| {
+        // A process-style server: one round trip once the RMA is done.
+        sim.spawn(format!("srv{i}"), move |ctx| {
             let l = fl.listen(host(i), 3);
-            let _ep = l.accept(ctx);
-            let mb: simcore::Mailbox<()> = simcore::Mailbox::new();
-            mb.recv(ctx);
+            let ep = l.accept(ctx);
+            let msg = ep.recv(ctx);
+            ep.send(ctx, &msg);
         });
         sim.spawn(format!("phi{i}"), move |ctx| {
             ctx.yield_now();
@@ -177,6 +165,8 @@ fn cross_node_endpoints_do_not_contend() {
             let t0 = ctx.now();
             ep.writeto_sync(ctx, &src, &dst);
             t2.lock().push((ctx.now() - t0).as_nanos());
+            ep.send(ctx, b"written");
+            assert_eq!(ep.recv(ctx), b"written");
         });
     }
     sim.run_expect();

@@ -57,16 +57,16 @@
 //! and hands the guard to `dispatch`, which pops the next event under it
 //! and lets go just before the switch (or the return). A callback event
 //! costs one more, to take the state back after the callback ran unlocked;
-//! a wake-up of many waiters one. The clock ([`Scheduler::now`]) and the
-//! trace hook are lock-free beside it. DESIGN.md §21 and §24 have the
-//! rules and the numbers.
+//! a wake-up of many waiters one. The clock ([`Scheduler::now`]) is
+//! lock-free beside it. DESIGN.md §21 and §24 have the rules and the
+//! numbers.
 
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -149,9 +149,6 @@ pub mod proc_local {
 
 struct ProcSlot {
     name: String,
-    /// Daemon processes (servers that block forever waiting for requests)
-    /// don't keep the simulation alive and don't count as deadlocked.
-    daemon: bool,
     /// Incremented each time the process blocks; wakes must match.
     epoch: u64,
     /// Human-readable reason recorded at the blocking call site.
@@ -177,9 +174,6 @@ enum Host {
     Proc(ProcId),
     Ended,
 }
-
-/// Installed trace hook.
-type TraceHook = Box<dyn Fn(SimTime, &str) + Send + Sync>;
 
 #[derive(Default)]
 pub(crate) struct EngineState {
@@ -237,7 +231,7 @@ impl EngineState {
         let blocked = self
             .procs
             .iter()
-            .filter(|p| p.coro.is_some() && !p.daemon)
+            .filter(|p| p.coro.is_some())
             .map(|p| BlockedProc {
                 name: p.name.clone(),
                 reason: p.block_reason.to_string(),
@@ -274,9 +268,6 @@ struct Shared {
     /// the clock after `run` returned got its happens-before from
     /// whatever handed it the result (a `join`, a channel).
     now: AtomicU64,
-    /// The trace hook: installed at most once, before `run`, and called
-    /// with no lock held — so the hook itself may use the scheduler.
-    trace: OnceLock<TraceHook>,
 }
 
 impl Shared {
@@ -409,38 +400,13 @@ impl Scheduler {
         self.call_at(self.now() + d, f);
     }
 
-    /// Emit a trace line through the installed trace hook, if any. The
-    /// hook runs with no engine lock held: it may read the clock and
-    /// schedule work.
-    pub fn trace(&self, msg: &str) {
-        if let Some(hook) = self.shared.trace.get() {
-            hook(self.now(), msg);
-        }
-    }
-
-    /// Whether a trace hook is installed (lets hot paths skip formatting).
-    /// Takes no lock.
-    #[inline]
-    pub fn has_trace(&self) -> bool {
-        self.shared.trace.get().is_some()
-    }
-
     /// Spawn a new simulated process; it becomes runnable at the current
     /// virtual time.
     pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> ProcId
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
-        spawn_inner(self, name.into(), false, f)
-    }
-
-    /// Spawn a daemon process: a server that may block forever without
-    /// keeping the simulation alive or counting as deadlocked.
-    pub fn spawn_daemon<F>(&self, name: impl Into<String>, f: F) -> ProcId
-    where
-        F: FnOnce(&mut Ctx) + Send + 'static,
-    {
-        spawn_inner(self, name.into(), true, f)
+        spawn_inner(self, name.into(), f)
     }
 
     /// Make every process in `waiters` runnable now, in the order given,
@@ -480,16 +446,6 @@ impl Ctx {
     /// A clonable scheduler handle for device models.
     pub fn scheduler(&self) -> Scheduler {
         self.scheduler.clone()
-    }
-
-    /// Emit a trace line (no-op unless a trace hook is installed).
-    pub fn trace(&self, msg: &str) {
-        self.scheduler.trace(msg);
-    }
-
-    /// Whether a trace hook is installed.
-    pub fn has_trace(&self) -> bool {
-        self.scheduler.has_trace()
     }
 
     /// Spawn a sibling process, runnable at the current virtual time.
@@ -666,7 +622,7 @@ impl Default for Simulation {
     }
 }
 
-fn spawn_inner<F>(sched: &Scheduler, name: String, daemon: bool, f: F) -> ProcId
+fn spawn_inner<F>(sched: &Scheduler, name: String, f: F) -> ProcId
 where
     F: FnOnce(&mut Ctx) + Send + 'static,
 {
@@ -680,15 +636,12 @@ where
     let coro = unsafe { Coroutine::new(body, move |end| process_ended(&sched, pid, end)) };
     st.procs.push(ProcSlot {
         name,
-        daemon,
         epoch: 0,
         block_reason: "start",
         coro: Some(coro),
         local: 0,
     });
-    if !daemon {
-        st.live += 1;
-    }
+    st.live += 1;
     let start = EventKind::Wake(WakeTarget { pid, epoch: 0 });
     shared.schedule(&mut st, shared.now(), start);
     pid
@@ -702,9 +655,7 @@ fn process_ended(sched: &Scheduler, pid: ProcId, end: Result<(), Payload>) -> *m
     let mut st = shared.state.lock();
     let slot = &mut st.procs[pid.0];
     let ended = slot.coro.take();
-    if !slot.daemon {
-        st.live -= 1;
-    }
+    st.live -= 1;
     // Whoever ended before us goes now; we go with the next to park or end.
     drop(std::mem::replace(&mut st.reclaim, ended));
     if let Err(payload) = end {
@@ -735,23 +686,10 @@ impl Simulation {
             }),
             runner_sp: AtomicPtr::default(),
             now: AtomicU64::new(0),
-            trace: OnceLock::new(),
         });
         Simulation {
             sched: Scheduler { shared },
         }
-    }
-
-    /// Install the trace hook invoked by [`Ctx::trace`] / [`Scheduler::trace`].
-    /// The hook is installed once, before `run`: it lives in a set-once
-    /// cell so that `has_trace`/`trace` take no lock, and it is called with
-    /// no engine lock held, so it may read the clock and schedule work.
-    ///
-    /// # Panics
-    /// If a hook is already installed.
-    pub fn set_trace(&self, hook: impl Fn(SimTime, &str) + Send + Sync + 'static) {
-        let installed = self.sched.shared.trace.set(Box::new(hook));
-        assert!(installed.is_ok(), "the trace hook is installed once");
     }
 
     /// Cap the number of processed events (livelock guard for tests).
@@ -770,15 +708,7 @@ impl Simulation {
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
-        spawn_inner(&self.sched, name.into(), false, f)
-    }
-
-    /// Spawn a daemon process (see [`Scheduler::spawn_daemon`]).
-    pub fn spawn_daemon<F>(&self, name: impl Into<String>, f: F) -> ProcId
-    where
-        F: FnOnce(&mut Ctx) + Send + 'static,
-    {
-        spawn_inner(&self.sched, name.into(), true, f)
+        spawn_inner(&self.sched, name.into(), f)
     }
 
     /// Run until the event queue drains and every process has finished.
@@ -809,11 +739,6 @@ impl Simulation {
             Ok(r) => r,
             Err(e) => panic!("simulation failed: {e}"),
         }
-    }
-
-    /// Name of a process (for diagnostics).
-    pub fn proc_name(&self, pid: ProcId) -> String {
-        self.sched.shared.state.lock().procs[pid.0].name.clone()
     }
 }
 

@@ -336,50 +336,6 @@ fn yield_now_lets_same_time_peers_run() {
     );
 }
 
-#[test]
-fn trace_hook_receives_messages() {
-    let lines: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut sim = Simulation::new();
-    let l2 = lines.clone();
-    sim.set_trace(move |t, msg| l2.lock().push(format!("{}:{msg}", t.as_nanos())));
-    sim.spawn("p", |ctx| {
-        ctx.sleep(SimDuration::from_nanos(9));
-        ctx.trace("hello");
-    });
-    sim.run_expect();
-    assert_eq!(lines.lock().clone(), vec!["9:hello".to_string()]);
-}
-
-/// A tracer that stamps from the scheduler or batches through it: the hook
-/// runs with no engine lock held, so neither deadlocks. (When the hook
-/// lived inside the engine state and was called under its lock, this test
-/// never returned.)
-#[test]
-fn a_trace_hook_may_read_the_clock_and_schedule() {
-    let lines: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut sim = Simulation::new();
-    let sched = sim.scheduler();
-    let l2 = lines.clone();
-    sim.set_trace(move |t, msg| {
-        assert_eq!(sched.now(), t, "the hook is handed the clock's own time");
-        let (lines, line) = (l2.clone(), format!("{}:{msg}", t.as_nanos()));
-        let flush_at = t + SimDuration::from_nanos(5);
-        sched.call_at(flush_at, move |s| {
-            lines
-                .lock()
-                .push(format!("{line} flushed@{}", s.now().as_nanos()));
-        });
-    });
-    sim.spawn("p", |ctx| {
-        ctx.sleep(SimDuration::from_nanos(9));
-        assert!(ctx.has_trace());
-        ctx.trace("hello");
-    });
-    let report = sim.run_expect();
-    assert_eq!(*lines.lock(), vec!["9:hello flushed@14".to_string()]);
-    assert_eq!(report.final_time, SimTime(14));
-}
-
 /// One clock, three ways to move it, every reader agrees: `now()` is the
 /// time a `call_at` callback was scheduled for, the time a fast-forwarded
 /// `sleep` advanced to, the time a parked `sleep` woke at — and, once `run`
@@ -445,7 +401,7 @@ fn polling_reads_take_no_lock_and_a_block_takes_one() {
         let (ev, mb) = (ev.clone(), mb.clone());
         sched.call_at(SimTime(i), move |s| {
             let before = lock_count::total();
-            let _ = (s.now(), s.has_trace(), ev.epoch(), mb.len(), mb.try_recv());
+            let _ = (s.now(), ev.epoch(), mb.len(), mb.try_recv());
             assert_eq!(lock_count::total(), before, "an empty poll took a lock");
         });
     }

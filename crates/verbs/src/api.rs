@@ -163,15 +163,10 @@ impl SharedReceiveQueue {
     }
 }
 
-struct FaultSpec {
-    remaining: u64,
-    status: WcStatus,
-}
-
 /// A filtered fault plan: fires (once) on the `after_matches`-th posted
 /// data operation that satisfies every filter. Unset filters match
-/// everything; only matching operations tick the skip counter — unlike the
-/// global [`IbFabric::inject_fault`] FIFO, which counts every posted op.
+/// everything, so an unfiltered plan counts every posted op; only matching
+/// operations tick the skip counter.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     pub status: WcStatus,
@@ -214,7 +209,6 @@ struct FabState {
     next_key: u32,
     mrs: KeyMap<u32, MrEntry>,
     qps: KeyMap<(NodeId, u32), Arc<QpShared>>,
-    faults: std::collections::VecDeque<FaultSpec>,
     fault_plans: Vec<FaultPlan>,
 }
 
@@ -234,7 +228,6 @@ impl IbFabric {
                 next_key: 1,
                 mrs: KeyMap::default(),
                 qps: KeyMap::default(),
-                faults: std::collections::VecDeque::new(),
                 fault_plans: Vec::new(),
             }),
         })
@@ -244,17 +237,9 @@ impl IbFabric {
         &self.cluster
     }
 
-    /// Fault injection: make the data-path operation posted `after_ops`
-    /// send-queue posts from now complete with `status` instead of
-    /// executing (models HCA/link failures for error-path testing).
-    pub fn inject_fault(&self, after_ops: u64, status: WcStatus) {
-        self.state.lock().faults.push_back(FaultSpec {
-            remaining: after_ops,
-            status,
-        });
-    }
-
-    /// Arm a filtered fault plan (see [`FaultPlan`]). Filtered plans tick
+    /// Fault injection: arm a fault plan (see [`FaultPlan`]), which makes
+    /// a matching data-path operation complete with its `status` instead
+    /// of executing (models HCA/link failures). Filtered plans tick
     /// only on matching operations, so a test can target, say, the third
     /// RDMA READ posted by node 2 without counting unrelated traffic.
     pub fn inject_fault_plan(&self, plan: FaultPlan) {
@@ -319,8 +304,7 @@ impl IbFabric {
 /// the fabric-wide lock once and resolves all its keys and QPs under it.
 impl FabState {
     /// The table's part of the fault plans, one tick per posted data
-    /// operation: the global FIFO (every op ticks it), then the filtered
-    /// plans (matching ops tick each of them). The cluster's per-link
+    /// operation: matching ops tick each plan. The cluster's per-link
     /// plans come after these; see `post_send_inner`.
     fn take_fault(
         &mut self,
@@ -329,12 +313,6 @@ impl FabState {
         target: NodeId,
         bytes: u64,
     ) -> Option<WcStatus> {
-        if let Some(front) = self.faults.front_mut() {
-            if front.remaining == 0 {
-                return self.faults.pop_front().map(|f| f.status);
-            }
-            front.remaining -= 1;
-        }
         let mut fired = None;
         self.fault_plans.retain_mut(|p| {
             if !p.matches(op, initiator, target, bytes) {
@@ -632,11 +610,6 @@ impl QueuePair {
     /// [`WcStatus::WrFlushErr`] from now on.
     pub fn set_error(&self) {
         self.qp.shared.state.lock().dead = true;
-    }
-
-    /// Is this QP in the error state?
-    pub fn is_error(&self) -> bool {
-        self.qp.shared.state.lock().dead
     }
 
     /// Convenience: wire two QPs to each other.

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use fabric::{Cluster, ClusterConfig, Domain, MemRef, NodeId};
 use parking_lot::Mutex;
 use simcore::Simulation;
-use verbs::{IbFabric, SendWr, VerbsContext, WcOpcode, WcStatus};
+use verbs::{FaultPlan, IbFabric, SendWr, VerbsContext, WcOpcode, WcStatus};
 
 fn setup() -> (Simulation, Arc<IbFabric>) {
     let sim = Simulation::new();
@@ -197,7 +197,11 @@ fn injected_fault_fails_the_chosen_op_only() {
         verbs::QueuePair::connect_pair(&qp, &qpb);
 
         // Fail the SECOND op.
-        f.inject_fault(1, WcStatus::RemoteAccessError);
+        f.inject_fault_plan(FaultPlan {
+            after_matches: 1,
+            status: WcStatus::RemoteAccessError,
+            ..Default::default()
+        });
 
         for i in 0..3u64 {
             qp.post_send(
@@ -240,7 +244,11 @@ fn faulted_op_moves_no_data() {
         let qpb = b.create_qp(&cqb, &cqb);
         verbs::QueuePair::connect_pair(&qp, &qpb);
 
-        f.inject_fault(0, WcStatus::RemoteAccessError);
+        f.inject_fault_plan(FaultPlan {
+            after_matches: 0,
+            status: WcStatus::RemoteAccessError,
+            ..Default::default()
+        });
         qp.post_send(
             ctx,
             SendWr::rdma_write(1, vec![mr_s.sge(0, 64)], mr_d.addr(), mr_d.rkey()),
@@ -326,7 +334,11 @@ fn writes_counts_delivered_remote_writes_and_nothing_else() {
             WcStatus::Success,
             4,
         );
-        f.inject_fault(0, WcStatus::RemoteAccessError);
+        f.inject_fault_plan(FaultPlan {
+            after_matches: 0,
+            status: WcStatus::RemoteAccessError,
+            ..Default::default()
+        });
         post(ctx, write(), WcStatus::RemoteAccessError, 4);
         qpb.set_error();
         post(ctx, write(), WcStatus::WrFlushErr, 4);

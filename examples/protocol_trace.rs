@@ -1,18 +1,20 @@
-//! Protocol trace: watch the eager and rendezvous state machines on the
-//! wire. Sends one small (Eager) and one large (sender-first Rendezvous)
-//! message and prints every ring packet with its virtual timestamp.
+//! Protocol trace: watch the eager and rendezvous state machines end to
+//! end. Sends one small (Eager) and one large (sender-first Rendezvous)
+//! message and prints every lifecycle stage each one passes through, at
+//! the rank that saw it, with its virtual timestamp. The stage names are
+//! the ones `repro --explain-msg` and the Perfetto export use.
 //!
 //! ```text
 //! cargo run --release --example protocol_trace
 //! ```
 
-use dcfa_mpi_repro::dcfa_mpi::{launch, Communicator, LaunchOpts, MpiConfig, Src, TagSel};
+use dcfa_mpi_repro::dcfa_mpi::{
+    launch, Communicator, LaunchOpts, MpiConfig, Src, TagSel, TraceBuf, TraceEvent,
+};
 use dcfa_mpi_repro::fabric::{Cluster, ClusterConfig};
 use dcfa_mpi_repro::scif::ScifFabric;
-use dcfa_mpi_repro::simcore::Simulation;
+use dcfa_mpi_repro::simcore::{SimDuration, Simulation};
 use dcfa_mpi_repro::verbs::IbFabric;
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 fn main() {
     let mut sim = Simulation::new();
@@ -20,22 +22,18 @@ fn main() {
     let ib = IbFabric::new(cluster.clone());
     let scif = ScifFabric::new(cluster);
 
-    let lines: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let l2 = lines.clone();
-    sim.set_trace(move |t, msg| {
-        // Only packet-level traffic is interesting here.
-        if msg.contains("seq=") {
-            l2.lock().push(format!("[{:>12}] {msg}", t.to_string()));
-        }
-    });
-
+    let tracer = TraceBuf::new(1 << 12);
+    let opts = LaunchOpts {
+        tracer: Some(tracer.clone()),
+        ..LaunchOpts::default()
+    };
     launch(
         &sim,
         &ib,
         &scif,
         MpiConfig::dcfa(),
         2,
-        LaunchOpts::default(),
+        opts,
         move |ctx, comm| {
             let small = comm.alloc(256).unwrap();
             let large = comm.alloc(256 << 10).unwrap();
@@ -49,7 +47,7 @@ fn main() {
                     .unwrap();
                 // Delay so rank 0's RTS arrives before our receive (pure
                 // sender-first path).
-                ctx.sleep(dcfa_mpi_repro::simcore::SimDuration::from_micros(200));
+                ctx.sleep(SimDuration::from_micros(200));
                 comm.recv(ctx, &large, Src::Rank(0), TagSel::Tag(2))
                     .unwrap();
             }
@@ -57,8 +55,19 @@ fn main() {
     );
     sim.run_expect();
 
-    println!("packet trace (virtual time | event):");
-    for l in lines.lock().iter() {
-        println!("{l}");
+    println!("message lifecycle (virtual ns | rank | (src, dst, seq) | stage):");
+    for ev in tracer.snapshot() {
+        if let TraceEvent::MsgLife {
+            at,
+            src,
+            dst,
+            seq,
+            stage,
+            t,
+            ..
+        } = ev
+        {
+            println!("[{t:>12}] rank{at} ({src}, {dst}, {seq}) {}", stage.name());
+        }
     }
 }
