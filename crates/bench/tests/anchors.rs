@@ -19,8 +19,8 @@ fn on(channel: Channel, sc: Scenario) -> Scenario {
 #[test]
 fn halo_64_on_both_channels() {
     for (channel, events, virt, highwater) in [
-        (Channel::Srq, 33_875, 0xc495_6f24_ea55_8e71_u64, 1),
-        (Channel::Ring, 17_376, 0xd11f_849b_e596_a615, 0),
+        (Channel::Srq, 32_979, 0xc495_6f24_ea55_8e71_u64, 1),
+        (Channel::Ring, 16_416, 0xd11f_849b_e596_a615, 0),
     ] {
         let run = bench::run(&on(channel, Scenario::halo_soak(64))).unwrap();
         assert_eq!(run.violations(), Vec::<String>::new(), "{channel:?}");
@@ -42,8 +42,8 @@ fn kill_soaks_fingerprint() {
             64,
             Channel::Srq,
             four,
-            48_498,
-            0xcb50_0e36_3bee_668e_u64,
+            47_382,
+            0x73cd_0768_f5d3_c8c6_u64,
             0x52ce_2609_1671_a087,
             (3308, 128, 404),
         ),
@@ -51,8 +51,8 @@ fn kill_soaks_fingerprint() {
             64,
             Channel::Ring,
             four,
-            33_272,
-            0x3f12_9c94_ae5b_ce13,
+            31_980,
+            0xfecd_0ea7_13d8_f7cc,
             0xadb9_a216_8555_6e5c,
             (3320, 128, 392),
         ),
@@ -60,8 +60,8 @@ fn kill_soaks_fingerprint() {
             16,
             Channel::Srq,
             two,
-            11_396,
-            0x9128_07c3_04e0_8564,
+            11_130,
+            0x3db4_2926_1d94_6b57,
             0xd754_9a98_d362_4bd4,
             (731, 103, 62),
         ),
@@ -69,8 +69,8 @@ fn kill_soaks_fingerprint() {
             16,
             Channel::Ring,
             two,
-            7_622,
-            0x2eb7_9c99_9df2_f1ec,
+            7_318,
+            0x8a4f_8f6c_c199_9c67,
             0xdc70_d295_79fd_44c5,
             (724, 103, 69),
         ),
@@ -109,10 +109,10 @@ fn chaos_seed_1_schedule_fingerprint_and_replay() {
     for (channel, fingerprint, virt) in [
         (
             Channel::Srq,
-            0xaa3c_3621_feb4_481f_u64,
+            0x1666_f69d_caa2_d2c1_u64,
             0xbd47_b49a_f0b8_e8c7_u64,
         ),
-        (Channel::Ring, 0xb2e6_2b76_c84d_aefe, 0x754a_6d9a_6825_0eb4),
+        (Channel::Ring, 0xa701_de9e_2d64_6efb, 0x754a_6d9a_6825_0eb4),
     ] {
         let chaos = bench::chaos_run(&on(channel, sc.clone())).unwrap();
         assert_eq!(
@@ -145,8 +145,8 @@ fn profile_report_equals_committed_baseline() {
     .expect("committed baseline");
     let run = bench::run(&Scenario::default()).unwrap();
     assert_eq!(run.violations(), Vec::<String>::new());
-    assert_eq!(run.sim_events, 835);
-    assert_eq!(run.fingerprint(), 0xc217_c37a_ce9c_b9b1);
+    assert_eq!(run.sim_events, 785);
+    assert_eq!(run.fingerprint(), 0x605b_c2db_85e2_85ef);
     assert_eq!(run.virtual_fingerprint(), 0x5723_4ca4_82e3_2ccf);
     assert_eq!(
         without_wall(&bench::metrics_report_json(&run)),
@@ -164,7 +164,7 @@ fn daemon_chaos_soak_fingerprint() {
     })
     .unwrap();
     assert_eq!(run.violations(), Vec::<String>::new());
-    assert_eq!(run.sim_events, 1_276);
-    assert_eq!(run.fingerprint(), 0x1801_7512_41f8_90b9);
+    assert_eq!(run.sim_events, 1_202);
+    assert_eq!(run.fingerprint(), 0x8d4e_0d22_e441_d277);
     assert_eq!(run.virtual_fingerprint(), 0xec4a_c138_b831_dfc1);
 }

@@ -30,7 +30,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use fabric::Buffer;
-use simcore::{Ctx, SimDuration, SimEvent};
+use simcore::{Ctx, SimDuration, SimEvent, TimerHandle, TimerQueue};
 use verbs::{
     CompletionQueue, MemoryRegion, MrKey, QueuePair, RecvWr, SendWr, SharedReceiveQueue,
     VerbsError, Wc, WcStatus,
@@ -44,6 +44,7 @@ use crate::packet::{
     tail_seq, tail_word, PacketHeader, PacketKind, HEADER_BYTES, HEADER_LEN, SLOT_OVERHEAD,
     TAIL_LEN,
 };
+use crate::recovery::TimeoutKind;
 use crate::resources::Resources;
 use crate::trace::{MsgStage, Trace, TraceEvent};
 use crate::types::{MpiError, Rank};
@@ -226,6 +227,10 @@ pub(crate) struct Channel {
     /// The world's lazy-connect directory (see [`crate::connect`]).
     conn: Arc<ConnDirectory>,
     conn_scratch: Vec<ConnMsg>,
+    /// The connect watchdog of each unwired pair that has one, by peer:
+    /// kept here, not in `Link`, of which an engine holds one per rank of
+    /// the world. Wiring the pair cancels it.
+    conn_watchdogs: Vec<(Rank, Option<TimerHandle>)>,
     /// Recycled payload buffers: copy-out pops one here instead of
     /// allocating, and consuming the message pushes it back.
     payload_pool: Vec<Vec<u8>>,
@@ -309,6 +314,7 @@ impl Channel {
             sweep: None,
             conn,
             conn_scratch: Vec::new(),
+            conn_watchdogs: Vec::new(),
             payload_pool: Vec::new(),
             trace: Trace::default(),
             metrics: Metrics::default(),
@@ -438,6 +444,19 @@ impl Channel {
         self.links[p].as_ref().is_some_and(|l| !l.connected)
     }
 
+    /// Where the connect watchdog toward `p` is kept, while unwired.
+    pub(crate) fn conn_watchdog(&mut self, p: Rank) -> Option<&mut Option<TimerHandle>> {
+        if !self.unwired(p) {
+            return None;
+        }
+        let held = &mut self.conn_watchdogs;
+        let i = held.iter().position(|&(q, _)| q == p).unwrap_or_else(|| {
+            held.push((p, None));
+            held.len() - 1
+        });
+        Some(&mut held[i].1)
+    }
+
     /// Re-issue the connect request for our already-allocated half (the
     /// directory deduplicates via the idempotent wire/ack paths).
     pub(crate) fn reissue_connect(&self, res: &Resources, p: Rank) {
@@ -445,13 +464,19 @@ impl Channel {
         self.post_conn(res, p, ConnMsg::Req { from, ep });
     }
 
-    /// Wire the outbound half of the pair from the peer's endpoint.
-    fn wire(&mut self, p: Rank, ep: &PeerEndpoint) {
+    /// Wire the outbound half of the pair from the peer's endpoint; the
+    /// handshake's watchdog, if one was armed, is done.
+    fn wire(&mut self, p: Rank, ep: &PeerEndpoint, watchdogs: &mut TimerQueue<TimeoutKind>) {
         let link = self.link_mut(p);
         link.qp.connect(ep.node, ep.qpn);
         link.out_ring_addr = ep.ring_addr;
         link.out_ring_rkey = ep.ring_rkey;
         link.connected = true;
+        if let Some(i) = self.conn_watchdogs.iter().position(|&(q, _)| q == p) {
+            if let (_, Some(timer)) = self.conn_watchdogs.swap_remove(i) {
+                watchdogs.cancel(timer);
+            }
+        }
         if let Some(pool) = self.srq.as_mut() {
             // Inbound Send completions carry the sender's (node, qpn);
             // map it to the rank so `poll` can route packets.
@@ -462,7 +487,13 @@ impl Channel {
     /// Serve the lazy-connect mailbox: establish passively on `Req`,
     /// wire on `Req`/`Ack`. Queued packets for freshly wired peers drain
     /// in the same progress sweep (it flushes every active peer).
-    pub(crate) fn pump_conn(&mut self, ctx: &mut Ctx, res: &Resources, stats: &mut CommStats) {
+    pub(crate) fn pump_conn(
+        &mut self,
+        ctx: &mut Ctx,
+        res: &Resources,
+        stats: &mut CommStats,
+        watchdogs: &mut TimerQueue<TimeoutKind>,
+    ) {
         let mut msgs = std::mem::take(&mut self.conn_scratch);
         msgs.clear();
         self.conn.drain(self.rank, &mut msgs);
@@ -478,13 +509,13 @@ impl Channel {
                         let Ok(ours) = self.alloc_link(ctx, res, stats, from) else {
                             continue;
                         };
-                        self.wire(from, &ep);
+                        self.wire(from, &ep, watchdogs);
                         ours
                     } else if self.unwired(from) {
                         // Cross-connect: both sides initiated at once.
                         // Each wires from the other's Req; an Ack would
                         // be redundant.
-                        self.wire(from, &ep);
+                        self.wire(from, &ep, watchdogs);
                         continue;
                     } else {
                         // A re-issued Req at an already-wired pair: our
@@ -500,7 +531,7 @@ impl Channel {
                 }
                 ConnMsg::Ack { from, ep } => {
                     if self.unwired(from) {
-                        self.wire(from, &ep);
+                        self.wire(from, &ep, watchdogs);
                     }
                 }
             }

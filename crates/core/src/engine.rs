@@ -33,7 +33,7 @@
 use std::sync::Arc;
 
 use fabric::{Buffer, HealthBoard, MemRef};
-use simcore::{Ctx, SimDuration, SimEvent};
+use simcore::{Ctx, SimDuration, SimEvent, TimerHandle};
 use verbs::{MrKey, SendWr, Wc};
 
 pub use crate::channel::PeerEndpoint;
@@ -89,6 +89,7 @@ pub(crate) enum ReqState {
         status: Status,
         lease: SendLease,
         hdr: PacketHeader,
+        watchdog: Option<TimerHandle>,
     },
     /// Receiver-first: our RDMA write is in flight.
     RndvSendWriting {
@@ -110,10 +111,23 @@ pub(crate) enum ReqState {
         lease: MrLease,
     },
     /// Receiver-first: RTR sent, waiting for the sender's DONE.
-    RecvAwaitDone,
+    RecvAwaitDone { watchdog: Option<TimerHandle> },
     /// The request is over; `test`/`wait` hand the outcome to the caller.
     /// Only [`Engine::resolve`] puts a request here.
     Ended(Result<Status, MpiError>),
+}
+
+impl ReqState {
+    /// Where the watchdog armed on a handshake this state waits out is
+    /// kept. A transition out of the state must [`Engine::disarm`] it.
+    pub(crate) fn watchdog_mut(&mut self) -> Option<&mut Option<TimerHandle>> {
+        match self {
+            ReqState::RndvSendAwaitDone { watchdog, .. } | ReqState::RecvAwaitDone { watchdog } => {
+                Some(watchdog)
+            }
+            _ => None,
+        }
+    }
 }
 
 /// Protocol/traffic counters for one rank (exposed via
@@ -419,6 +433,7 @@ impl Engine {
             status,
             lease,
             hdr,
+            watchdog: None,
         });
         self.open_span(ctx, Phase::RtsWait, req, len, dst);
         self.send_ctrl(ctx, dst, hdr);
@@ -487,7 +502,8 @@ impl Engine {
         // no later sweep revisits the corpse).
         if let Err(e) = self.gate(peer, band) {
             self.take_posted(ctx, self.mq.recv_q.len() - 1);
-            self.reqs.remove(req);
+            let mut gone = self.reqs.remove(req);
+            self.disarm(gone.as_mut());
             return Err(e);
         }
         Ok(Request(req))
@@ -688,13 +704,13 @@ impl Engine {
     // ---- how a request ends ------------------------------------------------
 
     /// The one way a request ends: close its latency span, swap in the
-    /// outcome, release whichever buffer pin the old state held, and tell
-    /// the watchdog heap that its handshake entry is dead — in that
-    /// order. The span closes first because a pin release can cost
-    /// virtual time (a deregistration through the daemon) that is not
-    /// part of the protocol stage the span measures. A request that
-    /// already ended, or a stale handle, is left as it is, so a late
-    /// completion or a second failure changes nothing.
+    /// outcome, cancel the watchdog of a handshake it was waiting out and
+    /// release whichever buffer pin the old state held. The span closes
+    /// first because a pin release can cost virtual time (a
+    /// deregistration through the daemon) that is not part of the
+    /// protocol stage the span measures. A request that already ended, or
+    /// a stale handle, is left as it is, so a late completion or a second
+    /// failure changes nothing.
     ///
     /// A posted receive's RTR pin lives with its queue entry:
     /// [`Self::take_posted`] drops it when the receive leaves the queue.
@@ -704,24 +720,16 @@ impl Engine {
             Some(_) => {}
         }
         self.close_span(ctx, req);
-        let watched = match self.reqs.replace(req, ReqState::Ended(outcome)) {
-            Some(ReqState::RndvSendAwaitDone { lease, .. }) => {
-                self.release_send_lease(ctx, lease);
-                true
-            }
-            Some(ReqState::RndvSendWriting { lease, .. }) => {
-                self.release_send_lease(ctx, lease);
-                false
-            }
+        let mut old = self.reqs.replace(req, ReqState::Ended(outcome));
+        self.disarm(old.as_mut());
+        match old {
+            Some(
+                ReqState::RndvSendAwaitDone { lease, .. } | ReqState::RndvSendWriting { lease, .. },
+            ) => self.release_send_lease(ctx, lease),
             Some(ReqState::RndvRecvReading { lease, .. }) => {
-                self.mr_cache.release(ctx, &self.res, lease);
-                false
+                self.mr_cache.release(ctx, &self.res, lease)
             }
-            Some(ReqState::RecvAwaitDone) => true,
-            _ => false,
-        };
-        if watched {
-            self.note_watchdog_resolved();
+            _ => {}
         }
     }
 
@@ -988,7 +996,8 @@ impl Engine {
         let _hot = crate::hotpath::enter();
         self.in_progress = true;
         self.observe_health(ctx);
-        self.ch.pump_conn(ctx, &self.res, &mut self.stats);
+        self.ch
+            .pump_conn(ctx, &self.res, &mut self.stats, &mut self.wr.watchdogs);
         self.pump_retries(ctx);
         self.pump_rndv_timeouts(ctx);
         // Drain completions in batches: one CQ lock per CQ_BATCH entries

@@ -447,16 +447,16 @@ impl Engine {
             len: read_len,
         };
         let req = posted.req;
-        self.reqs.replace(
-            req,
-            ReqState::RndvRecvReading {
-                src,
-                seq,
-                status,
-                truncated,
-                lease,
-            },
-        );
+        let reading = ReqState::RndvRecvReading {
+            src,
+            seq,
+            status,
+            truncated,
+            lease,
+        };
+        // Simultaneous rendezvous: our RTR's handshake is over.
+        let mut rtr = self.reqs.replace(req, reading);
+        self.disarm(rtr.as_mut());
         self.open_span(ctx, Phase::RndvRead, req, read_len, src);
         let wr = SendWr::rdma_read(0, sge, hdr.addr, MrKey(hdr.rkey));
         self.post_tracked(ctx, src, wr, WrKind::RndvRead { req });
@@ -477,7 +477,8 @@ impl Engine {
         posted.rtr_lease = Some(lease);
         posted.rtr_hdr = Some(hdr);
         self.send_ctrl(ctx, src, hdr);
-        self.reqs.replace(posted.req, ReqState::RecvAwaitDone);
+        self.reqs
+            .replace(posted.req, ReqState::RecvAwaitDone { watchdog: None });
         self.arm_watchdog(ctx, TimeoutKind::Rtr { req: posted.req });
     }
 

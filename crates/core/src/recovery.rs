@@ -15,14 +15,13 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use fabric::{HealthBoard, PeerState};
-use simcore::{Ctx, SimDuration, SimTime};
+use simcore::{Ctx, SimDuration, SimTime, TimerQueue};
 use verbs::{SendWr, Wc, WcStatus};
 
-use crate::channel::Channel;
 use crate::engine::{is_shrink_tag, Engine, KillMarker, ReqState, SHRINK_TAG_BASE};
 use crate::metrics::Phase;
 use crate::packet::{PacketHeader, PacketKind};
-use crate::slots::{SlotTable, TimerHeap};
+use crate::slots::SlotTable;
 use crate::trace::{MsgStage, TraceEvent};
 use crate::types::{MpiError, Rank, Request, Src, Tag, TagSel, TransportOp};
 
@@ -56,7 +55,7 @@ pub(crate) struct InflightWr {
 }
 
 /// A pending handshake watchdog.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 pub(crate) enum TimeoutKind {
     /// Sender-first: re-issue the RTS if the DONE hasn't arrived.
     Rts { req: u64 },
@@ -80,21 +79,19 @@ pub(crate) struct TrackedWrs {
     /// misses on its generation.
     pub(crate) inflight: SlotTable<InflightWr>,
     /// Transiently failed WRs waiting out their backoff, by due time.
-    pub(crate) retry_due: TimerHeap<u64>,
-    /// Armed handshake watchdogs, by due time.
-    rndv_timeouts: TimerHeap<TimeoutKind>,
-    /// Due time of the scheduler wake armed for `rndv_timeouts` (the
-    /// earliest, should there be two). One wake serves the whole heap:
-    /// while the heap is non-empty a wake is armed at or before its first
-    /// live entry, and `pump_rndv_timeouts` moves it on when it fires.
+    pub(crate) retry_due: TimerQueue<u64>,
+    /// Armed handshake watchdogs, by due time. Each one's handle lives
+    /// with the handshake it guards, which cancels it when it stops
+    /// waiting, so the front is always live.
+    pub(crate) watchdogs: TimerQueue<TimeoutKind>,
+    /// Due time of the scheduler wake armed for `watchdogs` (the earliest,
+    /// should there be two). One wake serves the whole queue: while it is
+    /// non-empty a wake is armed at or before its front, and
+    /// `pump_rndv_timeouts` moves it on when it fires.
     pub(crate) watchdog_wake: Option<SimTime>,
-    /// Scheduler wakes armed for the watchdog heap so far.
+    /// Scheduler wakes armed for the watchdog queue so far.
     #[cfg(test)]
     pub(crate) watchdog_wakes_armed: u64,
-    /// Reusable scratch: elapsed retry wr_ids / fired watchdogs popped
-    /// per sweep.
-    retry_scratch: Vec<u64>,
-    timeout_scratch: Vec<TimeoutKind>,
     /// Set by `flush_ctrl` for the second and later posts of one drain:
     /// their doorbells coalesce behind the first post's.
     pub(crate) coalesce_next_post: bool,
@@ -127,17 +124,6 @@ pub(crate) struct Health {
     /// Fail-stop trigger: when set, the rank kills itself (teardown +
     /// [`KillMarker`] unwind) upon issuing its `kill_after`-th entry op.
     pub(crate) kill_after: Option<u64>,
-}
-
-/// Whether the handshake a watchdog guards is still waiting for its answer.
-fn watchdog_live(reqs: &SlotTable<ReqState>, ch: &Channel, kind: &TimeoutKind) -> bool {
-    match *kind {
-        TimeoutKind::Rts { req } => {
-            matches!(reqs.get(req), Some(ReqState::RndvSendAwaitDone { .. }))
-        }
-        TimeoutKind::Rtr { req } => matches!(reqs.get(req), Some(ReqState::RecvAwaitDone)),
-        TimeoutKind::Conn { peer, .. } => ch.unwired(peer),
-    }
 }
 
 /// Whether a slot write of this kind has a request that fails with it
@@ -337,7 +323,7 @@ impl Engine {
         // handle at each re-post, so the eventual completion still routes.
         let new_id = self.wr.inflight.insert(entry);
         let due = ctx.now() + backoff;
-        self.wr.retry_due.push(due, new_id);
+        self.wr.retry_due.arm(due, new_id);
         self.progress_event
             .notify_at(self.res.cluster().scheduler(), due);
     }
@@ -352,16 +338,11 @@ impl Engine {
         }
     }
 
-    /// Re-post WRs whose backoff has elapsed.
+    /// Re-post WRs whose backoff has elapsed. One whose owner was reaped
+    /// meanwhile is gone from the inflight table, and skipped.
     pub(crate) fn pump_retries(&mut self, ctx: &mut Ctx) {
         let now = ctx.now();
-        if self.wr.retry_due.peek_due().is_none_or(|d| d > now) {
-            return;
-        }
-        let mut due = std::mem::take(&mut self.wr.retry_scratch);
-        due.clear();
-        self.wr.retry_due.drain_due(now, &mut due);
-        for wr_id in due.drain(..) {
+        while let Some(wr_id) = self.wr.retry_due.pop_due(now) {
             let Some(entry) = self.wr.inflight.get(wr_id) else {
                 continue;
             };
@@ -382,7 +363,6 @@ impl Engine {
                 }
             }
         }
-        self.wr.retry_scratch = due;
     }
 
     /// A send-side work request failed permanently: fail the owning
@@ -495,24 +475,46 @@ impl Engine {
 
     // ---- handshake watchdogs -----------------------------------------------
 
-    /// Arm (or re-arm) a handshake watchdog. The lazy-connect one runs on
-    /// the command timeout — the out-of-band channel can lose the Req or
-    /// its Ack; a rendezvous one is a no-op when `rndv_timeout` is off.
+    /// Arm (or re-arm) a handshake watchdog, keeping its handle with the
+    /// handshake it guards. The lazy-connect one runs on the command
+    /// timeout — the out-of-band channel can lose the Req or its Ack; a
+    /// rendezvous one is a no-op when `rndv_timeout` is off. A handshake
+    /// that already ended — a re-issue whose post failed on the spot
+    /// fails its request — arms nothing.
     pub(crate) fn arm_watchdog(&mut self, ctx: &mut Ctx, kind: TimeoutKind) {
         let period = match kind {
             TimeoutKind::Conn { .. } => Some(dcfa::CMD_TIMEOUT),
             _ => self.cfg.rndv_timeout,
         };
         let Some(period) = period else { return };
+        let Engine { wr, reqs, ch, .. } = self;
+        let held = match kind {
+            TimeoutKind::Conn { peer, .. } => ch.conn_watchdog(peer),
+            TimeoutKind::Rts { req } | TimeoutKind::Rtr { req } => {
+                reqs.get_mut(req).and_then(ReqState::watchdog_mut)
+            }
+        };
+        let Some(held) = held else { return };
         let due = ctx.now() + period;
-        self.wr.rndv_timeouts.push(due, kind);
+        *held = Some(wr.watchdogs.arm(due, kind));
         self.wake_for_watchdogs(due);
     }
 
-    /// See that the rank is woken at `due` for its watchdog heap: arm a
+    /// `state` has stopped waiting for its handshake's answer — it has
+    /// it, or will never get one: cancel the watchdog armed on it, if any.
+    pub(crate) fn disarm(&mut self, state: Option<&mut ReqState>) {
+        let armed = state
+            .and_then(ReqState::watchdog_mut)
+            .and_then(Option::take);
+        if let Some(timer) = armed {
+            self.wr.watchdogs.cancel(timer);
+        }
+    }
+
+    /// See that the rank is woken at `due` for its watchdog queue: arm a
     /// scheduler wake unless one is already outstanding at or before it.
     /// A rendezvous arms a watchdog per handshake and nearly all of them
-    /// resolve long before they are due; one wake moved along the heap
+    /// resolve long before they are due; one wake moved along the queue
     /// serves them all.
     fn wake_for_watchdogs(&mut self, due: SimTime) {
         if self.wr.watchdog_wake.is_some_and(|armed| armed <= due) {
@@ -527,33 +529,20 @@ impl Engine {
             .notify_at(self.res.cluster().scheduler(), due);
     }
 
-    /// Fire elapsed handshake watchdogs. A watchdog whose request has
-    /// ended is simply dropped.
+    /// Fire elapsed handshake watchdogs.
     pub(crate) fn pump_rndv_timeouts(&mut self, ctx: &mut Ctx) {
-        // Evict resolved handshakes' watchdogs once they dominate the
-        // heap — thousands of ranks re-arming rendezvous watchdogs would
-        // otherwise grow it without bound between (rare) fires.
-        let Engine { wr, reqs, ch, .. } = self;
-        wr.rndv_timeouts
-            .maybe_compact(|k| watchdog_live(reqs, ch, k));
-        // No live watchdog is due before the armed wake is.
+        // No watchdog is due before the armed wake is.
         let now = ctx.now();
-        if wr.watchdog_wake.is_none_or(|armed| armed > now) {
+        if self.wr.watchdog_wake.is_none_or(|armed| armed > now) {
             return;
         }
-        wr.watchdog_wake = None;
-        let mut fired = std::mem::take(&mut wr.timeout_scratch);
-        fired.clear();
-        wr.rndv_timeouts.drain_due(now, &mut fired);
-        for kind in fired.drain(..) {
+        self.wr.watchdog_wake = None;
+        while let Some(kind) = self.wr.watchdogs.pop_due(now) {
             self.handle_timeout(ctx, kind);
         }
-        self.wr.timeout_scratch = fired;
-        // The wake has fired: move it on to the first watchdog still
-        // waiting for something (one re-armed just now has seen to itself).
-        let Engine { wr, reqs, ch, .. } = self;
-        let next = wr.rndv_timeouts.skip_dead(|k| watchdog_live(reqs, ch, k));
-        if let Some(due) = next {
+        // The wake has fired: move it on to the next watchdog (one re-armed
+        // just now has seen to itself).
+        if let Some(due) = self.wr.watchdogs.front() {
             self.wake_for_watchdogs(due);
         }
     }
@@ -608,9 +597,9 @@ impl Engine {
     /// or — past the retry budget — declare the peer dead rather than
     /// retrying forever against a corpse.
     fn handle_conn_timeout(&mut self, ctx: &mut Ctx, peer: Rank, attempt: u32) {
-        // Handshake resolved (or the pair was never allocated), or the
-        // reap already failed everything toward a dead peer.
-        if !self.ch.unwired(peer) || self.board_says_dead(peer) {
+        debug_assert!(self.ch.unwired(peer), "wiring cancels the watchdog");
+        // The reap already failed everything toward a dead peer.
+        if self.board_says_dead(peer) {
             return;
         }
         if attempt > dcfa::CMD_RETRY_LIMIT {
@@ -633,15 +622,6 @@ impl Engine {
         });
         let attempt = attempt + 1;
         self.arm_watchdog(ctx, TimeoutKind::Conn { peer, attempt });
-    }
-
-    /// A handshake with an armed watchdog just ended: its heap entry is
-    /// now dead weight. Report it so `pump_rndv_timeouts` can compact
-    /// once dead entries dominate.
-    pub(crate) fn note_watchdog_resolved(&mut self) {
-        if self.cfg.rndv_timeout.is_some() {
-            self.wr.rndv_timeouts.note_cancel();
-        }
     }
 
     // ---- rank death, revocation, shrink ------------------------------------
@@ -865,6 +845,7 @@ impl Engine {
             self.take_posted(ctx, i);
         }
         self.close_span(ctx, req.0);
-        self.reqs.remove(req.0);
+        let mut gone = self.reqs.remove(req.0);
+        self.disarm(gone.as_mut());
     }
 }

@@ -58,7 +58,7 @@ fn world_of(
 fn wire(ctx: &mut Ctx, e: &mut Engine, peer: Rank) {
     e.ch.connect(ctx, &e.res, &mut e.stats, peer).unwrap();
     while e.ch.unwired(peer) {
-        e.ch.pump_conn(ctx, &e.res, &mut e.stats);
+        e.ch.pump_conn(ctx, &e.res, &mut e.stats, &mut e.wr.watchdogs);
         ctx.sleep(SimDuration::from_micros(1));
     }
 }
@@ -203,6 +203,7 @@ fn resolve_ends_every_state_once_and_leaves_nothing_held() {
                         status,
                         lease,
                         hdr,
+                        watchdog: None,
                     }
                 }
                 3 => ReqState::RndvSendWriting {
@@ -220,7 +221,7 @@ fn resolve_ends_every_state_once_and_leaves_nothing_held() {
                     truncated: None,
                     lease: pin(),
                 },
-                _ => ReqState::RecvAwaitDone,
+                _ => ReqState::RecvAwaitDone { watchdog: None },
             };
             let req = e.reqs.insert(state);
             e.open_span(ctx, Phase::RtsWait, req, 0, 1);
@@ -608,6 +609,12 @@ fn a_thousand_rendezvous_arm_two_scheduler_wakes() {
         let armed = e.wr.watchdog_wakes_armed;
         assert!(armed <= 2, "rank {}: {armed} wakes armed", e.rank);
         assert_eq!(e.stats.handshake_reissues, 0);
+        // Each handshake cancelled its watchdog as it resolved.
+        assert!(
+            e.wr.watchdogs.is_empty(),
+            "rank {}: a watchdog outlived its handshake",
+            e.rank
+        );
     });
 }
 
@@ -654,7 +661,8 @@ fn a_connect_watchdog_fires_on_time_under_a_later_armed_wake() {
             return e.wait(ctx, req).map(drop).unwrap();
         }
         // A wake a rendezvous period out is outstanding …
-        e.arm_watchdog(ctx, TimeoutKind::Rtr { req: u64::MAX });
+        let req = e.reqs.insert(ReqState::RecvAwaitDone { watchdog: None });
+        e.arm_watchdog(ctx, TimeoutKind::Rtr { req });
         let late = e.wr.watchdog_wake.unwrap();
         // … when the connect arms its watchdog, one command timeout out
         // (what `isend`'s first touch of a peer does).

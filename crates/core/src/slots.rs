@@ -8,14 +8,8 @@
 //! since) misses on its generation tag instead of aliasing a new entry —
 //! preserving the "unknown request" semantics the MPI layer relies on.
 //!
-//! [`TimerHeap`] replaces the `Vec` + `retain`-scan timer lists: a
-//! min-heap ordered by deadline, popped only while `due <= now`, so a
-//! progress sweep costs O(fired · log n) instead of O(n) per call.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use simcore::SimTime;
+//! The engine's timers — retry backoffs and handshake watchdogs — are
+//! [`simcore::TimerQueue`]s, the simulation's own event queue type.
 
 enum Slot<T> {
     /// Free slot: the next free slot (or `NO_FREE`) and the generation
@@ -208,139 +202,6 @@ impl<T> Default for SlotTable<T> {
     }
 }
 
-/// An entry in a [`TimerHeap`].
-#[derive(PartialEq, Eq)]
-struct TimerEntry<K> {
-    due: SimTime,
-    /// Insertion ticket: ties broken FIFO, and `K` needs no `Ord`.
-    ticket: u64,
-    key: K,
-}
-
-impl<K: Eq> Ord for TimerEntry<K> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.ticket).cmp(&(other.due, other.ticket))
-    }
-}
-
-impl<K: Eq> PartialOrd for TimerEntry<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Min-heap of `(deadline, key)` pairs. Cancellation is lazy: the engine
-/// validates each popped key against its request/WR table (stale handles
-/// miss on their generation), so no `retain` scan is ever needed on the
-/// pop path. To keep thousands of arm/cancel cycles from letting dead
-/// entries dominate the heap, callers report cancellations via
-/// [`TimerHeap::note_cancel`] and periodically offer a liveness predicate
-/// to [`TimerHeap::maybe_compact`], which rebuilds the heap once the dead
-/// ratio crosses one half.
-pub struct TimerHeap<K: Eq> {
-    heap: BinaryHeap<Reverse<TimerEntry<K>>>,
-    next_ticket: u64,
-    /// Upper bound on dead entries still in the heap: incremented by
-    /// `note_cancel`, reset by compaction. An upper bound only — a dead
-    /// entry that drains past its deadline is popped (and skipped by the
-    /// caller's validation) without the heap knowing.
-    dead: usize,
-}
-
-/// Below this size compaction is never worth a rebuild.
-const COMPACT_MIN: usize = 64;
-
-impl<K: Eq> TimerHeap<K> {
-    pub fn new() -> Self {
-        TimerHeap {
-            heap: BinaryHeap::new(),
-            next_ticket: 0,
-            dead: 0,
-        }
-    }
-
-    pub fn push(&mut self, due: SimTime, key: K) {
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        self.heap.push(Reverse(TimerEntry { due, ticket, key }));
-    }
-
-    /// Record that one armed entry was cancelled elsewhere (its key will
-    /// miss validation when popped). Cheap bookkeeping only; pair with
-    /// [`TimerHeap::maybe_compact`].
-    pub fn note_cancel(&mut self) {
-        self.dead += 1;
-    }
-
-    /// Rebuild the heap without entries `live` rejects, but only when at
-    /// least half the entries are known dead (and the heap is big enough
-    /// to care). Returns whether a compaction ran. Relative order of the
-    /// surviving entries is preserved (tickets travel with them).
-    pub fn maybe_compact<F: FnMut(&K) -> bool>(&mut self, mut live: F) -> bool {
-        if self.heap.len() < COMPACT_MIN || self.dead * 2 < self.heap.len() {
-            return false;
-        }
-        let entries = std::mem::take(&mut self.heap).into_vec();
-        self.heap = entries
-            .into_iter()
-            .filter(|Reverse(e)| live(&e.key))
-            .collect();
-        self.dead = 0;
-        true
-    }
-
-    /// Pop entries off the front for as long as `live` rejects them and
-    /// return the deadline of the first it accepts: the next instant at
-    /// which something still has to happen.
-    pub fn skip_dead<F: FnMut(&K) -> bool>(&mut self, mut live: F) -> Option<SimTime> {
-        while let Some(Reverse(e)) = self.heap.peek() {
-            if live(&e.key) {
-                return Some(e.due);
-            }
-            self.heap.pop();
-            self.dead = self.dead.saturating_sub(1);
-        }
-        None
-    }
-
-    /// Earliest deadline, if any.
-    pub fn peek_due(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.due)
-    }
-
-    /// Pop the earliest entry if its deadline is at or before `now`.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, K)> {
-        if self.heap.peek().is_some_and(|Reverse(e)| e.due <= now) {
-            self.heap.pop().map(|Reverse(e)| (e.due, e.key))
-        } else {
-            None
-        }
-    }
-
-    /// Drain every entry due at or before `now` into `out` (a reusable
-    /// scratch buffer), preserving deadline order. Handlers may push new
-    /// entries while `out` is being processed.
-    pub fn drain_due(&mut self, now: SimTime, out: &mut Vec<K>) {
-        while let Some((_, k)) = self.pop_due(now) {
-            out.push(k);
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<K: Eq> Default for TimerHeap<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,22 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn timer_heap_pops_in_deadline_order() {
-        let mut h = TimerHeap::new();
-        let t = SimTime;
-        h.push(t(30), "c");
-        h.push(t(10), "a");
-        h.push(t(20), "b");
-        assert_eq!(h.peek_due(), Some(t(10)));
-        assert_eq!(h.pop_due(t(5)), None, "nothing due yet");
-        assert_eq!(h.pop_due(t(15)), Some((t(10), "a")));
-        let mut out = Vec::new();
-        h.drain_due(t(100), &mut out);
-        assert_eq!(out, ["b", "c"]);
-        assert!(h.is_empty());
-    }
-
-    #[test]
     fn limited_table_backpressures_instead_of_growing() {
         let mut t = SlotTable::with_limit(3);
         let a = t.try_insert(0u32).unwrap();
@@ -457,57 +302,5 @@ mod tests {
         let d = t.try_insert(4).unwrap();
         assert_eq!(t.get(d), Some(&4));
         assert_eq!(t.try_insert(5), None, "full again");
-    }
-
-    #[test]
-    fn timer_heap_compacts_under_arm_cancel_churn() {
-        use std::collections::HashSet;
-        let mut h = TimerHeap::new();
-        let t = SimTime;
-        let mut live: HashSet<u64> = HashSet::new();
-        let mut next_key = 0u64;
-        // Rendezvous-watchdog pattern: arm a timer per operation, cancel
-        // almost all of them on normal completion, re-arm the rest.
-        for round in 0..1_000u64 {
-            for _ in 0..8 {
-                h.push(t(round * 10 + 1_000_000), next_key);
-                live.insert(next_key);
-                next_key += 1;
-            }
-            // Cancel 7 of the 8: only every 8th operation stays armed.
-            for k in (next_key - 8)..next_key {
-                if k % 8 != 0 {
-                    live.remove(&k);
-                    h.note_cancel();
-                }
-            }
-            h.maybe_compact(|k| live.contains(k));
-            assert!(
-                h.len() <= 5 * live.len() / 2 + COMPACT_MIN,
-                "heap grew unbounded: {} entries for {} live timers",
-                h.len(),
-                live.len()
-            );
-        }
-        assert!(live.len() >= 1_000, "churn kept some timers armed");
-        // Surviving entries still drain in deadline order.
-        let mut out = Vec::new();
-        h.drain_due(t(u64::MAX), &mut out);
-        let mut sorted = out.clone();
-        sorted.sort_unstable();
-        assert!(out.windows(2).all(|w| w[0] < w[1]), "deadline order kept");
-        assert_eq!(out, sorted);
-    }
-
-    #[test]
-    fn timer_heap_breaks_ties_fifo() {
-        let mut h = TimerHeap::new();
-        let t = SimTime(7);
-        for i in 0..5u32 {
-            h.push(t, i);
-        }
-        let mut out = Vec::new();
-        h.drain_due(t, &mut out);
-        assert_eq!(out, [0, 1, 2, 3, 4]);
     }
 }

@@ -357,8 +357,9 @@ impl ScifEndpoint {
     }
 
     /// Blocking receive that gives up after `timeout`: returns `None` if no
-    /// message arrived by then. The timeout wake and the message wake share
-    /// one block epoch, so an abandoned wait can never fire later.
+    /// message arrived by then. A message that arrives first cancels the
+    /// timeout, and one that arrives after it wakes nobody: an abandoned
+    /// wait never fires later, and an answered one leaves no event behind.
     pub fn recv_timeout(&self, ctx: &mut Ctx, timeout: SimDuration) -> Option<Vec<u8>> {
         self.recv_timeout_with(ctx, timeout, <[u8]>::to_vec)
     }

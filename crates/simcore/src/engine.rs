@@ -38,16 +38,20 @@
 //!
 //! # Wake correctness
 //!
-//! Each block operation increments the process's *block epoch*; wake events
-//! carry the epoch they target. A stale wake (the process already continued
-//! for another reason, or finished) is dropped. This makes spurious wakes
-//! impossible by construction.
+//! A process's *block epoch* counts the blocks it has come out of; a wake
+//! carries the epoch of the block it ends, and popping it ends that block.
+//! A block has at most one wake queued at a time, so a wake that would be
+//! stale — its process continued for another reason, or finished — is
+//! never queued: a deadline is cancelled when the event it races is the
+//! first to wake its process, and a waiter whose block is already over
+//! when its event fires is skipped. Spurious wakes are impossible by
+//! construction.
 //!
 //! # Event queue
 //!
-//! Pending events live in one binary heap ordered by `(time, seq)`, where
-//! `seq` is the global schedule counter. That pair is the whole ordering
-//! contract: the same program yields the same trace on every run.
+//! Pending events live in one [`TimerQueue`] ordered by `(time, seq)`,
+//! where `seq` counts every event ever scheduled. That pair is the whole
+//! ordering contract: the same program yields the same trace on every run.
 //!
 //! # Locks
 //!
@@ -62,8 +66,6 @@
 //! numbers.
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -74,6 +76,7 @@ use crate::coro::{self, Coroutine};
 use crate::error::{BlockedProc, SimError};
 use crate::sync::{CompletionInner, EventShared};
 use crate::time::{SimDuration, SimTime};
+use crate::timer::{TimerHandle, TimerQueue};
 
 /// Identifier of a simulated process, dense from zero in spawn order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -89,29 +92,6 @@ pub(crate) struct WakeTarget {
 pub(crate) enum EventKind {
     Wake(WakeTarget),
     Call(Box<dyn FnOnce(&Scheduler) + Send>),
-}
-
-struct ScheduledEvent {
-    time: SimTime,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for ScheduledEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for ScheduledEvent {}
-impl PartialOrd for ScheduledEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ScheduledEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
 }
 
 /// One word of per-process state for code above the engine.
@@ -149,8 +129,10 @@ pub mod proc_local {
 
 struct ProcSlot {
     name: String,
-    /// Incremented each time the process blocks; wakes must match.
+    /// Blocks the process has come out of: a wake for block `epoch` is live.
     epoch: u64,
+    /// The deadline of a [`Ctx::wait_event_until`] block, while queued.
+    deadline: Option<TimerHandle>,
     /// Human-readable reason recorded at the blocking call site.
     block_reason: &'static str,
     /// The process itself, from spawn until it ends: it stays here while
@@ -177,9 +159,8 @@ enum Host {
 
 #[derive(Default)]
 pub(crate) struct EngineState {
-    next_seq: u64,
-    /// Pending events; the top is the next to fire.
-    heap: BinaryHeap<Reverse<ScheduledEvent>>,
+    /// Pending events; the front is the next to fire.
+    queue: TimerQueue<EventKind>,
     procs: Vec<ProcSlot>,
     live: usize,
     events_processed: u64,
@@ -196,7 +177,7 @@ pub(crate) struct EngineState {
 }
 
 // SAFETY: `Coroutine` (in `procs` and `reclaim`) is the only `!Send` part:
-// the counters, names and `home` are owned plain data, the heap's callbacks
+// the counters, names and `home` are owned plain data, the queue's callbacks
 // and the verdict's panic payload are `Send` boxes. One that has never
 // been switched to is a boxed `Send` closure and a private mapping nothing
 // points into, so it may move freely. One that is parked mid-body may hold
@@ -210,11 +191,10 @@ pub(crate) struct EngineState {
 unsafe impl Send for EngineState {}
 
 impl EngineState {
-    /// Start a block of process `pid`: a new epoch, which the wakes
-    /// registered for it carry.
+    /// Start a block of process `pid`: the target of the wakes registered
+    /// for it.
     fn block(&mut self, pid: ProcId, reason: &'static str) -> WakeTarget {
         let slot = &mut self.procs[pid.0];
-        slot.epoch += 1;
         slot.block_reason = reason;
         let epoch = slot.epoch;
         WakeTarget { pid, epoch }
@@ -282,11 +262,9 @@ impl Shared {
     }
 
     /// Queue `kind` for `time`. The caller holds `state`, as `st`.
-    fn schedule(&self, st: &mut EngineState, time: SimTime, kind: EventKind) {
+    fn schedule(&self, st: &mut EngineState, time: SimTime, kind: EventKind) -> TimerHandle {
         debug_assert!(time >= self.now(), "event scheduled in the past");
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.heap.push(Reverse(ScheduledEvent { time, seq, kind }));
+        st.queue.arm(time, kind)
     }
 
     /// The bookkeeping of a switch from `host` to process `to` (`None`: the
@@ -326,17 +304,17 @@ fn dispatch<'a>(
         // Before popping: an event the limit refuses stays queued, and the
         // clock where it was, for a later `run` under a higher limit.
         if st.events_processed >= st.event_limit {
-            if let Some(Reverse(next)) = st.heap.peek() {
-                let (limit, at) = (st.event_limit, next.time);
+            if let Some(at) = st.queue.front() {
+                let limit = st.event_limit;
                 break Ok(Err(SimError::EventLimit { limit, at }));
             }
         }
-        let Some(Reverse(ev)) = st.heap.pop() else {
+        let Some((time, kind)) = st.queue.pop() else {
             break Ok(st.drained(shared.now()));
         };
-        shared.set_now(ev.time);
+        shared.set_now(time);
         st.events_processed += 1;
-        match ev.kind {
+        match kind {
             EventKind::Call(f) => {
                 // Outside any process, whoever's stack this is; and the
                 // callback's panic is `run`'s to raise, not its host's.
@@ -352,11 +330,17 @@ fn dispatch<'a>(
                 }
             }
             EventKind::Wake(WakeTarget { pid, epoch }) => {
-                let slot = &st.procs[pid.0];
-                // Stale: the process moved on, or ended.
-                if slot.epoch != epoch || slot.coro.is_none() {
-                    continue;
-                }
+                let slot = &mut st.procs[pid.0];
+                debug_assert!(
+                    slot.epoch == epoch && slot.coro.is_some(),
+                    "a stale wake for {} was queued",
+                    slot.name
+                );
+                // The block is over, and every waiter-list entry of it with
+                // it. Its deadline, if any, is this wake, or was cancelled
+                // when `wake_all` queued this one.
+                slot.epoch += 1;
+                slot.deadline = None;
                 if host == Host::Proc(pid) {
                     return None;
                 }
@@ -412,7 +396,9 @@ impl Scheduler {
     /// Make every process in `waiters` runnable now, in the order given,
     /// under one acquisition of the engine state: consecutive sequence
     /// numbers at the current instant, exactly what one `schedule` per
-    /// waiter would assign.
+    /// waiter would assign. A waiter whose block is over (it timed out, or
+    /// ended) is skipped. One with a deadline queued loses it, unless the
+    /// deadline is due now: queued first, it wakes the process first.
     fn wake_all(&self, waiters: Vec<WakeTarget>) {
         if waiters.is_empty() {
             return;
@@ -420,6 +406,13 @@ impl Scheduler {
         let mut st = self.shared.state.lock();
         let now = self.now();
         for w in waiters {
+            let slot = &mut st.procs[w.pid.0];
+            if slot.epoch != w.epoch || slot.deadline.is_some_and(|d| d.due() <= now) {
+                continue;
+            }
+            if let Some(deadline) = slot.deadline.take() {
+                st.queue.cancel(deadline);
+            }
             self.shared.schedule(&mut st, now, EventKind::Wake(w));
         }
     }
@@ -481,9 +474,7 @@ impl Ctx {
         // clock inline instead — the event still counts, identically. A
         // queued event at the same instant wins (it holds an earlier
         // sequence number), exactly as it would in `dispatch`.
-        if st.events_processed < st.event_limit
-            && st.heap.peek().is_none_or(|Reverse(e)| t < e.time)
-        {
+        if st.events_processed < st.event_limit && st.queue.front().is_none_or(|next| t < next) {
             shared.set_now(t);
             st.events_processed += 1;
             return;
@@ -534,9 +525,10 @@ impl Ctx {
 
     /// Like [`Ctx::wait_event`] but gives up at virtual time `deadline`:
     /// returns the new epoch if the event fired, or `seen` unchanged on
-    /// timeout. Both the event waiter and a deadline wake are registered
-    /// with the same block epoch, so whichever fires second is dropped as
-    /// stale by the engine — a timed-out waiter can never be woken twice.
+    /// timeout. Whichever comes first wakes the process and the other
+    /// never does: an event that fires first cancels the queued deadline,
+    /// and one that fires after a timeout finds the block over and queues
+    /// nothing (module docs, "Wake correctness").
     pub fn wait_event_until(
         &mut self,
         ev: &crate::sync::SimEvent,
@@ -575,7 +567,8 @@ impl Ctx {
             waiters.push(target);
             drop(waiters);
             if let Some(deadline) = deadline {
-                shared.schedule(&mut st, deadline, EventKind::Wake(target));
+                let timer = shared.schedule(&mut st, deadline, EventKind::Wake(target));
+                st.procs[self.pid.0].deadline = Some(timer);
             }
             self.park(st);
         }
@@ -637,6 +630,7 @@ where
     st.procs.push(ProcSlot {
         name,
         epoch: 0,
+        deadline: None,
         block_reason: "start",
         coro: Some(coro),
         local: 0,

@@ -15,6 +15,8 @@
 //!   callbacks and fire completions.
 //! * [`Completion`] / [`SimEvent`] / [`Mailbox`] — synchronization objects in
 //!   virtual time.
+//! * [`TimerQueue`] — timers in `(time, seq)` order with cancel: the event
+//!   queue itself, and the MPI engine's watchdogs and retry backoffs.
 //!
 //! ## Example
 //!
@@ -41,6 +43,7 @@ mod error;
 pub mod mapping;
 mod sync;
 mod time;
+mod timer;
 
 #[cfg(debug_assertions)]
 pub use coro::switch_count;
@@ -48,3 +51,4 @@ pub use engine::{proc_local, Ctx, ProcId, RunReport, Scheduler, Simulation};
 pub use error::{BlockedProc, SimError};
 pub use sync::{Completion, Mailbox, SimEvent};
 pub use time::{bandwidth, transfer_time, SimDuration, SimTime};
+pub use timer::{TimerHandle, TimerQueue};

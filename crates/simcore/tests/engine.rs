@@ -190,6 +190,57 @@ fn mailbox_transfers_between_processes() {
     }
 }
 
+/// A deadline its answer beats is cancelled, not left to pop later as a
+/// stale wake: a thousand answered `recv_deadline`s cost exactly their
+/// deliveries and the wakes those queue, and the run ends at the last
+/// delivery, not at the last deadline.
+#[test]
+fn answered_deadlines_leave_no_events_behind() {
+    const N: u64 = 1_000;
+    let mut sim = Simulation::new();
+    let sched = sim.scheduler();
+    let mb: Mailbox<u64> = Mailbox::new();
+    for i in 0..N {
+        mb.send_at(&sched, SimTime(10 * (i + 1)), i);
+    }
+    sim.spawn("rx", move |ctx| {
+        for i in 0..N {
+            let deadline = ctx.now() + SimDuration::from_nanos(500);
+            assert_eq!(mb.recv_deadline(ctx, deadline), Some(i));
+        }
+    });
+    let report = sim.run_expect();
+    assert_eq!(
+        report.events_processed,
+        1 + 2 * N,
+        "start + per item a delivery and a wake"
+    );
+    assert_eq!(report.final_time, SimTime(10 * N));
+}
+
+/// A waiter that timed out is not woken again when its event fires later —
+/// from a callback, or from the waiter itself: nothing is queued for it.
+#[test]
+fn a_timed_out_waiter_is_not_woken_by_its_event() {
+    let mut sim = Simulation::new();
+    let (ev, own) = (SimEvent::new(), SimEvent::new());
+    ev.notify_at(&sim.scheduler(), SimTime(500));
+    sim.spawn("w", move |ctx| {
+        let seen = ev.epoch();
+        assert_eq!(ctx.wait_event_until(&ev, seen, SimTime(100), "ev"), seen);
+        let seen = own.epoch();
+        assert_eq!(ctx.wait_event_until(&own, seen, SimTime(200), "own"), seen);
+        own.notify_all(&ctx.scheduler());
+        ctx.sleep(SimDuration::from_nanos(1_000));
+        assert_eq!(ctx.now(), SimTime(1_200));
+    });
+    let report = sim.run_expect();
+    assert_eq!(
+        report.events_processed, 5,
+        "start, two deadlines, the callback, the sleep"
+    );
+}
+
 #[test]
 fn deadlock_is_reported_with_names_and_reasons() {
     let mut sim = Simulation::new();
