@@ -9,6 +9,7 @@ use fabric::{Buffer, Cluster, MemRef};
 use simcore::Ctx;
 
 use crate::engine::{CommStats, Engine, SHRINK_TAG_BASE};
+use crate::mrcache::Kind;
 use crate::subcomm::{SubComm, SUBCOMM_TAG_SPACE};
 use crate::types::{MpiError, Rank, Request, Src, Status, Tag, TagSel};
 
@@ -191,23 +192,24 @@ impl Comm {
 
     /// MR-cache statistics `(hits, misses)` — for the ablation benches.
     pub fn mr_cache_stats(&self) -> (u64, u64) {
-        let s = self.engine.mr_cache.stats();
+        let s = self.engine.cache.stats(Kind::Mr);
         (s.hits, s.misses)
     }
 
     /// Number of regions currently held by the MR cache pool.
     pub fn mr_cache_len(&self) -> usize {
-        self.engine.mr_cache.cached_regions()
+        self.engine.cache.resident(Kind::Mr)
     }
 
-    /// Number of cached regions currently pinned by outstanding leases.
+    /// Number of cached registrations — user-buffer MRs and host twins —
+    /// currently pinned by outstanding leases.
     pub fn mr_pinned_len(&self) -> usize {
-        self.engine.mr_cache.pinned_regions()
+        self.engine.cache.pinned()
     }
 
     /// Offload-cache statistics `(hits, misses)`.
     pub fn offload_cache_stats(&self) -> (u64, u64) {
-        let s = self.engine.offload_cache.stats();
+        let s = self.engine.cache.stats(Kind::Twin);
         (s.hits, s.misses)
     }
 

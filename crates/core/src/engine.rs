@@ -1,8 +1,8 @@
 //! The DCFA-MPI point-to-point protocol engine.
 //!
 //! One engine instance runs inside each rank's simulated process and owns
-//! that rank's channel, MR caches and request table. The protocol follows
-//! §IV-B3/§IV-B4 of the paper:
+//! that rank's channel, registration cache and request table. The
+//! protocol follows §IV-B3/§IV-B4 of the paper:
 //!
 //! * **Eager** for small messages: one copy into a pre-registered staging
 //!   slot, then `header ‖ payload ‖ tail` travels to the peer's inbound
@@ -42,7 +42,7 @@ use crate::config::{MpiConfig, Placement};
 use crate::connect::ConnDirectory;
 use crate::matching::{MatchQueues, Pair, PostedRecv};
 use crate::metrics::{Metrics, MetricsHub, Phase, Span};
-use crate::mrcache::{MrCache, MrLease, OffloadCache, OffloadLease};
+use crate::mrcache::{Kind, Lease, RegCache};
 use crate::packet::{PacketHeader, PacketKind};
 use crate::recovery::{Health, TimeoutKind, TrackedWrs, WrKind};
 use crate::resources::Resources;
@@ -69,25 +69,18 @@ pub(crate) fn is_shrink_tag(tag: Tag) -> bool {
 /// anything else propagates as a real panic.
 pub(crate) struct KillMarker;
 
-/// The pinned source region of an outgoing rendezvous transfer: either
-/// the user buffer via the MR cache, or the offloading send buffer's
-/// host twin. Held until the remote side confirms the data has moved.
-pub(crate) enum SendLease {
-    Mr(MrLease),
-    Offload(OffloadLease),
-}
-
 pub(crate) enum ReqState {
     /// Eager slot write in flight; completes on local WC.
     EagerSend { status: Status },
     /// RTS sent; waiting for the receiver's DONE. The lease pins the
-    /// advertised source until then (the peer RDMA-READs from it). `hdr`
+    /// advertised source — the user buffer, or the offloading send
+    /// buffer's host twin — until then (the peer RDMA-READs from it). `hdr`
     /// keeps the full RTS so the handshake watchdog can re-issue it.
     RndvSendAwaitDone {
         dst: Rank,
         seq: u64,
         status: Status,
-        lease: SendLease,
+        lease: Lease,
         hdr: PacketHeader,
         watchdog: Option<TimerHandle>,
     },
@@ -97,7 +90,7 @@ pub(crate) enum ReqState {
         seq: u64,
         full_len: u64,
         status: Status,
-        lease: SendLease,
+        lease: Lease,
     },
     /// Posted receive sitting in the match queue.
     RecvQueued,
@@ -108,7 +101,7 @@ pub(crate) enum ReqState {
         seq: u64,
         status: Status,
         truncated: Option<MpiError>,
-        lease: MrLease,
+        lease: Lease,
     },
     /// Receiver-first: RTR sent, waiting for the sender's DONE.
     RecvAwaitDone { watchdog: Option<TimerHandle> },
@@ -216,8 +209,8 @@ pub struct Engine {
     pub(crate) progress_event: SimEvent,
     /// The transport (see [`crate::channel`]).
     pub(crate) ch: Channel,
-    pub(crate) mr_cache: MrCache,
-    pub(crate) offload_cache: OffloadCache,
+    /// Registrations of user buffers and host twins.
+    pub(crate) cache: RegCache,
     /// Request table. Slot-indexed with generation-tagged handles: a
     /// consumed/unknown `Request` misses on its generation and reports
     /// `BadRequest`, exactly like the old hash-map lookup did.
@@ -242,9 +235,9 @@ pub struct Engine {
     in_progress: bool,
     /// Reusable scratch: completions drained per CQ batch.
     cq_scratch: Vec<Wc>,
-    /// DCFA control epoch the caches were last validated against. A bump
-    /// (daemon respawn / lease loss) flushes dead entries from both cache
-    /// pools before their stale keys can reach the wire.
+    /// DCFA control epoch the cache was last validated against. A bump
+    /// (daemon respawn / lease loss) flushes its dead entries before their
+    /// stale keys can reach the wire.
     seen_ctrl_epoch: u64,
     /// Offloading send buffer degraded off: repeated twin-registration
     /// failure switches this rank to direct-from-Phi rendezvous sends.
@@ -279,8 +272,7 @@ impl Engine {
         Engine {
             rank,
             size,
-            mr_cache: MrCache::new(cfg.mr_cache_capacity),
-            offload_cache: OffloadCache::new(16),
+            cache: RegCache::new(cfg.mr_cache_capacity, rank),
             reqs: SlotTable::with_limit(cfg.max_requests),
             cfg,
             res,
@@ -386,14 +378,8 @@ impl Engine {
         // Rendezvous. Pick the data source: offloaded host twin or the user
         // buffer registered directly.
         self.stats.rndv_sends += 1;
-        let (src_addr, src_rkey, lease) = self.rndv_source(ctx, buf);
-        // Source-staging edge: the PCIe sync into the host twin, or the
-        // MR pin/registration round-trip for a direct-from-Phi source.
-        let src_stage = match &lease {
-            SendLease::Offload(_) => MsgStage::OffloadSync,
-            SendLease::Mr(_) => MsgStage::MrAcquire,
-        };
-        self.ch.msg_life(ctx, self.rank, dst, seq, src_stage, len);
+        let (src_addr, lease) = self.rndv_source(ctx, buf, dst, seq);
+        let src_rkey = lease.mr.key();
 
         // Receiver-first? A stashed RTR with our sequence id means the
         // receiver already advertised its buffer.
@@ -630,16 +616,16 @@ impl Engine {
         self.stats
     }
 
-    /// Consolidated counter snapshot: protocol counters plus both cache
-    /// pools' hit/miss/lifetime statistics.
+    /// Consolidated counter snapshot: protocol counters plus the
+    /// registration cache's hit/miss/lifetime statistics of each kind.
     pub fn dump(&self) -> StatsReport {
         StatsReport {
             rank: self.rank,
             comm: self.stats,
-            mr_cache: self.mr_cache.stats(),
-            offload: self.offload_cache.stats(),
-            mr_cached: self.mr_cache.cached_regions(),
-            mr_pinned: self.mr_cache.pinned_regions(),
+            mr_cache: self.cache.stats(Kind::Mr),
+            offload: self.cache.stats(Kind::Twin),
+            mr_cached: self.cache.resident(Kind::Mr),
+            mr_pinned: self.cache.pinned(),
         }
     }
 
@@ -656,23 +642,21 @@ impl Engine {
         self.reqs.len()
     }
 
-    /// Attach this engine (and its caches) to a shared structured trace
+    /// Attach this engine (and its cache) to a shared structured trace
     /// ring. Recording is a no-op until this is called.
     pub fn set_tracer(&mut self, buf: TraceBuf) {
         self.trace.attach(buf);
         self.ch.trace = self.trace.clone();
-        self.mr_cache.set_trace(self.trace.clone(), self.rank);
-        self.offload_cache.set_trace(self.trace.clone(), self.rank);
+        self.cache.trace = self.trace.clone();
     }
 
-    /// Attach this engine (and its caches) to a shared metrics hub.
+    /// Attach this engine (and its cache) to a shared metrics hub.
     /// Latency recording — histograms and phase spans — is a no-op until
     /// this is called.
     pub fn set_metrics(&mut self, hub: MetricsHub) {
         self.metrics.attach(hub);
         self.ch.metrics = self.metrics.clone();
-        self.mr_cache.set_metrics(self.metrics.clone());
-        self.offload_cache.set_metrics(self.metrics.clone());
+        self.cache.metrics = self.metrics.clone();
     }
 
     /// Attach this engine to the world's failure-detection board. Health
@@ -722,14 +706,13 @@ impl Engine {
         self.close_span(ctx, req);
         let mut old = self.reqs.replace(req, ReqState::Ended(outcome));
         self.disarm(old.as_mut());
-        match old {
-            Some(
-                ReqState::RndvSendAwaitDone { lease, .. } | ReqState::RndvSendWriting { lease, .. },
-            ) => self.release_send_lease(ctx, lease),
-            Some(ReqState::RndvRecvReading { lease, .. }) => {
-                self.mr_cache.release(ctx, &self.res, lease)
-            }
-            _ => {}
+        if let Some(
+            ReqState::RndvSendAwaitDone { lease, .. }
+            | ReqState::RndvSendWriting { lease, .. }
+            | ReqState::RndvRecvReading { lease, .. },
+        ) = old
+        {
+            self.cache.release(ctx, &self.res, lease);
         }
     }
 
@@ -775,9 +758,7 @@ impl Engine {
             return None;
         }
         self.refresh_ctrl();
-        let omr = self.offload_cache.get_or_create(ctx, &self.res, buf)?;
-        let off = buf.addr - omr.phi.addr;
-        Some(omr.host_mr.buffer().slice(off, buf.len))
+        self.cache.twin(ctx, &self.res, buf)
     }
 
     /// Whether the offloading send buffer serves `buf`: the feature is on
@@ -821,10 +802,9 @@ impl Engine {
         }
     }
 
-    /// Tear down: drain caches and tell the DCFA daemon we're done.
+    /// Tear down: drain the cache and tell the DCFA daemon we're done.
     pub fn finalize(&mut self, ctx: &mut Ctx) {
-        self.mr_cache.clear(ctx, &self.res);
-        self.offload_cache.clear(ctx, &self.res);
+        self.cache.clear(ctx, &self.res);
         self.res.close(ctx);
     }
 
@@ -834,70 +814,68 @@ impl Engine {
     /// trying the offloading send buffer altogether.
     const OFFLOAD_FAIL_LIMIT: u32 = 3;
 
-    /// Re-validate the cache pools against the DCFA control epoch. A bump
-    /// means the rank re-attached (daemon respawn or lease loss): flush
-    /// every cached entry whose registration died with the old daemon
-    /// incarnation before its stale key can reach the wire.
+    /// Re-validate the registration cache against the DCFA control epoch.
+    /// A bump means the rank re-attached (daemon respawn or lease loss):
+    /// flush every cached entry whose registration died with the old
+    /// daemon incarnation before its stale key can reach the wire.
     fn refresh_ctrl(&mut self) {
         let epoch = self.res.ctrl_epoch();
         if epoch != self.seen_ctrl_epoch {
             self.seen_ctrl_epoch = epoch;
-            self.mr_cache.invalidate_dead(&self.res);
-            self.offload_cache.invalidate_dead(&self.res);
+            self.cache.invalidate_dead(&self.res);
         }
     }
 
-    /// Choose the rendezvous data source: the offloaded host twin (synced
-    /// first) above the offload threshold, otherwise the user buffer via
-    /// the MR cache. If the daemon cannot provide a twin the send falls
-    /// back to sourcing the Phi buffer directly; [`Self::OFFLOAD_FAIL_LIMIT`]
-    /// consecutive failures degrade the rank off the offload path for
-    /// good. The returned lease pins the source until the remote side
-    /// confirms the transfer; release with [`Self::release_send_lease`].
-    fn rndv_source(&mut self, ctx: &mut Ctx, buf: &Buffer) -> (u64, MrKey, SendLease) {
+    /// Choose the rendezvous data source and pin it: the offloaded host
+    /// twin (synced first) above the offload threshold, otherwise the user
+    /// buffer via the MR pool. If the daemon cannot provide a twin the send
+    /// falls back to sourcing the Phi buffer directly;
+    /// [`Self::OFFLOAD_FAIL_LIMIT`] consecutive failures degrade the rank
+    /// off the offload path for good. Returns the source address and the
+    /// lease that pins it until the remote side confirms the transfer, and
+    /// records message `seq`'s source-staging edge: the PCIe sync into the
+    /// host twin, or the MR pin/registration round trip.
+    fn rndv_source(&mut self, ctx: &mut Ctx, buf: &Buffer, dst: Rank, seq: u64) -> (u64, Lease) {
         self.refresh_ctrl();
+        let (rank, len) = (self.rank, buf.len);
         let thr = self.cfg.offload_threshold;
-        if self.twin_eligible(buf) && thr.is_some_and(|thr| buf.len >= thr) {
-            if let Some(lease) = self.offload_cache.try_acquire(ctx, &self.res, buf) {
+        if self.twin_eligible(buf) && thr.is_some_and(|thr| len >= thr) {
+            if let Some(lease) = self.cache.acquire(ctx, &self.res, Kind::Twin, buf) {
                 self.offload_fail_streak = 0;
-                let off = buf.addr - lease.phi.addr;
-                let (host_addr, host_key) = (lease.host_mr.addr() + off, lease.host_mr.key());
                 // Sync the latest bytes into the twin (blocking DMA).
-                let src = lease.phi.slice(off, buf.len);
-                let dst = lease.host_mr.buffer().slice(off, buf.len);
-                let (rank, len) = (self.rank, buf.len);
+                let twin = lease.image(buf);
                 self.trace
                     .record(|| TraceEvent::OffloadSyncStart { rank, len });
                 let t0 = self.metrics.start(|| ctx.now());
-                let t = self.res.cluster().pci_dma(&src, &dst, ctx.now());
+                let t = self.res.cluster().pci_dma(buf, &twin, ctx.now());
                 ctx.wait_reason(&t.completion, "offload sync");
                 self.metrics
                     .record_since(t0, || ctx.now(), Phase::OffloadSync, len, None);
                 self.stats.offload_syncs += 1;
                 self.trace
                     .record(|| TraceEvent::OffloadSyncEnd { rank, len });
-                return (host_addr, host_key, SendLease::Offload(lease));
+                self.ch
+                    .msg_life(ctx, rank, dst, seq, MsgStage::OffloadSync, len);
+                return (twin.addr, lease);
             }
             // No twin to be had: source the Phi buffer directly.
             self.stats.offload_fallbacks += 1;
             self.offload_fail_streak += 1;
             if self.offload_fail_streak >= Self::OFFLOAD_FAIL_LIMIT {
                 self.offload_down = true;
-                let rank = self.rank;
                 self.trace.record(|| TraceEvent::OffloadDegraded { rank });
             }
         }
-        let lease = self.mr_cache.acquire(ctx, &self.res, buf);
-        let key = lease.mr().key();
-        (buf.addr, key, SendLease::Mr(lease))
+        let lease = self.pin_mr(ctx, buf);
+        self.ch
+            .msg_life(ctx, rank, dst, seq, MsgStage::MrAcquire, len);
+        (buf.addr, lease)
     }
 
-    /// Give back a rendezvous source lease once the peer has the data.
-    fn release_send_lease(&mut self, ctx: &mut Ctx, lease: SendLease) {
-        match lease {
-            SendLease::Mr(l) => self.mr_cache.release(ctx, &self.res, l),
-            SendLease::Offload(l) => self.offload_cache.release(ctx, &self.res, l),
-        }
+    /// Pin the registration of user buffer `buf` through the MR pool.
+    pub(crate) fn pin_mr(&mut self, ctx: &mut Ctx, buf: &Buffer) -> Lease {
+        let lease = self.cache.acquire(ctx, &self.res, Kind::Mr, buf);
+        lease.expect("an MR lookup registers or panics; it never declines")
     }
 
     /// Queue a control packet (RTS/RTR/DONE/CREDIT) for `dst` and drain as

@@ -23,7 +23,7 @@ use verbs::{MrKey, SendWr};
 use crate::channel::Payload;
 use crate::engine::{Engine, ReqState};
 use crate::metrics::Phase;
-use crate::mrcache::MrLease;
+use crate::mrcache::Lease;
 use crate::packet::{PacketHeader, PacketKind};
 use crate::recovery::{TimeoutKind, WrKind};
 use crate::trace::{MsgStage, TraceEvent};
@@ -40,7 +40,7 @@ pub(crate) struct PostedRecv {
     /// Pin on the buffer registration advertised by our RTR; released
     /// when the receive leaves the queue (DONE-WRITE, or the
     /// eager/simultaneous mis-prediction paths).
-    pub(crate) rtr_lease: Option<MrLease>,
+    pub(crate) rtr_lease: Option<Lease>,
     /// The RTR we advertised, if any, kept for watchdog re-issue.
     pub(crate) rtr_hdr: Option<PacketHeader>,
 }
@@ -164,7 +164,7 @@ impl Engine {
     pub(crate) fn take_posted(&mut self, ctx: &mut Ctx, idx: usize) -> PostedRecv {
         let mut posted = self.mq.recv_q.remove(idx);
         if let Some(l) = posted.rtr_lease.take() {
-            self.mr_cache.release(ctx, &self.res, l);
+            self.cache.release(ctx, &self.res, l);
         }
         posted
     }
@@ -432,14 +432,14 @@ impl Engine {
         // buffer); a plain sender-first receive pins it now.
         let lease = match posted.rtr_lease.take() {
             Some(l) => l,
-            None => self.mr_cache.acquire(ctx, &self.res, &posted.buf),
+            None => self.pin_mr(ctx, &posted.buf),
         };
         self.ch
             .msg_life(ctx, src, me, seq, MsgStage::MrAcquire, read_len);
         let sge = verbs::Sge {
             addr: posted.buf.addr,
             len: read_len,
-            lkey: lease.mr().key(),
+            lkey: lease.mr.key(),
         };
         let status = Status {
             source: src,
@@ -467,13 +467,13 @@ impl Engine {
     /// Receiver-first: advertise the receive buffer. The registration is
     /// pinned via `posted.rtr_lease` until the receive leaves the queue.
     pub(crate) fn send_rtr(&mut self, ctx: &mut Ctx, src: Rank, seq: u64, posted: &mut PostedRecv) {
-        let lease = self.mr_cache.acquire(ctx, &self.res, &posted.buf);
+        let lease = self.pin_mr(ctx, &posted.buf);
         let tag = match posted.tag {
             TagSel::Tag(t) => t,
             TagSel::Any => 0,
         };
         let mut hdr = PacketHeader::control(PacketKind::Rtr, self.rank, tag, seq, posted.buf.len);
-        (hdr.addr, hdr.rkey) = (posted.buf.addr, lease.mr().key().0);
+        (hdr.addr, hdr.rkey) = (posted.buf.addr, lease.mr.key().0);
         posted.rtr_lease = Some(lease);
         posted.rtr_hdr = Some(hdr);
         self.send_ctrl(ctx, src, hdr);

@@ -135,13 +135,6 @@ impl Resources {
         }
     }
 
-    pub fn sync_offload(&self, ctx: &mut Ctx, omr: &OffloadMr, offset: u64, len: u64) {
-        match self {
-            Resources::Phi(d) => d.sync_offload_mr(ctx, omr, offset, len),
-            Resources::Host(_) => unreachable!("sync_offload on host placement"),
-        }
-    }
-
     pub fn dereg_offload(&self, ctx: &mut Ctx, omr: OffloadMr) {
         match self {
             Resources::Phi(d) => {

@@ -5,13 +5,14 @@ use fabric::{Buffer, LinkFault, LinkFaultKind, NodeId};
 use simcore::{Ctx, SimDuration, SimTime, Simulation};
 
 use crate::channel::{Inbound, Payload};
-use crate::engine::{Engine, ReqState, SendLease};
+use crate::engine::{Engine, ReqState};
+use crate::mrcache::{Kind, TWIN_BUDGET};
 use crate::packet::{PacketHeader, PacketKind};
 use crate::recovery::{InflightWr, TimeoutKind, WrKind};
 use crate::types::TransportOp;
 use crate::{
-    launch, KillSpec, LaunchOpts, MetricsHub, MpiConfig, MpiError, Phase, Rank, Request, Src,
-    Status, TagSel,
+    audit, launch, KillSpec, LaunchOpts, MetricsHub, MpiConfig, MpiError, Phase, Rank, Request,
+    Src, Status, TagSel, TraceBuf,
 };
 
 /// Slots per ring in these worlds.
@@ -186,32 +187,24 @@ fn resolve_ends_every_state_once_and_leaves_nothing_held() {
             }),
         ];
         for (outcome, state) in outcomes.iter().flat_map(|o| (0..7).map(move |s| (o, s))) {
-            let mut pin = || e.mr_cache.acquire(ctx, &e.res, &buf);
+            let mut pin = |kind| e.cache.acquire(ctx, &e.res, kind, &buf).unwrap();
             let (dst, src, seq, hdr) = (1, 1, 0, ctrl(PacketKind::Rts, 0));
             let state = match state {
                 0 => ReqState::EagerSend { status },
-                1 | 2 => {
-                    let lease = match state {
-                        1 => SendLease::Mr(pin()),
-                        _ => SendLease::Offload(
-                            e.offload_cache.try_acquire(ctx, &e.res, &buf).unwrap(),
-                        ),
-                    };
-                    ReqState::RndvSendAwaitDone {
-                        dst,
-                        seq,
-                        status,
-                        lease,
-                        hdr,
-                        watchdog: None,
-                    }
-                }
+                1 | 2 => ReqState::RndvSendAwaitDone {
+                    dst,
+                    seq,
+                    status,
+                    lease: pin([Kind::Mr, Kind::Twin][state - 1]),
+                    hdr,
+                    watchdog: None,
+                },
                 3 => ReqState::RndvSendWriting {
                     dst,
                     seq,
                     full_len: 0,
                     status,
-                    lease: SendLease::Mr(pin()),
+                    lease: pin(Kind::Mr),
                 },
                 4 => ReqState::RecvQueued,
                 5 => ReqState::RndvRecvReading {
@@ -219,7 +212,7 @@ fn resolve_ends_every_state_once_and_leaves_nothing_held() {
                     seq,
                     status,
                     truncated: None,
-                    lease: pin(),
+                    lease: pin(Kind::Mr),
                 },
                 _ => ReqState::RecvAwaitDone { watchdog: None },
             };
@@ -227,10 +220,83 @@ fn resolve_ends_every_state_once_and_leaves_nothing_held() {
             e.open_span(ctx, Phase::RtsWait, req, 0, 1);
             e.resolve(ctx, req, outcome.clone());
             e.resolve(ctx, req, Err(MpiError::BadRequest)); // already over: no-op
-            assert_eq!(e.mr_cache.pinned_regions(), 0);
+            assert_eq!(
+                e.cache.pinned(),
+                0,
+                "a lease of either kind outlived its request"
+            );
             assert!(e.open_spans.iter().all(Option::is_none));
             assert_eq!(e.test(ctx, Request(req)), Some(outcome.clone()));
         }
+    });
+}
+
+// ---- the registration cache ----------------------------------------------
+
+#[test]
+fn twins_past_the_budget_stay_at_their_high_water_mark() {
+    let tracer = TraceBuf::new(1 << 12);
+    let opts = LaunchOpts {
+        tracer: Some(tracer.clone()),
+        ..LaunchOpts::default()
+    };
+    world_with(None, opts, |ctx, e| {
+        if e.rank == 1 {
+            return;
+        }
+        let twin = |ctx: &mut Ctx, e: &mut Engine| {
+            let buf = e.res.cluster().alloc_pages(e.res.mem(), 16 << 10).unwrap();
+            e.cache.acquire(ctx, &e.res, Kind::Twin, &buf).unwrap()
+        };
+        // Every twin pinned at once: the 17th grows the cache past its budget.
+        let leases: Vec<_> = (0..=TWIN_BUDGET).map(|_| twin(ctx, e)).collect();
+        assert_eq!(e.cache.resident(Kind::Twin), TWIN_BUDGET + 1);
+        leases
+            .into_iter()
+            .for_each(|l| e.cache.release(ctx, &e.res, l));
+        // A miss evicts one and adds one: no shrinking back to the budget.
+        let lease = twin(ctx, e);
+        e.cache.release(ctx, &e.res, lease);
+        assert_eq!(e.cache.resident(Kind::Twin), TWIN_BUDGET + 1);
+        assert_eq!(e.cache.stats(Kind::Twin).evictions, 1);
+        assert_eq!(e.cache.pinned(), 0);
+    });
+    let report = audit(&tracer.snapshot()).expect("the audit passes");
+    assert_eq!(report.mr_registered, TWIN_BUDGET as u64 + 2);
+    assert_eq!(report.mr_leaked, 0, "finalize deregisters every twin");
+}
+
+#[test]
+fn an_mr_and_a_twin_over_the_same_range_do_not_alias() {
+    world(None, |ctx, e| {
+        if e.rank == 1 {
+            return;
+        }
+        let alloc = |e: &Engine| e.res.cluster().alloc_pages(e.res.mem(), 64 << 10).unwrap();
+        let (a, b) = (alloc(e), alloc(e));
+        let mut cycle = |e: &mut Engine, kind, buf: &Buffer| {
+            let lease = e.cache.acquire(ctx, &e.res, kind, buf).unwrap();
+            e.cache.release(ctx, &e.res, lease);
+        };
+        // An MR over `a` serves no twin lookup: not of a range inside it,
+        // and not of the very same range.
+        cycle(e, Kind::Mr, &a);
+        cycle(e, Kind::Twin, &a.slice(4 << 10, 4 << 10));
+        cycle(e, Kind::Twin, &a);
+        let twins = e.cache.stats(Kind::Twin);
+        assert_eq!((twins.hits, twins.misses), (0, 2));
+        assert_eq!(e.cache.resident(Kind::Twin), 2);
+        // A twin over `b` serves no MR lookup of a range inside it.
+        cycle(e, Kind::Twin, &b);
+        cycle(e, Kind::Mr, &b.slice(4 << 10, 4 << 10));
+        let mrs = e.cache.stats(Kind::Mr);
+        assert_eq!((mrs.hits, mrs.misses), (0, 2));
+        assert_eq!(e.cache.resident(Kind::Mr), 2);
+        // Each kind still hits its own entries.
+        cycle(e, Kind::Mr, &a.slice(0, 4 << 10));
+        cycle(e, Kind::Twin, &b.slice(0, 4 << 10));
+        assert_eq!(e.cache.stats(Kind::Mr).hits, 1);
+        assert_eq!(e.cache.stats(Kind::Twin).hits, 1);
     });
 }
 

@@ -20,7 +20,8 @@ pub struct StatsReport {
     pub offload: CacheStats,
     /// Regions currently resident in the MR cache.
     pub mr_cached: usize,
-    /// Regions currently pinned by outstanding leases.
+    /// Cached registrations of either kind (user-buffer MRs and host
+    /// twins) currently pinned by outstanding leases.
     pub mr_pinned: usize,
 }
 
