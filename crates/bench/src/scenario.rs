@@ -679,14 +679,15 @@ impl Run {
     }
 
     /// The gates this run's scenario implies, as the messages of those it
-    /// violated (empty = healthy). Always: every non-killed rank finished,
-    /// payloads intact, trace ring unsaturated, auditor clean, host pages
-    /// balanced. The halo must keep its connections O(ranks) and its
-    /// per-rank buffers flat. With nothing worse than transient link
-    /// faults armed no operation may fail. With kills armed every
-    /// survivor must have committed the same shrunk world, completed the
-    /// verified exchange on it and leaked no request slot or MR lease,
-    /// and the board must have seen exactly the scheduled deaths.
+    /// violated (empty = healthy). Always: every non-killed rank finished
+    /// holding no request slot and no registration lease, payloads
+    /// intact, trace ring unsaturated, auditor clean, host pages balanced.
+    /// The halo must keep its connections O(ranks) and its per-rank
+    /// buffers flat. With nothing worse than transient link faults armed
+    /// no operation may fail. With kills armed every survivor must have
+    /// committed the same shrunk world and completed the verified
+    /// exchange on it, and the board must have seen exactly the scheduled
+    /// deaths.
     pub fn violations(&self) -> Vec<String> {
         let (sc, t) = (&self.scenario, &self.tally);
         let killed = self.killed();
@@ -704,21 +705,22 @@ impl Run {
                 continue;
             };
             gate(!dead, format!("rank {r}: killed rank finished anyway"));
+            // A request's latency stage ends only when the request does.
+            let (pinned, live) = (o.mr_pinned, o.reqs_live);
+            gate(
+                pinned == 0,
+                format!("rank {r}: {pinned} MR leases still pinned"),
+            );
+            gate(
+                live == 0,
+                format!("rank {r}: {live} request slots stranded"),
+            );
             if !killed.is_empty() {
                 let shrunk = format!("rank {r}: shrunk to {}, expected {survivors}", o.world);
                 gate(o.world == survivors, shrunk);
                 gate(
                     o.post_ok > 0,
                     format!("rank {r}: no post-shrink exchange completed"),
-                );
-                let (pinned, live) = (o.mr_pinned, o.reqs_live);
-                gate(
-                    pinned == 0,
-                    format!("rank {r}: {pinned} MR leases still pinned"),
-                );
-                gate(
-                    live == 0,
-                    format!("rank {r}: {live} request slots stranded"),
                 );
             }
         }
@@ -776,21 +778,24 @@ impl Run {
     }
 
     /// Deterministic digest of everything observable about the run
-    /// (FNV-1a over outcome words and per-rank counters). Two runs of
-    /// the same scenario must produce identical fingerprints — the
-    /// chaos fuzzer's bit-for-bit replay gate.
+    /// (FNV-1a over outcome words, per-rank counters, the scheduler's
+    /// event count and the number of trace events recorded). Two runs of
+    /// the same scenario must produce identical fingerprints — the chaos
+    /// fuzzer's bit-for-bit replay gate.
     pub fn fingerprint(&self) -> u64 {
-        self.digest(Some(self.sim_events))
+        self.digest(true)
     }
 
-    /// [`Run::fingerprint`] without the scheduler's event count: what the
-    /// modelled system did, whatever the simulator spent doing it. A
-    /// change that only makes the simulator cheaper leaves this alone.
+    /// [`Run::fingerprint`] without the scheduler's event count and the
+    /// trace length: what the modelled system did, whatever the simulator
+    /// spent doing it and whatever was recorded about it. A change that
+    /// only makes the simulator cheaper, or records differently, leaves
+    /// this alone.
     pub fn virtual_fingerprint(&self) -> u64 {
-        self.digest(None)
+        self.digest(false)
     }
 
-    fn digest(&self, sim_events: Option<u64>) -> u64 {
+    fn digest(&self, simulator: bool) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x100_0000_01b3;
         let mut h = FNV_OFFSET;
@@ -809,10 +814,10 @@ impl Run {
         mix(self.tally.revoked);
         mix(self.tally.corrupt);
         mix(self.elapsed_ns);
-        if let Some(n) = sim_events {
-            mix(n);
+        if simulator {
+            mix(self.sim_events);
+            mix(self.events.len() as u64);
         }
-        mix(self.events.len() as u64);
         for out in &self.outs {
             match out {
                 None => mix(u64::MAX),

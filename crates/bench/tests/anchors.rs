@@ -5,10 +5,12 @@
 //! re-pins it here in the same commit.
 //!
 //! Each run is pinned twice: `fingerprint()` mixes the scheduler's event
-//! count and so moves whenever the simulator does the same thing in fewer
-//! events; `virtual_fingerprint()` leaves it out and moves only when the
-//! modelled system behaves differently. A simulator-side change re-pins
-//! the first column and the event counts and must leave the second alone.
+//! count and the trace length, and so moves whenever the simulator does
+//! the same thing in fewer events or records a different number of trace
+//! events; `virtual_fingerprint()` leaves both out and moves only when the
+//! modelled system behaves differently. A simulator- or recording-side
+//! change re-pins the first column and the event counts and must leave
+//! the second alone.
 
 use bench::{Channel, Scenario};
 
@@ -19,8 +21,8 @@ fn on(channel: Channel, sc: Scenario) -> Scenario {
 #[test]
 fn halo_64_on_both_channels() {
     for (channel, events, virt, highwater) in [
-        (Channel::Srq, 32_979, 0xc495_6f24_ea55_8e71_u64, 1),
-        (Channel::Ring, 16_416, 0xd11f_849b_e596_a615, 0),
+        (Channel::Srq, 32_979, 0x5d4d_1f44_dccd_1fa2_u64, 1),
+        (Channel::Ring, 16_416, 0xde24_b6e7_dbec_6986, 0),
     ] {
         let run = bench::run(&on(channel, Scenario::halo_soak(64))).unwrap();
         assert_eq!(run.violations(), Vec::<String>::new(), "{channel:?}");
@@ -43,8 +45,8 @@ fn kill_soaks_fingerprint() {
             Channel::Srq,
             four,
             47_382,
-            0x73cd_0768_f5d3_c8c6_u64,
-            0x52ce_2609_1671_a087,
+            0xbefb_5d6f_db61_f966_u64,
+            0x5898_3d68_2b4d_ec01,
             (3308, 128, 404),
         ),
         (
@@ -52,8 +54,8 @@ fn kill_soaks_fingerprint() {
             Channel::Ring,
             four,
             31_980,
-            0xfecd_0ea7_13d8_f7cc,
-            0xadb9_a216_8555_6e5c,
+            0x6810_cd6c_8f4d_907a,
+            0x5ee1_c862_1807_6012,
             (3320, 128, 392),
         ),
         (
@@ -61,8 +63,8 @@ fn kill_soaks_fingerprint() {
             Channel::Srq,
             two,
             11_130,
-            0x3db4_2926_1d94_6b57,
-            0xd754_9a98_d362_4bd4,
+            0x0f6a_430f_1ca2_ab63,
+            0xf8ea_0bc0_e0a2_8ccc,
             (731, 103, 62),
         ),
         (
@@ -70,8 +72,8 @@ fn kill_soaks_fingerprint() {
             Channel::Ring,
             two,
             7_318,
-            0x8a4f_8f6c_c199_9c67,
-            0xdc70_d295_79fd_44c5,
+            0x0c83_b2a7_f1ce_f20f,
+            0x91d4_7b9f_dd9e_4f73,
             (724, 103, 69),
         ),
     ] {
@@ -109,10 +111,10 @@ fn chaos_seed_1_schedule_fingerprint_and_replay() {
     for (channel, fingerprint, virt) in [
         (
             Channel::Srq,
-            0x1666_f69d_caa2_d2c1_u64,
-            0xbd47_b49a_f0b8_e8c7_u64,
+            0xbadf_c2aa_d4d2_04dd_u64,
+            0xced1_55d6_6f93_e0aa_u64,
         ),
-        (Channel::Ring, 0xa701_de9e_2d64_6efb, 0x754a_6d9a_6825_0eb4),
+        (Channel::Ring, 0x01de_74ee_c252_ee94, 0x9fe7_fa19_78ee_97c9),
     ] {
         let chaos = bench::chaos_run(&on(channel, sc.clone())).unwrap();
         assert_eq!(
@@ -146,8 +148,8 @@ fn profile_report_equals_committed_baseline() {
     let run = bench::run(&Scenario::default()).unwrap();
     assert_eq!(run.violations(), Vec::<String>::new());
     assert_eq!(run.sim_events, 785);
-    assert_eq!(run.fingerprint(), 0x605b_c2db_85e2_85ef);
-    assert_eq!(run.virtual_fingerprint(), 0x5723_4ca4_82e3_2ccf);
+    assert_eq!(run.fingerprint(), 0x45c2_d4b7_f410_60d0);
+    assert_eq!(run.virtual_fingerprint(), 0xda35_ba15_f777_b4f9);
     assert_eq!(
         without_wall(&bench::metrics_report_json(&run)),
         without_wall(&baseline)
@@ -165,6 +167,6 @@ fn daemon_chaos_soak_fingerprint() {
     .unwrap();
     assert_eq!(run.violations(), Vec::<String>::new());
     assert_eq!(run.sim_events, 1_202);
-    assert_eq!(run.fingerprint(), 0x8d4e_0d22_e441_d277);
-    assert_eq!(run.virtual_fingerprint(), 0xec4a_c138_b831_dfc1);
+    assert_eq!(run.fingerprint(), 0xd639_4534_f2e8_f550);
+    assert_eq!(run.virtual_fingerprint(), 0x00ac_21fd_ec52_7e4b);
 }

@@ -39,14 +39,14 @@ use verbs::{
 use crate::config::MpiConfig;
 use crate::connect::{ConnDirectory, ConnMsg};
 use crate::engine::CommStats;
-use crate::metrics::{Metrics, Phase};
+use crate::metrics::Phase;
 use crate::packet::{
     tail_seq, tail_word, PacketHeader, PacketKind, HEADER_BYTES, HEADER_LEN, SLOT_OVERHEAD,
     TAIL_LEN,
 };
 use crate::recovery::TimeoutKind;
 use crate::resources::Resources;
-use crate::trace::{MsgStage, Trace, TraceEvent};
+use crate::trace::{MsgStage, Recorder, TraceEvent};
 use crate::types::{MpiError, Rank};
 
 /// Completions drained from a CQ per lock acquisition (the
@@ -234,9 +234,8 @@ pub(crate) struct Channel {
     /// Recycled payload buffers: copy-out pops one here instead of
     /// allocating, and consuming the message pushes it back.
     payload_pool: Vec<Vec<u8>>,
-    /// Attached by `Engine::set_tracer` / `set_metrics`.
-    pub(crate) trace: Trace,
-    pub(crate) metrics: Metrics,
+    /// The engine's recorder (see [`Recorder`]).
+    rec: Recorder,
     /// Slots parsed so far, for the tests of the idle-ring rule.
     #[cfg(test)]
     pub(crate) slot_parses: std::cell::Cell<u64>,
@@ -260,6 +259,7 @@ impl Channel {
         cq: CompletionQueue,
         progress_event: SimEvent,
         stats: &mut CommStats,
+        rec: Recorder,
     ) -> Channel {
         let slot_size = cfg.ring_slot_payload + SLOT_OVERHEAD;
         let mut pool_oom = false;
@@ -316,8 +316,7 @@ impl Channel {
             conn_scratch: Vec::new(),
             conn_watchdogs: Vec::new(),
             payload_pool: Vec::new(),
-            trace: Trace::default(),
-            metrics: Metrics::default(),
+            rec,
             #[cfg(test)]
             slot_parses: Default::default(),
         }
@@ -679,16 +678,16 @@ impl Channel {
         if payload.is_some() {
             // The eager protocol's "one copy", charged at the local
             // domain's memcpy bandwidth.
-            let t0 = self.metrics.start(|| ctx.now());
-            ctx.sleep(cluster.copy_duration(res.mem().domain, payload_len));
-            self.metrics
-                .record_since(t0, || ctx.now(), Phase::EagerCopy, payload_len, Some(dst));
+            let copy = cluster.copy_duration(res.mem().domain, payload_len);
+            ctx.sleep(copy);
+            self.rec
+                .sample(Phase::EagerCopy, payload_len, Some(dst), copy.as_nanos());
             if hdr.kind == PacketKind::Eager {
                 self.msg_life(ctx, rank, dst, hdr.seq, MsgStage::Copy, payload_len);
             }
         }
 
-        self.trace.record(|| TraceEvent::PacketTx {
+        self.rec.trace(|| TraceEvent::PacketTx {
             from: rank,
             to: dst,
             kind: hdr.kind,
@@ -697,7 +696,7 @@ impl Channel {
         });
         if hdr.kind == PacketKind::Credit {
             stats.credit_grants += 1;
-            self.trace.record(|| TraceEvent::CreditGrant {
+            self.rec.trace(|| TraceEvent::CreditGrant {
                 from: rank,
                 to: dst,
                 consumed: hdr.len,
@@ -1133,7 +1132,7 @@ impl Channel {
         len: u64,
     ) {
         let at = self.rank;
-        self.trace.record(move || TraceEvent::MsgLife {
+        self.rec.trace(move || TraceEvent::MsgLife {
             at,
             src,
             dst,

@@ -33,7 +33,7 @@
 use std::sync::Arc;
 
 use fabric::{Buffer, HealthBoard, MemRef};
-use simcore::{Ctx, SimDuration, SimEvent, TimerHandle};
+use simcore::{Ctx, SimDuration, SimEvent, SimTime, TimerHandle};
 use verbs::{MrKey, SendWr, Wc};
 
 pub use crate::channel::PeerEndpoint;
@@ -41,14 +41,14 @@ use crate::channel::{Channel, Inbound, Payload, CQ_BATCH};
 use crate::config::{MpiConfig, Placement};
 use crate::connect::ConnDirectory;
 use crate::matching::{MatchQueues, Pair, PostedRecv};
-use crate::metrics::{Metrics, MetricsHub, Phase, Span};
+use crate::metrics::Phase;
 use crate::mrcache::{Kind, Lease, RegCache};
 use crate::packet::{PacketHeader, PacketKind};
 use crate::recovery::{Health, TimeoutKind, TrackedWrs, WrKind};
 use crate::resources::Resources;
 use crate::slots::SlotTable;
 use crate::stats::StatsReport;
-use crate::trace::{MsgStage, Trace, TraceBuf, TraceEvent};
+use crate::trace::{MsgStage, Recorder, TraceEvent};
 use crate::types::{MpiError, Rank, Request, Src, Status, Tag, TagSel};
 
 /// Tag band reserved for the shrink-agreement protocol (see
@@ -108,6 +108,32 @@ pub(crate) enum ReqState {
     /// The request is over; `test`/`wait` hand the outcome to the caller.
     /// Only [`Engine::resolve`] puts a request here.
     Ended(Result<Status, MpiError>),
+}
+
+/// One request-table slot: the request's protocol state and, while one
+/// of its protocol stages is timed, that stage.
+pub(crate) struct Req {
+    pub(crate) state: ReqState,
+    pub(crate) timing: Option<Timing>,
+}
+
+impl From<ReqState> for Req {
+    fn from(state: ReqState) -> Req {
+        Req {
+            state,
+            timing: None,
+        }
+    }
+}
+
+/// A protocol stage being timed for the latency histograms: its phase,
+/// the bytes it moves, its peer and when it began.
+#[derive(Clone, Copy)]
+pub(crate) struct Timing {
+    phase: Phase,
+    bytes: u64,
+    peer: Rank,
+    start: SimTime,
 }
 
 impl ReqState {
@@ -214,7 +240,7 @@ pub struct Engine {
     /// Request table. Slot-indexed with generation-tagged handles: a
     /// consumed/unknown `Request` misses on its generation and reports
     /// `BadRequest`, exactly like the old hash-map lookup did.
-    pub(crate) reqs: SlotTable<ReqState>,
+    pub(crate) reqs: SlotTable<Req>,
     /// Match queues and pair sequence state (see [`crate::matching`]).
     pub(crate) mq: MatchQueues,
     /// Send-side work requests in flight and the timers watching them
@@ -224,12 +250,8 @@ pub struct Engine {
     pub(crate) health: Health,
     mpi_call: SimDuration,
     pub(crate) stats: CommStats,
-    pub(crate) trace: Trace,
-    pub(crate) metrics: Metrics,
-    /// Open latency spans, slot-indexed in step with `reqs` (the stored
-    /// full id disambiguates slot reuse): one asynchronous protocol stage
-    /// per request, closed when the request resolves.
-    pub(crate) open_spans: Vec<Option<(u64, Span)>>,
+    /// Trace ring and latency hub, shared with the channel and the cache.
+    pub(crate) rec: Recorder,
     /// Re-entrancy guard: progress() invoked from within progress() (via
     /// a packet handler) is a no-op; the outer sweep picks up the work.
     in_progress: bool,
@@ -247,8 +269,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Create a rank's engine. Per-peer resources materialize lazily on
-    /// first touch (see `channel.rs`).
+    /// Create a rank's engine, recording through `rec`. Per-peer resources
+    /// materialize lazily on first touch (see `channel.rs`).
     pub fn create(
         ctx: &mut Ctx,
         rank: Rank,
@@ -256,6 +278,7 @@ impl Engine {
         cfg: MpiConfig,
         res: Resources,
         conn: Arc<ConnDirectory>,
+        rec: Recorder,
     ) -> Engine {
         cfg.validate();
         let progress_event = SimEvent::new();
@@ -268,11 +291,22 @@ impl Engine {
         };
         let mut stats = CommStats::default();
         let wake = progress_event.clone();
-        let ch = Channel::new(ctx, rank, size, &cfg, &res, conn, cq, wake, &mut stats);
+        let ch = Channel::new(
+            ctx,
+            rank,
+            size,
+            &cfg,
+            &res,
+            conn,
+            cq,
+            wake,
+            &mut stats,
+            rec.clone(),
+        );
         Engine {
             rank,
             size,
-            cache: RegCache::new(cfg.mr_cache_capacity, rank),
+            cache: RegCache::new(cfg.mr_cache_capacity, rank, rec.clone()),
             reqs: SlotTable::with_limit(cfg.max_requests),
             cfg,
             res,
@@ -283,9 +317,7 @@ impl Engine {
             health: Health::default(),
             mpi_call,
             stats,
-            trace: Trace::default(),
-            metrics: Metrics::default(),
-            open_spans: Vec::new(),
+            rec,
             in_progress: false,
             cq_scratch: Vec::with_capacity(CQ_BATCH),
             seen_ctrl_epoch: 0,
@@ -368,7 +400,7 @@ impl Engine {
         self.stats.bytes_sent += len;
         if len <= self.cfg.eager_threshold {
             self.stats.eager_sends += 1;
-            let req = self.reqs.insert(ReqState::EagerSend { status });
+            let req = self.reqs.insert(ReqState::EagerSend { status }.into());
             self.open_span(ctx, Phase::Eager, req, len, dst);
             let hdr = PacketHeader::control(PacketKind::Eager, self.rank, tag, seq, len);
             self.send_packet(ctx, dst, hdr, buf, req);
@@ -387,13 +419,14 @@ impl Engine {
         let stashed = rtrs.iter().position(|r| r.seq == seq);
         if let Some(rtr) = stashed.map(|i| rtrs.swap_remove(i)) {
             self.stats.rndv_recv_first += 1;
-            let req = self.reqs.insert(ReqState::RndvSendWriting {
+            let writing = ReqState::RndvSendWriting {
                 dst,
                 seq,
                 full_len: len,
                 status,
                 lease,
-            });
+            };
+            let req = self.reqs.insert(writing.into());
             self.open_span(ctx, Phase::RndvWrite, req, len, dst);
             // RDMA WRITE into the advertised buffer, then DONE-WRITE on
             // completion (driven by `complete_wr`).
@@ -413,14 +446,15 @@ impl Engine {
         // Sender-first: RTS with our buffer info, then await DONE.
         let mut hdr = PacketHeader::control(PacketKind::Rts, self.rank, tag, seq, len);
         (hdr.addr, hdr.rkey) = (src_addr, src_rkey.0);
-        let req = self.reqs.insert(ReqState::RndvSendAwaitDone {
+        let awaiting = ReqState::RndvSendAwaitDone {
             dst,
             seq,
             status,
             lease,
             hdr,
             watchdog: None,
-        });
+        };
+        let req = self.reqs.insert(awaiting.into());
         self.open_span(ctx, Phase::RtsWait, req, len, dst);
         self.send_ctrl(ctx, dst, hdr);
         self.arm_watchdog(ctx, TimeoutKind::Rts { req });
@@ -453,7 +487,7 @@ impl Engine {
         // selection sees the latest state (an RTS that already arrived
         // must match here instead of triggering a needless RTR).
         self.progress(ctx);
-        let req = self.reqs.insert(ReqState::RecvQueued);
+        let req = self.reqs.insert(ReqState::RecvQueued.into());
 
         // Try the unexpected queue first.
         if let Some(idx) = self.match_unexpected(src, tag) {
@@ -488,7 +522,7 @@ impl Engine {
         // no later sweep revisits the corpse).
         if let Err(e) = self.gate(peer, band) {
             self.take_posted(ctx, self.mq.recv_q.len() - 1);
-            let mut gone = self.reqs.remove(req);
+            let mut gone = self.reqs.remove(req).map(|r| r.state);
             self.disarm(gone.as_mut());
             return Err(e);
         }
@@ -511,12 +545,12 @@ impl Engine {
     pub fn test(&mut self, ctx: &mut Ctx, req: Request) -> Option<Result<Status, MpiError>> {
         let _hot = crate::hotpath::enter();
         self.progress(ctx);
-        match self.reqs.get(req.0) {
+        match self.state(req.0) {
             Some(ReqState::Ended(_)) => {}
             Some(_) => return None,
             None => return Some(Err(MpiError::BadRequest)),
         }
-        match self.reqs.remove(req.0) {
+        match self.reqs.remove(req.0).map(|r| r.state) {
             Some(ReqState::Ended(outcome)) => Some(outcome),
             _ => Some(Err(MpiError::BadRequest)),
         }
@@ -597,7 +631,7 @@ impl Engine {
             // is inactive.
             let mut all_inactive = true;
             for (i, &r) in reqs.iter().enumerate() {
-                if let Some(ReqState::Ended(_)) = self.reqs.get(r.0) {
+                if let Some(ReqState::Ended(_)) = self.state(r.0) {
                     if let Some(outcome) = self.test(ctx, r) {
                         return (i, outcome);
                     }
@@ -642,23 +676,6 @@ impl Engine {
         self.reqs.len()
     }
 
-    /// Attach this engine (and its cache) to a shared structured trace
-    /// ring. Recording is a no-op until this is called.
-    pub fn set_tracer(&mut self, buf: TraceBuf) {
-        self.trace.attach(buf);
-        self.ch.trace = self.trace.clone();
-        self.cache.trace = self.trace.clone();
-    }
-
-    /// Attach this engine (and its cache) to a shared metrics hub.
-    /// Latency recording — histograms and phase spans — is a no-op until
-    /// this is called.
-    pub fn set_metrics(&mut self, hub: MetricsHub) {
-        self.metrics.attach(hub);
-        self.ch.metrics = self.metrics.clone();
-        self.cache.metrics = self.metrics.clone();
-    }
-
     /// Attach this engine to the world's failure-detection board. Health
     /// checks (dead-peer refusal, revoke draining, kill unwinding) are
     /// no-ops until this is called.
@@ -687,24 +704,24 @@ impl Engine {
 
     // ---- how a request ends ------------------------------------------------
 
-    /// The one way a request ends: close its latency span, swap in the
+    /// The one way a request ends: record its timed stage, swap in the
     /// outcome, cancel the watchdog of a handshake it was waiting out and
-    /// release whichever buffer pin the old state held. The span closes
+    /// release whichever buffer pin the old state held. The stage ends
     /// first because a pin release can cost virtual time (a
     /// deregistration through the daemon) that is not part of the
-    /// protocol stage the span measures. A request that already ended, or
-    /// a stale handle, is left as it is, so a late completion or a second
+    /// protocol stage it measures. A request that already ended, or a
+    /// stale handle, is left as it is, so a late completion or a second
     /// failure changes nothing.
     ///
     /// A posted receive's RTR pin lives with its queue entry:
     /// [`Self::take_posted`] drops it when the receive leaves the queue.
     pub(crate) fn resolve(&mut self, ctx: &mut Ctx, req: u64, outcome: Result<Status, MpiError>) {
-        match self.reqs.get(req) {
+        match self.state(req) {
             None | Some(ReqState::Ended(_)) => return,
             Some(_) => {}
         }
         self.close_span(ctx, req);
-        let mut old = self.reqs.replace(req, ReqState::Ended(outcome));
+        let mut old = self.set_state(req, ReqState::Ended(outcome));
         self.disarm(old.as_mut());
         if let Some(
             ReqState::RndvSendAwaitDone { lease, .. }
@@ -716,35 +733,37 @@ impl Engine {
         }
     }
 
-    /// Open a latency span for request `id` and mirror it into the trace
-    /// stream (auditor invariant 6 pairs opens and closes).
+    /// Request `id`'s protocol state, if the handle is live.
+    pub(crate) fn state(&self, id: u64) -> Option<&ReqState> {
+        self.reqs.get(id).map(|r| &r.state)
+    }
+
+    /// Move request `id` to `state`, returning the one it leaves.
+    pub(crate) fn set_state(&mut self, id: u64, state: ReqState) -> Option<ReqState> {
+        let r = self.reqs.get_mut(id)?;
+        Some(std::mem::replace(&mut r.state, state))
+    }
+
+    /// Start timing request `id`'s protocol stage `phase`. It ends in
+    /// [`Self::close_span`].
     pub(crate) fn open_span(&mut self, ctx: &Ctx, phase: Phase, id: u64, bytes: u64, peer: Rank) {
-        if let Some(span) = self
-            .metrics
-            .span_begin(phase, id, bytes, Some(peer), || ctx.now())
-        {
-            let slot = id as u32 as usize;
-            if self.open_spans.len() <= slot {
-                self.open_spans.resize(slot + 1, None);
-            }
-            self.open_spans[slot] = Some((id, span));
-            let rank = self.rank;
-            self.trace
-                .record(|| TraceEvent::SpanOpen { rank, id, phase });
+        if let Some(r) = self.reqs.get_mut(id) {
+            let start = ctx.now();
+            r.timing = Some(Timing {
+                phase,
+                bytes,
+                peer,
+                start,
+            });
         }
     }
 
-    /// Close request `id`'s span, attributing its lifetime to the phase
-    /// it opened under. No-op when no span is open (metrics detached).
+    /// End request `id`'s timed stage, if it has one, recording its
+    /// latency. The stage is taken from the request, so it ends once.
     pub(crate) fn close_span(&mut self, ctx: &Ctx, id: u64) {
-        let slot = self.open_spans.get_mut(id as u32 as usize);
-        let span = slot.and_then(|s| s.take_if(|(owner, _)| *owner == id));
-        if let Some((_, span)) = span {
-            let phase = span.phase;
-            self.metrics.span_end(span, || ctx.now());
-            let rank = self.rank;
-            self.trace
-                .record(|| TraceEvent::SpanClose { rank, id, phase });
+        if let Some(t) = self.reqs.get_mut(id).and_then(|r| r.timing.take()) {
+            let ns = ctx.now().since(t.start).as_nanos();
+            self.rec.sample(t.phase, t.bytes, Some(t.peer), ns);
         }
     }
 
@@ -844,16 +863,15 @@ impl Engine {
                 self.offload_fail_streak = 0;
                 // Sync the latest bytes into the twin (blocking DMA).
                 let twin = lease.image(buf);
-                self.trace
-                    .record(|| TraceEvent::OffloadSyncStart { rank, len });
-                let t0 = self.metrics.start(|| ctx.now());
-                let t = self.res.cluster().pci_dma(buf, &twin, ctx.now());
+                self.rec
+                    .trace(|| TraceEvent::OffloadSyncStart { rank, len });
+                let t0 = ctx.now();
+                let t = self.res.cluster().pci_dma(buf, &twin, t0);
                 ctx.wait_reason(&t.completion, "offload sync");
-                self.metrics
-                    .record_since(t0, || ctx.now(), Phase::OffloadSync, len, None);
+                let sync_ns = ctx.now().since(t0).as_nanos();
+                self.rec.sample(Phase::OffloadSync, len, None, sync_ns);
                 self.stats.offload_syncs += 1;
-                self.trace
-                    .record(|| TraceEvent::OffloadSyncEnd { rank, len });
+                self.rec.trace(|| TraceEvent::OffloadSyncEnd { rank, len });
                 self.ch
                     .msg_life(ctx, rank, dst, seq, MsgStage::OffloadSync, len);
                 return (twin.addr, lease);
@@ -863,7 +881,7 @@ impl Engine {
             self.offload_fail_streak += 1;
             if self.offload_fail_streak >= Self::OFFLOAD_FAIL_LIMIT {
                 self.offload_down = true;
-                self.trace.record(|| TraceEvent::OffloadDegraded { rank });
+                self.rec.trace(|| TraceEvent::OffloadDegraded { rank });
             }
         }
         let lease = self.pin_mr(ctx, buf);
@@ -1010,7 +1028,7 @@ impl Engine {
     fn handle_packet(&mut self, ctx: &mut Ctx, p: Rank, hdr: PacketHeader, payload: Payload) {
         let rank = self.rank;
         let (src, tag, seq) = (hdr.src_rank, hdr.tag, hdr.seq);
-        self.trace.record(|| TraceEvent::PacketRx {
+        self.rec.trace(|| TraceEvent::PacketRx {
             at: rank,
             from: p,
             kind: hdr.kind,
@@ -1024,7 +1042,7 @@ impl Engine {
         let lost = || MpiError::RemoteTransport { peer: src, seq };
         match hdr.kind {
             PacketKind::Credit => {
-                self.trace.record(|| TraceEvent::CreditApply {
+                self.rec.trace(|| TraceEvent::CreditApply {
                     at: rank,
                     from: p,
                     consumed: hdr.len,
@@ -1062,9 +1080,9 @@ impl Engine {
                 }
                 // A re-issued RTR whose first copy already started our
                 // RDMA write: the answer is coming, drop the dup.
-                let writing = self.reqs.iter().any(|(_, st)| {
-                    matches!(st, ReqState::RndvSendWriting { dst, seq: s, .. }
-                        if *dst == p && *s == seq)
+                let writing = self.reqs.iter().any(|(_, r)| {
+                    matches!(r.state, ReqState::RndvSendWriting { dst, seq: s, .. }
+                        if dst == p && s == seq)
                 });
                 if writing {
                     return;
@@ -1080,8 +1098,8 @@ impl Engine {
                     }
                 } else {
                     self.stats.stale_rtrs_dropped += 1;
-                    self.trace
-                        .record(|| TraceEvent::StaleRtrDrop { rank, from: p, seq });
+                    self.rec
+                        .trace(|| TraceEvent::StaleRtrDrop { rank, from: p, seq });
                 }
             }
             PacketKind::Done | PacketKind::Nack => {

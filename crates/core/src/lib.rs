@@ -67,12 +67,12 @@ pub use comm::{Comm, Communicator, Persistent};
 pub use config::{MpiConfig, Placement};
 pub use connect::ConnDirectory;
 pub use engine::{CommStats, Engine, PeerEndpoint};
-pub use metrics::{HistogramSnapshot, MetricKey, Metrics, MetricsHub, Phase, Span};
+pub use metrics::{HistogramSnapshot, MetricKey, MetricsHub, Phase};
 pub use mrcache::CacheStats;
 pub use packet::PacketKind;
 pub use resources::Resources;
 pub use stats::StatsReport;
-pub use trace::{audit, AuditReport, MsgStage, TraceBuf, TraceEvent};
+pub use trace::{audit, AuditReport, MsgStage, Recorder, TraceBuf, TraceEvent};
 pub use types::{
     Datatype, MpiError, Rank, ReduceOp, Request, Src, Status, Tag, TagSel, TransportOp,
 };

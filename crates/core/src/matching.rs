@@ -222,7 +222,7 @@ impl Engine {
     /// its RTS `seq` (control packets carry no request id, so DONE, NACK,
     /// a simultaneous RTR and a failed RTS all find it this way).
     pub(crate) fn awaiting_send(&self, dst: Rank, seq: u64) -> Option<(u64, Status)> {
-        self.reqs.iter().find_map(|(id, st)| match st {
+        self.reqs.iter().find_map(|(id, r)| match &r.state {
             ReqState::RndvSendAwaitDone {
                 dst: d,
                 seq: s,
@@ -455,7 +455,7 @@ impl Engine {
             lease,
         };
         // Simultaneous rendezvous: our RTR's handshake is over.
-        let mut rtr = self.reqs.replace(req, reading);
+        let mut rtr = self.set_state(req, reading);
         self.disarm(rtr.as_mut());
         self.open_span(ctx, Phase::RndvRead, req, read_len, src);
         let wr = SendWr::rdma_read(0, sge, hdr.addr, MrKey(hdr.rkey));
@@ -477,8 +477,7 @@ impl Engine {
         posted.rtr_lease = Some(lease);
         posted.rtr_hdr = Some(hdr);
         self.send_ctrl(ctx, src, hdr);
-        self.reqs
-            .replace(posted.req, ReqState::RecvAwaitDone { watchdog: None });
+        self.set_state(posted.req, ReqState::RecvAwaitDone { watchdog: None });
         self.arm_watchdog(ctx, TimeoutKind::Rtr { req: posted.req });
     }
 
@@ -599,7 +598,7 @@ impl Engine {
     /// to a re-issued RTS/RTR whose first answer may have been lost).
     pub(crate) fn replay(&mut self, ctx: &mut Ctx, to: Rank, hdr: PacketHeader) {
         let (from, kind, seq) = (self.rank, hdr.kind, hdr.seq);
-        self.trace.record(|| TraceEvent::Retrans {
+        self.rec.trace(|| TraceEvent::Retrans {
             from,
             to,
             kind,
@@ -626,8 +625,8 @@ impl Engine {
     /// below is acknowledged: the peer may forget those replies.
     pub(crate) fn ack_tx_watermark(&self, p: Rank) -> u64 {
         let mut w = self.mq.pairs[p].tx_seq;
-        for (_, state) in self.reqs.iter() {
-            if let ReqState::RndvSendAwaitDone { dst, seq, .. } = state {
+        for (_, r) in self.reqs.iter() {
+            if let ReqState::RndvSendAwaitDone { dst, seq, .. } = &r.state {
                 if *dst == p {
                     w = w.min(*seq);
                 }

@@ -34,9 +34,9 @@ use fabric::Buffer;
 use simcore::Ctx;
 use verbs::MemoryRegion;
 
-use crate::metrics::{Metrics, Phase};
+use crate::metrics::Phase;
 use crate::resources::Resources;
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{Recorder, TraceEvent};
 use crate::types::Rank;
 
 /// Host twins the offloading send buffer keeps before it evicts.
@@ -106,16 +106,16 @@ pub(crate) struct RegCache {
     lists: [Vec<Entry>; 2],
     clock: u64,
     stats: [CacheStats; 2],
-    pub(crate) trace: Trace,
-    pub(crate) metrics: Metrics,
+    rec: Recorder,
     rank: Rank,
 }
 
 impl RegCache {
-    pub(crate) fn new(mr_capacity: usize, rank: Rank) -> Self {
+    pub(crate) fn new(mr_capacity: usize, rank: Rank, rec: Recorder) -> Self {
         let budgets = [mr_capacity, TWIN_BUDGET];
         RegCache {
             budgets,
+            rec,
             rank,
             ..Default::default()
         }
@@ -140,7 +140,7 @@ impl RegCache {
             Err(mr) => (mr, buf.addr, false),
         };
         let (rank, key) = (self.rank, mr.key().0);
-        self.trace.record(|| TraceEvent::MrPin { rank, key });
+        self.rec.trace(|| TraceEvent::MrPin { rank, key });
         Some(Lease {
             kind,
             mr,
@@ -168,7 +168,7 @@ impl RegCache {
         buf: &Buffer,
     ) -> Option<Result<usize, MemoryRegion>> {
         self.clock += 1;
-        let (k, clock, rank, trace) = (kind as usize, self.clock, self.rank, &self.trace);
+        let (k, clock, rank, rec) = (kind as usize, self.clock, self.rank, &self.rec);
         let (list, stats) = (&mut self.lists[k], &mut self.stats[k]);
         let covers = |e: &Entry| {
             let r = &e.range;
@@ -183,16 +183,16 @@ impl RegCache {
             let key = list.swap_remove(i).mr.key().0;
             stats.invalidated += 1;
             stats.deregistered += 1;
-            trace.record(|| TraceEvent::MrInvalidated { rank, key });
+            rec.trace(|| TraceEvent::MrInvalidated { rank, key });
         }
         stats.misses += 1;
-        let reg_start = self.metrics.start(|| ctx.now());
+        let reg_start = ctx.now();
         let mr = match kind {
             Kind::Mr => res.reg_mr(ctx, buf.clone()),
             Kind::Twin => res.reg_offload(ctx, buf)?.host_mr,
         };
-        self.metrics
-            .record_since(reg_start, || ctx.now(), Phase::MrRegister, buf.len, None);
+        let reg_ns = ctx.now().since(reg_start).as_nanos();
+        rec.sample(Phase::MrRegister, buf.len, None, reg_ns);
         stats.registered += 1;
         let full = list.len() >= self.budgets[k];
         let unpinned = list.iter().enumerate().filter(|(_, e)| e.pins == 0);
@@ -213,7 +213,7 @@ impl RegCache {
         // A twin's registration is recorded before the eviction it
         // causes, an MR's after it.
         if kind == Kind::Twin {
-            trace.record(|| register);
+            rec.trace(|| register);
         }
         if let Some(i) = lru {
             let evicted = list.swap_remove(i);
@@ -221,10 +221,10 @@ impl RegCache {
             deregister(ctx, res, kind, evicted);
             stats.evictions += 1;
             stats.deregistered += 1;
-            trace.record(|| TraceEvent::MrEvict { rank, key });
+            rec.trace(|| TraceEvent::MrEvict { rank, key });
         }
         if kind == Kind::Mr {
-            trace.record(|| register);
+            rec.trace(|| register);
         }
         if !cached {
             return Some(Err(mr));
@@ -242,11 +242,11 @@ impl RegCache {
     /// lease deregisters here.
     pub(crate) fn release(&mut self, ctx: &mut Ctx, res: &Resources, lease: Lease) {
         let (k, rank, key) = (lease.kind as usize, self.rank, lease.mr.key().0);
-        self.trace.record(|| TraceEvent::MrUnpin { rank, key });
+        self.rec.trace(|| TraceEvent::MrUnpin { rank, key });
         if !lease.cached {
             res.dereg_mr(ctx, &lease.mr);
             self.stats[k].deregistered += 1;
-            self.trace.record(|| TraceEvent::MrDeregister { rank, key });
+            self.rec.trace(|| TraceEvent::MrDeregister { rank, key });
             return;
         }
         let e = self.lists[k]
@@ -261,14 +261,14 @@ impl RegCache {
     /// the HCA — the bulk flush after a control-epoch bump (daemon respawn
     /// or lease loss; twins die with a crashed daemon).
     pub(crate) fn invalidate_dead(&mut self, res: &Resources) {
-        let (rank, trace) = (self.rank, &self.trace);
+        let (rank, rec) = (self.rank, &self.rec);
         for (list, stats) in self.lists.iter_mut().zip(&mut self.stats) {
             let before = list.len();
             list.retain(|e| {
                 let live = e.pins > 0 || res.mr_live(e.mr.key());
                 let key = e.mr.key().0;
                 if !live {
-                    trace.record(|| TraceEvent::MrInvalidated { rank, key });
+                    rec.trace(|| TraceEvent::MrInvalidated { rank, key });
                 }
                 live
             });
@@ -287,7 +287,7 @@ impl RegCache {
                 let key = e.mr.key().0;
                 deregister(ctx, res, kind, e);
                 self.stats[kind as usize].deregistered += 1;
-                self.trace.record(|| TraceEvent::MrDeregister { rank, key });
+                self.rec.trace(|| TraceEvent::MrDeregister { rank, key });
             }
         }
     }

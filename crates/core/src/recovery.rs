@@ -181,7 +181,7 @@ impl Engine {
         self.stats.wr_faults += 1;
         let rank = self.rank;
         let (peer, wr_id, transient) = (entry.dst, wc.wr_id, wc.status.is_transient());
-        self.trace.record(|| TraceEvent::WrFault {
+        self.rec.trace(|| TraceEvent::WrFault {
             rank,
             peer,
             wr_id,
@@ -299,8 +299,7 @@ impl Engine {
 
     /// The live (not yet ended) request `req`, if any.
     fn wr_owner(&self, req: u64) -> Option<&ReqState> {
-        self.reqs
-            .get(req)
+        self.state(req)
             .filter(|st| !matches!(st, ReqState::Ended(_)))
     }
 
@@ -314,8 +313,8 @@ impl Engine {
     fn schedule_retry(&mut self, ctx: &mut Ctx, mut entry: InflightWr) {
         let shift = (entry.attempts - 1).min(20);
         let backoff = Self::RETRY_BACKOFF * (1u64 << shift);
-        self.metrics
-            .record_ns(Phase::Backoff, 0, Some(entry.dst), backoff.as_nanos());
+        self.rec
+            .sample(Phase::Backoff, 0, Some(entry.dst), backoff.as_nanos());
         self.msg_life_wr(ctx, &entry, MsgStage::Backoff);
         entry.attempts += 1;
         // Re-insert under a fresh handle (the caller removed the entry to
@@ -349,7 +348,7 @@ impl Engine {
             let (dst, mut wr, attempt) = (entry.dst, entry.wr, entry.attempts);
             wr.wr_id = wr_id;
             let rank = self.rank;
-            self.trace.record(|| TraceEvent::WrRetry {
+            self.rec.trace(|| TraceEvent::WrRetry {
                 rank,
                 peer: dst,
                 wr_id,
@@ -400,7 +399,7 @@ impl Engine {
                     self.stats.ctrl_abandoned += 1;
                     return;
                 }
-                self.trace.record(|| TraceEvent::TransportFail {
+                self.rec.trace(|| TraceEvent::TransportFail {
                     rank,
                     peer: dst,
                     seq,
@@ -441,7 +440,7 @@ impl Engine {
             WrKind::RndvRead { req } | WrKind::RndvWrite { req } => {
                 // Ended out-of-band while the transfer was in flight:
                 // nothing left to fail.
-                let (peer, seq, tag, op, nack) = match self.reqs.get(req) {
+                let (peer, seq, tag, op, nack) = match self.state(req) {
                     Some(ReqState::RndvRecvReading {
                         src, seq, status, ..
                     }) => (
@@ -463,8 +462,8 @@ impl Engine {
                     _ => return,
                 };
                 self.resolve(ctx, req, Err(failed(op)));
-                self.trace
-                    .record(|| TraceEvent::TransportFail { rank, peer, seq });
+                self.rec
+                    .trace(|| TraceEvent::TransportFail { rank, peer, seq });
                 if recover {
                     let nack = PacketHeader::control(nack, rank, tag, seq, 0);
                     self.answer(ctx, peer, nack);
@@ -491,7 +490,7 @@ impl Engine {
         let held = match kind {
             TimeoutKind::Conn { peer, .. } => ch.conn_watchdog(peer),
             TimeoutKind::Rts { req } | TimeoutKind::Rtr { req } => {
-                reqs.get_mut(req).and_then(ReqState::watchdog_mut)
+                reqs.get_mut(req).and_then(|r| r.state.watchdog_mut())
             }
         };
         let Some(held) = held else { return };
@@ -565,7 +564,7 @@ impl Engine {
                 return;
             }
             TimeoutKind::Rts { req } => {
-                let Some(ReqState::RndvSendAwaitDone { dst, hdr, .. }) = self.reqs.get(req) else {
+                let Some(ReqState::RndvSendAwaitDone { dst, hdr, .. }) = self.state(req) else {
                     return;
                 };
                 (*dst, *hdr)
@@ -615,7 +614,7 @@ impl Engine {
         self.ch.reissue_connect(&self.res, peer);
         self.stats.conn_retries += 1;
         let rank = self.rank;
-        self.trace.record(|| TraceEvent::ConnRetry {
+        self.rec.trace(|| TraceEvent::ConnRetry {
             rank,
             peer,
             attempt,
@@ -645,7 +644,7 @@ impl Engine {
     /// presence down (an external kill already did).
     fn die(&mut self, teardown: bool) -> ! {
         let rank = self.rank;
-        self.trace.record(|| TraceEvent::RankKilled { rank });
+        self.rec.trace(|| TraceEvent::RankKilled { rank });
         self.res.abandon();
         if teardown {
             self.res.cluster().kill_rank(rank);
@@ -726,8 +725,7 @@ impl Engine {
             }
             self.stats.peer_deaths_detected += 1;
             let rank = self.rank;
-            self.trace
-                .record(|| TraceEvent::PeerReaped { rank, peer: d });
+            self.rec.trace(|| TraceEvent::PeerReaped { rank, peer: d });
             self.reap_one(ctx, d);
         }
     }
@@ -760,7 +758,8 @@ impl Engine {
             };
             hit.then_some(id)
         };
-        let dead_reqs: Vec<u64> = self.reqs.iter().filter_map(depends).collect();
+        let states = self.reqs.iter().map(|(id, r)| (id, &r.state));
+        let dead_reqs: Vec<u64> = states.filter_map(depends).collect();
         reclaimed += dead_reqs.len() as u64;
         for id in dead_reqs {
             self.resolve(ctx, id, Err(MpiError::PeerFailed(d)));
@@ -799,7 +798,7 @@ impl Engine {
         self.health.revoked = true;
         self.stats.revokes_observed += 1;
         let rank = self.rank;
-        self.trace.record(|| TraceEvent::RevokeObserved { rank });
+        self.rec.trace(|| TraceEvent::RevokeObserved { rank });
         // Posted receives first — they hold RTR leases.
         let band = |tag: TagSel| matches!(tag, TagSel::Tag(t) if is_shrink_tag(t));
         let mut revoked = self.fail_posted(ctx, |r| !band(r.tag), MpiError::Revoked);
@@ -813,7 +812,8 @@ impl Engine {
             };
             live.then_some(id)
         };
-        let live: Vec<u64> = self.reqs.iter().filter_map(live).collect();
+        let states = self.reqs.iter().map(|(id, r)| (id, &r.state));
+        let live: Vec<u64> = states.filter_map(live).collect();
         revoked += live.len() as u64;
         for id in live {
             self.resolve(ctx, id, Err(MpiError::Revoked));
@@ -829,8 +829,8 @@ impl Engine {
     /// the new floor) are purged.
     pub(crate) fn complete_shrink(&mut self, epoch: u64, survivors: u64) {
         self.health.revoked = false;
-        self.trace
-            .record(|| TraceEvent::ShrinkCommit { epoch, survivors });
+        self.rec
+            .trace(|| TraceEvent::ShrinkCommit { epoch, survivors });
         let floor_tag = SHRINK_TAG_BASE + (epoch & 0xFFFF) as Tag;
         self.stats.dead_reclaimed +=
             self.purge_unexpected(|_, tag| is_shrink_tag(tag) && tag <= floor_tag, true);
@@ -845,7 +845,7 @@ impl Engine {
             self.take_posted(ctx, i);
         }
         self.close_span(ctx, req.0);
-        let mut gone = self.reqs.remove(req.0);
+        let mut gone = self.reqs.remove(req.0).map(|r| r.state);
         self.disarm(gone.as_mut());
     }
 }

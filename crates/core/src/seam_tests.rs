@@ -165,11 +165,22 @@ fn recycled_payload_buffers_come_back_empty_and_bounded() {
 
 #[test]
 fn resolve_ends_every_state_once_and_leaves_nothing_held() {
-    world(None, |ctx, e| {
+    let hub = MetricsHub::new(); // counts the samples each resolve records
+    let opts = LaunchOpts {
+        metrics: Some(hub.clone()),
+        ..LaunchOpts::default()
+    };
+    world_with(None, opts, move |ctx, e| {
         if e.rank == 1 {
             return;
         }
-        e.set_metrics(MetricsHub::new()); // spans open only with a hub
+        let rts_waits = || {
+            let phases = hub.merged_by_phase();
+            phases
+                .iter()
+                .find(|(p, _)| *p == Phase::RtsWait)
+                .map_or(0, |(_, h)| h.count)
+        };
         let buf = e.res.cluster().alloc_pages(e.res.mem(), 64 << 10).unwrap();
         let status = Status {
             source: 1,
@@ -186,7 +197,8 @@ fn resolve_ends_every_state_once_and_leaves_nothing_held() {
                 attempts: 2,
             }),
         ];
-        for (outcome, state) in outcomes.iter().flat_map(|o| (0..7).map(move |s| (o, s))) {
+        let cases = outcomes.iter().flat_map(|o| (0..7).map(move |s| (o, s)));
+        for (resolved, (outcome, state)) in (1..).zip(cases) {
             let mut pin = |kind| e.cache.acquire(ctx, &e.res, kind, &buf).unwrap();
             let (dst, src, seq, hdr) = (1, 1, 0, ctrl(PacketKind::Rts, 0));
             let state = match state {
@@ -216,16 +228,17 @@ fn resolve_ends_every_state_once_and_leaves_nothing_held() {
                 },
                 _ => ReqState::RecvAwaitDone { watchdog: None },
             };
-            let req = e.reqs.insert(state);
+            let req = e.reqs.insert(state.into());
             e.open_span(ctx, Phase::RtsWait, req, 0, 1);
             e.resolve(ctx, req, outcome.clone());
+            assert_eq!(rts_waits(), resolved, "one sample per resolved request");
             e.resolve(ctx, req, Err(MpiError::BadRequest)); // already over: no-op
+            assert_eq!(rts_waits(), resolved, "a second resolve records nothing");
             assert_eq!(
                 e.cache.pinned(),
                 0,
                 "a lease of either kind outlived its request"
             );
-            assert!(e.open_spans.iter().all(Option::is_none));
             assert_eq!(e.test(ctx, Request(req)), Some(outcome.clone()));
         }
     });
@@ -727,7 +740,9 @@ fn a_connect_watchdog_fires_on_time_under_a_later_armed_wake() {
             return e.wait(ctx, req).map(drop).unwrap();
         }
         // A wake a rendezvous period out is outstanding …
-        let req = e.reqs.insert(ReqState::RecvAwaitDone { watchdog: None });
+        let req = e
+            .reqs
+            .insert(ReqState::RecvAwaitDone { watchdog: None }.into());
         e.arm_watchdog(ctx, TimeoutKind::Rtr { req });
         let late = e.wr.watchdog_wake.unwrap();
         // … when the connect arms its watchdog, one command timeout out

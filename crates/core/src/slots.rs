@@ -151,13 +151,6 @@ impl<T> SlotTable<T> {
         }
     }
 
-    /// Swap the value stored for `id`, returning the previous one. The
-    /// handle stays valid — this is the engine's state-transition
-    /// primitive (`replace` out, work on the old state, `replace` back).
-    pub fn replace(&mut self, id: u64, value: T) -> Option<T> {
-        self.get_mut(id).map(|v| std::mem::replace(v, value))
-    }
-
     pub fn contains(&self, id: u64) -> bool {
         self.get(id).is_some()
     }
@@ -243,15 +236,6 @@ mod tests {
             assert_eq!(t.remove(id), Some(i));
         }
         assert_eq!(t.slots.len(), 1, "one slot recycled throughout");
-    }
-
-    #[test]
-    fn replace_keeps_handle_valid() {
-        let mut t = SlotTable::new();
-        let id = t.insert(10);
-        assert_eq!(t.replace(id, 20), Some(10));
-        assert_eq!(t.get(id), Some(&20));
-        assert_eq!(t.replace(999, 1), None);
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! time, so the ring's order *is* the simulation's causal order and a
 //! recorded run replays deterministically.
 //!
-//! [`Trace::record`] takes the event as a closure, so an engine without
-//! an attached buffer pays one `Option` check per site and never builds
-//! the event.
+//! The engine, its channel and its registration cache record through one
+//! [`Recorder`]: an optional ring for events and an optional
+//! [`MetricsHub`] for latency samples. [`Recorder::trace`] takes the event
+//! as a closure, so an engine without a ring pays one `Option` check per
+//! site and never builds the event.
 //!
 //! [`audit`] replays a recorded event stream and checks the protocol
 //! invariants the paper's design relies on (§IV-B3/§IV-B4):
@@ -30,11 +32,7 @@
 //! 5. control-plane fault recovery is complete: every daemon crash is
 //!    paired with a respawn of the same incarnation, and every client
 //!    re-attach replays its *entire* resource journal (`replayed ==
-//!    journaled` — no resource silently lost across a respawn);
-//! 6. every opened metrics span is closed exactly once before rank
-//!    finalize: a dangling or double-closed span is a leak in the
-//!    engine's phase accounting and fails the audit with the span's
-//!    phase and message id.
+//!    journaled` — no resource silently lost across a respawn).
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -42,7 +40,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::metrics::Phase;
+use crate::metrics::{MetricsHub, Phase};
 use crate::packet::PacketKind;
 use crate::types::Rank;
 
@@ -231,15 +229,10 @@ pub enum TraceEvent {
     /// The rank gave up on offload twins (repeated registration failure)
     /// and degraded to direct-from-Phi rendezvous sends.
     OffloadDegraded { rank: Rank },
-    /// A metrics span opened: an asynchronous protocol stage of message
-    /// `id` began in `phase`. Must be closed exactly once.
-    SpanOpen { rank: Rank, id: u64, phase: Phase },
-    /// The matching span close.
-    SpanClose { rank: Rank, id: u64, phase: Phase },
     /// `rank` was fail-stop killed (injection or chaos schedule). From
     /// this point the auditor forgives end-of-stream obligations that
-    /// involve the dead rank: its unreleased pins, open spans and syncs,
-    /// and handshakes with it as an endpoint can never complete.
+    /// involve the dead rank: its unreleased pins and syncs, and
+    /// handshakes with it as an endpoint, can never complete.
     RankKilled { rank: Rank },
     /// `rank` observed `peer`'s death (health-board epoch advance) and
     /// reclaimed every resource tied to the pair.
@@ -343,24 +336,35 @@ impl fmt::Debug for TraceBuf {
     }
 }
 
-/// Per-engine recording handle: an optional attachment to a shared
-/// [`TraceBuf`].
+/// The one recording handle of an engine, shared by its channel and its
+/// registration cache: an optional [`TraceBuf`] for protocol events and
+/// an optional [`MetricsHub`] for latency samples. Either may be absent;
+/// recording into an absent one is a branch on `None`.
 #[derive(Debug, Clone, Default)]
-pub struct Trace {
-    buf: Option<TraceBuf>,
+pub struct Recorder {
+    ring: Option<TraceBuf>,
+    hub: Option<MetricsHub>,
 }
 
-impl Trace {
-    /// Attach to a shared ring.
-    pub fn attach(&mut self, buf: TraceBuf) {
-        self.buf = Some(buf);
+impl Recorder {
+    pub fn new(ring: Option<TraceBuf>, hub: Option<MetricsHub>) -> Recorder {
+        Recorder { ring, hub }
     }
 
-    /// Record an event. The closure only runs when a buffer is attached.
+    /// Record an event. The closure only runs when a ring is attached.
     #[inline]
-    pub fn record(&self, ev: impl FnOnce() -> TraceEvent) {
-        if let Some(buf) = &self.buf {
-            buf.record(ev());
+    pub fn trace(&self, ev: impl FnOnce() -> TraceEvent) {
+        if let Some(ring) = &self.ring {
+            ring.record(ev());
+        }
+    }
+
+    /// Record `ns` of virtual time spent in `phase` on a `bytes`-byte
+    /// operation toward `peer`.
+    #[inline]
+    pub fn sample(&self, phase: Phase, bytes: u64, peer: Option<Rank>, ns: u64) {
+        if let Some(hub) = &self.hub {
+            hub.record(phase, bytes, peer, ns);
         }
     }
 }
@@ -412,8 +416,6 @@ pub struct AuditReport {
     pub ctrl_replays: u64,
     /// Ranks that degraded to direct-from-Phi rendezvous sends.
     pub offload_degraded: u64,
-    /// Metrics spans opened and closed (paired exactly).
-    pub spans_closed: u64,
     /// Ranks fail-stop killed within the stream.
     pub ranks_killed: u64,
     /// Peer-death observations (rank, peer) — each survivor that reaped
@@ -462,8 +464,6 @@ pub fn audit(events: &[TraceEvent]) -> Result<AuditReport, Vec<String>> {
     let mut allowed_dups: HashMap<(Rank, Rank, PacketKind, u64), u64> = HashMap::new();
     // Invariant 5: per-(node, epoch) daemon crash/respawn pairing.
     let mut crash_respawn: HashMap<(usize, u32), (u64, u64)> = HashMap::new();
-    // Invariant 6: per-(rank, id) open metrics spans.
-    let mut open_spans: HashMap<(Rank, u64), Phase> = HashMap::new();
     // Fail-stop killed ranks: end-of-stream obligations touching a dead
     // rank are forgiven (the rank can never answer or release anything).
     let mut killed: HashSet<Rank> = HashSet::new();
@@ -683,14 +683,6 @@ pub fn audit(events: &[TraceEvent]) -> Result<AuditReport, Vec<String>> {
             TraceEvent::OffloadDegraded { .. } => {
                 report.offload_degraded += 1;
             }
-            TraceEvent::SpanOpen { rank, id, phase } => {
-                if let Some(prev) = open_spans.insert((rank, id), phase) {
-                    errs.push(format!(
-                        "[{i}] rank{rank} span {phase} msg {id}: opened while {prev} span \
-                         still open (span leak)"
-                    ));
-                }
-            }
             TraceEvent::RankKilled { rank } => {
                 report.ranks_killed += 1;
                 killed.insert(rank);
@@ -714,20 +706,6 @@ pub fn audit(events: &[TraceEvent]) -> Result<AuditReport, Vec<String>> {
             TraceEvent::MsgLife { .. } => {
                 report.lifecycle_events += 1;
             }
-            TraceEvent::SpanClose { rank, id, phase } => match open_spans.remove(&(rank, id)) {
-                Some(open_phase) => {
-                    if open_phase != phase {
-                        errs.push(format!(
-                            "[{i}] rank{rank} msg {id}: {open_phase} span closed as {phase}"
-                        ));
-                    }
-                    report.spans_closed += 1;
-                }
-                None => errs.push(format!(
-                    "[{i}] rank{rank} span {phase} msg {id}: closed without an open span \
-                         (dangling or double close)"
-                )),
-            },
         }
     }
 
@@ -775,14 +753,6 @@ pub fn audit(events: &[TraceEvent]) -> Result<AuditReport, Vec<String>> {
                  (daemon incarnation not recovered)"
             ));
         }
-    }
-    for ((rank, id), phase) in &open_spans {
-        if killed.contains(rank) {
-            continue; // the dead rank's engine was torn down mid-span
-        }
-        errs.push(format!(
-            "rank{rank} span {phase} msg {id}: never closed before finalize"
-        ));
     }
 
     if errs.is_empty() {
@@ -1190,78 +1160,17 @@ mod tests {
     }
 
     #[test]
-    fn spans_must_pair_exactly() {
-        use crate::metrics::Phase;
-        let open = TraceEvent::SpanOpen {
-            rank: 0,
-            id: 42,
-            phase: Phase::RtsWait,
-        };
-        let close = TraceEvent::SpanClose {
-            rank: 0,
-            id: 42,
-            phase: Phase::RtsWait,
-        };
-        let r = audit(&[open, close]).expect("paired span is clean");
-        assert_eq!(r.spans_closed, 1);
-
-        // Dangling: opened but never closed before finalize.
-        let errs = audit(&[open]).unwrap_err();
-        assert!(
-            errs.iter()
-                .any(|e| e.contains("never closed") && e.contains("RtsWait") && e.contains("42")),
-            "{errs:?}"
-        );
-
-        // Double close.
-        let errs = audit(&[open, close, close]).unwrap_err();
-        assert!(
-            errs.iter()
-                .any(|e| e.contains("dangling or double close") && e.contains("42")),
-            "{errs:?}"
-        );
-
-        // Close without any open.
-        let errs = audit(&[close]).unwrap_err();
-        assert!(
-            errs.iter().any(|e| e.contains("dangling or double close")),
-            "{errs:?}"
-        );
-
-        // Re-open while still open (same message id).
-        let reopen = TraceEvent::SpanOpen {
-            rank: 0,
-            id: 42,
-            phase: Phase::RndvRead,
-        };
-        let errs = audit(&[open, reopen]).unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("span leak")), "{errs:?}");
-
-        // Phase mismatch between open and close.
-        let wrong_close = TraceEvent::SpanClose {
-            rank: 0,
-            id: 42,
-            phase: Phase::RndvWrite,
-        };
-        let errs = audit(&[open, wrong_close]).unwrap_err();
-        assert!(
-            errs.iter().any(|e| e.contains("closed as RndvWrite")),
-            "{errs:?}"
-        );
-
-        // Same id on a different rank is a separate span.
-        let other_rank = TraceEvent::SpanOpen {
-            rank: 1,
-            id: 42,
-            phase: Phase::Eager,
-        };
-        let other_close = TraceEvent::SpanClose {
-            rank: 1,
-            id: 42,
-            phase: Phase::Eager,
-        };
-        let r = audit(&[open, other_rank, close, other_close]).expect("per-rank spans");
-        assert_eq!(r.spans_closed, 2);
+    fn recorder_records_only_into_what_is_attached() {
+        let off = Recorder::default();
+        off.trace(|| unreachable!("no ring: the event is never built"));
+        let (ring, hub) = (TraceBuf::new(4), MetricsHub::new());
+        let on = Recorder::new(Some(ring.clone()), Some(hub.clone()));
+        on.trace(|| TraceEvent::RankKilled { rank: 0 });
+        on.sample(Phase::EagerCopy, 512, Some(1), 15);
+        assert_eq!(ring.len(), 1);
+        let phases = hub.merged_by_phase();
+        assert_eq!(phases.len(), 1);
+        assert_eq!((phases[0].0, phases[0].1.sum), (Phase::EagerCopy, 15));
     }
 
     #[test]

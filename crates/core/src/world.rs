@@ -15,7 +15,9 @@ use crate::comm::Comm;
 use crate::config::{MpiConfig, Placement};
 use crate::connect::ConnDirectory;
 use crate::engine::{Engine, KillMarker};
+use crate::metrics::Phase;
 use crate::resources::Resources;
+use crate::trace::{Recorder, TraceEvent};
 use crate::types::Rank;
 
 struct Boot {
@@ -56,10 +58,10 @@ pub struct LaunchOpts {
     /// (see [`crate::trace`]). `None` = tracing off.
     pub tracer: Option<crate::trace::TraceBuf>,
     /// Tunables (and fault plans) for the node daemons this launch
-    /// spawns when any rank runs on the Phi. When a tracer is
-    /// attached and no explicit hook is set, control-plane events are
-    /// bridged into the trace ring so the auditor sees crash/respawn/
-    /// re-attach alongside the data path.
+    /// spawns when any rank runs on the Phi. When a tracer or a metrics
+    /// hub is attached and no explicit hook is set, the daemons'
+    /// control-plane events go to the launch's [`Recorder`], so the
+    /// auditor sees crash/respawn/re-attach alongside the data path.
     pub daemon: dcfa::DaemonConfig,
     /// Shared latency-metrics hub every rank's engine records into (see
     /// [`crate::metrics`]). `None` = profiling off.
@@ -96,29 +98,18 @@ impl Default for LaunchOpts {
     }
 }
 
-/// Bridge [`dcfa::CtrlPerf`] latency samples into the metrics hub:
-/// command round-trips and offload-twin PCIe syncs become
-/// [`crate::metrics::Phase::CtrlRoundtrip`] / `OffloadSync` histogram
-/// entries (peer unknown at this layer).
-fn ctrl_perf_probe(hub: crate::metrics::MetricsHub) -> dcfa::PerfProbe {
-    use crate::metrics::Phase;
-    Arc::new(move |p: dcfa::CtrlPerf| {
-        let phase = match p.op {
-            dcfa::CtrlOp::Command => Phase::CtrlRoundtrip,
-            dcfa::CtrlOp::OffloadSync => Phase::OffloadSync,
-        };
-        hub.record(phase, p.bytes, None, p.ns);
-    })
-}
-
-/// Bridge [`dcfa::CtrlEvent`]s into the structured trace ring, so the
-/// auditor can check control-plane invariants (crash/respawn pairing,
-/// full journal replay) against the same stream as the data path.
-fn ctrl_trace_hook(buf: crate::trace::TraceBuf) -> dcfa::CtrlHook {
-    use crate::trace::TraceEvent;
+/// The one bridge from the control plane to the recorder: command
+/// round-trips become [`Phase::CtrlRoundtrip`] samples (peer unknown at
+/// this layer), everything else a trace event, so the auditor can check
+/// control-plane invariants (crash/respawn pairing, full journal replay)
+/// against the same stream as the data path.
+fn ctrl_hook(rec: Recorder) -> dcfa::CtrlHook {
     use dcfa::CtrlEvent;
     Arc::new(move |ev: &CtrlEvent| {
         let tev = match *ev {
+            CtrlEvent::CmdRoundtrip { ns } => {
+                return rec.sample(Phase::CtrlRoundtrip, 0, None, ns);
+            }
             CtrlEvent::CmdTimeout { client, seq } => TraceEvent::CtrlTimeout { client, seq },
             CtrlEvent::CmdRetry {
                 client,
@@ -162,11 +153,8 @@ fn ctrl_trace_hook(buf: crate::trace::TraceBuf) -> dcfa::CtrlHook {
                 client,
                 seq,
             },
-            // The engine records rank-level degradation itself (it knows
-            // the rank; the daemon only knows the session id).
-            CtrlEvent::OffloadDegraded { .. } => return,
         };
-        buf.record(tev);
+        rec.trace(|| tev);
     })
 }
 
@@ -198,11 +186,11 @@ where
         .as_ref()
         .map(|ps| ps.contains(&Placement::Phi))
         .unwrap_or(cfg.placement == Placement::Phi);
-    // Bridge control-plane events into the trace ring (unless the caller
-    // installed their own observer).
-    let ctrl_hook: Option<dcfa::CtrlHook> = opts.tracer.clone().map(ctrl_trace_hook);
-    // Bridge control-plane latency samples into the metrics hub.
-    let ctrl_perf: Option<dcfa::PerfProbe> = opts.metrics.clone().map(ctrl_perf_probe);
+    let rec = Recorder::new(opts.tracer.clone(), opts.metrics.clone());
+    // Bridge control-plane events into the recorder (the daemons keep an
+    // observer the caller installed).
+    let recording = opts.tracer.is_some() || opts.metrics.is_some();
+    let ctrl_hook = recording.then(|| ctrl_hook(rec.clone()));
     let daemon_stats = if any_phi {
         let mut dcfg = opts.daemon.clone();
         if dcfg.hook.is_none() {
@@ -261,11 +249,9 @@ where
         }
         let boot = boot.clone();
         let f = f.clone();
-        let tracer = opts.tracer.clone();
-        let metrics = opts.metrics.clone();
+        let rec = rec.clone();
         let daemon_stats = daemon_stats.clone();
         let ctrl_hook = ctrl_hook.clone();
-        let ctrl_perf = ctrl_perf.clone();
         let conn = conn.clone();
         let board = board.clone();
         let kill_after = opts.kills.iter().find(|k| k.rank == r).map(|k| k.after_ops);
@@ -283,7 +269,6 @@ where
                         heartbeat_interval: cfg.heartbeat_interval,
                         stats: daemon_stats.clone().unwrap_or_default(),
                         hook: ctrl_hook,
-                        perf: ctrl_perf,
                         ..dcfa::DcfaConfig::default()
                     };
                     let d = dcfa::DcfaContext::open_with(ctx, &ib, &scif, node, dcfg)
@@ -295,13 +280,7 @@ where
                 }
             };
             let peer_ttl = cfg.peer_ttl;
-            let mut engine = Engine::create(ctx, r, n, cfg, res, conn);
-            if let Some(t) = &tracer {
-                engine.set_tracer(t.clone());
-            }
-            if let Some(m) = &metrics {
-                engine.set_metrics(m.clone());
-            }
+            let mut engine = Engine::create(ctx, r, n, cfg, res, conn, rec);
             if let Some(b) = &board {
                 engine.set_health(b.clone());
                 // Deaths and revocations wake ranks blocked in wait.

@@ -24,7 +24,7 @@ use verbs::{
     CompletionQueue, IbFabric, MemoryRegion, MrKey, QueuePair, SharedReceiveQueue, VerbsContext,
 };
 
-use crate::daemon::{CtrlEvent, CtrlHook, CtrlOp, CtrlPerf, DcfaStats, PerfProbe, DCFA_PORT};
+use crate::daemon::{CtrlEvent, CtrlHook, DcfaStats, DCFA_PORT};
 use crate::wire::{cmd_frame, decode_reply_frame, err_code, Cmd, Reply, CLIENT_NONE, SEQ_NONE};
 
 /// Errors surfaced by the DCFA user-space library.
@@ -103,11 +103,9 @@ pub struct DcfaConfig {
     /// Counter sink shared with the node daemons (pass the handle returned
     /// by `spawn_daemons` to aggregate client retries/timeouts there).
     pub stats: DcfaStats,
-    /// Control-plane event observer.
+    /// Control-plane event observer, command round-trip latencies
+    /// included.
     pub hook: Option<CtrlHook>,
-    /// Control-plane latency observer (command round-trips, offload-twin
-    /// syncs). Fed into the MPI core's metrics hub when profiling is on.
-    pub perf: Option<PerfProbe>,
 }
 
 impl fmt::Debug for DcfaConfig {
@@ -117,7 +115,6 @@ impl fmt::Debug for DcfaConfig {
             .field("cmd_backoff", &self.cmd_backoff)
             .field("heartbeat_interval", &self.heartbeat_interval)
             .field("hook", &self.hook.as_ref().map(|_| ".."))
-            .field("perf", &self.perf.as_ref().map(|_| ".."))
             .finish_non_exhaustive()
     }
 }
@@ -130,7 +127,6 @@ impl Default for DcfaConfig {
             heartbeat_interval: None,
             stats: DcfaStats::default(),
             hook: None,
-            perf: None,
         }
     }
 }
@@ -322,15 +318,10 @@ impl DcfaContext {
     /// (reconnect + journal replay) when retries exhaust or the daemon
     /// reports our session gone.
     fn command(&self, ctx: &mut Ctx, cmd: Cmd) -> Result<Reply, DcfaError> {
-        let started = self.cfg.perf.as_ref().map(|_| ctx.now());
+        let started = ctx.now();
         let result = self.command_inner(ctx, cmd);
-        if let (Some(probe), Some(t0)) = (&self.cfg.perf, started) {
-            probe(CtrlPerf {
-                op: CtrlOp::Command,
-                bytes: 0,
-                ns: ctx.now().since(t0).as_nanos(),
-            });
-        }
+        let ns = ctx.now().since(started).as_nanos();
+        self.emit(CtrlEvent::CmdRoundtrip { ns });
         result
     }
 
@@ -655,18 +646,10 @@ impl DcfaContext {
     /// up to date ("data must be synchronized into the corresponding host
     /// buffer using the DMA engine" before posting the send).
     pub fn sync_offload_mr(&self, ctx: &mut Ctx, omr: &OffloadMr, offset: u64, len: u64) {
-        let started = self.cfg.perf.as_ref().map(|_| ctx.now());
         let src = omr.phi.slice(offset, len);
         let dst = omr.host_mr.buffer().slice(offset, len);
         let t = self.cluster.pci_dma(&src, &dst, ctx.now());
         ctx.wait_reason(&t.completion, "sync_offload_mr");
-        if let (Some(probe), Some(t0)) = (&self.cfg.perf, started) {
-            probe(CtrlPerf {
-                op: CtrlOp::OffloadSync,
-                bytes: len,
-                ns: ctx.now().since(t0).as_nanos(),
-            });
-        }
     }
 
     /// `dereg_offload_mr`: destroy the Phi-side descriptor, deregister the

@@ -114,8 +114,9 @@ impl DcfaStats {
 // ---------------------------------------------------------------------------
 
 /// Control-plane happenings both sides of the command channel report
-/// through an optional hook, so an embedding layer (the MPI core's tracer)
-/// can audit fault handling without this crate depending on it.
+/// through an optional hook, so an embedding layer (the MPI core's
+/// recorder) can audit fault handling and time commands without this
+/// crate depending on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CtrlEvent {
     /// A client command timed out waiting for its reply.
@@ -144,37 +145,13 @@ pub enum CtrlEvent {
     },
     /// A retransmitted command was answered from the reply-dedup cache.
     ReplyReplayed { node: NodeId, client: u32, seq: u32 },
-    /// A client gave up on offload twins and degraded to direct-from-Phi
-    /// rendezvous sends.
-    OffloadDegraded { client: u32 },
+    /// A client command ended after `ns` virtual nanoseconds, retries and
+    /// re-attaches included.
+    CmdRoundtrip { ns: u64 },
 }
 
 /// Observer callback for [`CtrlEvent`]s.
 pub type CtrlHook = Arc<dyn Fn(&CtrlEvent) + Send + Sync>;
-
-/// Which control-plane operation a [`CtrlPerf`] sample timed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CtrlOp {
-    /// One full `command()` round-trip, including retries and reattaches.
-    Command,
-    /// One offload-twin PCIe sync (`sync_offload_mr`).
-    OffloadSync,
-}
-
-/// A latency sample from the control plane, in virtual nanoseconds.
-/// Reported through [`PerfProbe`] so an embedding layer can feed its own
-/// histograms without this crate depending on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CtrlPerf {
-    pub op: CtrlOp,
-    /// Bytes moved, when the operation has a payload (offload syncs).
-    pub bytes: u64,
-    /// Elapsed virtual time in nanoseconds.
-    pub ns: u64,
-}
-
-/// Observer callback for [`CtrlPerf`] samples.
-pub type PerfProbe = Arc<dyn Fn(CtrlPerf) + Send + Sync>;
 
 // ---------------------------------------------------------------------------
 // Daemon fault plans

@@ -26,6 +26,6 @@ pub mod wire;
 
 pub use context::{DcfaConfig, DcfaContext, DcfaError, OffloadMr, CMD_RETRY_LIMIT, CMD_TIMEOUT};
 pub use daemon::{
-    spawn_daemons, spawn_daemons_with, CtrlEvent, CtrlHook, CtrlOp, CtrlPerf, DaemonConfig,
-    DaemonFault, DaemonFaultKind, DcfaCounters, DcfaStats, PerfProbe, DCFA_PORT,
+    spawn_daemons, spawn_daemons_with, CtrlEvent, CtrlHook, DaemonConfig, DaemonFault,
+    DaemonFaultKind, DcfaCounters, DcfaStats, DCFA_PORT,
 };
