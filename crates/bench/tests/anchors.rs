@@ -21,8 +21,8 @@ fn on(channel: Channel, sc: Scenario) -> Scenario {
 #[test]
 fn halo_64_on_both_channels() {
     for (channel, events, virt, highwater) in [
-        (Channel::Srq, 32_979, 0x5d4d_1f44_dccd_1fa2_u64, 1),
-        (Channel::Ring, 16_416, 0xde24_b6e7_dbec_6986, 0),
+        (Channel::Srq, 29_971, 0x5d4d_1f44_dccd_1fa2_u64, 1),
+        (Channel::Ring, 13_024, 0xde24_b6e7_dbec_6986, 0),
     ] {
         let run = bench::run(&on(channel, Scenario::halo_soak(64))).unwrap();
         assert_eq!(run.violations(), Vec::<String>::new(), "{channel:?}");
@@ -44,8 +44,8 @@ fn kill_soaks_fingerprint() {
             64,
             Channel::Srq,
             four,
-            47_382,
-            0xbefb_5d6f_db61_f966_u64,
+            43_602,
+            0xcdf8_5921_2606_307b_u64,
             0x5898_3d68_2b4d_ec01,
             (3308, 128, 404),
         ),
@@ -53,8 +53,8 @@ fn kill_soaks_fingerprint() {
             64,
             Channel::Ring,
             four,
-            31_980,
-            0x6810_cd6c_8f4d_907a,
+            27_368,
+            0x271c_0e2a_e5f9_1218,
             0x5ee1_c862_1807_6012,
             (3320, 128, 392),
         ),
@@ -62,8 +62,8 @@ fn kill_soaks_fingerprint() {
             16,
             Channel::Srq,
             two,
-            11_130,
-            0x0f6a_430f_1ca2_ab63,
+            10_230,
+            0x2f95_d7ba_896a_58eb,
             0xf8ea_0bc0_e0a2_8ccc,
             (731, 103, 62),
         ),
@@ -71,8 +71,8 @@ fn kill_soaks_fingerprint() {
             16,
             Channel::Ring,
             two,
-            7_318,
-            0x0c83_b2a7_f1ce_f20f,
+            6_234,
+            0x4df7_ea3e_7872_c5ef,
             0x91d4_7b9f_dd9e_4f73,
             (724, 103, 69),
         ),
@@ -111,10 +111,10 @@ fn chaos_seed_1_schedule_fingerprint_and_replay() {
     for (channel, fingerprint, virt) in [
         (
             Channel::Srq,
-            0xbadf_c2aa_d4d2_04dd_u64,
+            0xf84a_2720_7fb3_f1ce_u64,
             0xced1_55d6_6f93_e0aa_u64,
         ),
-        (Channel::Ring, 0x01de_74ee_c252_ee94, 0x9fe7_fa19_78ee_97c9),
+        (Channel::Ring, 0xaf35_59cb_8c66_9ff5, 0x9fe7_fa19_78ee_97c9),
     ] {
         let chaos = bench::chaos_run(&on(channel, sc.clone())).unwrap();
         assert_eq!(
@@ -147,8 +147,8 @@ fn profile_report_equals_committed_baseline() {
     .expect("committed baseline");
     let run = bench::run(&Scenario::default()).unwrap();
     assert_eq!(run.violations(), Vec::<String>::new());
-    assert_eq!(run.sim_events, 785);
-    assert_eq!(run.fingerprint(), 0x45c2_d4b7_f410_60d0);
+    assert_eq!(run.sim_events, 613);
+    assert_eq!(run.fingerprint(), 0x1db8_83d3_4bb5_f22f);
     assert_eq!(run.virtual_fingerprint(), 0xda35_ba15_f777_b4f9);
     assert_eq!(
         without_wall(&bench::metrics_report_json(&run)),
@@ -166,7 +166,7 @@ fn daemon_chaos_soak_fingerprint() {
     })
     .unwrap();
     assert_eq!(run.violations(), Vec::<String>::new());
-    assert_eq!(run.sim_events, 1_202);
-    assert_eq!(run.fingerprint(), 0xd639_4534_f2e8_f550);
+    assert_eq!(run.sim_events, 926);
+    assert_eq!(run.fingerprint(), 0x610c_727f_190a_119d);
     assert_eq!(run.virtual_fingerprint(), 0x00ac_21fd_ec52_7e4b);
 }

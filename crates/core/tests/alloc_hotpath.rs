@@ -148,10 +148,12 @@ const CHURN_BUFS: usize = 96;
 /// Armed allocations the two ranks may make per round of the registration
 /// loop — a message each way, so two sends (a twin registered and one
 /// evicted each) and two receives (an MR registered and one evicted
-/// each): eight daemon commands. Measured: 22.03. With a handler process
-/// per connection, `Vec` frames and a boxed wake per watchdog, the parent
-/// commit measured 50.00.
-const CHURN_CEILING_PER_ROUND: f64 = 23.0;
+/// each): eight daemon commands. Measured: 14.03, since a command's client
+/// sleeps no more around its reply wait, its daemon serves it in one step
+/// and a park no longer gives its waiter list's capacity away; 22.03
+/// before that. With a handler process per connection, `Vec` frames and a
+/// boxed wake per watchdog: 50.00.
+const CHURN_CEILING_PER_ROUND: f64 = 15.0;
 
 #[test]
 fn steady_state_rendezvous_with_registration_stays_under_its_ceiling() {

@@ -318,8 +318,21 @@ impl DcfaContext {
     /// (reconnect + journal replay) when retries exhaust or the daemon
     /// reports our session gone.
     fn command(&self, ctx: &mut Ctx, cmd: Cmd) -> Result<Reply, DcfaError> {
-        let started = ctx.now();
-        let result = self.command_inner(ctx, cmd);
+        self.command_after(ctx, SimDuration::ZERO, cmd)
+    }
+
+    /// [`DcfaContext::command`] behind `prep` of Phi-side work that must
+    /// precede it (`reg_mr`'s page translation): charged to the frame's
+    /// departure, like the send's own `cpu_op`, instead of slept, so a
+    /// command costs its client one park however much work leads it.
+    fn command_after(
+        &self,
+        ctx: &mut Ctx,
+        prep: SimDuration,
+        cmd: Cmd,
+    ) -> Result<Reply, DcfaError> {
+        let started = ctx.now() + prep;
+        let result = self.command_inner(ctx, prep, cmd);
         let ns = ctx.now().since(started).as_nanos();
         self.emit(CtrlEvent::CmdRoundtrip { ns });
         result
@@ -334,11 +347,18 @@ impl DcfaContext {
         }
     }
 
-    fn command_inner(&self, ctx: &mut Ctx, cmd: Cmd) -> Result<Reply, DcfaError> {
+    fn command_inner(
+        &self,
+        ctx: &mut Ctx,
+        mut prep: SimDuration,
+        cmd: Cmd,
+    ) -> Result<Reply, DcfaError> {
         let seq = self.alloc_seq();
         let mut reattach_budget = 2u32;
         loop {
-            match self.command_attempts(ctx, seq, &cmd)? {
+            // `prep` is paid once, by the first attempt: a re-attach sends
+            // the command again, it does not translate it again.
+            match self.command_attempts(ctx, seq, &cmd, std::mem::take(&mut prep))? {
                 Some(Reply::Error {
                     code: err_code::NO_SESSION,
                 }) if !matches!(cmd, Cmd::Hello { .. }) => {
@@ -356,14 +376,24 @@ impl DcfaContext {
     }
 
     /// Send `cmd` under `seq` up to `1 + CMD_RETRY_LIMIT` times on the
-    /// current endpoint. `Ok(None)` means every attempt timed out.
+    /// current endpoint, the first time behind `prep` of Phi-side work.
+    /// `Ok(None)` means every attempt timed out.
+    ///
+    /// Nothing is slept before a send: the work that precedes it — `prep`
+    /// or a retransmit's backoff, then the send's own `cpu_op` — sets the
+    /// frame's departure, and the client parks once, until the reply's
+    /// receive charge has been paid or the timeout counted from that
+    /// departure has run out.
     fn command_attempts(
         &self,
         ctx: &mut Ctx,
         seq: u32,
         cmd: &Cmd,
+        prep: SimDuration,
     ) -> Result<Option<Reply>, DcfaError> {
+        let send_cost = self.cluster.config().cost.cpu_op(Domain::Phi);
         for attempt in 0..=CMD_RETRY_LIMIT {
+            let mut lead = prep;
             if attempt > 0 {
                 self.cfg.stats.update(|c| c.cmd_retries += 1);
                 self.emit(CtrlEvent::CmdRetry {
@@ -372,11 +402,12 @@ impl DcfaContext {
                     attempt,
                 });
                 // Exponential backoff before the retransmit.
-                ctx.sleep(self.cfg.cmd_backoff * (1u64 << (attempt - 1).min(10)));
+                lead = self.cfg.cmd_backoff * (1u64 << (attempt - 1).min(10));
             }
             let ep = self.state.lock().ep.clone();
-            ep.send(ctx, &cmd_frame(seq, cmd));
-            match self.await_reply(ctx, &ep, seq)? {
+            let depart = ctx.now() + lead + send_cost;
+            ep.send_from(depart, &cmd_frame(seq, cmd));
+            match self.await_reply(ctx, &ep, seq, depart + self.cfg.cmd_timeout)? {
                 Some((epoch, reply)) => {
                     self.state.lock().daemon_epoch = epoch;
                     return Ok(Some(reply));
@@ -393,15 +424,15 @@ impl DcfaContext {
         Ok(None)
     }
 
-    /// Wait up to `cmd_timeout` for the reply to `seq`, skipping stale
+    /// Wait until `deadline` for the reply to `seq`, skipping stale
     /// duplicates left over from earlier retransmits.
     fn await_reply(
         &self,
         ctx: &mut Ctx,
         ep: &ScifEndpoint,
         seq: u32,
+        deadline: SimTime,
     ) -> Result<Option<(u32, Reply)>, DcfaError> {
-        let deadline = ctx.now() + self.cfg.cmd_timeout;
         loop {
             if ctx.now() >= deadline {
                 return Ok(None);
@@ -452,7 +483,7 @@ impl DcfaContext {
     /// to the next reconnect attempt) instead of re-attaching recursively.
     fn replay_one(&self, ctx: &mut Ctx, cmd: &Cmd) -> Result<Reply, DcfaError> {
         let seq = self.alloc_seq();
-        self.command_attempts(ctx, seq, cmd)?
+        self.command_attempts(ctx, seq, cmd, SimDuration::ZERO)?
             .ok_or(DcfaError::Timeout)
     }
 
@@ -523,9 +554,10 @@ impl DcfaContext {
     pub fn reg_mr(&self, ctx: &mut Ctx, buffer: Buffer) -> Result<MemoryRegion, DcfaError> {
         let cost = &self.cluster.config().cost;
         // Virtual→physical translation of every page, on a slow Phi core.
-        ctx.sleep(cost.cpu_op(Domain::Phi) + cost.cmd_translate_per_page * buffer.pages());
-        match self.command(
+        let translate = cost.cpu_op(Domain::Phi) + cost.cmd_translate_per_page * buffer.pages();
+        match self.command_after(
             ctx,
+            translate,
             Cmd::RegMr {
                 mem: buffer.mem,
                 addr: buffer.addr,

@@ -12,9 +12,9 @@
 //! state ([`NodeCtl`]) and the events that act on it. A command is served
 //! by a small state machine ([`Conn`]) stepped at exactly the instants a
 //! handler process would have touched shared state — after the receive
-//! `cpu_op`, after `cmd_host_work`, after the registration charge — and
-//! the lease reaper is a tick that re-arms itself while there is a session
-//! to watch. What that costs the host is a few `Call` events per command
+//! `cpu_op` and `cmd_host_work`, after the registration charge — and the
+//! lease reaper is a tick that re-arms itself while there is a session to
+//! watch. What that costs the host is a few `Call` events per command
 //! instead of a coroutine per client (DESIGN "Control plane on events").
 //!
 //! The daemon is a first-class failure domain. Three mechanisms make the
@@ -566,13 +566,17 @@ fn crash(ctl: &Arc<NodeCtl>, sched: &Scheduler, my_epoch: u32) {
 /// record, stepped by `call_at` at the instants a handler process serving
 /// the connection would have read or written shared state.
 ///
-/// | instant | event | reads / writes | fault that can fire |
+/// | instant | step | reads / writes | fault that can fire |
 /// |---|---|---|---|
-/// | a frame arrives | `arrived` | decoded into the inbox; if idle, service starts when this side is free | — |
-/// | + receive `cpu_op` | `received` | incarnation; decode-failure count (storm → drain, disconnect); heartbeat → lease renewed, done | — |
-/// | + `cmd_host_work` | `worked` | incarnation; dedup cache (hit → replayed reply, done); fault plans tick; session; everything a non-registering command does | `Crash`, `DropReply`, `DelayReply` |
+/// | a frame arrives | `arrived` | decoded into the inbox; if idle, its service starts when this side is free | — |
+/// | heartbeat or undecodable frame: + receive `cpu_op` | `received` | incarnation; decode-failure count (storm → drain, disconnect); heartbeat → lease renewed, done | — |
+/// | command: + receive `cpu_op` + `cmd_host_work`, one step | `worked` | incarnation; decode-failure count reset; dedup cache (hit → replayed reply, done); fault plans tick; session; everything a non-registering command does | `Crash`, `DropReply`, `DelayReply` |
 /// | + registration charge | `registered` | incarnation; HCA registration; session insert, or undo if the lease went meanwhile | — |
 /// | reply leaves `cpu_op` later, arrives `scif_msg_latency` + copy after that | `answer` | counters, dedup cache; the next queued frame starts when the reply has left | held [`DELAY_REPLY`], or never sent |
+///
+/// A command's receive and host work are one step: at the end of the
+/// receive it would only learn whether its incarnation still lives, which
+/// the end of the work asks again, so that instant is not an event.
 ///
 /// One command at a time: frames that arrive meanwhile wait in the inbox,
 /// in order. An incarnation that died (a crash fired from *any* of the
@@ -589,9 +593,8 @@ struct ConnState {
     client: Option<u32>,
     /// Consecutive undecodable frames.
     decode_failures: u32,
-    /// Frames received and not yet served, oldest first; `None` is one
-    /// that did not decode.
-    inbox: VecDeque<Option<(u32, Cmd)>>,
+    /// Frames received and not yet served, oldest first.
+    inbox: VecDeque<Frame>,
     /// A frame is in service (or about to be: its first step is queued).
     busy: bool,
     /// When idle: the instant the last reply left, before which the next
@@ -600,6 +603,10 @@ struct ConnState {
     /// `Bye`, a decode storm or the incarnation's death ended service.
     closed: bool,
 }
+
+/// A received frame, decoded: `(seq, command)`, or `None` if it did not
+/// decode.
+type Frame = Option<(u32, Cmd)>;
 
 /// The command in service, once the fault plans have ticked for it.
 #[derive(Clone, Copy)]
@@ -628,7 +635,7 @@ impl Conn {
     /// The delivery event's sink: queue the frame and, if nothing is in
     /// service, take it up as soon as this side is free.
     fn arrived(self: &Arc<Self>, sched: &Scheduler, ep: &ScifEndpoint, raw: &[u8]) {
-        let start = {
+        let at = {
             let mut st = self.st.lock();
             if st.closed {
                 return;
@@ -637,29 +644,40 @@ impl Conn {
             if std::mem::replace(&mut st.busy, true) {
                 return;
             }
-            st.free_at.max(sched.now())
+            self.step_at(st.free_at.max(sched.now()), &st.inbox[0])
         };
-        self.take_up(sched, ep.clone(), start);
+        self.take_up(sched, ep.clone(), at);
     }
 
-    /// Start on the oldest queued frame at `start`: its receive `cpu_op`.
-    fn take_up(self: &Arc<Self>, sched: &Scheduler, ep: ScifEndpoint, start: SimTime) {
+    /// When the one step of `frame`, taken up at `start`, falls: a command
+    /// is received and worked by then, anything else only received.
+    fn step_at(&self, start: SimTime, frame: &Frame) -> SimTime {
+        let received = start + self.cpu_op();
+        match frame {
+            Some((_, Cmd::Heartbeat)) | None => received,
+            Some(_) => received + self.ctl.cost().cmd_host_work,
+        }
+    }
+
+    /// Serve the oldest queued frame in one step at `at`.
+    fn take_up(self: &Arc<Self>, sched: &Scheduler, ep: ScifEndpoint, at: SimTime) {
         let conn = self.clone();
-        sched.call_at(start + self.cpu_op(), move |s| conn.received(s, ep));
+        sched.call_at(at, move |s| conn.serve(s, ep));
     }
 
     /// The frame in service is done with and this side is free from
     /// `free_at` on: take up the next one then, or go idle.
     fn done(self: &Arc<Self>, sched: &Scheduler, ep: ScifEndpoint, free_at: SimTime) {
-        {
+        let at = {
             let mut st = self.st.lock();
-            if st.inbox.is_empty() {
+            let Some(next) = st.inbox.front() else {
                 st.busy = false;
                 st.free_at = free_at;
                 return;
-            }
-        }
-        self.take_up(sched, ep, free_at);
+            };
+            self.step_at(free_at, next)
+        };
+        self.take_up(sched, ep, at);
     }
 
     /// Stop serving: nothing queued is answered, nothing more is read.
@@ -676,10 +694,9 @@ impl Conn {
         depart
     }
 
-    /// Step 1, the receive `cpu_op` paid: is this incarnation still alive,
-    /// did the frame decode, and is it only a heartbeat?
-    fn received(self: Arc<Self>, sched: &Scheduler, ep: ScifEndpoint) {
-        let ctl = &self.ctl;
+    /// The step of the oldest queued frame, at the instant
+    /// [`Conn::step_at`] gave it: take it off the inbox and serve it.
+    fn serve(self: Arc<Self>, sched: &Scheduler, ep: ScifEndpoint) {
         let (frame, client, storm) = {
             let mut st = self.st.lock();
             let frame = st.inbox.pop_front().expect("busy with a queued frame");
@@ -690,51 +707,65 @@ impl Conn {
             let storm = st.decode_failures >= DECODE_STORM_LIMIT;
             (frame, st.client, storm)
         };
-        let heartbeat = matches!(frame, Some((_, Cmd::Heartbeat)));
+        match frame {
+            Some((_, Cmd::Heartbeat)) => self.received(sched, ep, client, true, storm),
+            Some((seq, cmd)) => self.worked(sched, ep, client, seq, cmd),
+            None => self.received(sched, ep, client, false, storm),
+        }
+    }
+
+    /// A heartbeat, or a frame that did not decode, its receive `cpu_op`
+    /// paid: is this incarnation still alive? A heartbeat renews the lease
+    /// (no reply, no fault ticking); a bad frame is answered `BAD_REQUEST`,
+    /// or ends the connection if it is the storm's last.
+    fn received(
+        self: Arc<Self>,
+        sched: &Scheduler,
+        ep: ScifEndpoint,
+        client: Option<u32>,
+        heartbeat: bool,
+        storm: bool,
+    ) {
+        let ctl = &self.ctl;
         {
             let mut sh = ctl.shared.lock();
             if sh.epoch != self.epoch {
-                // Our incarnation crashed; the process is gone, so the
-                // command goes unanswered and the client's timeout path
-                // takes over.
+                // Our incarnation crashed; the process is gone, so nothing
+                // more is read or answered.
                 drop(sh);
                 return self.close();
             }
             if heartbeat {
-                // Fire-and-forget lease renewal: no reply, no fault ticking.
                 if let Some(s) = sh.session(client) {
                     s.last_seen = sched.now();
                 }
             }
         }
-        let Some((seq, cmd)) = frame else {
-            ctl.stats.update(|c| {
-                c.commands += 1;
-                c.errors += 1;
-            });
-            if storm {
-                ctl.drain_client(client);
-                return self.close();
-            }
-            let bad = Reply::Error {
-                code: err_code::BAD_REQUEST,
-            };
-            let free_at = self.send(sched, &ep, SEQ_NONE, &bad);
-            return self.done(sched, ep, free_at);
-        };
         if heartbeat {
             ctl.stats.update(|c| c.heartbeats += 1);
             return self.done(sched, ep, sched.now());
         }
-        // Host CPU work to service any offloaded command.
-        sched.call_after(ctl.cost().cmd_host_work, move |s| {
-            self.worked(s, ep, client, seq, cmd)
+        ctl.stats.update(|c| {
+            c.commands += 1;
+            c.errors += 1;
         });
+        if storm {
+            ctl.drain_client(client);
+            return self.close();
+        }
+        let bad = Reply::Error {
+            code: err_code::BAD_REQUEST,
+        };
+        let free_at = self.send(sched, &ep, SEQ_NONE, &bad);
+        self.done(sched, ep, free_at)
     }
 
-    /// Step 2, the host work done: answer a retransmission from the dedup
-    /// cache, let the fault plans tick, and do what the command asks —
-    /// all of it unless it registers memory, whose charge comes first.
+    /// A command, received and its host work done: is this incarnation
+    /// still alive (a crash inside either leaves the command unanswered,
+    /// and the client's timeout path takes over)? Then answer a
+    /// retransmission from the dedup cache, let the fault plans tick, and
+    /// do what the command asks — all of it unless it registers memory,
+    /// whose charge comes first.
     fn worked(
         self: Arc<Self>,
         sched: &Scheduler,
@@ -817,7 +848,7 @@ impl Conn {
                 self.st.lock().client = client;
                 Reply::Hello { client: id }
             }
-            Cmd::Heartbeat => unreachable!("answered at the receive"),
+            Cmd::Heartbeat => unreachable!("served by `received`"),
             Cmd::CreateQp | Cmd::CreateCq => Reply::Ok,
             Cmd::RegMr { .. } | Cmd::RegOffloadMr { .. } if !ctl.has_session(client) => NO_SESSION,
             Cmd::RegMr { .. } | Cmd::RegOffloadMr { .. } => {
@@ -894,7 +925,7 @@ impl Conn {
         self.answer(sched, ep, job(client), reply, outcome, bye);
     }
 
-    /// Step 3, the registration charge paid: register on the HCA and put
+    /// The registration charge paid: register on the HCA and put
     /// the key in the session — or undo, if the lease ran out meanwhile.
     fn registered(
         self: Arc<Self>,

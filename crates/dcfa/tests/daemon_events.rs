@@ -177,6 +177,221 @@ const STEPS: [(u64, (u64, u64, u64)); 10] = [
 ];
 
 #[test]
+fn a_heartbeat_and_a_bad_frame_wait_for_the_command_in_service() {
+    // A raw client sends a command, a heartbeat and a frame that does not
+    // decode, 1.4 us apart: the last two arrive while the command — one
+    // step, 300 ns of receive and 6 us of host work — is in service. Each
+    // is served a receive `cpu_op` after the frame before it is done with:
+    // the heartbeat 300 ns after the command's reply leaves, the bad frame
+    // 300 ns after that, and its BAD_REQUEST leaves 300 ns later still.
+    let mut r = rig_with(DaemonConfig::default());
+    let scif = r.scif.clone();
+    let probes = Arc::new(Mutex::new(Vec::new()));
+    for (at, _) in BEHIND_STEPS {
+        let (stats, probes) = (r.stats.clone(), probes.clone());
+        r.sim.scheduler().call_at(SimTime(at), move |_| {
+            let c = stats.snapshot();
+            probes.lock().push((c.commands, c.heartbeats, c.errors));
+        });
+    }
+    let marks = Arc::new(Mutex::new(Vec::new()));
+    let marks2 = marks.clone();
+    r.sim.spawn("raw", move |ctx| {
+        use dcfa::wire::{cmd_frame, decode_reply_frame, Cmd, CLIENT_NONE, SEQ_NONE};
+        let mark = |ctx: &simcore::Ctx| marks2.lock().push(ctx.now().as_nanos());
+        ctx.sleep(SimDuration::from_micros(1));
+        let ep = scif.connect(ctx, PHI, Domain::Host, DCFA_PORT).unwrap();
+        let hello = Cmd::Hello {
+            client: CLIENT_NONE,
+        };
+        ep.send(ctx, &cmd_frame(1, &hello));
+        assert!(matches!(
+            decode_reply_frame(&ep.recv(ctx)),
+            Some((1, 1, Reply::Hello { .. }))
+        ));
+        mark(ctx);
+        ep.send(ctx, &cmd_frame(2, &Cmd::CreateQp));
+        ep.send(ctx, &cmd_frame(SEQ_NONE, &Cmd::Heartbeat));
+        ep.send(ctx, &[0xff; 9]);
+        mark(ctx);
+        assert_eq!(decode_reply_frame(&ep.recv(ctx)), Some((2, 1, Reply::Ok)));
+        mark(ctx);
+        let bad = Reply::Error {
+            code: err_code::BAD_REQUEST,
+        };
+        assert_eq!(decode_reply_frame(&ep.recv(ctx)), Some((SEQ_NONE, 1, bad)));
+        mark(ctx);
+    });
+    r.sim.run_expect();
+    let c = r.stats.snapshot();
+    assert_eq!((c.commands, c.heartbeats, c.errors), (3, 1, 1), "{c:?}");
+    assert_eq!(*marks.lock(), BEHIND_MARKS_NS);
+    assert_eq!(*probes.lock(), BEHIND_STEPS.map(|(_, counted)| counted));
+}
+
+// Captured while a command was received in one step and worked in the
+// next: the merged step moves none of them.
+/// The raw client after the hello's reply, after its three sends, after
+/// the command's reply and after the bad frame's.
+const BEHIND_MARKS_NS: [u64; 4] = [20_018, 24_218, 34_229, 35_629];
+/// `(instant, (commands, heartbeats, errors) counted before it)`.
+const BEHIND_STEPS: [(u64, (u64, u64, u64)); 6] = [
+    // The command's step; its reply leaves 300 ns later.
+    (30_122, (1, 0, 0)),
+    (30_123, (2, 0, 0)),
+    // The heartbeat, 300 ns after the reply has left.
+    (30_722, (2, 0, 0)),
+    (30_723, (2, 1, 0)),
+    // The bad frame, 300 ns after that.
+    (31_022, (2, 1, 0)),
+    (31_023, (3, 1, 1)),
+];
+
+#[test]
+fn a_crash_inside_a_commands_service_leaves_it_unanswered() {
+    // Two clients. A's command trips the crash plan at its step, 3.3 us
+    // into B's command's service (300 ns of receive, 6 us of host work):
+    // B's step finds its incarnation dead, so B's command goes unanswered.
+    // Both clients time out four times (20 us each, a 1 us backoff before
+    // every retransmit), reconnect once the supervisor has respawned the
+    // daemon, replay their journals and finish — at the instants captured
+    // while a command's receive and work were two steps.
+    let mut r = rig_with(DaemonConfig {
+        // The two hellos; then the first command to reach its step.
+        faults: vec![fault(2, DaemonFaultKind::Crash)],
+        ..DaemonConfig::default()
+    });
+    let marks = Arc::new(Mutex::new(Vec::new()));
+    for (name, issue_ns) in [("a", 30_000), ("b", 33_000)] {
+        let (ib, scif) = (r.ib.clone(), r.scif.clone());
+        let cfg = DcfaConfig {
+            cmd_timeout: SimDuration::from_micros(20),
+            cmd_backoff: SimDuration::from_micros(1),
+            ..client_cfg(&r)
+        };
+        let marks = marks.clone();
+        r.sim.spawn(name, move |ctx| {
+            let d = DcfaContext::open_with(ctx, &ib, &scif, NodeId(0), cfg).unwrap();
+            ctx.sleep(SimTime(issue_ns) - ctx.now());
+            d.create_cq(ctx).unwrap();
+            assert_eq!(d.ctrl_epoch(), 1, "{name}: one re-attach");
+            marks.lock().push((name, ctx.now().as_nanos()));
+            d.close(ctx);
+        });
+    }
+    r.sim.run_expect();
+    let c = r.stats.snapshot();
+    assert_eq!((c.daemon_crashes, c.daemon_respawns), (1, 1), "{c:?}");
+    assert_eq!((c.reattaches, c.errors), (2, 0), "{c:?}");
+    assert_eq!((c.cmd_timeouts, c.cmd_retries), (8, 6), "{c:?}");
+    assert_eq!(*marks.lock(), CRASH_MARKS_NS);
+    // Everything but the round trips, stamped: the crash, then per client
+    // four timeouts and three retransmits, the respawn and the re-attaches.
+    let timeline: Vec<(u64, CtrlEvent)> = r
+        .events
+        .lock()
+        .iter()
+        .filter(|(_, e)| !matches!(e, CtrlEvent::CmdRoundtrip { .. }))
+        .copied()
+        .collect();
+    assert_eq!(timeline, CRASH_TIMELINE);
+}
+
+// Captured while a command's receive and work were two steps.
+/// When each client had its command answered.
+const CRASH_MARKS_NS: [(&str, u64); 2] = [("a", 205_829), ("b", 208_829)];
+const CRASH_TIMELINE: [(u64, CtrlEvent); 18] = [
+    (
+        40_104,
+        CtrlEvent::DaemonCrash {
+            node: NodeId(0),
+            epoch: 2,
+        },
+    ),
+    (51_400, CtrlEvent::CmdTimeout { client: 1, seq: 2 }),
+    (
+        51_400,
+        CtrlEvent::CmdRetry {
+            client: 1,
+            seq: 2,
+            attempt: 1,
+        },
+    ),
+    (54_400, CtrlEvent::CmdTimeout { client: 2, seq: 2 }),
+    (
+        54_400,
+        CtrlEvent::CmdRetry {
+            client: 2,
+            seq: 2,
+            attempt: 1,
+        },
+    ),
+    (73_800, CtrlEvent::CmdTimeout { client: 1, seq: 2 }),
+    (
+        73_800,
+        CtrlEvent::CmdRetry {
+            client: 1,
+            seq: 2,
+            attempt: 2,
+        },
+    ),
+    (76_800, CtrlEvent::CmdTimeout { client: 2, seq: 2 }),
+    (
+        76_800,
+        CtrlEvent::CmdRetry {
+            client: 2,
+            seq: 2,
+            attempt: 2,
+        },
+    ),
+    (97_200, CtrlEvent::CmdTimeout { client: 1, seq: 2 }),
+    (
+        97_200,
+        CtrlEvent::CmdRetry {
+            client: 1,
+            seq: 2,
+            attempt: 3,
+        },
+    ),
+    (100_200, CtrlEvent::CmdTimeout { client: 2, seq: 2 }),
+    (
+        100_200,
+        CtrlEvent::CmdRetry {
+            client: 2,
+            seq: 2,
+            attempt: 3,
+        },
+    ),
+    (122_600, CtrlEvent::CmdTimeout { client: 1, seq: 2 }),
+    (125_600, CtrlEvent::CmdTimeout { client: 2, seq: 2 }),
+    (
+        140_104,
+        CtrlEvent::DaemonRespawn {
+            node: NodeId(0),
+            epoch: 2,
+        },
+    ),
+    (
+        191_618,
+        CtrlEvent::Reattach {
+            client: 1,
+            epoch: 2,
+            journaled: 0,
+            replayed: 0,
+        },
+    ),
+    (
+        194_618,
+        CtrlEvent::Reattach {
+            client: 2,
+            epoch: 2,
+            journaled: 0,
+            replayed: 0,
+        },
+    ),
+];
+
+#[test]
 fn dropped_and_delayed_replies_replay_from_the_dedup_cache() {
     // Command 2 (the RegMr) loses its reply, command 3 (the twin) has it
     // held for 2 ms: each executes once, each retransmit is answered from

@@ -34,6 +34,18 @@
 //!   [`ScifEndpoint::send_from`]. The DCFA daemon is served this way: a
 //!   command costs no coroutine and no hand-off.
 //!
+//! A process pays a `cpu_op` per message it receives, and that charge
+//! costs no event of its own. A receiver already parked when the message
+//! arrives is woken one `cpu_op` after the arrival, not at it and then
+//! again after a `sleep` ([`simcore::Mailbox::recv_charged`]). One that
+//! finds the message already queued pays the `cpu_op` from the moment it
+//! looks. Either way it returns at the instant a wake and a `sleep` would
+//! have returned it, with one event fewer. A reply that arrives before a
+//! [`ScifEndpoint::recv_timeout`] deadline is returned even when its
+//! `cpu_op` ends past the deadline. One that arrives at the deadline
+//! itself is too late, unless it was sent before the receiver parked:
+//! events due at one instant fire in the order they were queued.
+//!
 //! Either way a message up to [`INLINE_MAX`] bytes travels inside its
 //! delivery event; only longer ones take a heap block.
 
@@ -302,7 +314,8 @@ impl ScifEndpoint {
         self.send_from(ctx.now(), data);
     }
 
-    /// [`ScifEndpoint::send`] for a sender that is not a process: the
+    /// [`ScifEndpoint::send`] for a sender that is not a process, or one
+    /// that would rather not sleep before it waits (the DCFA client): the
     /// message leaves this side's ring at `depart` — the caller has
     /// accounted for its own copy into it — and is delivered one message
     /// latency plus ring-copy serialization later.
@@ -339,15 +352,13 @@ impl ScifEndpoint {
     }
 
     /// Take the next message, parking until `deadline` (forever without
-    /// one), and charge the receive.
+    /// one), and charge the receive: a `cpu_op` after the arrival that
+    /// wakes a parked receiver, or after now for a message already queued.
     fn take(&self, ctx: &mut Ctx, deadline: Option<SimTime>) -> Option<Msg> {
-        let queue = &self.conn.lanes[self.side].queue;
-        let msg = match deadline {
-            Some(deadline) => queue.recv_deadline(ctx, deadline)?,
-            None => queue.recv(ctx),
-        };
-        ctx.sleep(self.cost().cpu_op(self.local().domain));
-        Some(msg)
+        let charge = self.cost().cpu_op(self.local().domain);
+        self.conn.lanes[self.side]
+            .queue
+            .recv_charged(ctx, deadline, charge)
     }
 
     /// Blocking receive of one message.
@@ -484,27 +495,42 @@ mod tests {
         sim.run_expect();
     }
 
+    /// How the host side echoes.
+    #[derive(Clone, Copy)]
+    enum Echo {
+        /// A sink that pays a `cpu_op` to receive and one to send.
+        Sink,
+        /// A process that waits `hold` before each receive.
+        Process { hold: SimDuration },
+    }
+
+    const PARKED: Echo = Echo::Process {
+        hold: SimDuration::ZERO,
+    };
+
     /// Round-trip time of `msg` through a host-side echo, as the client
     /// sees it on the last of its `ROUNDS` round trips.
-    fn echo_rtt(sink_style: bool, msg: &'static [u8]) -> SimDuration {
+    fn echo_rtt(echo: Echo, msg: &'static [u8]) -> SimDuration {
         const ROUNDS: usize = 3;
         let (mut sim, fabric) = setup();
-        if sink_style {
-            // The sink pays what the process below pays by sleeping: a
-            // `cpu_op` to receive and one to send.
-            let work = fabric.cluster().config().cost.cpu_op(Domain::Host) * 2;
-            fabric.listen_with(host(0), 1, move |_, ep| {
-                ep.on_recv(move |s, ep, msg| ep.send_from(s.now() + work, msg));
-            });
-        } else {
-            let listener = fabric.listen(host(0), 1);
-            sim.spawn("echo", move |ctx| {
-                let ep = listener.accept(ctx);
-                for _ in 0..ROUNDS {
-                    let msg = ep.recv(ctx);
-                    ep.send(ctx, &msg);
-                }
-            });
+        match echo {
+            Echo::Sink => {
+                let work = fabric.cluster().config().cost.cpu_op(Domain::Host) * 2;
+                fabric.listen_with(host(0), 1, move |_, ep| {
+                    ep.on_recv(move |s, ep, msg| ep.send_from(s.now() + work, msg));
+                });
+            }
+            Echo::Process { hold } => {
+                let listener = fabric.listen(host(0), 1);
+                sim.spawn("echo", move |ctx| {
+                    let ep = listener.accept(ctx);
+                    for _ in 0..ROUNDS {
+                        ctx.sleep(hold);
+                        let msg = ep.recv(ctx);
+                        ep.send(ctx, &msg);
+                    }
+                });
+            }
         }
         let rtt = Arc::new(Mutex::new(None));
         let rtt2 = rtt.clone();
@@ -527,12 +553,36 @@ mod tests {
     #[test]
     fn a_sink_serves_at_the_instants_a_process_would() {
         let short = b"reg_mr request";
-        assert_eq!(echo_rtt(true, short), echo_rtt(false, short));
+        assert_eq!(echo_rtt(Echo::Sink, short), echo_rtt(PARKED, short));
         // Past the inline capacity the message takes a heap block, and
         // nothing else changes.
         const LONG: [u8; 3 * INLINE_MAX] = [0xA5; 3 * INLINE_MAX];
-        assert_eq!(echo_rtt(true, &LONG), echo_rtt(false, &LONG));
-        assert!(echo_rtt(true, &LONG) > echo_rtt(true, short));
+        assert_eq!(echo_rtt(Echo::Sink, &LONG), echo_rtt(PARKED, &LONG));
+        assert!(echo_rtt(Echo::Sink, &LONG) > echo_rtt(Echo::Sink, short));
+    }
+
+    /// A receive pays one `cpu_op`, at the instants a wake on arrival and
+    /// a `sleep` after it used to: from the arrival for a receiver already
+    /// parked (its wake is the charge's end), from the moment it looks for
+    /// one that finds the message queued.
+    #[test]
+    fn a_receive_pays_one_cpu_op_parked_or_queued() {
+        let cost = ClusterConfig::with_nodes(2).cost;
+        let (phi_op, host_op) = (cost.cpu_op(Domain::Phi), cost.cpu_op(Domain::Host));
+        let msg = b"reg_mr request";
+        let wire =
+            cost.scif_msg_latency + simcore::transfer_time(msg.len() as u64, cost.scif_msg_bw);
+        // Both sides parked: each side's send and receive, and the wire
+        // both ways.
+        let parked = echo_rtt(PARKED, msg);
+        assert_eq!(parked, (phi_op + host_op) * 2 + wire * 2);
+        // The echo looks long after the request arrived: one `cpu_op` to
+        // take it from then and one to send the reply. The reply's wire
+        // time and the client's two `cpu_op`s are spent while the echo
+        // holds.
+        let hold = SimDuration::from_micros(20);
+        assert!(hold > (phi_op + wire) * 2, "the request is queued by then");
+        assert_eq!(echo_rtt(Echo::Process { hold }, msg), hold + host_op * 2);
     }
 
     #[test]
@@ -557,7 +607,10 @@ mod tests {
 
     #[test]
     fn recv_timeout_expires_then_delivers() {
+        const REPLY: &[u8] = b"reply";
         let (mut sim, fabric) = setup();
+        let cost = fabric.cluster().config().cost.clone();
+        let (phi_op, host_op) = (cost.cpu_op(Domain::Phi), cost.cpu_op(Domain::Host));
         let f1 = fabric.clone();
         sim.spawn("host-daemon", move |ctx| {
             let listener = f1.listen(host(0), 5);
@@ -565,7 +618,16 @@ mod tests {
             // Stay silent past the client's first deadline, then answer.
             ctx.sleep(SimDuration::from_micros(50));
             ep.send(ctx, b"late reply");
-            let _ = ep.recv(ctx); // keep endpoint alive until client is done
+            // Then answer each request so that the reply lands at the
+            // instant it names, until "bye".
+            loop {
+                let Ok(at) = <[u8; 8]>::try_from(ep.recv(ctx).as_slice()) else {
+                    return;
+                };
+                let leave = SimTime(u64::from_le_bytes(at)) - ep.message_cost(REPLY.len());
+                ctx.sleep(leave - host_op - ctx.now());
+                ep.send(ctx, REPLY);
+            }
         });
         let f2 = fabric.clone();
         sim.spawn("phi-client", move |ctx| {
@@ -576,6 +638,32 @@ mod tests {
             assert_eq!(ctx.now() - t0, SimDuration::from_micros(10));
             let msg = ep.recv_timeout(ctx, SimDuration::from_micros(100));
             assert_eq!(msg.as_deref(), Some(&b"late reply"[..]));
+
+            // Ask for a reply landing `early` before the deadline of a wait
+            // of `wait` begun once the request has left: the deadline.
+            let wait = SimDuration::from_micros(100);
+            let ask = |ctx: &mut Ctx, early: SimDuration| {
+                let deadline = ctx.now() + phi_op + wait;
+                ep.send(ctx, &(deadline - early).0.to_le_bytes());
+                (deadline, ep.recv_timeout(ctx, wait))
+            };
+            // Landing inside the last `cpu_op` before the deadline: the
+            // deadline is cancelled, and the reply returned after it.
+            let early = SimDuration::from_nanos(1);
+            let (deadline, reply) = ask(ctx, early);
+            assert_eq!(reply.as_deref(), Some(REPLY));
+            assert_eq!(ctx.now(), deadline - early + phi_op);
+            assert!(ctx.now() > deadline);
+            // Landing at the deadline itself: too late, by the deadline.
+            let (deadline, reply) = ask(ctx, SimDuration::ZERO);
+            assert_eq!(reply, None);
+            assert_eq!(ctx.now(), deadline);
+            // The reply is queued by then; the next receive takes it and
+            // pays its `cpu_op` from now.
+            let t = ctx.now();
+            let late = ep.recv_timeout(ctx, wait);
+            assert_eq!(late.as_deref(), Some(REPLY));
+            assert_eq!(ctx.now(), t + phi_op);
             ep.send(ctx, b"bye");
         });
         sim.run_expect();

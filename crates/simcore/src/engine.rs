@@ -45,7 +45,9 @@
 //! never queued: a deadline is cancelled when the event it races is the
 //! first to wake its process, and a waiter whose block is already over
 //! when its event fires is skipped. Spurious wakes are impossible by
-//! construction.
+//! construction. A waiter with a charge ([`Ctx::wait_event_charged`]) is
+//! woken that long after the notification instead of at it: work it does
+//! on every wake-up, paid by the wake rather than by a `sleep` after it.
 //!
 //! # Event queue
 //!
@@ -393,27 +395,32 @@ impl Scheduler {
         spawn_inner(self, name.into(), f)
     }
 
-    /// Make every process in `waiters` runnable now, in the order given,
-    /// under one acquisition of the engine state: consecutive sequence
-    /// numbers at the current instant, exactly what one `schedule` per
-    /// waiter would assign. A waiter whose block is over (it timed out, or
-    /// ended) is skipped. One with a deadline queued loses it, unless the
-    /// deadline is due now: queued first, it wakes the process first.
-    fn wake_all(&self, waiters: Vec<WakeTarget>) {
-        if waiters.is_empty() {
+    /// Make every process in `waiters` runnable its charge from now, in the
+    /// order given, under one acquisition of the engine state: consecutive
+    /// sequence numbers, exactly what one `schedule` per waiter would
+    /// assign. A waiter whose block is over (it timed out, or ended) is
+    /// skipped. One with a deadline queued loses it, unless the deadline is
+    /// due now and the waiter has no charge: queued first, it wakes the
+    /// process first. A charged waiter is woken after its charge even then,
+    /// as it would have paid the charge after taking what its deadline
+    /// wake found.
+    fn wake_all(&self, waiters: impl ExactSizeIterator<Item = (WakeTarget, SimDuration)>) {
+        if waiters.len() == 0 {
             return;
         }
         let mut st = self.shared.state.lock();
         let now = self.now();
-        for w in waiters {
+        for (w, charge) in waiters {
             let slot = &mut st.procs[w.pid.0];
-            if slot.epoch != w.epoch || slot.deadline.is_some_and(|d| d.due() <= now) {
+            let deadline_first = charge.is_zero() && slot.deadline.is_some_and(|d| d.due() <= now);
+            if slot.epoch != w.epoch || deadline_first {
                 continue;
             }
             if let Some(deadline) = slot.deadline.take() {
                 st.queue.cancel(deadline);
             }
-            self.shared.schedule(&mut st, now, EventKind::Wake(w));
+            self.shared
+                .schedule(&mut st, now + charge, EventKind::Wake(w));
         }
     }
 }
@@ -520,7 +527,7 @@ impl Ctx {
         seen: u64,
         reason: &'static str,
     ) -> u64 {
-        self.wait_event_inner(ev, seen, None, reason)
+        self.wait_event_charged(ev, seen, None, SimDuration::ZERO, reason)
     }
 
     /// Like [`Ctx::wait_event`] but gives up at virtual time `deadline`:
@@ -536,22 +543,34 @@ impl Ctx {
         deadline: SimTime,
         reason: &'static str,
     ) -> u64 {
-        self.wait_event_inner(ev, seen, Some(deadline), reason)
+        self.wait_event_charged(ev, seen, Some(deadline), SimDuration::ZERO, reason)
     }
 
-    fn wait_event_inner(
+    /// [`Ctx::wait_event`], with a `deadline` if any, for a waiter that
+    /// pays `charge` of its own time whenever its event fires (the copy of
+    /// a receive, say): the notification wakes it `charge` later, so the
+    /// charge costs no event of its own. An event that fires before the
+    /// deadline — or at it, before the deadline's wake — cancels it, even
+    /// when the charge then ends past it. An epoch that has already moved
+    /// is paid for at once: the call returns `charge` from now.
+    pub(crate) fn wait_event_charged(
         &mut self,
         ev: &crate::sync::SimEvent,
         seen: u64,
         deadline: Option<SimTime>,
+        charge: SimDuration,
         reason: &'static str,
     ) -> u64 {
+        // What a notification still costs us: all of `charge` until we
+        // park, nothing once its wake has paid it.
+        let mut unpaid = charge;
         loop {
             // Already notified: the usual answer, and it costs no lock.
             // Otherwise register — re-reading the epoch with the waiter
             // list held, where it is stored, so that a notify can never
             // fall between the check and the registration.
             if ev.epoch() != seen {
+                self.sleep(unpaid);
                 return ev.epoch();
             }
             if deadline.is_some_and(|d| self.now() >= d) {
@@ -561,16 +580,17 @@ impl Ctx {
             let mut st = shared.state.lock();
             let mut waiters = ev.shared().waiters.lock();
             if ev.epoch() != seen {
-                return ev.epoch();
+                continue;
             }
             let target = st.block(self.pid, reason);
-            waiters.push(target);
+            waiters.push((target, charge));
             drop(waiters);
             if let Some(deadline) = deadline {
                 let timer = shared.schedule(&mut st, deadline, EventKind::Wake(target));
                 st.procs[self.pid.0].deadline = Some(timer);
             }
             self.park(st);
+            unpaid = SimDuration::ZERO;
         }
     }
 
@@ -763,14 +783,13 @@ pub(crate) fn fire_completion(sched: &Scheduler, inner: &Mutex<CompletionInner>)
         c.done = true;
         std::mem::take(&mut c.waiters)
     };
-    sched.wake_all(waiters);
+    sched.wake_all(waiters.into_iter().map(|w| (w, SimDuration::ZERO)));
 }
 
+/// Notify `ev`: drained in place under its lock, so the waiter list keeps
+/// its capacity and the next park on it allocates nothing.
 pub(crate) fn fire_event(sched: &Scheduler, ev: &EventShared) {
-    let waiters = {
-        let mut waiters = ev.waiters.lock();
-        ev.bump_epoch();
-        std::mem::take(&mut *waiters)
-    };
-    sched.wake_all(waiters);
+    let mut waiters = ev.waiters.lock();
+    ev.bump_epoch();
+    sched.wake_all(waiters.drain(..));
 }

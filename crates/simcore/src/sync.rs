@@ -8,7 +8,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::engine::{fire_completion, fire_event, Ctx, Scheduler, WakeTarget};
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 pub(crate) struct CompletionInner {
     pub(crate) done: bool,
@@ -66,7 +66,10 @@ pub(crate) struct EventShared {
     /// `Release`/`Acquire`, so whoever sees a new epoch also sees what the
     /// notifier wrote before notifying.
     epoch: AtomicU64,
-    pub(crate) waiters: Mutex<Vec<WakeTarget>>,
+    /// Who to wake, each with how long after the notification. A notify
+    /// drains it in place, so its capacity stays for the next waiter and a
+    /// park allocates nothing.
+    pub(crate) waiters: Mutex<Vec<(WakeTarget, SimDuration)>>,
 }
 
 impl EventShared {
@@ -197,26 +200,54 @@ impl<T> Mailbox<T> {
 
     /// Blocking receive in virtual time.
     pub fn recv(&self, ctx: &mut Ctx) -> T {
-        loop {
-            let seen = self.event.epoch();
-            if let Some(item) = self.try_recv() {
-                return item;
-            }
-            ctx.wait_event(&self.event, seen, "mailbox recv");
-        }
+        let item = self.recv_charged(ctx, None, SimDuration::ZERO);
+        item.expect("a receive without a deadline waits")
     }
 
     /// Blocking receive that gives up at virtual time `deadline`.
     pub fn recv_deadline(&self, ctx: &mut Ctx, deadline: SimTime) -> Option<T> {
+        self.recv_charged(ctx, Some(deadline), SimDuration::ZERO)
+    }
+
+    /// Blocking receive that costs the receiver `charge` of its own time
+    /// per item (a copy out of a ring, say) and gives up at `deadline`, if
+    /// any. An item already queued is taken now and returned `charge`
+    /// later. Otherwise the receiver parks, and the send that ends the wait
+    /// wakes it `charge` after: one wake, not a wake and a [`Ctx::sleep`].
+    /// An item sent before the deadline is returned even when its charge
+    /// ends past it; `None` means none was.
+    ///
+    /// One charged receiver at a time: the item that ends its wait is its
+    /// own, and no other receiver may take it meanwhile.
+    pub fn recv_charged(
+        &self,
+        ctx: &mut Ctx,
+        deadline: Option<SimTime>,
+        charge: SimDuration,
+    ) -> Option<T> {
+        let reason = match deadline {
+            Some(_) => "mailbox recv (deadline)",
+            None => "mailbox recv",
+        };
         loop {
             let seen = self.event.epoch();
             if let Some(item) = self.try_recv() {
+                ctx.sleep(charge);
                 return Some(item);
             }
-            if ctx.now() >= deadline {
+            if deadline.is_some_and(|d| ctx.now() >= d) {
                 return None;
             }
-            ctx.wait_event_until(&self.event, seen, deadline, "mailbox recv (deadline)");
+            if ctx.wait_event_charged(&self.event, seen, deadline, charge, reason) != seen {
+                // Woken `charge` after the send: the charge is paid.
+                match self.try_recv() {
+                    Some(item) => return Some(item),
+                    None => debug_assert!(
+                        charge.is_zero(),
+                        "a pre-charged item was taken by a block it did not wake"
+                    ),
+                }
+            }
         }
     }
 
