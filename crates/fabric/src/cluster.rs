@@ -13,11 +13,13 @@ use crate::config::{ClusterConfig, Domain};
 use crate::faults::{LinkFault, LinkFaultKind};
 use crate::health::HealthBoard;
 use crate::mem::{Buffer, MemRef, Memory, NodeId, OutOfMemory};
+use crate::plane::{Arenas, NodeMem};
 
 /// A scheduled data movement: channel reservations are made at post time
-/// (deterministically); at `end` the bytes are copied from the source to
-/// the destination — one arena-to-arena memcpy, the source is read then,
-/// not sampled at post — and `completion` fires. Until `end` the
+/// (deterministically); at `end` the destination takes the source's bytes
+/// as they are then, not as they were at post — a PCIe DMA by recording
+/// that the destination reads as the source, a hop between nodes by one
+/// arena-to-arena memcpy — and `completion` fires. Until `end` the
 /// destination keeps its old content, and the poster must leave the source
 /// alone, as MPI and verbs require of any in-flight buffer.
 #[derive(Clone)]
@@ -31,8 +33,8 @@ pub struct Transfer {
 }
 
 struct NodeState {
-    host_mem: Arc<Mutex<Memory>>,
-    phi_mem: Arc<Mutex<Memory>>,
+    /// Host and Phi memory and the mirrors between them, one lock.
+    mem: Arc<Mutex<NodeMem>>,
     /// PCIe, host→Phi direction (offload copy-in, HCA writes into Phi mem).
     pci_h2p: Mutex<BwChannel>,
     /// PCIe, Phi→host direction (offload sync/copy-out, HCA reads from Phi).
@@ -66,20 +68,11 @@ impl Cluster {
         let nodes = (0..cfg.nodes)
             .map(|i| {
                 let node = NodeId(i);
+                let arena = |domain, capacity| Memory::new(MemRef { node, domain }, capacity);
                 NodeState {
-                    host_mem: Arc::new(Mutex::new(Memory::new(
-                        MemRef {
-                            node,
-                            domain: Domain::Host,
-                        },
-                        cfg.host_mem_capacity,
-                    ))),
-                    phi_mem: Arc::new(Mutex::new(Memory::new(
-                        MemRef {
-                            node,
-                            domain: Domain::Phi,
-                        },
-                        cfg.phi_mem_capacity,
+                    mem: Arc::new(Mutex::new(NodeMem::new(
+                        arena(Domain::Host, cfg.host_mem_capacity),
+                        arena(Domain::Phi, cfg.phi_mem_capacity),
                     ))),
                     pci_h2p: Mutex::new(BwChannel::new("pci-h2p")),
                     pci_p2h: Mutex::new(BwChannel::new("pci-p2h")),
@@ -176,68 +169,77 @@ impl Cluster {
         self.link_faults_armed.load(Ordering::Acquire)
     }
 
-    fn memory(&self, mem: MemRef) -> &Arc<Mutex<Memory>> {
-        match mem.domain {
-            Domain::Host => &self.node(mem.node).host_mem,
-            Domain::Phi => &self.node(mem.node).phi_mem,
-        }
+    fn node_mem(&self, node: NodeId) -> &Arc<Mutex<NodeMem>> {
+        &self.node(node).mem
     }
 
     // ---- memory plane -----------------------------------------------------
 
     /// Allocate in a domain with explicit alignment.
     pub fn alloc(&self, mem: MemRef, len: u64, align: u64) -> Result<Buffer, OutOfMemory> {
-        self.memory(mem).lock().alloc(len, align)
+        self.node_mem(mem.node)
+            .lock()
+            .arena_mut(mem.domain)
+            .alloc(len, align)
     }
 
     /// Allocate page-aligned.
     pub fn alloc_pages(&self, mem: MemRef, len: u64) -> Result<Buffer, OutOfMemory> {
-        self.memory(mem).lock().alloc_pages(len)
+        self.alloc(mem, len, crate::config::PAGE_SIZE)
     }
 
-    /// Free a buffer.
+    /// Free a buffer. A mirror reading from it gets its bytes first.
     pub fn free(&self, buf: &Buffer) {
-        self.memory(buf.mem).lock().free(buf);
+        self.node_mem(buf.mem.node).lock().free(buf);
     }
 
     /// Bytes currently allocated in a domain.
     pub fn mem_used(&self, mem: MemRef) -> u64 {
-        self.memory(mem).lock().used()
+        self.node_mem(mem.node).lock().arena(mem.domain).used()
     }
 
     /// The extent of a domain's arena: the highest allocation end it ever
     /// handed out.
     pub fn mem_high_water(&self, mem: MemRef) -> u64 {
-        self.memory(mem).lock().high_water()
+        self.node_mem(mem.node)
+            .lock()
+            .arena(mem.domain)
+            .high_water()
     }
 
     /// Bytes of host memory backing a domain's arena right now (whole host
     /// pages, as the kernel counts them): what the simulated software
     /// wrote, not what it allocated.
     pub fn mem_resident(&self, mem: MemRef) -> u64 {
-        let pages = self.memory(mem).lock().resident_pages();
+        let pages = self
+            .node_mem(mem.node)
+            .lock()
+            .arena(mem.domain)
+            .resident_pages();
         (pages * simcore::mapping::page_size()) as u64
     }
 
     /// Back `[offset, offset+len)` of `buf` with real host pages, contents
     /// unchanged (see [`Memory::commit`]).
     pub fn commit(&self, buf: &Buffer, offset: u64, len: u64) {
-        self.memory(buf.mem).lock().commit(buf, offset, len);
+        let mut node = self.node_mem(buf.mem.node).lock();
+        node.arena_mut(buf.mem.domain).commit(buf, offset, len);
     }
 
-    /// Run `f` on the arena of `mem`, locked once for everything `f` does
-    /// there (content plane only, like [`Cluster::write`]): a caller with
-    /// several reads or writes in one arena — a ring slot's header and
-    /// tail — makes them one acquisition instead of one each.
+    /// Run `f` on the memory of `mem`'s node, locked once for everything
+    /// `f` does there (content plane only, like [`Cluster::write`]): a
+    /// caller with several reads or writes in one arena — a ring slot's
+    /// header and tail — makes them one acquisition instead of one each.
     pub fn with_mem<R>(&self, mem: MemRef, f: impl FnOnce(&mut Arenas<'_>) -> R) -> R {
         self.with_mems(mem, mem, f)
     }
 
-    /// [`Cluster::with_mem`] for work between two arenas (which may be the
-    /// same one): all of a work request's gather/scatter copies under one
-    /// acquisition per side.
+    /// [`Cluster::with_mem`] for work between two arenas (which may be in
+    /// one node): all of a work request's gather/scatter copies under one
+    /// acquisition per node.
     pub fn with_mems<R>(&self, a: MemRef, b: MemRef, f: impl FnOnce(&mut Arenas<'_>) -> R) -> R {
-        with_arenas(self.memory(a), a, self.memory(b), b, f)
+        let (a, b) = (a.node, b.node);
+        with_nodes((self.node_mem(a), a), (self.node_mem(b), b), f)
     }
 
     /// Write bytes (content plane only — charge time separately if needed).
@@ -252,7 +254,9 @@ impl Cluster {
 
     /// Read a whole buffer.
     pub fn read_vec(&self, buf: &Buffer) -> Vec<u8> {
-        self.memory(buf.mem).lock().read_vec(buf)
+        let mut out = vec![0u8; buf.len as usize];
+        self.read(buf, 0, &mut out);
+        out
     }
 
     /// CPU memcpy duration for `bytes` within `domain` (caller sleeps this).
@@ -261,9 +265,10 @@ impl Cluster {
     }
 
     /// Move `len` bytes from `src[src_off..]` to `dst[dst_off..]` with one
-    /// memcpy, arena to arena (content plane only, like [`Cluster::write`]).
-    /// Every modelled hop moves its payload through here. Ranges within
-    /// one arena may overlap (memmove semantics).
+    /// memcpy, arena to arena, reading through any mirror the source lies
+    /// in (content plane only, like [`Cluster::write`]). Every modelled hop
+    /// but a PCIe DMA moves its payload through here. Ranges within one
+    /// arena may overlap (memmove semantics).
     pub fn copy(&self, src: &Buffer, src_off: u64, dst: &Buffer, dst_off: u64, len: u64) {
         self.with_mems(src.mem, dst.mem, |m| {
             m.copy(src, src_off, dst, dst_off, len)
@@ -420,14 +425,16 @@ impl Cluster {
         self.sched.call_at(t, f);
     }
 
-    /// Move the bytes and fire the completion at `end`. The event carries
-    /// the two buffers, not the payload: the source is read at `end`, the
-    /// rule verbs delivery follows too. A correct program cannot tell this
+    /// Land the bytes and fire the completion at `end`. The event carries
+    /// the two buffers, not the payload: the source is taken as it is at
+    /// `end`, the rule verbs delivery follows too. Between a node's host
+    /// and Phi memory — a PCIe DMA — nothing is copied: the destination is
+    /// recorded as reading as the source, and the bytes move when something
+    /// reads them, from where they are (see [`crate::plane`]); a hop
+    /// between nodes is one memcpy. A correct program cannot tell this
     /// from a DMA engine streaming the source over `[start, end]` — every
     /// poster blocks on the completion before touching either buffer, and
-    /// mutating an in-flight source is an MPI/verbs usage error — while the
-    /// simulator pays one memcpy per hop instead of two plus a
-    /// payload-sized allocation.
+    /// mutating an in-flight source is an MPI/verbs usage error.
     fn finish_transfer(
         &self,
         src: &Buffer,
@@ -436,13 +443,13 @@ impl Cluster {
         end: SimTime,
     ) -> Transfer {
         let (src, dst) = (src.clone(), dst.clone());
-        let (src_mem, dst_mem) = (self.memory(src.mem).clone(), self.memory(dst.mem).clone());
+        let src_node = self.node_mem(src.mem.node).clone();
+        let dst_node = self.node_mem(dst.mem.node).clone();
         let completion = Completion::new();
         let c2 = completion.clone();
         self.sched.call_at(end, move |s| {
-            with_arenas(&src_mem, src.mem, &dst_mem, dst.mem, |m| {
-                m.copy(&src, 0, &dst, 0, src.len);
-            });
+            let (a, b) = ((&*src_node, src.mem.node), (&*dst_node, dst.mem.node));
+            with_nodes(a, b, |m| m.land(&src, &dst));
             c2.complete_now(s);
         });
         Transfer {
@@ -475,93 +482,25 @@ impl Cluster {
     }
 }
 
-/// The one or two arenas a closure given to [`Cluster::with_mem`] /
-/// [`Cluster::with_mems`] works on, locked for as long as it runs. Every
-/// method is range-checked like [`Memory`]'s and panics on a buffer that
-/// lives in neither arena.
-pub struct Arenas<'a> {
-    first: &'a mut Memory,
-    second: Option<&'a mut Memory>,
-}
-
-impl Arenas<'_> {
-    fn arena(&mut self, mem: MemRef) -> &mut Memory {
-        if self.first.mem_ref() == mem {
-            return self.first;
-        }
-        match self.second.as_deref_mut() {
-            Some(second) if second.mem_ref() == mem => second,
-            _ => panic!("buffer in {mem}, an arena this call did not lock"),
-        }
-    }
-
-    /// Write bytes into a buffer.
-    pub fn write(&mut self, buf: &Buffer, offset: u64, data: &[u8]) {
-        self.arena(buf.mem).write(buf, offset, data);
-    }
-
-    /// Read bytes out of a buffer.
-    pub fn read(&mut self, buf: &Buffer, offset: u64, out: &mut [u8]) {
-        self.arena(buf.mem).read(buf, offset, out);
-    }
-
-    /// The byte plane's one primitive: `len` bytes from `src[src_off..]` to
-    /// `dst[dst_off..]` with one memcpy. Ranges within one arena may
-    /// overlap (memmove semantics).
-    pub fn copy(&mut self, src: &Buffer, src_off: u64, dst: &Buffer, dst_off: u64, len: u64) {
-        let len = len as usize;
-        if src.mem == dst.mem {
-            return self
-                .arena(src.mem)
-                .copy_within(src, src_off, dst, dst_off, len);
-        }
-        let Some(second) = self.second.as_deref_mut() else {
-            panic!("copy from {} to {} with one arena locked", src.mem, dst.mem);
-        };
-        let (from, to) = if self.first.mem_ref() == src.mem {
-            (&*self.first, second)
-        } else {
-            (&*second, &mut *self.first)
-        };
-        assert!(
-            from.mem_ref() == src.mem && to.mem_ref() == dst.mem,
-            "copy from {} to {}, arenas this call did not lock",
-            src.mem,
-            dst.mem
-        );
-        to.copy_from(dst, dst_off, from, src, src_off, len);
-    }
-}
-
-/// Lock arena `a` and, if it is another one, arena `b` — always in arena
+/// Lock node `a` and, if it is another one, node `b` — always in node
 /// order, so that opposite copies can never deadlock — and run `f` on them.
-fn with_arenas<R>(
-    a_mem: &Mutex<Memory>,
-    a: MemRef,
-    b_mem: &Mutex<Memory>,
-    b: MemRef,
+fn with_nodes<R>(
+    (a_mem, a): (&Mutex<NodeMem>, NodeId),
+    (b_mem, b): (&Mutex<NodeMem>, NodeId),
     f: impl FnOnce(&mut Arenas<'_>) -> R,
 ) -> R {
     if a == b {
-        let mut only = a_mem.lock();
-        return f(&mut Arenas {
-            first: &mut only,
-            second: None,
-        });
+        return f(&mut Arenas::new(&mut a_mem.lock(), None));
     }
-    let key = |m: MemRef| (m.node, m.domain == Domain::Phi);
     let (mut first, mut second);
-    if key(a) < key(b) {
+    if a < b {
         first = a_mem.lock();
         second = b_mem.lock();
     } else {
         second = b_mem.lock();
         first = a_mem.lock();
     }
-    f(&mut Arenas {
-        first: &mut first,
-        second: Some(&mut second),
-    })
+    f(&mut Arenas::new(&mut first, Some(&mut second)))
 }
 
 /// Per-node fabric utilization snapshot (see [`Cluster::fabric_stats`]).

@@ -12,8 +12,10 @@
 //!   software stack is built from: [`Cluster::pci_dma`] (host↔Phi DMA
 //!   engine) and [`Cluster::ib_transfer`] (HCA→wire→HCA path, including the
 //!   slow DMA-read-from-Phi leg that motivates the paper's offloading send
-//!   buffer). Both — and every other modelled hop — move their bytes with
-//!   [`Cluster::copy`]: one memcpy, arena to arena.
+//!   buffer). Bytes move when they are read: a PCIe DMA records that its
+//!   destination reads as its source, and every other modelled hop moves
+//!   its bytes with [`Cluster::copy`] — one memcpy, arena to arena, from
+//!   wherever the source's bytes are.
 //! * [`ClusterConfig`]/[`CostModel`] — Table-I-analogue configuration with
 //!   constants calibrated against the paper's printed numbers.
 
@@ -25,10 +27,12 @@ mod config;
 mod faults;
 mod health;
 mod mem;
+mod plane;
 
 pub use channel::{BwChannel, ChannelStats};
-pub use cluster::{Arenas, Cluster, FabricStats, Transfer};
+pub use cluster::{Cluster, FabricStats, Transfer};
 pub use config::{ClusterConfig, CostModel, Domain, PAGE_SIZE};
 pub use faults::{LinkFault, LinkFaultKind};
 pub use health::{HealthBoard, PeerState};
 pub use mem::{Buffer, MemRef, Memory, NodeId, OutOfMemory};
+pub use plane::Arenas;

@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 use simcore::mapping::Mapping;
 
@@ -110,10 +111,15 @@ pub struct Memory {
     /// software wrote — growth neither copies nor touches any.
     bytes: Mapping,
     /// Highest allocation end ever handed out. Space above this line has
-    /// never been allocated, so it still reads as fresh (lazy) zeros and
-    /// must not be scrubbed — scrubbing would fault in pages the
-    /// simulated software never touches.
+    /// never been allocated, so it still reads as the kernel's fresh
+    /// zeros; recycled space below it is recorded in `zeros`.
     high_water: u64,
+    /// Recycled ranges that read as zero although their bytes were never
+    /// cleared — sorted, disjoint, each inside one live allocation.
+    /// `alloc` records one instead of clearing the bytes, so no page of a
+    /// recycled buffer is touched before something writes it; a write or
+    /// copy into one trims it, and `free` drops the freed buffer's.
+    zeros: Vec<Range<usize>>,
     /// Free list: base -> len, coalesced on free.
     free: BTreeMap<u64, u64>,
     /// Live allocations: base -> len (double-free / bad-free detection).
@@ -130,6 +136,11 @@ impl Memory {
             used: 0,
             bytes: Mapping::new(),
             high_water: 0,
+            // A recycled buffer is written or mirrored soon after it is
+            // handed out, so only a few ranges are recorded at once: room
+            // for them now keeps the first recycling — often well inside a
+            // timed run — from allocating.
+            zeros: Vec::with_capacity(4),
             free,
             live: BTreeMap::new(),
         }
@@ -189,13 +200,20 @@ impl Memory {
             self.bytes.grow(need.max(self.bytes.len() * 2).max(floor));
         }
         // Fresh arena space — above the allocation high-water mark — is
-        // still (lazily) zero; explicitly zeroing it would fault in every
-        // page of e.g. a ring buffer whose slots are mostly never
-        // touched. Only recycled space needs scrubbing so that a reused
-        // region reads as zero like fresh pages do.
-        let scrub_end = end.min(self.high_water);
-        if aligned < scrub_end {
-            self.bytes[aligned as usize..scrub_end as usize].fill(0);
+        // still the kernel's zeros. Recycled space must read as zero too,
+        // so that no tenant sees its predecessor's bytes: it is recorded
+        // as zero, and nothing touches its pages until something writes
+        // them.
+        let recycled_end = end.min(self.high_water);
+        if aligned < recycled_end {
+            let r = aligned as usize..recycled_end as usize;
+            let at = self.zeros.partition_point(|z| z.start < r.start);
+            debug_assert!(
+                self.zeros.get(at).is_none_or(|z| r.end <= z.start)
+                    && (at == 0 || self.zeros[at - 1].end <= r.start),
+                "recorded zeros outlived their buffer"
+            );
+            self.zeros.insert(at, r);
         }
         self.high_water = self.high_water.max(end);
         Ok(Buffer {
@@ -221,6 +239,7 @@ impl Memory {
             .unwrap_or_else(|| panic!("free of unknown buffer at {:#x}", buf.addr));
         assert_eq!(len, buf.len, "free with mismatched length");
         self.used -= len;
+        self.forget_zeros(buf.addr as usize..(buf.addr + len) as usize);
         // Insert and coalesce with neighbours.
         let mut base = buf.addr;
         let mut blk_len = len;
@@ -242,7 +261,7 @@ impl Memory {
 
     /// Arena byte range of `[offset, offset+len)` within `buf`, with the
     /// range checks every access makes.
-    fn range(&self, buf: &Buffer, offset: u64, len: usize) -> std::ops::Range<usize> {
+    pub(crate) fn range(&self, buf: &Buffer, offset: u64, len: usize) -> Range<usize> {
         assert_eq!(buf.mem, self.mem);
         assert!(
             offset.checked_add(len as u64).is_some_and(|e| e <= buf.len),
@@ -258,12 +277,29 @@ impl Memory {
     /// Write bytes into a buffer.
     pub fn write(&mut self, buf: &Buffer, offset: u64, data: &[u8]) {
         let r = self.range(buf, offset, data.len());
+        self.forget_zeros(r.clone());
         self.bytes[r].copy_from_slice(data);
     }
 
     /// Read bytes out of a buffer.
     pub fn read(&self, buf: &Buffer, offset: u64, out: &mut [u8]) {
-        out.copy_from_slice(&self.bytes[self.range(buf, offset, out.len())]);
+        let r = self.range(buf, offset, out.len());
+        if self.zeros.is_empty() {
+            return out.copy_from_slice(&self.bytes[r]);
+        }
+        self.read_lazy(r, out);
+    }
+
+    #[cold]
+    fn read_lazy(&self, r: Range<usize>, out: &mut [u8]) {
+        runs(&self.zeros, r.clone(), |run, zero| {
+            let part = &mut out[run.start - r.start..run.end - r.start];
+            if zero {
+                part.fill(0);
+            } else {
+                part.copy_from_slice(&self.bytes[run]);
+            }
+        });
     }
 
     /// Copy `len` bytes between two buffers of this arena. The ranges may
@@ -278,7 +314,34 @@ impl Memory {
     ) {
         let from = self.range(src, src_off, len);
         let to = self.range(dst, dst_off, len);
-        self.bytes.copy_within(from, to.start);
+        if self.zeros.is_empty() {
+            return self.bytes.copy_within(from, to.start);
+        }
+        self.copy_within_lazy(from, to);
+    }
+
+    #[cold]
+    fn copy_within_lazy(&mut self, from: Range<usize>, to: Range<usize>) {
+        if from.start < to.end && to.start < from.end {
+            // Overlapping: make the source's zeros real first, so that the
+            // copy is the one memmove below.
+            runs(&self.zeros, from.clone(), |run, zero| {
+                if zero {
+                    self.bytes[run].fill(0);
+                }
+            });
+            self.forget_zeros(from.clone());
+        }
+        let Memory { bytes, zeros, .. } = self;
+        runs(zeros, from.clone(), |run, zero| {
+            let at = to.start + (run.start - from.start);
+            if zero {
+                bytes[at..at + run.len()].fill(0);
+            } else {
+                bytes.copy_within(run, at);
+            }
+        });
+        self.forget_zeros(to);
     }
 
     /// Copy `len` bytes out of `src` in another arena into `dst` in this
@@ -293,7 +356,60 @@ impl Memory {
         len: usize,
     ) {
         let to = self.range(dst, dst_off, len);
-        self.bytes[to].copy_from_slice(&from.bytes[from.range(src, src_off, len)]);
+        let src = from.range(src, src_off, len);
+        self.forget_zeros(to.clone());
+        if from.zeros.is_empty() {
+            return self.bytes[to].copy_from_slice(&from.bytes[src]);
+        }
+        self.copy_from_lazy(to, from, src);
+    }
+
+    #[cold]
+    fn copy_from_lazy(&mut self, to: Range<usize>, from: &Memory, src: Range<usize>) {
+        runs(&from.zeros, src.clone(), |run, zero| {
+            let at = to.start + (run.start - src.start);
+            let part = &mut self.bytes[at..at + run.len()];
+            if zero {
+                part.fill(0);
+            } else {
+                part.copy_from_slice(&from.bytes[run]);
+            }
+        });
+    }
+
+    /// `r` no longer reads as recorded zeros: it is about to be written,
+    /// mirrored, or freed.
+    #[inline]
+    pub(crate) fn forget_zeros(&mut self, r: Range<usize>) {
+        if !self.zeros.is_empty() {
+            self.trim_zeros(r);
+        }
+    }
+
+    #[cold]
+    fn trim_zeros(&mut self, r: Range<usize>) {
+        let mut i = self.zeros.partition_point(|z| z.end <= r.start);
+        while i < self.zeros.len() && self.zeros[i].start < r.end {
+            let z = self.zeros[i].clone();
+            match (z.start < r.start, r.end < z.end) {
+                (true, true) => {
+                    self.zeros[i].end = r.start;
+                    self.zeros.insert(i + 1, r.end..z.end);
+                    return;
+                }
+                (true, false) => {
+                    self.zeros[i].end = r.start;
+                    i += 1;
+                }
+                (false, true) => {
+                    self.zeros[i].start = r.end;
+                    return;
+                }
+                (false, false) => {
+                    self.zeros.remove(i);
+                }
+            }
+        }
     }
 
     /// Read a buffer fully into a fresh Vec.
@@ -312,7 +428,8 @@ impl Memory {
         self.bytes.commit(r);
     }
 
-    /// Highest allocation end ever handed out: the arena's extent.
+    /// Highest allocation end ever handed out: the arena's extent. Above
+    /// it the arena is the kernel's untouched zeros.
     pub fn high_water(&self) -> u64 {
         self.high_water
     }
@@ -321,6 +438,35 @@ impl Memory {
     /// arena right now, as the kernel counts them over `[0, high_water)`.
     pub fn resident_pages(&self) -> usize {
         self.bytes.resident_pages(0..self.high_water as usize)
+    }
+
+    /// Whether any of `r` is recorded as zero.
+    pub(crate) fn has_zeros_in(&self, r: Range<usize>) -> bool {
+        let mut any = false;
+        runs(&self.zeros, r, |_, zero| any |= zero);
+        any
+    }
+}
+
+/// Walk `r` in address order as maximal runs that lie inside one of the
+/// sorted, disjoint `zeros` (`f(run, true)`) or outside all of them
+/// (`f(run, false)`).
+fn runs(zeros: &[Range<usize>], r: Range<usize>, mut f: impl FnMut(Range<usize>, bool)) {
+    if r.is_empty() {
+        return;
+    }
+    let mut at = r.start;
+    let first = zeros.partition_point(|z| z.end <= r.start);
+    for z in zeros[first..].iter().take_while(|z| z.start < r.end) {
+        if at < z.start {
+            f(at..z.start, false);
+        }
+        let end = z.end.min(r.end);
+        f(at.max(z.start)..end, true);
+        at = end;
+    }
+    if at < r.end {
+        f(at..r.end, false);
     }
 }
 
@@ -413,6 +559,16 @@ mod tests {
         let b = m.alloc(256, 1).unwrap();
         assert_eq!(b.addr, a.addr);
         assert_eq!(m.read_vec(&b), vec![0u8; 256]);
+        // A write into the middle leaves both sides of it reading zero,
+        // and a copy out of them carries zeros, not the old tenant's bytes.
+        m.write(&b, 100, &[1, 2, 3]);
+        let mut want = vec![0u8; 256];
+        want[100..103].copy_from_slice(&[1, 2, 3]);
+        assert_eq!(m.read_vec(&b), want);
+        let c = m.alloc(256, 1).unwrap();
+        m.write(&c, 0, &[0xCD; 256]);
+        m.copy_within(&b, 0, &c, 0, 256);
+        assert_eq!(m.read_vec(&c), want);
     }
 
     #[test]

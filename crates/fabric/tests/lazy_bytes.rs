@@ -1,0 +1,437 @@
+//! Bytes move when they are read, and no program can tell (DESIGN.md §18).
+//!
+//! A PCIe DMA leaves a mirror instead of a copy, and recycled memory is
+//! recorded as zero instead of scrubbed. This file runs seeded random
+//! programs over 2 nodes × 2 domains — alloc, free, write, read, copy,
+//! `pci_dma` and `ib_transfer`, each transfer waited for — against a
+//! reference model that copies and scrubs eagerly, and checks every read
+//! byte for byte. The cases the rules were written for are also spelled
+//! out as programs of their own. Two `mincore` checks hold the point of
+//! it all: a synced twin that is only read is never touched, and a
+//! recycled buffer costs no page until it is written.
+
+use std::sync::Arc;
+
+use fabric::{Buffer, Cluster, ClusterConfig, Domain, MemRef, NodeId};
+use parking_lot::Mutex;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use simcore::mapping::page_size;
+use simcore::{Ctx, Simulation};
+
+fn mem(node: usize, domain: Domain) -> MemRef {
+    MemRef {
+        node: NodeId(node),
+        domain,
+    }
+}
+
+fn pattern(len: u64, salt: u8) -> Vec<u8> {
+    (0..len)
+        .map(|i| (i as u8).wrapping_mul(31) ^ salt)
+        .collect()
+}
+
+/// `len` bytes from buffer `src` at `src_off` to buffer `dst` at `dst_off`
+/// (indices into the live list).
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    src: usize,
+    src_off: u64,
+    dst: usize,
+    dst_off: u64,
+    len: u64,
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    /// Domain, length, alignment.
+    Alloc(MemRef, u64, u64),
+    Free(usize),
+    /// Buffer, offset, length, salt.
+    Write(usize, u64, u64, u8),
+    /// Buffer, offset, length.
+    Read(usize, u64, u64),
+    Copy(Hop),
+    /// Between one node's two domains; waited for.
+    Dma(Hop),
+    /// Initiated by the given node; waited for.
+    Ib(Hop, usize),
+}
+
+/// The cluster and its reference model: every live buffer with the bytes
+/// an eager copy-and-scrub byte plane would hold in it.
+struct World {
+    cl: Arc<Cluster>,
+    live: Vec<(Buffer, Vec<u8>)>,
+    log: Vec<Op>,
+}
+
+impl World {
+    fn fail(&self, what: String) -> String {
+        let tail: Vec<String> = self
+            .log
+            .iter()
+            .rev()
+            .take(12)
+            .map(|o| format!("{o:?}"))
+            .collect();
+        format!("{what}\nlast ops, newest first:\n  {}", tail.join("\n  "))
+    }
+
+    fn check(&self, i: usize, off: u64, len: u64) -> Result<(), String> {
+        let (buf, want) = &self.live[i];
+        let mut got = vec![0xEE; len as usize];
+        self.cl.read(buf, off, &mut got);
+        let want = &want[off as usize..(off + len) as usize];
+        match got.iter().zip(want).position(|(g, w)| g != w) {
+            None => Ok(()),
+            Some(at) => Err(self.fail(format!(
+                "{buf:?} byte {} reads {:#x}, the eager model {:#x}",
+                off as usize + at,
+                got[at],
+                want[at]
+            ))),
+        }
+    }
+
+    fn check_all(&self) -> Result<(), String> {
+        for (i, (buf, want)) in self.live.iter().enumerate() {
+            self.check(i, 0, buf.len)?;
+            if self.cl.read_vec(buf) != *want {
+                return Err(self.fail(format!("read_vec of {buf:?} differs from read")));
+            }
+        }
+        Ok(())
+    }
+
+    /// The model's half of a hop: copy through a temporary, as an eager
+    /// byte plane (or a memmove) would.
+    fn model_hop(&mut self, h: Hop) {
+        let moved = self.live[h.src].1[h.src_off as usize..][..h.len as usize].to_vec();
+        self.live[h.dst].1[h.dst_off as usize..][..h.len as usize].copy_from_slice(&moved);
+    }
+
+    fn slices(&self, h: Hop) -> (Buffer, Buffer) {
+        let src = self.live[h.src].0.slice(h.src_off, h.len);
+        (src, self.live[h.dst].0.slice(h.dst_off, h.len))
+    }
+
+    fn apply(&mut self, ctx: &mut Ctx, op: Op) -> Result<(), String> {
+        self.log.push(op.clone());
+        match op {
+            Op::Alloc(at, len, align) => {
+                let buf = self.cl.alloc(at, len, align).expect("fits");
+                let len = buf.len;
+                self.live.push((buf, vec![0; len as usize]));
+                // Fresh or recycled, a new buffer reads zero.
+                self.check(self.live.len() - 1, 0, len)?;
+            }
+            Op::Free(i) => {
+                let (buf, _) = self.live.remove(i);
+                self.cl.free(&buf);
+            }
+            Op::Write(i, off, len, salt) => {
+                let data = pattern(len, salt);
+                self.cl.write(&self.live[i].0, off, &data);
+                self.live[i].1[off as usize..][..len as usize].copy_from_slice(&data);
+            }
+            Op::Read(i, off, len) => self.check(i, off, len)?,
+            Op::Copy(h) => {
+                let (src, dst) = (&self.live[h.src].0, &self.live[h.dst].0);
+                self.cl.copy(src, h.src_off, dst, h.dst_off, h.len);
+                self.model_hop(h);
+            }
+            Op::Dma(h) => {
+                let (src, dst) = self.slices(h);
+                let t = self.cl.pci_dma(&src, &dst, ctx.now());
+                ctx.wait(&t.completion);
+                self.model_hop(h);
+            }
+            Op::Ib(h, initiator) => {
+                let (src, dst) = self.slices(h);
+                let t = self
+                    .cl
+                    .ib_transfer(&src, &dst, NodeId(initiator), ctx.now());
+                ctx.wait(&t.completion);
+                self.model_hop(h);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Run `body` as the only process of a fresh 2-node cluster and return
+/// its verdict.
+fn on_world(body: impl FnOnce(&mut Ctx, &mut World) -> Result<(), String> + Send + 'static) {
+    let mut sim = Simulation::new();
+    let cl = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(2));
+    let verdict = Arc::new(Mutex::new(None));
+    let verdict2 = verdict.clone();
+    sim.spawn("program", move |ctx| {
+        let mut w = World {
+            cl,
+            live: Vec::new(),
+            log: Vec::new(),
+        };
+        let v = body(ctx, &mut w).and_then(|()| w.check_all());
+        *verdict2.lock() = Some(v);
+    });
+    sim.run_expect();
+    let v = verdict.lock().take().expect("the program ran to its end");
+    v.unwrap_or_else(|e| panic!("{e}"));
+}
+
+fn run_program(ops: Vec<Op>) {
+    on_world(move |ctx, w| ops.into_iter().try_for_each(|op| w.apply(ctx, op)));
+}
+
+// ---- random programs ----------------------------------------------------------
+
+const SEEDS: u64 = 48;
+const OPS: usize = 300;
+
+fn random_len(rng: &mut StdRng) -> u64 {
+    match rng.random_range(0..4u32) {
+        0 => rng.random_range(1..=64u64),
+        1 => 4096 * rng.random_range(1..=3u64),
+        _ => rng.random_range(1..=12_288u64),
+    }
+}
+
+/// An offset and a length inside a `len`-byte buffer: often a short
+/// stamp, often the whole buffer.
+fn random_span(rng: &mut StdRng, len: u64) -> (u64, u64) {
+    match rng.random_range(0..3u32) {
+        0 => (0, len),
+        1 => {
+            let n = rng.random_range(1..=16u64).min(len);
+            (rng.random_range(0..=len - n), n)
+        }
+        _ => {
+            let off = rng.random_range(0..len);
+            (off, rng.random_range(1..=len - off))
+        }
+    }
+}
+
+fn random_hop(rng: &mut StdRng, live: &[(Buffer, Vec<u8>)], src: usize, dst: usize) -> Hop {
+    let most = live[src].0.len.min(live[dst].0.len);
+    let (_, len) = random_span(rng, most);
+    Hop {
+        src,
+        src_off: rng.random_range(0..=live[src].0.len - len),
+        dst,
+        dst_off: rng.random_range(0..=live[dst].0.len - len),
+        len,
+    }
+}
+
+fn random_op(rng: &mut StdRng, live: &[(Buffer, Vec<u8>)]) -> Op {
+    let n = live.len();
+    if n < 3 || (n < 12 && rng.random_range(0..6u32) == 0) {
+        let at = mem(
+            rng.random_range(0..2usize),
+            [Domain::Host, Domain::Phi][rng.random_range(0..2usize)],
+        );
+        let align = [1, 8, 4096][rng.random_range(0..3usize)];
+        return Op::Alloc(at, random_len(rng), align);
+    }
+    if n >= 12 || rng.random_range(0..8u32) == 0 {
+        return Op::Free(rng.random_range(0..n));
+    }
+    let (i, other) = (rng.random_range(0..n), rng.random_range(0..n));
+    let len = live[i].0.len;
+    match rng.random_range(0..5u32) {
+        0 => {
+            let (off, len) = random_span(rng, len);
+            Op::Write(i, off, len, rng.random())
+        }
+        1 => {
+            let (off, len) = random_span(rng, len);
+            Op::Read(i, off, len)
+        }
+        2 => Op::Copy(random_hop(rng, live, i, other)),
+        3 => {
+            // A DMA partner: the same node, the other domain.
+            let at = live[i].0.mem;
+            let partners: Vec<usize> = (0..n)
+                .filter(|&j| live[j].0.mem.node == at.node && live[j].0.mem.domain != at.domain)
+                .collect();
+            if partners.is_empty() {
+                return Op::Read(i, 0, len);
+            }
+            let j = partners[rng.random_range(0..partners.len())];
+            let (src, dst) = if rng.random::<bool>() { (i, j) } else { (j, i) };
+            Op::Dma(random_hop(rng, live, src, dst))
+        }
+        _ => {
+            let hop = random_hop(rng, live, i, other);
+            Op::Ib(hop, rng.random_range(0..2usize))
+        }
+    }
+}
+
+#[test]
+fn random_programs_read_what_an_eager_copy_would_have_written() {
+    for seed in 0..SEEDS {
+        on_world(move |ctx, w| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for step in 0..OPS {
+                let op = random_op(&mut rng, &w.live);
+                w.apply(ctx, op)
+                    .map_err(|e| format!("seed {seed}, op {step}: {e}"))?;
+                if step % 32 == 31 {
+                    w.check_all()
+                        .map_err(|e| format!("seed {seed}, op {step}: {e}"))?;
+                }
+            }
+            Ok(())
+        });
+    }
+}
+
+// ---- the cases the rules were written for -------------------------------------
+
+const PHI0: usize = 0;
+const TWIN: usize = 1;
+const LEN: u64 = 3 * 4096;
+
+fn whole(src: usize, dst: usize) -> Hop {
+    Hop {
+        src,
+        src_off: 0,
+        dst,
+        dst_off: 0,
+        len: LEN,
+    }
+}
+
+/// A Phi buffer with a pattern in it and a host twin, both on node 0.
+fn phi_and_twin() -> Vec<Op> {
+    vec![
+        Op::Alloc(mem(0, Domain::Phi), LEN, 4096),
+        Op::Alloc(mem(0, Domain::Host), LEN, 4096),
+        Op::Write(PHI0, 0, LEN, 0x11),
+    ]
+}
+
+#[test]
+fn sync_to_a_twin_and_back() {
+    // `sync_to_twin`, the twin is written on the host, `sync_from_twin`
+    // — as a host-staged collective does — and once more with the Phi
+    // side stamped in between.
+    let mut ops = phi_and_twin();
+    ops.extend([
+        Op::Dma(whole(PHI0, TWIN)),
+        Op::Read(TWIN, 0, LEN),
+        Op::Write(TWIN, 100, 8, 0x22),
+        Op::Dma(whole(TWIN, PHI0)),
+        Op::Read(PHI0, 0, LEN),
+        Op::Dma(whole(PHI0, TWIN)),
+        Op::Dma(whole(TWIN, PHI0)),
+        Op::Write(PHI0, 4000, 200, 0x33),
+        Op::Read(TWIN, 0, LEN),
+        Op::Dma(whole(TWIN, PHI0)),
+    ]);
+    run_program(ops);
+}
+
+#[test]
+fn a_mirror_whose_source_is_itself_mirrored() {
+    // Phi → twin, then twin → a second Phi buffer, then twin → a remote
+    // node: the second hop's source is a mirror.
+    let mut ops = phi_and_twin();
+    ops.extend([
+        Op::Alloc(mem(0, Domain::Phi), LEN, 4096),
+        Op::Alloc(mem(1, Domain::Host), LEN, 4096),
+        Op::Dma(whole(PHI0, TWIN)),
+        Op::Dma(whole(TWIN, 2)),
+        Op::Ib(whole(TWIN, 3), 1),
+        Op::Write(PHI0, 0, 8, 0x44),
+        Op::Read(TWIN, 0, LEN),
+        Op::Read(2, 0, LEN),
+        Op::Write(2, 8, 4096, 0x55),
+        Op::Dma(whole(2, TWIN)),
+        Op::Write(2, 0, LEN, 0x66),
+        Op::Read(TWIN, 0, LEN),
+        Op::Read(3, 0, LEN),
+    ]);
+    run_program(ops);
+}
+
+#[test]
+fn freeing_either_end_of_a_mirror() {
+    // Free the source: the twin keeps its bytes. Free the destination:
+    // the source is untouched, and the recycled twin reads zero.
+    let mut ops = phi_and_twin();
+    ops.extend([
+        Op::Dma(whole(PHI0, TWIN)),
+        Op::Write(PHI0, 8, 8, 0x77),
+        Op::Free(PHI0),
+        Op::Read(0, 0, LEN),
+        Op::Alloc(mem(0, Domain::Phi), LEN, 4096),
+        Op::Write(1, 0, LEN, 0x88),
+        Op::Dma(whole(1, 0)),
+        Op::Free(0),
+        Op::Read(0, 0, LEN),
+        Op::Alloc(mem(0, Domain::Host), LEN, 4096),
+        Op::Write(0, 0, 4, 0x99),
+        Op::Read(1, 0, LEN),
+    ]);
+    run_program(ops);
+}
+
+// ---- what the host does not touch -------------------------------------------
+
+/// Resident pages behind node 0's host arena.
+fn host_pages(cl: &Cluster) -> u64 {
+    cl.mem_resident(mem(0, Domain::Host)) / page_size() as u64
+}
+
+#[test]
+fn a_synced_twin_that_is_only_read_touches_no_page() {
+    on_world(|ctx, w| {
+        let len = 64 << 10;
+        let cl = w.cl.clone();
+        let phi = cl.alloc_pages(mem(0, Domain::Phi), len).unwrap();
+        let twin = cl.alloc_pages(mem(0, Domain::Host), len).unwrap();
+        let far = cl.alloc_pages(mem(1, Domain::Phi), len).unwrap();
+        let data = pattern(len, 0x5A);
+        cl.write(&phi, 0, &data);
+        assert_eq!(host_pages(&cl), 0);
+        let sync = cl.pci_dma(&phi, &twin, ctx.now());
+        ctx.wait(&sync.completion);
+        // An RDMA READ of the twin by the far node.
+        let read = cl.ib_transfer(&twin, &far, NodeId(1), ctx.now());
+        ctx.wait(&read.completion);
+        assert_eq!(cl.read_vec(&far), data);
+        assert_eq!(cl.read_vec(&twin), data);
+        assert_eq!(host_pages(&cl), 0, "the twin was written");
+        // An 8-byte stamp into the source costs the twin one page.
+        cl.write(&phi, 0, &[0xFF; 8]);
+        assert_eq!(host_pages(&cl), 1);
+        assert_eq!(cl.read_vec(&twin), data);
+        Ok(())
+    });
+}
+
+#[test]
+fn a_recycled_buffer_touches_no_page_until_it_is_written() {
+    on_world(|_ctx, w| {
+        let len = 64 << 10;
+        let cl = w.cl.clone();
+        let first = cl.alloc_pages(mem(0, Domain::Host), len).unwrap();
+        cl.free(&first);
+        let again = cl.alloc_pages(mem(0, Domain::Host), len).unwrap();
+        assert_eq!(again.addr, first.addr, "the space is recycled");
+        assert_eq!(cl.read_vec(&again), vec![0; len as usize]);
+        assert_eq!(host_pages(&cl), 0, "recycling touched the buffer");
+        cl.write(&again, len / 2, &[1]);
+        assert_eq!(host_pages(&cl), 1);
+        let mut want = vec![0; len as usize];
+        want[len as usize / 2] = 1;
+        assert_eq!(cl.read_vec(&again), want);
+        Ok(())
+    });
+}

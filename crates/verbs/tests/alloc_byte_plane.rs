@@ -1,10 +1,12 @@
-//! Allocation gate for the byte plane: a modelled hop moves its payload
-//! with one arena-to-arena memcpy, so neither a `pci_dma` nor an RDMA READ
-//! may allocate anything payload-sized — only the small boxed completion
-//! event. A counting global allocator sums the bytes the test's own
-//! thread requests (the whole simulation runs on it) over 1,000 rounds of
-//! a 64 KiB offload sync plus a 64 KiB RDMA READ, as an offloaded
-//! rendezvous makes them.
+//! Allocation gate for the byte plane: a `pci_dma` leaves a mirror and an
+//! RDMA READ is one arena-to-arena memcpy, so neither may allocate
+//! anything payload-sized — only the small boxed completion event — and
+//! the mirror list must not allocate in steady state. A counting global
+//! allocator sums the bytes the test's own thread requests (the whole
+//! simulation runs on it) over 1,000 rounds of a 64 KiB offload sync plus
+//! a 64 KiB RDMA READ, as an offloaded rendezvous makes them, with an
+//! 8-byte stamp into the synced source in between: the stamp's bytes are
+//! copied into the twin and the mirror splits around them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -56,10 +58,12 @@ const WARMUP_ROUNDS: u64 = 16;
 const ROUNDS: u64 = 1000;
 /// The gate: heap bytes per transfer (two transfers a round).
 const LIMIT: u64 = 1 << 10;
+const STAMP: [u8; 8] = [0xA5; 8];
 
 /// Heap bytes per transfer over `ROUNDS` rounds of `pci_dma` (Phi to host
-/// twin) + RDMA READ (remote host into local Phi), each waited for, then
-/// `extra` on the buffer the round filled.
+/// twin) + RDMA READ (remote host into local Phi), each waited for, an
+/// 8-byte stamp into the middle of the Phi buffer, then `extra` on the
+/// twin.
 fn bytes_per_transfer(extra: fn(&Cluster, &Buffer)) -> u64 {
     let mut sim = Simulation::new();
     let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(2));
@@ -90,6 +94,7 @@ fn bytes_per_transfer(extra: fn(&Cluster, &Buffer)) -> u64 {
             assert_eq!(cq.wait(ctx).status, WcStatus::Success);
             let sync = cluster.pci_dma(&phi, &twin, ctx.now());
             ctx.wait(&sync.completion);
+            cluster.write(&phi, LEN / 2, &STAMP);
             extra(&cluster, &twin);
         };
         for _ in 0..WARMUP_ROUNDS {
@@ -101,8 +106,12 @@ fn bytes_per_transfer(extra: fn(&Cluster, &Buffer)) -> u64 {
             round(ctx);
         }
         let used = BYTES.get() - before;
-        // The bytes did move, both hops.
+        // The bytes did move, both hops, and the stamp landed after the
+        // sync: in the source only.
         assert_eq!(cluster.read_vec(&twin), vec![0x5A; LEN as usize]);
+        let mut stamped = vec![0x5A; LEN as usize];
+        stamped[LEN as usize / 2..][..STAMP.len()].copy_from_slice(&STAMP);
+        assert_eq!(cluster.read_vec(&phi), stamped);
         *measured2.lock() = Some(used / (2 * ROUNDS));
     });
     sim.run_expect();
