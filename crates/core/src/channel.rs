@@ -662,13 +662,12 @@ impl Channel {
         let cluster = res.cluster();
         let rank = self.rank;
 
-        // The whole slot under one acquisition of each arena involved
-        // (one, unless the payload lives elsewhere than the staging
-        // region). Nobody reads the slot before the post below.
+        // The whole slot under one acquisition of the byte plane. Nobody
+        // reads the slot before the post below.
         let mut hdr_bytes = [0u8; HEADER_BYTES];
         hdr.encode_into(&mut hdr_bytes);
         let tail = tail_word(slot_seq).to_le_bytes();
-        cluster.with_mems(stage.mem, payload.map_or(stage.mem, |p| p.mem), |m| {
+        cluster.with_plane(|m| {
             m.write(&stage, base, &hdr_bytes);
             if let Some(p) = payload {
                 m.copy(p, 0, &stage, base + HEADER_LEN, p.len);
@@ -783,8 +782,8 @@ impl Channel {
     fn parse_slot(&self, res: &Resources, buf: &Buffer, base: u64) -> Option<(PacketHeader, u64)> {
         #[cfg(test)]
         self.slot_parses.set(self.slot_parses.get() + 1);
-        // Header and tail under one acquisition of the ring's arena.
-        res.cluster().with_mem(buf.mem, |m| {
+        // Header and tail under one acquisition of the byte plane.
+        res.cluster().with_plane(|m| {
             let mut hdr_bytes = [0u8; HEADER_BYTES];
             m.read(buf, base, &mut hdr_bytes);
             let hdr = PacketHeader::decode(&hdr_bytes)?;

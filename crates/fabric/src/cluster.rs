@@ -13,13 +13,13 @@ use crate::config::{ClusterConfig, Domain};
 use crate::faults::{LinkFault, LinkFaultKind};
 use crate::health::HealthBoard;
 use crate::mem::{Buffer, MemRef, Memory, NodeId, OutOfMemory};
-use crate::plane::{Arenas, NodeMem};
+use crate::plane::Plane;
 
 /// A scheduled data movement: channel reservations are made at post time
 /// (deterministically); at `end` the destination takes the source's bytes
-/// as they are then, not as they were at post — a PCIe DMA by recording
-/// that the destination reads as the source, a hop between nodes by one
-/// arena-to-arena memcpy — and `completion` fires. Until `end` the
+/// as they are then, not as they were at post — by one [`Plane::copy`],
+/// which records a long transfer as the destination reading as the source
+/// and copies a short one — and `completion` fires. Until `end` the
 /// destination keeps its old content, and the poster must leave the source
 /// alone, as MPI and verbs require of any in-flight buffer.
 #[derive(Clone)]
@@ -33,8 +33,6 @@ pub struct Transfer {
 }
 
 struct NodeState {
-    /// Host and Phi memory and the mirrors between them, one lock.
-    mem: Arc<Mutex<NodeMem>>,
     /// PCIe, host→Phi direction (offload copy-in, HCA writes into Phi mem).
     pci_h2p: Mutex<BwChannel>,
     /// PCIe, Phi→host direction (offload sync/copy-out, HCA reads from Phi).
@@ -50,6 +48,9 @@ struct NodeState {
 pub struct Cluster {
     cfg: ClusterConfig,
     sched: Scheduler,
+    /// Every node's host and Phi memory and the mirrors between them, one
+    /// lock (see [`crate::plane`]).
+    plane: Arc<Mutex<Plane>>,
     nodes: Vec<NodeState>,
     /// Armed per-link fault plans (see [`crate::faults`]). Device models
     /// consult these on every posted data operation.
@@ -65,25 +66,27 @@ pub struct Cluster {
 
 impl Cluster {
     pub fn new(sched: Scheduler, cfg: ClusterConfig) -> Arc<Cluster> {
+        let arenas = (0..cfg.nodes).flat_map(|i| {
+            let node = NodeId(i);
+            let arena = |domain, capacity| Memory::new(MemRef { node, domain }, capacity);
+            [
+                arena(Domain::Host, cfg.host_mem_capacity),
+                arena(Domain::Phi, cfg.phi_mem_capacity),
+            ]
+        });
+        let plane = Arc::new(Mutex::new(Plane::new(arenas.collect())));
         let nodes = (0..cfg.nodes)
-            .map(|i| {
-                let node = NodeId(i);
-                let arena = |domain, capacity| Memory::new(MemRef { node, domain }, capacity);
-                NodeState {
-                    mem: Arc::new(Mutex::new(NodeMem::new(
-                        arena(Domain::Host, cfg.host_mem_capacity),
-                        arena(Domain::Phi, cfg.phi_mem_capacity),
-                    ))),
-                    pci_h2p: Mutex::new(BwChannel::new("pci-h2p")),
-                    pci_p2h: Mutex::new(BwChannel::new("pci-p2h")),
-                    ib_egress: Mutex::new(BwChannel::new("ib-egress")),
-                    ib_ingress: Mutex::new(BwChannel::new("ib-ingress")),
-                }
+            .map(|_| NodeState {
+                pci_h2p: Mutex::new(BwChannel::new("pci-h2p")),
+                pci_p2h: Mutex::new(BwChannel::new("pci-p2h")),
+                ib_egress: Mutex::new(BwChannel::new("ib-egress")),
+                ib_ingress: Mutex::new(BwChannel::new("ib-ingress")),
             })
             .collect();
         Arc::new(Cluster {
             cfg,
             sched,
+            plane,
             nodes,
             link_faults: Mutex::new(Vec::new()),
             link_faults_armed: AtomicUsize::new(0),
@@ -169,18 +172,11 @@ impl Cluster {
         self.link_faults_armed.load(Ordering::Acquire)
     }
 
-    fn node_mem(&self, node: NodeId) -> &Arc<Mutex<NodeMem>> {
-        &self.node(node).mem
-    }
-
     // ---- memory plane -----------------------------------------------------
 
     /// Allocate in a domain with explicit alignment.
     pub fn alloc(&self, mem: MemRef, len: u64, align: u64) -> Result<Buffer, OutOfMemory> {
-        self.node_mem(mem.node)
-            .lock()
-            .arena_mut(mem.domain)
-            .alloc(len, align)
+        self.plane.lock().arena_mut(mem).alloc(len, align)
     }
 
     /// Allocate page-aligned.
@@ -190,66 +186,52 @@ impl Cluster {
 
     /// Free a buffer. A mirror reading from it gets its bytes first.
     pub fn free(&self, buf: &Buffer) {
-        self.node_mem(buf.mem.node).lock().free(buf);
+        self.plane.lock().free(buf);
     }
 
     /// Bytes currently allocated in a domain.
     pub fn mem_used(&self, mem: MemRef) -> u64 {
-        self.node_mem(mem.node).lock().arena(mem.domain).used()
+        self.plane.lock().arena(mem).used()
     }
 
     /// The extent of a domain's arena: the highest allocation end it ever
     /// handed out.
     pub fn mem_high_water(&self, mem: MemRef) -> u64 {
-        self.node_mem(mem.node)
-            .lock()
-            .arena(mem.domain)
-            .high_water()
+        self.plane.lock().arena(mem).high_water()
     }
 
     /// Bytes of host memory backing a domain's arena right now (whole host
     /// pages, as the kernel counts them): what the simulated software
     /// wrote, not what it allocated.
     pub fn mem_resident(&self, mem: MemRef) -> u64 {
-        let pages = self
-            .node_mem(mem.node)
-            .lock()
-            .arena(mem.domain)
-            .resident_pages();
+        let pages = self.plane.lock().arena(mem).resident_pages();
         (pages * simcore::mapping::page_size()) as u64
     }
 
     /// Back `[offset, offset+len)` of `buf` with real host pages, contents
     /// unchanged (see [`Memory::commit`]).
     pub fn commit(&self, buf: &Buffer, offset: u64, len: u64) {
-        let mut node = self.node_mem(buf.mem.node).lock();
-        node.arena_mut(buf.mem.domain).commit(buf, offset, len);
+        let mut plane = self.plane.lock();
+        plane.arena_mut(buf.mem).commit(buf, offset, len);
     }
 
-    /// Run `f` on the memory of `mem`'s node, locked once for everything
-    /// `f` does there (content plane only, like [`Cluster::write`]): a
-    /// caller with several reads or writes in one arena — a ring slot's
-    /// header and tail — makes them one acquisition instead of one each.
-    pub fn with_mem<R>(&self, mem: MemRef, f: impl FnOnce(&mut Arenas<'_>) -> R) -> R {
-        self.with_mems(mem, mem, f)
-    }
-
-    /// [`Cluster::with_mem`] for work between two arenas (which may be in
-    /// one node): all of a work request's gather/scatter copies under one
-    /// acquisition per node.
-    pub fn with_mems<R>(&self, a: MemRef, b: MemRef, f: impl FnOnce(&mut Arenas<'_>) -> R) -> R {
-        let (a, b) = (a.node, b.node);
-        with_nodes((self.node_mem(a), a), (self.node_mem(b), b), f)
+    /// Run `f` on the byte plane, locked once for everything `f` does
+    /// (content plane only, like [`Cluster::write`]): a caller with several
+    /// reads, writes or copies — a ring slot's header and tail, all of a
+    /// work request's gather/scatter copies — makes them one acquisition
+    /// instead of one each.
+    pub fn with_plane<R>(&self, f: impl FnOnce(&mut Plane) -> R) -> R {
+        f(&mut self.plane.lock())
     }
 
     /// Write bytes (content plane only — charge time separately if needed).
     pub fn write(&self, buf: &Buffer, offset: u64, data: &[u8]) {
-        self.with_mem(buf.mem, |m| m.write(buf, offset, data));
+        self.plane.lock().write(buf, offset, data);
     }
 
     /// Read bytes.
     pub fn read(&self, buf: &Buffer, offset: u64, out: &mut [u8]) {
-        self.with_mem(buf.mem, |m| m.read(buf, offset, out));
+        self.plane.lock().read(buf, offset, out);
     }
 
     /// Read a whole buffer.
@@ -264,15 +246,14 @@ impl Cluster {
         simcore::transfer_time(bytes, self.cfg.cost.copy_bw(domain))
     }
 
-    /// Move `len` bytes from `src[src_off..]` to `dst[dst_off..]` with one
-    /// memcpy, arena to arena, reading through any mirror the source lies
-    /// in (content plane only, like [`Cluster::write`]). Every modelled hop
-    /// but a PCIe DMA moves its payload through here. Ranges within one
-    /// arena may overlap (memmove semantics).
+    /// Move `len` bytes from `src[src_off..]` to `dst[dst_off..]` (content
+    /// plane only, like [`Cluster::write`]) with [`Plane::copy`]: between
+    /// two arenas, [`MIRROR_MIN`](crate::MIRROR_MIN) bytes or more record
+    /// that `dst` reads as `src`; anything else is one memcpy, reading
+    /// through any mirror the source lies in. Ranges within one arena may
+    /// overlap (memmove semantics).
     pub fn copy(&self, src: &Buffer, src_off: u64, dst: &Buffer, dst_off: u64, len: u64) {
-        self.with_mems(src.mem, dst.mem, |m| {
-            m.copy(src, src_off, dst, dst_off, len)
-        });
+        self.plane.lock().copy(src, src_off, dst, dst_off, len);
     }
 
     /// CPU-driven local copy within one domain. Moves the bytes immediately
@@ -427,14 +408,15 @@ impl Cluster {
 
     /// Land the bytes and fire the completion at `end`. The event carries
     /// the two buffers, not the payload: the source is taken as it is at
-    /// `end`, the rule verbs delivery follows too. Between a node's host
-    /// and Phi memory — a PCIe DMA — nothing is copied: the destination is
-    /// recorded as reading as the source, and the bytes move when something
-    /// reads them, from where they are (see [`crate::plane`]); a hop
-    /// between nodes is one memcpy. A correct program cannot tell this
-    /// from a DMA engine streaming the source over `[start, end]` — every
-    /// poster blocks on the completion before touching either buffer, and
-    /// mutating an in-flight source is an MPI/verbs usage error.
+    /// `end`, the rule verbs delivery follows too. Landing is one
+    /// [`Plane::copy`]: a transfer of [`MIRROR_MIN`](crate::MIRROR_MIN)
+    /// bytes or more copies nothing — the destination is recorded as
+    /// reading as the source, and the bytes move when something reads
+    /// them, from where they are (see [`crate::plane`]); a shorter one is
+    /// one memcpy. A correct program cannot tell this from a DMA engine
+    /// streaming the source over `[start, end]` — every poster blocks on
+    /// the completion before touching either buffer, and mutating an
+    /// in-flight source is an MPI/verbs usage error.
     fn finish_transfer(
         &self,
         src: &Buffer,
@@ -443,13 +425,11 @@ impl Cluster {
         end: SimTime,
     ) -> Transfer {
         let (src, dst) = (src.clone(), dst.clone());
-        let src_node = self.node_mem(src.mem.node).clone();
-        let dst_node = self.node_mem(dst.mem.node).clone();
+        let plane = self.plane.clone();
         let completion = Completion::new();
         let c2 = completion.clone();
         self.sched.call_at(end, move |s| {
-            let (a, b) = ((&*src_node, src.mem.node), (&*dst_node, dst.mem.node));
-            with_nodes(a, b, |m| m.land(&src, &dst));
+            plane.lock().copy(&src, 0, &dst, 0, src.len);
             c2.complete_now(s);
         });
         Transfer {
@@ -480,27 +460,6 @@ impl Cluster {
                 .collect(),
         }
     }
-}
-
-/// Lock node `a` and, if it is another one, node `b` — always in node
-/// order, so that opposite copies can never deadlock — and run `f` on them.
-fn with_nodes<R>(
-    (a_mem, a): (&Mutex<NodeMem>, NodeId),
-    (b_mem, b): (&Mutex<NodeMem>, NodeId),
-    f: impl FnOnce(&mut Arenas<'_>) -> R,
-) -> R {
-    if a == b {
-        return f(&mut Arenas::new(&mut a_mem.lock(), None));
-    }
-    let (mut first, mut second);
-    if a < b {
-        first = a_mem.lock();
-        second = b_mem.lock();
-    } else {
-        second = b_mem.lock();
-        first = a_mem.lock();
-    }
-    f(&mut Arenas::new(&mut first, Some(&mut second)))
 }
 
 /// Per-node fabric utilization snapshot (see [`Cluster::fabric_stats`]).

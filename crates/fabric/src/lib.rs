@@ -12,10 +12,10 @@
 //!   software stack is built from: [`Cluster::pci_dma`] (host↔Phi DMA
 //!   engine) and [`Cluster::ib_transfer`] (HCA→wire→HCA path, including the
 //!   slow DMA-read-from-Phi leg that motivates the paper's offloading send
-//!   buffer). Bytes move when they are read: a PCIe DMA records that its
-//!   destination reads as its source, and every other modelled hop moves
-//!   its bytes with [`Cluster::copy`] — one memcpy, arena to arena, from
-//!   wherever the source's bytes are.
+//!   buffer). Bytes move when they are read: every modelled hop lands
+//!   through [`Plane::copy`], which records that a destination of
+//!   [`MIRROR_MIN`] bytes or more in another arena reads as its source,
+//!   and copies anything shorter from wherever the source's bytes are.
 //! * [`ClusterConfig`]/[`CostModel`] — Table-I-analogue configuration with
 //!   constants calibrated against the paper's printed numbers.
 
@@ -35,4 +35,4 @@ pub use config::{ClusterConfig, CostModel, Domain, PAGE_SIZE};
 pub use faults::{LinkFault, LinkFaultKind};
 pub use health::{HealthBoard, PeerState};
 pub use mem::{Buffer, MemRef, Memory, NodeId, OutOfMemory};
-pub use plane::Arenas;
+pub use plane::{Plane, MIRROR_MIN};

@@ -1,10 +1,11 @@
-//! The byte plane of one node: its two arenas and the mirrors between them.
+//! The byte plane: every arena of the cluster and the mirrors between them.
 //!
-//! Bytes move when they are read (DESIGN.md §18). A PCIe DMA between a
-//! node's host and Phi memory does not copy when it completes: it records
-//! a [`Mirror`], "`dst` reads as `src`". Every access resolves through the
-//! mirrors, so an offloaded rendezvous's RDMA READ of a host twin copies
-//! straight out of the Phi send buffer and the twin is never written:
+//! Bytes move when they are read (DESIGN.md §18). A hop of at least
+//! [`MIRROR_MIN`] bytes between two arenas — a PCIe DMA, an InfiniBand
+//! transfer, the payload of an RDMA WRITE or READ — does not copy: it
+//! records a [`Mirror`], "`dst` reads as `src`". Every access resolves
+//! through the mirrors, so a rendezvous payload is copied by nobody until
+//! something overwrites the buffer it came from:
 //!
 //! * a read or copy out of a mirrored range is served from its source;
 //! * a write into a mirror's source first copies the bytes it overwrites
@@ -13,17 +14,31 @@
 //! * a free copies out the mirrors that read from the freed buffer and
 //!   ends those that write into it.
 //!
-//! Every read therefore returns what an eager copy would have written.
-//! A mirror never leaves its node, so the node's one lock guards both
-//! arenas and the list.
+//! A hop whose source lies in a mirror's destination records a mirror of
+//! that mirror's source, so a source always holds its own bytes. Every read
+//! therefore returns what an eager copy would have written. A mirror may
+//! join any two arenas of the cluster, so the whole plane is one lock.
 
 use std::ops::Range;
 
 use crate::config::Domain;
-use crate::mem::{Buffer, MemRef, Memory, NodeId};
+use crate::mem::{Buffer, MemRef, Memory};
 
-/// "`dst` reads as `src`": what a PCIe DMA leaves instead of a copy. The
-/// two buffers have one length and lie in one node's two domains.
+/// The shortest hop between two arenas that records a mirror; a shorter
+/// one copies. It sits above the largest eager ring write (an 8 KiB
+/// payload plus header and tail): such a write is re-sourced from a reused
+/// staging slot, so its mirror would pay the bookkeeping and then be copied
+/// when the slot is rewritten. Host ns per hop between two nodes, 64
+/// buffer pairs, copied | mirrored (Intel Xeon, release build): a
+/// rendezvous-shaped hop (an 8-byte stamp into the source, then the whole
+/// destination read) breaks even at 12 KiB (676 | 670) and gains from
+/// there (1,224 | 706 at 16 KiB); a slot-shaped one (the whole source
+/// rewritten, then a header read) loses at every length (496 | 696 at
+/// 8 KiB, 1,264 | 1,458 at 16 KiB).
+pub const MIRROR_MIN: u64 = 16 << 10;
+
+/// "`dst` reads as `src`": what a long hop between two arenas leaves
+/// instead of a copy. The two buffers have one length.
 #[derive(Clone, Debug)]
 struct Mirror {
     src: Buffer,
@@ -43,6 +58,11 @@ impl Mirror {
     }
 }
 
+/// Where `mem`'s arena sits in [`Plane::arenas`].
+fn slot(mem: MemRef) -> usize {
+    mem.node.0 * 2 + usize::from(mem.domain == Domain::Phi)
+}
+
 fn span(buf: &Buffer) -> Range<u64> {
     buf.addr..buf.addr + buf.len
 }
@@ -52,393 +72,404 @@ fn overlap(a: Range<u64>, b: Range<u64>) -> Option<Range<u64>> {
     (o.start < o.end).then_some(o)
 }
 
-/// A node's host and Phi arenas, read and written as they are stored:
-/// no mirror consulted.
-struct Domains {
-    host: Memory,
-    phi: Memory,
+/// `src`'s bytes into `dst`, as stored: one memcpy (a memmove inside one
+/// arena), no mirror consulted.
+fn raw_copy(arenas: &mut [Memory], src: &Buffer, dst: &Buffer) {
+    let (s, d, len) = (slot(src.mem), slot(dst.mem), src.len as usize);
+    if s == d {
+        return arenas[d].copy_within(src, 0, dst, 0, len);
+    }
+    let (lo, hi) = arenas.split_at_mut(s.max(d));
+    let (to, from) = if d < s {
+        (&mut lo[d], &hi[0])
+    } else {
+        (&mut hi[0], &lo[s])
+    };
+    to.copy_from(dst, 0, from, src, 0, len);
 }
 
-impl Domains {
-    fn get(&self, d: Domain) -> &Memory {
-        match d {
-            Domain::Host => &self.host,
-            Domain::Phi => &self.phi,
-        }
-    }
+/// One arena's view of the mirror index: `(address, mirror id)` pairs.
+#[derive(Default)]
+struct Ends {
+    /// The mirrors writing into the arena, by destination address.
+    /// Destinations are disjoint, so their ends are in order too.
+    into: Vec<(u64, u32)>,
+    /// The mirrors reading from the arena, by source address, then id.
+    /// Sources may overlap.
+    from: Vec<(u64, u32)>,
+    /// No source in `from` is longer, so one that overlaps `r` starts
+    /// after `r.start - reach`.
+    reach: u64,
+}
 
-    fn get_mut(&mut self, d: Domain) -> &mut Memory {
-        match d {
-            Domain::Host => &mut self.host,
-            Domain::Phi => &mut self.phi,
-        }
-    }
-
-    /// `len` bytes from `src[src_off..]` to `dst[dst_off..]`, one memcpy
-    /// (a memmove inside one arena).
-    fn copy(&mut self, src: &Buffer, src_off: u64, dst: &Buffer, dst_off: u64, len: u64) {
-        let len = len as usize;
-        let (to, from) = match (dst.mem.domain, src.mem.domain) {
-            (d, s) if d == s => {
-                return self.get_mut(d).copy_within(src, src_off, dst, dst_off, len);
-            }
-            (Domain::Host, _) => (&mut self.host, &self.phi),
-            (Domain::Phi, _) => (&mut self.phi, &self.host),
-        };
-        to.copy_from(dst, dst_off, from, src, src_off, len);
+fn unindex(list: &mut Vec<(u64, u32)>, key: (u64, u32)) {
+    let at = list.binary_search(&key);
+    debug_assert!(at.is_ok(), "mirror index lost {key:?}");
+    if let Ok(at) = at {
+        list.remove(at);
     }
 }
 
-/// A node's two arenas and its mirrors, behind the node's one lock.
-pub(crate) struct NodeMem {
-    domains: Domains,
-    /// Invariants, checked after every change in debug builds:
-    /// destinations are disjoint and hold no recorded zeros; every mirror
-    /// is intra-node and cross-domain; no source lies inside a
-    /// destination, so a source's bytes are its own.
+/// Move `key`'s entry to address `to`, a few bytes up: it passes at most
+/// the few entries in between, so no insert or remove shifts the list.
+fn rekey(list: &mut [(u64, u32)], key: (u64, u32), to: u64) {
+    let at = list.binary_search(&key);
+    debug_assert!(at.is_ok(), "mirror index lost {key:?}");
+    let Ok(mut at) = at else { return };
+    list[at].0 = to;
+    while at + 1 < list.len() && list[at + 1] < list[at] {
+        list.swap(at, at + 1);
+        at += 1;
+    }
+}
+
+/// Every arena of the cluster and the mirrors between them, behind the
+/// cluster's one plane lock: [`Cluster::with_plane`](crate::Cluster::with_plane)
+/// hands it to a closure. Every method is range-checked like [`Memory`]'s.
+///
+/// Invariants, checked after every change in debug builds: destinations
+/// are disjoint and hold no recorded zeros; every mirror joins two
+/// different arenas; no source lies inside a destination, so a source's
+/// bytes are its own; the by-destination and by-source indexes agree.
+pub struct Plane {
+    /// Each node's host and Phi arena, in node order.
+    arenas: Vec<Memory>,
+    /// Per arena, like `arenas`.
+    ends: Vec<Ends>,
+    /// Every mirror by id; the ids in `free` are not in use. Capacities
+    /// settle at the most mirrors ever live, so the steady state allocates
+    /// nothing.
     mirrors: Vec<Mirror>,
+    free: Vec<u32>,
+    /// Scratch, reused: the mirrors a change cuts, and the runs of a hop.
+    hit: Vec<u32>,
+    runs: Vec<Mirror>,
 }
 
-impl NodeMem {
-    pub(crate) fn new(host: Memory, phi: Memory) -> NodeMem {
-        NodeMem {
-            domains: Domains { host, phi },
+impl Plane {
+    pub(crate) fn new(arenas: Vec<Memory>) -> Plane {
+        Plane {
+            ends: arenas.iter().map(|_| Ends::default()).collect(),
+            arenas,
             mirrors: Vec::new(),
+            free: Vec::new(),
+            hit: Vec::new(),
+            runs: Vec::new(),
         }
     }
 
-    fn node(&self) -> NodeId {
-        self.domains.host.mem_ref().node
+    pub(crate) fn arena(&self, mem: MemRef) -> &Memory {
+        &self.arenas[slot(mem)]
     }
 
-    pub(crate) fn arena(&self, d: Domain) -> &Memory {
-        self.domains.get(d)
+    pub(crate) fn arena_mut(&mut self, mem: MemRef) -> &mut Memory {
+        &mut self.arenas[slot(mem)]
     }
 
-    pub(crate) fn arena_mut(&mut self, d: Domain) -> &mut Memory {
-        self.domains.get_mut(d)
+    /// `[offset, offset+len)` of `buf`, range-checked, as a buffer at its
+    /// arena address.
+    fn part(&self, buf: &Buffer, offset: u64, len: u64) -> Buffer {
+        let r = self.arena(buf.mem).range(buf, offset, len as usize);
+        Buffer {
+            mem: buf.mem,
+            addr: r.start as u64,
+            len,
+        }
     }
 
-    /// Range-checked arena addresses of `[offset, offset+len)` of `buf`.
-    fn span(&self, buf: &Buffer, offset: u64, len: u64) -> Range<u64> {
-        let r = self.arena(buf.mem.domain).range(buf, offset, len as usize);
-        r.start as u64..r.end as u64
+    /// Whether any mirror reads from or writes into `mem`'s arena.
+    fn touched(&self, mem: MemRef) -> bool {
+        let e = &self.ends[slot(mem)];
+        !(e.into.is_empty() && e.from.is_empty())
     }
 
     pub(crate) fn free(&mut self, buf: &Buffer) {
-        if !self.mirrors.is_empty() {
-            self.unmirror(buf.mem.domain, span(buf), false);
+        if self.touched(buf.mem) {
+            self.unmirror(buf, false);
         }
-        self.arena_mut(buf.mem.domain).free(buf);
+        self.arena_mut(buf.mem).free(buf);
     }
 
-    pub(crate) fn write(&mut self, buf: &Buffer, offset: u64, data: &[u8]) {
-        if !self.mirrors.is_empty() {
-            let r = self.span(buf, offset, data.len() as u64);
-            self.unmirror(buf.mem.domain, r, false);
+    /// Write bytes into a buffer.
+    pub fn write(&mut self, buf: &Buffer, offset: u64, data: &[u8]) {
+        if self.touched(buf.mem) {
+            let r = self.part(buf, offset, data.len() as u64);
+            self.unmirror(&r, false);
         }
-        self.arena_mut(buf.mem.domain).write(buf, offset, data);
+        self.arena_mut(buf.mem).write(buf, offset, data);
     }
 
-    pub(crate) fn read(&self, buf: &Buffer, offset: u64, out: &mut [u8]) {
-        if self.mirrors.is_empty() {
-            return self.arena(buf.mem.domain).read(buf, offset, out);
+    /// Read bytes out of a buffer.
+    pub fn read(&self, buf: &Buffer, offset: u64, out: &mut [u8]) {
+        if self.ends[slot(buf.mem)].into.is_empty() {
+            return self.arena(buf.mem).read(buf, offset, out);
         }
         self.read_mirrored(buf, offset, out);
     }
 
     #[cold]
     fn read_mirrored(&self, buf: &Buffer, offset: u64, out: &mut [u8]) {
-        let r = self.span(buf, offset, out.len() as u64);
-        pieces(&self.mirrors, buf.mem, r.clone(), |run, stored| {
-            let part = &mut out[(run.start - r.start) as usize..(run.end - r.start) as usize];
-            self.arena(stored.mem.domain).read(stored, 0, part);
+        let r = self.part(buf, offset, out.len() as u64);
+        self.pieces(&r, |off, stored| {
+            let part = &mut out[off as usize..(off + stored.len) as usize];
+            self.arena(stored.mem).read(&stored, 0, part);
         });
-    }
-
-    /// `len` bytes from `src[src_off..]` to `dst[dst_off..]`, both in this
-    /// node. Ranges within one arena may overlap (memmove semantics).
-    pub(crate) fn copy(
-        &mut self,
-        src: &Buffer,
-        src_off: u64,
-        dst: &Buffer,
-        dst_off: u64,
-        len: u64,
-    ) {
-        if self.mirrors.is_empty() {
-            return self.domains.copy(src, src_off, dst, dst_off, len);
-        }
-        self.copy_mirrored(src, src_off, dst, dst_off, len);
-    }
-
-    #[cold]
-    fn copy_mirrored(&mut self, src: &Buffer, src_off: u64, dst: &Buffer, dst_off: u64, len: u64) {
-        let (s, t) = (self.span(src, src_off, len), self.span(dst, dst_off, len));
-        if src.mem == dst.mem && overlap(s.clone(), t.clone()).is_some() {
-            // A memmove: settle every mirror on either range, so that both
-            // hold their own bytes and the move is one.
-            self.unmirror(src.mem.domain, s.start.min(t.start)..s.end.max(t.end), true);
-            return self.domains.copy(src, src_off, dst, dst_off, len);
-        }
-        self.unmirror(dst.mem.domain, t, false);
-        // Now no mirror reads from `dst`'s range, so writing it cannot
-        // change a byte any later run of `src` resolves to.
-        let NodeMem { domains, mirrors } = self;
-        pieces(mirrors, src.mem, s.clone(), |run, stored| {
-            let at = dst_off + (run.start - s.start);
-            domains.copy(stored, 0, dst, at, run.end - run.start);
-        });
-    }
-
-    /// `len` bytes from `src[src_off..]` in node `from` to `dst[dst_off..]`
-    /// in this one.
-    pub(crate) fn copy_in(
-        &mut self,
-        dst: &Buffer,
-        dst_off: u64,
-        from: &NodeMem,
-        src: &Buffer,
-        src_off: u64,
-        len: u64,
-    ) {
-        if self.mirrors.is_empty() && from.mirrors.is_empty() {
-            let (to, src_arena) = (self.arena_mut(dst.mem.domain), from.arena(src.mem.domain));
-            return to.copy_from(dst, dst_off, src_arena, src, src_off, len as usize);
-        }
-        self.copy_in_mirrored(dst, dst_off, from, src, src_off, len);
-    }
-
-    #[cold]
-    fn copy_in_mirrored(
-        &mut self,
-        dst: &Buffer,
-        dst_off: u64,
-        from: &NodeMem,
-        src: &Buffer,
-        src_off: u64,
-        len: u64,
-    ) {
-        let t = self.span(dst, dst_off, len);
-        let s = from.span(src, src_off, len);
-        self.unmirror(dst.mem.domain, t, false);
-        let to = self.arena_mut(dst.mem.domain);
-        pieces(&from.mirrors, src.mem, s.clone(), |run, stored| {
-            let at = dst_off + (run.start - s.start);
-            let stored_arena = from.arena(stored.mem.domain);
-            to.copy_from(
-                dst,
-                at,
-                stored_arena,
-                stored,
-                0,
-                (run.end - run.start) as usize,
-            );
-        });
-    }
-
-    /// A whole-buffer hop inside this node has completed: between the two
-    /// domains it records that `dst` reads as `src`; inside one it copies.
-    pub(crate) fn land(&mut self, src: &Buffer, dst: &Buffer) {
-        let (s, t) = (self.span(src, 0, src.len), self.span(dst, 0, dst.len));
-        let mirrored =
-            |m: &Mirror| m.dst.mem == src.mem && overlap(span(&m.dst), s.clone()).is_some();
-        if src.mem.domain == dst.mem.domain || s.is_empty() || self.mirrors.iter().any(mirrored) {
-            // A source that is itself mirrored is read through its mirror.
-            return self.copy(src, 0, dst, 0, src.len);
-        }
-        if !self.mirrors.is_empty() {
-            self.unmirror(dst.mem.domain, t.clone(), false);
-        }
-        let bytes = t.start as usize..t.end as usize;
-        self.arena_mut(dst.mem.domain).forget_zeros(bytes);
-        self.mirrors.push(Mirror {
-            src: src.clone(),
-            dst: dst.clone(),
-        });
-        self.check();
-    }
-
-    /// End every mirror's hold on `r` of domain `d`, whose bytes are about
-    /// to change or go. A mirror reading from `r` first gets those bytes
-    /// copied into its destination; one writing into `r` ends there — after
-    /// the same copy when `settle` is set, so that `r` holds its own bytes.
-    /// The rest of each mirror stays a mirror.
-    #[cold]
-    fn unmirror(&mut self, d: Domain, r: Range<u64>, settle: bool) {
-        let mut i = 0;
-        while i < self.mirrors.len() {
-            let m = &self.mirrors[i];
-            // The two ends lie in different domains: at most one is in `d`.
-            let reads = m.src.mem.domain == d;
-            let end = if reads { &m.src } else { &m.dst };
-            let Some(o) = overlap(span(end), r.clone()) else {
-                i += 1;
-                continue;
-            };
-            let (m, a, b) = (m.clone(), o.start - end.addr, o.end - end.addr);
-            if reads || settle {
-                self.domains.copy(&m.src, a, &m.dst, a, b - a);
-            }
-            let head = (a > 0).then(|| m.slice(0, a));
-            let tail = (b < m.len()).then(|| m.slice(b, m.len() - b));
-            match (head, tail) {
-                (Some(head), tail) => {
-                    self.mirrors[i] = head;
-                    self.mirrors.extend(tail);
-                    i += 1;
-                }
-                (None, Some(tail)) => {
-                    self.mirrors[i] = tail;
-                    i += 1;
-                }
-                (None, None) => {
-                    self.mirrors.swap_remove(i);
-                }
-            }
-        }
-        self.check();
-    }
-
-    /// The mirror invariants (see `mirrors`), in debug builds.
-    fn check(&self) {
-        if !cfg!(debug_assertions) {
-            return;
-        }
-        let node = self.node();
-        for (i, m) in self.mirrors.iter().enumerate() {
-            debug_assert!(
-                m.src.len == m.dst.len && m.len() > 0,
-                "mirror {m:?} is empty or uneven"
-            );
-            debug_assert!(
-                m.src.mem.node == node
-                    && m.dst.mem.node == node
-                    && m.src.mem.domain != m.dst.mem.domain,
-                "mirror {m:?} in {node} is not intra-node and cross-domain"
-            );
-            let dst = span(&m.dst);
-            let bytes = dst.start as usize..dst.end as usize;
-            debug_assert!(
-                !self.arena(m.dst.mem.domain).has_zeros_in(bytes),
-                "mirror {m:?} writes into recorded zeros"
-            );
-            for n in &self.mirrors[i + 1..] {
-                debug_assert!(
-                    n.dst.mem != m.dst.mem || overlap(span(&n.dst), dst.clone()).is_none(),
-                    "mirrors {m:?} and {n:?} write into one range"
-                );
-            }
-            for n in &self.mirrors {
-                debug_assert!(
-                    n.src.mem != m.dst.mem || overlap(span(&n.src), dst.clone()).is_none(),
-                    "mirror {n:?} reads from inside mirror {m:?}'s destination"
-                );
-            }
-        }
-    }
-}
-
-/// Walk `r` of `mem` in address order as runs that each read from one
-/// place: `f(run, stored)`, where `stored` is the run itself or, inside a
-/// mirror's destination, the matching part of the mirror's source.
-fn pieces(mirrors: &[Mirror], mem: MemRef, r: Range<u64>, mut f: impl FnMut(Range<u64>, &Buffer)) {
-    let mut at = r.start;
-    while at < r.end {
-        let mut next = r.end;
-        let mut covering = None;
-        for m in mirrors.iter().filter(|m| m.dst.mem == mem) {
-            let dst = span(&m.dst);
-            if dst.contains(&at) {
-                covering = Some(m);
-                break;
-            }
-            if at < dst.start {
-                next = next.min(dst.start);
-            }
-        }
-        let (end, from, addr) = match covering {
-            Some(m) => {
-                let end = (m.dst.addr + m.dst.len).min(r.end);
-                (end, m.src.mem, m.src.addr + (at - m.dst.addr))
-            }
-            None => (next, mem, at),
-        };
-        let stored = Buffer {
-            mem: from,
-            addr,
-            len: end - at,
-        };
-        f(at..end, &stored);
-        at = end;
-    }
-}
-
-/// The one or two nodes' memory a closure given to
-/// [`Cluster::with_mem`](crate::Cluster::with_mem) /
-/// [`Cluster::with_mems`](crate::Cluster::with_mems) works on, locked for
-/// as long as it runs. Every method is range-checked like [`Memory`]'s and
-/// panics on a buffer in a node that was not locked.
-pub struct Arenas<'a> {
-    first: &'a mut NodeMem,
-    second: Option<&'a mut NodeMem>,
-}
-
-impl<'a> Arenas<'a> {
-    pub(crate) fn new(first: &'a mut NodeMem, second: Option<&'a mut NodeMem>) -> Self {
-        Arenas { first, second }
-    }
-
-    fn node(&mut self, mem: MemRef) -> &mut NodeMem {
-        if self.first.node() == mem.node {
-            return self.first;
-        }
-        match self.second.as_deref_mut() {
-            Some(second) if second.node() == mem.node => second,
-            _ => panic!("buffer in {mem}, an arena this call did not lock"),
-        }
-    }
-
-    /// Write bytes into a buffer.
-    pub fn write(&mut self, buf: &Buffer, offset: u64, data: &[u8]) {
-        self.node(buf.mem).write(buf, offset, data);
-    }
-
-    /// Read bytes out of a buffer.
-    pub fn read(&mut self, buf: &Buffer, offset: u64, out: &mut [u8]) {
-        self.node(buf.mem).read(buf, offset, out);
     }
 
     /// The byte plane's one primitive: `len` bytes from `src[src_off..]` to
-    /// `dst[dst_off..]`, read through any mirror the source lies in. Ranges
-    /// within one arena may overlap (memmove semantics).
+    /// `dst[dst_off..]`. Between two arenas, [`MIRROR_MIN`] bytes or more
+    /// record that the destination reads as the source; anything shorter,
+    /// or inside one arena, is copied, reading the source through any
+    /// mirror it lies in. Ranges within one arena may overlap (memmove
+    /// semantics).
     pub fn copy(&mut self, src: &Buffer, src_off: u64, dst: &Buffer, dst_off: u64, len: u64) {
-        if src.mem.node == dst.mem.node {
-            return self.node(src.mem).copy(src, src_off, dst, dst_off, len);
+        let (src, dst) = (self.part(src, src_off, len), self.part(dst, dst_off, len));
+        if len >= MIRROR_MIN && src.mem != dst.mem {
+            return self.hop(&src, &dst);
         }
-        let Some(second) = self.second.as_deref_mut() else {
-            panic!("copy from {} to {} with one node locked", src.mem, dst.mem);
-        };
-        let (to, from) = if self.first.node() == dst.mem.node {
-            (&mut *self.first, &*second)
-        } else {
-            (second, &*self.first)
-        };
-        assert!(
-            from.node() == src.mem.node && to.node() == dst.mem.node,
-            "copy from {} to {}, arenas this call did not lock",
-            src.mem,
-            dst.mem
-        );
-        to.copy_in(dst, dst_off, from, src, src_off, len);
+        if self.touched(src.mem) || self.touched(dst.mem) {
+            return self.copy_mirrored(&src, &dst);
+        }
+        raw_copy(&mut self.arenas, &src, &dst);
     }
 
-    /// A whole-buffer transfer has completed: inside one node see
-    /// [`NodeMem::land`], between two the bytes are copied.
-    pub(crate) fn land(&mut self, src: &Buffer, dst: &Buffer) {
-        if src.mem.node == dst.mem.node {
-            return self.node(src.mem).land(src, dst);
+    #[cold]
+    fn copy_mirrored(&mut self, src: &Buffer, dst: &Buffer) {
+        if src.mem == dst.mem && overlap(span(src), span(dst)).is_some() {
+            // A memmove: settle every mirror on either range, so that both
+            // hold their own bytes and the move is one.
+            let addr = src.addr.min(dst.addr);
+            let len = (src.addr + src.len).max(dst.addr + dst.len) - addr;
+            let mem = src.mem;
+            self.unmirror(&Buffer { mem, addr, len }, true);
+            return raw_copy(&mut self.arenas, src, dst);
         }
-        self.copy(src, 0, dst, 0, src.len);
+        self.unmirror(dst, false);
+        // Now no mirror reads from `dst`, so writing it cannot change a
+        // byte any later run of `src` resolves to.
+        let Plane {
+            arenas,
+            ends,
+            mirrors,
+            ..
+        } = self;
+        pieces(&ends[slot(src.mem)], mirrors, src, |off, stored| {
+            raw_copy(arenas, &stored, &dst.slice(off, stored.len));
+        });
+    }
+
+    /// A long hop between two arenas: from now on `dst` reads as `src`, or
+    /// as whatever `src` itself reads as. A run whose bytes are stored in
+    /// `dst`'s own arena — a round trip — is copied there instead.
+    fn hop(&mut self, src: &Buffer, dst: &Buffer) {
+        if self.touched(dst.mem) {
+            self.unmirror(dst, false);
+        }
+        let bytes = dst.addr as usize..(dst.addr + dst.len) as usize;
+        self.arena_mut(dst.mem).forget_zeros(bytes);
+        let mut runs = std::mem::take(&mut self.runs);
+        self.pieces(src, |off, stored| {
+            let dst = dst.slice(off, stored.len);
+            runs.push(Mirror { src: stored, dst });
+        });
+        for run in runs.drain(..) {
+            if run.src.mem == run.dst.mem {
+                raw_copy(&mut self.arenas, &run.src, &run.dst);
+            } else {
+                self.link(run);
+            }
+        }
+        self.runs = runs;
+        self.check(&[src.mem, dst.mem]);
+    }
+
+    /// [`pieces`] over this plane's mirrors.
+    fn pieces(&self, r: &Buffer, f: impl FnMut(u64, Buffer)) {
+        pieces(&self.ends[slot(r.mem)], &self.mirrors, r, f);
+    }
+
+    /// End every mirror's hold on `r`, whose bytes are about to change or
+    /// go. A mirror reading from `r` first gets those bytes copied into its
+    /// destination; one writing into `r` ends there — after the same copy
+    /// when `settle` is set, so that `r` holds its own bytes. The rest of
+    /// each mirror stays a mirror.
+    #[cold]
+    fn unmirror(&mut self, r: &Buffer, settle: bool) {
+        if r.len == 0 {
+            return;
+        }
+        let (a, lo, hi) = (slot(r.mem), r.addr, r.addr + r.len);
+        let mut hit = std::mem::take(&mut self.hit);
+        let (e, mirrors) = (&self.ends[a], &self.mirrors);
+        let len = |id: u32| mirrors[id as usize].len();
+        let first = e.from.partition_point(|&(addr, _)| addr + e.reach <= lo);
+        let from = e.from[first..].iter().take_while(|&&(addr, _)| addr < hi);
+        hit.extend(from.filter(|&&(addr, id)| addr + len(id) > lo).map(|k| k.1));
+        let first = e.into.partition_point(|&(addr, id)| addr + len(id) <= lo);
+        let into = e.into[first..].iter().take_while(|&&(addr, _)| addr < hi);
+        hit.extend(into.map(|k| k.1));
+        for &id in &hit {
+            let m = self.mirrors[id as usize].clone();
+            // The two ends lie in different arenas: exactly one is in `r`'s.
+            let reads = slot(m.src.mem) == a;
+            let end = if reads { &m.src } else { &m.dst };
+            let x = lo.max(end.addr) - end.addr;
+            let y = hi.min(end.addr + end.len) - end.addr;
+            if reads || settle {
+                let (src, dst) = (m.src.slice(x, y - x), m.dst.slice(x, y - x));
+                raw_copy(&mut self.arenas, &src, &dst);
+            }
+            self.cut(id, &m, x, y);
+        }
+        hit.clear();
+        self.hit = hit;
+        self.check(&[r.mem]);
+    }
+
+    /// Drop `[x, y)` of mirror `id`, which is `m`; what is left on either
+    /// side stays a mirror.
+    fn cut(&mut self, id: u32, m: &Mirror, x: u64, y: u64) {
+        let tail = (y < m.len()).then(|| m.slice(y, m.len() - y));
+        match (x > 0, tail) {
+            // The head keeps the id and both index keys.
+            (true, tail) => {
+                self.mirrors[id as usize] = m.slice(0, x);
+                if let Some(tail) = tail {
+                    self.link(tail);
+                }
+            }
+            // So does the tail of a cut at the front — a stamp — with both
+            // keys moved up past it.
+            (false, Some(tail)) => {
+                let (into, from) = (slot(m.dst.mem), slot(m.src.mem));
+                rekey(&mut self.ends[into].into, (m.dst.addr, id), tail.dst.addr);
+                rekey(&mut self.ends[from].from, (m.src.addr, id), tail.src.addr);
+                self.mirrors[id as usize] = tail;
+            }
+            (false, None) => {
+                unindex(&mut self.ends[slot(m.dst.mem)].into, (m.dst.addr, id));
+                let e = &mut self.ends[slot(m.src.mem)];
+                unindex(&mut e.from, (m.src.addr, id));
+                if e.from.is_empty() {
+                    e.reach = 0;
+                }
+                self.free.push(id);
+            }
+        }
+    }
+
+    fn link(&mut self, m: Mirror) {
+        let (into, from, len) = (slot(m.dst.mem), slot(m.src.mem), m.len());
+        let (d, s) = (m.dst.addr, m.src.addr);
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.mirrors[id as usize] = m;
+                id
+            }
+            None => {
+                self.mirrors.push(m);
+                (self.mirrors.len() - 1) as u32
+            }
+        };
+        let list = &mut self.ends[into].into;
+        list.insert(list.partition_point(|&k| k < (d, id)), (d, id));
+        let e = &mut self.ends[from];
+        e.reach = e.reach.max(len);
+        e.from
+            .insert(e.from.partition_point(|&k| k < (s, id)), (s, id));
+    }
+
+    /// The invariants (see [`Plane`]) of the arenas of `mems`, and that the
+    /// two indexes hold every live mirror once, in debug builds.
+    fn check(&self, mems: &[MemRef]) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let count = |f: fn(&Ends) -> usize| self.ends.iter().map(f).sum::<usize>();
+        let live = self.mirrors.len() - self.free.len();
+        debug_assert!(
+            count(|e| e.into.len()) == live && count(|e| e.from.len()) == live,
+            "the mirror indexes disagree on {live} live mirrors"
+        );
+        let indexed = |list: &[(u64, u32)], key| list.binary_search(&key).is_ok();
+        for &mem in mems {
+            let e = &self.ends[slot(mem)];
+            debug_assert!(e.into.is_sorted() && e.from.is_sorted());
+            for (i, &(addr, id)) in e.into.iter().enumerate() {
+                let m = &self.mirrors[id as usize];
+                debug_assert!(
+                    m.dst.mem == mem && m.dst.addr == addr && m.src.len == m.len() && m.len() > 0,
+                    "mirror {m:?} is misindexed, empty or uneven"
+                );
+                debug_assert!(
+                    slot(m.src.mem) != slot(mem),
+                    "mirror {m:?} stays in one arena"
+                );
+                debug_assert!(
+                    indexed(&self.ends[slot(m.src.mem)].from, (m.src.addr, id)),
+                    "mirror {m:?} is missing from its source's index"
+                );
+                let bytes = addr as usize..(addr + m.len()) as usize;
+                debug_assert!(
+                    !self.arena(mem).has_zeros_in(bytes),
+                    "mirror {m:?} writes into recorded zeros"
+                );
+                debug_assert!(
+                    e.into
+                        .get(i + 1)
+                        .is_none_or(|&(next, _)| addr + m.len() <= next),
+                    "mirror {m:?} overlaps the next destination"
+                );
+            }
+            for &(addr, id) in &e.from {
+                let m = &self.mirrors[id as usize];
+                debug_assert!(
+                    m.src.mem == mem && m.src.addr == addr && m.len() <= e.reach,
+                    "mirror {m:?} is misindexed or out of reach"
+                );
+                debug_assert!(
+                    indexed(&self.ends[slot(m.dst.mem)].into, (m.dst.addr, id)),
+                    "mirror {m:?} is missing from its destination's index"
+                );
+                let mut inside = false;
+                pieces(e, &self.mirrors, &m.src, |_, stored| {
+                    inside |= stored.mem != mem
+                });
+                debug_assert!(!inside, "mirror {m:?} reads from inside a destination");
+            }
+        }
+    }
+}
+
+/// Walk `r` in address order as runs that each read from one place:
+/// `f(offset in r, stored)`, where `stored` is the run itself or, inside a
+/// mirror's destination, the matching part of the mirror's source. `ends`
+/// is the index of `r`'s arena.
+fn pieces(ends: &Ends, mirrors: &[Mirror], r: &Buffer, mut f: impl FnMut(u64, Buffer)) {
+    let end = r.addr + r.len;
+    let mut at = r.addr;
+    let own = |from: u64, to: u64| Buffer {
+        mem: r.mem,
+        addr: from,
+        len: to - from,
+    };
+    let first = ends
+        .into
+        .partition_point(|&(addr, id)| addr + mirrors[id as usize].len() <= at);
+    for &(addr, id) in &ends.into[first..] {
+        if addr >= end {
+            break;
+        }
+        if at < addr {
+            f(at - r.addr, own(at, addr));
+            at = addr;
+        }
+        let m = &mirrors[id as usize];
+        let stop = (addr + m.len()).min(end);
+        f(at - r.addr, m.src.slice(at - addr, stop - at));
+        at = stop;
+    }
+    if at < end {
+        f(at - r.addr, own(at, end));
     }
 }

@@ -1,23 +1,33 @@
 //! Bytes move when they are read, and no program can tell (DESIGN.md §18).
 //!
-//! A PCIe DMA leaves a mirror instead of a copy, and recycled memory is
-//! recorded as zero instead of scrubbed. This file runs seeded random
-//! programs over 2 nodes × 2 domains — alloc, free, write, read, copy,
-//! `pci_dma` and `ib_transfer`, each transfer waited for — against a
-//! reference model that copies and scrubs eagerly, and checks every read
-//! byte for byte. The cases the rules were written for are also spelled
-//! out as programs of their own. Two `mincore` checks hold the point of
-//! it all: a synced twin that is only read is never touched, and a
-//! recycled buffer costs no page until it is written.
+//! A hop of at least `MIRROR_MIN` bytes between two arenas leaves a mirror
+//! instead of a copy, and recycled memory is recorded as zero instead of
+//! scrubbed. This file runs seeded random programs over 3 nodes × 2
+//! domains — alloc, free, write, read, copy, several copies under one
+//! plane lock, an 8-byte read-modify-write, `pci_dma` and `ib_transfer`,
+//! each transfer waited for, with hop lengths on both sides of
+//! `MIRROR_MIN` — against a reference model that copies and scrubs
+//! eagerly, and checks every read byte for byte. The cases the rules were
+//! written for are also spelled out as programs of their own. Three
+//! `mincore` checks hold the point of it all: a synced twin that is only
+//! read is never touched, a long InfiniBand transfer writes no page of its
+//! destination, and a recycled buffer costs no page until it is written.
 
 use std::sync::Arc;
 
-use fabric::{Buffer, Cluster, ClusterConfig, Domain, MemRef, NodeId};
+use fabric::{Buffer, Cluster, ClusterConfig, Domain, MemRef, NodeId, MIRROR_MIN};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcore::mapping::page_size;
 use simcore::{Ctx, Simulation};
+
+const NODES: usize = 3;
+
+/// The word after a verbs fetch-and-add of one.
+fn add_one(word: [u8; 8]) -> [u8; 8] {
+    u64::from_le_bytes(word).wrapping_add(1).to_le_bytes()
+}
 
 fn mem(node: usize, domain: Domain) -> MemRef {
     MemRef {
@@ -53,6 +63,11 @@ enum Op {
     /// Buffer, offset, length.
     Read(usize, u64, u64),
     Copy(Hop),
+    /// In order under one plane lock, as a work request's SGEs land.
+    Copies(Vec<Hop>),
+    /// Buffer, offset: the word there plus one, read and written under one
+    /// plane lock, as a verbs atomic does.
+    Rmw(usize, u64),
     /// Between one node's two domains; waited for.
     Dma(Hop),
     /// Initiated by the given node; waited for.
@@ -142,6 +157,28 @@ impl World {
                 self.cl.copy(src, h.src_off, dst, h.dst_off, h.len);
                 self.model_hop(h);
             }
+            Op::Copies(hops) => {
+                let live = &self.live;
+                self.cl.with_plane(|m| {
+                    for h in &hops {
+                        m.copy(&live[h.src].0, h.src_off, &live[h.dst].0, h.dst_off, h.len);
+                    }
+                });
+                for h in hops {
+                    self.model_hop(h);
+                }
+            }
+            Op::Rmw(i, off) => {
+                let buf = &self.live[i].0;
+                self.cl.with_plane(|m| {
+                    let mut word = [0u8; 8];
+                    m.read(buf, off, &mut word);
+                    m.write(buf, off, &add_one(word));
+                });
+                let word = &mut self.live[i].1[off as usize..][..8];
+                let new = add_one((&*word).try_into().expect("a word is eight bytes"));
+                word.copy_from_slice(&new);
+            }
             Op::Dma(h) => {
                 let (src, dst) = self.slices(h);
                 let t = self.cl.pci_dma(&src, &dst, ctx.now());
@@ -161,11 +198,11 @@ impl World {
     }
 }
 
-/// Run `body` as the only process of a fresh 2-node cluster and return
+/// Run `body` as the only process of a fresh 3-node cluster and return
 /// its verdict.
 fn on_world(body: impl FnOnce(&mut Ctx, &mut World) -> Result<(), String> + Send + 'static) {
     let mut sim = Simulation::new();
-    let cl = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(2));
+    let cl = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(NODES));
     let verdict = Arc::new(Mutex::new(None));
     let verdict2 = verdict.clone();
     sim.spawn("program", move |ctx| {
@@ -191,10 +228,13 @@ fn run_program(ops: Vec<Op>) {
 const SEEDS: u64 = 48;
 const OPS: usize = 300;
 
+/// Often short, often a few pages, often either side of `MIRROR_MIN`.
 fn random_len(rng: &mut StdRng) -> u64 {
-    match rng.random_range(0..4u32) {
+    match rng.random_range(0..5u32) {
         0 => rng.random_range(1..=64u64),
         1 => 4096 * rng.random_range(1..=3u64),
+        2 => rng.random_range(MIRROR_MIN - 2..=MIRROR_MIN + 2),
+        3 => rng.random_range(MIRROR_MIN..=3 * MIRROR_MIN),
         _ => rng.random_range(1..=12_288u64),
     }
 }
@@ -217,7 +257,11 @@ fn random_span(rng: &mut StdRng, len: u64) -> (u64, u64) {
 
 fn random_hop(rng: &mut StdRng, live: &[(Buffer, Vec<u8>)], src: usize, dst: usize) -> Hop {
     let most = live[src].0.len.min(live[dst].0.len);
-    let (_, len) = random_span(rng, most);
+    let len = match rng.random_range(0..4u32) {
+        // Either side of the line between a copy and a mirror.
+        0 => rng.random_range(MIRROR_MIN - 1..=MIRROR_MIN).min(most),
+        _ => random_span(rng, most).1,
+    };
     Hop {
         src,
         src_off: rng.random_range(0..=live[src].0.len - len),
@@ -231,7 +275,7 @@ fn random_op(rng: &mut StdRng, live: &[(Buffer, Vec<u8>)]) -> Op {
     let n = live.len();
     if n < 3 || (n < 12 && rng.random_range(0..6u32) == 0) {
         let at = mem(
-            rng.random_range(0..2usize),
+            rng.random_range(0..NODES),
             [Domain::Host, Domain::Phi][rng.random_range(0..2usize)],
         );
         let align = [1, 8, 4096][rng.random_range(0..3usize)];
@@ -242,7 +286,7 @@ fn random_op(rng: &mut StdRng, live: &[(Buffer, Vec<u8>)]) -> Op {
     }
     let (i, other) = (rng.random_range(0..n), rng.random_range(0..n));
     let len = live[i].0.len;
-    match rng.random_range(0..5u32) {
+    match rng.random_range(0..7u32) {
         0 => {
             let (off, len) = random_span(rng, len);
             Op::Write(i, off, len, rng.random())
@@ -253,6 +297,20 @@ fn random_op(rng: &mut StdRng, live: &[(Buffer, Vec<u8>)]) -> Op {
         }
         2 => Op::Copy(random_hop(rng, live, i, other)),
         3 => {
+            // A gather into one buffer, as an RDMA WRITE's SGEs land.
+            let hops = rng.random_range(2..=3usize);
+            Op::Copies(
+                (0..hops)
+                    .map(|_| {
+                        let j = rng.random_range(0..n);
+                        random_hop(rng, live, j, other)
+                    })
+                    .collect(),
+            )
+        }
+        4 if len >= 8 => Op::Rmw(i, rng.random_range(0..=len - 8)),
+        4 => Op::Read(i, 0, len),
+        5 => {
             // A DMA partner: the same node, the other domain.
             let at = live[i].0.mem;
             let partners: Vec<usize> = (0..n)
@@ -267,7 +325,7 @@ fn random_op(rng: &mut StdRng, live: &[(Buffer, Vec<u8>)]) -> Op {
         }
         _ => {
             let hop = random_hop(rng, live, i, other);
-            Op::Ib(hop, rng.random_range(0..2usize))
+            Op::Ib(hop, rng.random_range(0..NODES))
         }
     }
 }
@@ -295,7 +353,7 @@ fn random_programs_read_what_an_eager_copy_would_have_written() {
 
 const PHI0: usize = 0;
 const TWIN: usize = 1;
-const LEN: u64 = 3 * 4096;
+const LEN: u64 = MIRROR_MIN + 4096;
 
 fn whole(src: usize, dst: usize) -> Hop {
     Hop {
@@ -382,11 +440,157 @@ fn freeing_either_end_of_a_mirror() {
     run_program(ops);
 }
 
+#[test]
+fn a_chain_across_three_nodes() {
+    // A → B → C: C reads as A, not as B. A stamp into A reaches both, a
+    // write into B ends B's hold only, and freeing A copies out to both.
+    run_program(vec![
+        Op::Alloc(mem(0, Domain::Phi), LEN, 4096),
+        Op::Alloc(mem(1, Domain::Host), LEN, 4096),
+        Op::Alloc(mem(2, Domain::Phi), LEN, 4096),
+        Op::Write(0, 0, LEN, 0x12),
+        Op::Ib(whole(0, 1), 1),
+        Op::Ib(whole(1, 2), 2),
+        Op::Write(0, 100, 8, 0x23),
+        Op::Read(1, 0, LEN),
+        Op::Read(2, 0, LEN),
+        Op::Write(1, 4096, 4096, 0x34),
+        Op::Read(2, 0, LEN),
+        Op::Free(0),
+        Op::Read(0, 0, LEN),
+        Op::Read(1, 0, LEN),
+    ]);
+}
+
+#[test]
+fn a_round_trip_comes_home() {
+    // A → B → A: into a second buffer beside A, whose run is stored in its
+    // own arena and so copied, then back into A itself.
+    run_program(vec![
+        Op::Alloc(mem(0, Domain::Host), LEN, 4096),
+        Op::Alloc(mem(1, Domain::Phi), LEN, 4096),
+        Op::Alloc(mem(0, Domain::Host), LEN, 4096),
+        Op::Write(0, 0, LEN, 0x45),
+        Op::Ib(whole(0, 1), 0),
+        Op::Ib(whole(1, 2), 1),
+        Op::Write(0, 0, 8, 0x56),
+        Op::Read(1, 0, LEN),
+        Op::Read(2, 0, LEN),
+        Op::Ib(whole(1, 0), 0),
+        Op::Read(0, 0, LEN),
+        Op::Write(1, 8, 8, 0x67),
+        Op::Read(0, 0, LEN),
+        Op::Write(0, LEN - 8, 8, 0x78),
+        Op::Read(1, 0, LEN),
+    ]);
+}
+
+#[test]
+fn a_write_into_a_source_on_another_node() {
+    // Two long copies under one plane lock make node 2's buffer read twice
+    // as node 0's. Writes into node 0's buffer — a stamp, a run across the
+    // two halves' line, all of it — reach both halves first.
+    let half = |dst_off| Hop {
+        src: 0,
+        src_off: 0,
+        dst: 1,
+        dst_off,
+        len: LEN,
+    };
+    run_program(vec![
+        Op::Alloc(mem(0, Domain::Host), LEN, 4096),
+        Op::Alloc(mem(2, Domain::Phi), 2 * LEN, 4096),
+        Op::Write(0, 0, LEN, 0x89),
+        Op::Copies(vec![half(0), half(LEN)]),
+        Op::Write(0, 64, 8, 0x9A),
+        Op::Read(1, 0, 2 * LEN),
+        Op::Write(0, LEN - 100, 100, 0xAB),
+        Op::Read(1, 0, 2 * LEN),
+        Op::Write(0, 0, LEN, 0xBC),
+        Op::Read(1, 0, 2 * LEN),
+    ]);
+}
+
+#[test]
+fn freeing_either_end_on_either_node() {
+    // Node 0's buffer mirrored onto nodes 1 and 2. Free the source: both
+    // keep its bytes. Then free a destination whose source is on another
+    // node: the source is untouched, and the recycled space reads zero.
+    run_program(vec![
+        Op::Alloc(mem(0, Domain::Phi), LEN, 4096),
+        Op::Alloc(mem(1, Domain::Phi), LEN, 4096),
+        Op::Alloc(mem(2, Domain::Host), LEN, 4096),
+        Op::Write(0, 0, LEN, 0xCD),
+        Op::Ib(whole(0, 1), 0),
+        Op::Ib(whole(0, 2), 2),
+        Op::Write(0, 8, 8, 0xDE),
+        Op::Free(0),
+        Op::Read(0, 0, LEN),
+        Op::Read(1, 0, LEN),
+        Op::Ib(whole(0, 1), 1),
+        Op::Free(1),
+        Op::Read(0, 0, LEN),
+        Op::Alloc(mem(2, Domain::Host), LEN, 4096),
+        Op::Write(0, 0, 4, 0xEF),
+        Op::Read(1, 0, LEN),
+    ]);
+}
+
+#[test]
+fn an_eight_byte_read_modify_write_on_a_mirrored_destination() {
+    // As a verbs atomic does, at the front, in the middle and at the end
+    // of a destination; then on the source, then the source rewritten.
+    run_program(vec![
+        Op::Alloc(mem(0, Domain::Host), LEN, 4096),
+        Op::Alloc(mem(1, Domain::Phi), LEN, 4096),
+        Op::Write(0, 0, LEN, 0x5C),
+        Op::Ib(whole(0, 1), 1),
+        Op::Rmw(1, 0),
+        Op::Rmw(1, LEN / 2 + 4),
+        Op::Rmw(1, LEN - 8),
+        Op::Read(1, 0, LEN),
+        Op::Rmw(0, 16),
+        Op::Read(1, 0, LEN),
+        Op::Write(0, 0, LEN, 0x6D),
+        Op::Read(1, 0, LEN),
+    ]);
+}
+
 // ---- what the host does not touch -------------------------------------------
+
+/// Resident pages behind one arena.
+fn pages(cl: &Cluster, at: MemRef) -> u64 {
+    cl.mem_resident(at) / page_size() as u64
+}
 
 /// Resident pages behind node 0's host arena.
 fn host_pages(cl: &Cluster) -> u64 {
-    cl.mem_resident(mem(0, Domain::Host)) / page_size() as u64
+    pages(cl, mem(0, Domain::Host))
+}
+
+#[test]
+fn a_long_ib_transfer_writes_no_page_of_its_destination() {
+    on_world(|ctx, w| {
+        let cl = w.cl.clone();
+        let src = cl.alloc_pages(mem(0, Domain::Phi), MIRROR_MIN).unwrap();
+        let data = pattern(MIRROR_MIN, 0x3C);
+        cl.write(&src, 0, &data);
+        // One byte shorter is a copy, and writes its destination.
+        for (node, len) in [(1, MIRROR_MIN), (2, MIRROR_MIN - 1)] {
+            let at = mem(node, Domain::Host);
+            let dst = cl.alloc_pages(at, len).unwrap();
+            let t = cl.ib_transfer(&src.slice(0, len), &dst, NodeId(node), ctx.now());
+            ctx.wait(&t.completion);
+            assert_eq!(cl.read_vec(&dst), data[..len as usize]);
+            let written = pages(&cl, at);
+            if len >= MIRROR_MIN {
+                assert_eq!(written, 0, "a {len}-byte transfer wrote its destination");
+            } else {
+                assert!(written > 0, "a {len}-byte transfer was not copied");
+            }
+        }
+        Ok(())
+    });
 }
 
 #[test]

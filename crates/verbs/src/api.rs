@@ -21,7 +21,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fabric::{Arenas, Buffer, Cluster, Domain, LinkFaultKind, MemRef, NodeId};
+use fabric::{Buffer, Cluster, Domain, LinkFaultKind, MemRef, NodeId, Plane};
 use parking_lot::Mutex;
 use simcore::{Ctx, Scheduler, SimEvent, SimTime};
 
@@ -798,27 +798,21 @@ fn remote_recv_domain(
     Some(table.mrs.get(&sge.lkey.0)?.buffer.mem.domain)
 }
 
-/// Visit the gather list in order as `f(arenas, slice, offset of the slice
-/// in the gathered payload)`, with the slice's arena and `other` held
-/// locked — once per side for each run of slices from one arena, which in
-/// practice is the whole list (a packet's header, payload and tail share a
-/// staging slot).
+/// Visit the gather list in order as `f(plane, slice, offset of the slice
+/// in the gathered payload)`, with the byte plane locked once for all of
+/// them.
 fn for_each_slice(
     cluster: &Cluster,
     slices: &LocalSlices,
-    other: MemRef,
-    mut f: impl FnMut(&mut Arenas<'_>, &Buffer, u64),
+    mut f: impl FnMut(&mut Plane, &Buffer, u64),
 ) {
-    let mut rest = slices.iter().flatten().peekable();
-    let mut off = 0;
-    while let Some(mem) = rest.peek().map(|s| s.mem) {
-        cluster.with_mems(mem, other, |m| {
-            while let Some(s) = rest.next_if(|s| s.mem == mem) {
-                f(m, s, off);
-                off += s.len;
-            }
-        });
-    }
+    cluster.with_plane(|m| {
+        let mut off = 0;
+        for s in slices.iter().flatten() {
+            f(m, s, off);
+            off += s.len;
+        }
+    });
 }
 
 /// Where an inbound Send's payload is when it meets its receive.
@@ -844,7 +838,7 @@ impl SendData<'_> {
             SendData::Held(data) => {
                 cluster.write(dst, 0, &data[off as usize..(off + len) as usize]);
             }
-            SendData::Gather(slices) => for_each_slice(cluster, slices, dst.mem, |m, s, at| {
+            SendData::Gather(slices) => for_each_slice(cluster, slices, |m, s, at| {
                 // The part of this slice inside the wanted range.
                 let (from, to) = (off.max(at), (off + len).min(at + s.len));
                 if from < to {
@@ -925,9 +919,13 @@ fn wc_opcode_for(op: SendOpcode) -> WcOpcode {
     }
 }
 
-/// Executed at transfer end time, in engine context. Every payload byte
-/// moves here, once, straight between the registered buffers. The fabric
-/// table is locked once, for the whole delivery; each endpoint QP once.
+/// Executed at transfer end time, in engine context. The payload lands
+/// here, straight between the registered buffers, through
+/// [`Plane::copy`]: an RDMA WRITE or READ SGE of
+/// [`MIRROR_MIN`](fabric::MIRROR_MIN) bytes or more records that its
+/// destination reads as its source, anything shorter is one memcpy. The
+/// fabric table is locked once, for the whole delivery; each endpoint QP
+/// once.
 fn deliver(
     qp: &Qp,
     wr: SendWr,
@@ -1015,7 +1013,7 @@ fn deliver(
                 return push_local(WcStatus::RemoteAccessError);
             };
             // Deliver payload in SGE order (tail lands last — pollable).
-            for_each_slice(cluster, &local_slices, rbuf.mem, |m, s, off| {
+            for_each_slice(cluster, &local_slices, |m, s, off| {
                 m.copy(s, 0, &rbuf, off, s.len);
             });
             region.written(sched);
@@ -1026,7 +1024,7 @@ fn deliver(
             let Some((rbuf, _)) = table.resolve_remote(wr.rkey, wr.remote_addr, bytes) else {
                 return push_local(WcStatus::RemoteAccessError);
             };
-            for_each_slice(cluster, &local_slices, rbuf.mem, |m, s, off| {
+            for_each_slice(cluster, &local_slices, |m, s, off| {
                 m.copy(&rbuf, off, s, 0, s.len);
             });
             push_local(WcStatus::Success);
@@ -1041,7 +1039,7 @@ fn deliver(
                 .expect("atomics carry a result SGE");
             // The serialized engine makes the read-modify-write atomic by
             // construction (the HCA guarantee).
-            let written = cluster.with_mems(rbuf.mem, result.mem, |m| {
+            let written = cluster.with_plane(|m| {
                 let mut word = [0u8; 8];
                 m.read(&rbuf, 0, &mut word);
                 let original = u64::from_le_bytes(word);

@@ -1,12 +1,13 @@
-//! Allocation gate for the byte plane: a `pci_dma` leaves a mirror and an
-//! RDMA READ is one arena-to-arena memcpy, so neither may allocate
-//! anything payload-sized — only the small boxed completion event — and
-//! the mirror list must not allocate in steady state. A counting global
-//! allocator sums the bytes the test's own thread requests (the whole
-//! simulation runs on it) over 1,000 rounds of a 64 KiB offload sync plus
-//! a 64 KiB RDMA READ, as an offloaded rendezvous makes them, with an
-//! 8-byte stamp into the synced source in between: the stamp's bytes are
-//! copied into the twin and the mirror splits around them.
+//! Allocation gate for the byte plane: a 64 KiB RDMA READ and a 64 KiB
+//! `pci_dma` each leave a mirror, so neither may allocate anything
+//! payload-sized — only the small boxed completion event — and the mirror
+//! index must not allocate in steady state. A counting global allocator
+//! sums the bytes the test's own thread requests (the whole simulation
+//! runs on it) over 1,000 rounds of an RDMA READ from a remote host buffer
+//! into a Phi buffer plus an offload sync of that Phi buffer into its host
+//! twin, as an offloaded rendezvous makes them, with an 8-byte stamp into
+//! the remote source in between: the stamp's bytes are copied into both
+//! mirrors' destinations, and each mirror splits around them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,6 +15,7 @@ use std::sync::Arc;
 
 use fabric::{Buffer, Cluster, ClusterConfig, Domain, MemRef, NodeId};
 use parking_lot::Mutex;
+use simcore::mapping::page_size;
 use simcore::Simulation;
 use verbs::{IbFabric, QueuePair, SendWr, VerbsContext, WcStatus};
 
@@ -60,9 +62,9 @@ const ROUNDS: u64 = 1000;
 const LIMIT: u64 = 1 << 10;
 const STAMP: [u8; 8] = [0xA5; 8];
 
-/// Heap bytes per transfer over `ROUNDS` rounds of `pci_dma` (Phi to host
-/// twin) + RDMA READ (remote host into local Phi), each waited for, an
-/// 8-byte stamp into the middle of the Phi buffer, then `extra` on the
+/// Heap bytes per transfer over `ROUNDS` rounds of RDMA READ (remote host
+/// into local Phi) + `pci_dma` (Phi to host twin), each waited for, an
+/// 8-byte stamp into the middle of the remote buffer, then `extra` on the
 /// twin.
 fn bytes_per_transfer(extra: fn(&Cluster, &Buffer)) -> u64 {
     let mut sim = Simulation::new();
@@ -82,7 +84,7 @@ fn bytes_per_transfer(extra: fn(&Cluster, &Buffer)) -> u64 {
         let far = cluster.alloc_pages(mem(1, Domain::Host), LEN).unwrap();
         cluster.write(&far, 0, &vec![0x5A; LEN as usize]);
         let mr_phi = local.reg_mr_uncharged(phi.clone());
-        let mr_far = remote.reg_mr_uncharged(far);
+        let mr_far = remote.reg_mr_uncharged(far.clone());
         let (cq, cq_far) = (local.create_cq(), remote.create_cq());
         let qp = local.create_qp(&cq, &cq);
         let qp_far = remote.create_qp(&cq_far, &cq_far);
@@ -94,7 +96,7 @@ fn bytes_per_transfer(extra: fn(&Cluster, &Buffer)) -> u64 {
             assert_eq!(cq.wait(ctx).status, WcStatus::Success);
             let sync = cluster.pci_dma(&phi, &twin, ctx.now());
             ctx.wait(&sync.completion);
-            cluster.write(&phi, LEN / 2, &STAMP);
+            cluster.write(&far, LEN / 2, &STAMP);
             extra(&cluster, &twin);
         };
         for _ in 0..WARMUP_ROUNDS {
@@ -106,12 +108,22 @@ fn bytes_per_transfer(extra: fn(&Cluster, &Buffer)) -> u64 {
             round(ctx);
         }
         let used = BYTES.get() - before;
-        // The bytes did move, both hops, and the stamp landed after the
-        // sync: in the source only.
-        assert_eq!(cluster.read_vec(&twin), vec![0x5A; LEN as usize]);
+        // Both hops landed as mirrors of the remote buffer: each local
+        // buffer reads as it and holds one page, the one the stamps were
+        // copied into.
         let mut stamped = vec![0x5A; LEN as usize];
         stamped[LEN as usize / 2..][..STAMP.len()].copy_from_slice(&STAMP);
-        assert_eq!(cluster.read_vec(&phi), stamped);
+        assert_eq!(cluster.read_vec(&far), stamped);
+        for local in [&phi, &twin] {
+            assert_eq!(cluster.read_vec(local), stamped);
+            let resident = cluster.mem_resident(local.mem);
+            assert_eq!(
+                resident,
+                page_size() as u64,
+                "{}: a hop was copied",
+                local.mem
+            );
+        }
         *measured2.lock() = Some(used / (2 * ROUNDS));
     });
     sim.run_expect();

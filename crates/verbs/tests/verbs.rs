@@ -634,8 +634,8 @@ fn a_post_and_its_delivery_take_each_lock_once() {
         // remote QP.
         assert_eq!(locks_in("verbs/src/api.rs") - verbs_before, 2 + 3);
         // Post: Phi -> Phi across the wire is four channels. Delivery: the
-        // source arena and the destination arena.
-        assert_eq!(locks_in("cluster.rs") - fabric_before, 4 + 2);
+        // byte plane, once for both nodes' arenas.
+        assert_eq!(locks_in("cluster.rs") - fabric_before, 4 + 1);
         assert_eq!(cl.read_vec(&dst_buf), vec![0x5A; 4096]);
     });
     r.sim.run_expect();
