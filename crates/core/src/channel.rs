@@ -3,20 +3,13 @@
 //! One [`Channel`] per rank owns the transport half of every pair (QP,
 //! staging region, inbound ring, slot and credit counters, the queue of
 //! control packets waiting for credit) and the lazy-connect handshake.
-//! Above it the engine sees five operations, after the channel interface
-//! MPICH2 runs a whole MPI over:
-//!
-//! * **room** — [`Channel::room`]: is the pair wired, its control queue
-//!   empty and the flow-control window open?
-//! * **put** — [`Channel::put`]: write `header ‖ payload ‖ tail` into the
-//!   next outbound slot (or one already claimed) and build its work
-//!   request; [`Channel::post`] rings the doorbell.
-//! * **poll** — [`Channel::poll`]: the next in-order arrival, with the
-//!   sequence, credit and CPU-cost accounting already done and the
-//!   payload handed over as a [`Payload`] value.
-//! * **credit** — [`Channel::credit_due`] / [`Channel::credited`].
-//! * **flush** — [`Channel::queue_ctrl`] / [`Channel::next_ctrl`]: control
-//!   packets never block; they queue and drain as the window allows.
+//! Above it the engine sees five operations (DESIGN.md §19), after the
+//! channel interface MPICH2 runs a whole MPI over: *room*
+//! ([`Channel::room`]), *put* ([`Channel::put`], then [`Channel::post`]),
+//! *poll* ([`Channel::poll`], an in-order arrival with its payload as a
+//! [`Payload`] value), *credit* ([`Channel::credit_due`] /
+//! [`Channel::credited`]) and *flush* ([`Channel::queue_ctrl`] /
+//! [`Channel::next_ctrl`]: control packets never block).
 //!
 //! Arrivals reach a rank one of two ways: the peer RDMA-WRITEs into a
 //! per-pair inbound ring whose tail word we poll, or (with

@@ -1,34 +1,16 @@
 //! The DCFA-MPI point-to-point protocol engine.
 //!
 //! One engine instance runs inside each rank's simulated process and owns
-//! that rank's channel, registration cache and request table. The
-//! protocol follows §IV-B3/§IV-B4 of the paper:
-//!
-//! * **Eager** for small messages: one copy into a pre-registered staging
-//!   slot, then `header ‖ payload ‖ tail` travels to the peer's inbound
-//!   slot; the receiver finds it there in order.
-//! * **Sender-first rendezvous**: RTS (buffer address + rkey) → receiver
-//!   RDMA READ → DONE.
-//! * **Receiver-first rendezvous**: receiver posts a large receive early
-//!   and sends RTR; the sender RDMA WRITEs straight into the user buffer
-//!   and sends DONE.
-//! * **Simultaneous**: the sender disregards the RTR and waits for the
-//!   receiver's RDMA READ; the receiver follows the sender-first protocol.
-//! * **Sequence ids** pair each send with its receive per process pair;
-//!   `MPI_ANY_SOURCE` receives lock sequence assignment for later receives
-//!   until matched. Mis-predictions (eager vs. rendezvous) resolve via the
-//!   sequence ids: a stale RTR is dropped; a too-large rendezvous message
-//!   into a small receive raises an MPI error.
-//! * **Offloading send buffer** (§IV-B4): large sends sync the payload to
-//!   a host twin over the PCIe DMA engine and source the InfiniBand
-//!   transfer from host memory, dodging the slow HCA-read-from-Phi path.
-//!
-//! The engine is four files (DESIGN.md "Engine layering"): this one holds
-//! the MPI entry points and the protocol transitions; [`crate::channel`]
-//! is the transport underneath, [`crate::matching`] decides which receive
-//! a message belongs to, and [`crate::recovery`] is everything that runs
-//! when a transfer, a handshake or a peer fails. However a request ends,
-//! it ends in [`Engine::resolve`].
+//! that rank's channel, registration cache and request table. It is five
+//! files (DESIGN.md "Engine layering"): this one holds the MPI entry points
+//! and the offloading send buffer (§IV-B4: a large send syncs its payload
+//! to a host twin over the PCIe DMA engine and sources the InfiniBand
+//! transfer from host memory, dodging the slow HCA read from the Phi);
+//! [`crate::protocol`] is the table of request transitions,
+//! [`crate::channel`] the transport underneath, [`crate::matching`]
+//! decides which receive a message belongs to, and [`crate::recovery`] is
+//! everything that runs when a transfer, a handshake or a peer fails.
+//! However a request ends, it ends in [`Engine::resolve`].
 
 use std::sync::Arc;
 
@@ -37,13 +19,14 @@ use simcore::{Ctx, SimDuration, SimEvent, SimTime, TimerHandle};
 use verbs::{MrKey, SendWr, Wc};
 
 pub use crate::channel::PeerEndpoint;
-use crate::channel::{Channel, Inbound, Payload, CQ_BATCH};
+use crate::channel::{Channel, Inbound, CQ_BATCH};
 use crate::config::{MpiConfig, Placement};
 use crate::connect::ConnDirectory;
 use crate::matching::{MatchQueues, Pair, PostedRecv};
 use crate::metrics::Phase;
 use crate::mrcache::{Kind, Lease, RegCache};
 use crate::packet::{PacketHeader, PacketKind};
+use crate::protocol::{Event, Hit, NO_PACKET};
 use crate::recovery::{Health, TimeoutKind, TrackedWrs, WrKind};
 use crate::resources::Resources;
 use crate::slots::SlotTable;
@@ -78,50 +61,46 @@ pub(crate) enum ReqState {
     /// keeps the full RTS so the handshake watchdog can re-issue it.
     RndvSendAwaitDone {
         dst: Rank,
-        seq: u64,
         status: Status,
         lease: Lease,
         hdr: PacketHeader,
-        watchdog: Option<TimerHandle>,
-    },
-    /// Receiver-first: our RDMA write is in flight.
-    RndvSendWriting {
-        dst: Rank,
-        seq: u64,
-        full_len: u64,
-        status: Status,
-        lease: Lease,
     },
     /// Posted receive sitting in the match queue.
     RecvQueued,
-    /// Sender-first: our RDMA read is in flight; the lease pins the
-    /// destination buffer's registration.
-    RndvRecvReading {
-        src: Rank,
+    /// A rendezvous transfer in flight: our RDMA READ of `peer`'s buffer
+    /// (sender-first, `read`), or our RDMA WRITE into it (receiver-first).
+    /// The lease pins our end; `truncated` is a read's MPI error.
+    Rdma {
+        read: bool,
+        peer: Rank,
         seq: u64,
         status: Status,
         truncated: Option<MpiError>,
         lease: Lease,
     },
-    /// Receiver-first: RTR sent, waiting for the sender's DONE.
-    RecvAwaitDone { watchdog: Option<TimerHandle> },
+    /// Receiver-first: RTR `hdr` sent to `src`, waiting for the sender's
+    /// DONE-WRITE. `hdr` is kept so the handshake watchdog can re-issue it.
+    RecvAwaitDone { src: Rank, hdr: PacketHeader },
     /// The request is over; `test`/`wait` hand the outcome to the caller.
     /// Only [`Engine::resolve`] puts a request here.
     Ended(Result<Status, MpiError>),
 }
 
-/// One request-table slot: the request's protocol state and, while one
-/// of its protocol stages is timed, that stage.
+/// One request-table slot: the request's protocol state, the protocol
+/// stage being timed and the watchdog of the handshake it waits out.
 pub(crate) struct Req {
     pub(crate) state: ReqState,
     pub(crate) timing: Option<Timing>,
+    pub(crate) watchdog: Option<TimerHandle>,
 }
 
 impl From<ReqState> for Req {
     fn from(state: ReqState) -> Req {
+        let (timing, watchdog) = (None, None);
         Req {
             state,
-            timing: None,
+            timing,
+            watchdog,
         }
     }
 }
@@ -134,19 +113,6 @@ pub(crate) struct Timing {
     bytes: u64,
     peer: Rank,
     start: SimTime,
-}
-
-impl ReqState {
-    /// Where the watchdog armed on a handshake this state waits out is
-    /// kept. A transition out of the state must [`Engine::disarm`] it.
-    pub(crate) fn watchdog_mut(&mut self) -> Option<&mut Option<TimerHandle>> {
-        match self {
-            ReqState::RndvSendAwaitDone { watchdog, .. } | ReqState::RecvAwaitDone { watchdog } => {
-                Some(watchdog)
-            }
-            _ => None,
-        }
-    }
 }
 
 /// Protocol/traffic counters for one rank (exposed via
@@ -239,7 +205,7 @@ pub struct Engine {
     pub(crate) cache: RegCache,
     /// Request table. Slot-indexed with generation-tagged handles: a
     /// consumed/unknown `Request` misses on its generation and reports
-    /// `BadRequest`, exactly like the old hash-map lookup did.
+    /// `BadRequest`.
     pub(crate) reqs: SlotTable<Req>,
     /// Match queues and pair sequence state (see [`crate::matching`]).
     pub(crate) mq: MatchQueues,
@@ -312,7 +278,10 @@ impl Engine {
             res,
             progress_event,
             ch,
-            mq: MatchQueues::new(size),
+            mq: MatchQueues {
+                pairs: (0..size).map(|_| Pair::default()).collect(),
+                ..MatchQueues::default()
+            },
             wr: TrackedWrs::default(),
             health: Health::default(),
             mpi_call,
@@ -389,8 +358,7 @@ impl Engine {
         let seq = pair.tx_seq;
         pair.tx_seq += 1;
         // The message is born: its (src, dst, seq) id is now pinned.
-        self.ch
-            .msg_life(ctx, self.rank, dst, seq, MsgStage::Post, len);
+        self.life(ctx, self.rank, dst, seq, MsgStage::Post, len);
         let status = Status {
             source: dst,
             tag,
@@ -419,17 +387,18 @@ impl Engine {
         let stashed = rtrs.iter().position(|r| r.seq == seq);
         if let Some(rtr) = stashed.map(|i| rtrs.swap_remove(i)) {
             self.stats.rndv_recv_first += 1;
-            let writing = ReqState::RndvSendWriting {
-                dst,
+            let writing = ReqState::Rdma {
+                read: false,
+                peer: dst,
                 seq,
-                full_len: len,
                 status,
+                truncated: None,
                 lease,
             };
             let req = self.reqs.insert(writing.into());
             self.open_span(ctx, Phase::RndvWrite, req, len, dst);
             // RDMA WRITE into the advertised buffer, then DONE-WRITE on
-            // completion (driven by `complete_wr`).
+            // completion (the `transfer_done` row).
             let write_len = len.min(rtr.len);
             let sge = verbs::Sge {
                 addr: src_addr,
@@ -438,8 +407,7 @@ impl Engine {
             };
             let wr = SendWr::rdma_write(0, sge, rtr.addr, MrKey(rtr.rkey));
             self.post_tracked(ctx, dst, wr, WrKind::RndvWrite { req });
-            self.ch
-                .msg_life(ctx, self.rank, dst, seq, MsgStage::RdmaStart, write_len);
+            self.life(ctx, self.rank, dst, seq, MsgStage::RdmaStart, write_len);
             return Ok(Request(req));
         }
 
@@ -448,16 +416,13 @@ impl Engine {
         (hdr.addr, hdr.rkey) = (src_addr, src_rkey.0);
         let awaiting = ReqState::RndvSendAwaitDone {
             dst,
-            seq,
             status,
             lease,
             hdr,
-            watchdog: None,
         };
         let req = self.reqs.insert(awaiting.into());
         self.open_span(ctx, Phase::RtsWait, req, len, dst);
-        self.send_ctrl(ctx, dst, hdr);
-        self.arm_watchdog(ctx, TimeoutKind::Rts { req });
+        self.dispatch(ctx, Event::Issue, Hit::new(dst, hdr, Some(req)));
         Ok(Request(req))
     }
 
@@ -489,31 +454,22 @@ impl Engine {
         self.progress(ctx);
         let req = self.reqs.insert(ReqState::RecvQueued.into());
 
-        // Try the unexpected queue first.
-        if let Some(idx) = self.match_unexpected(src, tag) {
-            let u = self.mq.unexpected.remove(idx);
-            self.consume_unexpected(ctx, req, buf, u);
-            return Ok(Request(req));
-        }
-
-        let seq = self.assign_rx_seq(src);
         let mut posted = PostedRecv {
             req,
             buf: buf.clone(),
             src,
             tag,
-            seq,
+            seq: None,
             rtr_lease: None,
-            rtr_hdr: None,
         };
-        // Receiver-first rendezvous initiation: a large receive with a known
-        // source advertises its buffer immediately.
-        if let (Some(s), Some(q)) = (peer, seq) {
-            if buf.len > self.cfg.eager_threshold {
-                self.send_rtr(ctx, s, q, &mut posted);
-            }
+        // Try the unexpected queue first.
+        if let Some(idx) = self.match_unexpected(src, tag) {
+            let u = self.mq.unexpected.remove(idx);
+            self.pair_unexpected(ctx, posted, u);
+            return Ok(Request(req));
         }
-        self.mq.recv_q.push(posted);
+        posted.seq = self.assign_rx_seq(src);
+        self.enqueue(ctx, self.mq.recv_q.len(), posted);
         // Late failure gate. The entry guards above ran before this call
         // slept, drove progress and possibly queued an RTR — any death or
         // revocation observed meanwhile has already had its one-shot
@@ -521,9 +477,8 @@ impl Engine {
         // queued would strand it forever (nothing will ever match it and
         // no later sweep revisits the corpse).
         if let Err(e) = self.gate(peer, band) {
-            self.take_posted(ctx, self.mq.recv_q.len() - 1);
-            let mut gone = self.reqs.remove(req).map(|r| r.state);
-            self.disarm(gone.as_mut());
+            let rank = self.rank;
+            self.dispatch(ctx, Event::Withdraw, Hit::new(rank, NO_PACKET, Some(req)));
             return Err(e);
         }
         Ok(Request(req))
@@ -590,17 +545,16 @@ impl Engine {
     pub fn iprobe(&mut self, ctx: &mut Ctx, src: Src, tag: TagSel) -> Option<Status> {
         self.progress(ctx);
         self.match_unexpected(src, tag).map(|i| {
-            let (source, tag, _, len) = self.mq.unexpected[i].envelope();
+            let hdr = self.mq.unexpected[i].hdr;
+            let (source, tag, len) = (hdr.src_rank, hdr.tag, hdr.len);
             Status { source, tag, len }
         })
     }
 
-    /// Blocking probe. Like a receive it can only be satisfied by the
-    /// peer it names on a communicator that is not revoked, so it passes
-    /// the same failure gate before every park (`iprobe` has just observed
-    /// the health board): the reap/drain that follows a verdict empties
-    /// the unexpected queue, and nothing would ever wake a probe parked
-    /// behind it.
+    /// Blocking probe. Like a receive it passes the failure gate before
+    /// every park (`iprobe` has just observed the health board): the
+    /// reap/drain after a verdict empties the unexpected queue, and
+    /// nothing would wake a probe parked behind it.
     pub fn probe(&mut self, ctx: &mut Ctx, src: Src, tag: TagSel) -> Result<Status, MpiError> {
         let (peer, band) = self.recv_gate_args(src, tag)?;
         loop {
@@ -704,30 +658,21 @@ impl Engine {
 
     // ---- how a request ends ------------------------------------------------
 
-    /// The one way a request ends: record its timed stage, swap in the
-    /// outcome, cancel the watchdog of a handshake it was waiting out and
-    /// release whichever buffer pin the old state held. The stage ends
-    /// first because a pin release can cost virtual time (a
-    /// deregistration through the daemon) that is not part of the
-    /// protocol stage it measures. A request that already ended, or a
-    /// stale handle, is left as it is, so a late completion or a second
-    /// failure changes nothing.
-    ///
-    /// A posted receive's RTR pin lives with its queue entry:
-    /// [`Self::take_posted`] drops it when the receive leaves the queue.
+    /// The one way a request ends (DESIGN.md §19): record its timed stage —
+    /// first, as a pin release can cost virtual time outside the stage —
+    /// cancel its watchdog, swap in the outcome and release the buffer pin
+    /// the old state held. An ended request or a stale handle is left as
+    /// it is. A posted receive's RTR pin goes with its queue entry
+    /// ([`Self::take_posted`]).
     pub(crate) fn resolve(&mut self, ctx: &mut Ctx, req: u64, outcome: Result<Status, MpiError>) {
         match self.state(req) {
             None | Some(ReqState::Ended(_)) => return,
             Some(_) => {}
         }
         self.close_span(ctx, req);
-        let mut old = self.set_state(req, ReqState::Ended(outcome));
-        self.disarm(old.as_mut());
-        if let Some(
-            ReqState::RndvSendAwaitDone { lease, .. }
-            | ReqState::RndvSendWriting { lease, .. }
-            | ReqState::RndvRecvReading { lease, .. },
-        ) = old
+        self.disarm(req);
+        let old = self.set_state(req, ReqState::Ended(outcome));
+        if let Some(ReqState::RndvSendAwaitDone { lease, .. } | ReqState::Rdma { lease, .. }) = old
         {
             self.cache.release(ctx, &self.res, lease);
         }
@@ -756,6 +701,24 @@ impl Engine {
                 start,
             });
         }
+    }
+
+    /// Record an edge of message (`src`, `dst`, `seq`)'s lifecycle.
+    pub(crate) fn life(
+        &self,
+        ctx: &Ctx,
+        src: Rank,
+        dst: Rank,
+        seq: u64,
+        stage: MsgStage,
+        len: u64,
+    ) {
+        self.ch.msg_life(ctx, src, dst, seq, stage, len);
+    }
+
+    /// The memcpy time of `len` bytes in this rank's memory.
+    pub(crate) fn copy_time(&self, len: u64) -> SimDuration {
+        self.res.cluster().copy_duration(self.res.mem().domain, len)
     }
 
     /// End request `id`'s timed stage, if it has one, recording its
@@ -845,15 +808,11 @@ impl Engine {
         }
     }
 
-    /// Choose the rendezvous data source and pin it: the offloaded host
-    /// twin (synced first) above the offload threshold, otherwise the user
-    /// buffer via the MR pool. If the daemon cannot provide a twin the send
-    /// falls back to sourcing the Phi buffer directly;
-    /// [`Self::OFFLOAD_FAIL_LIMIT`] consecutive failures degrade the rank
-    /// off the offload path for good. Returns the source address and the
-    /// lease that pins it until the remote side confirms the transfer, and
-    /// records message `seq`'s source-staging edge: the PCIe sync into the
-    /// host twin, or the MR pin/registration round trip.
+    /// Choose the rendezvous data source and pin it: the host twin (synced
+    /// first) above the offload threshold, else the user buffer via the MR
+    /// pool — also when no twin is to be had, and for good after
+    /// [`Self::OFFLOAD_FAIL_LIMIT`] failures in a row. Returns the source
+    /// address and its lease, and records message `seq`'s staging edge.
     fn rndv_source(&mut self, ctx: &mut Ctx, buf: &Buffer, dst: Rank, seq: u64) -> (u64, Lease) {
         self.refresh_ctrl();
         let (rank, len) = (self.rank, buf.len);
@@ -872,8 +831,7 @@ impl Engine {
                 self.rec.sample(Phase::OffloadSync, len, None, sync_ns);
                 self.stats.offload_syncs += 1;
                 self.rec.trace(|| TraceEvent::OffloadSyncEnd { rank, len });
-                self.ch
-                    .msg_life(ctx, rank, dst, seq, MsgStage::OffloadSync, len);
+                self.life(ctx, rank, dst, seq, MsgStage::OffloadSync, len);
                 return (twin.addr, lease);
             }
             // No twin to be had: source the Phi buffer directly.
@@ -885,8 +843,7 @@ impl Engine {
             }
         }
         let lease = self.pin_mr(ctx, buf);
-        self.ch
-            .msg_life(ctx, rank, dst, seq, MsgStage::MrAcquire, len);
+        self.life(ctx, rank, dst, seq, MsgStage::MrAcquire, len);
         (buf.addr, lease)
     }
 
@@ -952,18 +909,15 @@ impl Engine {
             // The send parked for ring credit; the edge ending here is
             // the credit-stall interval.
             self.stats.credit_parks += 1;
-            self.ch
-                .msg_life(ctx, self.rank, dst, hdr.seq, MsgStage::CreditStall, hdr.len);
+            self.life(ctx, self.rank, dst, hdr.seq, MsgStage::CreditStall, hdr.len);
         }
         self.transmit(ctx, dst, hdr, Some(payload), Some(owner), None);
     }
 
     /// Put one packet on the wire toward `dst` (the caller has verified
-    /// the window) — into outbound slot `slot` if given, the next one
-    /// otherwise. Every slot write is signaled and tracked: a failed
-    /// control packet must be retried (dropping it would wedge the peer's
-    /// inbound stream), and that needs the WR and its slot to still be
-    /// known when the error completion arrives.
+    /// the window), into outbound slot `slot` if given. Every slot write is
+    /// tracked: a failed one is retried or replaced in its slot, or the
+    /// peer's inbound stream would wedge.
     pub(crate) fn transmit(
         &mut self,
         ctx: &mut Ctx,
@@ -1011,7 +965,7 @@ impl Engine {
         self.cq_scratch = batch;
         while let Some(step) = self.ch.poll(ctx, &self.res, &mut self.stats) {
             match step {
-                Inbound::Packet(p, hdr, payload) => self.handle_packet(ctx, p, hdr, payload),
+                Inbound::Packet(p, hdr, payload) => self.arrive(ctx, p, hdr, payload),
                 Inbound::Drained(p) => {
                     if self.ch.credit_due(p) {
                         let hdr = self.credit_header(p);
@@ -1022,122 +976,5 @@ impl Engine {
             }
         }
         self.in_progress = false;
-    }
-
-    /// One in-order arrival from `p`.
-    fn handle_packet(&mut self, ctx: &mut Ctx, p: Rank, hdr: PacketHeader, payload: Payload) {
-        let rank = self.rank;
-        let (src, tag, seq) = (hdr.src_rank, hdr.tag, hdr.seq);
-        self.rec.trace(|| TraceEvent::PacketRx {
-            at: rank,
-            from: p,
-            kind: hdr.kind,
-            seq,
-            len: hdr.len,
-        });
-        if let Some((msrc, mdst)) = self.ch.msg_id(hdr.kind, p, false) {
-            self.ch
-                .msg_life(ctx, msrc, mdst, seq, MsgStage::Wire, hdr.len);
-        }
-        let lost = || MpiError::RemoteTransport { peer: src, seq };
-        match hdr.kind {
-            PacketKind::Credit => {
-                self.rec.trace(|| TraceEvent::CreditApply {
-                    at: rank,
-                    from: p,
-                    consumed: hdr.len,
-                });
-                self.ch.credited(p, hdr.len);
-                // Prune replayed-handshake answers the peer has resolved.
-                // `seq`/`addr` carry the peer's resolution watermarks (see
-                // `credit_header`); slot FIFO guarantees any still-replayable
-                // duplicate RTS/RTR was processed before this credit, so
-                // dropping entries below the watermarks is safe. Zeros (old
-                // peers, bootstrap) prune nothing.
-                let pair = self.pair(p);
-                let before = pair.served_done.len() + pair.served_dw.len();
-                pair.served_done.retain(|&s, _| s >= hdr.seq);
-                pair.served_dw.retain(|&s, _| s >= hdr.addr);
-                let after = pair.served_done.len() + pair.served_dw.len();
-                self.stats.replay_pruned += (before - after) as u64;
-            }
-            // The data stream — the three kinds that consume a pair
-            // sequence id — goes to the matcher.
-            PacketKind::Eager | PacketKind::Rts | PacketKind::NackSend => {
-                self.match_arrival(ctx, p, hdr, payload)
-            }
-            PacketKind::Rtr => {
-                if self.awaiting_send(src, seq).is_some() {
-                    // Simultaneous send/receive: "The sender will disregard
-                    // the RTR and still wait for the receiver's RDMA read."
-                    return;
-                }
-                // A re-issued RTR for a write we already answered
-                // (DONE-WRITE or NACK-WRITE): replay the answer.
-                if let Some(ans) = self.pair(p).served_dw.get(&seq).copied() {
-                    self.replay(ctx, p, ans);
-                    return;
-                }
-                // A re-issued RTR whose first copy already started our
-                // RDMA write: the answer is coming, drop the dup.
-                let writing = self.reqs.iter().any(|(_, r)| {
-                    matches!(r.state, ReqState::RndvSendWriting { dst, seq: s, .. }
-                        if dst == p && s == seq)
-                });
-                if writing {
-                    return;
-                }
-                // Completed or eager-satisfied sends: drop ("the sender
-                // drops the RTR packet ... thanks to the sequence id").
-                let pair = self.pair(p);
-                if seq >= pair.tx_seq {
-                    // Send not posted yet: receiver-first, stash for later
-                    // (a re-issued RTR must not stash twice).
-                    if !pair.stashed_rtrs.iter().any(|r| r.seq == seq) {
-                        pair.stashed_rtrs.push(hdr);
-                    }
-                } else {
-                    self.stats.stale_rtrs_dropped += 1;
-                    self.rec
-                        .trace(|| TraceEvent::StaleRtrDrop { rank, from: p, seq });
-                }
-            }
-            PacketKind::Done | PacketKind::Nack => {
-                // The receiver finished its RDMA READ of our sender-first
-                // send — or, negatively, could not (or its receive was
-                // already dead).
-                if let Some((id, status)) = self.awaiting_send(src, seq) {
-                    if hdr.kind == PacketKind::Done {
-                        self.resolve(ctx, id, Ok(status));
-                        self.ch
-                            .msg_life(ctx, rank, p, seq, MsgStage::Complete, hdr.len);
-                    } else {
-                        self.resolve(ctx, id, Err(lost()));
-                    }
-                }
-            }
-            PacketKind::DoneWrite | PacketKind::NackWrite => {
-                // Receiver-first: the sender finished its RDMA WRITE into
-                // our advertised buffer — or, negatively, it failed.
-                let Some(idx) = self.mq.recv_q.iter().position(|r| r.advertised(src, seq)) else {
-                    return;
-                };
-                let posted = self.take_posted(ctx, idx);
-                let capacity = posted.buf.len;
-                if hdr.kind == PacketKind::NackWrite {
-                    self.resolve(ctx, posted.req, Err(lost()));
-                } else if hdr.len > capacity {
-                    // Sender had more data than our buffer: MPI error.
-                    let got = hdr.len;
-                    self.resolve(ctx, posted.req, Err(MpiError::Truncated { got, capacity }));
-                } else {
-                    self.stats.bytes_received += hdr.len;
-                    let (source, len) = (src, hdr.len);
-                    self.resolve(ctx, posted.req, Ok(Status { source, tag, len }));
-                    self.ch
-                        .msg_life(ctx, p, rank, seq, MsgStage::Complete, hdr.len);
-                }
-            }
-        }
     }
 }

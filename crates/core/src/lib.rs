@@ -52,6 +52,7 @@ mod matching;
 pub mod metrics;
 mod mrcache;
 mod packet;
+mod protocol;
 mod recovery;
 mod resources;
 #[cfg(test)]

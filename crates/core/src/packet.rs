@@ -104,7 +104,7 @@ pub const SLOT_OVERHEAD: u64 = HEADER_LEN + TAIL_LEN;
 
 impl PacketHeader {
     /// A data-less control header.
-    pub fn control(kind: PacketKind, src_rank: Rank, tag: Tag, seq: u64, len: u64) -> Self {
+    pub const fn control(kind: PacketKind, src_rank: Rank, tag: Tag, seq: u64, len: u64) -> Self {
         PacketHeader {
             kind,
             src_rank,

@@ -8,8 +8,8 @@
 //! * the health board's verdicts are acted on: a dead peer is reaped, a
 //!   revoked communicator drained, a shrink committed.
 //!
-//! All `impl Engine`, moved out of `engine.rs`; requests end through
-//! [`Engine::resolve`] like everywhere else.
+//! What a completion, a failure or a watchdog does to its request is a
+//! row of [`crate::protocol::ROWS`]; requests end in [`Engine::resolve`].
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -18,9 +18,10 @@ use fabric::{HealthBoard, PeerState};
 use simcore::{Ctx, SimDuration, SimTime, TimerQueue};
 use verbs::{SendWr, Wc, WcStatus};
 
-use crate::engine::{is_shrink_tag, Engine, KillMarker, ReqState, SHRINK_TAG_BASE};
+use crate::engine::{is_shrink_tag, Engine, KillMarker, Req, ReqState, SHRINK_TAG_BASE};
 use crate::metrics::Phase;
 use crate::packet::{PacketHeader, PacketKind};
+use crate::protocol::{Event, Hit, Wr, NO_PACKET};
 use crate::slots::SlotTable;
 use crate::trace::{MsgStage, TraceEvent};
 use crate::types::{MpiError, Rank, Request, Src, Tag, TagSel, TransportOp};
@@ -45,6 +46,18 @@ pub(crate) enum WrKind {
     RndvWrite { req: u64 },
 }
 
+impl WrKind {
+    /// The work request as [`crate::protocol::ROWS`] names it, the request
+    /// that owns it if that is known, and the packet it carries.
+    fn parts(&self) -> (Wr, Option<u64>, PacketHeader) {
+        match *self {
+            WrKind::Ring { hdr, req, .. } => (Wr::Slot(hdr.kind), req, hdr),
+            WrKind::RndvRead { req } => (Wr::Read, Some(req), NO_PACKET),
+            WrKind::RndvWrite { req } => (Wr::Write, Some(req), NO_PACKET),
+        }
+    }
+}
+
 /// A posted send-side work request awaiting its completion.
 pub(crate) struct InflightWr {
     wr: SendWr,
@@ -57,10 +70,9 @@ pub(crate) struct InflightWr {
 /// A pending handshake watchdog.
 #[derive(Clone, Copy)]
 pub(crate) enum TimeoutKind {
-    /// Sender-first: re-issue the RTS if the DONE hasn't arrived.
-    Rts { req: u64 },
-    /// Receiver-first: re-issue the RTR if the DONE-WRITE hasn't arrived.
-    Rtr { req: u64 },
+    /// A rendezvous handshake: re-issue the RTS or RTR of request `req`
+    /// if its answer hasn't arrived.
+    Handshake { req: u64 },
     /// Lazy-connect handshake: re-issue the connect Req if the pair is
     /// still unwired (the Req or its Ack was lost on the out-of-band
     /// channel). `attempt` counts re-issues; past `dcfa::CMD_RETRY_LIMIT` the
@@ -72,11 +84,9 @@ pub(crate) enum TimeoutKind {
 #[derive(Default)]
 pub(crate) struct TrackedWrs {
     /// Every posted send-side work request until its completion is
-    /// classified (success / retry / permanent failure). The table handle
-    /// IS the wr_id: every send-side WR's id is drawn from here, so a
-    /// completion — success or error — always finds its owner, and a
-    /// handle that went stale (request failed under the retry) simply
-    /// misses on its generation.
+    /// classified. The table handle IS the wr_id, so a completion always
+    /// finds its owner, and a stale handle (its request failed under the
+    /// retry) misses on its generation.
     pub(crate) inflight: SlotTable<InflightWr>,
     /// Transiently failed WRs waiting out their backoff, by due time.
     pub(crate) retry_due: TimerQueue<u64>,
@@ -136,11 +146,9 @@ fn owned(kind: PacketKind) -> bool {
 impl Engine {
     // ---- tracked work requests ---------------------------------------------
 
-    /// Post a send-side work request with its completion routing recorded
-    /// in the inflight table. A synchronous post failure (the QP refused
-    /// the WR — no completion will ever arrive) is treated as a fatal
-    /// completion, but without the recovery traffic: the QP itself is the
-    /// thing that is broken.
+    /// Post a send-side work request, tracked in the inflight table. A post
+    /// the QP refuses (no completion will ever arrive) fails like a fatal
+    /// completion, without recovery traffic through the broken QP.
     pub(crate) fn post_tracked(&mut self, ctx: &mut Ctx, dst: Rank, mut wr: SendWr, kind: WrKind) {
         let coalesce = std::mem::replace(&mut self.wr.coalesce_next_post, false);
         // The inflight-table handle IS the wr_id: insert first to obtain
@@ -164,18 +172,17 @@ impl Engine {
         }
     }
 
-    /// Route one work completion: success completes the tracked WR;
-    /// errors are classified into bounded retry (transient statuses),
-    /// unbounded retry (ownerless control packets, which must eventually
-    /// land or the peer's ring wedges), or permanent failure of the
-    /// owning request — never a panic, never a dead rank.
+    /// Route one work completion: success is a row; an error is retried
+    /// with a bound (transient statuses) or without one (ownerless control
+    /// packets, or the peer's ring wedges), or fails its owner for good.
     pub(crate) fn handle_wc(&mut self, ctx: &mut Ctx, wc: Wc) {
         let Some(entry) = self.wr.inflight.remove(wc.wr_id) else {
             return;
         };
         if wc.status == WcStatus::Success {
             self.release_stage(&entry);
-            self.complete_wr(ctx, entry);
+            let (wr, req, hdr) = entry.kind.parts();
+            self.dispatch(ctx, Event::Sent(wr), Hit::new(entry.dst, hdr, req));
             return;
         }
         self.stats.wr_faults += 1;
@@ -197,13 +204,10 @@ impl Engine {
                     self.release_stage(&entry);
                     self.promote_dead(&board, peer);
                     self.observe_health(ctx);
-                    // The epoch-transition reap in `observe_health` is
-                    // one-shot per peer: a WR posted after the corpse was
-                    // already reaped (its entry guards raced the
-                    // promotion) would otherwise leave its owner pending
-                    // forever. `reap_one` is an idempotent sweep of
-                    // everything currently toward the corpse, so re-run
-                    // it for every flush.
+                    // That reap is one-shot per peer, and a WR posted after
+                    // it (its entry guards raced the promotion) would leave
+                    // its owner pending forever: `reap_one` is idempotent,
+                    // so re-run it for every flush.
                     self.reap_one(ctx, peer);
                 }
                 None => self.fail_wr(ctx, entry, wc.status, false),
@@ -227,80 +231,6 @@ impl Engine {
         if let WrKind::Ring { stage, .. } = entry.kind {
             self.ch.release_stage(entry.dst, stage);
         }
-    }
-
-    /// A tracked work request completed successfully. A request that
-    /// already ended out-of-band (peer-death reap, or a revocation drained
-    /// it) keeps that outcome: the late success changes nothing.
-    fn complete_wr(&mut self, ctx: &mut Ctx, entry: InflightWr) {
-        let me = self.rank;
-        let req = match entry.kind {
-            WrKind::Ring { req: None, .. } => return,
-            WrKind::Ring { req: Some(id), .. } => id,
-            WrKind::RndvRead { req } | WrKind::RndvWrite { req } => req,
-        };
-        match (entry.kind, self.wr_owner(req)) {
-            (WrKind::Ring { hdr, .. }, Some(ReqState::EagerSend { status })) => {
-                let status = *status;
-                self.resolve(ctx, req, Ok(status));
-                self.ch
-                    .msg_life(ctx, me, entry.dst, hdr.seq, MsgStage::Complete, hdr.len);
-            }
-            (
-                WrKind::RndvRead { .. },
-                Some(ReqState::RndvRecvReading {
-                    src,
-                    seq,
-                    status,
-                    truncated,
-                    ..
-                }),
-            ) => {
-                let (src, seq, status, truncated) = (*src, *seq, *status, truncated.clone());
-                // The stage ends when the data has landed, before the
-                // lifecycle edge that says so.
-                self.close_span(ctx, req);
-                self.ch
-                    .msg_life(ctx, src, me, seq, MsgStage::RdmaDone, status.len);
-                let completed = truncated.is_none();
-                self.resolve(ctx, req, truncated.map_or(Ok(status), Err));
-                self.stats.bytes_received += status.len;
-                let done = PacketHeader::control(PacketKind::Done, me, status.tag, seq, status.len);
-                self.answer(ctx, src, done);
-                if completed {
-                    self.ch
-                        .msg_life(ctx, src, me, seq, MsgStage::Complete, status.len);
-                }
-            }
-            (
-                WrKind::RndvWrite { .. },
-                Some(ReqState::RndvSendWriting {
-                    dst,
-                    seq,
-                    full_len,
-                    status,
-                    ..
-                }),
-            ) => {
-                // Data placed; the source is free again. Tell the receiver.
-                let (dst, seq, len, status) = (*dst, *seq, *full_len, *status);
-                self.close_span(ctx, req);
-                self.ch.msg_life(ctx, me, dst, seq, MsgStage::RdmaDone, len);
-                self.resolve(ctx, req, Ok(status));
-                let done = PacketHeader::control(PacketKind::DoneWrite, me, status.tag, seq, len);
-                self.answer(ctx, dst, done);
-                self.ch.msg_life(ctx, me, dst, seq, MsgStage::Complete, len);
-            }
-            // The request is gone, or in no state that expects this
-            // completion: nothing to advance, so it is dropped.
-            _ => {}
-        }
-    }
-
-    /// The live (not yet ended) request `req`, if any.
-    fn wr_owner(&self, req: u64) -> Option<&ReqState> {
-        self.state(req)
-            .filter(|st| !matches!(st, ReqState::Ended(_)))
     }
 
     /// Backoff before the first retry of a transiently failed WR; doubles
@@ -332,7 +262,7 @@ impl Engine {
     fn msg_life_wr(&self, ctx: &Ctx, entry: &InflightWr, stage: MsgStage) {
         if let WrKind::Ring { hdr, .. } = entry.kind {
             if let Some((src, dst)) = self.ch.msg_id(hdr.kind, entry.dst, true) {
-                self.ch.msg_life(ctx, src, dst, hdr.seq, stage, hdr.len);
+                self.life(ctx, src, dst, hdr.seq, stage, hdr.len);
             }
         }
     }
@@ -364,12 +294,10 @@ impl Engine {
         }
     }
 
-    /// A send-side work request failed permanently: fail the owning
-    /// request (only that request — the rank and all other traffic stay
-    /// alive), notify the peer so its side resolves too, and keep the
-    /// slot stream consumable. `recover` is false only for synchronous
-    /// post failures, where the QP itself refused the WR and recovery
-    /// traffic through it would be futile.
+    /// A send-side work request failed permanently: its row fails the one
+    /// request owning it and tells the peer, and a filler keeps the slot
+    /// stream consumable. `recover` is false when the QP itself refused
+    /// the post, and recovery traffic through it would be futile.
     pub(crate) fn fail_wr(
         &mut self,
         ctx: &mut Ctx,
@@ -388,87 +316,40 @@ impl Engine {
         // Before anything below stages the filler: it goes where the dead
         // packet was.
         self.release_stage(&entry);
-        match entry.kind {
-            WrKind::Ring {
-                hdr, slot_seq, req, ..
-            } => {
-                let seq = hdr.seq;
-                if !owned(hdr.kind) {
-                    // Ownerless control packets only land here on a
-                    // synchronous post failure.
-                    self.stats.ctrl_abandoned += 1;
-                    return;
-                }
-                self.rec.trace(|| TraceEvent::TransportFail {
-                    rank,
-                    peer: dst,
-                    seq,
-                });
-                // The receiver is still waiting for this very slot
-                // sequence: whatever tells it (or, with nobody to tell, a
-                // CREDIT) must land in the dead packet's slot.
-                let filler = if hdr.kind == PacketKind::Rtr {
-                    let idx = self.mq.recv_q.iter().position(|r| r.advertised(dst, seq));
-                    if let Some(i) = idx {
-                        let posted = self.take_posted(ctx, i);
-                        self.resolve(ctx, posted.req, Err(failed(TransportOp::CtrlWrite)));
-                        // The sender never saw our RTR; its RTS (or eager
-                        // packet) for this seq will arrive later and must
-                        // not match another receive.
-                        self.mq.dead_rx.insert((dst, seq));
-                    }
-                    self.credit_header(dst)
-                } else {
-                    // The owning send of an RTS is discovered through
-                    // (dst, seq): control packets carry no request id.
-                    let (owner, op) = match hdr.kind {
-                        PacketKind::Eager => (req, TransportOp::EagerWrite),
-                        _ => (
-                            self.awaiting_send(dst, seq).map(|(id, _)| id),
-                            TransportOp::CtrlWrite,
-                        ),
-                    };
-                    if let Some(id) = owner {
-                        self.resolve(ctx, id, Err(failed(op)));
-                    }
-                    PacketHeader::control(PacketKind::NackSend, rank, hdr.tag, seq, 0)
-                };
-                if recover {
-                    self.transmit(ctx, dst, filler, None, None, Some(slot_seq));
-                }
+        let (wr, mut req, hdr) = entry.kind.parts();
+        let op = match wr {
+            Wr::Slot(kind) if !owned(kind) => {
+                // Ownerless control packets only land here on a
+                // synchronous post failure.
+                self.stats.ctrl_abandoned += 1;
+                return;
             }
-            WrKind::RndvRead { req } | WrKind::RndvWrite { req } => {
-                // Ended out-of-band while the transfer was in flight:
-                // nothing left to fail.
-                let (peer, seq, tag, op, nack) = match self.state(req) {
-                    Some(ReqState::RndvRecvReading {
-                        src, seq, status, ..
-                    }) => (
-                        *src,
-                        *seq,
-                        status.tag,
-                        TransportOp::RndvRead,
-                        PacketKind::Nack,
-                    ),
-                    Some(ReqState::RndvSendWriting {
-                        dst, seq, status, ..
-                    }) => (
-                        *dst,
-                        *seq,
-                        status.tag,
-                        TransportOp::RndvWrite,
-                        PacketKind::NackWrite,
-                    ),
-                    _ => return,
-                };
-                self.resolve(ctx, req, Err(failed(op)));
-                self.rec
-                    .trace(|| TraceEvent::TransportFail { rank, peer, seq });
-                if recover {
-                    let nack = PacketHeader::control(nack, rank, tag, seq, 0);
-                    self.answer(ctx, peer, nack);
-                }
+            Wr::Slot(PacketKind::Eager) => TransportOp::EagerWrite,
+            Wr::Slot(_) => TransportOp::CtrlWrite,
+            Wr::Read => TransportOp::RndvRead,
+            Wr::Write => TransportOp::RndvWrite,
+        };
+        if let Wr::Slot(kind) = wr {
+            let (peer, seq) = (dst, hdr.seq);
+            self.rec
+                .trace(|| TraceEvent::TransportFail { rank, peer, seq });
+            if kind != PacketKind::Eager {
+                // An RTS's send or an RTR's receive: found by (dst, seq).
+                req = self.find(dst, seq, kind == PacketKind::Rts);
             }
+        }
+        let mut hit = Hit::new(dst, hdr, req);
+        hit.fault = Some((failed(op), recover));
+        self.dispatch(ctx, Event::Failed(wr), hit);
+        // The receiver is still waiting for a dead slot write's slot
+        // sequence: whatever tells it (or, with nobody to tell, a CREDIT)
+        // must land in the dead packet's slot.
+        if let (WrKind::Ring { slot_seq, .. }, true) = (entry.kind, recover) {
+            let filler = match hdr.kind {
+                PacketKind::Rtr => self.credit_header(dst),
+                _ => PacketHeader::control(PacketKind::NackSend, rank, hdr.tag, hdr.seq, 0),
+            };
+            self.transmit(ctx, dst, filler, None, None, Some(slot_seq));
         }
     }
 
@@ -477,9 +358,7 @@ impl Engine {
     /// Arm (or re-arm) a handshake watchdog, keeping its handle with the
     /// handshake it guards. The lazy-connect one runs on the command
     /// timeout — the out-of-band channel can lose the Req or its Ack; a
-    /// rendezvous one is a no-op when `rndv_timeout` is off. A handshake
-    /// that already ended — a re-issue whose post failed on the spot
-    /// fails its request — arms nothing.
+    /// rendezvous one is a no-op when `rndv_timeout` is off.
     pub(crate) fn arm_watchdog(&mut self, ctx: &mut Ctx, kind: TimeoutKind) {
         let period = match kind {
             TimeoutKind::Conn { .. } => Some(dcfa::CMD_TIMEOUT),
@@ -489,9 +368,7 @@ impl Engine {
         let Engine { wr, reqs, ch, .. } = self;
         let held = match kind {
             TimeoutKind::Conn { peer, .. } => ch.conn_watchdog(peer),
-            TimeoutKind::Rts { req } | TimeoutKind::Rtr { req } => {
-                reqs.get_mut(req).and_then(|r| r.state.watchdog_mut())
-            }
+            TimeoutKind::Handshake { req } => reqs.get_mut(req).map(|r| &mut r.watchdog),
         };
         let Some(held) = held else { return };
         let due = ctx.now() + period;
@@ -499,22 +376,19 @@ impl Engine {
         self.wake_for_watchdogs(due);
     }
 
-    /// `state` has stopped waiting for its handshake's answer — it has
-    /// it, or will never get one: cancel the watchdog armed on it, if any.
-    pub(crate) fn disarm(&mut self, state: Option<&mut ReqState>) {
-        let armed = state
-            .and_then(ReqState::watchdog_mut)
-            .and_then(Option::take);
+    /// Request `req` has stopped waiting for its handshake's answer — it
+    /// has it, or will never get one: cancel the watchdog armed on it.
+    pub(crate) fn disarm(&mut self, req: u64) {
+        let armed = self.reqs.get_mut(req).and_then(|r| r.watchdog.take());
         if let Some(timer) = armed {
             self.wr.watchdogs.cancel(timer);
         }
     }
 
-    /// See that the rank is woken at `due` for its watchdog queue: arm a
-    /// scheduler wake unless one is already outstanding at or before it.
-    /// A rendezvous arms a watchdog per handshake and nearly all of them
-    /// resolve long before they are due; one wake moved along the queue
-    /// serves them all.
+    /// See that the rank is woken at `due` for its watchdog queue, unless
+    /// a wake is already armed at or before it: nearly every handshake
+    /// resolves long before its watchdog is due, and one wake moved along
+    /// the queue serves them all.
     fn wake_for_watchdogs(&mut self, due: SimTime) {
         if self.wr.watchdog_wake.is_some_and(|armed| armed <= due) {
             return;
@@ -537,7 +411,13 @@ impl Engine {
         }
         self.wr.watchdog_wake = None;
         while let Some(kind) = self.wr.watchdogs.pop_due(now) {
-            self.handle_timeout(ctx, kind);
+            match kind {
+                TimeoutKind::Conn { peer, attempt } => self.handle_conn_timeout(ctx, peer, attempt),
+                TimeoutKind::Handshake { req } => {
+                    let hit = Hit::new(self.rank, NO_PACKET, Some(req));
+                    self.dispatch(ctx, Event::Watchdog, hit);
+                }
+            }
         }
         // The wake has fired: move it on to the next watchdog (one re-armed
         // just now has seen to itself).
@@ -549,47 +429,12 @@ impl Engine {
     /// Whether the handshake packet `hdr` is still on its way out of this
     /// rank (queued for credit, in flight, or awaiting a retry) — in
     /// which case re-issuing it would be premature.
-    fn ctrl_outstanding(&self, dst: Rank, hdr: &PacketHeader) -> bool {
+    pub(crate) fn ctrl_outstanding(&self, dst: Rank, hdr: &PacketHeader) -> bool {
         let same = |h: &PacketHeader| h.kind == hdr.kind && h.seq == hdr.seq;
         self.ch.ctrl_queued(dst, same)
             || self.wr.inflight.iter().any(|(_, e)| {
                 e.dst == dst && matches!(&e.kind, WrKind::Ring { hdr: h, .. } if same(h))
             })
-    }
-
-    fn handle_timeout(&mut self, ctx: &mut Ctx, kind: TimeoutKind) {
-        let (dst, hdr) = match kind {
-            TimeoutKind::Conn { peer, attempt } => {
-                self.handle_conn_timeout(ctx, peer, attempt);
-                return;
-            }
-            TimeoutKind::Rts { req } => {
-                let Some(ReqState::RndvSendAwaitDone { dst, hdr, .. }) = self.state(req) else {
-                    return;
-                };
-                (*dst, *hdr)
-            }
-            TimeoutKind::Rtr { req } => {
-                // A queued receive that advertised an RTR is still
-                // waiting for its DONE-WRITE.
-                let Some(posted) = self.mq.recv_q.iter().find(|r| r.req == req) else {
-                    return;
-                };
-                let (Some(hdr), Src::Rank(dst)) = (posted.rtr_hdr, posted.src) else {
-                    return;
-                };
-                (dst, hdr)
-            }
-        };
-        if self.ctrl_outstanding(dst, &hdr) {
-            // Still in our own pipeline (e.g. waiting out a retry
-            // backoff); give it another period.
-            self.arm_watchdog(ctx, kind);
-            return;
-        }
-        self.stats.handshake_reissues += 1;
-        self.replay(ctx, dst, hdr);
-        self.arm_watchdog(ctx, kind);
     }
 
     /// The connect handshake toward `peer` timed out: re-issue the Req,
@@ -700,12 +545,10 @@ impl Engine {
         board.promote_dead(sched, peer, sched.now());
     }
 
-    /// The failure gate of `isend`/`irecv`/`probe`: refuse with
-    /// `Revoked` outside the shrink band on a revoked communicator, and
-    /// with `PeerFailed` when the named peer is dead. Run at entry and
-    /// again right before the operation becomes reachable only by the
-    /// one-shot reap/drain sweeps — those run once per verdict and
-    /// cannot see an operation still between the two gates.
+    /// The failure gate of `isend`/`irecv`/`probe`: `Revoked` outside the
+    /// shrink band on a revoked communicator, `PeerFailed` toward a dead
+    /// peer. Run at entry and again right before the operation becomes
+    /// reachable only by the one-shot reap/drain sweeps.
     pub(crate) fn gate(&mut self, peer: Option<Rank>, shrink_band: bool) -> Result<(), MpiError> {
         if self.health.revoked && !shrink_band {
             return Err(MpiError::Revoked);
@@ -747,23 +590,11 @@ impl Engine {
             }
         }
         // Requests whose progress depends on the corpse.
-        let depends = |(id, st): (u64, &ReqState)| {
-            let hit = match st {
-                ReqState::EagerSend { status } => status.source == d,
-                ReqState::RndvSendAwaitDone { dst, .. } | ReqState::RndvSendWriting { dst, .. } => {
-                    *dst == d
-                }
-                ReqState::RndvRecvReading { src, .. } => *src == d,
-                _ => false,
-            };
-            hit.then_some(id)
-        };
-        let states = self.reqs.iter().map(|(id, r)| (id, &r.state));
-        let dead_reqs: Vec<u64> = states.filter_map(depends).collect();
-        reclaimed += dead_reqs.len() as u64;
-        for id in dead_reqs {
-            self.resolve(ctx, id, Err(MpiError::PeerFailed(d)));
-        }
+        reclaimed += self.resolve_all(ctx, MpiError::PeerFailed(d), |_, st| match st {
+            ReqState::EagerSend { status } => status.source == d,
+            ReqState::RndvSendAwaitDone { dst: p, .. } | ReqState::Rdma { peer: p, .. } => *p == d,
+            _ => false,
+        });
         // Posted receives sourced from the corpse (any-source receives may
         // still match a live sender and stay), and its unexpected
         // messages, which have no receiver left to claim them.
@@ -784,15 +615,27 @@ impl Engine {
         self.stats.dead_reclaimed += reclaimed;
     }
 
+    /// End every request `doomed` accepts with `err`, in table order;
+    /// returns how many there were.
+    fn resolve_all(
+        &mut self,
+        ctx: &mut Ctx,
+        err: MpiError,
+        doomed: impl Fn(u64, &ReqState) -> bool,
+    ) -> u64 {
+        let pick = |(id, r): (u64, &Req)| doomed(id, &r.state).then_some(id);
+        let ids: Vec<u64> = self.reqs.iter().filter_map(pick).collect();
+        for &id in &ids {
+            self.resolve(ctx, id, Err(err.clone()));
+        }
+        ids.len() as u64
+    }
+
     /// Drain this rank's side of a revocation: every pending request and
-    /// posted receive ends with [`MpiError::Revoked`]; unexpected
-    /// messages are discarded.
-    ///
-    /// The shrink-agreement band is exempt from the drain throughout:
-    /// `shrink` runs *on* the revoked communicator (ULFM semantics), so a
-    /// second revocation arriving mid-agreement must not eat the
-    /// agreement's own messages — that would wedge the recovery at an
-    /// unchanged death epoch.
+    /// posted receive ends with [`MpiError::Revoked`]; unexpected messages
+    /// are discarded. The shrink-agreement band is exempt: `shrink` runs
+    /// *on* the revoked communicator (ULFM), and a second revocation must
+    /// not eat the agreement's own messages.
     fn pump_revoke(&mut self, ctx: &mut Ctx) {
         let _dev = crate::hotpath::pause();
         self.health.revoked = true;
@@ -804,20 +647,11 @@ impl Engine {
         let mut revoked = self.fail_posted(ctx, |r| !band(r.tag), MpiError::Revoked);
         let spared: Vec<u64> = self.mq.recv_q.iter().map(|r| r.req).collect();
         // Every other live request.
-        let live = |(id, st): (u64, &ReqState)| {
-            let live = match st {
-                ReqState::Ended(_) => false,
-                ReqState::EagerSend { status } => !is_shrink_tag(status.tag),
-                _ => !spared.contains(&id),
-            };
-            live.then_some(id)
-        };
-        let states = self.reqs.iter().map(|(id, r)| (id, &r.state));
-        let live: Vec<u64> = states.filter_map(live).collect();
-        revoked += live.len() as u64;
-        for id in live {
-            self.resolve(ctx, id, Err(MpiError::Revoked));
-        }
+        revoked += self.resolve_all(ctx, MpiError::Revoked, |id, st| match st {
+            ReqState::Ended(_) => false,
+            ReqState::EagerSend { status } => !is_shrink_tag(status.tag),
+            _ => !spared.contains(&id),
+        });
         self.stats.reqs_revoked += revoked;
         // Shrink-band arrivals stay (an agreement report that landed
         // before its gather recv was posted).
@@ -841,11 +675,7 @@ impl Engine {
     /// pin released. The message may still arrive — it lands in the
     /// unexpected queue and is purged by the shrink floor.
     pub(crate) fn cancel_recv(&mut self, ctx: &mut Ctx, req: Request) {
-        if let Some(i) = self.mq.recv_q.iter().position(|r| r.req == req.0) {
-            self.take_posted(ctx, i);
-        }
-        self.close_span(ctx, req.0);
-        let mut gone = self.reqs.remove(req.0).map(|r| r.state);
-        self.disarm(gone.as_mut());
+        let hit = Hit::new(self.rank, NO_PACKET, Some(req.0));
+        self.dispatch(ctx, Event::Withdraw, hit);
     }
 }

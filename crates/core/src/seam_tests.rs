@@ -8,6 +8,7 @@ use crate::channel::{Inbound, Payload};
 use crate::engine::{Engine, ReqState};
 use crate::mrcache::{Kind, TWIN_BUDGET};
 use crate::packet::{PacketHeader, PacketKind};
+use crate::protocol::{State, ROWS};
 use crate::recovery::{InflightWr, TimeoutKind, WrKind};
 use crate::types::TransportOp;
 use crate::{
@@ -198,6 +199,7 @@ fn resolve_ends_every_state_once_and_leaves_nothing_held() {
             }),
         ];
         let cases = outcomes.iter().flat_map(|o| (0..7).map(move |s| (o, s)));
+        let mut built = Vec::new();
         for (resolved, (outcome, state)) in (1..).zip(cases) {
             let mut pin = |kind| e.cache.acquire(ctx, &e.res, kind, &buf).unwrap();
             let (dst, src, seq, hdr) = (1, 1, 0, ctrl(PacketKind::Rts, 0));
@@ -205,29 +207,22 @@ fn resolve_ends_every_state_once_and_leaves_nothing_held() {
                 0 => ReqState::EagerSend { status },
                 1 | 2 => ReqState::RndvSendAwaitDone {
                     dst,
-                    seq,
                     status,
                     lease: pin([Kind::Mr, Kind::Twin][state - 1]),
                     hdr,
-                    watchdog: None,
                 },
-                3 => ReqState::RndvSendWriting {
-                    dst,
-                    seq,
-                    full_len: 0,
-                    status,
-                    lease: pin(Kind::Mr),
-                },
-                4 => ReqState::RecvQueued,
-                5 => ReqState::RndvRecvReading {
-                    src,
+                3 | 5 => ReqState::Rdma {
+                    read: state == 5,
+                    peer: src,
                     seq,
                     status,
                     truncated: None,
                     lease: pin(Kind::Mr),
                 },
-                _ => ReqState::RecvAwaitDone { watchdog: None },
+                4 => ReqState::RecvQueued,
+                _ => ReqState::RecvAwaitDone { src, hdr },
             };
+            built.push(state.tag());
             let req = e.reqs.insert(state.into());
             e.open_span(ctx, Phase::RtsWait, req, 0, 1);
             e.resolve(ctx, req, outcome.clone());
@@ -241,7 +236,34 @@ fn resolve_ends_every_state_once_and_leaves_nothing_held() {
             );
             assert_eq!(e.test(ctx, Request(req)), Some(outcome.clone()));
         }
+        // Every state the protocol table names, but `None` and `Ended`
+        // (nothing to resolve), is one of those built above.
+        for state in ROWS.iter().flat_map(|r| [r.state, r.next]) {
+            let live = !matches!(state, State::None | State::Ended);
+            assert!(!live || built.contains(&state), "no case builds {state:?}");
+        }
     });
+}
+
+/// `ROWS` as the markdown table DESIGN.md §19 quotes.
+fn rows_markdown() -> String {
+    let mut md =
+        String::from("| state | event | action | next | watchdog |\n|---|---|---|---|---|\n");
+    for r in ROWS {
+        let (s, e, a, n, w) = (r.state, r.event, r.action, r.next, r.watch);
+        md += &format!("| {s:?} | {e:?} | `{a}` | {n:?} | {w:?} |\n");
+    }
+    md
+}
+
+#[test]
+fn design_quotes_the_protocol_table() {
+    let design = include_str!("../../../DESIGN.md");
+    let table = rows_markdown();
+    assert!(
+        design.contains(&table),
+        "DESIGN.md §19 must quote `protocol::ROWS` as rendered here:\n{table}"
+    );
 }
 
 // ---- the registration cache ----------------------------------------------
@@ -740,10 +762,10 @@ fn a_connect_watchdog_fires_on_time_under_a_later_armed_wake() {
             return e.wait(ctx, req).map(drop).unwrap();
         }
         // A wake a rendezvous period out is outstanding …
-        let req = e
-            .reqs
-            .insert(ReqState::RecvAwaitDone { watchdog: None }.into());
-        e.arm_watchdog(ctx, TimeoutKind::Rtr { req });
+        let (src, hdr) = (1, ctrl(PacketKind::Rtr, 0));
+        let awaiting = ReqState::RecvAwaitDone { src, hdr };
+        let req = e.reqs.insert(awaiting.into());
+        e.arm_watchdog(ctx, TimeoutKind::Handshake { req });
         let late = e.wr.watchdog_wake.unwrap();
         // … when the connect arms its watchdog, one command timeout out
         // (what `isend`'s first touch of a peer does).
@@ -757,5 +779,137 @@ fn a_connect_watchdog_fires_on_time_under_a_later_armed_wake() {
         assert_eq!(woke, due, "retried at exactly its deadline");
         let req = e.isend(ctx, &buf, 1, 0).unwrap();
         e.wait(ctx, req).unwrap();
+    });
+}
+
+// ---- the pairing row is one path for both origins --------------------------
+
+#[test]
+fn a_truncated_unexpected_eager_consumes_its_sequence_id() {
+    world(None, |ctx, e| {
+        wire(ctx, e, 1 - e.rank);
+        let (small, large) = (filled(e, 5), rndv_buf(e));
+        if e.rank == 0 {
+            let req = e.isend(ctx, &small, 1, 0).unwrap();
+            e.wait(ctx, req).unwrap();
+            ctx.sleep(SimDuration::from_millis(1));
+            let req = e.isend(ctx, &large, 1, 1).unwrap();
+            return e.wait(ctx, req).map(drop).unwrap();
+        }
+        // The EAGER is in the unexpected queue when its receive is posted.
+        ctx.sleep(SimDuration::from_micros(100));
+        let tiny = e.res.cluster().alloc_pages(e.res.mem(), 8).unwrap();
+        let req = e.irecv(ctx, &tiny, Src::Rank(0), TagSel::Tag(0)).unwrap();
+        let got = e.wait(ctx, req);
+        let truncated = MpiError::Truncated {
+            got: 64,
+            capacity: 8,
+        };
+        assert_eq!(got, Err(truncated));
+        // The large receive's RTR names sequence id 1, not the spent 0, so
+        // it is coupled to the message that will come.
+        let req = e.irecv(ctx, &large, Src::Rank(0), TagSel::Tag(1)).unwrap();
+        e.wait(ctx, req).unwrap();
+    });
+}
+
+#[test]
+fn a_nack_send_that_arrives_before_its_receive_fails_it() {
+    world(None, |ctx, e| {
+        let buf = filled(e, 1);
+        if e.rank == 0 {
+            let req = e.isend(ctx, &buf, 1, 9).unwrap();
+            e.wait(ctx, req).unwrap();
+            fail_next_write(e, LinkFaultKind::Fatal);
+            let dead = e.isend(ctx, &buf, 1, 0).unwrap();
+            let dead = e.wait(ctx, dead);
+            assert!(matches!(dead, Err(MpiError::Transport { .. })), "{dead:?}");
+            return e.quiesce(ctx);
+        }
+        let first = e.irecv(ctx, &buf, Src::Rank(0), TagSel::Tag(9)).unwrap();
+        e.wait(ctx, first).unwrap();
+        // The NACK-SEND that replaced the dead EAGER is unexpected by now.
+        ctx.sleep(SimDuration::from_millis(1));
+        let lost = e.irecv(ctx, &buf, Src::Rank(0), TagSel::Tag(0)).unwrap();
+        let lost = e.wait(ctx, lost);
+        assert!(
+            matches!(lost, Err(MpiError::RemoteTransport { .. })),
+            "{lost:?}"
+        );
+    });
+}
+
+#[test]
+fn a_nack_send_fails_the_receive_that_advertised_an_rtr() {
+    let cfg = MpiConfig {
+        ring_slots: SLOTS as u32,
+        rndv_timeout: None,
+        ..MpiConfig::dcfa()
+    };
+    world_of(2, cfg, LaunchOpts::default(), |ctx, e| {
+        wire(ctx, e, 1 - e.rank);
+        let buf = rndv_buf(e);
+        if e.rank == 0 {
+            // The RTR is on its way when the RTS goes out, and dies.
+            ctx.sleep(SimDuration::from_micros(50));
+            fail_next_write(e, LinkFaultKind::Fatal);
+            let dead = e.isend(ctx, &buf, 1, 0).unwrap();
+            let dead = e.wait(ctx, dead);
+            assert!(matches!(dead, Err(MpiError::Transport { .. })), "{dead:?}");
+            return e.quiesce(ctx);
+        }
+        let lost = e.irecv(ctx, &buf, Src::Rank(0), TagSel::Tag(0)).unwrap();
+        let lost = e.wait(ctx, lost);
+        assert!(
+            matches!(lost, Err(MpiError::RemoteTransport { .. })),
+            "{lost:?}"
+        );
+    });
+}
+
+#[test]
+fn taking_receives_back_leaves_nothing_held() {
+    world(None, |ctx, e| {
+        wire(ctx, e, 1 - e.rank);
+        let (small, large) = (filled(e, 2), rndv_buf(e));
+        if e.rank == 0 {
+            let req = e.isend(ctx, &small, 1, 0).unwrap();
+            return e.wait(ctx, req).map(drop).unwrap();
+        }
+        let ended = e.irecv(ctx, &small, Src::Rank(0), TagSel::Tag(0)).unwrap();
+        progress_until(ctx, e, |e| {
+            matches!(e.state(ended.0), Some(ReqState::Ended(_)))
+        });
+        let queued = e.irecv(ctx, &small, Src::Rank(0), TagSel::Tag(1)).unwrap();
+        let advertised = e.irecv(ctx, &large, Src::Rank(0), TagSel::Tag(2)).unwrap();
+        for req in [ended, queued, advertised] {
+            e.cancel_recv(ctx, req);
+        }
+        assert_eq!(e.requests_live(), 0);
+        assert!(e.mq.recv_q.is_empty());
+        assert_eq!(e.cache.pinned(), 0, "the RTR's pin outlived its receive");
+        assert!(e.wr.watchdogs.is_empty(), "a watchdog outlived its receive");
+    });
+}
+
+#[test]
+fn an_rtr_watchdog_reissues_to_a_deaf_sender_which_stashes_it_once() {
+    world(None, |ctx, e| {
+        wire(ctx, e, 1 - e.rank);
+        let buf = rndv_buf(e);
+        let period = e.cfg.rndv_timeout.unwrap();
+        if e.rank == 0 {
+            // Deaf for a period and a half: the RTR waits in the ring and
+            // its re-issue joins it.
+            ctx.sleep(period + period / 2);
+            e.iprobe(ctx, Src::Rank(1), TagSel::Any);
+            let req = e.isend(ctx, &buf, 1, 0).unwrap();
+            assert_eq!(e.stats.rndv_recv_first, 1);
+            assert!(e.pair(1).stashed_rtrs.is_empty(), "an RTR stashed twice");
+            return e.wait(ctx, req).map(drop).unwrap();
+        }
+        let req = e.irecv(ctx, &buf, Src::Rank(0), TagSel::Tag(0)).unwrap();
+        e.wait(ctx, req).unwrap();
+        assert_eq!(e.stats.handshake_reissues, 1);
     });
 }
