@@ -162,17 +162,15 @@ impl Comm {
     }
 
     /// Allocate a page-aligned buffer in this rank's memory domain. The
-    /// Phi the paper ran on has no demand paging: what an application
-    /// allocates is backed from the start, so the simulator backs it here
-    /// too, where an application allocates — in its set-up — and not at the
-    /// first message into it.
+    /// Phi the paper ran on has no demand paging, so the buffer counts
+    /// against the domain's capacity from the start; the host backs only
+    /// the pages something writes (DESIGN §22) — a rendezvous payload
+    /// reaches a receive buffer as a mirror, and writes none of them.
     pub fn alloc(&self, len: u64) -> Result<Buffer, MpiError> {
-        let cluster = self.engine.cluster();
-        let buf = cluster
+        self.engine
+            .cluster()
             .alloc_pages(self.engine.mem(), len)
-            .map_err(|_| MpiError::OutOfMemory)?;
-        cluster.commit(&buf, 0, buf.len);
-        Ok(buf)
+            .map_err(|_| MpiError::OutOfMemory)
     }
 
     /// Free a buffer allocated with [`Comm::alloc`].

@@ -103,23 +103,17 @@ fn check(m: &Measured, resident_kib: f64) -> Result<(), String> {
     Ok(())
 }
 
-// Ceilings (i): 1.25x what these loops measure since a PCIe DMA leaves a
-// mirror and recycled memory is recorded as zero (DESIGN §18) — 540 /
-// 19,056 / 33,032 / 1,396 KiB per rank, with 0 / 0 / 0 / 11 pages gained
-// after warm-up (a stamp into a synced send buffer now writes its 8 bytes
-// into the host twin, the twin's first touch). Before, when every sync
-// copied the whole payload into its twin and every recycled twin was
-// scrubbed: 540 / 28,304 / 34,120 / 1,508 KiB and 0 / 0 / 0 / 7 pages. So a
-// twin page written by nothing but a sync fails (i). When the rule went in,
-// a growing arena had copied itself and staging walked every slot: 1,024 /
-// 28,679 / 34,372 / 4,394 KiB; with the copy gone and nothing else changed,
-// 0 / 0 / 2,048 / 208 pages were first touched inside the counted rounds —
-// which is what ceiling (ii) is for. The rendezvous loops are mostly their
-// user buffers.
+// Ceilings (i): 1.25x what these loops measure now that a user buffer is
+// backed only where something writes it (DESIGN §22) — 540 / 9,616 /
+// 16,648 / 1,252 KiB per rank. The rendezvous loops are their send
+// buffers, which the set-up writes whole; their receive buffers read as
+// mirrors and hold displaced stamps without a page (DESIGN §18), so a
+// receive or twin page that only a hop or a stamp wrote fails (i). The
+// halo's 7 pages gained after warm-up are the SRQ pool's, as before.
 const EAGER_KIB: f64 = 675.0;
-const RNDV_KIB: f64 = 23_820.0;
-const CHURN_KIB: f64 = 41_290.0;
-const HALO_KIB: f64 = 1_745.0;
+const RNDV_KIB: f64 = 12_020.0;
+const CHURN_KIB: f64 = 20_810.0;
+const HALO_KIB: f64 = 1_565.0;
 
 #[test]
 fn eager_pingpong_stays_under_its_footprint() {

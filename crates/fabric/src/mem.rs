@@ -3,7 +3,11 @@
 //! Buffers hold *real bytes* so that protocol correctness (does the receive
 //! buffer contain exactly what was sent?) is testable, while capacity
 //! accounting models the Phi's hard memory limit (no demand paging on the
-//! paper's micro-kernel).
+//! paper's micro-kernel). The host backs only what simulated software
+//! wrote: an arena also *holds* runs whose bytes are not in its pages —
+//! recycled space that reads zero, and the few bytes a write into a
+//! mirror's source displaced (see [`crate::plane`]) — and every access
+//! honours them.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -101,6 +105,31 @@ impl std::error::Error for OutOfMemory {}
 /// capacity, if that is less); it doubles from there.
 const ARENA_FLOOR: usize = 4 << 20;
 
+/// The most displaced bytes an arena holds without a page. Every write
+/// into a mirror's source the workloads make is a message's 8-byte stamp,
+/// and a verbs atomic's word is 8 bytes too; a longer displacement is
+/// written into the destination's pages.
+pub(crate) const HELD_MAX: usize = 8;
+
+/// A run of an arena whose bytes are held here, not in its pages.
+#[derive(Clone, Debug)]
+struct Held {
+    at: Range<usize>,
+    /// `None`: recycled space, reading zero. `Some`: the displaced bytes,
+    /// the first `at.len()` of them.
+    bytes: Option<[u8; HELD_MAX]>,
+}
+
+impl Held {
+    /// `run`, a part of this one, into `out`.
+    fn read(&self, run: Range<usize>, out: &mut [u8]) {
+        match &self.bytes {
+            None => out.fill(0),
+            Some(b) => out.copy_from_slice(&b[run.start - self.at.start..run.end - self.at.start]),
+        }
+    }
+}
+
 /// One memory domain: a byte arena plus a first-fit allocator.
 pub struct Memory {
     mem: MemRef,
@@ -112,14 +141,15 @@ pub struct Memory {
     bytes: Mapping,
     /// Highest allocation end ever handed out. Space above this line has
     /// never been allocated, so it still reads as the kernel's fresh
-    /// zeros; recycled space below it is recorded in `zeros`.
+    /// zeros; recycled space below it is held as zero in `held`.
     high_water: u64,
-    /// Recycled ranges that read as zero although their bytes were never
-    /// cleared — sorted, disjoint, each inside one live allocation.
-    /// `alloc` records one instead of clearing the bytes, so no page of a
-    /// recycled buffer is touched before something writes it; a write or
-    /// copy into one trims it, and `free` drops the freed buffer's.
-    zeros: Vec<Range<usize>>,
+    /// Runs whose bytes are held here instead of in their pages — sorted,
+    /// disjoint, each inside one live allocation: recycled space, which
+    /// `alloc` records as zero instead of clearing it, and the bytes
+    /// [`Memory::hold`] records. No page under a run is touched until
+    /// something writes it; a write, copy or hop into a run trims it, and
+    /// `free` drops the freed buffer's.
+    held: Vec<Held>,
     /// Free list: base -> len, coalesced on free.
     free: BTreeMap<u64, u64>,
     /// Live allocations: base -> len (double-free / bad-free detection).
@@ -137,10 +167,11 @@ impl Memory {
             bytes: Mapping::new(),
             high_water: 0,
             // A recycled buffer is written or mirrored soon after it is
-            // handed out, so only a few ranges are recorded at once: room
-            // for them now keeps the first recycling — often well inside a
-            // timed run — from allocating.
-            zeros: Vec::with_capacity(4),
+            // handed out, and a displaced stamp lasts until the next hop
+            // into its buffer, so only a few runs are held at once: room
+            // for them now keeps the first — often well inside a timed
+            // run — from allocating.
+            held: Vec::with_capacity(4),
             free,
             live: BTreeMap::new(),
         }
@@ -201,19 +232,14 @@ impl Memory {
         }
         // Fresh arena space — above the allocation high-water mark — is
         // still the kernel's zeros. Recycled space must read as zero too,
-        // so that no tenant sees its predecessor's bytes: it is recorded
-        // as zero, and nothing touches its pages until something writes
-        // them.
+        // so that no tenant sees its predecessor's bytes: it is held as
+        // zero, and nothing touches its pages until something writes them.
         let recycled_end = end.min(self.high_water);
         if aligned < recycled_end {
-            let r = aligned as usize..recycled_end as usize;
-            let at = self.zeros.partition_point(|z| z.start < r.start);
-            debug_assert!(
-                self.zeros.get(at).is_none_or(|z| r.end <= z.start)
-                    && (at == 0 || self.zeros[at - 1].end <= r.start),
-                "recorded zeros outlived their buffer"
-            );
-            self.zeros.insert(at, r);
+            self.insert_held(Held {
+                at: aligned as usize..recycled_end as usize,
+                bytes: None,
+            });
         }
         self.high_water = self.high_water.max(end);
         Ok(Buffer {
@@ -239,7 +265,7 @@ impl Memory {
             .unwrap_or_else(|| panic!("free of unknown buffer at {:#x}", buf.addr));
         assert_eq!(len, buf.len, "free with mismatched length");
         self.used -= len;
-        self.forget_zeros(buf.addr as usize..(buf.addr + len) as usize);
+        self.forget(buf.addr as usize..(buf.addr + len) as usize);
         // Insert and coalesce with neighbours.
         let mut base = buf.addr;
         let mut blk_len = len;
@@ -257,6 +283,7 @@ impl Memory {
             }
         }
         self.free.insert(base, blk_len);
+        self.check_held();
     }
 
     /// Arena byte range of `[offset, offset+len)` within `buf`, with the
@@ -277,14 +304,14 @@ impl Memory {
     /// Write bytes into a buffer.
     pub fn write(&mut self, buf: &Buffer, offset: u64, data: &[u8]) {
         let r = self.range(buf, offset, data.len());
-        self.forget_zeros(r.clone());
+        self.forget(r.clone());
         self.bytes[r].copy_from_slice(data);
     }
 
     /// Read bytes out of a buffer.
     pub fn read(&self, buf: &Buffer, offset: u64, out: &mut [u8]) {
         let r = self.range(buf, offset, out.len());
-        if self.zeros.is_empty() {
+        if self.held.is_empty() {
             return out.copy_from_slice(&self.bytes[r]);
         }
         self.read_lazy(r, out);
@@ -292,12 +319,11 @@ impl Memory {
 
     #[cold]
     fn read_lazy(&self, r: Range<usize>, out: &mut [u8]) {
-        runs(&self.zeros, r.clone(), |run, zero| {
+        runs(&self.held, r.clone(), |run, held| {
             let part = &mut out[run.start - r.start..run.end - r.start];
-            if zero {
-                part.fill(0);
-            } else {
-                part.copy_from_slice(&self.bytes[run]);
+            match held {
+                Some(h) => h.read(run, part),
+                None => part.copy_from_slice(&self.bytes[run]),
             }
         });
     }
@@ -314,7 +340,7 @@ impl Memory {
     ) {
         let from = self.range(src, src_off, len);
         let to = self.range(dst, dst_off, len);
-        if self.zeros.is_empty() {
+        if self.held.is_empty() {
             return self.bytes.copy_within(from, to.start);
         }
         self.copy_within_lazy(from, to);
@@ -322,26 +348,27 @@ impl Memory {
 
     #[cold]
     fn copy_within_lazy(&mut self, from: Range<usize>, to: Range<usize>) {
+        let Memory { bytes, held, .. } = self;
         if from.start < to.end && to.start < from.end {
-            // Overlapping: make the source's zeros real first, so that the
-            // copy is the one memmove below.
-            runs(&self.zeros, from.clone(), |run, zero| {
-                if zero {
-                    self.bytes[run].fill(0);
+            // Overlapping: write the source's held runs into its pages
+            // first, so that the copy is the one memmove below.
+            runs(held, from.clone(), |run, h| {
+                if let Some(h) = h {
+                    h.read(run.clone(), &mut bytes[run]);
                 }
             });
-            self.forget_zeros(from.clone());
+            self.forget(from.clone());
+            self.bytes.copy_within(from, to.start);
+            return self.forget(to);
         }
-        let Memory { bytes, zeros, .. } = self;
-        runs(zeros, from.clone(), |run, zero| {
+        runs(held, from.clone(), |run, h| {
             let at = to.start + (run.start - from.start);
-            if zero {
-                bytes[at..at + run.len()].fill(0);
-            } else {
-                bytes.copy_within(run, at);
+            match h {
+                Some(h) => h.read(run.clone(), &mut bytes[at..at + run.len()]),
+                None => bytes.copy_within(run, at),
             }
         });
-        self.forget_zeros(to);
+        self.forget(to);
     }
 
     /// Copy `len` bytes out of `src` in another arena into `dst` in this
@@ -357,8 +384,8 @@ impl Memory {
     ) {
         let to = self.range(dst, dst_off, len);
         let src = from.range(src, src_off, len);
-        self.forget_zeros(to.clone());
-        if from.zeros.is_empty() {
+        self.forget(to.clone());
+        if from.held.is_empty() {
             return self.bytes[to].copy_from_slice(&from.bytes[src]);
         }
         self.copy_from_lazy(to, from, src);
@@ -366,49 +393,100 @@ impl Memory {
 
     #[cold]
     fn copy_from_lazy(&mut self, to: Range<usize>, from: &Memory, src: Range<usize>) {
-        runs(&from.zeros, src.clone(), |run, zero| {
+        runs(&from.held, src.clone(), |run, held| {
             let at = to.start + (run.start - src.start);
             let part = &mut self.bytes[at..at + run.len()];
-            if zero {
-                part.fill(0);
-            } else {
-                part.copy_from_slice(&from.bytes[run]);
+            match held {
+                Some(h) => h.read(run, part),
+                None => part.copy_from_slice(&from.bytes[run]),
             }
         });
     }
 
-    /// `r` no longer reads as recorded zeros: it is about to be written,
+    /// Hold `data` as `buf`'s bytes without writing its pages: what a
+    /// write into a mirror's source displaces into the mirror's
+    /// destination. At most [`HELD_MAX`] bytes, over a range that holds no
+    /// run yet.
+    pub(crate) fn hold(&mut self, buf: &Buffer, data: &[u8]) {
+        let r = self.range(buf, 0, data.len());
+        let mut bytes = [0; HELD_MAX];
+        bytes[..data.len()].copy_from_slice(data);
+        self.insert_held(Held {
+            at: r,
+            bytes: Some(bytes),
+        });
+    }
+
+    fn insert_held(&mut self, h: Held) {
+        let at = self.held.partition_point(|k| k.at.start < h.at.start);
+        self.held.insert(at, h);
+        self.check_held();
+    }
+
+    /// `r` no longer reads as held bytes: it is about to be written,
     /// mirrored, or freed.
     #[inline]
-    pub(crate) fn forget_zeros(&mut self, r: Range<usize>) {
-        if !self.zeros.is_empty() {
-            self.trim_zeros(r);
+    pub(crate) fn forget(&mut self, r: Range<usize>) {
+        if !self.held.is_empty() {
+            self.trim(r);
         }
     }
 
     #[cold]
-    fn trim_zeros(&mut self, r: Range<usize>) {
-        let mut i = self.zeros.partition_point(|z| z.end <= r.start);
-        while i < self.zeros.len() && self.zeros[i].start < r.end {
-            let z = self.zeros[i].clone();
-            match (z.start < r.start, r.end < z.end) {
+    fn trim(&mut self, r: Range<usize>) {
+        let mut i = self.held.partition_point(|h| h.at.end <= r.start);
+        while i < self.held.len() && self.held[i].at.start < r.end {
+            let h = &mut self.held[i];
+            let at = h.at.clone();
+            match (at.start < r.start, r.end < at.end) {
                 (true, true) => {
-                    self.zeros[i].end = r.start;
-                    self.zeros.insert(i + 1, r.end..z.end);
+                    h.at.end = r.start;
+                    let tail = Held {
+                        at: r.end..at.end,
+                        bytes: h.bytes.map(|b| shifted(b, r.end - at.start)),
+                    };
+                    self.held.insert(i + 1, tail);
                     return;
                 }
                 (true, false) => {
-                    self.zeros[i].end = r.start;
+                    h.at.end = r.start;
                     i += 1;
                 }
                 (false, true) => {
-                    self.zeros[i].start = r.end;
+                    h.at.start = r.end;
+                    h.bytes = h.bytes.map(|b| shifted(b, r.end - at.start));
                     return;
                 }
                 (false, false) => {
-                    self.zeros.remove(i);
+                    self.held.remove(i);
                 }
             }
+        }
+    }
+
+    /// The held runs' invariants, in debug builds: sorted, disjoint,
+    /// non-empty, each inside one live allocation, the bytes of a byte
+    /// run no more than [`HELD_MAX`].
+    fn check_held(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        for (i, h) in self.held.iter().enumerate() {
+            debug_assert!(
+                h.at.start < h.at.end && h.bytes.is_none_or(|_| h.at.len() <= HELD_MAX),
+                "held run {h:?} is empty or too long"
+            );
+            debug_assert!(
+                self.held
+                    .get(i + 1)
+                    .is_none_or(|next| h.at.end <= next.at.start),
+                "held run {h:?} overlaps the next"
+            );
+            let owner = self.live.range(..=h.at.start as u64).next_back();
+            debug_assert!(
+                owner.is_some_and(|(&base, &len)| h.at.end as u64 <= base + len),
+                "held run {h:?} outlived its buffer"
+            );
         }
     }
 
@@ -440,33 +518,40 @@ impl Memory {
         self.bytes.resident_pages(0..self.high_water as usize)
     }
 
-    /// Whether any of `r` is recorded as zero.
-    pub(crate) fn has_zeros_in(&self, r: Range<usize>) -> bool {
+    /// Whether any of `r` is held.
+    pub(crate) fn holds_any(&self, r: Range<usize>) -> bool {
         let mut any = false;
-        runs(&self.zeros, r, |_, zero| any |= zero);
+        runs(&self.held, r, |_, h| any |= h.is_some());
         any
     }
 }
 
+/// `b` with its first `k` bytes dropped: the bytes of a held run whose
+/// front was trimmed by `k`.
+fn shifted(mut b: [u8; HELD_MAX], k: usize) -> [u8; HELD_MAX] {
+    b.copy_within(k.., 0);
+    b
+}
+
 /// Walk `r` in address order as maximal runs that lie inside one of the
-/// sorted, disjoint `zeros` (`f(run, true)`) or outside all of them
-/// (`f(run, false)`).
-fn runs(zeros: &[Range<usize>], r: Range<usize>, mut f: impl FnMut(Range<usize>, bool)) {
+/// sorted, disjoint `held` runs (`f(run, Some(held))`) or outside all of
+/// them (`f(run, None)`).
+fn runs<'a>(held: &'a [Held], r: Range<usize>, mut f: impl FnMut(Range<usize>, Option<&'a Held>)) {
     if r.is_empty() {
         return;
     }
     let mut at = r.start;
-    let first = zeros.partition_point(|z| z.end <= r.start);
-    for z in zeros[first..].iter().take_while(|z| z.start < r.end) {
-        if at < z.start {
-            f(at..z.start, false);
+    let first = held.partition_point(|h| h.at.end <= r.start);
+    for h in held[first..].iter().take_while(|h| h.at.start < r.end) {
+        if at < h.at.start {
+            f(at..h.at.start, None);
         }
-        let end = z.end.min(r.end);
-        f(at.max(z.start)..end, true);
+        let end = h.at.end.min(r.end);
+        f(at.max(h.at.start)..end, Some(h));
         at = end;
     }
     if at < r.end {
-        f(at..r.end, false);
+        f(at..r.end, None);
     }
 }
 
@@ -569,6 +654,32 @@ mod tests {
         m.write(&c, 0, &[0xCD; 256]);
         m.copy_within(&b, 0, &c, 0, 256);
         assert_eq!(m.read_vec(&c), want);
+    }
+
+    #[test]
+    fn held_bytes_read_back_until_overwritten() {
+        let mut m = mem();
+        let a = m.alloc(256, 1).unwrap();
+        m.write(&a, 0, &[0xCD; 256]);
+        m.hold(&a.slice(100, 8), &[1, 2, 3, 4, 5, 6, 7, 8]);
+        let mut want = vec![0xCD; 256];
+        want[100..108].copy_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(m.read_vec(&a), want);
+        // A write through the middle leaves both ends held, and a copy
+        // out of them carries the held bytes, not the pages under them.
+        m.write(&a, 103, &[9, 9]);
+        want[103..105].copy_from_slice(&[9, 9]);
+        assert_eq!(m.read_vec(&a), want);
+        let b = m.alloc(256, 1).unwrap();
+        m.copy_within(&a, 0, &b, 0, 256);
+        assert_eq!(m.read_vec(&b), want);
+        // So does a memmove over them.
+        m.copy_within(&a, 96, &a, 100, 16);
+        let moved = want[96..112].to_vec();
+        want[100..116].copy_from_slice(&moved);
+        assert_eq!(m.read_vec(&a), want);
+        m.free(&a);
+        assert_eq!(m.read_vec(&b)[100..108], [1, 2, 3, 9, 9, 6, 7, 8]);
     }
 
     #[test]

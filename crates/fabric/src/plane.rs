@@ -8,11 +8,13 @@
 //! something overwrites the buffer it came from:
 //!
 //! * a read or copy out of a mirrored range is served from its source;
-//! * a write into a mirror's source first copies the bytes it overwrites
-//!   into the mirror's destination, and the mirror shrinks by them;
+//! * a write into a mirror's source first hands the bytes it overwrites to
+//!   the mirror's destination, and the mirror shrinks by them: up to
+//!   `HELD_MAX` (8) — a stamp — are held by the destination's arena
+//!   without a page, a longer run is written into its pages;
 //! * a write into a mirror's destination ends the mirror there;
-//! * a free copies out the mirrors that read from the freed buffer and
-//!   ends those that write into it.
+//! * a free hands out the bytes of the mirrors that read from the freed
+//!   buffer the same way, and ends those that write into it.
 //!
 //! A hop whose source lies in a mirror's destination records a mirror of
 //! that mirror's source, so a source always holds its own bytes. Every read
@@ -22,7 +24,7 @@
 use std::ops::Range;
 
 use crate::config::Domain;
-use crate::mem::{Buffer, MemRef, Memory};
+use crate::mem::{Buffer, MemRef, Memory, HELD_MAX};
 
 /// The shortest hop between two arenas that records a mirror; a shorter
 /// one copies. It sits above the largest eager ring write (an 8 KiB
@@ -88,38 +90,84 @@ fn raw_copy(arenas: &mut [Memory], src: &Buffer, dst: &Buffer) {
     to.copy_from(dst, 0, from, src, 0, len);
 }
 
-/// One arena's view of the mirror index: `(address, mirror id)` pairs.
+/// `src`'s bytes into `dst`, in another arena, as [`raw_copy`] puts them —
+/// but up to [`HELD_MAX`] of them are held by `dst`'s arena instead of
+/// written into its pages.
+fn displace(arenas: &mut [Memory], src: &Buffer, dst: &Buffer) {
+    let len = src.len as usize;
+    if len > HELD_MAX {
+        return raw_copy(arenas, src, dst);
+    }
+    let mut bytes = [0; HELD_MAX];
+    arenas[slot(src.mem)].read(src, 0, &mut bytes[..len]);
+    arenas[slot(dst.mem)].hold(dst, &bytes[..len]);
+}
+
+/// One mirror's entry in an arena's index: where the mirror's end in the
+/// arena starts and stops, and its id. Ordered by start, then id.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct End {
+    start: u64,
+    id: u32,
+    stop: u64,
+}
+
+impl End {
+    /// The entry of mirror `id` whose end in this arena is `end`.
+    fn of(end: &Buffer, id: u32) -> End {
+        End {
+            start: end.addr,
+            id,
+            stop: end.addr + end.len,
+        }
+    }
+}
+
+/// One arena's view of the mirror index.
 #[derive(Default)]
 struct Ends {
     /// The mirrors writing into the arena, by destination address.
-    /// Destinations are disjoint, so their ends are in order too.
-    into: Vec<(u64, u32)>,
+    /// Destinations are disjoint, so their stops are in order too.
+    into: Vec<End>,
     /// The mirrors reading from the arena, by source address, then id.
     /// Sources may overlap.
-    from: Vec<(u64, u32)>,
+    from: Vec<End>,
     /// No source in `from` is longer, so one that overlaps `r` starts
     /// after `r.start - reach`.
     reach: u64,
 }
 
-fn unindex(list: &mut Vec<(u64, u32)>, key: (u64, u32)) {
-    let at = list.binary_search(&key);
-    debug_assert!(at.is_ok(), "mirror index lost {key:?}");
-    if let Ok(at) = at {
+/// Where the entry of mirror `id`, starting at `start`, sits in `list`.
+fn find(list: &[End], start: u64, id: u32) -> Option<usize> {
+    let at = list.binary_search_by_key(&(start, id), |e| (e.start, e.id));
+    debug_assert!(at.is_ok(), "mirror index lost {id} at {start:#x}");
+    at.ok()
+}
+
+fn unindex(list: &mut Vec<End>, start: u64, id: u32) {
+    if let Some(at) = find(list, start, id) {
         list.remove(at);
     }
 }
 
-/// Move `key`'s entry to address `to`, a few bytes up: it passes at most
-/// the few entries in between, so no insert or remove shifts the list.
-fn rekey(list: &mut [(u64, u32)], key: (u64, u32), to: u64) {
-    let at = list.binary_search(&key);
-    debug_assert!(at.is_ok(), "mirror index lost {key:?}");
-    let Ok(mut at) = at else { return };
-    list[at].0 = to;
+/// Move the entry of mirror `id` from `start` to `to`, a few bytes up: it
+/// passes at most the few entries in between, so no insert or remove
+/// shifts the list.
+fn rekey(list: &mut [End], start: u64, id: u32, to: u64) {
+    let Some(mut at) = find(list, start, id) else {
+        return;
+    };
+    list[at].start = to;
     while at + 1 < list.len() && list[at + 1] < list[at] {
         list.swap(at, at + 1);
         at += 1;
+    }
+}
+
+/// The entry of mirror `id`, starting at `start`, now stops at `stop`.
+fn restop(list: &mut [End], start: u64, id: u32, stop: u64) {
+    if let Some(at) = find(list, start, id) {
+        list[at].stop = stop;
     }
 }
 
@@ -128,7 +176,7 @@ fn rekey(list: &mut [(u64, u32)], key: (u64, u32), to: u64) {
 /// hands it to a closure. Every method is range-checked like [`Memory`]'s.
 ///
 /// Invariants, checked after every change in debug builds: destinations
-/// are disjoint and hold no recorded zeros; every mirror joins two
+/// are disjoint and hold no held bytes; every mirror joins two
 /// different arenas; no source lies inside a destination, so a source's
 /// bytes are its own; the by-destination and by-source indexes agree.
 pub struct Plane {
@@ -266,7 +314,7 @@ impl Plane {
             self.unmirror(dst, false);
         }
         let bytes = dst.addr as usize..(dst.addr + dst.len) as usize;
-        self.arena_mut(dst.mem).forget_zeros(bytes);
+        self.arena_mut(dst.mem).forget(bytes);
         let mut runs = std::mem::take(&mut self.runs);
         self.pieces(src, |off, stored| {
             let dst = dst.slice(off, stored.len);
@@ -289,10 +337,10 @@ impl Plane {
     }
 
     /// End every mirror's hold on `r`, whose bytes are about to change or
-    /// go. A mirror reading from `r` first gets those bytes copied into its
-    /// destination; one writing into `r` ends there — after the same copy
-    /// when `settle` is set, so that `r` holds its own bytes. The rest of
-    /// each mirror stays a mirror.
+    /// go. A mirror reading from `r` first has those bytes [`displace`]d
+    /// into its destination; one writing into `r` ends there — after the
+    /// same displacement when `settle` is set, so that `r`'s arena holds
+    /// `r`'s bytes. The rest of each mirror stays a mirror.
     #[cold]
     fn unmirror(&mut self, r: &Buffer, settle: bool) {
         if r.len == 0 {
@@ -300,14 +348,13 @@ impl Plane {
         }
         let (a, lo, hi) = (slot(r.mem), r.addr, r.addr + r.len);
         let mut hit = std::mem::take(&mut self.hit);
-        let (e, mirrors) = (&self.ends[a], &self.mirrors);
-        let len = |id: u32| mirrors[id as usize].len();
-        let first = e.from.partition_point(|&(addr, _)| addr + e.reach <= lo);
-        let from = e.from[first..].iter().take_while(|&&(addr, _)| addr < hi);
-        hit.extend(from.filter(|&&(addr, id)| addr + len(id) > lo).map(|k| k.1));
-        let first = e.into.partition_point(|&(addr, id)| addr + len(id) <= lo);
-        let into = e.into[first..].iter().take_while(|&&(addr, _)| addr < hi);
-        hit.extend(into.map(|k| k.1));
+        let e = &self.ends[a];
+        let first = e.from.partition_point(|k| k.start + e.reach <= lo);
+        let from = e.from[first..].iter().take_while(|k| k.start < hi);
+        hit.extend(from.filter(|k| k.stop > lo).map(|k| k.id));
+        let first = e.into.partition_point(|k| k.stop <= lo);
+        let into = e.into[first..].iter().take_while(|k| k.start < hi);
+        hit.extend(into.map(|k| k.id));
         for &id in &hit {
             let m = self.mirrors[id as usize].clone();
             // The two ends lie in different arenas: exactly one is in `r`'s.
@@ -317,7 +364,7 @@ impl Plane {
             let y = hi.min(end.addr + end.len) - end.addr;
             if reads || settle {
                 let (src, dst) = (m.src.slice(x, y - x), m.dst.slice(x, y - x));
-                raw_copy(&mut self.arenas, &src, &dst);
+                displace(&mut self.arenas, &src, &dst);
             }
             self.cut(id, &m, x, y);
         }
@@ -331,8 +378,11 @@ impl Plane {
     fn cut(&mut self, id: u32, m: &Mirror, x: u64, y: u64) {
         let tail = (y < m.len()).then(|| m.slice(y, m.len() - y));
         match (x > 0, tail) {
-            // The head keeps the id and both index keys.
+            // The head keeps the id and both index keys, stopping short.
             (true, tail) => {
+                let (into, from) = (slot(m.dst.mem), slot(m.src.mem));
+                restop(&mut self.ends[into].into, m.dst.addr, id, m.dst.addr + x);
+                restop(&mut self.ends[from].from, m.src.addr, id, m.src.addr + x);
                 self.mirrors[id as usize] = m.slice(0, x);
                 if let Some(tail) = tail {
                     self.link(tail);
@@ -342,14 +392,14 @@ impl Plane {
             // keys moved up past it.
             (false, Some(tail)) => {
                 let (into, from) = (slot(m.dst.mem), slot(m.src.mem));
-                rekey(&mut self.ends[into].into, (m.dst.addr, id), tail.dst.addr);
-                rekey(&mut self.ends[from].from, (m.src.addr, id), tail.src.addr);
+                rekey(&mut self.ends[into].into, m.dst.addr, id, tail.dst.addr);
+                rekey(&mut self.ends[from].from, m.src.addr, id, tail.src.addr);
                 self.mirrors[id as usize] = tail;
             }
             (false, None) => {
-                unindex(&mut self.ends[slot(m.dst.mem)].into, (m.dst.addr, id));
+                unindex(&mut self.ends[slot(m.dst.mem)].into, m.dst.addr, id);
                 let e = &mut self.ends[slot(m.src.mem)];
-                unindex(&mut e.from, (m.src.addr, id));
+                unindex(&mut e.from, m.src.addr, id);
                 if e.from.is_empty() {
                     e.reach = 0;
                 }
@@ -371,12 +421,17 @@ impl Plane {
                 (self.mirrors.len() - 1) as u32
             }
         };
+        let end = |start| End {
+            start,
+            id,
+            stop: start + len,
+        };
+        let (d, s) = (end(d), end(s));
         let list = &mut self.ends[into].into;
-        list.insert(list.partition_point(|&k| k < (d, id)), (d, id));
+        list.insert(list.partition_point(|&k| k < d), d);
         let e = &mut self.ends[from];
         e.reach = e.reach.max(len);
-        e.from
-            .insert(e.from.partition_point(|&k| k < (s, id)), (s, id));
+        e.from.insert(e.from.partition_point(|&k| k < s), s);
     }
 
     /// The invariants (see [`Plane`]) of the arenas of `mems`, and that the
@@ -391,14 +446,27 @@ impl Plane {
             count(|e| e.into.len()) == live && count(|e| e.from.len()) == live,
             "the mirror indexes disagree on {live} live mirrors"
         );
-        let indexed = |list: &[(u64, u32)], key| list.binary_search(&key).is_ok();
+        let indexed =
+            |list: &[End], end: &Buffer, id| list.binary_search(&End::of(end, id)).is_ok();
         for &mem in mems {
             let e = &self.ends[slot(mem)];
             debug_assert!(e.into.is_sorted() && e.from.is_sorted());
-            for (i, &(addr, id)) in e.into.iter().enumerate() {
+            for (
+                i,
+                &End {
+                    start: addr,
+                    id,
+                    stop,
+                },
+            ) in e.into.iter().enumerate()
+            {
                 let m = &self.mirrors[id as usize];
                 debug_assert!(
-                    m.dst.mem == mem && m.dst.addr == addr && m.src.len == m.len() && m.len() > 0,
+                    m.dst.mem == mem
+                        && m.dst.addr == addr
+                        && addr + m.len() == stop
+                        && m.src.len == m.len()
+                        && m.len() > 0,
                     "mirror {m:?} is misindexed, empty or uneven"
                 );
                 debug_assert!(
@@ -406,29 +474,34 @@ impl Plane {
                     "mirror {m:?} stays in one arena"
                 );
                 debug_assert!(
-                    indexed(&self.ends[slot(m.src.mem)].from, (m.src.addr, id)),
+                    indexed(&self.ends[slot(m.src.mem)].from, &m.src, id),
                     "mirror {m:?} is missing from its source's index"
                 );
-                let bytes = addr as usize..(addr + m.len()) as usize;
                 debug_assert!(
-                    !self.arena(mem).has_zeros_in(bytes),
-                    "mirror {m:?} writes into recorded zeros"
+                    !self.arena(mem).holds_any(addr as usize..stop as usize),
+                    "mirror {m:?} writes into held bytes"
                 );
                 debug_assert!(
-                    e.into
-                        .get(i + 1)
-                        .is_none_or(|&(next, _)| addr + m.len() <= next),
+                    e.into.get(i + 1).is_none_or(|next| stop <= next.start),
                     "mirror {m:?} overlaps the next destination"
                 );
             }
-            for &(addr, id) in &e.from {
+            for &End {
+                start: addr,
+                id,
+                stop,
+            } in &e.from
+            {
                 let m = &self.mirrors[id as usize];
                 debug_assert!(
-                    m.src.mem == mem && m.src.addr == addr && m.len() <= e.reach,
+                    m.src.mem == mem
+                        && m.src.addr == addr
+                        && addr + m.len() == stop
+                        && m.len() <= e.reach,
                     "mirror {m:?} is misindexed or out of reach"
                 );
                 debug_assert!(
-                    indexed(&self.ends[slot(m.dst.mem)].into, (m.dst.addr, id)),
+                    indexed(&self.ends[slot(m.dst.mem)].into, &m.dst, id),
                     "mirror {m:?} is missing from its destination's index"
                 );
                 let mut inside = false;
@@ -453,20 +526,20 @@ fn pieces(ends: &Ends, mirrors: &[Mirror], r: &Buffer, mut f: impl FnMut(u64, Bu
         addr: from,
         len: to - from,
     };
-    let first = ends
-        .into
-        .partition_point(|&(addr, id)| addr + mirrors[id as usize].len() <= at);
-    for &(addr, id) in &ends.into[first..] {
-        if addr >= end {
+    let first = ends.into.partition_point(|k| k.stop <= at);
+    for k in &ends.into[first..] {
+        if k.start >= end {
             break;
         }
-        if at < addr {
-            f(at - r.addr, own(at, addr));
-            at = addr;
+        if at < k.start {
+            f(at - r.addr, own(at, k.start));
+            at = k.start;
         }
-        let m = &mirrors[id as usize];
-        let stop = (addr + m.len()).min(end);
-        f(at - r.addr, m.src.slice(at - addr, stop - at));
+        let stop = k.stop.min(end);
+        f(
+            at - r.addr,
+            mirrors[k.id as usize].src.slice(at - k.start, stop - at),
+        );
         at = stop;
     }
     if at < end {

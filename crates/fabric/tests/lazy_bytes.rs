@@ -1,17 +1,21 @@
 //! Bytes move when they are read, and no program can tell (DESIGN.md §18).
 //!
 //! A hop of at least `MIRROR_MIN` bytes between two arenas leaves a mirror
-//! instead of a copy, and recycled memory is recorded as zero instead of
-//! scrubbed. This file runs seeded random programs over 3 nodes × 2
-//! domains — alloc, free, write, read, copy, several copies under one
-//! plane lock, an 8-byte read-modify-write, `pci_dma` and `ib_transfer`,
-//! each transfer waited for, with hop lengths on both sides of
-//! `MIRROR_MIN` — against a reference model that copies and scrubs
-//! eagerly, and checks every read byte for byte. The cases the rules were
-//! written for are also spelled out as programs of their own. Three
-//! `mincore` checks hold the point of it all: a synced twin that is only
-//! read is never touched, a long InfiniBand transfer writes no page of its
-//! destination, and a recycled buffer costs no page until it is written.
+//! instead of a copy, recycled memory is held as zero instead of scrubbed,
+//! and the few bytes a write into a mirror's source displaces are held by
+//! the mirror's destination instead of written into its pages. This file
+//! runs seeded random programs over 3 nodes × 2 domains — alloc, free,
+//! write, read, copy, several copies under one plane lock, an 8-byte
+//! read-modify-write, `pci_dma` and `ib_transfer`, each transfer waited
+//! for, with hop lengths on both sides of `MIRROR_MIN`, and runs of short
+//! writes into the source of the last long hop — against a reference model
+//! that copies and scrubs eagerly, and checks every read byte for byte.
+//! The cases the rules were written for are also spelled out as programs
+//! of their own. Four `mincore` checks hold the point of it all: a synced
+//! twin that is only read is never touched, a long InfiniBand transfer
+//! writes no page of its destination, a stamp into a mirrored source
+//! writes no page of a receive buffer or a twin, and a recycled buffer
+//! costs no page until it is written.
 
 use std::sync::Arc;
 
@@ -60,6 +64,9 @@ enum Op {
     Free(usize),
     /// Buffer, offset, length, salt.
     Write(usize, u64, u64, u8),
+    /// Writes — offset, length, salt — in turn into one buffer, as stamps
+    /// land in a send buffer whose last payload is still mirrored.
+    Stamps(usize, Vec<(u64, u64, u8)>),
     /// Buffer, offset, length.
     Read(usize, u64, u64),
     Copy(Hop),
@@ -127,6 +134,12 @@ impl World {
         self.live[h.dst].1[h.dst_off as usize..][..h.len as usize].copy_from_slice(&moved);
     }
 
+    fn write(&mut self, i: usize, off: u64, len: u64, salt: u8) {
+        let data = pattern(len, salt);
+        self.cl.write(&self.live[i].0, off, &data);
+        self.live[i].1[off as usize..][..len as usize].copy_from_slice(&data);
+    }
+
     fn slices(&self, h: Hop) -> (Buffer, Buffer) {
         let src = self.live[h.src].0.slice(h.src_off, h.len);
         (src, self.live[h.dst].0.slice(h.dst_off, h.len))
@@ -146,10 +159,11 @@ impl World {
                 let (buf, _) = self.live.remove(i);
                 self.cl.free(&buf);
             }
-            Op::Write(i, off, len, salt) => {
-                let data = pattern(len, salt);
-                self.cl.write(&self.live[i].0, off, &data);
-                self.live[i].1[off as usize..][..len as usize].copy_from_slice(&data);
+            Op::Write(i, off, len, salt) => self.write(i, off, len, salt),
+            Op::Stamps(i, writes) => {
+                for (off, len, salt) in writes {
+                    self.write(i, off, len, salt);
+                }
             }
             Op::Read(i, off, len) => self.check(i, off, len)?,
             Op::Copy(h) => {
@@ -271,7 +285,37 @@ fn random_hop(rng: &mut StdRng, live: &[(Buffer, Vec<u8>)], src: usize, dst: usi
     }
 }
 
-fn random_op(rng: &mut StdRng, live: &[(Buffer, Vec<u8>)]) -> Op {
+/// The source of `op` if `op` is a hop long enough to leave a mirror.
+fn mirrored_source(op: &Op, live: &[(Buffer, Vec<u8>)]) -> Option<Buffer> {
+    let long = |h: &Hop| {
+        let (src, dst) = (&live[h.src].0, &live[h.dst].0);
+        (h.len >= MIRROR_MIN && src.mem != dst.mem).then(|| src.clone())
+    };
+    match op {
+        Op::Copy(h) | Op::Dma(h) | Op::Ib(h, _) => long(h),
+        Op::Copies(hops) => hops.iter().rev().find_map(long),
+        _ => None,
+    }
+}
+
+/// Two to eight writes of 1–64 bytes at any offsets of a `len`-byte
+/// buffer.
+fn random_stamps(rng: &mut StdRng, len: u64) -> Vec<(u64, u64, u8)> {
+    let writes = rng.random_range(2..=8usize);
+    (0..writes)
+        .map(|_| {
+            let n = rng.random_range(1..=64u64).min(len);
+            (rng.random_range(0..=len - n), n, rng.random())
+        })
+        .collect()
+}
+
+/// The next op; `mirrored` is the live buffer, if any, that was the source
+/// of the last hop long enough to leave a mirror.
+fn random_op(rng: &mut StdRng, live: &[(Buffer, Vec<u8>)], mirrored: Option<usize>) -> Op {
+    if let Some(i) = mirrored.filter(|_| rng.random_range(0..4u32) == 0) {
+        return Op::Stamps(i, random_stamps(rng, live[i].0.len));
+    }
     let n = live.len();
     if n < 3 || (n < 12 && rng.random_range(0..6u32) == 0) {
         let at = mem(
@@ -335,8 +379,15 @@ fn random_programs_read_what_an_eager_copy_would_have_written() {
     for seed in 0..SEEDS {
         on_world(move |ctx, w| {
             let mut rng = StdRng::seed_from_u64(seed);
+            let mut source = None;
             for step in 0..OPS {
-                let op = random_op(&mut rng, &w.live);
+                let mirrored = source
+                    .as_ref()
+                    .and_then(|s| w.live.iter().position(|(b, _)| b == s));
+                let op = random_op(&mut rng, &w.live, mirrored);
+                if let Some(s) = mirrored_source(&op, &w.live) {
+                    source = Some(s);
+                }
                 w.apply(ctx, op)
                     .map_err(|e| format!("seed {seed}, op {step}: {e}"))?;
                 if step % 32 == 31 {
@@ -612,10 +663,45 @@ fn a_synced_twin_that_is_only_read_touches_no_page() {
         assert_eq!(cl.read_vec(&far), data);
         assert_eq!(cl.read_vec(&twin), data);
         assert_eq!(host_pages(&cl), 0, "the twin was written");
-        // An 8-byte stamp into the source costs the twin one page.
+        Ok(())
+    });
+}
+
+#[test]
+fn a_stamp_into_a_mirrored_source_writes_no_page_of_its_destinations() {
+    // A Phi send buffer synced into its host twin and read by a receive
+    // buffer on node 1; then an 8-byte stamp into the send buffer, as the
+    // next message's. Both destinations keep reading the old bytes, and
+    // hold the 8 the stamp displaced without a page.
+    on_world(|ctx, w| {
+        let len = 64 << 10;
+        let cl = w.cl.clone();
+        let phi = cl.alloc_pages(mem(0, Domain::Phi), len).unwrap();
+        let twin = cl.alloc_pages(mem(0, Domain::Host), len).unwrap();
+        let recv = cl.alloc_pages(mem(1, Domain::Phi), len).unwrap();
+        let data = pattern(len, 0x2B);
+        cl.write(&phi, 0, &data);
+        let sync = cl.pci_dma(&phi, &twin, ctx.now());
+        ctx.wait(&sync.completion);
+        let read = cl.ib_transfer(&phi, &recv, NodeId(1), ctx.now());
+        ctx.wait(&read.completion);
         cl.write(&phi, 0, &[0xFF; 8]);
-        assert_eq!(host_pages(&cl), 1);
-        assert_eq!(cl.read_vec(&twin), data);
+        for (dst, at) in [(&twin, mem(0, Domain::Host)), (&recv, mem(1, Domain::Phi))] {
+            assert_eq!(cl.read_vec(dst), data, "{at} lost the displaced bytes");
+            assert_eq!(pages(&cl, at), 0, "the stamp was written into {at}");
+        }
+        // A second stamp over the first displaces nothing more.
+        cl.write(&phi, 4, &[0xEE; 8]);
+        let mut want = data.clone();
+        want[..4].copy_from_slice(&[0xFF; 4]);
+        want[4..12].copy_from_slice(&[0xEE; 8]);
+        assert_eq!(cl.read_vec(&phi), want);
+        for (dst, at) in [(&twin, mem(0, Domain::Host)), (&recv, mem(1, Domain::Phi))] {
+            let mut head = [0; 16];
+            cl.read(dst, 0, &mut head);
+            assert_eq!(head, data[..16], "{at} lost the displaced bytes");
+            assert_eq!(pages(&cl, at), 0, "the stamp was written into {at}");
+        }
         Ok(())
     });
 }
