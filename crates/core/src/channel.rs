@@ -164,7 +164,7 @@ impl SrqPool {
         // Invariant: the SGE lies inside `pool_mr`, which lives as long as
         // the pool — the only ways a receive post can be refused.
         self.srq
-            .post_recv(ctx, RecvWr::new(slot as u64, vec![sge]))
+            .post_recv(ctx, RecvWr::new(slot as u64, sge))
             .expect("pool slot lies inside the pool MR");
     }
 }

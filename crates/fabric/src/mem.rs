@@ -7,13 +7,17 @@
 //! wrote: an arena also *holds* runs whose bytes are not in its pages —
 //! recycled space that reads zero, and the few bytes a write into a
 //! mirror's source displaced (see [`crate::plane`]) — and every access
-//! honours them.
+//! honours them. Pages are first written in one kernel call, not a trapped
+//! fault each: every path that writes pages (`write`, `copy_within`,
+//! `copy_from`, `commit`) first has the whole never-written pages of its
+//! destination populated, those above the arena's *written frontier*, and
+//! raises the frontier; below it a write costs one compare.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 
-use simcore::mapping::Mapping;
+use simcore::mapping::{page_size, Mapping};
 
 use crate::config::{Domain, PAGE_SIZE};
 
@@ -139,6 +143,11 @@ pub struct Memory {
     /// reach beyond it. The host's resident memory is the pages simulated
     /// software wrote — growth neither copies nor touches any.
     bytes: Mapping,
+    /// The written frontier: no byte at or above it has ever been written
+    /// or committed, so every page above it is still unbacked. A write
+    /// reaching past it has the kernel back the whole pages it fills with
+    /// one call instead of a trapped fault each (see [`Memory::fill`]).
+    written: usize,
     /// Highest allocation end ever handed out. Space above this line has
     /// never been allocated, so it still reads as the kernel's fresh
     /// zeros; recycled space below it is held as zero in `held`.
@@ -165,6 +174,7 @@ impl Memory {
             capacity,
             used: 0,
             bytes: Mapping::new(),
+            written: 0,
             high_water: 0,
             // A recycled buffer is written or mirrored soon after it is
             // handed out, and a displaced stamp lasts until the next hop
@@ -304,6 +314,7 @@ impl Memory {
     /// Write bytes into a buffer.
     pub fn write(&mut self, buf: &Buffer, offset: u64, data: &[u8]) {
         let r = self.range(buf, offset, data.len());
+        self.fill(r.clone());
         self.forget(r.clone());
         self.bytes[r].copy_from_slice(data);
     }
@@ -340,6 +351,7 @@ impl Memory {
     ) {
         let from = self.range(src, src_off, len);
         let to = self.range(dst, dst_off, len);
+        self.fill(to.clone());
         if self.held.is_empty() {
             return self.bytes.copy_within(from, to.start);
         }
@@ -351,12 +363,14 @@ impl Memory {
         let Memory { bytes, held, .. } = self;
         if from.start < to.end && to.start < from.end {
             // Overlapping: write the source's held runs into its pages
-            // first, so that the copy is the one memmove below.
+            // first, so that the copy is the one memmove below. Those are
+            // writes too, so the frontier covers them.
             runs(held, from.clone(), |run, h| {
                 if let Some(h) = h {
                     h.read(run.clone(), &mut bytes[run]);
                 }
             });
+            self.written = self.written.max(from.end);
             self.forget(from.clone());
             self.bytes.copy_within(from, to.start);
             return self.forget(to);
@@ -384,6 +398,7 @@ impl Memory {
     ) {
         let to = self.range(dst, dst_off, len);
         let src = from.range(src, src_off, len);
+        self.fill(to.clone());
         self.forget(to.clone());
         if from.held.is_empty() {
             return self.bytes[to].copy_from_slice(&from.bytes[src]);
@@ -500,10 +515,38 @@ impl Memory {
     /// Back `[offset, offset+len)` of `buf` with real host pages, contents
     /// unchanged — what pinned or non-pageable memory is on the modelled
     /// hardware. For set-up code whose buffers will be written inside
-    /// something timed: the first-touch faults happen here instead.
+    /// something timed: the first-touch faults happen here instead. The
+    /// written frontier rises over the range.
     pub fn commit(&mut self, buf: &Buffer, offset: u64, len: u64) {
         let r = self.range(buf, offset, len as usize);
+        self.written = self.written.max(r.end);
         self.bytes.commit(r);
+    }
+
+    /// Raise the written frontier over `to`, about to be written. Whole
+    /// pages of `to` above the frontier have never been written: one
+    /// `madvise` backs them all, where the write would trap a fault on
+    /// each. Pages at or below the frontier may be resident already, and
+    /// populating those costs nearly as much as the copy (DESIGN §22), so
+    /// a rewrite pays one compare. The write's edge pages fault as they
+    /// always did, so what is resident afterwards is exactly what the
+    /// write touched.
+    #[inline]
+    fn fill(&mut self, to: Range<usize>) {
+        if to.end > self.written {
+            self.populate(to);
+        }
+    }
+
+    #[cold]
+    fn populate(&mut self, to: Range<usize>) {
+        let page = page_size();
+        let first = to.start.max(self.written).next_multiple_of(page);
+        let last = to.end - to.end % page;
+        if first < last {
+            self.bytes.commit(first..last);
+        }
+        self.written = to.end;
     }
 
     /// Highest allocation end ever handed out: the arena's extent. Above

@@ -1,10 +1,13 @@
-//! The arena against a model, across growth.
+//! The arena against a model, across growth and first writes.
 //!
 //! A [`Memory`]'s backing store is one mapping that grows in place
 //! (DESIGN.md "Host memory: touch what a message touches"). Growth must be
 //! invisible to simulated software — every live byte keeps its value and
 //! its address, fresh and recycled space reads zero — and invisible to the
-//! host too: it neither copies nor touches a page.
+//! host too: it neither copies nor touches a page. A write past the
+//! arena's written frontier has the kernel back the whole fresh pages it
+//! fills in one call; the pages resident afterwards are still exactly the
+//! pages written, and nothing below the frontier is populated.
 
 use std::collections::BTreeMap;
 
@@ -215,10 +218,11 @@ proptest! {
 }
 
 /// (b) 64 MiB allocated in 64 KiB pieces — five doublings — with one byte
-/// written into the first and the last piece costs the host two pages (and
-/// whatever a neighbouring page-table quirk adds): growth commits nothing.
-/// At the parent commit, where the arena grew by allocating a fresh one and
-/// copying the old one over, the same count over the `Vec` read 8,194.
+/// written into the first and the last piece costs the host two pages:
+/// growth commits nothing, and a one-byte write fills no whole page, so
+/// the frontier rule populates nothing either. When the arena grew by
+/// allocating a fresh one and copying the old one over, the same count
+/// over the `Vec` read 8,194.
 #[test]
 fn growth_commits_nothing() {
     let mut mem = arena(64 * MIB);
@@ -226,12 +230,14 @@ fn growth_commits_nothing() {
         .map(|_| mem.alloc(64 << 10, PAGE_SIZE).expect("fits"))
         .collect();
     assert_eq!(mem.high_water(), 64 * MIB);
-    mem.write(&pieces[0], 0, &[1]);
-    mem.write(&pieces[1023], (64 << 10) - 1, &[2]);
-    assert!(
-        mem.resident_pages() <= 4,
-        "{} pages resident behind two written bytes",
-        mem.resident_pages()
+    populates(0, "two one-byte writes", || {
+        mem.write(&pieces[0], 0, &[1]);
+        mem.write(&pieces[1023], (64 << 10) - 1, &[2]);
+    });
+    assert_eq!(
+        mem.resident_pages(),
+        2,
+        "pages resident behind two written bytes"
     );
 }
 
@@ -262,4 +268,161 @@ fn commit_backs_exactly_its_range_and_changes_no_byte() {
 fn an_arena_that_cannot_be_mapped_panics_with_its_size() {
     let mut mem = arena(1 << 60);
     let _ = mem.alloc(1 << 50, 1);
+}
+
+/// Host pages, as the kernel counts residency.
+fn page() -> u64 {
+    page_size() as u64
+}
+
+/// An empty arena and its model.
+fn checked() -> Checked {
+    let capacity = 64 * MIB;
+    Checked {
+        mem: arena(capacity),
+        placement: FirstFit {
+            free: BTreeMap::from([(0, capacity)]),
+        },
+        live: BTreeMap::new(),
+    }
+}
+
+/// Allocate `len` page-aligned bytes, in the arena and in the model, without
+/// reading them: a read of a never-written page maps the kernel's zero
+/// page, which `mincore` counts as resident.
+fn alloc_unread(c: &mut Checked, len: u64) {
+    let at = c.placement.alloc(len, page());
+    let buf = c.mem.alloc(len, page()).expect("fits");
+    assert_eq!(Some(buf.addr), at, "not first fit");
+    c.live.insert(buf.addr, vec![0; len as usize]);
+}
+
+/// Run `f` and assert it asked the kernel to populate pages `want` times.
+/// Debug builds count the calls (`simcore::mapping::populate_count`);
+/// release builds only run `f`, and the residency and byte checks stand
+/// alone.
+fn populates(want: u64, what: &str, f: impl FnOnce()) {
+    #[cfg(debug_assertions)]
+    let before = simcore::mapping::populate_count();
+    f();
+    #[cfg(debug_assertions)]
+    assert_eq!(
+        simcore::mapping::populate_count() - before,
+        want,
+        "populate calls: {what}"
+    );
+    #[cfg(not(debug_assertions))]
+    let _ = (want, what);
+}
+
+/// (e) A write of many pages into fresh space backs them with one call
+/// and leaves exactly the pages it wrote resident — its edge pages too,
+/// which it only partly fills and which fault as before — with its bytes
+/// where the model says.
+#[test]
+fn a_fresh_multi_page_write_backs_exactly_the_pages_it_wrote() {
+    let p = page();
+    let mut c = checked();
+    alloc_unread(&mut c, 32 * p);
+    alloc_unread(&mut c, 32 * p);
+    // Half a page in, to 100 bytes past page 10: pages 0..=10 of the
+    // first buffer, 9 of them whole.
+    populates(1, "a write over 9 whole fresh pages", || {
+        c.apply(Op::Write(0, (p / 2, 10 * p - p / 2 + 100), 3))
+    });
+    assert_eq!(c.mem.resident_pages(), 11);
+    // A page-aligned write of the whole second buffer: 32 more.
+    populates(1, "a write over 32 whole fresh pages", || {
+        c.apply(Op::Write(1, (0, 32 * p), 5))
+    });
+    assert_eq!(c.mem.resident_pages(), 43);
+    c.check_every_live_byte();
+}
+
+/// (f) A write that starts below the frontier and ends above it
+/// populates only the whole fresh pages above the frontier: none when it
+/// reaches less than a page past it.
+#[test]
+fn a_write_across_the_frontier_populates_only_whole_fresh_pages_above_it() {
+    let p = page();
+    let mut c = checked();
+    alloc_unread(&mut c, 32 * p);
+    c.apply(Op::Write(0, (0, 4 * p), 1));
+    assert_eq!(c.mem.resident_pages(), 4);
+    // From page 2 to half-way into page 4: the frontier's page is the
+    // only fresh one, and it is not whole.
+    populates(0, "no whole page above the frontier", || {
+        c.apply(Op::Write(0, (2 * p, 2 * p + p / 2), 2))
+    });
+    assert_eq!(c.mem.resident_pages(), 5);
+    // From page 3 to 10 bytes into page 8: pages 5, 6 and 7 are whole and
+    // fresh; 3 and 4 lie below the frontier, and 8 is an edge.
+    populates(1, "three whole pages above the frontier", || {
+        c.apply(Op::Write(0, (3 * p, 5 * p + 10), 3))
+    });
+    assert_eq!(c.mem.resident_pages(), 9);
+    c.check_every_live_byte();
+}
+
+/// (g) Below the frontier nothing is populated: not a rewrite of resident
+/// pages, and not a first write into pages that a later allocation's
+/// write has already put below it — those fault one by one, as before.
+#[test]
+fn nothing_below_the_frontier_is_populated() {
+    let p = page();
+    let mut c = checked();
+    alloc_unread(&mut c, 16 * p);
+    alloc_unread(&mut c, 16 * p);
+    c.apply(Op::Write(1, (0, 16 * p), 1));
+    populates(0, "a rewrite of resident pages", || {
+        c.apply(Op::Write(1, (0, 16 * p), 2))
+    });
+    populates(0, "a first write below the frontier", || {
+        c.apply(Op::Write(0, (0, 16 * p), 3))
+    });
+    assert_eq!(c.mem.resident_pages(), 32);
+    populates(0, "a copy below the frontier", || {
+        c.apply(Op::Copy(1, 0, (p / 2, 15 * p)))
+    });
+    c.check_every_live_byte();
+}
+
+/// (h) `copy_within` and `copy_from` into fresh pages follow the rule
+/// `write` does: one call for the whole fresh pages, exactly the pages
+/// touched resident, and none for the same copy again.
+#[test]
+fn copies_into_fresh_pages_follow_the_write_rule() {
+    let p = page();
+    // Inside one arena: 8 whole source pages, copied half a page in.
+    let mut c = checked();
+    alloc_unread(&mut c, 16 * p);
+    alloc_unread(&mut c, 16 * p);
+    c.apply(Op::Write(0, (0, 16 * p), 7));
+    let span = (p / 2, 8 * p);
+    populates(1, "copy_within into 7 whole fresh pages", || {
+        c.apply(Op::Copy(0, 1, span))
+    });
+    assert_eq!(c.mem.resident_pages(), 16 + 9);
+    populates(0, "the same copy_within again", || {
+        c.apply(Op::Copy(0, 1, span))
+    });
+
+    // Between arenas: the same shape through `copy_from`.
+    let mut other = checked();
+    alloc_unread(&mut other, 16 * p);
+    other.apply(Op::Write(0, (0, 16 * p), 9));
+    let src = other.buffer(0).expect("live");
+    alloc_unread(&mut c, 16 * p);
+    let dst = c.buffer(2).expect("live");
+    let (at, len) = (span.0 as usize, span.1 as usize);
+    for want in [1, 0] {
+        populates(want, "copy_from into fresh pages, then again", || {
+            c.mem
+                .copy_from(&dst, at as u64, &other.mem, &src, at as u64, len)
+        });
+        let moved = other.live[&src.addr][at..at + len].to_vec();
+        c.live.get_mut(&dst.addr).expect("live")[at..at + len].copy_from_slice(&moved);
+        assert_eq!(c.mem.resident_pages(), 16 + 9 + 9);
+    }
+    c.check_every_live_byte();
 }

@@ -13,8 +13,10 @@
 //!   holds one across a `grow`, which takes `&mut self`.
 //! * [`Mapping::commit`] is the opposite on purpose: it has the kernel back
 //!   a range now (`madvise(MADV_POPULATE_WRITE)`; one written byte per page
-//!   where the kernel predates that), so that the first-touch faults do not
-//!   happen inside something being timed.
+//!   where the kernel predates that). Set-up calls it so that first-touch
+//!   faults do not happen inside something being timed, and an arena calls
+//!   it ahead of a write into pages never written before: one call backs
+//!   them all, where the write would trap one fault a page.
 //! * [`Mapping::resident_pages`] asks the kernel (`mincore`) how many pages
 //!   of a range are backed, so tests can hold the two above to their word.
 //!
@@ -54,6 +56,19 @@ pub fn page_size() -> usize {
 /// `mmap`'s and `mremap`'s failure value.
 fn failed(p: *mut c_void) -> bool {
     p as isize == -1
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static POPULATES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Calls of [`Mapping::commit`] on this thread that backed a non-empty
+/// range: debug builds only, like `coro::switch_count`, for tests that pin
+/// when the arena asks the kernel for pages.
+#[cfg(debug_assertions)]
+pub fn populate_count() -> u64 {
+    POPULATES.get()
 }
 
 /// An anonymous private mapping, unmapped on drop (module docs).
@@ -154,6 +169,8 @@ impl Mapping {
         if range.is_empty() {
             return;
         }
+        #[cfg(debug_assertions)]
+        POPULATES.set(POPULATES.get() + 1);
         let first = range.start - range.start % page_size();
         // SAFETY: `[first, range.end)` starts on a page boundary inside
         // the mapping; populating changes no byte of it.

@@ -256,16 +256,20 @@ impl SendWr {
     }
 }
 
-/// A receive work request (scatter list for an inbound Send).
-#[derive(Debug, Clone)]
+/// A receive work request (scatter list for an inbound Send), inline like
+/// [`SendWr`]'s gather list: reposting a receive allocates nothing.
+#[derive(Debug, Clone, Copy)]
 pub struct RecvWr {
     pub wr_id: u64,
-    pub sges: Vec<Sge>,
+    pub sges: SgeList,
 }
 
 impl RecvWr {
-    pub fn new(wr_id: u64, sges: Vec<Sge>) -> Self {
-        RecvWr { wr_id, sges }
+    pub fn new(wr_id: u64, sges: impl Into<SgeList>) -> Self {
+        RecvWr {
+            wr_id,
+            sges: sges.into(),
+        }
     }
 
     pub fn byte_len(&self) -> u64 {
