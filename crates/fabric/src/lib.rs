@@ -6,6 +6,8 @@
 //!
 //! * [`Memory`]/[`Buffer`] — per-domain byte arenas with a real allocator;
 //!   data movement moves real bytes so protocol correctness is testable.
+//!   An arena keeps one sorted list of the extents whose bytes are not in
+//!   its pages: recycled zeros, displaced stamps and mirrors.
 //! * [`BwChannel`] — serialized bandwidth resources (PCIe directions, IB
 //!   ports) with head-of-line queueing.
 //! * [`Cluster`] — node topology plus the two data-movement primitives the
@@ -14,8 +16,10 @@
 //!   slow DMA-read-from-Phi leg that motivates the paper's offloading send
 //!   buffer). Bytes move when they are read: every modelled hop lands
 //!   through [`Plane::copy`], which records that a destination of
-//!   [`MIRROR_MIN`] bytes or more in another arena reads as its source,
-//!   and copies anything shorter from wherever the source's bytes are.
+//!   [`MIRROR_MIN`] bytes or more in another arena reads as its source —
+//!   a mirror extent in the destination's list, found from the source by
+//!   the plane's one by-source index — and copies anything shorter from
+//!   wherever the source's bytes are.
 //! * [`ClusterConfig`]/[`CostModel`] — Table-I-analogue configuration with
 //!   constants calibrated against the paper's printed numbers.
 

@@ -3,7 +3,8 @@
 //! A hop of at least `MIRROR_MIN` bytes between two arenas leaves a mirror
 //! instead of a copy, recycled memory is held as zero instead of scrubbed,
 //! and the few bytes a write into a mirror's source displaces are held by
-//! the mirror's destination instead of written into its pages. This file
+//! the mirror's destination instead of written into its pages: three kinds
+//! of extent in the one list each arena keeps. This file
 //! runs seeded random programs over 3 nodes × 2 domains — alloc, free,
 //! write, read, copy, several copies under one plane lock, an 8-byte
 //! read-modify-write, `pci_dma` and `ib_transfer`, each transfer waited
