@@ -22,7 +22,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use fabric::Buffer;
+use fabric::{Buffer, Plane, PAGE_SIZE};
 use simcore::{Ctx, SimDuration, SimEvent, TimerHandle, TimerQueue};
 use verbs::{
     CompletionQueue, MemoryRegion, MrKey, QueuePair, RecvWr, SendWr, SharedReceiveQueue,
@@ -126,9 +126,14 @@ struct SrqPool {
     /// their wr_ids are pool slot indices, which must never collide with
     /// the inflight-table handles that identify send-side completions.
     recv_cq: CompletionQueue,
-    /// The pool: `depth` slots of ring-slot layout (hdr ‖ payload ‖ tail).
+    /// The pool: `depth` slots, each one receive of two pieces — `head`
+    /// bytes, side by side with the other slots' (a page at most), then
+    /// `tail` bytes in the tail region at `tails`.
     pool: Buffer,
     pool_mr: MemoryRegion,
+    head: u64,
+    tail: u64,
+    tails: u64,
     /// Slots consumed by the HCA and not yet re-posted.
     outstanding: u32,
     /// Sender (node, qpn) → peer rank, filled as pairs wire up.
@@ -153,26 +158,64 @@ impl SrqPool {
     /// Return a consumed pool slot to the SRQ. May immediately complete a
     /// backlogged Send (pool ran dry) — the new completion is picked up
     /// by the same sweep.
-    fn repost(&mut self, ctx: &mut Ctx, slot: usize, slot_size: u64) {
+    fn repost(&mut self, ctx: &mut Ctx, slot: usize) {
         let _dev = crate::hotpath::pause();
-        self.post(ctx, slot, slot_size);
+        self.post(ctx, slot);
         self.outstanding -= 1;
     }
 
-    fn post(&self, ctx: &mut Ctx, slot: usize, slot_size: u64) {
-        let sge = self.pool_mr.sge(slot as u64 * slot_size, slot_size);
-        // Invariant: the SGE lies inside `pool_mr`, which lives as long as
+    fn post(&self, ctx: &mut Ctx, slot: usize) {
+        let (s, mr) = (self.slot(slot), &self.pool_mr);
+        let sges = [mr.sge(s.at, self.head), mr.sge(s.tail, self.tail)];
+        // Invariant: the SGEs lie inside `pool_mr`, which lives as long as
         // the pool — the only ways a receive post can be refused.
+        let sges = &sges[..1 + usize::from(self.tail > 0)];
         self.srq
-            .post_recv(ctx, RecvWr::new(slot as u64, sge))
+            .post_recv(ctx, RecvWr::new(slot as u64, sges))
             .expect("pool slot lies inside the pool MR");
+    }
+
+    fn slot(&self, slot: usize) -> SlotAt {
+        let (head, k) = (self.head, slot as u64);
+        let (at, tail) = (k * head, self.tails + k * self.tail);
+        SlotAt { at, head, tail }
+    }
+}
+
+/// Where a slot's bytes are in its buffer: the first `head` from `at`,
+/// the rest from `tail`. A ring slot is one piece; a pool slot crosses
+/// from its head page into its tail.
+#[derive(Clone, Copy)]
+pub(crate) struct SlotAt {
+    pub(crate) at: u64,
+    pub(crate) head: u64,
+    pub(crate) tail: u64,
+}
+
+impl SlotAt {
+    /// The slot's `[off, off + len)` piece by piece, as `f(offset in buf,
+    /// offset in the range, bytes)`; an empty range is one empty piece.
+    fn pieces(&self, off: u64, len: u64, mut f: impl FnMut(u64, u64, u64)) {
+        let near = self.head.saturating_sub(off).min(len);
+        if near > 0 || len == 0 {
+            f(self.at + off, 0, near);
+        }
+        if near < len {
+            f(self.tail + off + near - self.head, near, len - near);
+        }
+    }
+
+    fn read(&self, m: &mut Plane, buf: &Buffer, off: u64, out: &mut [u8]) {
+        self.pieces(off, out.len() as u64, |at, i, n| {
+            m.read(buf, at, &mut out[i as usize..(i + n) as usize]);
+        });
     }
 }
 
 /// Where an arrival's payload bytes are.
 pub(crate) enum Payload {
-    /// Still in the inbound slot, `off` bytes into `buf`.
-    Slot { buf: Buffer, off: u64 },
+    /// Still in the inbound slot of `buf`, after its header.
+    Slot(Buffer, SlotAt),
     /// Copied off the shared pool by the reorder stash.
     Stashed(Vec<u8>),
 }
@@ -249,11 +292,11 @@ impl Channel {
         cfg: &MpiConfig,
         res: &Resources,
         conn: Arc<ConnDirectory>,
-        cq: CompletionQueue,
-        progress_event: SimEvent,
+        progress_event: &SimEvent,
         stats: &mut CommStats,
-        rec: Recorder,
+        rec: &Recorder,
     ) -> Channel {
+        let cq = res.create_cq(ctx, progress_event.clone());
         let slot_size = cfg.ring_slot_payload + SLOT_OVERHEAD;
         let mut pool_oom = false;
         let srq = cfg.srq_depth.and_then(|depth| {
@@ -265,11 +308,15 @@ impl Channel {
                 return None;
             };
             let pool_mr = res.reg_mr(ctx, pool.clone());
+            let head = slot_size.min(PAGE_SIZE);
             let pool = SrqPool {
                 srq,
                 recv_cq,
                 pool,
                 pool_mr,
+                head,
+                tail: slot_size - head,
+                tails: depth as u64 * head,
                 outstanding: 0,
                 src_ranks: HashMap::new(),
                 parked: Vec::new(),
@@ -280,15 +327,12 @@ impl Channel {
                 draining: None,
             };
             // The SRQ hands its receives out in posting order whatever the
-            // traffic, so `depth` arrivals write `depth` slots: back the
-            // bytes of an empty packet in each as it is posted — a posted
-            // receive is pinned memory on real hardware — and leave payload
-            // pages to the packets that carry one.
-            for slot in 0..depth as usize {
-                let at = slot as u64 * slot_size;
-                res.cluster().commit(&pool.pool, at, HEADER_LEN + TAIL_LEN);
-                pool.post(ctx, slot, slot_size);
-            }
+            // traffic, so `depth` arrivals write `depth` head pages: back
+            // them all in one call — a posted receive is pinned memory on
+            // real hardware — and leave the tails to the packets that
+            // reach them.
+            res.cluster().commit(&pool.pool, 0, pool.tails);
+            (0..depth as usize).for_each(|slot| pool.post(ctx, slot));
             stats.comm_buffer_bytes += pool_bytes;
             Some(pool)
         });
@@ -299,7 +343,7 @@ impl Channel {
             slot_payload: cfg.ring_slot_payload,
             cpu_op: res.cluster().config().cost.cpu_op(res.mem().domain),
             cq,
-            progress_event,
+            progress_event: progress_event.clone(),
             links: (0..size).map(|_| None).collect(),
             active: Vec::new(),
             srq,
@@ -309,7 +353,7 @@ impl Channel {
             conn_scratch: Vec::new(),
             conn_watchdogs: Vec::new(),
             payload_pool: Vec::new(),
-            rec,
+            rec: rec.clone(),
             #[cfg(test)]
             slot_parses: Default::default(),
         }
@@ -769,23 +813,22 @@ impl Channel {
 
     // ---- poll --------------------------------------------------------------
 
-    /// Parse the slot at `base` of `buf`: its header and the slot
-    /// sequence in its tail word. `None` for an empty, stale or corrupt
-    /// slot.
-    fn parse_slot(&self, res: &Resources, buf: &Buffer, base: u64) -> Option<(PacketHeader, u64)> {
+    /// Parse a slot: its header and the slot sequence in its tail word.
+    /// `None` for an empty, stale or corrupt slot.
+    fn parse_slot(&self, res: &Resources, buf: &Buffer, at: SlotAt) -> Option<(PacketHeader, u64)> {
         #[cfg(test)]
         self.slot_parses.set(self.slot_parses.get() + 1);
         // Header and tail under one acquisition of the byte plane.
         res.cluster().with_plane(|m| {
             let mut hdr_bytes = [0u8; HEADER_BYTES];
-            m.read(buf, base, &mut hdr_bytes);
+            at.read(m, buf, 0, &mut hdr_bytes);
             let hdr = PacketHeader::decode(&hdr_bytes)?;
             let payload_len = payload_len(&hdr);
             if HEADER_LEN + payload_len + TAIL_LEN > self.slot_size {
                 return None;
             }
             let mut tail = [0u8; 8];
-            m.read(buf, base + HEADER_LEN + payload_len, &mut tail);
+            at.read(m, buf, HEADER_LEN + payload_len, &mut tail);
             Some((hdr, tail_seq(u64::from_le_bytes(tail))?))
         })
     }
@@ -848,15 +891,14 @@ impl Channel {
         // once per write, not once per sweep.
         let ring = link.in_ring.as_ref().map(|mr| (mr.buffer(), mr.writes()));
         if let Some((ring, writes)) = ring.filter(|&(_, n)| link.in_idle_at != Some(n)) {
-            let base = (link.in_next_seq % self.slots) * self.slot_size;
+            let at = (link.in_next_seq % self.slots) * self.slot_size;
+            let (head, tail) = (self.slot_size, at + self.slot_size);
+            let slot = SlotAt { at, head, tail };
             let arrived = self
-                .parse_slot(res, ring, base)
+                .parse_slot(res, ring, slot)
                 .filter(|&(_, seq)| seq == link.in_next_seq);
             if let Some((hdr, _)) = arrived {
-                let payload = Payload::Slot {
-                    buf: ring.clone(),
-                    off: base + HEADER_LEN,
-                };
+                let payload = Payload::Slot(ring.clone(), slot);
                 self.consume(ctx, stats, p, hdr.kind);
                 return Some(Inbound::Packet(p, hdr, payload));
             }
@@ -876,10 +918,9 @@ impl Channel {
         stats: &mut CommStats,
     ) -> Option<Inbound> {
         loop {
-            let slot_size = self.slot_size;
             let pool = self.srq.as_mut()?;
             if let Some(slot) = pool.held.take() {
-                pool.repost(ctx, slot, slot_size);
+                pool.repost(ctx, slot);
             }
             if let Some(p) = pool.draining {
                 let link = self.links[p].as_mut()?;
@@ -912,10 +953,7 @@ impl Channel {
                 self.consume(ctx, stats, p, hdr.kind);
                 let pool = self.srq.as_mut()?;
                 (pool.held, pool.draining) = (Some(slot), Some(p));
-                let payload = Payload::Slot {
-                    buf: pool.pool.clone(),
-                    off: slot as u64 * slot_size + HEADER_LEN,
-                };
+                let payload = Payload::Slot(pool.pool.clone(), pool.slot(slot));
                 return Some(Inbound::Packet(p, hdr, payload));
             }
         }
@@ -931,9 +969,7 @@ impl Channel {
         res: &Resources,
         wc: Wc,
     ) -> Option<(Rank, PacketHeader, usize)> {
-        let slot_size = self.slot_size;
         let slot = wc.wr_id as usize;
-        let base = slot as u64 * slot_size;
         let pool = self.srq.as_mut()?;
         let peer = match wc.src.map(|src| pool.src_ranks.get(&src).copied()) {
             Some(None) => {
@@ -949,10 +985,10 @@ impl Channel {
         // consumed watermark (cannot happen today — a failed Send moves
         // no data, so a slot sequence is only ever delivered once) all
         // just recycle the slot.
-        let buf = pool.pool.clone();
+        let (buf, at) = (pool.pool.clone(), pool.slot(slot));
         let arrival = peer.filter(|_| wc.status == WcStatus::Success);
         let arrival = arrival.and_then(|p| {
-            let (hdr, slot_seq) = self.parse_slot(res, &buf, base)?;
+            let (hdr, slot_seq) = self.parse_slot(res, &buf, at)?;
             Some((p, hdr, slot_seq, self.link(p).in_next_seq))
         });
         match arrival {
@@ -961,8 +997,7 @@ impl Channel {
                 // An overtaker: a retried packet's successors arrived
                 // first. Copy it off the pool so the slot recycles.
                 let _dev = crate::hotpath::pause();
-                let off = base + HEADER_LEN;
-                let data = self.detach(res, Payload::Slot { buf, off }, payload_len(&hdr));
+                let data = self.detach(res, Payload::Slot(buf, at), payload_len(&hdr));
                 self.link_mut(p).stash.push((slot_seq, hdr, data));
                 if let Some((src, dst)) = self.msg_id(hdr.kind, p, false) {
                     self.msg_life(ctx, src, dst, hdr.seq, MsgStage::SrqStash, hdr.len);
@@ -970,7 +1005,7 @@ impl Channel {
             }
             _ => {}
         }
-        self.srq.as_mut()?.repost(ctx, slot, slot_size);
+        self.srq.as_mut()?.repost(ctx, slot);
         None
     }
 
@@ -980,7 +1015,9 @@ impl Channel {
     /// only — the caller charges the copy).
     pub(crate) fn deliver(&mut self, res: &Resources, payload: Payload, dst: &Buffer, len: u64) {
         match payload {
-            Payload::Slot { buf, off } => res.cluster().copy(&buf, off, dst, 0, len),
+            Payload::Slot(buf, slot) => res.cluster().with_plane(|m| {
+                slot.pieces(HEADER_LEN, len, |at, i, n| m.copy(&buf, at, dst, i, n));
+            }),
             Payload::Stashed(data) => {
                 res.cluster().write(dst, 0, &data);
                 self.recycle(data);
@@ -994,12 +1031,13 @@ impl Channel {
     pub(crate) fn detach(&mut self, res: &Resources, payload: Payload, len: u64) -> Vec<u8> {
         match payload {
             Payload::Stashed(data) => data,
-            Payload::Slot { buf, off } => {
+            Payload::Slot(buf, slot) => {
                 let mut data = self.payload_pool.pop().unwrap_or_default();
                 debug_assert!(data.is_empty(), "pooled buffer returned dirty");
                 data.resize(len as usize, 0);
                 if len > 0 {
-                    res.cluster().read(&buf, off, &mut data);
+                    res.cluster()
+                        .with_plane(|m| slot.read(m, &buf, HEADER_LEN, &mut data));
                 }
                 data
             }

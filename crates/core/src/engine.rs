@@ -247,28 +247,15 @@ impl Engine {
         rec: Recorder,
     ) -> Engine {
         cfg.validate();
-        let progress_event = SimEvent::new();
-        conn.register(rank, progress_event.clone());
-        let cq = res.create_cq(ctx, progress_event.clone());
+        let wake = SimEvent::new();
+        conn.register(rank, wake.clone());
         let cost = &res.cluster().config().cost;
         let mpi_call = match cfg.placement {
             Placement::Phi => cost.mpi_call_phi,
             Placement::Host => cost.mpi_call_host,
         };
         let mut stats = CommStats::default();
-        let wake = progress_event.clone();
-        let ch = Channel::new(
-            ctx,
-            rank,
-            size,
-            &cfg,
-            &res,
-            conn,
-            cq,
-            wake,
-            &mut stats,
-            rec.clone(),
-        );
+        let ch = Channel::new(ctx, rank, size, &cfg, &res, conn, &wake, &mut stats, &rec);
         Engine {
             rank,
             size,
@@ -276,7 +263,7 @@ impl Engine {
             reqs: SlotTable::with_limit(cfg.max_requests),
             cfg,
             res,
-            progress_event,
+            progress_event: wake,
             ch,
             mq: MatchQueues {
                 pairs: (0..size).map(|_| Pair::default()).collect(),
@@ -301,18 +288,13 @@ impl Engine {
     /// — when our half of the pair cannot be allocated.
     fn ensure_peer(&mut self, ctx: &mut Ctx, peer: Rank) -> Result<(), MpiError> {
         if self.ch.connect(ctx, &self.res, &mut self.stats, peer)? {
-            let attempt = 1;
-            self.arm_watchdog(ctx, TimeoutKind::Conn { peer, attempt });
+            self.arm_watchdog(ctx, TimeoutKind::Conn { peer, attempt: 1 });
         }
         Ok(())
     }
 
     pub fn mem(&self) -> MemRef {
         self.res.mem()
-    }
-
-    pub fn resources(&self) -> &Resources {
-        &self.res
     }
 
     pub fn cluster(&self) -> &std::sync::Arc<fabric::Cluster> {
@@ -353,17 +335,13 @@ impl Engine {
         // and the entry sleep; fail here instead of burning a sequence
         // id toward a corpse or enqueueing into a revoked stream.
         self.gate(Some(dst), is_shrink_tag(tag))?;
-        let len = buf.len;
+        let (source, len) = (dst, buf.len);
         let pair = self.pair(dst);
         let seq = pair.tx_seq;
         pair.tx_seq += 1;
         // The message is born: its (src, dst, seq) id is now pinned.
         self.life(ctx, self.rank, dst, seq, MsgStage::Post, len);
-        let status = Status {
-            source: dst,
-            tag,
-            len,
-        };
+        let status = Status { source, tag, len };
 
         self.stats.bytes_sent += len;
         if len <= self.cfg.eager_threshold {
@@ -665,9 +643,8 @@ impl Engine {
     /// it is. A posted receive's RTR pin goes with its queue entry
     /// ([`Self::take_posted`]).
     pub(crate) fn resolve(&mut self, ctx: &mut Ctx, req: u64, outcome: Result<Status, MpiError>) {
-        match self.state(req) {
-            None | Some(ReqState::Ended(_)) => return,
-            Some(_) => {}
+        if matches!(self.state(req), None | Some(ReqState::Ended(_))) {
+            return;
         }
         self.close_span(ctx, req);
         self.disarm(req);

@@ -214,11 +214,7 @@ impl Engine {
             if r.rtr_lease.is_some() && r.seq != Some(seq) {
                 continue;
             }
-            let src_ok = match r.src {
-                Src::Rank(s) => s == src,
-                Src::Any => true,
-            };
-            let matches = src_ok && r.tag.matches(tag);
+            let matches = r.src.matches(src) && r.tag.matches(tag);
             if r.seq.is_none() {
                 // The lock: this (and everything behind it) has no sequence
                 // id yet. Only this entry itself may match.
@@ -233,13 +229,8 @@ impl Engine {
 
     /// Match the unexpected queue at post time.
     pub(crate) fn match_unexpected(&self, src: Src, tag: TagSel) -> Option<usize> {
-        self.mq.unexpected.iter().position(|u| {
-            let src_ok = match src {
-                Src::Rank(s) => s == u.hdr.src_rank,
-                Src::Any => true,
-            };
-            src_ok && tag.matches(u.hdr.tag)
-        })
+        let hit = |u: &Unexpected| src.matches(u.hdr.src_rank) && tag.matches(u.hdr.tag);
+        self.mq.unexpected.iter().position(hit)
     }
 
     /// After matching an any-source receive, assign sequence ids to the

@@ -530,12 +530,8 @@ impl Engine {
         self.life(ctx, src, dst, seq, MsgStage::RdmaDone, len);
         let completed = outcome.is_ok();
         self.resolve(ctx, req, outcome);
-        let (kind, received) = if read {
-            (K::Done, len)
-        } else {
-            (K::DoneWrite, 0)
-        };
-        self.stats.bytes_received += received;
+        self.stats.bytes_received += if read { len } else { 0 };
+        let kind = if read { K::Done } else { K::DoneWrite };
         let done = PacketHeader::control(kind, me, status.tag, seq, len);
         self.answer(ctx, peer, done);
         if completed {

@@ -152,8 +152,8 @@ impl Engine {
     pub(crate) fn post_tracked(&mut self, ctx: &mut Ctx, dst: Rank, mut wr: SendWr, kind: WrKind) {
         let coalesce = std::mem::replace(&mut self.wr.coalesce_next_post, false);
         // The inflight-table handle IS the wr_id: insert first to obtain
-        // it, then stamp the WR (both the posted one and the stored copy
-        // used for retries).
+        // it, then stamp the posted WR (a retry stamps the stored copy
+        // with the handle it has then).
         let wr_id = self.wr.inflight.insert(InflightWr {
             wr,
             dst,
@@ -161,9 +161,6 @@ impl Engine {
             kind,
         });
         wr.wr_id = wr_id;
-        if let Some(entry) = self.wr.inflight.get_mut(wr_id) {
-            entry.wr.wr_id = wr_id;
-        }
         let posted = self.ch.post(ctx, &mut self.stats, dst, wr, coalesce);
         if posted.is_err() {
             if let Some(entry) = self.wr.inflight.remove(wr_id) {
@@ -474,12 +471,9 @@ impl Engine {
     /// the kill schedule says so: tear the rank's fabric presence down
     /// through the board (QPs error, daemon sessions die) and unwind.
     pub(crate) fn note_op(&mut self) {
-        self.health.ops_posted += 1;
-        if self
-            .health
-            .kill_after
-            .is_some_and(|k| self.health.ops_posted >= k)
-        {
+        let health = &mut self.health;
+        health.ops_posted += 1;
+        if health.kill_after.is_some_and(|k| health.ops_posted >= k) {
             self.die(true);
         }
     }

@@ -1,13 +1,14 @@
 //! Unit tests of the seams inside the engine — the channel's operations
 //! and `Engine::resolve` — driven on two real ranks of a simulated world.
 
-use fabric::{Buffer, LinkFault, LinkFaultKind, NodeId};
+use fabric::{Buffer, LinkFault, LinkFaultKind, NodeId, PAGE_SIZE};
 use simcore::{Ctx, SimDuration, SimTime, Simulation};
 
-use crate::channel::{Inbound, Payload};
+use crate::channel::{Channel, Inbound, Payload, SlotAt};
+use crate::connect::ConnDirectory;
 use crate::engine::{Engine, ReqState};
 use crate::mrcache::{Kind, TWIN_BUDGET};
-use crate::packet::{PacketHeader, PacketKind};
+use crate::packet::{PacketHeader, PacketKind, HEADER_LEN, TAIL_LEN};
 use crate::protocol::{State, ROWS};
 use crate::recovery::{InflightWr, TimeoutKind, WrKind};
 use crate::types::TransportOp;
@@ -141,14 +142,131 @@ fn pool_overtaker_is_stashed_and_drained_in_order() {
     });
 }
 
+fn pattern(len: u64, salt: u8) -> Vec<u8> {
+    (0..len)
+        .map(|i| (i as u8).wrapping_mul(29) ^ salt)
+        .collect()
+}
+
+/// Eager payload sizes around a pool slot's head page: the tail word
+/// just inside it, straddling it and just past it; the payload ending
+/// short of it, on it and past it; and a full slot.
+fn around_the_head_page(slot_payload: u64) -> [u64; 7] {
+    // The payloads whose tail word, and whose last byte, ends the page.
+    let (t, p) = (PAGE_SIZE - HEADER_LEN - TAIL_LEN, PAGE_SIZE - HEADER_LEN);
+    [t - 8, t + 4, t + 8, p - 8, p, p + 8, slot_payload]
+}
+
+/// Put one EAGER of each size toward rank 1, numbered by `seq` and
+/// filled with `pattern(len, salt + seq)`, and post them in `order`.
+fn send_eagers(ctx: &mut Ctx, e: &mut Engine, sizes: &[u64], salt: u8, order: &[usize]) {
+    let cluster = e.res.cluster().clone();
+    let mut puts = Vec::new();
+    for (seq, &len) in sizes.iter().enumerate() {
+        let buf = cluster.alloc_pages(e.res.mem(), len).unwrap();
+        cluster.write(&buf, 0, &pattern(len, salt + seq as u8));
+        let hdr = PacketHeader::control(PacketKind::Eager, 0, 0, seq as u64, len);
+        puts.push(e.ch.put(ctx, &e.res, &mut e.stats, 1, hdr, Some(&buf), None));
+    }
+    for &i in order {
+        e.ch.post(ctx, &mut e.stats, 1, puts[i].0, false).unwrap();
+    }
+    // Posted untracked: wait the writes out and hand the staging slots
+    // back by hand.
+    ctx.sleep(SimDuration::from_millis(1));
+    puts.iter().for_each(|put| e.ch.release_stage(1, put.2));
+}
+
+/// Every byte of an eager arrival whose payload or tail word crosses
+/// from a pool slot's head page into its tail arrives exact: delivered
+/// or detached from the slot in order, and copied off it by the reorder
+/// stash when overtaken. The rings take the same packets.
+#[test]
+fn eager_bytes_across_the_head_page_arrive_exact() {
+    for srq_depth in [None, Some(16)] {
+        world(srq_depth, move |ctx, e| {
+            wire(ctx, e, 1 - e.rank);
+            let sizes = around_the_head_page(e.cfg.ring_slot_payload);
+            let (n, salt) = (sizes.len(), [0, 8]);
+            if e.rank == 0 {
+                // In order, then with the first packet last: the pool
+                // stashes the rest.
+                send_eagers(ctx, e, &sizes, salt[0], &[0, 1, 2, 3, 4, 5, 6]);
+                return send_eagers(ctx, e, &sizes, salt[1], &[1, 2, 3, 4, 5, 6, 0]);
+            }
+            for (batch, salt) in salt.into_iter().enumerate() {
+                ctx.sleep(SimDuration::from_micros(500 + 500 * batch as u64));
+                let (mut seen, mut stashed) = (0, 0);
+                while let Some(step) = e.ch.poll(ctx, &e.res, &mut e.stats) {
+                    let Inbound::Packet(_, hdr, payload) = step else {
+                        continue;
+                    };
+                    let (seq, len) = (hdr.seq as usize, hdr.len);
+                    assert_eq!(len, sizes[seq]);
+                    stashed += matches!(payload, Payload::Stashed(_)) as usize;
+                    // Odd arrivals leave as the unexpected queue takes
+                    // them, even ones as a posted receive does.
+                    let got = if seq % 2 == 1 {
+                        e.ch.detach(&e.res, payload, len)
+                    } else {
+                        let dst = e.res.cluster().alloc_pages(e.res.mem(), len).unwrap();
+                        e.ch.deliver(&e.res, payload, &dst, len);
+                        e.res.cluster().read_vec(&dst)
+                    };
+                    let want = pattern(len, salt + seq as u8);
+                    assert!(got == want, "{len} B, batch {batch}: bytes differ");
+                    seen += 1;
+                }
+                assert_eq!(seen, n);
+                let pool = srq_depth.is_some();
+                assert_eq!(stashed, if pool && batch == 1 { n - 1 } else { 0 });
+            }
+        });
+    }
+}
+
+/// Building an SRQ pool backs every slot's head page — the bytes each
+/// of the `depth` arrivals it hands out first writes — in one kernel
+/// call, and nothing else.
+#[test]
+fn an_srq_pool_backs_its_head_pages_in_one_call() {
+    world(None, |ctx, e| {
+        if e.rank == 1 {
+            return;
+        }
+        let depth = 64;
+        let cfg = MpiConfig {
+            srq_depth: Some(depth),
+            ..e.cfg.clone()
+        };
+        let (cluster, mem) = (e.res.cluster().clone(), e.res.mem());
+        let conn = ConnDirectory::new(2, SimDuration::from_micros(1));
+        let mut stats = Default::default();
+        let resident = cluster.mem_resident(mem);
+        #[cfg(debug_assertions)]
+        let populates = simcore::mapping::populate_count();
+        let wake = &e.progress_event;
+        Channel::new(ctx, 0, 2, &cfg, &e.res, conn, wake, &mut stats, &e.rec);
+        #[cfg(debug_assertions)]
+        assert_eq!(simcore::mapping::populate_count() - populates, 1);
+        if simcore::mapping::page_size() as u64 == PAGE_SIZE {
+            assert_eq!(
+                cluster.mem_resident(mem) - resident,
+                depth as u64 * PAGE_SIZE
+            );
+        }
+    });
+}
+
 #[test]
 fn recycled_payload_buffers_come_back_empty_and_bounded() {
     world(None, |_, e| {
         let slot = e.res.cluster().alloc_pages(e.res.mem(), 8).unwrap();
         // `detach` of an empty payload hands out whatever `recycle` kept.
         let reuse = |e: &mut Engine| {
-            let (buf, off) = (slot.clone(), 0);
-            e.ch.detach(&e.res, Payload::Slot { buf, off }, 0)
+            let (at, head, tail) = (0, 8, 8);
+            let payload = Payload::Slot(slot.clone(), SlotAt { at, head, tail });
+            e.ch.detach(&e.res, payload, 0)
         };
         e.ch.recycle(vec![0xAA; 128]);
         let back = reuse(e);

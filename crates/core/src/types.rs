@@ -27,6 +27,15 @@ pub enum TagSel {
     Any,
 }
 
+impl Src {
+    pub fn matches(self, rank: Rank) -> bool {
+        match self {
+            Src::Rank(r) => r == rank,
+            Src::Any => true,
+        }
+    }
+}
+
 impl TagSel {
     pub fn matches(self, tag: Tag) -> bool {
         match self {

@@ -103,13 +103,15 @@ fn check(m: &Measured, resident_kib: f64) -> Result<(), String> {
     Ok(())
 }
 
-// Ceilings (i): 1.25x what these loops measure now that a user buffer is
+// Ceilings (i): 1.25x what these loops measured once a user buffer was
 // backed only where something writes it (DESIGN §22) — 540 / 9,616 /
-// 16,648 / 1,252 KiB per rank. The rendezvous loops are their send
-// buffers, which the set-up writes whole; their receive buffers read as
-// mirrors and hold displaced stamps without a page (DESIGN §18), so a
-// receive or twin page that only a hop or a stamp wrote fails (i). The
-// halo's 7 pages gained after warm-up are the SRQ pool's, as before.
+// 16,648 / 1,252 KiB per rank; the halo is 1,216 since a pool slot's
+// head page holds a small packet whole. The rendezvous loops are their
+// send buffers, which the set-up writes whole; their receive buffers
+// read as mirrors and hold displaced stamps without a page (DESIGN §18),
+// so a receive or twin page that only a hop or a stamp wrote fails (i).
+// The halo gains no page after warm-up: its 1 KiB packets stay inside
+// the SRQ pool's head pages, which set-up backs.
 const EAGER_KIB: f64 = 675.0;
 const RNDV_KIB: f64 = 12_020.0;
 const CHURN_KIB: f64 = 20_810.0;
