@@ -13,7 +13,7 @@ use dcfa_mpi::{Comm, Communicator, KillSpec, MpiConfig, MpiError, Request, Src, 
 use fabric::{ClusterConfig, Domain, MemRef, NodeId};
 use simcore::{Ctx, SimDuration};
 
-use crate::spec::Faults;
+use crate::spec::{link_term, Faults};
 
 /// What the ranks execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,7 +120,7 @@ impl Scenario {
             _ => {}
         }
         let nodes = self.cluster().nodes;
-        let scoped = f.link.iter().flat_map(|l| [l.from, l.to]);
+        let scoped = f.link.iter().flat_map(|l| [l.initiator, l.target]);
         for NodeId(n) in scoped.chain(f.daemon.iter().map(|d| d.node)).flatten() {
             if n >= nodes {
                 return Err(format!(
@@ -454,6 +454,9 @@ pub struct Run {
     pub sim_events: u64,
     /// Present exactly when kills were armed.
     pub failures: Option<FailureSummary>,
+    /// The link-fault plans still armed when the run ended (a term that
+    /// never fired tests nothing).
+    pub unfired: Vec<verbs::FaultPlan>,
 }
 
 /// Stamps the latest virtual instant at which a rank body ended, by return
@@ -488,10 +491,10 @@ pub fn run(sc: &Scenario) -> Result<Run, String> {
 
     let mut sim = simcore::Simulation::new();
     let cluster = fabric::Cluster::new(sim.scheduler(), sc.cluster());
-    for f in &sc.faults.link {
-        cluster.inject_link_fault(*f);
-    }
     let ib = verbs::IbFabric::new(cluster.clone());
+    for &plan in &sc.faults.link {
+        ib.inject_fault_plan(plan);
+    }
     let scif = scif::ScifFabric::new(cluster.clone());
     let cfg = MpiConfig {
         srq_depth: (sc.channel == Channel::Srq).then_some(256),
@@ -629,6 +632,7 @@ pub fn run(sc: &Scenario) -> Result<Run, String> {
         wall_ns,
         sim_events: done.events_processed,
         failures,
+        unfired: ib.armed_fault_plans(),
     })
 }
 
@@ -681,7 +685,8 @@ impl Run {
     /// The gates this run's scenario implies, as the messages of those it
     /// violated (empty = healthy). Always: every non-killed rank finished
     /// holding no request slot and no registration lease, payloads
-    /// intact, trace ring unsaturated, auditor clean, host pages balanced.
+    /// intact, trace ring unsaturated, auditor clean, host pages balanced,
+    /// every link-fault plan fired.
     /// The halo must keep its connections O(ranks) and its per-rank
     /// buffers flat. With nothing worse than transient link faults armed
     /// no operation may fail. With kills armed every survivor must have
@@ -757,8 +762,17 @@ impl Run {
                 "on the SRQ channel but the pool was never used".into(),
             );
         }
+        for l in &self.unfired {
+            let short = l.after_matches + 1;
+            let never = format!(
+                "link fault `{}` never fired ({short} matching posts short)",
+                link_term(l)
+            );
+            gate(false, never);
+        }
         let lost = t.failed + t.peer_failed + t.revoked;
-        let survivable = killed.is_empty() && sc.faults.link.iter().all(|l| l.kind.is_transient());
+        let survivable =
+            killed.is_empty() && sc.faults.link.iter().all(|l| l.status.is_transient());
         gate(
             lost == 0 || !survivable,
             format!("{lost} operations failed with nothing fatal armed"),

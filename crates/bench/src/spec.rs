@@ -3,7 +3,7 @@
 //!
 //! | kinds                                        | scope (`*` = any node) | typed plan             |
 //! |----------------------------------------------|------------------------|------------------------|
-//! | `transient`/`rnr`, `retry`, `fatal`/`access` | `@<src>-><dst>`        | [`fabric::LinkFault`]  |
+//! | `transient`/`rnr`, `retry`, `fatal`/`access` | `@<src>-><dst>`        | [`verbs::FaultPlan`]   |
 //! | `crash`, `drop`, `delay`                     | `@<node>`              | [`dcfa::DaemonFault`]  |
 //! | `kill`                                       | `@<rank>`, required    | [`dcfa_mpi::KillSpec`] |
 //!
@@ -19,12 +19,13 @@ use std::str::FromStr;
 
 use dcfa::{DaemonFault, DaemonFaultKind};
 use dcfa_mpi::KillSpec;
-use fabric::{LinkFault, LinkFaultKind, NodeId};
+use fabric::NodeId;
+use verbs::{FaultPlan, WcStatus};
 
 /// Every fault a scenario arms, one typed plan list per plane.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Faults {
-    pub link: Vec<LinkFault>,
+    pub link: Vec<FaultPlan>,
     pub daemon: Vec<DaemonFault>,
     pub kills: Vec<KillSpec>,
 }
@@ -65,15 +66,16 @@ impl FromStr for Faults {
                             (node(a)?, node(b)?)
                         }
                     };
-                    out.link.push(LinkFault {
-                        after_ops: after,
-                        kind: match kind {
-                            "retry" => LinkFaultKind::Retry,
-                            "fatal" | "access" => LinkFaultKind::Fatal,
-                            _ => LinkFaultKind::Rnr,
+                    out.link.push(FaultPlan {
+                        status: match kind {
+                            "retry" => WcStatus::TransportRetryExceeded,
+                            "fatal" | "access" => WcStatus::RemoteAccessError,
+                            _ => WcStatus::RnrRetryExceeded,
                         },
-                        from,
-                        to,
+                        after_matches: after,
+                        initiator: from,
+                        target: to,
+                        ..Default::default()
                     });
                 }
                 "crash" | "drop" | "delay" => out.daemon.push(DaemonFault {
@@ -105,18 +107,9 @@ impl fmt::Display for Faults {
     /// The spec text that parses back to `self` (plane by plane; `none`
     /// when nothing is armed).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let any = |n: Option<NodeId>| n.map_or("*".to_string(), |n| n.0.to_string());
         let mut terms = Vec::new();
         for l in &self.link {
-            let kind = match l.kind {
-                LinkFaultKind::Rnr => "transient",
-                LinkFaultKind::Retry => "retry",
-                LinkFaultKind::Fatal => "fatal",
-            };
-            terms.push(match (l.from, l.to) {
-                (None, None) => format!("{}:{kind}", l.after_ops),
-                (a, b) => format!("{}:{kind}@{}->{}", l.after_ops, any(a), any(b)),
-            });
+            terms.push(format!("{}:{}", l.after_matches, link_term(l)));
         }
         for d in &self.daemon {
             let kind = match d.kind {
@@ -136,5 +129,19 @@ impl fmt::Display for Faults {
             return f.write_str("none");
         }
         f.write_str(&terms.join(","))
+    }
+}
+
+/// A link plan's term without its count: `<kind>[@<src>-><dst>]`.
+pub(crate) fn link_term(l: &FaultPlan) -> String {
+    let any = |n: Option<NodeId>| n.map_or("*".to_string(), |n| n.0.to_string());
+    let kind = match l.status {
+        WcStatus::RnrRetryExceeded => "transient",
+        WcStatus::TransportRetryExceeded => "retry",
+        _ => "fatal",
+    };
+    match (l.initiator, l.target) {
+        (None, None) => kind.to_string(),
+        (a, b) => format!("{kind}@{}->{}", any(a), any(b)),
     }
 }

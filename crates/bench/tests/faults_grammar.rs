@@ -4,7 +4,8 @@
 use bench::{Channel, Faults, Scenario, Workload};
 use dcfa::DaemonFaultKind;
 use dcfa_mpi::KillSpec;
-use fabric::{LinkFaultKind, NodeId};
+use fabric::NodeId;
+use verbs::{FaultPlan, WcStatus};
 
 /// Every valid and every rejected term the unit tests of the three retired
 /// per-plane parsers (link faults in `fabric`, daemon faults in `dcfa`,
@@ -72,14 +73,17 @@ fn parsed_plans_are_typed_and_display_round_trips() {
     let f: Faults = "2:transient,9:access@0->1,0:retry@*->3,20:drop@1,35:delay@*,10:kill@7"
         .parse()
         .unwrap();
-    assert_eq!(f.link[0].kind, LinkFaultKind::Rnr);
-    assert_eq!((f.link[0].from, f.link[0].to), (None, None));
-    assert_eq!(f.link[1].kind, LinkFaultKind::Fatal);
+    assert_eq!(f.link[0].status, WcStatus::RnrRetryExceeded);
+    assert_eq!((f.link[0].initiator, f.link[0].target), (None, None));
+    assert_eq!(f.link[1].status, WcStatus::RemoteAccessError);
     assert_eq!(
-        (f.link[1].from, f.link[1].to),
+        (f.link[1].initiator, f.link[1].target),
         (Some(NodeId(0)), Some(NodeId(1)))
     );
-    assert_eq!((f.link[2].from, f.link[2].to), (None, Some(NodeId(3))));
+    assert_eq!(
+        (f.link[2].initiator, f.link[2].target),
+        (None, Some(NodeId(3)))
+    );
     assert_eq!(f.daemon[0].kind, DaemonFaultKind::DropReply);
     assert_eq!(
         (f.daemon[0].after_cmds, f.daemon[0].node),
@@ -103,4 +107,30 @@ fn parsed_plans_are_typed_and_display_round_trips() {
     );
     assert_eq!(text.parse::<Faults>().unwrap(), f);
     assert_eq!(Faults::default().to_string(), "none");
+}
+
+/// Each link kind name arms a verbs fault plan failing the work request
+/// with its status, and prints back as the kind's first name.
+#[test]
+fn each_link_kind_parses_to_its_status_and_prints_back() {
+    for (name, status, printed) in [
+        ("transient", WcStatus::RnrRetryExceeded, "transient"),
+        ("rnr", WcStatus::RnrRetryExceeded, "transient"),
+        ("retry", WcStatus::TransportRetryExceeded, "retry"),
+        ("fatal", WcStatus::RemoteAccessError, "fatal"),
+        ("access", WcStatus::RemoteAccessError, "fatal"),
+    ] {
+        let f: Faults = format!("4:{name}@1->*").parse().unwrap();
+        let plan = FaultPlan {
+            status,
+            after_matches: 4,
+            initiator: Some(NodeId(1)),
+            target: None,
+            ..Default::default()
+        };
+        assert_eq!(f.link, [plan], "{name}");
+        let text = f.to_string();
+        assert_eq!(text, format!("4:{printed}@1->*"), "{name}");
+        assert_eq!(text.parse::<Faults>().unwrap(), f, "{name}");
+    }
 }

@@ -1,8 +1,9 @@
 //! Unit tests of the seams inside the engine — the channel's operations
 //! and `Engine::resolve` — driven on two real ranks of a simulated world.
 
-use fabric::{Buffer, LinkFault, LinkFaultKind, NodeId, PAGE_SIZE};
+use fabric::{Buffer, NodeId, PAGE_SIZE};
 use simcore::{Ctx, SimDuration, SimTime, Simulation};
+use verbs::{FaultPlan, WcStatus};
 
 use crate::channel::{Channel, Inbound, Payload, SlotAt};
 use crate::connect::ConnDirectory;
@@ -311,7 +312,7 @@ fn resolve_ends_every_state_once_and_leaves_nothing_held() {
             Err(MpiError::PeerFailed(1)),
             Err(MpiError::Revoked),
             Err(MpiError::Transport {
-                status: verbs::WcStatus::RemoteAccessError,
+                status: WcStatus::RemoteAccessError,
                 op: TransportOp::RndvRead,
                 attempts: 2,
             }),
@@ -480,12 +481,12 @@ fn filled(e: &Engine, fill: u8) -> Buffer {
 
 /// Arm a fault for the next data operation rank 0's node posts toward
 /// rank 1's.
-fn fail_next_write(e: &Engine, kind: LinkFaultKind) {
-    e.res.cluster().inject_link_fault(LinkFault {
-        after_ops: 0,
-        kind,
-        from: Some(NodeId(0)),
-        to: Some(NodeId(1)),
+fn fail_next_write(e: &Engine, status: WcStatus) {
+    e.res.ib().inject_fault_plan(FaultPlan {
+        status,
+        initiator: Some(NodeId(0)),
+        target: Some(NodeId(1)),
+        ..Default::default()
     });
 }
 
@@ -552,7 +553,7 @@ fn a_retried_slot_write_keeps_its_staging_slot_through_the_backoff() {
             let req = e.isend(ctx, b, 1, 0).unwrap();
             e.wait(ctx, req).unwrap();
         }
-        fail_next_write(e, LinkFaultKind::Rnr);
+        fail_next_write(e, WcStatus::RnrRetryExceeded);
         let failing = e.isend(ctx, &bufs[FAILS], 1, 0).unwrap();
         progress_until(ctx, e, |e| e.stats.wr_faults == 1);
         // Waiting for its re-post, it still holds the slot its bytes are in.
@@ -597,7 +598,7 @@ fn a_dead_slot_write_frees_its_staging_slot_for_the_filler() {
         // not at slot sequence 0.
         let req = e.isend(ctx, &buf, 1, 9).unwrap();
         e.wait(ctx, req).unwrap();
-        fail_next_write(e, LinkFaultKind::Fatal);
+        fail_next_write(e, WcStatus::RemoteAccessError);
         let dead = e.isend(ctx, &buf, 1, 0).unwrap();
         let [(slot_seq, held, PacketKind::Eager)] = slot_writes(e)[..] else {
             panic!("the doomed write alone is in flight: {:?}", slot_writes(e));
@@ -760,7 +761,7 @@ fn a_rewrite_of_the_awaited_slot_is_seen() {
             // Let the receiver find slot 1 empty, then fail the write into
             // it for good: nothing lands, and the filler rewrites the slot.
             ctx.sleep(SimDuration::from_micros(50));
-            fail_next_write(e, LinkFaultKind::Fatal);
+            fail_next_write(e, WcStatus::RemoteAccessError);
             let dead = e.isend(ctx, &buf, 1, 0).unwrap();
             let dead = e.wait(ctx, dead);
             assert!(matches!(dead, Err(MpiError::Transport { .. })), "{dead:?}");
@@ -938,7 +939,7 @@ fn a_nack_send_that_arrives_before_its_receive_fails_it() {
         if e.rank == 0 {
             let req = e.isend(ctx, &buf, 1, 9).unwrap();
             e.wait(ctx, req).unwrap();
-            fail_next_write(e, LinkFaultKind::Fatal);
+            fail_next_write(e, WcStatus::RemoteAccessError);
             let dead = e.isend(ctx, &buf, 1, 0).unwrap();
             let dead = e.wait(ctx, dead);
             assert!(matches!(dead, Err(MpiError::Transport { .. })), "{dead:?}");
@@ -970,7 +971,7 @@ fn a_nack_send_fails_the_receive_that_advertised_an_rtr() {
         if e.rank == 0 {
             // The RTR is on its way when the RTS goes out, and dies.
             ctx.sleep(SimDuration::from_micros(50));
-            fail_next_write(e, LinkFaultKind::Fatal);
+            fail_next_write(e, WcStatus::RemoteAccessError);
             let dead = e.isend(ctx, &buf, 1, 0).unwrap();
             let dead = e.wait(ctx, dead);
             assert!(matches!(dead, Err(MpiError::Transport { .. })), "{dead:?}");

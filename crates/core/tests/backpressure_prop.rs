@@ -8,23 +8,23 @@
 use std::sync::Arc;
 
 use dcfa_mpi::{launch, Comm, Communicator, LaunchOpts, MpiConfig, MpiError, Request, Src, TagSel};
-use fabric::{Cluster, ClusterConfig, LinkFault, LinkFaultKind};
+use fabric::{Cluster, ClusterConfig};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use scif::ScifFabric;
 use simcore::{Ctx, Simulation};
-use verbs::IbFabric;
+use verbs::{FaultPlan, IbFabric, WcStatus};
 
-fn run_mpi_cfg<F>(nprocs: usize, cfg: MpiConfig, faults: &[fabric::LinkFault], f: F)
+fn run_mpi_cfg<F>(nprocs: usize, cfg: MpiConfig, faults: &[FaultPlan], f: F)
 where
     F: Fn(&mut Ctx, &mut Comm) + Send + Sync + 'static,
 {
     let mut sim = Simulation::new();
     let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(nprocs.max(2)));
-    for fault in faults {
-        cluster.inject_link_fault(*fault);
-    }
     let ib = IbFabric::new(cluster.clone());
+    for &plan in faults {
+        ib.inject_fault_plan(plan);
+    }
     let scif = ScifFabric::new(cluster);
     launch(&sim, &ib, &scif, cfg, nprocs, LaunchOpts::default(), f);
     sim.run_expect();
@@ -104,8 +104,8 @@ proptest! {
     fn backpressure_recovers_without_stranding_requests(shape in shape_strategy()) {
         // "3:transient,11:retry" in `repro --faults` syntax.
         let faults = if shape.faults {
-            [(3, LinkFaultKind::Rnr), (11, LinkFaultKind::Retry)]
-                .map(|(after_ops, kind)| LinkFault { after_ops, kind, from: None, to: None })
+            [(3, WcStatus::RnrRetryExceeded), (11, WcStatus::TransportRetryExceeded)]
+                .map(|(after_matches, status)| FaultPlan { status, after_matches, ..Default::default() })
                 .to_vec()
         } else {
             Vec::new()

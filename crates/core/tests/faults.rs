@@ -10,30 +10,21 @@ use dcfa_mpi::{
     launch, Comm, Communicator, LaunchOpts, MpiConfig, MpiError, Src, StatsReport, TagSel,
     TraceBuf, TraceEvent, TransportOp,
 };
-use fabric::{Cluster, ClusterConfig, LinkFault, LinkFaultKind, NodeId};
+use fabric::{Cluster, ClusterConfig, NodeId};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use scif::ScifFabric;
 use simcore::{Ctx, SimDuration, Simulation};
 use verbs::{FaultPlan, IbFabric, SendOpcode, WcStatus};
 
-/// Run `nprocs` ranks with the given device fault plans and link faults
-/// armed before launch; returns the audited protocol event stream.
-fn run_faulted<F>(
-    cfg: MpiConfig,
-    nprocs: usize,
-    plans: Vec<FaultPlan>,
-    links: Vec<LinkFault>,
-    f: F,
-) -> Vec<TraceEvent>
+/// Run `nprocs` ranks with the given fault plans armed before launch;
+/// returns the audited protocol event stream.
+fn run_faulted<F>(cfg: MpiConfig, nprocs: usize, plans: Vec<FaultPlan>, f: F) -> Vec<TraceEvent>
 where
     F: Fn(&mut Ctx, &mut Comm) + Send + Sync + 'static,
 {
     let mut sim = Simulation::new();
     let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(nprocs.max(2)));
-    for lf in links {
-        cluster.inject_link_fault(lf);
-    }
     let ib = IbFabric::new(cluster.clone());
     for p in plans {
         ib.inject_fault_plan(p);
@@ -83,7 +74,6 @@ fn eager_transient_fault_recovers_invisibly() {
             initiator: Some(NodeId(0)),
             ..Default::default()
         }],
-        vec![],
         move |ctx, comm| {
             let buf = comm.alloc(1024).unwrap();
             if comm.rank() == 0 {
@@ -133,7 +123,6 @@ fn eager_fatal_fault(status: WcStatus) {
             initiator: Some(NodeId(0)),
             ..Default::default()
         }],
-        vec![],
         move |ctx, comm| {
             let buf = comm.alloc(512).unwrap();
             if comm.rank() == 0 {
@@ -190,7 +179,6 @@ fn rndv_read_fatal_fails_both_ends_then_heals() {
             initiator: Some(NodeId(1)),
             ..Default::default()
         }],
-        vec![],
         move |ctx, comm| {
             let buf = comm.alloc(len).unwrap();
             if comm.rank() == 0 {
@@ -246,7 +234,6 @@ fn rndv_write_fatal_fails_both_ends_then_heals() {
             min_bytes: 32 << 10,
             ..Default::default()
         }],
-        vec![],
         move |ctx, comm| {
             let buf = comm.alloc(len).unwrap();
             if comm.rank() == 0 {
@@ -310,7 +297,6 @@ fn rtr_transient_fault_recovers_invisibly() {
             initiator: Some(NodeId(1)),
             ..Default::default()
         }],
-        vec![],
         move |ctx, comm| {
             let buf = comm.alloc(len).unwrap();
             if comm.rank() == 0 {
@@ -348,7 +334,6 @@ fn rtr_fatal_fault_fails_the_receive_and_nacks_the_late_sender() {
             initiator: Some(NodeId(1)),
             ..Default::default()
         }],
-        vec![],
         move |ctx, comm| {
             let buf = comm.alloc(len).unwrap();
             if comm.rank() == 0 {
@@ -402,7 +387,6 @@ fn fatal_fault_on_completion_packet_is_retried_not_swallowed() {
             initiator: Some(NodeId(1)),
             ..Default::default()
         }],
-        vec![],
         move |ctx, comm| {
             let buf = comm.alloc(len).unwrap();
             let flush = comm.alloc(64).unwrap();
@@ -459,7 +443,7 @@ fn handshake_timeout_reissues_rts_until_answered() {
     let reports = report_slot();
     let r2 = reports.clone();
     let len: u64 = 64 << 10;
-    let events = run_faulted(cfg, 2, vec![], vec![], move |ctx, comm| {
+    let events = run_faulted(cfg, 2, vec![], move |ctx, comm| {
         let buf = comm.alloc(len).unwrap();
         if comm.rank() == 0 {
             comm.write(&buf, 0, &pattern(len as usize, 4));
@@ -492,26 +476,24 @@ fn four_rank_mixed_workload_heals_transient_link_faults() {
     let reports = report_slot();
     let r2 = reports.clone();
     let links = vec![
-        LinkFault {
-            after_ops: 0,
-            kind: LinkFaultKind::Rnr,
-            from: None,
-            to: None,
+        FaultPlan {
+            status: WcStatus::RnrRetryExceeded,
+            ..Default::default()
         },
-        LinkFault {
-            after_ops: 5,
-            kind: LinkFaultKind::Retry,
-            from: Some(NodeId(1)),
-            to: None,
+        FaultPlan {
+            status: WcStatus::TransportRetryExceeded,
+            after_matches: 5,
+            initiator: Some(NodeId(1)),
+            ..Default::default()
         },
-        LinkFault {
-            after_ops: 3,
-            kind: LinkFaultKind::Rnr,
-            from: None,
-            to: Some(NodeId(0)),
+        FaultPlan {
+            status: WcStatus::RnrRetryExceeded,
+            after_matches: 3,
+            target: Some(NodeId(0)),
+            ..Default::default()
         },
     ];
-    let events = run_faulted(MpiConfig::dcfa(), 4, vec![], links, move |ctx, comm| {
+    let events = run_faulted(MpiConfig::dcfa(), 4, links, move |ctx, comm| {
         let (r, n) = (comm.rank(), comm.size());
         let next = (r + 1) % n;
         let prev = (r + n - 1) % n;
@@ -559,7 +541,7 @@ fn waitall_completes_every_request_despite_an_early_error() {
     // in the middle must not stop the healthy ones on either side.
     let done = Arc::new(Mutex::new(false));
     let d2 = done.clone();
-    let events = run_faulted(MpiConfig::dcfa(), 2, vec![], vec![], move |ctx, comm| {
+    let events = run_faulted(MpiConfig::dcfa(), 2, vec![], move |ctx, comm| {
         if comm.rank() == 0 {
             let small = comm.alloc(512).unwrap();
             let big = comm.alloc(128 << 10).unwrap();
@@ -606,7 +588,7 @@ fn waitany_skips_consumed_requests_without_masking_completions() {
     // completion — and an all-consumed set is a `BadRequest` error.
     let done = Arc::new(Mutex::new(false));
     let d2 = done.clone();
-    let events = run_faulted(MpiConfig::dcfa(), 2, vec![], vec![], move |ctx, comm| {
+    let events = run_faulted(MpiConfig::dcfa(), 2, vec![], move |ctx, comm| {
         if comm.rank() == 0 {
             let buf = comm.alloc(256).unwrap();
             comm.write(&buf, 0, &pattern(256, 2));
@@ -646,7 +628,13 @@ proptest! {
     #[test]
     fn random_transient_faults_never_violate_seq_order(
         faults in proptest::collection::vec(
-            (0u64..24, prop_oneof![Just(LinkFaultKind::Rnr), Just(LinkFaultKind::Retry)]),
+            (
+                0u64..24,
+                prop_oneof![
+                    Just(WcStatus::RnrRetryExceeded),
+                    Just(WcStatus::TransportRetryExceeded)
+                ],
+            ),
             1..6,
         )
     ) {
@@ -655,9 +643,9 @@ proptest! {
         let cfg = MpiConfig { retry_limit: 16, ..MpiConfig::dcfa() };
         let links = faults
             .iter()
-            .map(|&(after_ops, kind)| LinkFault { after_ops, kind, from: None, to: None })
+            .map(|&(after_matches, status)| FaultPlan { status, after_matches, ..Default::default() })
             .collect();
-        let events = run_faulted(cfg, 2, vec![], links, move |ctx, comm| {
+        let events = run_faulted(cfg, 2, links, move |ctx, comm| {
             let peer = 1 - comm.rank();
             let small = comm.alloc(512).unwrap();
             let srx = comm.alloc(512).unwrap();

@@ -167,13 +167,9 @@ fn srq_halo_stays_under_its_lock_budget() {
 /// check beside it in `connect.rs`.)
 #[test]
 fn nothing_new_reads_take_no_lock() {
-    use fabric::{LinkFault, LinkFaultKind, NodeId};
-
     let sim = simcore::Simulation::new();
     let sched = sim.scheduler();
-    let cluster = fabric::Cluster::new(sim.scheduler(), fabric::ClusterConfig::with_nodes(2));
     let (ev, cq) = (SimEvent::new(), verbs::CompletionQueue::new());
-    let (a, b) = (NodeId(0), NodeId(1));
     let lock_free = |what: &str, read: &mut dyn FnMut()| {
         let before = lock_count::total();
         read();
@@ -185,21 +181,6 @@ fn nothing_new_reads_take_no_lock() {
     lock_free("SimEvent::epoch", &mut || assert_eq!(ev.epoch(), 0));
     lock_free("an empty poll_batch", &mut || {
         assert_eq!(cq.poll_batch(&mut Vec::new(), 16), 0);
-    });
-    lock_free("an un-armed take_link_fault", &mut || {
-        assert_eq!(cluster.take_link_fault(a, b), None);
-    });
-    // Armed, the plan is consulted under its lock and fires; spent, the
-    // fabric is un-armed again.
-    cluster.inject_link_fault(LinkFault {
-        after_ops: 0,
-        kind: LinkFaultKind::Rnr,
-        from: None,
-        to: None,
-    });
-    assert_eq!(cluster.take_link_fault(a, b), Some(LinkFaultKind::Rnr));
-    lock_free("a spent take_link_fault", &mut || {
-        assert_eq!(cluster.take_link_fault(a, b), None);
     });
 }
 

@@ -692,14 +692,6 @@ impl DcfaContext {
         self.command_ok(ctx, Cmd::DeregOffloadMr { key })
     }
 
-    /// Arm a link-fault plan on the cluster fabric through the host
-    /// daemon. Lets a Phi-resident test harness schedule transport faults
-    /// (consumed by the HCA model on matching posted operations) without
-    /// any host-side assist code.
-    pub fn inject_fault(&self, ctx: &mut Ctx, fault: fabric::LinkFault) -> Result<(), DcfaError> {
-        self.command_ok(ctx, Cmd::InjectFault(fault))
-    }
-
     /// Tell the daemon this client is going away (its connection closes)
     /// and stop the heartbeat sidecar.
     pub fn close(&self, ctx: &mut Ctx) {

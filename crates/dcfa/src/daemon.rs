@@ -67,8 +67,6 @@ pub struct DcfaCounters {
     pub offload_registered: u64,
     /// Offloading-buffer twins released (including session drains).
     pub offload_deregistered: u64,
-    /// Link-fault plans armed on the fabric (`InjectFault`).
-    pub faults_armed: u64,
     /// Error replies sent.
     pub errors: u64,
     /// Client-side command retransmissions after a reply timeout.
@@ -276,7 +274,7 @@ impl NodeShared {
     }
 
     /// Tick every armed plan matching `node`; fire (and consume) the first
-    /// that has skipped its quota. Mirrors `Cluster::take_link_fault`.
+    /// that has skipped its quota. Mirrors verbs' work-request fault plans.
     fn take_fault(&mut self, node: NodeId) -> Option<DaemonFaultKind> {
         let mut fired = None;
         self.faults.retain_mut(|p| {
@@ -909,11 +907,6 @@ impl Conn {
                     ctl.release(key, &buffer, true);
                     outcome = Some(|c| c.offload_deregistered += 1);
                 }
-                Reply::Ok
-            }
-            Cmd::InjectFault(fault) => {
-                ctl.cluster().inject_link_fault(fault);
-                outcome = Some(|c| c.faults_armed += 1);
                 Reply::Ok
             }
             Cmd::Bye => {

@@ -14,7 +14,7 @@
 //! caller's stack: the largest frame is 29 bytes, and the command channel
 //! makes no heap block for one.
 
-use fabric::{Domain, LinkFault, LinkFaultKind, MemRef, NodeId};
+use fabric::{Domain, MemRef, NodeId};
 
 /// Sequence id used by unsequenced frames (heartbeats, error replies to
 /// undecodable commands). Never dedup-cached.
@@ -48,10 +48,6 @@ pub enum Cmd {
     DeregOffloadMr { key: u32 },
     /// Client is going away.
     Bye,
-    /// Arm a link-fault plan on the cluster fabric (test harnesses drive
-    /// this through the same command channel as resource offloading, so a
-    /// Phi-resident process can schedule faults without host-side code).
-    InjectFault(fabric::LinkFault),
     /// Liveness beacon renewing the client's lease. Fire-and-forget: the
     /// daemon does not reply, so a sidecar heartbeat process can share the
     /// endpoint without stealing command replies.
@@ -190,32 +186,6 @@ fn domain_from(tag: u8) -> Option<Domain> {
     }
 }
 
-fn fault_kind_tag(k: LinkFaultKind) -> u8 {
-    match k {
-        LinkFaultKind::Rnr => 0,
-        LinkFaultKind::Retry => 1,
-        LinkFaultKind::Fatal => 2,
-    }
-}
-
-fn fault_kind_from(tag: u8) -> Option<LinkFaultKind> {
-    match tag {
-        0 => Some(LinkFaultKind::Rnr),
-        1 => Some(LinkFaultKind::Retry),
-        2 => Some(LinkFaultKind::Fatal),
-        _ => None,
-    }
-}
-
-/// A fault scope of `None` ("any node") rides the wire as `u32::MAX`.
-fn node_scope_tag(n: Option<NodeId>) -> u32 {
-    n.map_or(u32::MAX, |n| n.0 as u32)
-}
-
-fn node_scope_from(v: u32) -> Option<NodeId> {
-    (v != u32::MAX).then_some(NodeId(v as usize))
-}
-
 impl Cmd {
     pub fn encode(&self) -> Frame {
         let mut b = Frame::new();
@@ -251,13 +221,6 @@ impl Cmd {
                 b.put_u32(*key);
             }
             Cmd::Bye => b.put_u8(7),
-            Cmd::InjectFault(f) => {
-                b.put_u8(8);
-                b.put_u64(f.after_ops);
-                b.put_u8(fault_kind_tag(f.kind));
-                b.put_u32(node_scope_tag(f.from));
-                b.put_u32(node_scope_tag(f.to));
-            }
             Cmd::Heartbeat => b.put_u8(9),
             Cmd::AdoptMr { key } => {
                 b.put_u8(10);
@@ -285,12 +248,6 @@ impl Cmd {
             5 => Cmd::RegOffloadMr { len: r.u64()? },
             6 => Cmd::DeregOffloadMr { key: r.u32()? },
             7 => Cmd::Bye,
-            8 => Cmd::InjectFault(LinkFault {
-                after_ops: r.u64()?,
-                kind: fault_kind_from(r.u8()?)?,
-                from: node_scope_from(r.u32()?),
-                to: node_scope_from(r.u32()?),
-            }),
             9 => Cmd::Heartbeat,
             10 => Cmd::AdoptMr { key: r.u32()? },
             _ => return None,
@@ -425,38 +382,6 @@ mod tests {
         roundtrip_cmd(Cmd::RegOffloadMr { len: 8192 });
         roundtrip_cmd(Cmd::DeregOffloadMr { key: 17 });
         roundtrip_cmd(Cmd::Bye);
-        roundtrip_cmd(Cmd::InjectFault(LinkFault {
-            after_ops: 12,
-            kind: LinkFaultKind::Fatal,
-            from: Some(NodeId(2)),
-            to: None,
-        }));
-        roundtrip_cmd(Cmd::InjectFault(LinkFault {
-            after_ops: 0,
-            kind: LinkFaultKind::Rnr,
-            from: None,
-            to: Some(NodeId(1)),
-        }));
-        roundtrip_cmd(Cmd::InjectFault(LinkFault {
-            after_ops: u64::MAX,
-            kind: LinkFaultKind::Retry,
-            from: None,
-            to: None,
-        }));
-    }
-
-    #[test]
-    fn bad_fault_kind_rejected() {
-        let mut enc = Cmd::InjectFault(LinkFault {
-            after_ops: 1,
-            kind: LinkFaultKind::Rnr,
-            from: None,
-            to: None,
-        })
-        .encode()
-        .to_vec();
-        enc[9] = 5; // corrupt the fault-kind byte (after tag + after_ops)
-        assert_eq!(Cmd::decode(&enc), None);
     }
 
     #[test]

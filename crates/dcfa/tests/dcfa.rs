@@ -267,25 +267,22 @@ fn dereg_unknown_key_is_an_error() {
 }
 
 #[test]
-fn inject_fault_through_daemon_faults_a_posted_write() {
-    // A Phi-resident client arms a link fault over the command channel;
-    // the HCA model consumes it and errors the matching posted operation.
+fn a_fault_plan_fails_a_write_from_a_dcfa_registered_mr() {
+    // Work-request faults are armed on the HCA model, not through the
+    // daemon: the plan fails the first matching RDMA WRITE posted from a
+    // region the daemon registered, and only that one.
     let mut r = rig(2);
     let (ib, scif) = (r.ib.clone(), r.scif.clone());
     r.sim.spawn("rank0", move |ctx| {
         let cl = ib.cluster().clone();
         let dcfa = DcfaContext::open(ctx, &ib, &scif, NodeId(0)).unwrap();
-        dcfa.inject_fault(
-            ctx,
-            fabric::LinkFault {
-                after_ops: 0,
-                kind: fabric::LinkFaultKind::Fatal,
-                from: Some(NodeId(0)),
-                to: Some(NodeId(1)),
-            },
-        )
-        .unwrap();
-        assert_eq!(cl.pending_link_faults(), 1);
+        ib.inject_fault_plan(verbs::FaultPlan {
+            status: WcStatus::RemoteAccessError,
+            initiator: Some(NodeId(0)),
+            target: Some(NodeId(1)),
+            ..Default::default()
+        });
+        assert_eq!(ib.armed_fault_plans().len(), 1);
 
         let buf = cl.alloc_pages(phi(0), 4096).unwrap();
         let mr = dcfa.reg_mr(ctx, buf).unwrap();
@@ -316,7 +313,7 @@ fn inject_fault_through_daemon_faults_a_posted_write() {
         assert_ne!(wc.status, WcStatus::Success);
         assert!(!wc.status.is_transient());
         // The plan was one-shot: a second write goes through clean.
-        assert_eq!(cl.pending_link_faults(), 0);
+        assert_eq!(ib.armed_fault_plans(), Vec::new());
         qp.post_send(
             ctx,
             SendWr::rdma_write(2, vec![mr.sge(0, 64)], rmr.addr(), rmr.rkey()),

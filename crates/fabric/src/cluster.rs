@@ -2,7 +2,6 @@
 //! the InfiniBand network, plus the data-movement primitives every higher
 //! layer is built from.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -10,7 +9,6 @@ use simcore::{Completion, Scheduler, SimDuration, SimTime};
 
 use crate::channel::BwChannel;
 use crate::config::{ClusterConfig, Domain};
-use crate::faults::{LinkFault, LinkFaultKind};
 use crate::health::HealthBoard;
 use crate::mem::{Buffer, MemRef, Memory, NodeId, OutOfMemory};
 use crate::plane::Plane;
@@ -52,13 +50,6 @@ pub struct Cluster {
     /// lock (see [`crate::plane`]).
     plane: Arc<Mutex<Plane>>,
     nodes: Vec<NodeState>,
-    /// Armed per-link fault plans (see [`crate::faults`]). Device models
-    /// consult these on every posted data operation.
-    link_faults: Mutex<Vec<LinkFault>>,
-    /// `link_faults.len()`, stored only with `link_faults` held and loaded
-    /// without it: a post on a fabric with nothing armed — every post of a
-    /// fault-free run — takes no lock to learn that.
-    link_faults_armed: AtomicUsize,
     /// Rank-health board, installed by the MPI world at launch (see
     /// [`crate::health`]). `None` for bare fabric-level tests.
     health: Mutex<Option<Arc<HealthBoard>>>,
@@ -88,8 +79,6 @@ impl Cluster {
             sched,
             plane,
             nodes,
-            link_faults: Mutex::new(Vec::new()),
-            link_faults_armed: AtomicUsize::new(0),
             health: Mutex::new(None),
         })
     }
@@ -127,49 +116,6 @@ impl Cluster {
 
     fn node(&self, id: NodeId) -> &NodeState {
         &self.nodes[id.0]
-    }
-
-    // ---- fault plans -------------------------------------------------------
-
-    /// Arm a per-link fault plan. The plan fires once, on the data
-    /// operation posted `after_ops` matching operations from now.
-    pub fn inject_link_fault(&self, fault: LinkFault) {
-        let mut plans = self.link_faults.lock();
-        plans.push(fault);
-        self.link_faults_armed.store(plans.len(), Ordering::Release);
-    }
-
-    /// Consult the fault plans for one posted data operation initiated by
-    /// `from` targeting `to`. Every matching plan's skip counter ticks;
-    /// the first exhausted plan fires (and is removed). Called by the
-    /// device layers at post time.
-    pub fn take_link_fault(&self, from: NodeId, to: NodeId) -> Option<LinkFaultKind> {
-        if self.pending_link_faults() == 0 {
-            return None;
-        }
-        let mut plans = self.link_faults.lock();
-        let mut fired = None;
-        plans.retain_mut(|p| {
-            if !p.matches(from, to) {
-                return true;
-            }
-            if p.after_ops > 0 {
-                p.after_ops -= 1;
-                return true;
-            }
-            if fired.is_none() {
-                fired = Some(p.kind);
-                return false;
-            }
-            true
-        });
-        self.link_faults_armed.store(plans.len(), Ordering::Release);
-        fired
-    }
-
-    /// Number of armed fault plans still waiting to fire. Takes no lock.
-    pub fn pending_link_faults(&self) -> usize {
-        self.link_faults_armed.load(Ordering::Acquire)
     }
 
     // ---- memory plane -----------------------------------------------------

@@ -28,7 +28,6 @@
 mod channel;
 mod cluster;
 mod config;
-mod faults;
 mod health;
 mod mem;
 mod plane;
@@ -36,7 +35,6 @@ mod plane;
 pub use channel::{BwChannel, ChannelStats};
 pub use cluster::{Cluster, FabricStats, Transfer};
 pub use config::{ClusterConfig, CostModel, Domain, PAGE_SIZE};
-pub use faults::{LinkFault, LinkFaultKind};
 pub use health::{HealthBoard, PeerState};
 pub use mem::{Buffer, MemRef, Memory, NodeId, OutOfMemory};
 pub use plane::{Plane, MIRROR_MIN};

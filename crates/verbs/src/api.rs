@@ -21,7 +21,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fabric::{Buffer, Cluster, Domain, LinkFaultKind, MemRef, NodeId, Plane};
+use fabric::{Buffer, Cluster, Domain, MemRef, NodeId, Plane};
 use parking_lot::Mutex;
 use simcore::{Ctx, Scheduler, SimEvent, SimTime};
 
@@ -167,7 +167,7 @@ impl SharedReceiveQueue {
 /// data operation that satisfies every filter. Unset filters match
 /// everything, so an unfiltered plan counts every posted op; only matching
 /// operations tick the skip counter.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     pub status: WcStatus,
     pub after_matches: u64,
@@ -246,6 +246,12 @@ impl IbFabric {
         self.state.lock().fault_plans.push(plan);
     }
 
+    /// The plans armed and not yet fired, each with what it has left to
+    /// skip, in arming order.
+    pub fn armed_fault_plans(&self) -> Vec<FaultPlan> {
+        self.state.lock().fault_plans.clone()
+    }
+
     /// Transition every QP owned by `node` to the error state (fail-stop
     /// teardown): subsequent deliveries on them — in either direction —
     /// flush with [`WcStatus::WrFlushErr`] and move no data. In the
@@ -303,9 +309,8 @@ impl IbFabric {
 /// Everything below works on the table already locked: an operation takes
 /// the fabric-wide lock once and resolves all its keys and QPs under it.
 impl FabState {
-    /// The table's part of the fault plans, one tick per posted data
-    /// operation: matching ops tick each plan. The cluster's per-link
-    /// plans come after these; see `post_send_inner`.
+    /// The fault plans, one tick per posted data operation: matching ops
+    /// tick each plan, and the first exhausted one fires (and is removed).
     fn take_fault(
         &mut self,
         op: SendOpcode,
@@ -744,19 +749,8 @@ impl QueuePair {
         qp.sq_busy = end;
         drop(qp);
 
-        // Fault plans: the table's came first (above), then the cluster's
-        // per-link plans. A planned failure completes with an error WC at
-        // the would-be completion time and moves no data.
-        let fault = fault.or_else(|| {
-            let kind = cluster.take_link_fault(shared.node, remote.0)?;
-            Some(match kind {
-                LinkFaultKind::Rnr => WcStatus::RnrRetryExceeded,
-                LinkFaultKind::Retry => WcStatus::TransportRetryExceeded,
-                LinkFaultKind::Fatal => WcStatus::RemoteAccessError,
-            })
-        });
-
-        // Schedule the delivery.
+        // Schedule the delivery. A planned failure completes with an error
+        // WC at the would-be completion time and moves no data.
         let qp = self.qp.clone();
         cluster.call_at(end, move |s| match fault {
             Some(status) => qp.shared.send_cq.push(
