@@ -38,6 +38,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
+use dcfa::CtrlEvent;
 use parking_lot::Mutex;
 
 use crate::metrics::{MetricsHub, Phase};
@@ -196,36 +197,12 @@ pub enum TraceEvent {
     /// drain). Lifecycle-wise this is a deregister: the key must never
     /// be handed out again afterwards.
     MrInvalidated { rank: Rank, key: u32 },
-    /// A DCFA command timed out waiting for the daemon's reply.
-    /// `client` is the daemon-assigned session id.
-    CtrlTimeout { client: u32, seq: u32 },
-    /// A timed-out DCFA command was retransmitted (`attempt` starts at 1).
-    CtrlRetry { client: u32, seq: u32, attempt: u32 },
-    /// A client re-attached to its node daemon and replayed its resource
-    /// journal under control `epoch`. The auditor requires
-    /// `replayed == journaled`: every journaled resource must be
-    /// re-established (adopted or re-registered) after a respawn.
-    CtrlReattach {
-        client: u32,
-        epoch: u32,
-        journaled: u64,
-        replayed: u64,
-    },
-    /// The node's delegation daemon crashed; `epoch` is the incarnation
-    /// that will replace it.
-    DaemonCrash { node: usize, epoch: u32 },
-    /// The supervisor respawned the node daemon as incarnation `epoch`.
-    DaemonRespawn { node: usize, epoch: u32 },
-    /// The lease reaper reclaimed an expired client session holding
-    /// `objects` IB objects.
-    LeaseReclaim {
-        node: usize,
-        client: u32,
-        objects: u64,
-    },
-    /// A retransmitted command was answered from the daemon's reply-dedup
-    /// cache instead of being re-executed.
-    CtrlReplay { node: usize, client: u32, seq: u32 },
+    /// A control-plane event from a DCFA command client or node daemon
+    /// (never `CmdRoundtrip`, which becomes a latency sample). The auditor
+    /// requires every `Reattach` to replay its whole journal and every
+    /// `DaemonCrash` to pair with a `DaemonRespawn` of the same node and
+    /// epoch.
+    Ctrl(CtrlEvent),
     /// The rank gave up on offload twins (repeated registration failure)
     /// and degraded to direct-from-Phi rendezvous sends.
     OffloadDegraded { rank: Rank },
@@ -647,39 +624,34 @@ pub fn audit(events: &[TraceEvent]) -> Result<AuditReport, Vec<String>> {
                 report.retransmissions += 1;
                 *allowed_dups.entry((from, to, kind, seq)).or_default() += 1;
             }
-            TraceEvent::CtrlTimeout { .. } => {
-                report.ctrl_timeouts += 1;
-            }
-            TraceEvent::CtrlRetry { .. } => {
-                report.ctrl_retries += 1;
-            }
-            TraceEvent::CtrlReattach {
-                client,
-                epoch,
-                journaled,
-                replayed,
-            } => {
-                report.reattaches += 1;
-                if replayed != journaled {
-                    errs.push(format!(
-                        "[{i}] client {client} reattach (epoch {epoch}): replayed {replayed} of \
-                         {journaled} journaled resources (resource lost across respawn)"
-                    ));
+            TraceEvent::Ctrl(ctrl) => match ctrl {
+                CtrlEvent::CmdTimeout { .. } => report.ctrl_timeouts += 1,
+                CtrlEvent::CmdRetry { .. } => report.ctrl_retries += 1,
+                CtrlEvent::Reattach {
+                    client,
+                    epoch,
+                    journaled,
+                    replayed,
+                } => {
+                    report.reattaches += 1;
+                    if replayed != journaled {
+                        errs.push(format!(
+                            "[{i}] client {client} reattach (epoch {epoch}): replayed {replayed} of \
+                             {journaled} journaled resources (resource lost across respawn)"
+                        ));
+                    }
                 }
-            }
-            TraceEvent::DaemonCrash { node, epoch } => {
-                report.daemon_crashes += 1;
-                crash_respawn.entry((node, epoch)).or_default().0 += 1;
-            }
-            TraceEvent::DaemonRespawn { node, epoch } => {
-                crash_respawn.entry((node, epoch)).or_default().1 += 1;
-            }
-            TraceEvent::LeaseReclaim { .. } => {
-                report.lease_reclaims += 1;
-            }
-            TraceEvent::CtrlReplay { .. } => {
-                report.ctrl_replays += 1;
-            }
+                CtrlEvent::DaemonCrash { node, epoch } => {
+                    report.daemon_crashes += 1;
+                    crash_respawn.entry((node.0, epoch)).or_default().0 += 1;
+                }
+                CtrlEvent::DaemonRespawn { node, epoch } => {
+                    crash_respawn.entry((node.0, epoch)).or_default().1 += 1;
+                }
+                CtrlEvent::LeaseReclaim { .. } => report.lease_reclaims += 1,
+                CtrlEvent::ReplyReplayed { .. } => report.ctrl_replays += 1,
+                CtrlEvent::CmdRoundtrip { .. } => {}
+            },
             TraceEvent::OffloadDegraded { .. } => {
                 report.offload_degraded += 1;
             }
@@ -766,6 +738,7 @@ pub fn audit(events: &[TraceEvent]) -> Result<AuditReport, Vec<String>> {
 mod tests {
     use super::*;
     use crate::packet::PacketKind;
+    use fabric::NodeId;
 
     #[test]
     fn ring_drops_oldest() {
@@ -1095,29 +1068,30 @@ mod tests {
 
     #[test]
     fn reattach_must_replay_full_journal() {
-        let ok = TraceEvent::CtrlReattach {
+        let ok = TraceEvent::Ctrl(CtrlEvent::Reattach {
             client: 1,
             epoch: 1,
             journaled: 3,
             replayed: 3,
-        };
+        });
         let r = audit(&[ok]).expect("full replay is clean");
         assert_eq!(r.reattaches, 1);
 
-        let short = TraceEvent::CtrlReattach {
+        let short = TraceEvent::Ctrl(CtrlEvent::Reattach {
             client: 1,
             epoch: 1,
             journaled: 3,
             replayed: 2,
-        };
+        });
         let errs = audit(&[short]).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("resource lost")), "{errs:?}");
     }
 
     #[test]
     fn crash_must_pair_with_respawn() {
-        let crash = TraceEvent::DaemonCrash { node: 0, epoch: 1 };
-        let respawn = TraceEvent::DaemonRespawn { node: 0, epoch: 1 };
+        let (n0, n1) = (NodeId(0), NodeId(1));
+        let crash = TraceEvent::Ctrl(CtrlEvent::DaemonCrash { node: n0, epoch: 1 });
+        let respawn = TraceEvent::Ctrl(CtrlEvent::DaemonRespawn { node: n0, epoch: 1 });
         let r = audit(&[crash, respawn]).expect("paired incarnation");
         assert_eq!(r.daemon_crashes, 1);
 
@@ -1125,32 +1099,42 @@ mod tests {
         assert!(errs.iter().any(|e| e.contains("not recovered")), "{errs:?}");
 
         // Same epoch number on a *different* node is a separate pairing.
-        let other = TraceEvent::DaemonCrash { node: 1, epoch: 1 };
+        let other = TraceEvent::Ctrl(CtrlEvent::DaemonCrash { node: n1, epoch: 1 });
         let errs = audit(&[crash, respawn, other]).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("node1")), "{errs:?}");
     }
 
+    /// The ring stores events by value: carrying a whole `CtrlEvent` must
+    /// not make every event bigger than the 56 bytes it was before.
+    #[test]
+    fn a_trace_event_stays_within_56_bytes() {
+        let size = std::mem::size_of::<TraceEvent>();
+        assert!(size <= 56, "TraceEvent is {size} bytes");
+    }
+
     #[test]
     fn ctrl_events_counted() {
-        let evs = vec![
-            TraceEvent::CtrlTimeout { client: 1, seq: 4 },
-            TraceEvent::CtrlRetry {
+        let mut evs = [
+            CtrlEvent::CmdTimeout { client: 1, seq: 4 },
+            CtrlEvent::CmdRetry {
                 client: 1,
                 seq: 4,
                 attempt: 1,
             },
-            TraceEvent::CtrlReplay {
-                node: 0,
+            CtrlEvent::ReplyReplayed {
+                node: NodeId(0),
                 client: 1,
                 seq: 4,
             },
-            TraceEvent::LeaseReclaim {
-                node: 0,
+            CtrlEvent::LeaseReclaim {
+                node: NodeId(0),
                 client: 2,
                 objects: 3,
             },
-            TraceEvent::OffloadDegraded { rank: 1 },
-        ];
+        ]
+        .map(TraceEvent::Ctrl)
+        .to_vec();
+        evs.push(TraceEvent::OffloadDegraded { rank: 1 });
         let r = audit(&evs).expect("ctrl events alone are clean");
         assert_eq!(r.ctrl_timeouts, 1);
         assert_eq!(r.ctrl_retries, 1);

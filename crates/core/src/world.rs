@@ -100,61 +100,13 @@ impl Default for LaunchOpts {
 
 /// The one bridge from the control plane to the recorder: command
 /// round-trips become [`Phase::CtrlRoundtrip`] samples (peer unknown at
-/// this layer), everything else a trace event, so the auditor can check
-/// control-plane invariants (crash/respawn pairing, full journal replay)
-/// against the same stream as the data path.
+/// this layer), everything else a [`TraceEvent::Ctrl`], so the auditor
+/// can check control-plane invariants (crash/respawn pairing, full
+/// journal replay) against the same stream as the data path.
 fn ctrl_hook(rec: Recorder) -> dcfa::CtrlHook {
-    use dcfa::CtrlEvent;
-    Arc::new(move |ev: &CtrlEvent| {
-        let tev = match *ev {
-            CtrlEvent::CmdRoundtrip { ns } => {
-                return rec.sample(Phase::CtrlRoundtrip, 0, None, ns);
-            }
-            CtrlEvent::CmdTimeout { client, seq } => TraceEvent::CtrlTimeout { client, seq },
-            CtrlEvent::CmdRetry {
-                client,
-                seq,
-                attempt,
-            } => TraceEvent::CtrlRetry {
-                client,
-                seq,
-                attempt,
-            },
-            CtrlEvent::Reattach {
-                client,
-                epoch,
-                journaled,
-                replayed,
-            } => TraceEvent::CtrlReattach {
-                client,
-                epoch,
-                journaled,
-                replayed,
-            },
-            CtrlEvent::DaemonCrash { node, epoch } => TraceEvent::DaemonCrash {
-                node: node.0,
-                epoch,
-            },
-            CtrlEvent::DaemonRespawn { node, epoch } => TraceEvent::DaemonRespawn {
-                node: node.0,
-                epoch,
-            },
-            CtrlEvent::LeaseReclaim {
-                node,
-                client,
-                objects,
-            } => TraceEvent::LeaseReclaim {
-                node: node.0,
-                client,
-                objects,
-            },
-            CtrlEvent::ReplyReplayed { node, client, seq } => TraceEvent::CtrlReplay {
-                node: node.0,
-                client,
-                seq,
-            },
-        };
-        rec.trace(|| tev);
+    Arc::new(move |ev: &dcfa::CtrlEvent| match *ev {
+        dcfa::CtrlEvent::CmdRoundtrip { ns } => rec.sample(Phase::CtrlRoundtrip, 0, None, ns),
+        ev => rec.trace(|| TraceEvent::Ctrl(ev)),
     })
 }
 
