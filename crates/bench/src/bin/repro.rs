@@ -267,6 +267,10 @@ fn scenario(cli: &Cli, channel: Option<Channel>, out: &mut Out) -> Result<bool, 
     Ok(ok && chaos.minimal.is_none())
 }
 
+/// The most host memory a scenario may have had resident, whole process,
+/// at any point: the 512-rank halo soak's budget (ROADMAP item 3).
+const PEAK_RSS_MIB: u64 = 300;
+
 /// Minor page faults this process has taken so far (`minflt`, the tenth
 /// field of `/proc/self/stat`; the second, the command name, may itself
 /// hold spaces, so count from its closing parenthesis).
@@ -315,9 +319,11 @@ fn report(
     // Where the simulator's own memory is: the node (one rank each) whose
     // arenas hold most of it, and the page faults that put it there.
     let (resident, allocated) = run.arena.iter().max().copied().unwrap_or_default();
+    let peak_mib = simcore::mapping::peak_resident_bytes() >> 20;
     writeln!(
         out,
-        "arena resident per rank: max {} KiB of {} KiB allocated; minor faults {}",
+        "arena resident per rank: max {} KiB of {} KiB allocated; minor faults {}; peak RSS \
+         {peak_mib} MiB",
         resident >> 10,
         allocated >> 10,
         minor_faults().map_or("n/a".into(), |n| n.to_string())
@@ -360,6 +366,13 @@ fn report(
         writeln!(out, "FAIL: {v}");
     }
     let mut ok = violations.is_empty();
+    if peak_mib > PEAK_RSS_MIB {
+        writeln!(
+            out,
+            "FAIL: peak RSS {peak_mib} MiB is over the {PEAK_RSS_MIB} MiB budget"
+        );
+        ok = false;
+    }
 
     let written =
         |path: &str, r: std::io::Result<()>| r.map_err(|e| format!("cannot write {path}: {e}"));

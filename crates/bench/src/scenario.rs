@@ -60,7 +60,8 @@ impl Default for Scenario {
 /// The transient link faults the halo soak runs under unless told
 /// otherwise: enough churn to exercise retry and reorder handling at rank
 /// counts the 4-rank suites never reach, but nothing fatal — every
-/// operation must still succeed.
+/// operation must still succeed. A world too small to make a term's
+/// matching posts runs without it (see [`Scenario::halo_soak`]).
 pub const HALO_SOAK_FAULTS: &str = "7:transient,23:retry,61:transient";
 
 /// Latest `after_ops` a kill may carry: the parked receive plus 8 halo
@@ -84,13 +85,21 @@ fn check_kill_ranks(ranks: usize) -> Result<(), String> {
 
 impl Scenario {
     /// The default scale soak: the halo at `ranks` ranks on the SRQ pool
-    /// under [`HALO_SOAK_FAULTS`].
+    /// under the terms of [`HALO_SOAK_FAULTS`] that `ranks` ranks fire. A
+    /// term `k:…` fires on the world's `k + 1`th post, and every send of
+    /// the halo is one, so a term is armed only below the send count; a
+    /// smaller world (under 5 ranks) would leave it armed and unfired.
     pub fn halo_soak(ranks: usize) -> Scenario {
+        let mut faults: Faults = HALO_SOAK_FAULTS.parse().expect("builtin fault spec");
+        let rounds = u64::from(halo_rounds(false));
+        let sends = (0..ranks).map(|me| halo_peers(me, ranks).len() as u64 * rounds);
+        let sends: u64 = sends.sum();
+        faults.link.retain(|l| l.after_matches < sends);
         Scenario {
             ranks,
             workload: Workload::Halo,
             channel: Channel::Srq,
-            faults: HALO_SOAK_FAULTS.parse().expect("builtin fault spec"),
+            faults,
         }
     }
 
@@ -286,6 +295,29 @@ fn mixed(ctx: &mut Ctx, comm: &mut Comm, t: &mut Tally) {
     }
 }
 
+/// Rank `me`'s halo neighbours of `n` at offsets +/-1 and +/-2,
+/// deduplicated: tiny worlds fold offsets onto the same rank, and a world
+/// of one has none.
+fn halo_peers(me: usize, n: usize) -> Vec<usize> {
+    let mut peers: Vec<usize> = Vec::new();
+    for off in [1, 2, n.saturating_sub(1), n.saturating_sub(2)] {
+        let p = (me + off) % n;
+        if p != me && !peers.contains(&p) {
+            peers.push(p);
+        }
+    }
+    peers
+}
+
+/// The halo's phase-1 rounds: twice as many with kills armed.
+fn halo_rounds(recover: bool) -> u32 {
+    if recover {
+        8
+    } else {
+        4
+    }
+}
+
 /// [`Workload::Halo`]: 1 KiB salted halos to the neighbors at offsets ±1
 /// and ±2. With kills armed (`recover`) it doubles its rounds, parks a
 /// receive, and ends in revoke → shrink → a verified exchange on the
@@ -303,15 +335,7 @@ fn halo(ctx: &mut Ctx, comm: &mut Comm, recover: bool, t: &mut Tally) -> (usize,
             .map(|i| (i as u8) ^ s)
             .collect::<Vec<u8>>()
     };
-    // Neighbor set at offsets +/-1 and +/-2 (deduplicated: tiny clusters
-    // fold offsets onto the same rank).
-    let mut peers: Vec<usize> = Vec::new();
-    for off in [1, 2, n - 1, n - 2] {
-        let p = (me + off) % n;
-        if p != me && !peers.contains(&p) {
-            peers.push(p);
-        }
-    }
+    let peers = halo_peers(me, n);
     let sbufs: Vec<_> = peers.iter().map(|_| comm.alloc(HALO).unwrap()).collect();
     let rbufs: Vec<_> = peers.iter().map(|_| comm.alloc(HALO).unwrap()).collect();
     // With kills armed, park a receive first (operation #1): only the
@@ -324,7 +348,7 @@ fn halo(ctx: &mut Ctx, comm: &mut Comm, recover: bool, t: &mut Tally) -> (usize,
     });
     // Phase 1: the rounds run to completion whatever happens, so every
     // scheduled kill fires inside this phase (KILL_SOAK_MAX_AFTER_OPS).
-    for round in 0..if recover { 8 } else { 4 } {
+    for round in 0..halo_rounds(recover) {
         let mut reqs = Vec::with_capacity(peers.len());
         for (i, &p) in peers.iter().enumerate() {
             comm.write(&sbufs[i], 0, &fill(salt(me, round)));

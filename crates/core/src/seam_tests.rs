@@ -5,8 +5,7 @@ use fabric::{Buffer, NodeId, PAGE_SIZE};
 use simcore::{Ctx, SimDuration, SimTime, Simulation};
 use verbs::{FaultPlan, WcStatus};
 
-use crate::channel::{Channel, Inbound, Payload, SlotAt};
-use crate::connect::ConnDirectory;
+use crate::channel::{Inbound, Payload};
 use crate::engine::{Engine, ReqState};
 use crate::mrcache::{Kind, TWIN_BUDGET};
 use crate::packet::{PacketHeader, PacketKind, HEADER_LEN, TAIL_LEN};
@@ -226,36 +225,95 @@ fn eager_bytes_across_the_head_page_arrive_exact() {
     }
 }
 
-/// Building an SRQ pool backs every slot's head page — the bytes each
-/// of the `depth` arrivals it hands out first writes — in one kernel
-/// call, and nothing else.
+/// Twice `depth` pool arrivals of mixed sizes — control-sized, 1 KiB,
+/// 4,059 B and a full 8 KiB — half of them held back by the SRQ while the
+/// pool is dry and delivered into slots as they are reposted, write no
+/// page of the pool and ask the kernel for no page: the pool is held
+/// off-page. Every arrival's bytes come out exact, and a reposted slot
+/// reads zero.
 #[test]
-fn an_srq_pool_backs_its_head_pages_in_one_call() {
-    world(None, |ctx, e| {
-        if e.rank == 1 {
-            return;
+fn srq_pool_arrivals_back_no_page_and_a_reposted_slot_reads_zero() {
+    const DEPTH: u32 = 16;
+    world(Some(DEPTH), |ctx, e| {
+        wire(ctx, e, 1 - e.rank);
+        let sizes = [0, 1024, 4059, 8192];
+        assert!(sizes[3] <= e.cfg.ring_slot_payload);
+        let cluster = e.res.cluster().clone();
+        // Every buffer either rank writes below is written once first, so
+        // that a page it populates is not counted against the pool.
+        let bufs: Vec<Buffer> = sizes[1..]
+            .iter()
+            .map(|&len| {
+                let buf = cluster.alloc_pages(e.res.mem(), len).unwrap();
+                cluster.write(&buf, 0, &vec![0xEE; len as usize]);
+                buf
+            })
+            .collect();
+        if e.rank == 0 {
+            let stage = e.ch.stage(1).0.clone();
+            cluster.write(&stage, 0, &vec![0; stage.len as usize]);
         }
-        let depth = 64;
-        let cfg = MpiConfig {
-            srq_depth: Some(depth),
-            ..e.cfg.clone()
-        };
-        let (cluster, mem) = (e.res.cluster().clone(), e.res.mem());
-        let conn = ConnDirectory::new(2, SimDuration::from_micros(1));
-        let mut stats = Default::default();
-        let resident = cluster.mem_resident(mem);
+        // Both ranks past their warm-up writes before either counts.
+        ctx.sleep(SimTime(1_000_000).since(ctx.now()));
         #[cfg(debug_assertions)]
         let populates = simcore::mapping::populate_count();
-        let wake = &e.progress_event;
-        Channel::new(ctx, 0, 2, &cfg, &e.res, conn, wake, &mut stats, &e.rec);
-        #[cfg(debug_assertions)]
-        assert_eq!(simcore::mapping::populate_count() - populates, 1);
-        if simcore::mapping::page_size() as u64 == PAGE_SIZE {
-            assert_eq!(
-                cluster.mem_resident(mem) - resident,
-                depth as u64 * PAGE_SIZE
-            );
+        let arrivals = 2 * DEPTH as usize;
+        if e.rank == 0 {
+            // A batch per staging-slot round; the receiver polls none of
+            // them until all are sent.
+            for batch in 0..arrivals / SLOTS {
+                let puts: Vec<_> = (0..SLOTS)
+                    .map(|k| {
+                        let seq = batch * SLOTS + k;
+                        let len = sizes[seq % 4];
+                        let buf = (len > 0).then(|| &bufs[seq % 4 - 1]);
+                        if let Some(buf) = buf {
+                            cluster.write(buf, 0, &pattern(len, seq as u8));
+                        }
+                        let hdr = PacketHeader::control(PacketKind::Eager, 0, 0, seq as u64, len);
+                        e.ch.put(ctx, &e.res, &mut e.stats, 1, hdr, buf, None)
+                    })
+                    .collect();
+                for put in &puts {
+                    e.ch.post(ctx, &mut e.stats, 1, put.0, false).unwrap();
+                }
+                ctx.sleep(SimDuration::from_millis(1));
+                puts.iter().for_each(|put| e.ch.release_stage(1, put.2));
+            }
+            return;
         }
+        ctx.sleep(SimDuration::from_millis(10));
+        let mut seen = 0;
+        while let Some(step) = e.ch.poll(ctx, &e.res, &mut e.stats) {
+            let Inbound::Packet(_, hdr, payload) = step else {
+                continue;
+            };
+            let (seq, len) = (hdr.seq as usize, hdr.len);
+            assert_eq!((seq, len), (seen, sizes[seen % 4]), "arrivals out of order");
+            let got = if seq % 2 == 1 || len == 0 {
+                e.ch.detach(&e.res, payload, len)
+            } else {
+                let dst = &bufs[seq % 4 - 1];
+                e.ch.deliver(&e.res, payload, dst, len);
+                cluster.read_vec(dst)
+            };
+            assert!(
+                got == pattern(len, seq as u8),
+                "arrival {seq}, {len} B: bytes differ"
+            );
+            seen += 1;
+        }
+        assert_eq!(seen, arrivals);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            simcore::mapping::populate_count(),
+            populates,
+            "a page was populated"
+        );
+        let pool = e.ch.pool().expect("an SRQ pool").clone();
+        assert_eq!(cluster.with_plane(|p| p.resident_pages_in(&pool)), 0);
+        // Every slot has been reposted, so all of the pool reads zero.
+        assert!(cluster.read_vec(&pool).iter().all(|&b| b == 0));
     });
 }
 
@@ -264,11 +322,7 @@ fn recycled_payload_buffers_come_back_empty_and_bounded() {
     world(None, |_, e| {
         let slot = e.res.cluster().alloc_pages(e.res.mem(), 8).unwrap();
         // `detach` of an empty payload hands out whatever `recycle` kept.
-        let reuse = |e: &mut Engine| {
-            let (at, head, tail) = (0, 8, 8);
-            let payload = Payload::Slot(slot.clone(), SlotAt { at, head, tail });
-            e.ch.detach(&e.res, payload, 0)
-        };
+        let reuse = |e: &mut Engine| e.ch.detach(&e.res, Payload::Slot(slot.clone(), 0), 0);
         e.ch.recycle(vec![0xAA; 128]);
         let back = reuse(e);
         assert!(back.is_empty(), "stale bytes must not survive pooling");

@@ -105,17 +105,18 @@ fn check(m: &Measured, resident_kib: f64) -> Result<(), String> {
 
 // Ceilings (i): 1.25x what these loops measured once a user buffer was
 // backed only where something writes it (DESIGN §22) — 540 / 9,616 /
-// 16,648 / 1,252 KiB per rank; the halo is 1,216 since a pool slot's
-// head page holds a small packet whole. The rendezvous loops are their
-// send buffers, which the set-up writes whole; their receive buffers
-// read as mirrors and hold displaced stamps without a page (DESIGN §18),
-// so a receive or twin page that only a hop or a stamp wrote fails (i).
-// The halo gains no page after warm-up: its 1 KiB packets stay inside
-// the SRQ pool's head pages, which set-up backs.
+// 16,648 KiB per rank; the halo is 192 since its SRQ pool is held
+// off-page (DESIGN §18): a pool arrival is a held run in a side buffer on
+// the heap, not in the arena, so the 1,024 KiB of head pages set-up used
+// to back are gone. The rendezvous loops are their send buffers, which
+// the set-up writes whole; their receive buffers read as mirrors and hold
+// displaced stamps without a page (DESIGN §18), so a receive or twin page
+// that only a hop or a stamp wrote fails (i). The halo gains no page
+// after warm-up: nothing it receives lands in a page.
 const EAGER_KIB: f64 = 675.0;
 const RNDV_KIB: f64 = 12_020.0;
 const CHURN_KIB: f64 = 20_810.0;
-const HALO_KIB: f64 = 1_565.0;
+const HALO_KIB: f64 = 240.0;
 
 #[test]
 fn eager_pingpong_stays_under_its_footprint() {

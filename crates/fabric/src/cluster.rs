@@ -154,11 +154,17 @@ impl Cluster {
         (pages * simcore::mapping::page_size()) as u64
     }
 
-    /// Back `[offset, offset+len)` of `buf` with real host pages, contents
-    /// unchanged (see [`Memory::commit`]).
-    pub fn commit(&self, buf: &Buffer, offset: u64, len: u64) {
-        let mut plane = self.plane.lock();
-        plane.arena_mut(buf.mem).commit(buf, offset, len);
+    /// Hold `buf`, a whole live allocation, off its pages: what lands in
+    /// it lives in side buffers until [`Cluster::discard`] (see
+    /// [`Plane::hold_off_page`]).
+    pub fn hold_off_page(&self, buf: &Buffer) {
+        self.plane.lock().hold_off_page(buf);
+    }
+
+    /// End the bytes of `buf`, inside an allocation held off-page: it
+    /// reads zero (see [`Plane::discard`]).
+    pub fn discard(&self, buf: &Buffer) {
+        self.plane.lock().discard(buf);
     }
 
     /// Run `f` on the byte plane, locked once for everything `f` does

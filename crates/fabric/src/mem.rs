@@ -6,13 +6,19 @@
 //! paper's micro-kernel). The host backs only what simulated software
 //! wrote: an arena keeps one sorted list of *extents*, the runs whose
 //! bytes are not in its pages — recycled space that reads zero, the few
-//! bytes a write into a mirror's source displaced, and mirrors, which read
-//! as another arena's bytes (see [`crate::plane`]) — and every access
-//! honours it. Pages are first written in one kernel call, not a trapped
-//! fault each: every path that writes pages (`write`, `copy_within`,
-//! `copy_from`, `commit`) first has the whole never-written pages of its
-//! destination populated, those above the arena's *written frontier*, and
-//! raises the frontier; below it a write costs one compare.
+//! bytes a write into a mirror's source displaced, held runs, and mirrors,
+//! which read as another arena's bytes (see [`crate::plane`]) — and every
+//! access honours it. Pages are first written in one kernel call, not a
+//! trapped fault each: every path that writes pages (`write`,
+//! `copy_within`, `copy_from`) first has the whole never-written pages of
+//! its destination populated, those above the arena's *written frontier*,
+//! and raises the frontier; below it a write costs one compare.
+//!
+//! An allocation its owner declares *held off-page*
+//! ([`Memory::hold_off_page`]) — memory whose bytes live only from one
+//! write to the next [`Memory::discard`], as a posted receive's do — is
+//! never in its pages: what is written into it is a held run, kept in a
+//! recycled side buffer, and the rest of it reads zero.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -123,6 +129,9 @@ pub(crate) enum Lazy {
     Zero,
     /// Displaced bytes, the first `at.len()` of these.
     Bytes([u8; HELD_MAX]),
+    /// A held run of an off-page allocation: side buffer `side`'s bytes
+    /// from `at` on. Each run owns its side buffer.
+    Side { side: u32, at: u32 },
     /// A mirror: the bytes of the plane's arena `arena` from `addr` on.
     From { arena: u32, addr: u64 },
 }
@@ -136,6 +145,10 @@ impl Lazy {
                 b.copy_within(k.., 0);
                 Lazy::Bytes(b)
             }
+            Lazy::Side { side, at } => Lazy::Side {
+                side,
+                at: at + k as u32,
+            },
             Lazy::From { arena, addr } => Lazy::From {
                 arena,
                 addr: addr + k as u64,
@@ -143,11 +156,15 @@ impl Lazy {
         }
     }
 
-    /// What a run of recycled space or held bytes reads as, into `out`.
-    fn read(self, out: &mut [u8]) {
+    /// What a run of recycled space or held bytes reads as, into `out`,
+    /// with `side` its arena's side buffers.
+    fn read(self, side: &[Vec<u8>], out: &mut [u8]) {
         match self {
             Lazy::Zero => out.fill(0),
             Lazy::Bytes(b) => out.copy_from_slice(&b[..out.len()]),
+            Lazy::Side { side: s, at } => {
+                out.copy_from_slice(&side[s as usize][at as usize..][..out.len()]);
+            }
             Lazy::From { .. } => unreachable!("a mirror is resolved in the plane"),
         }
     }
@@ -169,10 +186,10 @@ pub struct Memory {
     /// reach beyond it. The host's resident memory is the pages simulated
     /// software wrote — growth neither copies nor touches any.
     bytes: Mapping,
-    /// The written frontier: no byte at or above it has ever been written
-    /// or committed, so every page above it is still unbacked. A write
-    /// reaching past it has the kernel back the whole pages it fills with
-    /// one call instead of a trapped fault each (see [`Memory::pages_mut`]).
+    /// The written frontier: no byte at or above it has ever been written,
+    /// so every page above it is still unbacked. A write reaching past it
+    /// has the kernel back the whole pages it fills with one call instead
+    /// of a trapped fault each (see [`Memory::store`]).
     written: usize,
     /// Highest allocation end ever handed out. Space above this line has
     /// never been allocated, so it still reads as the kernel's fresh
@@ -184,6 +201,13 @@ pub struct Memory {
     extents: Vec<Extent>,
     /// How many of `extents` are mirrors.
     mirrors: usize,
+    /// The allocations held off-page, sorted: each lies wholly under
+    /// extents, so no page under one is read or written.
+    off_page: Vec<Range<usize>>,
+    /// The side buffers of held runs, by index; `side_free` lists those no
+    /// run owns, kept with their capacity for the next run.
+    side: Vec<Vec<u8>>,
+    side_free: Vec<u32>,
     /// Free list: base -> len, coalesced on free.
     free: BTreeMap<u64, u64>,
     /// Live allocations: base -> len (double-free / bad-free detection).
@@ -206,6 +230,9 @@ impl Memory {
             // room for them keeps the first, often in a timed run, from allocating.
             extents: Vec::with_capacity(4),
             mirrors: 0,
+            off_page: Vec::new(),
+            side: Vec::new(),
+            side_free: Vec::new(),
             free,
             live: BTreeMap::new(),
         }
@@ -298,6 +325,7 @@ impl Memory {
         assert_eq!(len, buf.len, "free with mismatched length");
         self.used -= len;
         self.cut(buf.addr as usize..(buf.addr + len) as usize, |_| ());
+        self.off_page.retain(|o| o.start != buf.addr as usize);
         // Insert and coalesce with neighbours.
         let mut base = buf.addr;
         let mut blk_len = len;
@@ -336,7 +364,7 @@ impl Memory {
     pub fn write(&mut self, buf: &Buffer, offset: u64, data: &[u8]) {
         let r = self.range(buf, offset, data.len());
         self.cut(r.clone(), |_| ());
-        self.pages_mut(r).copy_from_slice(data);
+        self.store(r).copy_from_slice(data);
     }
 
     /// Read bytes out of a buffer.
@@ -366,7 +394,7 @@ impl Memory {
                     let from = addr as usize..addr as usize + part.len();
                     arenas[arena as usize].read_at(from, part, &[]);
                 }
-                Some(lazy) => lazy.read(part),
+                Some(lazy) => lazy.read(&self.side, part),
             }
             at = end;
         }
@@ -398,11 +426,30 @@ impl Memory {
     ) {
         let from = self.range(src, src_off, len);
         let to = self.range(dst, dst_off, len);
-        self.pages_mut(to.clone());
+        if self.is_off_page(&to) {
+            return self.copy_within_held(from, to);
+        }
+        self.store(to.clone());
         if self.clear(&from) && self.clear(&to) {
             return self.bytes.copy_within(from, to.start);
         }
         self.copy_within_lazy(from, to);
+    }
+
+    /// [`Memory::copy_within`] into an off-page allocation: `from`'s
+    /// bytes, read through its extents, become the held run over `to`.
+    #[cold]
+    fn copy_within_held(&mut self, from: Range<usize>, to: Range<usize>) {
+        if to.is_empty() {
+            return;
+        }
+        let side = self.side_buf(to.len());
+        let mut run = std::mem::take(&mut self.side[side as usize]);
+        self.read_at(from, &mut run, &[]);
+        self.side[side as usize] = run;
+        self.cut(to.clone(), |_| ());
+        let lazy = Lazy::Side { side, at: 0 };
+        self.insert(Extent { at: to, lazy });
     }
 
     #[cold]
@@ -418,7 +465,7 @@ impl Memory {
             match lazy {
                 None if !overlap => self.bytes.copy_within(at..end, put),
                 None => {}
-                Some(lazy) => lazy.read(&mut self.bytes[put..put + end - at]),
+                Some(lazy) => lazy.read(&self.side, &mut self.bytes[put..put + end - at]),
             }
             at = end;
         }
@@ -444,7 +491,7 @@ impl Memory {
         let to = self.range(dst, dst_off, len);
         let src = from.range(src, src_off, len);
         self.cut(to.clone(), |_| ());
-        from.read_at(src, self.pages_mut(to), &[]);
+        from.read_at(src, self.store(to), &[]);
     }
 
     /// Whether `r` lies outside the list's bounds, so no extent reaches it.
@@ -494,6 +541,7 @@ impl Memory {
                     break;
                 }
                 e.at.end = r.start;
+                let tail = self.own(tail);
                 return self.insert(tail);
             }
             if r.start <= at.start {
@@ -505,7 +553,42 @@ impl Memory {
             }
             i += 1;
         }
-        self.extents.drain(gone);
+        for e in self.extents.drain(gone) {
+            if let Lazy::Side { side, .. } = e.lazy {
+                self.side_free.push(side);
+            }
+        }
+    }
+
+    /// `e`, the tail of a held run cut in two, with a side buffer of its
+    /// own; any other extent as it is.
+    fn own(&mut self, e: Extent) -> Extent {
+        let Lazy::Side { side, at } = e.lazy else {
+            return e;
+        };
+        let len = e.at.len();
+        let own = self.side_buf(len);
+        let pair = self.side.get_disjoint_mut([side as usize, own as usize]);
+        let [from, to] = pair.expect("two side buffers");
+        to.copy_from_slice(&from[at as usize..][..len]);
+        let lazy = Lazy::Side { side: own, at: 0 };
+        Extent { at: e.at, lazy }
+    }
+
+    /// A free side buffer, `len` bytes long.
+    fn side_buf(&mut self, len: usize) -> u32 {
+        let side = self.side_free.pop().unwrap_or_else(|| {
+            self.side.push(Vec::new());
+            (self.side.len() - 1) as u32
+        });
+        self.side[side as usize].resize(len, 0);
+        side
+    }
+
+    /// The side buffer of held run `side`, for the plane's checks.
+    pub(crate) fn side_len(&self, side: u32) -> Option<usize> {
+        let owned = !self.side_free.contains(&side);
+        self.side.get(side as usize).filter(|_| owned).map(Vec::len)
     }
 
     /// The extents, in address order.
@@ -531,29 +614,108 @@ impl Memory {
         v
     }
 
-    /// Back `[offset, offset+len)` of `buf` with real host pages, contents
-    /// unchanged — what pinned or non-pageable memory is on the modelled
-    /// hardware. For set-up code whose buffers will be written inside
-    /// something timed: the first-touch faults happen here instead. The
-    /// written frontier rises over the range.
-    pub fn commit(&mut self, buf: &Buffer, offset: u64, len: u64) {
-        let r = self.range(buf, offset, len as usize);
-        self.written = self.written.max(r.end);
-        self.bytes.commit(r);
+    /// Hold `buf`, a whole live allocation, off its pages from now on:
+    /// what is written into it is kept as held runs, in side buffers, and
+    /// never in its pages, for memory whose bytes each live until a
+    /// [`Memory::discard`] — a posted receive's. Its bytes so far are
+    /// discarded. Freeing it ends the rule.
+    pub fn hold_off_page(&mut self, buf: &Buffer) {
+        let at = buf.addr as usize..(buf.addr + buf.len) as usize;
+        assert_eq!(
+            self.live.get(&buf.addr),
+            Some(&buf.len),
+            "only a whole live allocation is held off-page"
+        );
+        let i = self.off_page.partition_point(|o| o.start < at.start);
+        self.off_page.insert(i, at);
+        self.discard(buf);
     }
 
-    /// The pages of `to`, about to be written, with the written frontier
-    /// raised over them. Whole pages above the frontier have never been
-    /// written: one `madvise` backs them all, where the write would trap a
-    /// fault on each. Populating resident pages costs nearly as much as the
-    /// copy (DESIGN §22), so a rewrite below the frontier pays one compare;
-    /// edge pages fault as before, so residency is what the write touched.
+    /// End the bytes of `buf`, inside an allocation held off-page: its
+    /// held runs' side buffers are recycled and it reads zero.
+    pub fn discard(&mut self, buf: &Buffer) {
+        let r = self.range(buf, 0, buf.len as usize);
+        if r.is_empty() {
+            return;
+        }
+        let within = self
+            .off_page_of(&r)
+            .expect("discard inside an off-page allocation");
+        self.cut(r.clone(), |_| ());
+        // One zero run with the zero runs either side inside the
+        // allocation, so that a pool reposting slot after slot keeps one.
+        let i = self.extents.partition_point(|e| e.at.start < r.start);
+        let zero = |e: &Extent| e.lazy == Lazy::Zero;
+        let prev = i.checked_sub(1).map(|p| &self.extents[p]);
+        let prev =
+            prev.is_some_and(|e| zero(e) && e.at.end == r.start && within.start <= e.at.start);
+        let next = self.extents.get(i);
+        let next = next.is_some_and(|e| zero(e) && e.at.start == r.end && e.at.end <= within.end);
+        match (prev, next) {
+            (true, true) => {
+                self.extents[i - 1].at.end = self.extents[i].at.end;
+                self.extents.remove(i);
+            }
+            (true, false) => self.extents[i - 1].at.end = r.end,
+            (false, true) => self.extents[i].at.start = r.start,
+            (false, false) => self.extents.insert(
+                i,
+                Extent {
+                    at: r,
+                    lazy: Lazy::Zero,
+                },
+            ),
+        }
+    }
+
+    /// The off-page allocation `r` lies in, if any.
+    fn off_page_of(&self, r: &Range<usize>) -> Option<Range<usize>> {
+        let i = self.off_page.partition_point(|o| o.end <= r.start);
+        let o = self.off_page.get(i).filter(|o| o.start <= r.start)?;
+        debug_assert!(r.end <= o.end, "{r:?} runs out of off-page {o:?}");
+        Some(o.clone())
+    }
+
+    /// Whether `r` lies in an allocation held off-page.
     #[inline]
-    pub(crate) fn pages_mut(&mut self, to: Range<usize>) -> &mut [u8] {
+    fn is_off_page(&self, r: &Range<usize>) -> bool {
+        !self.off_page.is_empty() && self.off_page_of(r).is_some()
+    }
+
+    /// The allocations held off-page, sorted.
+    pub(crate) fn off_page(&self) -> &[Range<usize>] {
+        &self.off_page
+    }
+
+    /// Where the bytes about to be written over `to`, which holds no
+    /// extent, go: a held run's side buffer if `to` is held off-page, else
+    /// its pages, with the written frontier raised over them. Whole pages
+    /// above the frontier have never been written: one `madvise` backs
+    /// them all, where the write would trap a fault on each. Populating
+    /// resident pages costs nearly as much as the copy (DESIGN §22), so a
+    /// rewrite below the frontier pays one compare; edge pages fault as
+    /// before, so residency is what the write touched.
+    #[inline]
+    pub(crate) fn store(&mut self, to: Range<usize>) -> &mut [u8] {
+        if self.is_off_page(&to) {
+            return self.hold(to);
+        }
         if to.end > self.written {
             self.populate(to.clone());
         }
         &mut self.bytes[to]
+    }
+
+    /// A held run over `to`: its side buffer, for the caller to fill.
+    #[cold]
+    fn hold(&mut self, to: Range<usize>) -> &mut [u8] {
+        if to.is_empty() {
+            return &mut [];
+        }
+        let side = self.side_buf(to.len());
+        let lazy = Lazy::Side { side, at: 0 };
+        self.insert(Extent { at: to, lazy });
+        &mut self.side[side as usize]
     }
 
     #[cold]
@@ -577,6 +739,17 @@ impl Memory {
     /// arena right now, as the kernel counts them over `[0, high_water)`.
     pub fn resident_pages(&self) -> usize {
         self.bytes.resident_pages(0..self.high_water as usize)
+    }
+
+    /// Host pages wholly inside `buf` that are backed right now.
+    pub fn resident_pages_in(&self, buf: &Buffer) -> usize {
+        let page = page_size();
+        let r = self.range(buf, 0, buf.len as usize);
+        let (lo, hi) = (r.start.next_multiple_of(page), r.end - r.end % page);
+        if lo >= hi {
+            return 0;
+        }
+        self.bytes.resident_pages(lo..hi)
     }
 }
 

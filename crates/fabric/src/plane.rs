@@ -12,6 +12,12 @@
 //! hop records a mirror's own source, so a source always holds its own
 //! bytes (a run whose source is in the destination's arena is copied).
 //! Mirrors join any two arenas of the cluster, so the plane is one lock.
+//!
+//! One storage rule sits under all of it: in an allocation held off-page
+//! ([`Plane::hold_off_page`]) a write, or a hop that copies, becomes a held
+//! run in a side buffer instead of bytes in its pages, and
+//! [`Plane::discard`] ends those runs. A long hop into one still records a
+//! mirror; a mirror reading from one is handed its bytes before a discard.
 
 use std::ops::Range;
 
@@ -181,15 +187,47 @@ impl Plane {
     }
 
     pub(crate) fn free(&mut self, buf: &Buffer) {
+        if !self.touched(buf.mem) {
+            return self.arena_mut(buf.mem).free(buf);
+        }
+        self.unmirror(buf, false);
+        self.arena_mut(buf.mem).free(buf);
+        self.check();
+    }
+
+    /// Hold `buf`, a whole live allocation, off its pages (see
+    /// [`Memory::hold_off_page`]): from now on what lands in it is kept in
+    /// side buffers, never in its pages. A mirror reading from it first
+    /// takes its bytes, which are then discarded.
+    pub fn hold_off_page(&mut self, buf: &Buffer) {
         if self.touched(buf.mem) {
             self.unmirror(buf, false);
         }
-        self.arena_mut(buf.mem).free(buf);
+        self.arena_mut(buf.mem).hold_off_page(buf);
+        self.check();
+    }
+
+    /// End the bytes of `buf`, inside an allocation held off-page: its
+    /// held runs' side buffers are recycled and it reads zero. A mirror
+    /// reading from it first takes its bytes.
+    pub fn discard(&mut self, buf: &Buffer) {
+        let r = self.part(buf, 0, buf.len);
+        if self.touched(buf.mem) {
+            self.unmirror(&r, false);
+        }
+        self.arena_mut(buf.mem).discard(&r);
+        self.check();
+    }
+
+    /// Host pages wholly inside `buf` that are backed right now.
+    pub fn resident_pages_in(&self, buf: &Buffer) -> usize {
+        self.arena(buf.mem).resident_pages_in(buf)
     }
 
     /// The extents of `buf`, a whole allocation, as offsets into it, each
     /// with the source it mirrors or `None` if its arena holds its bytes
-    /// (recycled zeros, displaced bytes); the rest of `buf` is in its pages.
+    /// (recycled zeros, displaced bytes, held runs); the rest of `buf` is
+    /// in its pages.
     /// For checks from outside the crate.
     #[doc(hidden)]
     pub fn holding(&self, buf: &Buffer) -> Vec<(Range<u64>, Option<Buffer>)> {
@@ -216,8 +254,9 @@ impl Plane {
         let r = self.part(buf, offset, data.len() as u64);
         self.unmirror(&r, false);
         self.arena_mut(buf.mem)
-            .pages_mut(span(&r))
+            .store(span(&r))
             .copy_from_slice(data);
+        self.check();
     }
 
     /// Read bytes out of a buffer.
@@ -253,7 +292,8 @@ impl Plane {
             let (mem, addr) = (src.mem, from.start.min(to.start) as u64);
             let len = from.end.max(to.end) as u64 - addr;
             self.unmirror(&Buffer { mem, addr, len }, true);
-            return raw_copy(&mut self.arenas, src, dst);
+            raw_copy(&mut self.arenas, src, dst);
+            return self.check();
         }
         self.unmirror(dst, false);
         // Now no mirror reads from `dst`, so writing it cannot change a
@@ -297,7 +337,8 @@ impl Plane {
     /// go. A mirror reading from `r` is first handed those bytes; `r`'s
     /// extents are cut — its mirrors after handing `r` their bytes when
     /// `settle` is set, so that `r`'s arena holds `r`'s bytes. The rest of
-    /// each mirror stays a mirror.
+    /// each mirror stays a mirror. The caller refills or frees `r`, then
+    /// checks the plane.
     #[cold]
     fn unmirror(&mut self, r: &Buffer, settle: bool) {
         // An empty range changes no byte, and would hand over empty extents.
@@ -330,7 +371,6 @@ impl Plane {
         if !settle {
             self.cut(a, span(r));
         }
-        self.check();
     }
 
     /// `dst`, a mirror of `src`, takes `src`'s bytes and stops being one:
@@ -378,6 +418,35 @@ impl Plane {
             let extents = arena.extents();
             let own = extents.iter().filter(|e| entry(a, e).is_some()).count();
             debug_assert_eq!(own, arena.mirrors(), "the arena miscounts its mirrors");
+            for o in arena.off_page() {
+                let under = extents
+                    .iter()
+                    .filter(|e| o.start <= e.at.start && e.at.end <= o.end);
+                let end = under
+                    .map(|e| e.at.clone())
+                    .try_fold(o.start, |at, e| (e.start == at).then_some(e.end));
+                debug_assert_eq!(end, Some(o.end), "off-page {o:?} is not all held");
+            }
+            let mut sides = Vec::new();
+            for e in extents {
+                let Lazy::Side { side, at } = e.lazy else {
+                    continue;
+                };
+                let off = arena.off_page().iter();
+                let inside = off
+                    .clone()
+                    .any(|o| o.start <= e.at.start && e.at.end <= o.end);
+                let len = arena.side_len(side);
+                debug_assert!(
+                    inside && len.is_some_and(|n| at as usize + e.at.len() <= n),
+                    "held run {e:?} is not off-page or outruns its side buffer"
+                );
+                sides.push(side);
+            }
+            sides.sort_unstable();
+            let n = sides.len();
+            sides.dedup();
+            debug_assert_eq!(sides.len(), n, "two held runs share a side buffer");
             for (i, e) in extents.iter().enumerate() {
                 let long = matches!(e.lazy, Lazy::Bytes(_)) && e.at.len() > HELD_MAX;
                 let next = extents.get(i + 1);

@@ -241,24 +241,45 @@ fn growth_commits_nothing() {
     );
 }
 
-/// (c) `commit` backs exactly the pages of its range and changes no byte.
+/// (c) An allocation held off-page backs no page: a write into it and a
+/// copy into it from its own arena land as held runs, read back exact,
+/// and a discard leaves its range reading zero and the rest as it was.
 #[test]
-fn commit_backs_exactly_its_range_and_changes_no_byte() {
+fn an_allocation_held_off_page_backs_no_page() {
     let page = page_size() as u64;
     let mut mem = arena(64 * MIB);
-    let _offset = mem.alloc(3 * page, page).unwrap();
+    let src = mem.alloc(2 * page, page).unwrap();
+    let data: Vec<u8> = (0..2 * page)
+        .map(|i| (i as u8).wrapping_mul(7) ^ 0x5A)
+        .collect();
+    mem.write(&src, 0, &data);
+    let before = mem.resident_pages();
     let buf = mem.alloc(16 * page, page).unwrap();
+    mem.hold_off_page(&buf);
     mem.write(&buf, 2 * page + 5, &[7, 8, 9]);
-    assert_eq!(mem.resident_pages(), 1);
-    // From the last byte of page 1 to the first of page 4: four pages, one
-    // of them resident already.
-    mem.commit(&buf, 2 * page - 1, 2 * page + 2);
-    assert_eq!(mem.resident_pages(), 4);
-    mem.commit(&buf, 9 * page, 0);
-    assert_eq!(mem.resident_pages(), 4, "an empty range is no page");
+    mem.copy_within(&src, 0, &buf, 4 * page - 1, 2 * page as usize);
+    // A memmove inside it, over part of the copy.
+    mem.copy_within(&buf, 4 * page, &buf, 4 * page + 100, page as usize);
     let mut want = vec![0u8; 16 * page as usize];
     want[2 * page as usize + 5..][..3].copy_from_slice(&[7, 8, 9]);
+    want[4 * page as usize - 1..][..2 * page as usize].copy_from_slice(&data);
+    let moved = want[4 * page as usize..][..page as usize].to_vec();
+    want[4 * page as usize + 100..][..page as usize].copy_from_slice(&moved);
     assert_eq!(mem.read_vec(&buf), want);
+    assert_eq!(mem.resident_pages_in(&buf), 0);
+    assert_eq!(mem.resident_pages(), before, "a held run wrote a page");
+    mem.discard(&buf.slice(4 * page, 4 * page));
+    want[4 * page as usize..][..4 * page as usize].fill(0);
+    assert_eq!(mem.read_vec(&buf), want);
+    // Copied out, held bytes come back exact.
+    mem.copy_within(&buf, 2 * page, &src, 0, page as usize);
+    assert_eq!(
+        mem.read_vec(&src)[..page as usize],
+        want[2 * page as usize..][..page as usize]
+    );
+    mem.free(&buf);
+    let again = mem.alloc(16 * page, page).unwrap();
+    assert_eq!(mem.read_vec(&again), vec![0; 16 * page as usize]);
 }
 
 /// (d) A backing store the kernel will not map is a panic that says how

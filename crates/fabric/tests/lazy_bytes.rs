@@ -2,15 +2,19 @@
 //!
 //! A hop of at least `MIRROR_MIN` bytes between two arenas leaves a mirror
 //! instead of a copy, recycled memory is held as zero instead of scrubbed,
-//! and the few bytes a write into a mirror's source displaces are held by
-//! the mirror's destination instead of written into its pages: three kinds
-//! of extent in the one list each arena keeps. This file
-//! runs seeded random programs over 3 nodes × 2 domains — alloc, free,
-//! write, read, copy, several copies under one plane lock, an 8-byte
-//! read-modify-write, `pci_dma` and `ib_transfer`, each transfer waited
-//! for, with hop lengths on both sides of `MIRROR_MIN`, and runs of short
-//! writes into the source of the last long hop — against a reference model
-//! that copies and scrubs eagerly, and checks every read byte for byte.
+//! the few bytes a write into a mirror's source displaces are held by
+//! the mirror's destination instead of written into its pages, and what
+//! lands in an allocation held off-page is a held run in a side buffer:
+//! four kinds of extent in the one list each arena keeps. This file
+//! runs seeded random programs over 3 nodes × 2 domains — alloc (some held
+//! off-page), free, write, read, copy, several copies under one plane
+//! lock, an 8-byte read-modify-write, `pci_dma` and `ib_transfer`, each
+//! transfer waited for, with hop lengths on both sides of `MIRROR_MIN`,
+//! runs of short writes into the source of the last long hop, and
+//! discards of part of an off-page buffer — against a reference model
+//! that copies and scrubs eagerly (a discard zeroes), and checks every
+//! read byte for byte, and that no page wholly under an off-page buffer
+//! is backed while it is held.
 //! The cases the rules were written for are also spelled out as programs
 //! of their own. Four `mincore` checks hold the point of it all: a synced
 //! twin that is only read is never touched, a long InfiniBand transfer
@@ -62,6 +66,10 @@ struct Hop {
 enum Op {
     /// Domain, length, alignment.
     Alloc(MemRef, u64, u64),
+    /// The same, held off-page.
+    AllocOffPage(MemRef, u64, u64),
+    /// Buffer (held off-page), offset, length: those bytes read zero.
+    Discard(usize, u64, u64),
     Free(usize),
     /// Buffer, offset, length, salt.
     Write(usize, u64, u64, u8),
@@ -87,6 +95,9 @@ enum Op {
 struct World {
     cl: Arc<Cluster>,
     live: Vec<(Buffer, Vec<u8>)>,
+    /// The live buffers held off-page, each with the pages wholly inside it
+    /// that were backed when it was allocated — a previous tenant's.
+    off_page: Vec<(Buffer, usize)>,
     log: Vec<Op>,
 }
 
@@ -125,7 +136,18 @@ impl World {
                 return Err(self.fail(format!("read_vec of {buf:?} differs from read")));
             }
         }
+        for (buf, before) in &self.off_page {
+            let now = self.cl.with_plane(|p| p.resident_pages_in(buf));
+            if now != *before {
+                let what = format!("{buf:?} is held off-page, yet {before} pages became {now}");
+                return Err(self.fail(what));
+            }
+        }
         Ok(())
+    }
+
+    fn is_off_page(&self, i: usize) -> bool {
+        self.off_page.iter().any(|(b, _)| *b == self.live[i].0)
     }
 
     /// The model's half of a hop: copy through a temporary, as an eager
@@ -149,8 +171,13 @@ impl World {
     fn apply(&mut self, ctx: &mut Ctx, op: Op) -> Result<(), String> {
         self.log.push(op.clone());
         match op {
-            Op::Alloc(at, len, align) => {
+            Op::Alloc(at, len, align) | Op::AllocOffPage(at, len, align) => {
                 let buf = self.cl.alloc(at, len, align).expect("fits");
+                if matches!(op, Op::AllocOffPage(..)) {
+                    self.cl.hold_off_page(&buf);
+                    let backed = self.cl.with_plane(|p| p.resident_pages_in(&buf));
+                    self.off_page.push((buf.clone(), backed));
+                }
                 let len = buf.len;
                 self.live.push((buf, vec![0; len as usize]));
                 // Fresh or recycled, a new buffer reads zero.
@@ -158,7 +185,12 @@ impl World {
             }
             Op::Free(i) => {
                 let (buf, _) = self.live.remove(i);
+                self.off_page.retain(|(b, _)| *b != buf);
                 self.cl.free(&buf);
+            }
+            Op::Discard(i, off, len) => {
+                self.cl.discard(&self.live[i].0.slice(off, len));
+                self.live[i].1[off as usize..][..len as usize].fill(0);
             }
             Op::Write(i, off, len, salt) => self.write(i, off, len, salt),
             Op::Stamps(i, writes) => {
@@ -224,6 +256,7 @@ fn on_world(body: impl FnOnce(&mut Ctx, &mut World) -> Result<(), String> + Send
         let mut w = World {
             cl,
             live: Vec::new(),
+            off_page: Vec::new(),
             log: Vec::new(),
         };
         let v = body(ctx, &mut w).and_then(|()| w.check_all());
@@ -312,10 +345,20 @@ fn random_stamps(rng: &mut StdRng, len: u64) -> Vec<(u64, u64, u8)> {
 }
 
 /// The next op; `mirrored` is the live buffer, if any, that was the source
-/// of the last hop long enough to leave a mirror.
-fn random_op(rng: &mut StdRng, live: &[(Buffer, Vec<u8>)], mirrored: Option<usize>) -> Op {
+/// of the last hop long enough to leave a mirror, and `off_page` a live
+/// buffer held off-page, if any.
+fn random_op(
+    rng: &mut StdRng,
+    live: &[(Buffer, Vec<u8>)],
+    mirrored: Option<usize>,
+    off_page: Option<usize>,
+) -> Op {
     if let Some(i) = mirrored.filter(|_| rng.random_range(0..4u32) == 0) {
         return Op::Stamps(i, random_stamps(rng, live[i].0.len));
+    }
+    if let Some(i) = off_page.filter(|_| rng.random_range(0..8u32) == 0) {
+        let (off, len) = random_span(rng, live[i].0.len);
+        return Op::Discard(i, off, len);
     }
     let n = live.len();
     if n < 3 || (n < 12 && rng.random_range(0..6u32) == 0) {
@@ -324,6 +367,9 @@ fn random_op(rng: &mut StdRng, live: &[(Buffer, Vec<u8>)], mirrored: Option<usiz
             [Domain::Host, Domain::Phi][rng.random_range(0..2usize)],
         );
         let align = [1, 8, 4096][rng.random_range(0..3usize)];
+        if rng.random_range(0..4u32) == 0 {
+            return Op::AllocOffPage(at, random_len(rng), align);
+        }
         return Op::Alloc(at, random_len(rng), align);
     }
     if n >= 12 || rng.random_range(0..8u32) == 0 {
@@ -385,7 +431,8 @@ fn random_programs_read_what_an_eager_copy_would_have_written() {
                 let mirrored = source
                     .as_ref()
                     .and_then(|s| w.live.iter().position(|(b, _)| b == s));
-                let op = random_op(&mut rng, &w.live, mirrored);
+                let off_page = (0..w.live.len()).rev().find(|&i| w.is_off_page(i));
+                let op = random_op(&mut rng, &w.live, mirrored, off_page);
                 if let Some(s) = mirrored_source(&op, &w.live) {
                     source = Some(s);
                 }
@@ -604,6 +651,47 @@ fn an_eight_byte_read_modify_write_on_a_mirrored_destination() {
         Op::Rmw(0, 16),
         Op::Read(1, 0, LEN),
         Op::Write(0, 0, LEN, 0x6D),
+        Op::Read(1, 0, LEN),
+    ]);
+}
+
+#[test]
+fn an_off_page_pool_from_arrival_to_discard() {
+    // A pool held off-page on node 0's host, as an SRQ pool is: a short
+    // arrival from node 1 is a held run, read back, copied out within the
+    // arena and split by a write, then discarded. A long hop into it is a
+    // mirror, whose displaced bytes it holds; a long hop out of it makes
+    // it a source, whose mirror takes its bytes before a discard.
+    let hop = |src, src_off, dst, dst_off, len| Hop {
+        src,
+        src_off,
+        dst,
+        dst_off,
+        len,
+    };
+    run_program(vec![
+        Op::AllocOffPage(mem(0, Domain::Host), 4 * LEN, 4096),
+        Op::Alloc(mem(1, Domain::Phi), LEN, 4096),
+        Op::Alloc(mem(0, Domain::Host), LEN, 4096),
+        Op::Alloc(mem(2, Domain::Phi), LEN, 4096),
+        Op::Write(1, 0, LEN, 0x31),
+        Op::Ib(hop(1, 0, 0, 100, 8192), 1),
+        Op::Read(0, 0, 4 * LEN),
+        Op::Copy(hop(0, 100, 2, 0, 8192)),
+        Op::Write(0, 104, 8, 0x42),
+        Op::Discard(0, 0, LEN),
+        Op::Read(0, 0, 4 * LEN),
+        Op::Ib(hop(1, 0, 0, LEN, LEN), 0),
+        Op::Write(1, 0, 8, 0x53),
+        Op::Write(1, 8, 4096, 0x64),
+        Op::Read(0, 0, 4 * LEN),
+        Op::Write(0, 2 * LEN, LEN, 0x75),
+        Op::Ib(hop(0, 2 * LEN, 3, 0, LEN), 2),
+        Op::Discard(0, 2 * LEN, LEN),
+        Op::Read(3, 0, LEN),
+        Op::Copy(hop(0, LEN, 0, LEN + 50, 8000)),
+        Op::Read(0, 0, 4 * LEN),
+        Op::Free(0),
         Op::Read(1, 0, LEN),
     ]);
 }

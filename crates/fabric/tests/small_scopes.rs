@@ -12,7 +12,13 @@
 //!   without a page) at the front, the middle or the end;
 //! - the 8-byte read-modify-write of a verbs atomic, at the same places;
 //! - a free, with the buffer's successor allocated in its place — so a
-//!   free hits whichever end of a mirror the buffer is.
+//!   free hits whichever end of a mirror the buffer is;
+//! - a discard of the buffer held off-page, whole or its middle half.
+//!
+//! The third buffer is held off-page (`Plane::hold_off_page`), as an SRQ
+//! pool is, and so is its successor: what lands in it is a held run in a
+//! side buffer, never in its pages, and no page wholly inside it is ever
+//! backed — checked after every program through `mincore`.
 //!
 //! After every op every live byte is checked against an eager
 //! copy-and-scrub model, as in `lazy_bytes.rs`; in debug builds the plane
@@ -20,8 +26,8 @@
 //!
 //! The programs are explored breadth first and pruned by canonical state:
 //! a program whose state — each byte's value and how the plane is expected
-//! to hold it (in its pages, as held zeros, as held bytes, or as a mirror
-//! of which byte) — was already reached by a shorter or earlier program is
+//! to hold it (in its pages, as held zeros, as held bytes, as a held run,
+//! or as a mirror of which byte) — was already reached by a shorter or earlier program is
 //! not run again, and not extended. Nothing is sampled. How the plane is
 //! expected to hold each byte is the model's guess (`Model::apply`), so
 //! each program's end state is also checked against the plane's own
@@ -44,6 +50,8 @@ const HOPS: [u64; 3] = [MIRROR_MIN - 1, MIRROR_MIN, MIRROR_MIN + 4096];
 /// The most bytes a displacement is held without a page (`HELD_MAX`).
 const HELD: u64 = 8;
 const DEPTH: usize = 4;
+/// The buffer held off-page.
+const OFF_PAGE: usize = 2;
 
 fn mem(node: usize, domain: Domain) -> MemRef {
     MemRef {
@@ -72,6 +80,8 @@ enum Op {
     Rmw { buf: usize, off: u64 },
     /// Free the buffer and allocate its successor, which reads zero.
     Free { buf: usize },
+    /// End `len` bytes of the off-page buffer at `off`: they read zero.
+    Discard { off: u64, len: u64 },
 }
 
 impl Op {
@@ -91,6 +101,7 @@ impl Op {
             ops.extend([0, LEN / 2, LEN - 8].map(|off| Op::Rmw { buf, off }));
             ops.push(Op::Free { buf });
         }
+        ops.extend([(0, LEN), (LEN / 4, LEN / 2)].map(|(off, len)| Op::Discard { off, len }));
         ops
     }
 }
@@ -135,6 +146,8 @@ enum Held {
     Zero,
     /// A displacement of at most [`HELD`] bytes, held without a page.
     Bytes,
+    /// A held run of the off-page buffer, in a side buffer.
+    Side,
     /// A mirror of buffer `buf` at `off`.
     From(u8, u32),
 }
@@ -232,7 +245,7 @@ impl Model {
             vec![Run {
                 len: LEN as u32,
                 value: Value::Pattern(o, 0),
-                held: Held::Pages,
+                held: stored(o as usize),
             }]
         };
         Model {
@@ -259,7 +272,7 @@ impl Model {
         ];
         let forms = perms
             .iter()
-            .filter(|p| (0..3).all(|i| (0..3).all(|j| same(p, i, j))));
+            .filter(|p| p[OFF_PAGE] == OFF_PAGE && (0..3).all(|i| (0..3).all(|j| same(p, i, j))));
         forms
             .map(|p| {
                 let mut form: State = Default::default();
@@ -293,7 +306,7 @@ impl Model {
     /// if it is short enough, written through otherwise. A mirror is its
     /// runs that continue each other, whatever bytes they hold.
     fn displace(&mut self, buf: usize, r: std::ops::Range<u32>) {
-        for runs in &mut self.state {
+        for (of, runs) in self.state.iter_mut().enumerate() {
             let mut at = 0;
             let mut cuts = Vec::new();
             for (len, held) in merged(runs.iter().map(|r| (r.len, r.held))) {
@@ -309,7 +322,7 @@ impl Model {
                 let held = if cut.len() as u64 <= HELD {
                     Held::Bytes
                 } else {
-                    Held::Pages
+                    stored(of)
                 };
                 let moved = slice(runs, cut.clone())
                     .into_iter()
@@ -325,7 +338,7 @@ impl Model {
         let run = Run {
             len,
             value,
-            held: Held::Pages,
+            held: stored(buf),
         };
         splice(&mut self.state[buf], off..off + len, vec![run]);
     }
@@ -342,10 +355,10 @@ impl Model {
                     .into_iter()
                     .map(|run| {
                         let held = match run.held {
-                            Held::From(b, _) if self.at[b as usize] == self.at[dst] => Held::Pages,
+                            Held::From(b, _) if self.at[b as usize] == self.at[dst] => stored(dst),
                             Held::From(b, off) if mirrors => Held::From(b, off),
                             _ if mirrors => Held::From(src as u8, at),
-                            _ => Held::Pages,
+                            _ => stored(dst),
                         };
                         at += run.len;
                         Run { held, ..run }
@@ -375,7 +388,27 @@ impl Model {
                     held: Held::Zero,
                 }];
             }
+            Op::Discard { off, len } => {
+                let r = off as u32..(off + len) as u32;
+                self.displace(OFF_PAGE, r.clone());
+                let zero = Run {
+                    len: len as u32,
+                    value: Value::Zero,
+                    held: Held::Zero,
+                };
+                splice(&mut self.state[OFF_PAGE], r, vec![zero]);
+            }
         }
+    }
+}
+
+/// How buffer `buf` holds what is written or copied into it: in its
+/// pages, or — held off-page — as a held run.
+fn stored(buf: usize) -> Held {
+    if buf == OFF_PAGE {
+        Held::Side
+    } else {
+        Held::Pages
     }
 }
 
@@ -440,7 +473,7 @@ impl Rig {
             self.cl.free(&buf);
         }
         for (i, &at) in at.iter().enumerate() {
-            let buf = self.cl.alloc(at, LEN, 8).expect("fits");
+            let buf = self.alloc(i, at);
             self.eager[i].clone_from(&self.patterns[i]);
             self.cl.write(&buf, 0, &self.eager[i]);
             self.live.push(buf);
@@ -476,10 +509,23 @@ impl Rig {
             Op::Free { buf } => {
                 let at = self.live[buf].mem;
                 self.cl.free(&self.live[buf]);
-                self.live[buf] = self.cl.alloc(at, LEN, 8).expect("fits");
+                self.live[buf] = self.alloc(buf, at);
                 self.eager[buf].fill(0);
             }
+            Op::Discard { off, len } => {
+                self.cl.discard(&self.live[OFF_PAGE].slice(off, len));
+                self.eager[OFF_PAGE][off as usize..][..len as usize].fill(0);
+            }
         }
+    }
+
+    /// Buffer `i`, allocated in `at`: held off-page if it is [`OFF_PAGE`].
+    fn alloc(&self, i: usize, at: MemRef) -> Buffer {
+        let buf = self.cl.alloc(at, LEN, 8).expect("fits");
+        if i == OFF_PAGE {
+            self.cl.hold_off_page(&buf);
+        }
+        buf
     }
 
     /// Every live byte against the eager model and the canonical state.
@@ -512,9 +558,12 @@ impl Rig {
                 assert!(ok, "the canonical state of buffer {i} is wrong at {k}");
                 k += run.len as usize;
             }
-            // The plane reports held zeros and held bytes alike: its rules
-            // treat them alike.
-            let held = |h| if h == Held::Zero { Held::Bytes } else { h };
+            // The plane reports held zeros, held bytes and held runs alike:
+            // its rules treat them alike.
+            let held = |h| match h {
+                Held::Zero | Held::Side => Held::Bytes,
+                h => h,
+            };
             let want = merged(model.state[i].iter().map(|r| (r.len, held(r.held))));
             let got = merged(self.holding(i)?);
             if got != want {
@@ -524,6 +573,15 @@ impl Rig {
             }
         }
         Ok(())
+    }
+
+    /// Host pages wholly inside the off-page buffer that are backed. Once
+    /// backed a page stays so, and the buffer and its successors always
+    /// take the same place, so one look after the last program sees a
+    /// page any program backed.
+    fn off_page_resident(&self) -> usize {
+        self.cl
+            .with_plane(|p| p.resident_pages_in(&self.live[OFF_PAGE]))
     }
 
     /// How the plane holds buffer `i`, in the model's terms, with anything
@@ -596,6 +654,11 @@ fn explore(at: [MemRef; 3], ops: &[Op], writes: &[Vec<u8>]) -> (u64, u64) {
         }
         frontier = next;
     }
+    let backed = rig.off_page_resident();
+    assert_eq!(
+        backed, 0,
+        "{at:?}: {backed} pages under the off-page buffer are backed"
+    );
     (ran, reached)
 }
 

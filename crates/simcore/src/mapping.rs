@@ -13,12 +13,12 @@
 //!   holds one across a `grow`, which takes `&mut self`.
 //! * [`Mapping::commit`] is the opposite on purpose: it has the kernel back
 //!   a range now (`madvise(MADV_POPULATE_WRITE)`; one written byte per page
-//!   where the kernel predates that). Set-up calls it so that first-touch
-//!   faults do not happen inside something being timed, and an arena calls
-//!   it ahead of a write into pages never written before: one call backs
-//!   them all, where the write would trap one fault a page.
+//!   where the kernel predates that). An arena calls it ahead of a write
+//!   into pages never written before: one call backs them all, where the
+//!   write would trap one fault a page.
 //! * [`Mapping::resident_pages`] asks the kernel (`mincore`) how many pages
-//!   of a range are backed, so tests can hold the two above to their word.
+//!   of a range are backed, so tests can hold the two above to their word,
+//!   and [`peak_resident_bytes`] how much the whole process ever held.
 //!
 //! Through `Deref` a mapping is a `[u8]`; every raw pointer stays in this
 //! file.
@@ -45,6 +45,28 @@ extern "C" {
     fn mincore(addr: *mut c_void, len: usize, vec: *mut u8) -> i32;
     fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
     fn sysconf(name: i32) -> i64;
+    fn getrusage(who: i32, usage: *mut Rusage) -> i32;
+}
+
+/// `struct rusage` on 64-bit Linux: two timevals, then fourteen longs, the
+/// first of them `ru_maxrss` in KiB.
+#[repr(C)]
+struct Rusage {
+    times: [i64; 4],
+    longs: [i64; 14],
+}
+
+/// The most memory this process has ever had resident, in bytes:
+/// `getrusage(RUSAGE_SELF)`'s `ru_maxrss`.
+pub fn peak_resident_bytes() -> u64 {
+    let mut usage = Rusage {
+        times: [0; 4],
+        longs: [0; 14],
+    };
+    // SAFETY: `usage` is a writable `struct rusage`; RUSAGE_SELF is 0.
+    let rc = unsafe { getrusage(0, &mut usage) };
+    assert_eq!(rc, 0, "getrusage: {}", std::io::Error::last_os_error());
+    u64::try_from(usage.longs[0]).expect("a size") << 10
 }
 
 /// Bytes per page of the machine this runs on.
