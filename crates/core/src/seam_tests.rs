@@ -8,7 +8,7 @@ use verbs::{FaultPlan, WcStatus};
 use crate::channel::{Inbound, Payload};
 use crate::engine::{Engine, ReqState};
 use crate::mrcache::{Kind, TWIN_BUDGET};
-use crate::packet::{PacketHeader, PacketKind, HEADER_LEN, TAIL_LEN};
+use crate::packet::{PacketHeader, PacketKind, HEADER_LEN, SLOT_OVERHEAD, TAIL_LEN};
 use crate::protocol::{State, ROWS};
 use crate::recovery::{InflightWr, TimeoutKind, WrKind};
 use crate::types::TransportOp;
@@ -148,10 +148,10 @@ fn pattern(len: u64, salt: u8) -> Vec<u8> {
         .collect()
 }
 
-/// Eager payload sizes around a pool slot's head page: the tail word
-/// just inside it, straddling it and just past it; the payload ending
-/// short of it, on it and past it; and a full slot.
-fn around_the_head_page(slot_payload: u64) -> [u64; 7] {
+/// Eager payload sizes at a slot's edges: the tail word ending just short
+/// of its first page boundary, straddling it and just past it; the
+/// payload ending short of it, on it and past it; and a full slot.
+fn slot_edges(slot_payload: u64) -> [u64; 7] {
     // The payloads whose tail word, and whose last byte, ends the page.
     let (t, p) = (PAGE_SIZE - HEADER_LEN - TAIL_LEN, PAGE_SIZE - HEADER_LEN);
     [t - 8, t + 4, t + 8, p - 8, p, p + 8, slot_payload]
@@ -177,16 +177,15 @@ fn send_eagers(ctx: &mut Ctx, e: &mut Engine, sizes: &[u64], salt: u8, order: &[
     puts.iter().for_each(|put| e.ch.release_stage(1, put.2));
 }
 
-/// Every byte of an eager arrival whose payload or tail word crosses
-/// from a pool slot's head page into its tail arrives exact: delivered
-/// or detached from the slot in order, and copied off it by the reorder
-/// stash when overtaken. The rings take the same packets.
+/// Every byte of an eager arrival of each size at a slot's edges arrives
+/// exact, from a ring slot or a pool slot: delivered or detached in
+/// order, and copied off the pool by the reorder stash when overtaken.
 #[test]
-fn eager_bytes_across_the_head_page_arrive_exact() {
+fn eager_bytes_at_every_slot_edge_arrive_exact() {
     for srq_depth in [None, Some(16)] {
         world(srq_depth, move |ctx, e| {
             wire(ctx, e, 1 - e.rank);
-            let sizes = around_the_head_page(e.cfg.ring_slot_payload);
+            let sizes = slot_edges(e.cfg.ring_slot_payload);
             let (n, salt) = (sizes.len(), [0, 8]);
             if e.rank == 0 {
                 // In order, then with the first packet last: the pool
@@ -225,71 +224,106 @@ fn eager_bytes_across_the_head_page_arrive_exact() {
     }
 }
 
-/// Twice `depth` pool arrivals of mixed sizes — control-sized, 1 KiB,
-/// 4,059 B and a full 8 KiB — half of them held back by the SRQ while the
-/// pool is dry and delivered into slots as they are reposted, write no
-/// page of the pool and ask the kernel for no page: the pool is held
-/// off-page. Every arrival's bytes come out exact, and a reposted slot
-/// reads zero.
+/// Arrivals of mixed sizes — control-sized, 1 KiB, 4,059 B and a full
+/// 8 KiB — on either channel write no page of the buffer they land in and
+/// ask the kernel for no page: ring and pool are held off-page. Into a
+/// ring they come a lap at a time, each polled before the next; into a
+/// pool twice `depth` of them at once, half held back by the SRQ while
+/// the pool is dry and delivered into slots as they are reposted. Every
+/// arrival's bytes come out exact and its slot reads zero once consumed —
+/// one whose payload is dropped unread too, by the next poll.
 #[test]
-fn srq_pool_arrivals_back_no_page_and_a_reposted_slot_reads_zero() {
+fn inbound_arrivals_back_no_page_and_a_consumed_slot_reads_zero() {
     const DEPTH: u32 = 16;
-    world(Some(DEPTH), |ctx, e| {
-        wire(ctx, e, 1 - e.rank);
-        let sizes = [0, 1024, 4059, 8192];
-        assert!(sizes[3] <= e.cfg.ring_slot_payload);
-        let cluster = e.res.cluster().clone();
-        // Every buffer either rank writes below is written once first, so
-        // that a page it populates is not counted against the pool.
-        let bufs: Vec<Buffer> = sizes[1..]
-            .iter()
-            .map(|&len| {
-                let buf = cluster.alloc_pages(e.res.mem(), len).unwrap();
-                cluster.write(&buf, 0, &vec![0xEE; len as usize]);
-                buf
-            })
-            .collect();
-        if e.rank == 0 {
-            let stage = e.ch.stage(1).0.clone();
-            cluster.write(&stage, 0, &vec![0; stage.len as usize]);
-        }
-        // Both ranks past their warm-up writes before either counts.
-        ctx.sleep(SimTime(1_000_000).since(ctx.now()));
-        #[cfg(debug_assertions)]
-        let populates = simcore::mapping::populate_count();
-        let arrivals = 2 * DEPTH as usize;
-        if e.rank == 0 {
-            // A batch per staging-slot round; the receiver polls none of
-            // them until all are sent.
-            for batch in 0..arrivals / SLOTS {
-                let puts: Vec<_> = (0..SLOTS)
-                    .map(|k| {
-                        let seq = batch * SLOTS + k;
-                        let len = sizes[seq % 4];
-                        let buf = (len > 0).then(|| &bufs[seq % 4 - 1]);
-                        if let Some(buf) = buf {
-                            cluster.write(buf, 0, &pattern(len, seq as u8));
-                        }
-                        let hdr = PacketHeader::control(PacketKind::Eager, 0, 0, seq as u64, len);
-                        e.ch.put(ctx, &e.res, &mut e.stats, 1, hdr, buf, None)
-                    })
-                    .collect();
-                for put in &puts {
-                    e.ch.post(ctx, &mut e.stats, 1, put.0, false).unwrap();
-                }
-                ctx.sleep(SimDuration::from_millis(1));
-                puts.iter().for_each(|put| e.ch.release_stage(1, put.2));
+    for srq_depth in [None, Some(DEPTH)] {
+        world(srq_depth, move |ctx, e| {
+            inbound_arrivals(ctx, e, srq_depth.is_some());
+        });
+    }
+}
+
+fn inbound_arrivals(ctx: &mut Ctx, e: &mut Engine, pool: bool) {
+    const BATCH: SimDuration = SimDuration::from_millis(1);
+    wire(ctx, e, 1 - e.rank);
+    let sizes = [0, 1024, 4059, 8192];
+    assert!(sizes[3] <= e.cfg.ring_slot_payload);
+    let cluster = e.res.cluster().clone();
+    // Every buffer either rank writes below is written once first, so
+    // that a page it populates is not counted against the inbound buffer.
+    let bufs: Vec<Buffer> = sizes[1..]
+        .iter()
+        .map(|&len| {
+            let buf = cluster.alloc_pages(e.res.mem(), len).unwrap();
+            cluster.write(&buf, 0, &vec![0xEE; len as usize]);
+            buf
+        })
+        .collect();
+    if e.rank == 0 {
+        let stage = e.ch.stage(1).0.clone();
+        cluster.write(&stage, 0, &vec![0; stage.len as usize]);
+    }
+    // Both ranks past their warm-up writes before either counts.
+    let start = SimTime(1_000_000);
+    ctx.sleep(start.since(ctx.now()));
+    #[cfg(debug_assertions)]
+    let populates = simcore::mapping::populate_count();
+    let (arrivals, batches) = (32, 32 / SLOTS);
+    if e.rank == 0 {
+        // A batch per staging-slot round, a lap of the ring each.
+        for batch in 0..batches {
+            let puts: Vec<_> = (0..SLOTS)
+                .map(|k| {
+                    let seq = batch * SLOTS + k;
+                    let len = sizes[seq % 4];
+                    let buf = (len > 0).then(|| &bufs[seq % 4 - 1]);
+                    if let Some(buf) = buf {
+                        cluster.write(buf, 0, &pattern(len, seq as u8));
+                    }
+                    let hdr = PacketHeader::control(PacketKind::Eager, 0, 0, seq as u64, len);
+                    e.ch.put(ctx, &e.res, &mut e.stats, 1, hdr, buf, None)
+                })
+                .collect();
+            for put in &puts {
+                e.ch.post(ctx, &mut e.stats, 1, put.0, false).unwrap();
             }
-            return;
+            ctx.sleep(BATCH);
+            puts.iter().for_each(|put| e.ch.release_stage(1, put.2));
         }
-        ctx.sleep(SimDuration::from_millis(10));
-        let mut seen = 0;
+        return;
+    }
+    let inbound = e.ch.inbound(0).expect("a ring or a pool").clone();
+    let slot_size = e.cfg.ring_slot_payload + SLOT_OVERHEAD;
+    // The pool is polled once everything is sent; a ring halfway through
+    // each batch, before the next lap lands.
+    let polls: Vec<SimTime> = match pool {
+        true => vec![start + BATCH * 10],
+        false => (0..batches as u64)
+            .map(|b| start + BATCH * b + BATCH / 2)
+            .collect(),
+    };
+    let (mut seen, mut dropped) = (0, None);
+    for at in polls {
+        ctx.sleep(at.since(ctx.now()));
         while let Some(step) = e.ch.poll(ctx, &e.res, &mut e.stats) {
+            if let Some(slot) = dropped.take() {
+                assert!(cluster.read_vec(&slot).iter().all(|&b| b == 0));
+            }
             let Inbound::Packet(_, hdr, payload) = step else {
                 continue;
             };
             let (seq, len) = (hdr.seq as usize, hdr.len);
             assert_eq!((seq, len), (seen, sizes[seen % 4]), "arrivals out of order");
+            seen += 1;
+            let Payload::Slot(buf, at) = &payload else {
+                panic!("arrival {seq} was stashed");
+            };
+            let slot = buf.slice(*at, slot_size);
+            if seq == arrivals - 3 {
+                // The engine drops a payload it has no use for unread.
+                drop(payload);
+                dropped = Some(slot);
+                continue;
+            }
             let got = if seq % 2 == 1 || len == 0 {
                 e.ch.detach(&e.res, payload, len)
             } else {
@@ -301,20 +335,26 @@ fn srq_pool_arrivals_back_no_page_and_a_reposted_slot_reads_zero() {
                 got == pattern(len, seq as u8),
                 "arrival {seq}, {len} B: bytes differ"
             );
-            seen += 1;
+            assert!(
+                cluster.read_vec(&slot).iter().all(|&b| b == 0),
+                "arrival {seq}'s slot still holds bytes once consumed"
+            );
         }
-        assert_eq!(seen, arrivals);
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            simcore::mapping::populate_count(),
-            populates,
-            "a page was populated"
-        );
-        let pool = e.ch.pool().expect("an SRQ pool").clone();
-        assert_eq!(cluster.with_plane(|p| p.resident_pages_in(&pool)), 0);
-        // Every slot has been reposted, so all of the pool reads zero.
-        assert!(cluster.read_vec(&pool).iter().all(|&b| b == 0));
-    });
+        // A ring is polled before the next lap is sent.
+        if !pool {
+            assert_eq!(seen % SLOTS, 0, "a lap arrived short");
+        }
+    }
+    assert_eq!((seen, dropped), (arrivals, None));
+    #[cfg(debug_assertions)]
+    assert_eq!(
+        simcore::mapping::populate_count(),
+        populates,
+        "a page was populated"
+    );
+    assert_eq!(cluster.with_plane(|p| p.resident_pages_in(&inbound)), 0);
+    // Every slot has been consumed or reposted, so all of it reads zero.
+    assert!(cluster.read_vec(&inbound).iter().all(|&b| b == 0));
 }
 
 #[test]
@@ -746,12 +786,22 @@ fn an_idle_ring_is_parsed_once_and_then_not_until_a_write_lands() {
             return until(ctx, 5_000);
         }
         (1..5).for_each(|p| wire(ctx, e, p));
+        // The rings are held off-page: looking into an empty one reads
+        // zeros and makes no side buffer.
+        let (cluster, mem) = (e.res.cluster().clone(), e.res.mem());
+        let sides = || cluster.with_plane(|m| m.side_buffers(mem));
+        let before = sides();
         // Four empty rings: each next slot is parsed once...
         assert_eq!(sweep(ctx, e), (4, vec![]));
         // ...and not again while nothing is written, however often we look.
         for _ in 0..50 {
             ctx.sleep(SimDuration::from_micros(1));
             assert_eq!(sweep(ctx, e), (0, vec![]));
+        }
+        assert_eq!(sides(), before, "polling an empty ring made a side buffer");
+        for p in 1..5 {
+            let ring = e.ch.inbound(p).expect("a ring");
+            assert_eq!(cluster.with_plane(|m| m.resident_pages_in(ring)), 0);
         }
         // Two packets land in rank 4's ring while it is marked idle: the
         // very next sweep sees both (two parses, and a third that finds
@@ -767,6 +817,33 @@ fn an_idle_ring_is_parsed_once_and_then_not_until_a_write_lands() {
         e.ch.reap(2);
         assert_eq!(sweep(ctx, e), (1, vec![]));
         assert_eq!(sweep(ctx, e), (0, vec![]));
+    });
+}
+
+/// A ring slot is ended only by the parse that consumes it: one holding a
+/// packet of another lap — its tail names a sequence other than the one
+/// awaited — is parsed, found not next, and left as it is.
+#[test]
+fn a_slot_of_another_lap_is_not_ended_by_the_parse_that_skips_it() {
+    world(None, |ctx, e| {
+        wire(ctx, e, 1 - e.rank);
+        if e.rank == 0 {
+            let (hdr, lap) = (ctrl(PacketKind::Credit, 0), Some(SLOTS as u64));
+            let (wr, _, held) = e.ch.put(ctx, &e.res, &mut e.stats, 1, hdr, None, lap);
+            e.ch.post(ctx, &mut e.stats, 1, wr, false).unwrap();
+            ctx.sleep(SimDuration::from_millis(1));
+            return e.ch.release_stage(1, held);
+        }
+        ctx.sleep(SimDuration::from_millis(2));
+        let ring = e.ch.inbound(0).expect("a ring").clone();
+        let slot = ring.slice(0, e.cfg.ring_slot_payload + SLOT_OVERHEAD);
+        let landed = e.res.cluster().read_vec(&slot);
+        assert!(landed.iter().any(|&b| b != 0), "the write landed");
+        assert_eq!(sweep(ctx, e), (1, vec![]));
+        assert!(
+            e.res.cluster().read_vec(&slot) == landed,
+            "the slot was ended"
+        );
     });
 }
 

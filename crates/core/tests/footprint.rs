@@ -103,19 +103,20 @@ fn check(m: &Measured, resident_kib: f64) -> Result<(), String> {
     Ok(())
 }
 
-// Ceilings (i): 1.25x what these loops measured once a user buffer was
-// backed only where something writes it (DESIGN §22) — 540 / 9,616 /
-// 16,648 KiB per rank; the halo is 192 since its SRQ pool is held
-// off-page (DESIGN §18): a pool arrival is a held run in a side buffer on
-// the heap, not in the arena, so the 1,024 KiB of head pages set-up used
-// to back are gone. The rendezvous loops are their send buffers, which
-// the set-up writes whole; their receive buffers read as mirrors and hold
-// displaced stamps without a page (DESIGN §18), so a receive or twin page
-// that only a hop or a stamp wrote fails (i). The halo gains no page
-// after warm-up: nothing it receives lands in a page.
-const EAGER_KIB: f64 = 675.0;
-const RNDV_KIB: f64 = 12_020.0;
-const CHURN_KIB: f64 = 20_810.0;
+// Ceilings (i): 1.25x what these loops measure with every inbound buffer
+// held off-page (DESIGN §18) — 44 / 9,360 / 16,392 / 192 KiB per rank. An
+// arrival, into a ring slot or a pool slot, is a held run in a side buffer
+// on the heap, not in the arena, until its last read; so what a rank
+// keeps resident is what it writes itself: its user buffers and the
+// staging slots its sends pass through (the eager ping-pong's 44 KiB). The
+// rendezvous loops are their send buffers, which the set-up writes whole;
+// their receive buffers read as mirrors and hold displaced stamps without
+// a page (DESIGN §18), so a receive or twin page that only a hop or a
+// stamp wrote fails (i). No loop gains a page after warm-up: nothing it
+// receives lands in a page.
+const EAGER_KIB: f64 = 55.0;
+const RNDV_KIB: f64 = 11_700.0;
+const CHURN_KIB: f64 = 20_490.0;
 const HALO_KIB: f64 = 240.0;
 
 #[test]
