@@ -42,7 +42,7 @@ fig9                     DCFA-MPI vs Intel-MPI-on-Phi bandwidth
 table2 fig10             communication-only app
 table3 fig11 fig12       five-point stencil
 ablations                design studies (DESIGN.md §6)
-scale-curve              halo soak at 8/16/32/64 ranks, gating sub-quadratic pairs and bytes
+scale-curve              halo soak at 8 to 1024 ranks, gating linear pairs, flat bytes per rank
 stats                    the scenario's per-rank, daemon, fabric and latency counters
 trace                    the tail of the scenario's protocol event trace
 help                     this text
@@ -474,27 +474,39 @@ fn stats(run: &Run, out: &mut Out) {
     }
 }
 
-/// The `scale-curve` selector: sweep the halo soak over ranks 8/16/32/64,
+/// The `scale-curve` selector: sweep the halo soak over ranks 8 to 1,024,
 /// print (and with `--csv` write) the per-rank memory and connection
-/// curve, and gate sub-quadratic growth on top of every run's own gates.
+/// curve, and gate its growth on top of every run's own gates.
 fn scale_curve(
     channel: Option<Channel>,
     csv_dir: Option<&Path>,
     out: &mut Out,
 ) -> Result<bool, String> {
+    const SIZES: [usize; 8] = [8, 16, 32, 64, 128, 256, 512, 1024];
+    const LAST: usize = SIZES[SIZES.len() - 1];
+    // Where the host-memory column's flat gate starts: below it the
+    // process's own fixed bytes are a large share of each rank's.
+    const HOST_FROM: usize = 64;
     let mut ok = true;
-    let mut csv =
-        "ranks,established_pairs,max_pairs_per_rank,bytes_per_rank,srq_highwater\n".to_string();
-    let mut ends = Vec::new();
-    for ranks in [8usize, 16, 32, 64] {
+    let mut csv = "ranks,established_pairs,max_pairs_per_rank,bytes_per_rank,srq_highwater,\
+                   host_bytes_per_rank\n"
+        .to_string();
+    // Host bytes per rank: what the process has resident when a run's last
+    // rank ends, less what it had before the sweep, over the ranks. Every
+    // size runs in this one process, whose peak only rises, so the peak
+    // would tell nothing about the later sizes.
+    let base = simcore::mapping::resident_bytes();
+    let (mut ends, mut host) = (Vec::new(), Vec::new());
+    for ranks in SIZES {
         let mut sc = Scenario::halo_soak(ranks);
         sc.channel = channel.unwrap_or(sc.channel);
-        if ranks == 8 {
-            writeln!(out, "== scale curve: {} .. 64 ==", describe(&sc));
+        if ranks == SIZES[0] {
+            writeln!(out, "== scale curve: {} .. {LAST} ==", describe(&sc));
         }
         let run = bench::run(&sc)?;
+        let host_per_rank = run.resident_end.saturating_sub(base) / ranks as u64;
         let row = format!(
-            "{ranks},{},{},{},{}",
+            "{ranks},{},{},{},{},{host_per_rank}",
             run.established_pairs(),
             run.max_pairs_per_rank(),
             run.bytes_per_rank(),
@@ -508,6 +520,9 @@ fn scale_curve(
         csv += &row;
         csv.push('\n');
         ends.push((run.established_pairs(), run.bytes_per_rank()));
+        if ranks >= HOST_FROM {
+            host.push(host_per_rank);
+        }
     }
     if let Some(d) = csv_dir {
         let path = d.join("scale_curve.csv");
@@ -515,21 +530,32 @@ fn scale_curve(
         writeln!(out, "memory-per-rank curve written to {}", path.display());
     }
     let ((pairs0, bytes0), (pairs1, bytes1)) = (ends[0], ends[ends.len() - 1]);
-    // Connections: linear in ranks (x1.5 slack) over the 8x rank increase;
-    // quadratic growth would multiply them by 64.
-    if pairs1 > pairs0 * 8 * 3 / 2 {
+    let grown = (LAST / SIZES[0]) as u64;
+    // Connections: linear in ranks (x1.5 slack) over the rank increase;
+    // quadratic growth would multiply them by its square.
+    if pairs1 > pairs0 * grown * 3 / 2 {
         writeln!(
             out,
-            "FAIL: pairs grew {pairs0} -> {pairs1} over an 8x rank increase"
+            "FAIL: pairs grew {pairs0} -> {pairs1} over a {grown}x rank increase"
         );
         ok = false;
     }
     // Per-rank memory: flat (x2 slack); per-pair receive rings for every
-    // peer would grow it 8x.
+    // peer would grow it with the ranks.
     if bytes1 > bytes0 * 2 {
         writeln!(
             out,
-            "FAIL: per-rank buffer bytes grew {bytes0} -> {bytes1} over an 8x rank increase"
+            "FAIL: per-rank buffer bytes grew {bytes0} -> {bytes1} over a {grown}x rank increase"
+        );
+        ok = false;
+    }
+    // Host memory per rank: flat (x2 slack) too; a table with an entry
+    // per rank of the world on every rank would grow it with the ranks.
+    let (host0, host1) = (host[0], host[host.len() - 1]);
+    if host1 > host0 * 2 {
+        writeln!(
+            out,
+            "FAIL: host bytes per rank grew {host0} -> {host1} from {HOST_FROM} to {LAST} ranks"
         );
         ok = false;
     }

@@ -6,7 +6,7 @@
 //! must satisfy from the same value, so a new combination (faults × kills
 //! × channel) needs no new harness code.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dcfa_mpi::{Comm, Communicator, KillSpec, MpiConfig, MpiError, Request, Src, TagSel};
@@ -474,6 +474,10 @@ pub struct Run {
     pub elapsed_ns: u64,
     /// Wall-clock time it took to execute (machine-dependent, never gated).
     pub wall_ns: u64,
+    /// Bytes this process had resident when the last rank body ended,
+    /// while every rank's engine was still alive (machine-dependent; only
+    /// `repro scale-curve` gates it, per rank and against itself).
+    pub resident_end: u64,
     /// Scheduler events the run processed.
     pub sim_events: u64,
     /// Present exactly when kills were armed.
@@ -483,13 +487,28 @@ pub struct Run {
     pub unfired: Vec<verbs::FaultPlan>,
 }
 
-/// Stamps the latest virtual instant at which a rank body ended, by return
-/// or by unwinding, into the shared cell when dropped.
-struct EndStamp(simcore::Scheduler, Arc<AtomicU64>);
+/// When the rank bodies of a run ended, as [`EndStamp`]s record it.
+struct Ends {
+    /// The latest virtual instant at which a body ended.
+    at: AtomicU64,
+    /// Bodies still running.
+    left: AtomicUsize,
+    /// [`Run::resident_end`], read by the last body to end.
+    resident: AtomicU64,
+}
+
+/// Stamps the virtual instant at which a rank body ended, by return or by
+/// unwinding, into the shared [`Ends`] when dropped.
+struct EndStamp(simcore::Scheduler, Arc<Ends>);
 
 impl Drop for EndStamp {
     fn drop(&mut self) {
-        self.1.fetch_max(self.0.now().0, Ordering::Relaxed);
+        let ends = &self.1;
+        ends.at.fetch_max(self.0.now().0, Ordering::Relaxed);
+        if ends.left.fetch_sub(1, Ordering::Relaxed) == 1 {
+            let resident = simcore::mapping::resident_bytes();
+            ends.resident.store(resident, Ordering::Relaxed);
+        }
     }
 }
 
@@ -559,7 +578,11 @@ pub fn run(sc: &Scenario) -> Result<Run, String> {
     let mem_before = host_used(&cluster);
     let outs = Arc::new(parking_lot::Mutex::new(vec![None; ranks]));
     let outs2 = outs.clone();
-    let ended = Arc::new(AtomicU64::new(0));
+    let ended = Arc::new(Ends {
+        at: AtomicU64::new(0),
+        left: AtomicUsize::new(ranks),
+        resident: AtomicU64::new(0),
+    });
     let ended2 = ended.clone();
     let workload = sc.workload;
     let daemon = dcfa_mpi::launch(
@@ -652,8 +675,9 @@ pub fn run(sc: &Scenario) -> Result<Run, String> {
         events,
         dropped,
         metrics,
-        elapsed_ns: ended.load(Ordering::Relaxed),
+        elapsed_ns: ended.at.load(Ordering::Relaxed),
         wall_ns,
+        resident_end: ended.resident.load(Ordering::Relaxed),
         sim_events: done.events_processed,
         failures,
         unfired: ib.armed_fault_plans(),

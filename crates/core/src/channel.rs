@@ -38,6 +38,7 @@ use crate::packet::{
     tail_seq, tail_word, PacketHeader, PacketKind, HEADER_BYTES, HEADER_LEN, SLOT_OVERHEAD,
     TAIL_LEN,
 };
+use crate::peers::{Peer, Peers};
 use crate::recovery::TimeoutKind;
 use crate::resources::Resources;
 use crate::trace::{MsgStage, Recorder, TraceEvent};
@@ -59,8 +60,8 @@ pub struct PeerEndpoint {
     pub ring_rkey: MrKey,
 }
 
-/// The transport half of one pair.
-struct Link {
+/// The transport half of one pair, kept in its [`Peer`] entry.
+pub(crate) struct Link {
     qp: QueuePair,
     /// Whether the outbound half is wired (the lazy-connect Req/Ack
     /// handshake resolved). Data and control packets queue until then.
@@ -84,10 +85,10 @@ struct Link {
     in_ring: Option<MemoryRegion>,
     /// Next inbound slot sequence to consume.
     in_next_seq: u64,
-    /// `Some(n)`: no write has landed in `in_ring` since its next slot was
-    /// parsed and found empty, at [`MemoryRegion::writes`] `== n` — so it
-    /// still is, and *poll* need not look. Forgotten whenever which slot
-    /// is next changes.
+    /// `Some(n)`: at [`MemoryRegion::writes`] `== n` the next slot of
+    /// `in_ring` is empty — it was parsed and found so, or every write
+    /// landed so far was consumed — and while no write lands it still is,
+    /// so *poll* need not look.
     in_idle_at: Option<u64>,
     /// Consumed slots not yet reported as credit.
     in_unreported: u64,
@@ -197,8 +198,9 @@ pub(crate) enum Inbound {
 enum Sweep {
     /// Draining the shared pool's completions.
     Pool,
-    /// Draining per-pair streams: the next index into `active`, and where
-    /// the sweep ends (pairs established mid-sweep wait for the next).
+    /// Draining per-pair streams: the next position in the peers' rank
+    /// order, and where the sweep ends (pairs established mid-sweep wait
+    /// for the next).
     Pairs(usize, usize),
 }
 
@@ -215,11 +217,9 @@ pub(crate) struct Channel {
     /// engine drains it.
     pub(crate) cq: CompletionQueue,
     progress_event: SimEvent,
-    links: Vec<Option<Link>>,
-    /// Established peer indices in rank order — a sweep visits these
-    /// instead of all `size` slots, so a rank that talks to 4 of 512
-    /// peers pays for 4.
-    active: Vec<usize>,
+    /// One entry per established pair, in rank order: a sweep visits
+    /// these, so a rank that talks to 4 of 512 peers pays for 4.
+    pub(crate) peers: Peers,
     srq: Option<SrqPool>,
     /// The shared pool could not be allocated: no pair can be established.
     pool_oom: bool,
@@ -234,8 +234,8 @@ pub(crate) struct Channel {
     conn: Arc<ConnDirectory>,
     conn_scratch: Vec<ConnMsg>,
     /// The connect watchdog of each unwired pair that has one, by peer:
-    /// kept here, not in `Link`, of which an engine holds one per rank of
-    /// the world. Wiring the pair cancels it.
+    /// kept here, not in `Link`, which every established pair keeps for
+    /// good. Wiring the pair cancels it.
     conn_watchdogs: Vec<(Rank, Option<TimerHandle>)>,
     /// Recycled payload buffers: copy-out pops one here instead of
     /// allocating, and consuming the message pushes it back.
@@ -258,7 +258,6 @@ impl Channel {
     pub(crate) fn new(
         ctx: &mut Ctx,
         rank: Rank,
-        size: usize,
         cfg: &MpiConfig,
         res: &Resources,
         conn: Arc<ConnDirectory>,
@@ -308,8 +307,7 @@ impl Channel {
             cpu_op: res.cluster().config().cost.cpu_op(res.mem().domain),
             cq,
             progress_event: progress_event.clone(),
-            links: (0..size).map(|_| None).collect(),
-            active: Vec::new(),
+            peers: Peers::default(),
             srq,
             pool_oom,
             sweep: None,
@@ -328,12 +326,12 @@ impl Channel {
     /// `pump_conn` established — a packet, completion, timer or queue
     /// entry for `p` can only exist after that.
     fn link(&self, p: Rank) -> &Link {
-        self.links[p].as_ref().expect("pair established")
+        &self.peers.get(p).expect("pair established").link
     }
 
     /// See [`Self::link`].
     fn link_mut(&mut self, p: Rank) -> &mut Link {
-        self.links[p].as_mut().expect("pair established")
+        &mut self.peers.get_mut(p).expect("pair established").link
     }
 
     // ---- lazy connect ------------------------------------------------------
@@ -350,7 +348,7 @@ impl Channel {
         stats: &mut CommStats,
         p: Rank,
     ) -> Result<PeerEndpoint, MpiError> {
-        debug_assert!(self.links[p].is_none(), "peer {p} already established");
+        debug_assert!(self.peers.get(p).is_none(), "peer {p} already established");
         if self.pool_oom {
             return Err(MpiError::OutOfMemory);
         }
@@ -410,9 +408,8 @@ impl Channel {
         stats.pairs_established += 1;
         // With a pool only the stage is per pair; receives share the pool.
         stats.comm_buffer_bytes += ring_bytes * if link.in_ring.is_some() { 2 } else { 1 };
-        self.links[p] = Some(link);
-        let pos = self.active.partition_point(|&q| q < p);
-        self.active.insert(pos, p);
+        let pair = Default::default();
+        self.peers.insert(p, Peer { link, pair });
         Ok(ep)
     }
 
@@ -431,7 +428,7 @@ impl Channel {
         stats: &mut CommStats,
         p: Rank,
     ) -> Result<bool, MpiError> {
-        if self.links[p].is_some() {
+        if self.peers.get(p).is_some() {
             return Ok(false);
         }
         let ep = self.alloc_link(ctx, res, stats, p)?;
@@ -443,7 +440,7 @@ impl Channel {
     /// Whether our half of the pair with `p` exists but the handshake has
     /// not resolved yet.
     pub(crate) fn unwired(&self, p: Rank) -> bool {
-        self.links[p].as_ref().is_some_and(|l| !l.connected)
+        self.peers.get(p).is_some_and(|e| !e.link.connected)
     }
 
     /// Where the connect watchdog toward `p` is kept, while unwired.
@@ -488,7 +485,7 @@ impl Channel {
 
     /// Serve the lazy-connect mailbox: establish passively on `Req`,
     /// wire on `Req`/`Ack`. Queued packets for freshly wired peers drain
-    /// in the same progress sweep (it flushes every active peer).
+    /// in the same progress sweep (it flushes every established peer).
     pub(crate) fn pump_conn(
         &mut self,
         ctx: &mut Ctx,
@@ -502,7 +499,7 @@ impl Channel {
         for msg in msgs.drain(..) {
             match msg {
                 ConnMsg::Req { from, ep } => {
-                    let ours = if self.links[from].is_none() {
+                    let ours = if self.peers.get(from).is_none() {
                         // Passive establishment: allocate our half, wire
                         // toward the initiator, answer with our endpoint.
                         // Out of memory: stay silent — the initiator's
@@ -586,7 +583,7 @@ impl Channel {
             self.window(PacketKind::Credit),
             self.window(PacketKind::Eager),
         );
-        let link = self.links[dst].as_mut()?;
+        let link = &mut self.peers.get_mut(dst)?.link;
         // Queue until the lazy-connect handshake wires us (and, as in
         // `room`, while no staging slot is free).
         if !link.connected || link.stage_free.is_empty() {
@@ -609,17 +606,13 @@ impl Channel {
 
     /// Whether a control packet `pred` accepts is still queued for `dst`.
     pub(crate) fn ctrl_queued(&self, dst: Rank, pred: impl Fn(&PacketHeader) -> bool) -> bool {
-        self.links[dst]
-            .as_ref()
-            .is_some_and(|l| l.pending_ctrl.iter().any(pred))
+        let link = self.peers.get(dst).map(|e| &e.link);
+        link.is_some_and(|l| l.pending_ctrl.iter().any(pred))
     }
 
     /// Whether any pair still has control packets queued.
     pub(crate) fn ctrl_pending(&self) -> bool {
-        self.links
-            .iter()
-            .flatten()
-            .any(|l| !l.pending_ctrl.is_empty())
+        self.peers.iter().any(|e| !e.link.pending_ctrl.is_empty())
     }
 
     // ---- put ---------------------------------------------------------------
@@ -749,7 +742,7 @@ impl Channel {
     /// The buffer arrivals from `p` land in: its ring, or the shared pool.
     #[cfg(test)]
     pub(crate) fn inbound(&self, p: Rank) -> Option<&Buffer> {
-        let link = self.links[p].as_ref()?;
+        let link = &self.peers.get(p)?.link;
         let ring = link.in_ring.as_ref().map(MemoryRegion::buffer);
         ring.or(self.srq.as_ref().map(|pool| &pool.pool))
     }
@@ -757,8 +750,8 @@ impl Channel {
     /// Whether every staging slot of every pair is free — true whenever no
     /// slot write is in flight.
     pub(crate) fn stages_idle(&self) -> bool {
-        let idle = |l: &Link| l.stage_free.len() as u64 == self.slots;
-        self.links.iter().flatten().all(idle)
+        let idle = |e: &Peer| e.link.stage_free.len() as u64 == self.slots;
+        self.peers.iter().all(idle)
     }
 
     /// Post a send-side work request on the QP toward `dst`. `coalesce`
@@ -823,11 +816,14 @@ impl Channel {
 
     /// Account one in-order arrival from `p` — the single place inbound
     /// sequence, credit and CPU cost are charged. The slot counts as
-    /// consumed before the engine handles it, so handlers can send.
+    /// consumed before the engine handles it, so handlers can send. Each
+    /// landed write fills one slot sequence, so when the ring counts no
+    /// more writes than were consumed, the slot behind is empty.
     fn consume(&mut self, ctx: &mut Ctx, stats: &mut CommStats, p: Rank, kind: PacketKind) {
         let link = self.link_mut(p);
         link.in_next_seq += 1;
-        link.in_idle_at = None;
+        let writes = link.in_ring.as_ref().map(MemoryRegion::writes);
+        link.in_idle_at = writes.filter(|&n| n == link.in_next_seq);
         link.in_unreported += 1;
         link.in_noncredit_pending |= kind != PacketKind::Credit;
         ctx.sleep(self.cpu_op);
@@ -857,14 +853,14 @@ impl Channel {
                     (pool.next, pool.fresh) = (0, false);
                     Sweep::Pool
                 }
-                None => Sweep::Pairs(0, self.active.len()),
+                None => Sweep::Pairs(0, self.peers.len()),
             });
         }
         if let Some(Sweep::Pool) = self.sweep {
             if let Some(packet) = self.poll_pool(ctx, res, stats) {
                 return Some(packet);
             }
-            self.sweep = Some(Sweep::Pairs(0, self.active.len()));
+            self.sweep = Some(Sweep::Pairs(0, self.peers.len()));
         }
         let Some(Sweep::Pairs(next, end)) = self.sweep else {
             return None;
@@ -873,8 +869,7 @@ impl Channel {
             self.sweep = None;
             return None;
         }
-        let p = self.active[next];
-        let link = self.link(p);
+        let (p, Peer { link, .. }) = self.peers.at(next);
         // An idle ring is not parsed again until something is written into
         // it: the arena acquisition, two reads and header decode are paid
         // once per write, not once per sweep.
@@ -909,7 +904,7 @@ impl Channel {
                 pool.repost(ctx, slot);
             }
             if let Some(p) = pool.draining {
-                let link = self.links[p].as_mut()?;
+                let link = &mut self.peers.get_mut(p)?.link;
                 let next = link.in_next_seq;
                 match link.stash.iter().position(|&(s, _, _)| s == next) {
                     Some(i) => {
@@ -1085,7 +1080,7 @@ impl Channel {
     /// packets themselves occupy (no ack-stream starvation).
     pub(crate) fn credit_due(&mut self, p: Rank) -> bool {
         let slots = self.slots;
-        let Some(link) = self.links[p].as_mut() else {
+        let Some(Peer { link, .. }) = self.peers.get_mut(p) else {
             return false;
         };
         let threshold = if link.in_noncredit_pending {
@@ -1112,7 +1107,7 @@ impl Channel {
     /// Drop everything queued toward or stashed from dead peer `d`;
     /// returns how many objects that reclaimed.
     pub(crate) fn reap(&mut self, d: Rank) -> u64 {
-        let Some(link) = self.links[d].as_mut() else {
+        let Some(Peer { link, .. }) = self.peers.get_mut(d) else {
             return 0;
         };
         let stash = std::mem::take(&mut link.stash);

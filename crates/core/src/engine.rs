@@ -22,10 +22,11 @@ pub use crate::channel::PeerEndpoint;
 use crate::channel::{Channel, Inbound, CQ_BATCH};
 use crate::config::{MpiConfig, Placement};
 use crate::connect::ConnDirectory;
-use crate::matching::{MatchQueues, Pair, PostedRecv};
+use crate::matching::{MatchQueues, PostedRecv};
 use crate::metrics::Phase;
 use crate::mrcache::{Kind, Lease, RegCache};
 use crate::packet::{PacketHeader, PacketKind};
+use crate::peers::Peer;
 use crate::protocol::{Event, Hit, NO_PACKET};
 use crate::recovery::{Health, TimeoutKind, TrackedWrs, WrKind};
 use crate::resources::Resources;
@@ -255,7 +256,7 @@ impl Engine {
             Placement::Host => cost.mpi_call_host,
         };
         let mut stats = CommStats::default();
-        let ch = Channel::new(ctx, rank, size, &cfg, &res, conn, &wake, &mut stats, &rec);
+        let ch = Channel::new(ctx, rank, &cfg, &res, conn, &wake, &mut stats, &rec);
         Engine {
             rank,
             size,
@@ -265,10 +266,7 @@ impl Engine {
             res,
             progress_event: wake,
             ch,
-            mq: MatchQueues {
-                pairs: (0..size).map(|_| Pair::default()).collect(),
-                ..MatchQueues::default()
-            },
+            mq: MatchQueues::default(),
             wr: TrackedWrs::default(),
             health: Health::default(),
             mpi_call,
@@ -599,8 +597,8 @@ impl Engine {
     /// all peers. Bounded by the unresolved-handshake window thanks to
     /// CREDIT watermark pruning — the soak regression test pins this.
     pub fn replay_entries(&self) -> usize {
-        let entries = |p: &Pair| p.served_done.len() + p.served_dw.len();
-        self.mq.pairs.iter().map(entries).sum()
+        let entries = |e: &Peer| e.pair.served_done.len() + e.pair.served_dw.len();
+        self.ch.peers.iter().map(entries).sum()
     }
 
     /// Request-table slots currently occupied (issued, not yet consumed).

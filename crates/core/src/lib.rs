@@ -52,6 +52,7 @@ mod matching;
 pub mod metrics;
 mod mrcache;
 mod packet;
+mod peers;
 mod protocol;
 mod recovery;
 mod resources;

@@ -66,13 +66,12 @@ pub(crate) struct Pair {
     pub(crate) served_dw: HashMap<u64, PacketHeader>,
 }
 
-/// The engine's matching state.
+/// The engine's matching state. Each pair's own lives in its peer entry
+/// ([`crate::peers`]).
 #[derive(Default)]
 pub(crate) struct MatchQueues {
     pub(crate) recv_q: Vec<PostedRecv>,
     pub(crate) unexpected: Vec<Unexpected>,
-    /// Indexed by peer rank.
-    pub(crate) pairs: Vec<Pair>,
     /// Receives that failed permanently, keyed by (peer, pair seq): the
     /// peer's late data packet for that seq is answered with a NACK (RTS)
     /// or dropped (EAGER) instead of matching a later receive.
@@ -82,7 +81,7 @@ pub(crate) struct MatchQueues {
 impl Engine {
     /// The protocol state of the pair with `p`.
     pub(crate) fn pair(&mut self, p: Rank) -> &mut Pair {
-        &mut self.mq.pairs[p]
+        self.ch.peers.pair_mut(p)
     }
 
     /// Draw the next receive-side sequence id of `p`'s stream.
@@ -187,7 +186,7 @@ impl Engine {
     /// before (data packets arrive in sequence order, so a dup means a
     /// re-issued handshake).
     pub(crate) fn is_dup_data(&self, p: Rank, seq: u64) -> bool {
-        self.mq.pairs[p].rx_data_high.is_some_and(|h| seq <= h)
+        self.ch.peers.pair(p).rx_data_high.is_some_and(|h| seq <= h)
     }
 
     /// Record the arrival of data-stream sequence `seq` from peer `p`.
@@ -335,7 +334,7 @@ impl Engine {
     /// acknowledged. New handshakes always start at or above the pair's
     /// `tx_seq` / `rx_seq`, so the watermark never moves backwards.
     fn ack_watermark(&self, p: Rank, send: bool) -> u64 {
-        let pair = &self.mq.pairs[p];
+        let pair = self.ch.peers.pair(p);
         let open = self
             .reqs
             .iter()

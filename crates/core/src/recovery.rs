@@ -597,12 +597,13 @@ impl Engine {
         // Pair-local state: queued control packets, reorder stash,
         // handshake replay maps, stashed RTRs, dead-receive tombstones.
         reclaimed += self.ch.reap(d);
-        let pair = &mut self.mq.pairs[d];
-        reclaimed +=
-            (pair.stashed_rtrs.len() + pair.served_done.len() + pair.served_dw.len()) as u64;
-        pair.stashed_rtrs.clear();
-        pair.served_done.clear();
-        pair.served_dw.clear();
+        if let Some(pair) = self.ch.peers.get_mut(d).map(|e| &mut e.pair) {
+            reclaimed +=
+                (pair.stashed_rtrs.len() + pair.served_done.len() + pair.served_dw.len()) as u64;
+            pair.stashed_rtrs.clear();
+            pair.served_done.clear();
+            pair.served_dw.clear();
+        }
         let before = self.mq.dead_rx.len();
         self.mq.dead_rx.retain(|&(r, _)| r != d);
         reclaimed += (before - self.mq.dead_rx.len()) as u64;

@@ -742,6 +742,68 @@ fn reaping_a_peer_returns_every_staging_slot_held_toward_it() {
     });
 }
 
+// ---- a rank keeps an entry only for the peers it touched ----
+
+/// Three ranks. Rank 0 posts an any-source receive and probes before
+/// anyone has sent to it: neither touches a pair. Rank 1's message then
+/// arrives unexpected, before rank 0 ever sent to it, and makes the one
+/// entry it needs. Rank 2 dies on entry to its first operation, having
+/// touched nobody: ranks 0 and 1 reap it cleanly and make no entry for it.
+/// Both receive paths.
+#[test]
+fn untouched_peers_get_no_entry_and_reap_cleanly() {
+    for srq_depth in [None, Some(64)] {
+        let cfg = MpiConfig {
+            ring_slots: SLOTS as u32,
+            srq_depth,
+            peer_ttl: Some(SimDuration::from_micros(50)),
+            ..MpiConfig::dcfa()
+        };
+        let kills = vec![KillSpec {
+            rank: 2,
+            after_ops: 1,
+        }];
+        let opts = LaunchOpts {
+            kills,
+            ..LaunchOpts::default()
+        };
+        world_of(3, cfg, opts, |ctx, e| {
+            let buf = filled(e, e.rank as u8);
+            let entries = |e: &Engine| (0..3).filter(|&p| e.ch.peers.get(p).is_some()).count();
+            match e.rank {
+                0 => {
+                    let any = e.irecv(ctx, &buf, Src::Any, TagSel::Tag(7)).unwrap();
+                    assert_eq!(e.iprobe(ctx, Src::Any, TagSel::Any), None);
+                    assert_eq!((e.ch.peers.len(), entries(e)), (0, 0));
+                    let st = e.probe(ctx, Src::Rank(1), TagSel::Tag(3)).unwrap();
+                    assert_eq!((st.source, st.tag), (1, 3));
+                    assert_eq!(e.ch.peers.len(), 1);
+                    assert!(e.ch.peers.get(1).is_some());
+                    progress_until(ctx, e, |e| e.stats.peer_deaths_detected == 1);
+                    assert_eq!((e.ch.peers.len(), entries(e)), (1, 1), "the reap made one");
+                    let got = e.irecv(ctx, &buf, Src::Rank(1), TagSel::Tag(3)).unwrap();
+                    e.wait(ctx, got).unwrap();
+                    e.wait(ctx, any).unwrap();
+                }
+                1 => {
+                    ctx.sleep(SimDuration::from_micros(20));
+                    let req = e.isend(ctx, &buf, 0, 3).unwrap();
+                    e.wait(ctx, req).unwrap();
+                    progress_until(ctx, e, |e| e.stats.peer_deaths_detected == 1);
+                    assert_eq!((e.ch.peers.len(), entries(e)), (1, 1));
+                    let req = e.isend(ctx, &buf, 0, 7).unwrap();
+                    e.wait(ctx, req).unwrap();
+                }
+                _ => {
+                    let _ = e.isend(ctx, &buf, 1, 0);
+                    unreachable!("rank 2 was to die on entry");
+                }
+            }
+            assert_eq!(e.stats.dead_reclaimed, 0);
+        });
+    }
+}
+
 // ---- an idle ring is not parsed again until something is written into it ----
 
 /// One raw inbound sweep: the slots it parsed and the packets it found.
@@ -804,13 +866,14 @@ fn an_idle_ring_is_parsed_once_and_then_not_until_a_write_lands() {
             assert_eq!(cluster.with_plane(|m| m.resident_pages_in(ring)), 0);
         }
         // Two packets land in rank 4's ring while it is marked idle: the
-        // very next sweep sees both (two parses, and a third that finds
-        // the slot behind them empty); the three idle rings are not looked at.
+        // very next sweep sees both, in two parses — the slot behind them
+        // is not parsed, as the ring counts no write beyond the two it
+        // consumed; the three idle rings are not looked at.
         until(ctx, 2_500);
-        assert_eq!(sweep(ctx, e), (3, vec![(4, done, 0), (4, done, 1)]));
+        assert_eq!(sweep(ctx, e), (2, vec![(4, done, 0), (4, done, 1)]));
         assert_eq!(sweep(ctx, e), (0, vec![]));
         until(ctx, 3_500);
-        assert_eq!(sweep(ctx, e), (2, vec![(4, done, 2)]));
+        assert_eq!(sweep(ctx, e), (1, vec![(4, done, 2)]));
         assert_eq!(sweep(ctx, e), (0, vec![]));
         // Reaping a pair forgets what was remembered about its ring: it is
         // parsed once more, found empty, and remembered again.
@@ -907,8 +970,10 @@ fn a_rewrite_of_the_awaited_slot_is_seen() {
             seen.extend(got.into_iter().map(|(_, kind, _)| kind));
         }
         assert_eq!(seen, [PacketKind::Eager, PacketKind::NackSend]);
-        // The first look, each packet, and the empty slot behind each.
-        assert_eq!(parses, 1 + 2 + 2);
+        // The first look and each packet. The empty slot behind each is
+        // not parsed: the failed write landed nothing and counts no write,
+        // so the ring counts none beyond those consumed.
+        assert_eq!(parses, 1 + 2);
     });
 }
 

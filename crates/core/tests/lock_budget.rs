@@ -107,8 +107,10 @@ fn check(m: &Measured, ceiling: f64) -> Result<(), String> {
 // Ceilings: the measured count plus a little room (counts are
 // deterministic — the room is for honest small changes, not noise; the
 // eager loop's is under one acquisition, so the negative control below
-// trips it). Measured on these loops: 17.79 / 49.47 / 108.94 / 31.12
-// acquisitions per op. Before one plane lock replaced the per-node ones (a
+// trips it). Measured on these loops: 17.26 / 48.90 / 107.34 / 31.12
+// acquisitions per op. Before a consumed ring packet left its ring marked
+// idle when nothing more had been written into it: 17.79 / 49.47 / 108.94
+// / 31.12. Before one plane lock replaced the per-node ones (a
 // copy between nodes took two): 18.32 / 51.57 / 111.04 / 32.15. Before a
 // node's two arenas shared one lock (a PCIe DMA's completion took two):
 // 18.32 / 52.07 / 111.54 / 32.40. Before a

@@ -36,6 +36,9 @@ pub enum PerOp {
     FreshPage,
     /// One more scheduler event: a wake parked a watchdog period out.
     Wake,
+    /// One more table with a byte for every rank of the world, made by
+    /// each rank at its first operation and kept to the end.
+    WorldTable,
 }
 
 #[derive(Clone)]
@@ -154,6 +157,8 @@ struct Rank<'a> {
     fresh: Option<Buffer>,
     touched: u64,
     ops: u64,
+    /// [`PerOp::WorldTable`]'s table.
+    world_table: Vec<u8>,
 }
 
 impl Rank<'_> {
@@ -180,6 +185,9 @@ impl Rank<'_> {
             (PerOp::FreshPage, Some(fresh)) => {
                 comm.write(fresh, self.touched * PAGE_SIZE, &[1]);
                 self.touched += 1;
+            }
+            (PerOp::WorldTable, _) if self.world_table.is_empty() => {
+                self.world_table = vec![0; self.spec.ranks];
             }
             (PerOp::Wake, _) => {
                 let sched = comm.cluster().scheduler();
@@ -292,6 +300,7 @@ fn rank_body<T>(ctx: &mut Ctx, comm: &mut Comm, spec: &Loop, shared: &Shared<T>)
         fresh,
         touched: 0,
         ops: 0,
+        world_table: Vec::new(),
     };
     // Rounds are numbered across blocks so a ping-pong keeps cycling its
     // buffers; warm-up comes first, for every block, as in the benchmark.

@@ -60,8 +60,11 @@ const EVENTS: u64 = 109;
 /// Heap allocations one world makes from build to drop. Seven of them are
 /// each card's for its inbound ring, held off-page: the arena's off-page
 /// slots, their address order, its off-page index, the ring's run list, the
-/// side-buffer table, one side buffer and the list of free ones.
-const ALLOCATIONS: u64 = 199;
+/// side-buffer table, one side buffer and the list of free ones. Two are
+/// each rank's table of the peers it touched: its rank order and its
+/// entries (the two tables with an entry per rank of the world and the
+/// sweep's list of established peers took three).
+const ALLOCATIONS: u64 = 197;
 
 /// One world's counts and the wall time of its three phases.
 struct World {

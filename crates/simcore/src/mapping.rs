@@ -69,6 +69,14 @@ pub fn peak_resident_bytes() -> u64 {
     u64::try_from(usage.longs[0]).expect("a size") << 10
 }
 
+/// The memory this process has resident now, in bytes: the second field
+/// of `/proc/self/statm`, in pages. 0 where that file cannot be read.
+pub fn resident_bytes() -> u64 {
+    let statm = std::fs::read_to_string("/proc/self/statm").unwrap_or_default();
+    let pages = statm.split_whitespace().nth(1).and_then(|p| p.parse().ok());
+    pages.unwrap_or(0u64) * page_size() as u64
+}
+
 /// Bytes per page of the machine this runs on.
 pub fn page_size() -> usize {
     // SAFETY: `sysconf` takes no pointers.
