@@ -16,9 +16,8 @@ use std::sync::Arc;
 use baselines::OffloadRuntime;
 use dcfa_mpi::{launch, Communicator, LaunchOpts, MpiConfig, Src, TagSel};
 use fabric::{Cluster, ClusterConfig};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::Simulation;
+use simcore::{SimCell, Simulation};
 use verbs::IbFabric;
 
 /// One data point of Fig. 10.
@@ -35,7 +34,7 @@ pub fn commonly_dcfa(ccfg: &ClusterConfig, cfg: MpiConfig, x: u64, iters: u32) -
     let cluster = Cluster::new(sim.scheduler(), ccfg.clone());
     let ib = IbFabric::new(cluster.clone());
     let scif = ScifFabric::new(cluster);
-    let out = Arc::new(Mutex::new(0.0f64));
+    let out = Arc::new(SimCell::new(0.0f64));
     let out2 = out.clone();
     launch(
         &sim,
@@ -78,7 +77,7 @@ pub fn commonly_offload(ccfg: &ClusterConfig, x: u64, iters: u32) -> CommOnly {
     let cluster = Cluster::new(sim.scheduler(), ccfg.clone());
     let ib = IbFabric::new(cluster.clone());
     let scif = ScifFabric::new(cluster.clone());
-    let out = Arc::new(Mutex::new(0.0f64));
+    let out = Arc::new(SimCell::new(0.0f64));
     let out2 = out.clone();
     let cl = cluster.clone();
     launch(

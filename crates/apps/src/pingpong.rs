@@ -6,9 +6,8 @@ use std::sync::Arc;
 use baselines::IntelPhiWorld;
 use dcfa_mpi::{launch, Communicator, LaunchOpts, MpiConfig, Src, TagSel};
 use fabric::{Cluster, ClusterConfig, Domain, MemRef, NodeId};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::Simulation;
+use simcore::{SimCell, Simulation};
 use verbs::IbFabric;
 
 /// RDMA-write direction pairs of Fig. 5.
@@ -64,7 +63,7 @@ pub fn rdma_direction(ccfg: &ClusterConfig, dir: Direction, size: u64, iters: u3
     let mut sim = Simulation::new();
     let cluster = Cluster::new(sim.scheduler(), ccfg.clone());
     let ib = IbFabric::new(cluster.clone());
-    let out = Arc::new(Mutex::new(PingPong {
+    let out = Arc::new(SimCell::new(PingPong {
         size,
         rtt_us: 0.0,
         bw_gbs: 0.0,
@@ -173,7 +172,7 @@ fn run_pingpong(
 ) -> PingPong {
     let mut sim = Simulation::new();
     let cluster = Cluster::new(sim.scheduler(), ccfg.clone());
-    let out = Arc::new(Mutex::new(0.0f64));
+    let out = Arc::new(SimCell::new(0.0f64));
     let out2 = out.clone();
     let warmup = 4u32;
 

@@ -15,9 +15,8 @@ use baselines::{IntelPhiWorld, OffloadRuntime};
 use dcfa_mpi::collectives;
 use dcfa_mpi::{launch, Communicator, Datatype, LaunchOpts, MpiConfig, ReduceOp, Src, TagSel};
 use fabric::{Buffer, Cluster, ClusterConfig};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::{Ctx, Simulation};
+use simcore::{Ctx, SimCell, Simulation};
 use verbs::IbFabric;
 
 use crate::omp::OmpModel;
@@ -256,7 +255,7 @@ pub fn stencil_dcfa(ccfg: &ClusterConfig, cfg: MpiConfig, p: StencilParams) -> S
     let cluster = Cluster::new(sim.scheduler(), ccfg.clone());
     let ib = IbFabric::new(cluster.clone());
     let scif = ScifFabric::new(cluster.clone());
-    let out = Arc::new(Mutex::new((0.0f64, 0.0f64)));
+    let out = Arc::new(SimCell::new((0.0f64, 0.0f64)));
     let out2 = out.clone();
     let omp = OmpModel::phi(&cluster.config().cost, p.threads);
     launch(
@@ -289,7 +288,7 @@ pub fn stencil_intel_phi(ccfg: &ClusterConfig, p: StencilParams) -> StencilResul
     let mut sim = Simulation::new();
     let cluster = Cluster::new(sim.scheduler(), ccfg.clone());
     let world = IntelPhiWorld::new(cluster.clone(), p.procs);
-    let out = Arc::new(Mutex::new((0.0f64, 0.0f64)));
+    let out = Arc::new(SimCell::new((0.0f64, 0.0f64)));
     let out2 = out.clone();
     let omp = OmpModel::phi(&cluster.config().cost, p.threads);
     world.launch(&sim, move |ctx, comm| {
@@ -318,7 +317,7 @@ pub fn stencil_offload(ccfg: &ClusterConfig, p: StencilParams) -> StencilResult 
     let cluster = Cluster::new(sim.scheduler(), ccfg.clone());
     let ib = IbFabric::new(cluster.clone());
     let scif = ScifFabric::new(cluster.clone());
-    let out = Arc::new(Mutex::new((0.0f64, 0.0f64)));
+    let out = Arc::new(SimCell::new((0.0f64, 0.0f64)));
     let out2 = out.clone();
     let omp = OmpModel::phi(&cluster.config().cost, p.threads);
     let cl = cluster.clone();

@@ -8,9 +8,8 @@ use apps::{run_traffic_rank, TrafficPattern};
 use baselines::IntelPhiWorld;
 use dcfa_mpi::{launch, LaunchOpts, MpiConfig, Placement};
 use fabric::{Cluster, ClusterConfig};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::Simulation;
+use simcore::{SimCell, Simulation};
 use verbs::IbFabric;
 
 fn soak_dcfa(seed: u64, n: usize, count: usize, cfg: MpiConfig) -> usize {
@@ -19,7 +18,7 @@ fn soak_dcfa(seed: u64, n: usize, count: usize, cfg: MpiConfig) -> usize {
     let ib = IbFabric::new(cluster.clone());
     let scif = ScifFabric::new(cluster);
     let pattern = Arc::new(TrafficPattern::generate(seed, n, count, 1 << 20));
-    let verified = Arc::new(Mutex::new(0usize));
+    let verified = Arc::new(SimCell::new(0usize));
     let v2 = verified.clone();
     let p2 = pattern.clone();
     launch(
@@ -78,7 +77,7 @@ fn soak_symmetric_placement() {
     let ib = IbFabric::new(cluster.clone());
     let scif = ScifFabric::new(cluster);
     let pattern = Arc::new(TrafficPattern::generate(6006, n, 100, 1 << 20));
-    let verified = Arc::new(Mutex::new(0usize));
+    let verified = Arc::new(SimCell::new(0usize));
     let v2 = verified.clone();
     let p2 = pattern.clone();
     let opts = LaunchOpts {
@@ -112,7 +111,7 @@ fn soak_intel_phi_baseline() {
     let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(n));
     let world = IntelPhiWorld::new(cluster.clone(), n);
     let pattern = Arc::new(TrafficPattern::generate(7007, n, 80, 1 << 20));
-    let verified = Arc::new(Mutex::new(0usize));
+    let verified = Arc::new(SimCell::new(0usize));
     let v2 = verified.clone();
     let p2 = pattern.clone();
     world.launch(&sim, move |ctx, comm| {

@@ -17,8 +17,7 @@ use std::sync::Arc;
 
 use dcfa_mpi::{Communicator, MpiError, Rank, Request, Src, Status, Tag, TagSel};
 use fabric::{Buffer, Cluster, Domain, MemRef, NodeId};
-use parking_lot::Mutex;
-use simcore::{Ctx, SimEvent, SimTime, Simulation};
+use simcore::{Ctx, SimCell, SimEvent, SimTime, Simulation};
 
 struct Arrival {
     src: Rank,
@@ -27,7 +26,7 @@ struct Arrival {
 }
 
 struct RankBox {
-    arrivals: Mutex<VecDeque<Arrival>>,
+    arrivals: SimCell<VecDeque<Arrival>>,
     event: SimEvent,
 }
 
@@ -38,7 +37,7 @@ struct WorldState {
     /// later messages never overtake earlier ones (MPI non-overtaking —
     /// the proxy path and the direct path have different latencies, but
     /// the library serializes matching per pair).
-    pair_chain: Mutex<std::collections::HashMap<(Rank, Rank), SimTime>>,
+    pair_chain: SimCell<std::collections::HashMap<(Rank, Rank), SimTime>>,
 }
 
 /// Shared state of one Intel-MPI-on-Phi job.
@@ -55,7 +54,7 @@ impl IntelPhiWorld {
         let boxes = (0..nprocs)
             .map(|_| {
                 Arc::new(RankBox {
-                    arrivals: Mutex::new(VecDeque::new()),
+                    arrivals: SimCell::new(VecDeque::new()),
                     event: SimEvent::new(),
                 })
             })
@@ -65,7 +64,7 @@ impl IntelPhiWorld {
             state: Arc::new(WorldState {
                 boxes,
                 nodes,
-                pair_chain: Mutex::new(Default::default()),
+                pair_chain: SimCell::new(Default::default()),
             }),
         })
     }

@@ -14,8 +14,7 @@
 use std::sync::Arc;
 
 use fabric::{Buffer, Cluster, Domain, MemRef, NodeId, OutOfMemory, Transfer};
-use parking_lot::Mutex;
-use simcore::{Ctx, SimDuration, SimTime};
+use simcore::{Ctx, SimCell, SimDuration, SimTime};
 
 /// Handle to the offload runtime of one host process driving one Phi card.
 pub struct OffloadRuntime {
@@ -25,7 +24,7 @@ pub struct OffloadRuntime {
     /// stream: transfers serialize against each other even across PCIe
     /// directions (observed KNC behaviour; this is what keeps the mode at
     /// ~half of DCFA-MPI's large-message rate in Fig. 10).
-    dma_busy: Mutex<SimTime>,
+    dma_busy: SimCell<SimTime>,
 }
 
 impl OffloadRuntime {
@@ -38,7 +37,7 @@ impl OffloadRuntime {
         OffloadRuntime {
             cluster,
             node,
-            dma_busy: Mutex::new(SimTime::ZERO),
+            dma_busy: SimCell::new(SimTime::ZERO),
         }
     }
 

@@ -7,8 +7,7 @@ use std::sync::Arc;
 use baselines::{IntelPhiWorld, OffloadRuntime};
 use dcfa_mpi::{Communicator, Src, TagSel};
 use fabric::{Cluster, ClusterConfig, Domain, MemRef, NodeId};
-use parking_lot::Mutex;
-use simcore::{SimDuration, Simulation};
+use simcore::{SimCell, SimDuration, Simulation};
 
 fn setup(nodes: usize) -> (Simulation, Arc<Cluster>) {
     let sim = Simulation::new();
@@ -20,7 +19,7 @@ fn setup(nodes: usize) -> (Simulation, Arc<Cluster>) {
 fn intel_phi_send_recv_roundtrip() {
     let (mut sim, cluster) = setup(2);
     let world = IntelPhiWorld::new(cluster.clone(), 2);
-    let ok = Arc::new(Mutex::new(false));
+    let ok = Arc::new(SimCell::new(false));
     let ok2 = ok.clone();
     world.launch(&sim, move |ctx, comm| {
         let buf = comm.cluster().alloc_pages(comm.mem(), 4096).unwrap();
@@ -42,7 +41,7 @@ fn intel_phi_send_recv_roundtrip() {
 fn intel_phi_large_message_roundtrip() {
     let (mut sim, cluster) = setup(2);
     let world = IntelPhiWorld::new(cluster.clone(), 2);
-    let ok = Arc::new(Mutex::new(false));
+    let ok = Arc::new(SimCell::new(false));
     let ok2 = ok.clone();
     world.launch(&sim, move |ctx, comm| {
         let len = 2 << 20;
@@ -66,7 +65,7 @@ fn intel_phi_large_message_roundtrip() {
 fn intel_phi_any_source_and_tags() {
     let (mut sim, cluster) = setup(3);
     let world = IntelPhiWorld::new(cluster.clone(), 3);
-    let got = Arc::new(Mutex::new(Vec::new()));
+    let got = Arc::new(SimCell::new(Vec::new()));
     let g2 = got.clone();
     world.launch(&sim, move |ctx, comm| {
         if comm.rank() < 2 {
@@ -93,7 +92,7 @@ fn intel_phi_4byte_rtt_near_28us() {
     // on Xeon Phi co-processors' mode spends 28 microseconds".
     let (mut sim, cluster) = setup(2);
     let world = IntelPhiWorld::new(cluster.clone(), 2);
-    let rtt = Arc::new(Mutex::new(0.0f64));
+    let rtt = Arc::new(SimCell::new(0.0f64));
     let r2 = rtt.clone();
     world.launch(&sim, move |ctx, comm| {
         let buf = comm.cluster().alloc_pages(comm.mem(), 4).unwrap();
@@ -126,7 +125,7 @@ fn intel_phi_large_bandwidth_below_1gbs() {
     // bandwidth greater than 1 Gbytes/s".
     let (mut sim, cluster) = setup(2);
     let world = IntelPhiWorld::new(cluster.clone(), 2);
-    let bw = Arc::new(Mutex::new(0.0f64));
+    let bw = Arc::new(SimCell::new(0.0f64));
     let b2 = bw.clone();
     world.launch(&sim, move |ctx, comm| {
         let len = 4u64 << 20;
@@ -184,7 +183,7 @@ fn offload_transfer_overhead_dominates_small_copies() {
     // The 12x of Fig. 10 comes from the fixed per-transfer overhead.
     let (mut sim, cluster) = setup(1);
     let cl = cluster.clone();
-    let times = Arc::new(Mutex::new((0u64, 0u64)));
+    let times = Arc::new(SimCell::new((0u64, 0u64)));
     let t2 = times.clone();
     sim.spawn("host-rank", move |ctx| {
         let rt = OffloadRuntime::new(ctx, cl.clone(), NodeId(0));
@@ -225,7 +224,7 @@ fn offload_copies_serialize_on_the_coi_stream() {
     // messages in Fig. 10.)
     let (mut sim, cluster) = setup(1);
     let cl = cluster.clone();
-    let elapsed = Arc::new(Mutex::new((0u64, 0u64)));
+    let elapsed = Arc::new(SimCell::new((0u64, 0u64)));
     let e2 = elapsed.clone();
     sim.spawn("host-rank", move |ctx| {
         let rt = OffloadRuntime::new(ctx, cl.clone(), NodeId(0));
@@ -264,7 +263,7 @@ fn offload_copies_serialize_on_the_coi_stream() {
 fn offload_region_charges_dispatch_plus_kernel() {
     let (mut sim, cluster) = setup(1);
     let cl = cluster.clone();
-    let t = Arc::new(Mutex::new(0u64));
+    let t = Arc::new(SimCell::new(0u64));
     let t2 = t.clone();
     sim.spawn("host-rank", move |ctx| {
         let rt = OffloadRuntime::new(ctx, cl.clone(), NodeId(0));

@@ -268,8 +268,11 @@ fn scenario(cli: &Cli, channel: Option<Channel>, out: &mut Out) -> Result<bool, 
 }
 
 /// The most host memory a scenario may have had resident, whole process,
-/// at any point: the 512-rank halo soak's budget (ROADMAP item 3).
-const PEAK_RSS_MIB: u64 = 300;
+/// at any point: 300 MiB for the 512-rank halo soak (ROADMAP item 3) and
+/// for any smaller world, and as much again per 512 ranks above that.
+fn peak_rss_budget_mib(ranks: u64) -> u64 {
+    300 * ranks.max(512) / 512
+}
 
 /// Minor page faults this process has taken so far (`minflt`, the tenth
 /// field of `/proc/self/stat`; the second, the command name, may itself
@@ -366,10 +369,11 @@ fn report(
         writeln!(out, "FAIL: {v}");
     }
     let mut ok = violations.is_empty();
-    if peak_mib > PEAK_RSS_MIB {
+    let budget_mib = peak_rss_budget_mib(ranks);
+    if peak_mib > budget_mib {
         writeln!(
             out,
-            "FAIL: peak RSS {peak_mib} MiB is over the {PEAK_RSS_MIB} MiB budget"
+            "FAIL: peak RSS {peak_mib} MiB is over the {budget_mib} MiB budget of {ranks} ranks"
         );
         ok = false;
     }

@@ -270,7 +270,7 @@ pub fn ablation_mr_cache(ccfg: &ClusterConfig, msg: u64) -> (f64, f64) {
             }
         };
         let iters = 8u32;
-        let out = Arc::new(parking_lot::Mutex::new(0.0f64));
+        let out = Arc::new(simcore::SimCell::new(0.0f64));
         let out2 = out.clone();
         simulate(ccfg, cfg, 2, move |ctx, comm| {
             let buf = comm.alloc(msg).unwrap();
@@ -335,7 +335,7 @@ pub fn ablation_rndv_skew(ccfg: &ClusterConfig, msg: u64) -> (f64, f64) {
     use std::sync::Arc;
 
     fn run(ccfg: &ClusterConfig, msg: u64, recv_first: bool) -> f64 {
-        let out = Arc::new(parking_lot::Mutex::new(0.0f64));
+        let out = Arc::new(simcore::SimCell::new(0.0f64));
         let out2 = out.clone();
         simulate(ccfg, MpiConfig::dcfa_no_offload(), 2, move |ctx, comm| {
             let buf = comm.alloc(msg).unwrap();
@@ -369,7 +369,7 @@ pub fn ablation_host_staged_bcast(ccfg: &ClusterConfig, msg: u64) -> (f64, f64) 
     use dcfa_mpi::collectives;
     use std::sync::Arc;
 
-    let out = Arc::new(parking_lot::Mutex::new((0.0f64, 0.0f64)));
+    let out = Arc::new(simcore::SimCell::new((0.0f64, 0.0f64)));
     let out2 = out.clone();
     simulate(ccfg, MpiConfig::dcfa(), 8, move |ctx, comm| {
         use dcfa_mpi::Communicator;

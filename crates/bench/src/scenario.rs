@@ -576,7 +576,7 @@ pub fn run(sc: &Scenario) -> Result<Run, String> {
             .collect()
     };
     let mem_before = host_used(&cluster);
-    let outs = Arc::new(parking_lot::Mutex::new(vec![None; ranks]));
+    let outs = Arc::new(simcore::SimCell::new(vec![None; ranks]));
     let outs2 = outs.clone();
     let ended = Arc::new(Ends {
         at: AtomicU64::new(0),

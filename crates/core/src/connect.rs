@@ -21,8 +21,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use simcore::{Scheduler, SimDuration, SimEvent};
+use simcore::{Scheduler, SimCell, SimDuration, SimEvent};
 
 use crate::channel::PeerEndpoint;
 use crate::types::Rank;
@@ -46,18 +45,18 @@ struct RankSlot {
 /// Shared per-world connect-request directory (one per `launch`).
 pub struct ConnDirectory {
     latency: SimDuration,
-    inner: Mutex<Vec<RankSlot>>,
+    inner: SimCell<Vec<RankSlot>>,
     /// Messages delivered and not yet drained, over all ranks. Stored only
     /// with `inner` held and loaded without it (`Release`/`Acquire`): every
     /// progress sweep drains, and after the handshakes nothing is ever
     /// queued again — that answer costs no lock.
     queued: AtomicUsize,
     /// Messages posted so far (drop-injection op counter).
-    posted: Mutex<u64>,
+    posted: SimCell<u64>,
     /// Half-open drop window `[start, end)` over the posted counter:
     /// messages whose ordinal falls inside are silently discarded
     /// (deterministic lost-handshake injection for retry tests).
-    drop_window: Mutex<Option<(u64, u64)>>,
+    drop_window: SimCell<Option<(u64, u64)>>,
 }
 
 impl ConnDirectory {
@@ -66,7 +65,7 @@ impl ConnDirectory {
     pub fn new(n: usize, latency: SimDuration) -> Arc<ConnDirectory> {
         Arc::new(ConnDirectory {
             latency,
-            inner: Mutex::new(
+            inner: SimCell::new(
                 (0..n)
                     .map(|_| RankSlot {
                         event: None,
@@ -75,8 +74,8 @@ impl ConnDirectory {
                     .collect(),
             ),
             queued: AtomicUsize::new(0),
-            posted: Mutex::new(0),
-            drop_window: Mutex::new(None),
+            posted: SimCell::new(0),
+            drop_window: SimCell::new(None),
         })
     }
 
@@ -193,19 +192,5 @@ mod tests {
         // Ranks 2 and 3 lost one frame each to the window.
         assert_eq!(got.len(), 6);
         assert!(dir.idle() && no_mailbox_holds_anything(&dir));
-    }
-
-    /// After the handshakes every progress sweep still drains; with
-    /// nothing queued that takes no lock (counted by the lock shim, debug
-    /// builds only).
-    #[cfg(debug_assertions)]
-    #[test]
-    fn draining_an_idle_directory_takes_no_lock() {
-        let dir = ConnDirectory::new(2, SimDuration::from_nanos(100));
-        let before = parking_lot::lock_count::total();
-        let mut out = Vec::new();
-        dir.drain(0, &mut out);
-        assert!(out.is_empty() && dir.idle());
-        assert_eq!(parking_lot::lock_count::total(), before);
     }
 }

@@ -17,14 +17,14 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use parking_lot::Mutex;
+//! use simcore::SimCell;
 //! use dcfa_mpi::{launch, Communicator, LaunchOpts, MpiConfig, Src, TagSel};
 //!
 //! let mut sim = simcore::Simulation::new();
 //! let cluster = fabric::Cluster::new(sim.scheduler(), fabric::ClusterConfig::with_nodes(2));
 //! let ib = verbs::IbFabric::new(cluster.clone());
 //! let scif = scif::ScifFabric::new(cluster);
-//! let got = Arc::new(Mutex::new(Vec::new()));
+//! let got = Arc::new(SimCell::new(Vec::new()));
 //! let got2 = got.clone();
 //! launch(&sim, &ib, &scif, MpiConfig::dcfa(), 2, LaunchOpts::default(), move |ctx, comm| {
 //!     let buf = comm.alloc(64).unwrap();

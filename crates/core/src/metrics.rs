@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use simcore::SimCell;
 
 use crate::types::Rank;
 
@@ -266,7 +266,7 @@ impl HistogramSnapshot {
 /// the one lock.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsHub {
-    hists: Arc<Mutex<HashMap<MetricKey, HistogramSnapshot>>>,
+    hists: Arc<SimCell<HashMap<MetricKey, HistogramSnapshot>>>,
 }
 
 impl MetricsHub {

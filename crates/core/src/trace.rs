@@ -39,7 +39,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use dcfa::CtrlEvent;
-use parking_lot::Mutex;
+use simcore::SimCell;
 
 use crate::metrics::{MetricsHub, Phase};
 use crate::packet::PacketKind;
@@ -256,7 +256,7 @@ struct TraceInner {
 /// launch append to the same ring, in simulation order.
 #[derive(Clone)]
 pub struct TraceBuf {
-    inner: Arc<Mutex<TraceInner>>,
+    inner: Arc<SimCell<TraceInner>>,
 }
 
 impl TraceBuf {
@@ -265,7 +265,7 @@ impl TraceBuf {
     pub fn new(cap: usize) -> Self {
         assert!(cap > 0, "trace ring capacity must be positive");
         TraceBuf {
-            inner: Arc::new(Mutex::new(TraceInner {
+            inner: Arc::new(SimCell::new(TraceInner {
                 events: VecDeque::new(),
                 cap,
                 dropped: 0,

@@ -6,9 +6,8 @@
 use std::sync::Arc;
 
 use fabric::{Domain, HealthBoard, NodeId};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::{Ctx, SimDuration, SimEvent, Simulation};
+use simcore::{Ctx, SimCell, SimDuration, SimEvent, Simulation};
 use verbs::{IbFabric, VerbsContext};
 
 use crate::comm::Comm;
@@ -26,11 +25,11 @@ struct Boot {
     /// Start/finalize barrier counter. Endpoints are no longer exchanged
     /// here: QPs and rings establish lazily on first touch through the
     /// [`ConnDirectory`], so bootstrap is O(ranks), not O(ranks²).
-    arrived: Mutex<usize>,
+    arrived: SimCell<usize>,
     /// Ranks that fail-stopped and will never arrive again. A dead rank
     /// counts toward every barrier generation after its death, so
     /// survivors are not stranded at finalize.
-    dead: Mutex<usize>,
+    dead: SimCell<usize>,
 }
 
 /// One fail-stop injection: kill `rank` as it enters its
@@ -155,8 +154,8 @@ where
     let boot = Arc::new(Boot {
         n,
         event: SimEvent::new(),
-        arrived: Mutex::new(0),
-        dead: Mutex::new(0),
+        arrived: SimCell::new(0),
+        dead: SimCell::new(0),
     });
     // Connect requests travel one wire hop, like the control traffic of
     // the real out-of-band channel.

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dcfa_mpi::{launch, Communicator, LaunchOpts, MpiConfig, Src, TagSel};
-use parking_lot::Mutex;
+use simcore::SimCell;
 
 struct HotCounting;
 
@@ -81,7 +81,7 @@ fn steady_state_eager_ops_do_not_allocate() {
     let cluster = fabric::Cluster::new(sim.scheduler(), fabric::ClusterConfig::with_nodes(2));
     let ib = verbs::IbFabric::new(cluster.clone());
     let scif = scif::ScifFabric::new(cluster);
-    let measured = Arc::new(Mutex::new(None::<u64>));
+    let measured = Arc::new(SimCell::new(None::<u64>));
     let measured2 = measured.clone();
     launch(
         &sim,
@@ -148,12 +148,13 @@ const CHURN_BUFS: usize = 96;
 /// Armed allocations the two ranks may make per round of the registration
 /// loop — a message each way, so two sends (a twin registered and one
 /// evicted each) and two receives (an MR registered and one evicted
-/// each): eight daemon commands. Measured: 14.03, since a command's client
-/// sleeps no more around its reply wait, its daemon serves it in one step
-/// and a park no longer gives its waiter list's capacity away; 22.03
-/// before that. With a handler process per connection, `Vec` frames and a
-/// boxed wake per watchdog: 50.00.
-const CHURN_CEILING_PER_ROUND: f64 = 15.0;
+/// each): eight daemon commands. Measured: 12.03, since a completion keeps
+/// its first waiter inline instead of in a list (two DMA completions a
+/// round); 14.03 since a command's client sleeps no more around its reply
+/// wait, its daemon serves it in one step and a park no longer gives its
+/// waiter list's capacity away; 22.03 before that. With a handler process
+/// per connection, `Vec` frames and a boxed wake per watchdog: 50.00.
+const CHURN_CEILING_PER_ROUND: f64 = 13.0;
 
 #[test]
 fn steady_state_rendezvous_with_registration_stays_under_its_ceiling() {
@@ -164,7 +165,7 @@ fn steady_state_rendezvous_with_registration_stays_under_its_ceiling() {
     let cluster = fabric::Cluster::new(sim.scheduler(), fabric::ClusterConfig::with_nodes(2));
     let ib = verbs::IbFabric::new(cluster.clone());
     let scif = scif::ScifFabric::new(cluster);
-    let measured = Arc::new(Mutex::new(None::<u64>));
+    let measured = Arc::new(SimCell::new(None::<u64>));
     let measured2 = measured.clone();
     launch(
         &sim,

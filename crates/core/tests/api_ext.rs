@@ -5,9 +5,8 @@ use std::sync::{Arc, OnceLock};
 
 use dcfa_mpi::{launch, Comm, Communicator, LaunchOpts, MpiConfig, Src, TagSel};
 use fabric::{Cluster, ClusterConfig};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::{Ctx, SimDuration, Simulation};
+use simcore::{Ctx, SimCell, SimDuration, Simulation};
 use verbs::IbFabric;
 
 fn run_mpi<F>(nprocs: usize, f: F)
@@ -32,7 +31,7 @@ where
 
 #[test]
 fn probe_reports_envelope_without_consuming() {
-    let ok = Arc::new(Mutex::new(false));
+    let ok = Arc::new(SimCell::new(false));
     let ok2 = ok.clone();
     run_mpi(2, move |ctx, comm| {
         if comm.rank() == 0 {
@@ -70,7 +69,7 @@ fn iprobe_none_when_nothing_pending() {
 
 #[test]
 fn probe_sees_rendezvous_rts_envelope() {
-    let ok = Arc::new(Mutex::new(false));
+    let ok = Arc::new(SimCell::new(false));
     let ok2 = ok.clone();
     run_mpi(2, move |ctx, comm| {
         let len = 256 << 10;
@@ -90,7 +89,7 @@ fn probe_sees_rendezvous_rts_envelope() {
 
 #[test]
 fn waitany_returns_first_completion() {
-    let order = Arc::new(Mutex::new(Vec::new()));
+    let order = Arc::new(SimCell::new(Vec::new()));
     let o2 = order.clone();
     run_mpi(3, move |ctx, comm| {
         match comm.rank() {
@@ -123,7 +122,7 @@ fn waitany_returns_first_completion() {
 
 #[test]
 fn stats_count_protocols_and_bytes() {
-    let stats = Arc::new(Mutex::new(None));
+    let stats = Arc::new(SimCell::new(None));
     let s2 = stats.clone();
     run_mpi(2, move |ctx, comm| {
         let small = comm.alloc(512).unwrap();
@@ -153,7 +152,7 @@ fn stats_count_protocols_and_bytes() {
 
 #[test]
 fn receiver_stats_count_bytes_received() {
-    let stats = Arc::new(Mutex::new(None));
+    let stats = Arc::new(SimCell::new(None));
     let s2 = stats.clone();
     run_mpi(2, move |ctx, comm| {
         let buf = comm.alloc(100 << 10).unwrap();
@@ -174,7 +173,7 @@ fn receiver_stats_count_bytes_received() {
 
 #[test]
 fn stale_rtr_counter_increments_on_mispredict() {
-    let stats = Arc::new(Mutex::new(None));
+    let stats = Arc::new(SimCell::new(None));
     let s2 = stats.clone();
     run_mpi(2, move |ctx, comm| {
         if comm.rank() == 0 {
@@ -213,7 +212,7 @@ fn first_touch_under_exhausted_phi_memory(srq_depth: Option<u32>) {
     let cluster = Cluster::new(sim.scheduler(), ccfg);
     let ib = IbFabric::new(cluster.clone());
     let scif = ScifFabric::new(cluster);
-    let delivered = Arc::new(Mutex::new(0u8));
+    let delivered = Arc::new(SimCell::new(0u8));
     let delivered2 = delivered.clone();
     let daemons = Arc::new(OnceLock::<dcfa::DcfaStats>::new());
     let daemons2 = daemons.clone();

@@ -9,10 +9,9 @@ use std::sync::Arc;
 
 use dcfa_mpi::{launch, Comm, Communicator, LaunchOpts, MpiConfig, MpiError, Request, Src, TagSel};
 use fabric::{Cluster, ClusterConfig};
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use scif::ScifFabric;
-use simcore::{Ctx, Simulation};
+use simcore::{Ctx, SimCell, Simulation};
 use verbs::{FaultPlan, IbFabric, WcStatus};
 
 fn run_mpi_cfg<F>(nprocs: usize, cfg: MpiConfig, faults: &[FaultPlan], f: F)
@@ -115,7 +114,7 @@ proptest! {
             ..MpiConfig::dcfa()
         };
         // (exhaustion events seen, payload mismatches, ranks finished).
-        let tally = Arc::new(Mutex::new((0u64, 0u64, 0usize)));
+        let tally = Arc::new(SimCell::new((0u64, 0u64, 0usize)));
         let tally2 = tally.clone();
         run_mpi_cfg(2, cfg, &faults, move |ctx, comm| {
             let me = comm.rank();

@@ -5,9 +5,8 @@ use std::sync::Arc;
 use dcfa_mpi::collectives;
 use dcfa_mpi::{launch, Comm, Communicator, Datatype, LaunchOpts, MpiConfig, ReduceOp};
 use fabric::{Cluster, ClusterConfig};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::{Ctx, Simulation};
+use simcore::{Ctx, SimCell, Simulation};
 use verbs::IbFabric;
 
 fn run_mpi<F>(nprocs: usize, f: F)
@@ -33,8 +32,8 @@ where
 #[test]
 fn barrier_synchronizes() {
     for n in [2usize, 3, 4, 8] {
-        let max_before = Arc::new(Mutex::new(0u64));
-        let min_after = Arc::new(Mutex::new(u64::MAX));
+        let max_before = Arc::new(SimCell::new(0u64));
+        let min_after = Arc::new(SimCell::new(u64::MAX));
         let (b2, a2) = (max_before.clone(), min_after.clone());
         run_mpi(n, move |ctx, comm| {
             // Stagger arrival times.
@@ -60,7 +59,7 @@ fn barrier_synchronizes() {
 #[test]
 fn bcast_from_each_root() {
     for root in 0..4usize {
-        let ok = Arc::new(Mutex::new(0usize));
+        let ok = Arc::new(SimCell::new(0usize));
         let ok2 = ok.clone();
         run_mpi(4, move |ctx, comm| {
             let buf = comm.alloc(4096).unwrap();
@@ -77,7 +76,7 @@ fn bcast_from_each_root() {
 
 #[test]
 fn bcast_large_message() {
-    let ok = Arc::new(Mutex::new(0usize));
+    let ok = Arc::new(SimCell::new(0usize));
     let ok2 = ok.clone();
     run_mpi(4, move |ctx, comm| {
         let buf = comm.alloc(1 << 20).unwrap();
@@ -93,7 +92,7 @@ fn bcast_large_message() {
 
 #[test]
 fn reduce_sum_f64() {
-    let result = Arc::new(Mutex::new(Vec::new()));
+    let result = Arc::new(SimCell::new(Vec::new()));
     let r2 = result.clone();
     run_mpi(4, move |ctx, comm| {
         let n_elems = 128usize;
@@ -118,7 +117,7 @@ fn reduce_sum_f64() {
 
 #[test]
 fn allreduce_max_i32() {
-    let results = Arc::new(Mutex::new(Vec::new()));
+    let results = Arc::new(SimCell::new(Vec::new()));
     let r2 = results.clone();
     run_mpi(5, move |ctx, comm| {
         let buf = comm.alloc(4).unwrap();
@@ -132,7 +131,7 @@ fn allreduce_max_i32() {
 
 #[test]
 fn gather_collects_blocks() {
-    let gathered = Arc::new(Mutex::new(Vec::new()));
+    let gathered = Arc::new(SimCell::new(Vec::new()));
     let g2 = gathered.clone();
     run_mpi(4, move |ctx, comm| {
         let send = comm.alloc(256).unwrap();
@@ -156,7 +155,7 @@ fn gather_collects_blocks() {
 
 #[test]
 fn scatter_distributes_blocks() {
-    let ok = Arc::new(Mutex::new(0usize));
+    let ok = Arc::new(SimCell::new(0usize));
     let ok2 = ok.clone();
     run_mpi(4, move |ctx, comm| {
         let recv = comm.alloc(128).unwrap();
@@ -177,7 +176,7 @@ fn scatter_distributes_blocks() {
 
 #[test]
 fn allgather_ring() {
-    let ok = Arc::new(Mutex::new(0usize));
+    let ok = Arc::new(SimCell::new(0usize));
     let ok2 = ok.clone();
     run_mpi(6, move |ctx, comm| {
         let n = comm.size();
@@ -200,7 +199,7 @@ fn allgather_ring() {
 
 #[test]
 fn alltoall_pairwise() {
-    let ok = Arc::new(Mutex::new(0usize));
+    let ok = Arc::new(SimCell::new(0usize));
     let ok2 = ok.clone();
     run_mpi(4, move |ctx, comm| {
         let n = comm.size();

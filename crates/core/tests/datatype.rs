@@ -6,9 +6,8 @@ use std::sync::Arc;
 use dcfa_mpi::datatype::{pack, recv_typed, send_typed, unpack, Layout};
 use dcfa_mpi::{launch, Comm, Communicator, LaunchOpts, MpiConfig, Src, TagSel};
 use fabric::{Cluster, ClusterConfig};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::{Ctx, Simulation};
+use simcore::{Ctx, SimCell, Simulation};
 use verbs::IbFabric;
 
 fn run_mpi<F>(nprocs: usize, f: F)
@@ -69,7 +68,7 @@ fn column_halo_exchange_between_ranks() {
     // Rank 0 sends its rightmost column; rank 1 receives it into its
     // leftmost column — the classic 2-D column-halo pattern the paper's
     // user-defined-datatype future work targets.
-    let ok = Arc::new(Mutex::new(false));
+    let ok = Arc::new(SimCell::new(false));
     let ok2 = ok.clone();
     run_mpi(2, move |ctx, comm| {
         let (rows, cols, elem) = (16u64, 10u64, 8u64);
@@ -129,7 +128,7 @@ fn indexed_layout_roundtrip() {
 fn large_typed_message_uses_rendezvous() {
     // A column big enough that the packed message goes rendezvous (and
     // through the offloading send buffer).
-    let ok = Arc::new(Mutex::new(false));
+    let ok = Arc::new(SimCell::new(false));
     let ok2 = ok.clone();
     run_mpi(2, move |ctx, comm| {
         let (rows, cols, elem) = (8192u64, 4u64, 8u64);

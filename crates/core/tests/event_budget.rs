@@ -6,8 +6,8 @@
 //! operation. The rules (DESIGN "Control plane on events") are that only
 //! code that runs MPI is a simulated process, that an engine keeps one
 //! armed wake for all its watchdogs and that no wake is ever stale; this test
-//! counts the events of the four steady-state loops `lock_budget.rs`
-//! counts locks on — a full run minus a run of its set-up alone, as the
+//! counts the events of the four steady-state loops of `loops/mod.rs`,
+//! shaped like the benchmark's workloads — a full run minus a run of its set-up alone, as the
 //! benchmark's `simcore.events_per_op` does — divides by the operations
 //! completed and holds each quotient under a ceiling. Counts are
 //! deterministic, on any machine and in any build.

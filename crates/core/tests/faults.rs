@@ -11,10 +11,9 @@ use dcfa_mpi::{
     TraceBuf, TraceEvent, TransportOp,
 };
 use fabric::{Cluster, ClusterConfig, NodeId};
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use scif::ScifFabric;
-use simcore::{Ctx, SimDuration, Simulation};
+use simcore::{Ctx, SimCell, SimDuration, Simulation};
 use verbs::{FaultPlan, IbFabric, SendOpcode, WcStatus};
 
 /// Run `nprocs` ranks with the given fault plans armed before launch;
@@ -53,8 +52,8 @@ fn pattern(len: usize, salt: u8) -> Vec<u8> {
         .collect()
 }
 
-fn report_slot() -> Arc<Mutex<Vec<StatsReport>>> {
-    Arc::new(Mutex::new(Vec::new()))
+fn report_slot() -> Arc<SimCell<Vec<StatsReport>>> {
+    Arc::new(SimCell::new(Vec::new()))
 }
 
 // ---- eager path ------------------------------------------------------------
@@ -112,7 +111,7 @@ fn eager_fatal_fault(status: WcStatus) {
     // The first eager write (tag 1) dies permanently. The sender's wait
     // must return Transport, the receiver's matching recv RemoteTransport,
     // and the follow-up message (tag 2) must sail through untouched.
-    let outcomes: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let outcomes: Arc<SimCell<Vec<String>>> = Arc::new(SimCell::new(Vec::new()));
     let o2 = outcomes.clone();
     let events = run_faulted(
         MpiConfig::dcfa(),
@@ -539,7 +538,7 @@ fn waitall_completes_every_request_despite_an_early_error() {
     // Regression: `waitall` used to `?`-abandon the remaining requests on
     // the first error, leaking their protocol state. A truncated receive
     // in the middle must not stop the healthy ones on either side.
-    let done = Arc::new(Mutex::new(false));
+    let done = Arc::new(SimCell::new(false));
     let d2 = done.clone();
     let events = run_faulted(MpiConfig::dcfa(), 2, vec![], move |ctx, comm| {
         if comm.rank() == 0 {
@@ -586,7 +585,7 @@ fn waitany_skips_consumed_requests_without_masking_completions() {
     // used to mask real completions. After consuming one request, passing
     // the stale id alongside a live one must still surface the live
     // completion — and an all-consumed set is a `BadRequest` error.
-    let done = Arc::new(Mutex::new(false));
+    let done = Arc::new(SimCell::new(false));
     let d2 = done.clone();
     let events = run_faulted(MpiConfig::dcfa(), 2, vec![], move |ctx, comm| {
         if comm.rank() == 0 {

@@ -4,7 +4,7 @@
 //! the simulator's resident memory is the pages simulated software wrote,
 //! and that none of them is first written inside a timed path. The kernel
 //! says which pages of an arena are backed (`Cluster::mem_resident`); this
-//! test runs the four steady-state loops of `lock_budget.rs`, warmed up as
+//! test runs the four steady-state loops of `loops/mod.rs`, warmed up as
 //! the benchmark warms its workloads, and holds two numbers per loop under
 //! ceilings: (i) resident KiB per rank, over both arenas of its node, when
 //! the loop ends; (ii) the most pages any rank's node gained between the

@@ -6,9 +6,8 @@ use std::sync::Arc;
 use dcfa_mpi::collectives;
 use dcfa_mpi::{launch, Comm, Communicator, Datatype, LaunchOpts, MpiConfig, ReduceOp};
 use fabric::{Cluster, ClusterConfig};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::{Ctx, Simulation};
+use simcore::{Ctx, SimCell, Simulation};
 use verbs::IbFabric;
 
 fn run_mpi<F>(cfg: MpiConfig, nprocs: usize, f: F)
@@ -26,7 +25,7 @@ where
 #[test]
 fn host_staged_bcast_delivers_content() {
     for root in [0usize, 3] {
-        let ok = Arc::new(Mutex::new(0usize));
+        let ok = Arc::new(SimCell::new(0usize));
         let ok2 = ok.clone();
         run_mpi(MpiConfig::dcfa(), 8, move |ctx, comm| {
             let len = 1 << 20;
@@ -49,7 +48,7 @@ fn host_staged_bcast_delivers_content() {
 
 #[test]
 fn host_staged_reduce_matches_plain() {
-    let results = Arc::new(Mutex::new(Vec::new()));
+    let results = Arc::new(SimCell::new(Vec::new()));
     let r2 = results.clone();
     run_mpi(MpiConfig::dcfa(), 4, move |ctx, comm| {
         let n_elems = 1024usize;
@@ -80,7 +79,7 @@ fn host_staged_reduce_matches_plain() {
 
 #[test]
 fn host_staged_allreduce_all_ranks_agree() {
-    let got = Arc::new(Mutex::new(Vec::new()));
+    let got = Arc::new(SimCell::new(Vec::new()));
     let g2 = got.clone();
     run_mpi(MpiConfig::dcfa(), 6, move |ctx, comm| {
         let buf = comm.alloc(8).unwrap();
@@ -96,7 +95,7 @@ fn host_staged_allreduce_all_ranks_agree() {
 fn host_staged_bcast_faster_than_plain_for_large_buffers() {
     // The point of the future work: a multi-hop large broadcast saves the
     // repeated PCIe re-staging at every tree level.
-    let times = Arc::new(Mutex::new((0u64, 0u64)));
+    let times = Arc::new(SimCell::new((0u64, 0u64)));
     let t2 = times.clone();
     run_mpi(MpiConfig::dcfa(), 8, move |ctx, comm| {
         let len = 2 << 20;
@@ -130,7 +129,7 @@ fn host_staged_bcast_faster_than_plain_for_large_buffers() {
 fn host_placement_falls_back_to_plain() {
     // On host placement there is no twin; the staged variants silently
     // delegate and still produce correct results.
-    let ok = Arc::new(Mutex::new(0usize));
+    let ok = Arc::new(SimCell::new(0usize));
     let ok2 = ok.clone();
     run_mpi(MpiConfig::host(), 4, move |ctx, comm| {
         let buf = comm.alloc(64 << 10).unwrap();
@@ -167,7 +166,7 @@ fn failed_host_staged_reduce_returns_its_host_scratch() {
         peer_ttl: Some(simcore::SimDuration::from_micros(50)),
         ..MpiConfig::dcfa()
     };
-    let failed = Arc::new(Mutex::new(Vec::new()));
+    let failed = Arc::new(SimCell::new(Vec::new()));
     let failed2 = failed.clone();
     launch(&sim, &ib, &scif, cfg, 4, opts, move |ctx, comm| {
         let buf = comm.alloc(64 << 10).unwrap();

@@ -1,7 +1,7 @@
 //! The four steady-state loops the budget tests count over, shaped like
 //! the benchmark's four workloads, and the driver that runs one with a
-//! probe read at both ends of its counted rounds. `lock_budget.rs` probes
-//! lock acquisitions, `footprint.rs` resident memory; `event_budget.rs`
+//! probe read at both ends of its counted rounds. `footprint.rs` probes
+//! resident memory, `world_size.rs` held heap bytes; `event_budget.rs`
 //! reads the scheduler's event count of whole runs.
 #![allow(dead_code)] // each budget uses its own subset
 
@@ -9,8 +9,7 @@ use std::sync::Arc;
 
 use dcfa_mpi::{launch, Comm, Communicator, LaunchOpts, MpiConfig, Src, TagSel};
 use fabric::{Buffer, Cluster, PAGE_SIZE};
-use parking_lot::Mutex;
-use simcore::{Ctx, SimEvent};
+use simcore::{Ctx, SimCell, SimEvent};
 
 /// `(message size, warm-up rounds, counted rounds)`.
 pub type Block = (u64, usize, usize);
@@ -30,8 +29,6 @@ pub enum Pattern {
 #[derive(Clone, Copy, PartialEq)]
 pub enum PerOp {
     Nothing,
-    /// One more locking accessor.
-    Lock,
     /// One more first touch: a byte into a page nothing wrote before.
     FreshPage,
     /// One more scheduler event: a wake parked a watchdog period out.
@@ -113,12 +110,12 @@ const HALO_SIZES: [u64; 2] = [1 << 10, 32 << 10];
 /// arrival reads the probe, so the window between the two boundaries
 /// holds exactly the counted rounds of every rank.
 struct Shared<T> {
-    arrived: Mutex<usize>,
+    arrived: SimCell<usize>,
     event: SimEvent,
     probe: Box<dyn Fn(&Cluster) -> T + Send + Sync>,
     /// Probe readings at the two boundaries.
-    marks: Mutex<Vec<T>>,
-    ops: Mutex<u64>,
+    marks: SimCell<Vec<T>>,
+    ops: SimCell<u64>,
 }
 
 impl<T> Shared<T> {
@@ -179,9 +176,6 @@ impl Rank<'_> {
     fn op_done(&mut self, comm: &Comm) {
         self.ops += 1;
         match (self.spec.per_op, &self.fresh) {
-            (PerOp::Lock, _) => {
-                std::hint::black_box(comm.cluster().mem_used(comm.mem()));
-            }
             (PerOp::FreshPage, Some(fresh)) => {
                 comm.write(fresh, self.touched * PAGE_SIZE, &[1]);
                 self.touched += 1;
@@ -360,11 +354,11 @@ pub fn run<T: Send + 'static>(
     let ib = verbs::IbFabric::new(cluster.clone());
     let scif = scif::ScifFabric::new(cluster);
     let shared = Arc::new(Shared {
-        arrived: Mutex::new(0),
+        arrived: SimCell::new(0),
         event: SimEvent::new(),
         probe: Box::new(probe),
-        marks: Mutex::new(Vec::new()),
-        ops: Mutex::new(0),
+        marks: SimCell::new(Vec::new()),
+        ops: SimCell::new(0),
     });
     let (spec2, shared2) = (spec.clone(), shared.clone());
     launch(

@@ -7,9 +7,8 @@ use std::sync::Arc;
 
 use dcfa_mpi::{launch, Comm, Communicator, LaunchOpts, MpiConfig, MpiError, Src, TagSel};
 use fabric::{Cluster, ClusterConfig};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::{Ctx, SimDuration, Simulation};
+use simcore::{Ctx, SimCell, SimDuration, Simulation};
 use verbs::IbFabric;
 
 struct Rig {
@@ -80,7 +79,7 @@ fn pattern(len: usize, salt: u8) -> Vec<u8> {
 
 /// Send sizes crossing the eager, offload and rendezvous regimes.
 fn roundtrip_size(cfg: MpiConfig, len: u64) {
-    let ok = Arc::new(Mutex::new(false));
+    let ok = Arc::new(SimCell::new(false));
     let ok2 = ok.clone();
     run_mpi(cfg, 2, move |ctx, comm| {
         let buf = comm.alloc(len).unwrap();
@@ -121,7 +120,7 @@ fn roundtrips_host_placement() {
 
 fn receiver_first_rendezvous() {
     // Receiver posts early (RTR path): sender arrives late, RDMA-writes.
-    let done = Arc::new(Mutex::new(false));
+    let done = Arc::new(SimCell::new(false));
     let d2 = done.clone();
     run_mpi(MpiConfig::dcfa(), 2, move |ctx, comm| {
         let len = 256 << 10;
@@ -144,7 +143,7 @@ fn receiver_first_rendezvous() {
 fn sender_first_rendezvous() {
     // Sender posts early (RTS sits unexpected), receiver arrives late and
     // RDMA-reads.
-    let done = Arc::new(Mutex::new(false));
+    let done = Arc::new(SimCell::new(false));
     let d2 = done.clone();
     run_mpi(MpiConfig::dcfa(), 2, move |ctx, comm| {
         let len = 256 << 10;
@@ -166,7 +165,7 @@ fn sender_first_rendezvous() {
 fn simultaneous_rendezvous() {
     // Both sides send large messages to each other at the same instant via
     // non-blocking ops; both RTS and RTR cross on the wire.
-    let done = Arc::new(Mutex::new(0u32));
+    let done = Arc::new(SimCell::new(0u32));
     let d2 = done.clone();
     run_mpi(MpiConfig::dcfa(), 2, move |ctx, comm| {
         let len = 512 << 10;
@@ -190,7 +189,7 @@ fn simultaneous_rendezvous() {
 
 fn message_ordering_same_tag() {
     // MPI guarantees order between a pair for the same tag.
-    let got = Arc::new(Mutex::new(Vec::new()));
+    let got = Arc::new(SimCell::new(Vec::new()));
     let g2 = got.clone();
     run_mpi(MpiConfig::dcfa(), 2, move |ctx, comm| {
         let n = 20;
@@ -213,7 +212,7 @@ fn message_ordering_same_tag() {
 
 fn tag_selective_matching_eager() {
     // Two eager messages with different tags; receiver takes tag 2 first.
-    let got = Arc::new(Mutex::new(Vec::new()));
+    let got = Arc::new(SimCell::new(Vec::new()));
     let g2 = got.clone();
     run_mpi(MpiConfig::dcfa(), 2, move |ctx, comm| {
         if comm.rank() == 0 {
@@ -237,7 +236,7 @@ fn tag_selective_matching_eager() {
 
 fn any_source_receives() {
     // Rank 2 receives from both peers with ANY_SOURCE.
-    let got = Arc::new(Mutex::new(Vec::new()));
+    let got = Arc::new(SimCell::new(Vec::new()));
     let g2 = got.clone();
     run_mpi(MpiConfig::dcfa(), 3, move |ctx, comm| {
         if comm.rank() < 2 {
@@ -260,7 +259,7 @@ fn any_source_receives() {
 fn any_source_locks_later_receives() {
     // Paper §IV-B3: an unmatched ANY_SOURCE receive blocks sequence
     // assignment; once it matches, the locked receives proceed.
-    let got = Arc::new(Mutex::new(Vec::new()));
+    let got = Arc::new(SimCell::new(Vec::new()));
     let g2 = got.clone();
     run_mpi(MpiConfig::dcfa(), 3, move |ctx, comm| {
         match comm.rank() {
@@ -297,7 +296,7 @@ fn any_source_locks_later_receives() {
 fn truncation_is_an_error() {
     // Rendezvous message bigger than the receive buffer => MPI error on
     // the receiver (paper's sender-rendezvous / receiver-eager case).
-    let saw_error = Arc::new(Mutex::new(false));
+    let saw_error = Arc::new(SimCell::new(false));
     let s2 = saw_error.clone();
     run_mpi(MpiConfig::dcfa(), 2, move |ctx, comm| {
         if comm.rank() == 0 {
@@ -320,7 +319,7 @@ fn eager_mispredict_receiver_expected_rendezvous() {
     // Receiver posts a LARGE buffer (sends RTR); sender sends a SMALL
     // (eager) message. Receiver must complete from the eager packet and
     // the sender must drop the stale RTR.
-    let done = Arc::new(Mutex::new(false));
+    let done = Arc::new(SimCell::new(false));
     let d2 = done.clone();
     run_mpi(MpiConfig::dcfa(), 2, move |ctx, comm| {
         if comm.rank() == 0 {
@@ -347,7 +346,7 @@ fn eager_mispredict_receiver_expected_rendezvous() {
 fn many_outstanding_isends_flow_control() {
     // More eager messages in flight than ring slots: the credit protocol
     // must keep things moving.
-    let count = Arc::new(Mutex::new(0u32));
+    let count = Arc::new(SimCell::new(0u32));
     let c2 = count.clone();
     run_mpi(MpiConfig::dcfa(), 2, move |ctx, comm| {
         let n = 300usize; // >> 64 ring slots
@@ -403,7 +402,7 @@ fn sendrecv_exchange() {
 fn deterministic_virtual_times() {
     // The same program must produce bit-identical completion times.
     fn run_once() -> u64 {
-        let out = Arc::new(Mutex::new(0u64));
+        let out = Arc::new(SimCell::new(0u64));
         let o2 = out.clone();
         run_mpi(MpiConfig::dcfa(), 2, move |ctx, comm| {
             let buf = comm.alloc(32 << 10).unwrap();
@@ -422,7 +421,7 @@ fn deterministic_virtual_times() {
 
 fn eight_rank_ring_pass() {
     // Token passes around an 8-node ring (the paper's cluster size).
-    let sum = Arc::new(Mutex::new(0u64));
+    let sum = Arc::new(SimCell::new(0u64));
     let s2 = sum.clone();
     run_mpi(MpiConfig::dcfa(), 8, move |ctx, comm| {
         let me = comm.rank();
@@ -448,7 +447,7 @@ fn eight_rank_ring_pass() {
 }
 
 fn mr_cache_hits_on_reuse() {
-    let stats = Arc::new(Mutex::new((0u64, 0u64)));
+    let stats = Arc::new(SimCell::new((0u64, 0u64)));
     let s2 = stats.clone();
     run_mpi(MpiConfig::dcfa_no_offload(), 2, move |ctx, comm| {
         let buf = comm.alloc(1 << 20).unwrap();
@@ -471,7 +470,7 @@ fn mr_cache_hits_on_reuse() {
 }
 
 fn offload_cache_hits_on_reuse() {
-    let stats = Arc::new(Mutex::new((0u64, 0u64)));
+    let stats = Arc::new(SimCell::new((0u64, 0u64)));
     let s2 = stats.clone();
     run_mpi(MpiConfig::dcfa(), 2, move |ctx, comm| {
         let buf = comm.alloc(1 << 20).unwrap();

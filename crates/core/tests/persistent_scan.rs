@@ -7,9 +7,8 @@ use dcfa_mpi::{
     launch, Comm, Communicator, Datatype, LaunchOpts, MpiConfig, ReduceOp, Src, TagSel,
 };
 use fabric::{Cluster, ClusterConfig};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::{Ctx, Simulation};
+use simcore::{Ctx, SimCell, Simulation};
 use verbs::IbFabric;
 
 fn run_mpi<F>(nprocs: usize, f: F)
@@ -36,7 +35,7 @@ where
 fn persistent_halo_exchange_loop() {
     // The canonical persistent-request pattern: set up once, start every
     // iteration.
-    let sums = Arc::new(Mutex::new(Vec::new()));
+    let sums = Arc::new(SimCell::new(Vec::new()));
     let s2 = sums.clone();
     run_mpi(2, move |ctx, comm| {
         let me = comm.rank();
@@ -84,7 +83,7 @@ fn persistent_request_can_restart_after_wait() {
 
 #[test]
 fn scan_computes_inclusive_prefix_sums() {
-    let got = Arc::new(Mutex::new(Vec::new()));
+    let got = Arc::new(SimCell::new(Vec::new()));
     let g2 = got.clone();
     run_mpi(5, move |ctx, comm| {
         let buf = comm.alloc(8).unwrap();
@@ -101,7 +100,7 @@ fn scan_computes_inclusive_prefix_sums() {
 
 #[test]
 fn scan_max_vector() {
-    let got = Arc::new(Mutex::new(Vec::new()));
+    let got = Arc::new(SimCell::new(Vec::new()));
     let g2 = got.clone();
     run_mpi(4, move |ctx, comm| {
         // Element 0 rises with rank, element 1 falls.

@@ -6,10 +6,9 @@ use std::sync::Arc;
 
 use dcfa_mpi::{launch, Comm, Communicator, LaunchOpts, MpiConfig, Src, TagSel};
 use fabric::{Cluster, ClusterConfig};
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use scif::ScifFabric;
-use simcore::{Ctx, Simulation};
+use simcore::{Ctx, SimCell, Simulation};
 use verbs::IbFabric;
 
 fn run_mpi<F>(nprocs: usize, f: F)
@@ -53,7 +52,7 @@ proptest! {
         msgs in proptest::collection::vec(msg_strategy(), 1..14)
     ) {
         let msgs = Arc::new(msgs);
-        let got: Arc<Mutex<Vec<(u64, u8)>>> = Arc::new(Mutex::new(Vec::new()));
+        let got: Arc<SimCell<Vec<(u64, u8)>>> = Arc::new(SimCell::new(Vec::new()));
         let got2 = got.clone();
         let msgs2 = msgs.clone();
         run_mpi(2, move |ctx, comm| {
@@ -91,7 +90,7 @@ proptest! {
         // Receiver posts all receives before (or after) the sends arrive;
         // matching must be identical either way.
         let msgs = Arc::new(msgs);
-        let ok = Arc::new(Mutex::new(false));
+        let ok = Arc::new(SimCell::new(false));
         let ok2 = ok.clone();
         let msgs2 = msgs.clone();
         run_mpi(2, move |ctx, comm| {

@@ -9,9 +9,8 @@ use std::sync::Arc;
 
 use dcfa_mpi::{launch, Communicator, LaunchOpts, MpiConfig, Src, TagSel};
 use fabric::{Cluster, ClusterConfig};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::Simulation;
+use simcore::{SimCell, Simulation};
 use verbs::IbFabric;
 
 #[test]
@@ -31,7 +30,7 @@ fn replay_maps_stay_bounded_over_10k_op_soak() {
     let ib = IbFabric::new(cluster.clone());
     let scif = ScifFabric::new(cluster);
     // (live replay entries after the soak, replay_pruned counter) per rank.
-    let results = Arc::new(Mutex::new(vec![(0usize, 0u64); 2]));
+    let results = Arc::new(SimCell::new(vec![(0usize, 0u64); 2]));
     let results2 = results.clone();
     launch(
         &sim,

@@ -8,9 +8,8 @@ use dcfa_mpi::{
     launch, Comm, CommStats, Communicator, LaunchOpts, MpiConfig, MpiError, Src, TagSel, TraceBuf,
 };
 use fabric::{Cluster, ClusterConfig};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::{Ctx, Simulation};
+use simcore::{Ctx, SimCell, Simulation};
 use verbs::{FaultPlan, IbFabric, SendOpcode, WcStatus};
 
 fn run_mpi<F>(cfg: MpiConfig, nprocs: usize, f: F)
@@ -50,7 +49,7 @@ fn srq_roundtrips_every_protocol_regime() {
         },
     ] {
         for len in [4u64, 1024, 16 << 10, 256 << 10] {
-            let ok = Arc::new(Mutex::new(false));
+            let ok = Arc::new(SimCell::new(false));
             let ok2 = ok.clone();
             run_mpi(cfg.clone(), 2, move |ctx, comm| {
                 let buf = comm.alloc(len).unwrap();
@@ -75,7 +74,7 @@ fn srq_all_pairs_exchange_tracks_pool_highwater() {
     // must absorb interleaved arrivals from all peers (high-water > 0)
     // and deliver every payload to the right receive.
     let n = 6usize;
-    let stats: Arc<Mutex<Vec<CommStats>>> = Arc::new(Mutex::new(vec![CommStats::default(); n]));
+    let stats: Arc<SimCell<Vec<CommStats>>> = Arc::new(SimCell::new(vec![CommStats::default(); n]));
     let s2 = stats.clone();
     run_mpi(srq_cfg(), n, move |ctx, comm| {
         let me = comm.rank();
@@ -120,7 +119,7 @@ fn srq_memory_footprint_beats_rings_for_dense_traffic() {
     // stages. The measured footprint must reflect that.
     let n = 8usize;
     let measure = |cfg: MpiConfig| {
-        let bytes: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
+        let bytes: Arc<SimCell<u64>> = Arc::new(SimCell::new(0));
         let b2 = bytes.clone();
         run_mpi(cfg, n, move |ctx, comm| {
             let me = comm.rank();
@@ -160,7 +159,7 @@ fn isend_backpressure_surfaces_resource_exhausted_and_recovers() {
         max_requests: 8,
         ..MpiConfig::dcfa()
     };
-    let outcome: Arc<Mutex<(usize, bool)>> = Arc::new(Mutex::new((0, false)));
+    let outcome: Arc<SimCell<(usize, bool)>> = Arc::new(SimCell::new((0, false)));
     let o2 = outcome.clone();
     run_mpi(cfg, 2, move |ctx, comm| {
         let len = 64u64;
@@ -232,7 +231,7 @@ fn srq_heals_transient_send_faults_with_reordered_arrivals() {
         tracer: Some(tracer.clone()),
         ..Default::default()
     };
-    let stats: Arc<Mutex<Vec<CommStats>>> = Arc::new(Mutex::new(vec![CommStats::default(); n]));
+    let stats: Arc<SimCell<Vec<CommStats>>> = Arc::new(SimCell::new(vec![CommStats::default(); n]));
     let s2 = stats.clone();
     launch(&sim, &ib, &scif, srq_cfg(), n, opts, move |ctx, comm| {
         let me = comm.rank();

@@ -6,9 +6,8 @@ use std::sync::Arc;
 
 use dcfa_mpi::{launch, Comm, Communicator, LaunchOpts, MpiConfig, Src, TagSel};
 use fabric::{Cluster, ClusterConfig};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::{Ctx, Simulation};
+use simcore::{Ctx, SimCell, Simulation};
 use verbs::IbFabric;
 
 fn run_cfg<F>(cfg: MpiConfig, nprocs: usize, f: F)
@@ -34,7 +33,7 @@ fn tiny_ring() -> MpiConfig {
 
 #[test]
 fn tiny_ring_survives_long_stream() {
-    let count = Arc::new(Mutex::new(0u32));
+    let count = Arc::new(SimCell::new(0u32));
     let c2 = count.clone();
     run_cfg(tiny_ring(), 2, move |ctx, comm| {
         let n = 200u32;
@@ -109,7 +108,7 @@ fn tiny_ring_mixed_eager_and_rendezvous() {
 
 #[test]
 fn any_source_any_tag_drains_everything() {
-    let seen = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::new(SimCell::new(Vec::new()));
     let s2 = seen.clone();
     run_cfg(MpiConfig::dcfa(), 4, move |ctx, comm| {
         if comm.rank() < 3 {

@@ -8,9 +8,8 @@ use dcfa_mpi::{
     collectives, launch, Comm, Communicator, Datatype, LaunchOpts, MpiConfig, ReduceOp, Src, TagSel,
 };
 use fabric::{Cluster, ClusterConfig};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::{Ctx, Simulation};
+use simcore::{Ctx, SimCell, Simulation};
 use verbs::IbFabric;
 
 fn run_mpi<F>(nprocs: usize, f: F)
@@ -35,7 +34,7 @@ where
 
 #[test]
 fn even_odd_split_ranks_and_sizes() {
-    let got = Arc::new(Mutex::new(Vec::new()));
+    let got = Arc::new(SimCell::new(Vec::new()));
     let g2 = got.clone();
     run_mpi(6, move |ctx, comm| {
         let me = comm.rank();
@@ -83,7 +82,7 @@ fn even_odd_split_ranks_and_sizes() {
 
 #[test]
 fn key_reverses_order() {
-    let got = Arc::new(Mutex::new(Vec::new()));
+    let got = Arc::new(SimCell::new(Vec::new()));
     let g2 = got.clone();
     run_mpi(4, move |ctx, comm| {
         let me = comm.rank();
@@ -98,7 +97,7 @@ fn key_reverses_order() {
 
 #[test]
 fn undefined_color_gets_none() {
-    let count = Arc::new(Mutex::new(0usize));
+    let count = Arc::new(SimCell::new(0usize));
     let c2 = count.clone();
     run_mpi(4, move |ctx, comm| {
         let me = comm.rank();
@@ -117,7 +116,7 @@ fn undefined_color_gets_none() {
 
 #[test]
 fn collectives_inside_subgroups_run_concurrently() {
-    let sums = Arc::new(Mutex::new(Vec::new()));
+    let sums = Arc::new(SimCell::new(Vec::new()));
     let s2 = sums.clone();
     run_mpi(8, move |ctx, comm| {
         let me = comm.rank();

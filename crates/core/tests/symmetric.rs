@@ -9,9 +9,8 @@ use dcfa_mpi::{
     launch, Comm, Communicator, Datatype, LaunchOpts, MpiConfig, Placement, ReduceOp, Src, TagSel,
 };
 use fabric::{Cluster, ClusterConfig, Domain};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::{Ctx, Simulation};
+use simcore::{Ctx, SimCell, Simulation};
 use verbs::IbFabric;
 
 fn run_symmetric<F>(placements: Vec<Placement>, f: F)
@@ -33,7 +32,7 @@ where
 
 #[test]
 fn host_and_phi_ranks_exchange_messages() {
-    let ok = Arc::new(Mutex::new(0usize));
+    let ok = Arc::new(SimCell::new(0usize));
     let ok2 = ok.clone();
     run_symmetric(vec![Placement::Phi, Placement::Host], move |ctx, comm| {
         // Rank 0 on a card, rank 1 on a host.
@@ -61,7 +60,7 @@ fn host_and_phi_ranks_exchange_messages() {
 
 #[test]
 fn phi_rank_uses_offload_host_rank_does_not() {
-    let stats = Arc::new(Mutex::new(Vec::new()));
+    let stats = Arc::new(SimCell::new(Vec::new()));
     let s2 = stats.clone();
     run_symmetric(vec![Placement::Phi, Placement::Host], move |ctx, comm| {
         let peer = 1 - comm.rank();
@@ -89,7 +88,7 @@ fn phi_rank_uses_offload_host_rank_does_not() {
 
 #[test]
 fn mixed_four_rank_collectives() {
-    let got = Arc::new(Mutex::new(Vec::new()));
+    let got = Arc::new(SimCell::new(Vec::new()));
     let g2 = got.clone();
     run_symmetric(
         vec![

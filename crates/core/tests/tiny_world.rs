@@ -63,8 +63,9 @@ const EVENTS: u64 = 109;
 /// side-buffer table, one side buffer and the list of free ones. Two are
 /// each rank's table of the peers it touched: its rank order and its
 /// entries (the two tables with an entry per rank of the world and the
-/// sweep's list of established peers took three).
-const ALLOCATIONS: u64 = 197;
+/// sweep's list of established peers took three). One is the
+/// simulation's home, which its cells answer to and which is never freed.
+const ALLOCATIONS: u64 = 198;
 
 /// One world's counts and the wall time of its three phases.
 struct World {

@@ -6,9 +6,8 @@ use std::sync::Arc;
 use dcfa_mpi::collectives::{alltoallv, gatherv, scatterv};
 use dcfa_mpi::{launch, Comm, Communicator, LaunchOpts, MpiConfig};
 use fabric::{Cluster, ClusterConfig};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::{Ctx, Simulation};
+use simcore::{Ctx, SimCell, Simulation};
 use verbs::IbFabric;
 
 fn run_mpi<F>(nprocs: usize, f: F)
@@ -34,7 +33,7 @@ where
 #[test]
 fn gatherv_uneven_blocks() {
     let counts: Vec<u64> = vec![100, 0, 4096, 33];
-    let gathered = Arc::new(Mutex::new(Vec::new()));
+    let gathered = Arc::new(SimCell::new(Vec::new()));
     let g2 = gathered.clone();
     let counts2 = counts.clone();
     run_mpi(4, move |ctx, comm| {
@@ -64,7 +63,7 @@ fn gatherv_uneven_blocks() {
 #[test]
 fn scatterv_uneven_blocks() {
     let counts: Vec<u64> = vec![8, 2048, 0, 500];
-    let ok = Arc::new(Mutex::new(0usize));
+    let ok = Arc::new(SimCell::new(0usize));
     let ok2 = ok.clone();
     let counts2 = counts.clone();
     run_mpi(4, move |ctx, comm| {
@@ -93,7 +92,7 @@ fn scatterv_uneven_blocks() {
 fn alltoallv_triangular_pattern() {
     // Rank i sends (i + j + 1) * 16 bytes to rank j: a fully uneven matrix.
     let n = 4usize;
-    let ok = Arc::new(Mutex::new(0usize));
+    let ok = Arc::new(SimCell::new(0usize));
     let ok2 = ok.clone();
     run_mpi(n, move |ctx, comm| {
         let me = comm.rank();

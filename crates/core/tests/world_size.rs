@@ -4,7 +4,7 @@
 //! the world (DESIGN.md §15): a table with a slot per rank of the world
 //! costs each rank bytes in proportion to the world, and the world bytes
 //! in its square. This test runs the 4-neighbour halo loop of
-//! `lock_budget.rs` through its warm-up at 16 and at 256 ranks, and reads
+//! `loops/mod.rs` through its warm-up at 16 and at 256 ranks, and reads
 //! the heap bytes held — allocated and not yet freed — at the end of the
 //! warm-up, when every rank has touched its four neighbours and holds
 //! everything it will hold. Held bytes per rank may differ between the two

@@ -17,9 +17,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use fabric::{Buffer, Cluster, Domain, MemRef, NodeId};
-use parking_lot::Mutex;
 use scif::{ScifEndpoint, ScifError, ScifFabric};
-use simcore::{Ctx, Scheduler, SimDuration, SimTime};
+use simcore::{Ctx, Scheduler, SimCell, SimDuration, SimTime};
 use verbs::{
     CompletionQueue, IbFabric, MemoryRegion, MrKey, QueuePair, SharedReceiveQueue, VerbsContext,
 };
@@ -186,7 +185,7 @@ pub struct DcfaContext {
     cluster: Arc<Cluster>,
     scif: Arc<ScifFabric>,
     cfg: DcfaConfig,
-    state: Arc<Mutex<ClientState>>,
+    state: Arc<SimCell<ClientState>>,
     hb_stop: Arc<AtomicBool>,
 }
 
@@ -224,7 +223,7 @@ impl DcfaContext {
             cluster: ib.cluster().clone(),
             scif: scif_fabric.clone(),
             cfg,
-            state: Arc::new(Mutex::new(ClientState {
+            state: Arc::new(SimCell::new(ClientState {
                 ep,
                 next_seq: 1,
                 client: CLIENT_NONE,
@@ -712,7 +711,7 @@ impl DcfaContext {
 /// The lease-renewal sidecar: not a process but a tick that re-queues
 /// itself, like `fabric::health`'s failure-detector sidecar.
 struct Heartbeat {
-    state: Arc<Mutex<ClientState>>,
+    state: Arc<SimCell<ClientState>>,
     stop: Arc<AtomicBool>,
     interval: SimDuration,
     /// The Phi-side `cpu_op` a send costs before the message leaves.

@@ -41,9 +41,8 @@ use std::fmt;
 use std::sync::{Arc, Weak};
 
 use fabric::{Buffer, Cluster, Domain, MemRef, NodeId};
-use parking_lot::Mutex;
 use scif::{ScifEndpoint, ScifFabric};
-use simcore::{Scheduler, SimDuration, SimTime};
+use simcore::{Scheduler, SimCell, SimDuration, SimTime};
 use verbs::{IbFabric, VerbsContext};
 
 use crate::wire::{decode_cmd_frame, err_code, reply_frame, Cmd, Reply, CLIENT_NONE, SEQ_NONE};
@@ -94,7 +93,7 @@ pub struct DcfaCounters {
 /// side ([`crate::DcfaContext`]) tallies its retry/timeout counters into
 /// the same handle when given one.
 #[derive(Debug, Clone, Default)]
-pub struct DcfaStats(Arc<Mutex<DcfaCounters>>);
+pub struct DcfaStats(Arc<SimCell<DcfaCounters>>);
 
 impl DcfaStats {
     /// Current counter values.
@@ -305,7 +304,7 @@ struct NodeCtl {
     node: NodeId,
     stats: DcfaStats,
     cfg: DaemonConfig,
-    shared: Mutex<NodeShared>,
+    shared: SimCell<NodeShared>,
 }
 
 impl NodeCtl {
@@ -421,7 +420,7 @@ fn start_node_daemon(
         node,
         stats,
         cfg,
-        shared: Mutex::new(NodeShared {
+        shared: SimCell::new(NodeShared {
             epoch: 1,
             next_client: 1,
             sessions: HashMap::new(),
@@ -443,7 +442,7 @@ fn listen(ctl: Arc<NodeCtl>) {
         let conn = Arc::new(Conn {
             ctl: ctl.clone(),
             epoch: ctl.shared.lock().epoch,
-            st: Mutex::new(ConnState {
+            st: SimCell::new(ConnState {
                 client: None,
                 decode_failures: 0,
                 inbox: VecDeque::new(),
@@ -584,7 +583,7 @@ struct Conn {
     ctl: Arc<NodeCtl>,
     /// The incarnation that accepted this connection.
     epoch: u32,
-    st: Mutex<ConnState>,
+    st: SimCell<ConnState>,
 }
 
 struct ConnState {

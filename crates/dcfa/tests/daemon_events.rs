@@ -11,11 +11,10 @@ use dcfa::{
     DcfaContext, DcfaError, DcfaStats, DCFA_PORT,
 };
 use fabric::{Cluster, ClusterConfig, Domain, MemRef, NodeId};
-use parking_lot::Mutex;
-use simcore::{SimDuration, SimTime, Simulation};
+use simcore::{SimCell, SimDuration, SimTime, Simulation};
 use verbs::{IbFabric, MrKey};
 
-type Timeline = Arc<Mutex<Vec<(u64, CtrlEvent)>>>;
+type Timeline = Arc<SimCell<Vec<(u64, CtrlEvent)>>>;
 
 struct Rig {
     sim: Simulation,
@@ -98,12 +97,12 @@ fn a_heartbeat_and_a_retransmit_wait_for_the_registration_in_service() {
         heartbeat_interval: Some(SimDuration::from_micros(9)),
         ..client_cfg(&r)
     };
-    let marks = Arc::new(Mutex::new(Vec::new()));
+    let marks = Arc::new(SimCell::new(Vec::new()));
     let marks2 = marks.clone();
     // What the daemon has counted at the instant of each step and one
     // nanosecond later (a probe queued before the run fires ahead of the
     // step that shares its instant).
-    let probes = Arc::new(Mutex::new(Vec::new()));
+    let probes = Arc::new(SimCell::new(Vec::new()));
     for (at, _) in STEPS {
         let (stats, probes) = (r.stats.clone(), probes.clone());
         r.sim.scheduler().call_at(SimTime(at), move |_| {
@@ -186,7 +185,7 @@ fn a_heartbeat_and_a_bad_frame_wait_for_the_command_in_service() {
     // 300 ns after that, and its BAD_REQUEST leaves 300 ns later still.
     let mut r = rig_with(DaemonConfig::default());
     let scif = r.scif.clone();
-    let probes = Arc::new(Mutex::new(Vec::new()));
+    let probes = Arc::new(SimCell::new(Vec::new()));
     for (at, _) in BEHIND_STEPS {
         let (stats, probes) = (r.stats.clone(), probes.clone());
         r.sim.scheduler().call_at(SimTime(at), move |_| {
@@ -194,7 +193,7 @@ fn a_heartbeat_and_a_bad_frame_wait_for_the_command_in_service() {
             probes.lock().push((c.commands, c.heartbeats, c.errors));
         });
     }
-    let marks = Arc::new(Mutex::new(Vec::new()));
+    let marks = Arc::new(SimCell::new(Vec::new()));
     let marks2 = marks.clone();
     r.sim.spawn("raw", move |ctx| {
         use dcfa::wire::{cmd_frame, decode_reply_frame, Cmd, CLIENT_NONE, SEQ_NONE};
@@ -261,7 +260,7 @@ fn a_crash_inside_a_commands_service_leaves_it_unanswered() {
         faults: vec![fault(2, DaemonFaultKind::Crash)],
         ..DaemonConfig::default()
     });
-    let marks = Arc::new(Mutex::new(Vec::new()));
+    let marks = Arc::new(SimCell::new(Vec::new()));
     for (name, issue_ns) in [("a", 30_000), ("b", 33_000)] {
         let (ib, scif) = (r.ib.clone(), r.scif.clone());
         let cfg = DcfaConfig {
@@ -404,7 +403,7 @@ fn dropped_and_delayed_replies_replay_from_the_dedup_cache() {
         ..DaemonConfig::default()
     });
     let (ib, scif, cfg) = (r.ib.clone(), r.scif.clone(), client_cfg(&r));
-    let marks = Arc::new(Mutex::new(Vec::new()));
+    let marks = Arc::new(SimCell::new(Vec::new()));
     let marks2 = marks.clone();
     r.sim.spawn("rank0", move |ctx| {
         let cl = ib.cluster().clone();
@@ -450,7 +449,7 @@ fn a_lease_that_expires_during_the_registration_charge_undoes_it() {
         ..DaemonConfig::default()
     });
     let (ib, scif, cfg) = (r.ib.clone(), r.scif.clone(), client_cfg(&r));
-    let marks = Arc::new(Mutex::new(Vec::new()));
+    let marks = Arc::new(SimCell::new(Vec::new()));
     let marks2 = marks.clone();
     r.sim.spawn("rank0", move |ctx| {
         let cl = ib.cluster().clone();

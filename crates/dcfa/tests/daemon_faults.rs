@@ -9,9 +9,8 @@ use dcfa::{
     DcfaContext, DcfaStats,
 };
 use fabric::{Cluster, ClusterConfig, Domain, MemRef, NodeId};
-use parking_lot::Mutex;
 use proptest::prelude::*;
-use simcore::{SimDuration, Simulation};
+use simcore::{SimCell, SimDuration, Simulation};
 use verbs::IbFabric;
 
 struct Rig {
@@ -19,7 +18,7 @@ struct Rig {
     ib: Arc<IbFabric>,
     scif: Arc<scif::ScifFabric>,
     stats: DcfaStats,
-    events: Arc<Mutex<Vec<CtrlEvent>>>,
+    events: Arc<SimCell<Vec<CtrlEvent>>>,
 }
 
 fn rig_with(nodes: usize, mut dcfg: DaemonConfig) -> Rig {
@@ -27,7 +26,7 @@ fn rig_with(nodes: usize, mut dcfg: DaemonConfig) -> Rig {
     let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(nodes));
     let ib = IbFabric::new(cluster.clone());
     let scif = scif::ScifFabric::new(cluster);
-    let events: Arc<Mutex<Vec<CtrlEvent>>> = Arc::new(Mutex::new(Vec::new()));
+    let events: Arc<SimCell<Vec<CtrlEvent>>> = Arc::new(SimCell::new(Vec::new()));
     let sink = events.clone();
     dcfg.hook = Some(Arc::new(move |ev| sink.lock().push(*ev)));
     let stats = spawn_daemons_with(&sim.scheduler(), &scif, &ib, dcfg);
@@ -409,7 +408,7 @@ fn a_crashed_incarnation_does_not_answer_the_command_it_was_serving() {
             ..DaemonConfig::default()
         },
     );
-    let big_seq = Arc::new(Mutex::new(None));
+    let big_seq = Arc::new(SimCell::new(None));
     let (ib, scif, cfg) = (r.ib.clone(), r.scif.clone(), client_cfg(&r));
     r.sim.spawn("a", move |ctx| {
         let cl = ib.cluster().clone();
@@ -493,9 +492,9 @@ proptest! {
             ..DaemonConfig::default()
         });
         let (ib, scif, cfg) = (r.ib.clone(), r.scif.clone(), client_cfg(&r));
-        let keys_out: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+        let keys_out: Arc<SimCell<Vec<u32>>> = Arc::new(SimCell::new(Vec::new()));
         let keys2 = keys_out.clone();
-        let balance: Arc<Mutex<Option<(u64, u64)>>> = Arc::new(Mutex::new(None));
+        let balance: Arc<SimCell<Option<(u64, u64)>>> = Arc::new(SimCell::new(None));
         let balance2 = balance.clone();
         r.sim.spawn("rank0", move |ctx| {
             let cl = ib.cluster().clone();

@@ -5,9 +5,8 @@ use std::sync::Arc;
 
 use dcfa::{spawn_daemons, DcfaContext};
 use fabric::{Cluster, ClusterConfig, Domain, MemRef, NodeId};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::{SimDuration, Simulation};
+use simcore::{SimCell, SimDuration, Simulation};
 use verbs::{IbFabric, SendWr, VerbsContext, WcStatus};
 
 struct Rig {
@@ -48,7 +47,7 @@ fn open_and_close() {
 fn phi_registration_much_more_expensive_than_host() {
     let mut r = rig(1);
     let (ib, scif) = (r.ib.clone(), r.scif.clone());
-    let out: Arc<Mutex<(u64, u64)>> = Arc::new(Mutex::new((0, 0)));
+    let out: Arc<SimCell<(u64, u64)>> = Arc::new(SimCell::new((0, 0)));
     let out2 = out.clone();
     r.sim.spawn("rank0", move |ctx| {
         let cl = ib.cluster().clone();
@@ -89,9 +88,9 @@ fn dcfa_rdma_write_between_phi_cards() {
     // RDMA write directly card-to-card.
     let mut r = rig(2);
     let (ib, scif) = (r.ib.clone(), r.scif.clone());
-    let qpns: Arc<Mutex<Vec<(NodeId, verbs::QpNum)>>> = Arc::new(Mutex::new(Vec::new()));
-    let mrinfo: Arc<Mutex<Option<(u64, verbs::MrKey)>>> = Arc::new(Mutex::new(None));
-    let done: Arc<Mutex<bool>> = Arc::new(Mutex::new(false));
+    let qpns: Arc<SimCell<Vec<(NodeId, verbs::QpNum)>>> = Arc::new(SimCell::new(Vec::new()));
+    let mrinfo: Arc<SimCell<Option<(u64, verbs::MrKey)>>> = Arc::new(SimCell::new(None));
+    let done: Arc<SimCell<bool>> = Arc::new(SimCell::new(false));
 
     // Receiver: register a target region and expose it.
     let (ib1, scif1) = (ib.clone(), scif.clone());
@@ -190,7 +189,7 @@ fn offload_send_outperforms_direct_phi_send_for_large_messages() {
     // path for large messages despite the extra sync.
     let mut r = rig(2);
     let (ib, scif) = (r.ib.clone(), r.scif.clone());
-    let out: Arc<Mutex<(u64, u64)>> = Arc::new(Mutex::new((0, 0)));
+    let out: Arc<SimCell<(u64, u64)>> = Arc::new(SimCell::new((0, 0)));
     let out2 = out.clone();
     r.sim.spawn("rank0", move |ctx| {
         let cl = ib.cluster().clone();

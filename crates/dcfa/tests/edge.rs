@@ -5,9 +5,8 @@ use std::sync::Arc;
 
 use dcfa::{spawn_daemons, DcfaContext, DcfaError};
 use fabric::{Cluster, ClusterConfig, Domain, MemRef, NodeId};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::Simulation;
+use simcore::{SimCell, Simulation};
 use verbs::IbFabric;
 
 struct Rig {
@@ -97,7 +96,7 @@ fn offload_twin_allocation_failure_reports_oom() {
 fn registration_cost_scales_with_pages() {
     let mut r = rig_with(ClusterConfig::with_nodes(1));
     let (ib, scif) = (r.ib.clone(), r.scif.clone());
-    let out = Arc::new(Mutex::new((0u64, 0u64)));
+    let out = Arc::new(SimCell::new((0u64, 0u64)));
     let o2 = out.clone();
     r.sim.spawn("rank0", move |ctx| {
         let cl = ib.cluster().clone();
@@ -147,7 +146,7 @@ fn registration_cost_scales_with_pages() {
 #[test]
 fn daemons_on_every_node_serve_their_own_cards() {
     let mut r = rig_with(ClusterConfig::with_nodes(4));
-    let done = Arc::new(Mutex::new(0usize));
+    let done = Arc::new(SimCell::new(0usize));
     for n in 0..4 {
         let (ib, scif) = (r.ib.clone(), r.scif.clone());
         let d2 = done.clone();

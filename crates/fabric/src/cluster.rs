@@ -4,8 +4,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use simcore::{Completion, Scheduler, SimDuration, SimTime};
+use simcore::{Completion, Scheduler, SimCell, SimDuration, SimTime};
 
 use crate::channel::BwChannel;
 use crate::config::{ClusterConfig, Domain};
@@ -32,13 +31,13 @@ pub struct Transfer {
 
 struct NodeState {
     /// PCIe, host→Phi direction (offload copy-in, HCA writes into Phi mem).
-    pci_h2p: Mutex<BwChannel>,
+    pci_h2p: SimCell<BwChannel>,
     /// PCIe, Phi→host direction (offload sync/copy-out, HCA reads from Phi).
-    pci_p2h: Mutex<BwChannel>,
+    pci_p2h: SimCell<BwChannel>,
     /// InfiniBand egress port.
-    ib_egress: Mutex<BwChannel>,
+    ib_egress: SimCell<BwChannel>,
     /// InfiniBand ingress port.
-    ib_ingress: Mutex<BwChannel>,
+    ib_ingress: SimCell<BwChannel>,
 }
 
 /// The whole simulated machine. Shared via `Arc` by every device model and
@@ -48,11 +47,11 @@ pub struct Cluster {
     sched: Scheduler,
     /// Every node's host and Phi memory and the mirrors between them, one
     /// lock (see [`crate::plane`]).
-    plane: Arc<Mutex<Plane>>,
+    plane: Arc<SimCell<Plane>>,
     nodes: Vec<NodeState>,
     /// Rank-health board, installed by the MPI world at launch (see
     /// [`crate::health`]). `None` for bare fabric-level tests.
-    health: Mutex<Option<Arc<HealthBoard>>>,
+    health: SimCell<Option<Arc<HealthBoard>>>,
 }
 
 impl Cluster {
@@ -65,13 +64,13 @@ impl Cluster {
                 arena(Domain::Phi, cfg.phi_mem_capacity),
             ]
         });
-        let plane = Arc::new(Mutex::new(Plane::new(arenas.collect())));
+        let plane = Arc::new(SimCell::new(Plane::new(arenas.collect())));
         let nodes = (0..cfg.nodes)
             .map(|_| NodeState {
-                pci_h2p: Mutex::new(BwChannel::new("pci-h2p")),
-                pci_p2h: Mutex::new(BwChannel::new("pci-p2h")),
-                ib_egress: Mutex::new(BwChannel::new("ib-egress")),
-                ib_ingress: Mutex::new(BwChannel::new("ib-ingress")),
+                pci_h2p: SimCell::new(BwChannel::new("pci-h2p")),
+                pci_p2h: SimCell::new(BwChannel::new("pci-p2h")),
+                ib_egress: SimCell::new(BwChannel::new("ib-egress")),
+                ib_ingress: SimCell::new(BwChannel::new("ib-ingress")),
             })
             .collect();
         Arc::new(Cluster {
@@ -79,7 +78,7 @@ impl Cluster {
             sched,
             plane,
             nodes,
-            health: Mutex::new(None),
+            health: SimCell::new(None),
         })
     }
 
@@ -334,10 +333,8 @@ impl Cluster {
             (dst.domain == Domain::Phi).then_some(&dst_node.pci_h2p),
         ];
 
-        // One pass, each channel locked once: take them all (the array is
-        // in the fabric's lock order — p2h < egress < ingress < h2p, so a
-        // stream the other way takes its locks in the same global order),
-        // find the common start, reserve, release.
+        // One pass, each channel taken once: take them all, find the
+        // common start, reserve, release.
         let mut held = channels.map(|ch| ch.map(|ch| ch.lock()));
         let start = held
             .iter()

@@ -17,8 +17,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use simcore::{Scheduler, SimDuration, SimEvent, SimTime};
+use simcore::{Scheduler, SimCell, SimDuration, SimEvent, SimTime};
 
 /// Classification of one rank as seen by the detection plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,12 +73,12 @@ pub struct HealthBoard {
     kills: AtomicU64,
     detections: AtomicU64,
     /// Detection latency samples (promotion time - kill time), ns.
-    detection_latency: Mutex<Vec<u64>>,
+    detection_latency: SimCell<Vec<u64>>,
     /// Events notified on every kill / promotion / revoke / commit, so
     /// blocked progress loops re-examine the world.
-    watchers: Mutex<Vec<SimEvent>>,
+    watchers: SimCell<Vec<SimEvent>>,
     /// Per-rank teardown hooks (error the rank's QPs); run once at kill.
-    teardowns: Mutex<Vec<Option<Teardown>>>,
+    teardowns: SimCell<Vec<Option<Teardown>>>,
 }
 
 impl HealthBoard {
@@ -101,9 +100,9 @@ impl HealthBoard {
             done: AtomicUsize::new(0),
             kills: AtomicU64::new(0),
             detections: AtomicU64::new(0),
-            detection_latency: Mutex::new(Vec::new()),
-            watchers: Mutex::new(Vec::new()),
-            teardowns: Mutex::new((0..n).map(|_| None).collect()),
+            detection_latency: SimCell::new(Vec::new()),
+            watchers: SimCell::new(Vec::new()),
+            teardowns: SimCell::new((0..n).map(|_| None).collect()),
         })
     }
 

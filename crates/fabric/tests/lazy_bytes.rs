@@ -25,10 +25,9 @@
 use std::sync::Arc;
 
 use fabric::{Buffer, Cluster, ClusterConfig, Domain, MemRef, NodeId, MIRROR_MIN};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simcore::mapping::page_size;
+use simcore::{mapping::page_size, SimCell};
 use simcore::{Ctx, Simulation};
 
 const NODES: usize = 3;
@@ -250,7 +249,7 @@ impl World {
 fn on_world(body: impl FnOnce(&mut Ctx, &mut World) -> Result<(), String> + Send + 'static) {
     let mut sim = Simulation::new();
     let cl = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(NODES));
-    let verdict = Arc::new(Mutex::new(None));
+    let verdict = Arc::new(SimCell::new(None));
     let verdict2 = verdict.clone();
     sim.spawn("program", move |ctx| {
         let mut w = World {

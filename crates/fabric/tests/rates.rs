@@ -4,8 +4,7 @@
 use std::sync::Arc;
 
 use fabric::{Cluster, ClusterConfig, Domain, MemRef, NodeId, PAGE_SIZE};
-use parking_lot::Mutex;
-use simcore::{SimTime, Simulation};
+use simcore::{SimCell, SimTime, Simulation};
 
 fn host(n: usize) -> MemRef {
     MemRef {
@@ -25,7 +24,7 @@ fn phi(n: usize) -> MemRef {
 fn rate_capped_dma_is_slower_than_hardware() {
     let mut sim = Simulation::new();
     let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(1));
-    let out = Arc::new(Mutex::new((0u64, 0u64)));
+    let out = Arc::new(SimCell::new((0u64, 0u64)));
     let o2 = out.clone();
     let cl = cluster.clone();
     sim.spawn("p", move |ctx| {
@@ -109,7 +108,7 @@ fn transfers_at_same_instant_are_deterministically_ordered() {
     fn run() -> Vec<u64> {
         let mut sim = Simulation::new();
         let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(2));
-        let ends = Arc::new(Mutex::new(Vec::new()));
+        let ends = Arc::new(SimCell::new(Vec::new()));
         let (cl, e2) = (cluster.clone(), ends.clone());
         sim.spawn("p", move |ctx| {
             let mut transfers = Vec::new();
@@ -140,7 +139,7 @@ fn transfers_at_same_instant_are_deterministically_ordered() {
 fn cluster_call_at_runs_in_order() {
     let mut sim = Simulation::new();
     let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(1));
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::new(SimCell::new(Vec::new()));
     let (cl, l2) = (cluster.clone(), log.clone());
     sim.spawn("p", move |ctx| {
         for (i, t) in [300u64, 100, 200].iter().enumerate() {

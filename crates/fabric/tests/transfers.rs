@@ -5,8 +5,7 @@
 use std::sync::Arc;
 
 use fabric::{Cluster, ClusterConfig, Domain, MemRef, NodeId};
-use parking_lot::Mutex;
-use simcore::{SimTime, Simulation};
+use simcore::{SimCell, SimTime, Simulation};
 
 fn host(n: usize) -> MemRef {
     MemRef {
@@ -31,7 +30,7 @@ fn timed_transfer(
 ) -> (u64, u64, Vec<u8>) {
     let mut sim = Simulation::new();
     let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(2));
-    let out: Arc<Mutex<(u64, u64, Vec<u8>)>> = Arc::new(Mutex::new((0, 0, Vec::new())));
+    let out: Arc<SimCell<(u64, u64, Vec<u8>)>> = Arc::new(SimCell::new((0, 0, Vec::new())));
     let out2 = out.clone();
     let cl = cluster.clone();
     sim.spawn("xfer", move |ctx| {
@@ -117,7 +116,7 @@ fn pci_dma_moves_data_with_latency() {
 fn concurrent_transfers_queue_on_shared_channel() {
     let mut sim = Simulation::new();
     let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(2));
-    let ends: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let ends: Arc<SimCell<Vec<u64>>> = Arc::new(SimCell::new(Vec::new()));
     let cl = cluster.clone();
     let ends2 = ends.clone();
     sim.spawn("poster", move |ctx| {

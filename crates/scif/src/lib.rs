@@ -53,8 +53,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use fabric::{Buffer, Cluster, Domain, MemRef, NodeId, Transfer};
-use parking_lot::Mutex;
-use simcore::{Ctx, Mailbox, Scheduler, SimDuration, SimTime};
+use simcore::{Ctx, Mailbox, Scheduler, SimCell, SimDuration, SimTime};
 
 /// A SCIF port number.
 pub type Port = u16;
@@ -142,14 +141,14 @@ struct FabState {
 /// Registry of SCIF listeners across the cluster.
 pub struct ScifFabric {
     cluster: Arc<Cluster>,
-    state: Mutex<FabState>,
+    state: SimCell<FabState>,
 }
 
 impl ScifFabric {
     pub fn new(cluster: Arc<Cluster>) -> Arc<ScifFabric> {
         Arc::new(ScifFabric {
             cluster,
-            state: Mutex::new(FabState {
+            state: SimCell::new(FabState {
                 listeners: HashMap::new(),
             }),
         })
@@ -532,7 +531,7 @@ mod tests {
                 });
             }
         }
-        let rtt = Arc::new(Mutex::new(None));
+        let rtt = Arc::new(SimCell::new(None));
         let rtt2 = rtt.clone();
         sim.spawn("client", move |ctx| {
             let ep = fabric.connect(ctx, phi(0), Domain::Host, 1).unwrap();

@@ -6,9 +6,8 @@
 use std::sync::Arc;
 
 use fabric::{Cluster, ClusterConfig, Domain, MemRef, NodeId};
-use parking_lot::Mutex;
 use scif::ScifFabric;
-use simcore::{SimDuration, Simulation};
+use simcore::{SimCell, SimDuration, Simulation};
 
 fn host(n: usize) -> MemRef {
     MemRef {
@@ -29,7 +28,7 @@ fn one_listener_many_clients() {
     let mut sim = Simulation::new();
     let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(1));
     let fabric = ScifFabric::new(cluster);
-    let served = Arc::new(Mutex::new(Vec::new()));
+    let served = Arc::new(SimCell::new(Vec::new()));
 
     let s2 = served.clone();
     // What a handler process pays by sleeping: a `cpu_op` to receive and
@@ -64,7 +63,7 @@ fn message_order_is_fifo_per_connection() {
     let mut sim = Simulation::new();
     let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(1));
     let fabric = ScifFabric::new(cluster);
-    let got = Arc::new(Mutex::new(Vec::new()));
+    let got = Arc::new(SimCell::new(Vec::new()));
 
     let g2 = got.clone();
     fabric.listen_with(host(0), 1, move |_, ep| {
@@ -95,7 +94,7 @@ fn rma_contention_serializes_same_direction() {
     let mut sim = Simulation::new();
     let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(1));
     let fabric = ScifFabric::new(cluster.clone());
-    let times = Arc::new(Mutex::new(Vec::new()));
+    let times = Arc::new(SimCell::new(Vec::new()));
 
     // RMA needs no work from the host side: accepting is all it does.
     let l = fabric.listen(host(0), 2);
@@ -106,7 +105,7 @@ fn rma_contention_serializes_same_direction() {
     });
 
     let len = 4u64 << 20;
-    let barrier = Arc::new(Mutex::new(0usize));
+    let barrier = Arc::new(SimCell::new(0usize));
     for i in 0..2 {
         let f = fabric.clone();
         let cl = cluster.clone();
@@ -143,7 +142,7 @@ fn cross_node_endpoints_do_not_contend() {
     let mut sim = Simulation::new();
     let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(2));
     let fabric = ScifFabric::new(cluster.clone());
-    let times = Arc::new(Mutex::new(Vec::new()));
+    let times = Arc::new(SimCell::new(Vec::new()));
     for i in 0..2usize {
         let f = fabric.clone();
         let cl = cluster.clone();

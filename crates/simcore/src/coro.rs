@@ -165,8 +165,8 @@ thread_local! {
     static SWITCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Context switches this thread has made: debug builds only, like the lock
-/// shim's `lock_count`, for tests that pin the cost of a hand-off.
+/// Context switches this thread has made: debug builds only, for tests
+/// that pin the cost of a hand-off.
 #[cfg(debug_assertions)]
 pub fn switch_count() -> u64 {
     SWITCHES.get()

@@ -55,25 +55,25 @@
 //! where `seq` counts every event ever scheduled. That pair is the whole
 //! ordering contract: the same program yields the same trace on every run.
 //!
-//! # Locks
+//! # Shared state
 //!
-//! The queue and the process table sit behind one mutex, never contended
-//! while a simulation runs (one thread) and still paid for per acquisition.
-//! A block is one: the blocking call registers its wake under the guard
-//! and hands the guard to `dispatch`, which pops the next event under it
-//! and lets go just before the switch (or the return). A callback event
-//! costs one more, to take the state back after the callback ran unlocked;
-//! a wake-up of many waiters one. The clock ([`Scheduler::now`]) is
-//! lock-free beside it. DESIGN.md §21 and §24 have the rules and the
-//! numbers.
+//! The queue and the process table are one [`SimCell`], bound to the
+//! simulation's home: `run` holds the home for the whole run, so taking
+//! the state is a plain owner compare and a borrow flag (`cell.rs`). A
+//! block takes it once: the blocking call registers its wake under the
+//! guard and hands the guard to `dispatch`, which pops the next event under
+//! it and lets go just before the switch (or the return); no guard ever
+//! lives across a switch. A callback runs with the state let go, so it may
+//! schedule, and `dispatch` takes it back after. The clock
+//! ([`Scheduler::now`]) is an atomic beside it, read with a plain load.
+//! DESIGN.md §21 and §24 have the rules.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard};
-
+use crate::cell::{Home, SimCell, SimGuard};
 use crate::coro::{self, Coroutine};
 use crate::error::{BlockedProc, SimError};
 use crate::sync::{CompletionInner, EventShared};
@@ -237,18 +237,22 @@ impl EngineState {
 }
 
 struct Shared {
-    state: Mutex<EngineState>,
+    /// What the state's cell and every cell this simulation binds answer
+    /// to; held by `run` and by the teardown in `Drop`.
+    home: &'static Home,
+    state: SimCell<EngineState>,
     /// The stack pointer of `run`'s caller while a process runs. Written
     /// by the switch that leaves that stack and read by the one that goes
     /// back, both on the simulation's thread: an atomic only to be `Sync`.
     runner_sp: AtomicPtr<u8>,
     /// The virtual clock, in nanoseconds. Stored only with `state` held —
     /// by `dispatch` when it pops an event and by [`Ctx::sleep`]'s
-    /// fast-forward — and loaded without it: there is no second copy to
-    /// drift. `Relaxed` is enough: on the simulation's thread program
-    /// order gives every reader the latest store, and a thread that reads
-    /// the clock after `run` returned got its happens-before from
-    /// whatever handed it the result (a `join`, a channel).
+    /// fast-forward — and loaded without it, so that reading the time never
+    /// conflicts with a guard: there is no second copy to drift. `Relaxed`
+    /// is enough: on the simulation's thread program order gives every
+    /// reader the latest store, and a thread that reads the clock after
+    /// `run` returned got its happens-before from whatever handed it the
+    /// result (a `join`, a channel).
     now: AtomicU64,
 }
 
@@ -298,7 +302,7 @@ impl Shared {
 /// `None` to carry on where it is: its own wake, or `run`'s own verdict.
 fn dispatch<'a>(
     sched: &'a Scheduler,
-    mut st: MutexGuard<'a, EngineState>,
+    mut st: SimGuard<'a, EngineState>,
     host: Host,
 ) -> Option<*mut u8> {
     let shared = &*sched.shared;
@@ -362,7 +366,7 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Current virtual time. Takes no lock.
+    /// Current virtual time: a plain load, no cell.
     #[inline]
     pub fn now(&self) -> SimTime {
         self.shared.now()
@@ -396,7 +400,7 @@ impl Scheduler {
     }
 
     /// Make every process in `waiters` runnable its charge from now, in the
-    /// order given, under one acquisition of the engine state: consecutive
+    /// order given, under one guard of the engine state: consecutive
     /// sequence numbers, exactly what one `schedule` per waiter would
     /// assign. A waiter whose block is over (it timed out, or ended) is
     /// skipped. One with a deadline queued loses it, unless the deadline is
@@ -404,10 +408,7 @@ impl Scheduler {
     /// process first. A charged waiter is woken after its charge even then,
     /// as it would have paid the charge after taking what its deadline
     /// wake found.
-    fn wake_all(&self, waiters: impl ExactSizeIterator<Item = (WakeTarget, SimDuration)>) {
-        if waiters.len() == 0 {
-            return;
-        }
+    fn wake_all(&self, waiters: impl Iterator<Item = (WakeTarget, SimDuration)>) {
         let mut st = self.shared.state.lock();
         let now = self.now();
         for (w, charge) in waiters {
@@ -505,7 +506,7 @@ impl Ctx {
             if inner.done {
                 return;
             }
-            inner.waiters.push(st.block(self.pid, reason));
+            inner.push(st.block(self.pid, reason));
             drop(inner);
             self.park(st);
         }
@@ -598,7 +599,7 @@ impl Ctx {
     /// with, until it pops a wake for this block — in place, or else parked
     /// behind a switch to whoever runs first. Unwinds (quietly) instead
     /// when the simulation is being torn down.
-    fn park(&self, mut st: MutexGuard<'_, EngineState>) {
+    fn park(&self, mut st: SimGuard<'_, EngineState>) {
         drop(st.reclaim.take());
         let Some(me) = st.procs[self.pid.0].coro.as_ref().map(Coroutine::running) else {
             // Torn down (`Simulation::drop` has the coroutine out of the
@@ -693,11 +694,16 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 impl Simulation {
     pub fn new() -> Self {
+        let home = Home::leak();
         let shared = Arc::new(Shared {
-            state: Mutex::new(EngineState {
-                event_limit: u64::MAX,
-                ..EngineState::default()
-            }),
+            home,
+            state: SimCell::in_home(
+                home,
+                EngineState {
+                    event_limit: u64::MAX,
+                    ..EngineState::default()
+                },
+            ),
             runner_sp: AtomicPtr::default(),
             now: AtomicU64::new(0),
         });
@@ -732,6 +738,7 @@ impl Simulation {
     /// (see the module docs).
     pub fn run(&mut self) -> Result<RunReport, SimError> {
         let shared = &*self.sched.shared;
+        let _running = shared.home.run();
         let mut st = shared.state.lock();
         st.claim_thread("run");
         if let Some(to) = dispatch(&self.sched, st, Host::Runner) {
@@ -763,6 +770,7 @@ impl Drop for Simulation {
         // and tear it down outside the lock, since destructors of process
         // locals may call back into the scheduler: one parked mid-body is
         // unwound so its locals drop, one never started drops its closure.
+        let _running = self.sched.shared.home.run();
         let mut st = self.sched.shared.state.lock();
         let coros: Vec<Coroutine> = st.procs.iter_mut().filter_map(|p| p.coro.take()).collect();
         if coros.iter().any(Coroutine::is_mid_body) {
@@ -774,16 +782,19 @@ impl Drop for Simulation {
 }
 
 // Internal plumbing shared with sync.rs.
-pub(crate) fn fire_completion(sched: &Scheduler, inner: &Mutex<CompletionInner>) {
-    let waiters = {
+pub(crate) fn fire_completion(sched: &Scheduler, inner: &SimCell<CompletionInner>) {
+    let (first, more) = {
         let mut c = inner.lock();
         if c.done {
             return;
         }
         c.done = true;
-        std::mem::take(&mut c.waiters)
+        (c.first.take(), std::mem::take(&mut c.more))
     };
-    sched.wake_all(waiters.into_iter().map(|w| (w, SimDuration::ZERO)));
+    if first.is_some() {
+        let waiters = first.into_iter().chain(more);
+        sched.wake_all(waiters.map(|w| (w, SimDuration::ZERO)));
+    }
 }
 
 /// Notify `ev`: drained in place under its lock, so the waiter list keeps
@@ -791,5 +802,7 @@ pub(crate) fn fire_completion(sched: &Scheduler, inner: &Mutex<CompletionInner>)
 pub(crate) fn fire_event(sched: &Scheduler, ev: &EventShared) {
     let mut waiters = ev.waiters.lock();
     ev.bump_epoch();
-    sched.wake_all(waiters.drain(..));
+    if !waiters.is_empty() {
+        sched.wake_all(waiters.drain(..));
+    }
 }

@@ -37,6 +37,7 @@
 //! assert_eq!(report.final_time.as_micros_f64(), 3.0);
 //! ```
 
+mod cell;
 mod coro;
 mod engine;
 mod error;
@@ -45,6 +46,7 @@ mod sync;
 mod time;
 mod timer;
 
+pub use cell::{SimCell, SimGuard};
 #[cfg(debug_assertions)]
 pub use coro::switch_count;
 pub use engine::{proc_local, Ctx, ProcId, RunReport, Scheduler, Simulation};

@@ -5,21 +5,33 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
+use crate::cell::SimCell;
 use crate::engine::{fire_completion, fire_event, Ctx, Scheduler, WakeTarget};
 use crate::time::{SimDuration, SimTime};
 
 pub(crate) struct CompletionInner {
     pub(crate) done: bool,
-    pub(crate) waiters: Vec<WakeTarget>,
+    /// The first waiter, inline: most completions have one, so most never
+    /// allocate a list.
+    pub(crate) first: Option<WakeTarget>,
+    /// Any waiters after the first, in the order they came.
+    pub(crate) more: Vec<WakeTarget>,
+}
+
+impl CompletionInner {
+    pub(crate) fn push(&mut self, waiter: WakeTarget) {
+        match self.first {
+            None => self.first = Some(waiter),
+            Some(_) => self.more.push(waiter),
+        }
+    }
 }
 
 /// A one-shot flag in virtual time. Devices signal it (immediately or at a
 /// scheduled instant); processes block on it with [`Ctx::wait`].
 #[derive(Clone)]
 pub struct Completion {
-    inner: Arc<Mutex<CompletionInner>>,
+    inner: Arc<SimCell<CompletionInner>>,
 }
 
 impl Default for Completion {
@@ -31,9 +43,10 @@ impl Default for Completion {
 impl Completion {
     pub fn new() -> Self {
         Completion {
-            inner: Arc::new(Mutex::new(CompletionInner {
+            inner: Arc::new(SimCell::new(CompletionInner {
                 done: false,
-                waiters: Vec::new(),
+                first: None,
+                more: Vec::new(),
             })),
         }
     }
@@ -54,7 +67,7 @@ impl Completion {
         fire_completion(sched, &self.inner);
     }
 
-    pub(crate) fn inner(&self) -> &Mutex<CompletionInner> {
+    pub(crate) fn inner(&self) -> &SimCell<CompletionInner> {
         &self.inner
     }
 }
@@ -69,7 +82,7 @@ pub(crate) struct EventShared {
     /// Who to wake, each with how long after the notification. A notify
     /// drains it in place, so its capacity stays for the next waiter and a
     /// park allocates nothing.
-    pub(crate) waiters: Mutex<Vec<(WakeTarget, SimDuration)>>,
+    pub(crate) waiters: SimCell<Vec<(WakeTarget, SimDuration)>>,
 }
 
 impl EventShared {
@@ -99,7 +112,7 @@ impl SimEvent {
         SimEvent {
             shared: Arc::new(EventShared {
                 epoch: AtomicU64::new(0),
-                waiters: Mutex::new(Vec::new()),
+                waiters: SimCell::new(Vec::new()),
             }),
         }
     }
@@ -131,7 +144,7 @@ struct MailboxShared<T> {
     /// (`Release`/`Acquire`, like [`EventShared::epoch`]): an empty mailbox
     /// is polled without a lock.
     len: AtomicUsize,
-    queue: Mutex<VecDeque<T>>,
+    queue: SimCell<VecDeque<T>>,
 }
 
 /// An unbounded FIFO channel in virtual time: sends are instantaneous
@@ -162,7 +175,7 @@ impl<T> Mailbox<T> {
         Mailbox {
             shared: Arc::new(MailboxShared {
                 len: AtomicUsize::new(0),
-                queue: Mutex::new(VecDeque::new()),
+                queue: SimCell::new(VecDeque::new()),
             }),
             event: SimEvent::new(),
         }

@@ -5,7 +5,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use simcore::SimCell;
 use simcore::{
     proc_local, Completion, Mailbox, SimDuration, SimError, SimEvent, SimTime, Simulation,
 };
@@ -36,7 +36,7 @@ fn zero_sleep_is_noop() {
 
 #[test]
 fn processes_interleave_in_time_order() {
-    let log: Arc<Mutex<Vec<(u64, &'static str)>>> = Arc::new(Mutex::new(Vec::new()));
+    let log: Arc<SimCell<Vec<(u64, &'static str)>>> = Arc::new(SimCell::new(Vec::new()));
     let mut sim = Simulation::new();
     for (name, step) in [("a", 3u64), ("b", 5u64)] {
         let log = log.clone();
@@ -57,7 +57,7 @@ fn processes_interleave_in_time_order() {
 
 #[test]
 fn equal_time_events_fire_in_schedule_order() {
-    let log: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
+    let log: Arc<SimCell<Vec<usize>>> = Arc::new(SimCell::new(Vec::new()));
     let mut sim = Simulation::new();
     for i in 0..8 {
         let log = log.clone();
@@ -73,10 +73,10 @@ fn equal_time_events_fire_in_schedule_order() {
 #[test]
 fn determinism_across_runs() {
     fn run_once() -> Vec<(u64, usize)> {
-        let log: Arc<Mutex<Vec<(u64, usize)>>> = Arc::new(Mutex::new(Vec::new()));
+        let log: Arc<SimCell<Vec<(u64, usize)>>> = Arc::new(SimCell::new(Vec::new()));
         let mut sim = Simulation::new();
         let ev = SimEvent::new();
-        let counter = Arc::new(Mutex::new(0u32));
+        let counter = Arc::new(SimCell::new(0u32));
         for i in 0..5 {
             let log = log.clone();
             let ev = ev.clone();
@@ -141,7 +141,7 @@ fn wait_on_already_done_completion_returns_immediately() {
 fn multiple_waiters_on_one_completion() {
     let mut sim = Simulation::new();
     let c = Completion::new();
-    let hits = Arc::new(Mutex::new(0u32));
+    let hits = Arc::new(SimCell::new(0u32));
     for i in 0..4 {
         let c = c.clone();
         let hits = hits.clone();
@@ -173,7 +173,7 @@ fn mailbox_transfers_between_processes() {
         }
     });
     let rx = mb.clone();
-    let got = Arc::new(Mutex::new(Vec::new()));
+    let got = Arc::new(SimCell::new(Vec::new()));
     let got2 = got.clone();
     sim.spawn("consumer", move |ctx| {
         for _ in 0..10 {
@@ -332,7 +332,7 @@ fn the_event_limit_leaves_the_refused_event_queued() {
 #[test]
 fn spawn_from_within_process() {
     let mut sim = Simulation::new();
-    let total = Arc::new(Mutex::new(0u32));
+    let total = Arc::new(SimCell::new(0u32));
     let total2 = total.clone();
     sim.spawn("parent", move |ctx| {
         ctx.sleep(SimDuration::from_nanos(10));
@@ -352,7 +352,7 @@ fn spawn_from_within_process() {
 #[test]
 fn scheduler_call_after_runs_at_offset() {
     let mut sim = Simulation::new();
-    let hit = Arc::new(Mutex::new(None));
+    let hit = Arc::new(SimCell::new(None));
     let hit2 = hit.clone();
     sim.spawn("p", move |ctx| {
         let sched = ctx.scheduler();
@@ -368,7 +368,7 @@ fn scheduler_call_after_runs_at_offset() {
 
 #[test]
 fn yield_now_lets_same_time_peers_run() {
-    let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
+    let log: Arc<SimCell<Vec<&'static str>>> = Arc::new(SimCell::new(Vec::new()));
     let mut sim = Simulation::new();
     let l1 = log.clone();
     sim.spawn("first", move |ctx| {
@@ -393,7 +393,7 @@ fn yield_now_lets_same_time_peers_run() {
 /// has returned, what any other thread reads.
 #[test]
 fn now_is_the_one_clock() {
-    let seen: Arc<Mutex<Vec<(&'static str, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+    let seen: Arc<SimCell<Vec<(&'static str, u64)>>> = Arc::new(SimCell::new(Vec::new()));
     let mut sim = Simulation::new();
     let s2 = seen.clone();
     sim.scheduler().call_at(SimTime(40), move |s| {
@@ -423,25 +423,13 @@ fn now_is_the_one_clock() {
     assert_eq!(elsewhere, report.final_time);
 }
 
-/// The reads a progress loop makes when nothing is new take no lock at
-/// all, a callback event costs the engine state once (to take it back after
-/// the callback ran unlocked), and a block costs it once — from registering
-/// the wake through popping the next event — and at most one context
-/// switch. (Counted by the lock shim and the switch, debug builds only.)
+/// Callbacks run on `run`'s own stack and cost no context switch, and a
+/// block costs at most one. (Counted by the switch, debug builds only.)
 #[cfg(debug_assertions)]
 #[test]
-fn polling_reads_take_no_lock_and_a_block_takes_one() {
-    use parking_lot::lock_count;
-
+fn callbacks_switch_never_and_a_block_at_most_once() {
     const CALLS: u64 = 100;
     const SLEEPS: u64 = 50;
-    let locks_of = |f: &mut dyn FnMut()| {
-        let before = lock_count::total();
-        f();
-        lock_count::total() - before
-    };
-    // What `run` itself takes: one on the way in, one to fetch the verdict.
-    const RUN: u64 = 2;
 
     // Callbacks only, all on `run`'s own stack: no switch at all.
     let mut sim = Simulation::new();
@@ -451,24 +439,17 @@ fn polling_reads_take_no_lock_and_a_block_takes_one() {
     for i in 0..CALLS {
         let (ev, mb) = (ev.clone(), mb.clone());
         sched.call_at(SimTime(i), move |s| {
-            let before = lock_count::total();
             let _ = (s.now(), ev.epoch(), mb.len(), mb.try_recv());
-            assert_eq!(lock_count::total(), before, "an empty poll took a lock");
         });
     }
     let switches = simcore::switch_count();
-    let locks = locks_of(&mut || {
-        sim.run_expect();
-    });
-    assert_eq!(locks, RUN + CALLS);
+    sim.run_expect();
     assert_eq!(simcore::switch_count(), switches);
 
     // Two processes whose sleeps interleave, so that every sleep but the
     // first of "b" finds the other's wake queued ahead of its own and
-    // blocks: each `sleep` call is one acquisition, fast-forwarded or not,
-    // and each process ending one more. Every popped event is a wake for
-    // the other process — one switch — and the last one out switches to
-    // `run`'s caller.
+    // blocks. Every popped event is a wake for the other process — one
+    // switch — and the last one out switches to `run`'s caller.
     let mut sim = Simulation::new();
     for (name, offset) in [("a", 0), ("b", 5)] {
         sim.spawn(name, move |ctx| {
@@ -478,14 +459,12 @@ fn polling_reads_take_no_lock_and_a_block_takes_one() {
             }
         });
     }
-    let mut events = 0;
     let switches = simcore::switch_count();
-    let locks = locks_of(&mut || events = sim.run_expect().events_processed);
+    let events = sim.run_expect().events_processed;
     let switches = simcore::switch_count() - switches;
     let sleep_calls = 2 * SLEEPS + 1; // a zero sleep returns at once
     let fast_forwarded = 1; // "b"'s offset: counted as an event, never queued
     assert_eq!(events, 2 + sleep_calls);
-    assert_eq!(locks, RUN + sleep_calls + 2);
     assert_eq!(switches, events - fast_forwarded + 1);
     assert!(switches <= events, "more than one switch per event");
 }
@@ -496,7 +475,7 @@ fn polling_reads_take_no_lock_and_a_block_takes_one() {
 /// return, so the whole sleep makes no context switch.
 #[test]
 fn a_process_alone_hosts_its_callbacks_and_never_switches() {
-    let seen = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::new(SimCell::new(Vec::new()));
     let mut sim = Simulation::new();
     let seen2 = seen.clone();
     sim.spawn("host", move |ctx| {
@@ -534,7 +513,7 @@ fn a_process_alone_hosts_its_callbacks_and_never_switches() {
 /// was reduced to one heap. Any scheduler change is checked against this.
 #[test]
 fn event_order_is_pinned() {
-    let log: Arc<Mutex<Vec<(u64, usize, u32)>>> = Arc::new(Mutex::new(Vec::new()));
+    let log: Arc<SimCell<Vec<(u64, usize, u32)>>> = Arc::new(SimCell::new(Vec::new()));
     let mut sim = Simulation::new();
     for i in 0..300 {
         let log = log.clone();
@@ -573,7 +552,7 @@ fn event_order_is_pinned() {
 fn many_processes_scale() {
     let mut sim = Simulation::new();
     let n = 256;
-    let done = Arc::new(Mutex::new(0u32));
+    let done = Arc::new(SimCell::new(0u32));
     for i in 0..n {
         let done = done.clone();
         sim.spawn(format!("p{i}"), move |ctx| {
@@ -741,7 +720,7 @@ fn unstarted_processes_drop_their_closures_unrun() {
 /// device callbacks or the caller of `run` see.
 #[test]
 fn proc_local_word_is_per_process() {
-    let seen_by_call = Arc::new(Mutex::new(Vec::new()));
+    let seen_by_call = Arc::new(SimCell::new(Vec::new()));
     let mut sim = Simulation::new();
     for me in 1..=3u64 {
         let seen_by_call = seen_by_call.clone();
@@ -824,7 +803,7 @@ fn a_simulation_that_ran_is_bound_to_its_thread() {
 /// thread, so a process may build and run a whole simulation of its own.
 #[test]
 fn a_simulation_runs_nested_inside_a_process() {
-    let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let log: Arc<SimCell<Vec<String>>> = Arc::new(SimCell::new(Vec::new()));
     let mut outer = Simulation::new();
     for name in ["host-a", "host-b"] {
         let log = log.clone();

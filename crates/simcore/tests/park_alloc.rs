@@ -9,8 +9,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use simcore::{SimDuration, SimEvent, Simulation};
+use simcore::{SimCell, SimDuration, SimEvent, Simulation};
 
 struct Counting;
 
@@ -58,7 +57,7 @@ fn a_thousand_parks_on_one_event_allocate_nothing_after_the_first() {
     const PARKS: usize = 1_000;
     let mut sim = Simulation::new();
     let ev = SimEvent::new();
-    let counted = Arc::new(Mutex::new(None));
+    let counted = Arc::new(SimCell::new(None));
     let (waiter_ev, counted2) = (ev.clone(), counted.clone());
     sim.spawn("waiter", move |ctx| {
         let seen = waiter_ev.epoch();

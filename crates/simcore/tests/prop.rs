@@ -3,9 +3,8 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
-use simcore::{Completion, SimDuration, SimEvent, Simulation};
+use simcore::{Completion, SimCell, SimDuration, SimEvent, Simulation};
 
 #[derive(Debug, Clone)]
 enum Step {
@@ -32,7 +31,7 @@ fn run_program(procs: &[Vec<Step>]) -> Vec<(u64, usize, usize)> {
     sim.set_event_limit(200_000);
     let completions: Vec<Completion> = (0..4).map(|_| Completion::new()).collect();
     let events: Vec<SimEvent> = (0..4).map(|_| SimEvent::new()).collect();
-    let log: Arc<Mutex<Vec<(u64, usize, usize)>>> = Arc::new(Mutex::new(Vec::new()));
+    let log: Arc<SimCell<Vec<(u64, usize, usize)>>> = Arc::new(SimCell::new(Vec::new()));
 
     // A watchdog signals every completion late so WaitOn never deadlocks.
     {

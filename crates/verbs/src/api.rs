@@ -22,8 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fabric::{Buffer, Cluster, Domain, MemRef, NodeId, Plane};
-use parking_lot::Mutex;
-use simcore::{Ctx, Scheduler, SimEvent, SimTime};
+use simcore::{Ctx, Scheduler, SimCell, SimEvent, SimTime};
 
 use crate::cq::CompletionQueue;
 use crate::types::{
@@ -97,7 +96,7 @@ struct QpShared {
     recv_cq: CompletionQueue,
     /// Shared receive queue this QP draws receives from instead of `rq`.
     srq: Option<Arc<SrqShared>>,
-    state: Mutex<QpState>,
+    state: SimCell<QpState>,
 }
 
 struct QpState {
@@ -128,7 +127,7 @@ struct SrqState {
 }
 
 struct SrqShared {
-    state: Mutex<SrqState>,
+    state: SimCell<SrqState>,
 }
 
 /// A shared receive queue (`ibv_srq` analogue): one pool of receive work
@@ -216,14 +215,14 @@ struct FabState {
 /// over the hardware [`Cluster`]. One per simulation.
 pub struct IbFabric {
     cluster: Arc<Cluster>,
-    state: Mutex<FabState>,
+    state: SimCell<FabState>,
 }
 
 impl IbFabric {
     pub fn new(cluster: Arc<Cluster>) -> Arc<IbFabric> {
         Arc::new(IbFabric {
             cluster,
-            state: Mutex::new(FabState {
+            state: SimCell::new(FabState {
                 next_qpn: 1,
                 next_key: 1,
                 mrs: KeyMap::default(),
@@ -465,7 +464,7 @@ impl VerbsContext {
         SharedReceiveQueue {
             fabric: self.fabric.clone(),
             shared: Arc::new(SrqShared {
-                state: Mutex::new(SrqState {
+                state: SimCell::new(SrqState {
                     rq: Default::default(),
                     backlog: Default::default(),
                 }),
@@ -500,7 +499,7 @@ impl VerbsContext {
             send_cq: send_cq.clone(),
             recv_cq: recv_cq.clone(),
             srq,
-            state: Mutex::new(QpState {
+            state: SimCell::new(QpState {
                 remote: None,
                 dead: false,
                 sq_busy: SimTime::ZERO,
@@ -785,7 +784,7 @@ fn remote_recv_domain(
     let first = |rq: &std::collections::VecDeque<RecvWr>| rq.front().map(|wr| wr.sges[0]);
     let sge = match &rqp.srq {
         Some(srq) => first(&srq.state.lock().rq),
-        // A QP connected to itself: its lock is the one already held.
+        // A QP connected to itself: its state is the guard already held.
         None if Arc::ptr_eq(rqp, mine) => first(&mine_state.rq),
         None => first(&rqp.state.lock().rq),
     }?;

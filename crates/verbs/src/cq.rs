@@ -4,8 +4,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use simcore::{Ctx, Scheduler, SimEvent};
+use simcore::{Ctx, Scheduler, SimCell, SimEvent};
 
 use crate::types::Wc;
 
@@ -15,7 +14,7 @@ struct CqShared {
     /// counts, once it takes the lock). Polling is mostly polling an empty
     /// queue; that costs no lock.
     len: AtomicUsize,
-    queue: Mutex<VecDeque<Wc>>,
+    queue: SimCell<VecDeque<Wc>>,
 }
 
 /// A completion queue. Cloning yields another handle to the same queue.
@@ -48,7 +47,7 @@ impl CompletionQueue {
         CompletionQueue {
             shared: Arc::new(CqShared {
                 len: AtomicUsize::new(0),
-                queue: Mutex::new(VecDeque::new()),
+                queue: SimCell::new(VecDeque::new()),
             }),
             event,
         }
@@ -179,19 +178,5 @@ mod tests {
                 prop_assert_eq!(cq.is_empty(), model.is_empty());
             }
         }
-    }
-
-    /// Polling an empty queue — what a progress loop mostly does — takes
-    /// no lock (counted by the lock shim, debug builds only).
-    #[cfg(debug_assertions)]
-    #[test]
-    fn polling_an_empty_queue_takes_no_lock() {
-        let cq = CompletionQueue::new();
-        let before = parking_lot::lock_count::total();
-        let mut out = Vec::new();
-        assert_eq!(cq.poll_batch(&mut out, 16), 0);
-        assert!(cq.poll().is_none());
-        assert!(cq.is_empty());
-        assert_eq!(parking_lot::lock_count::total(), before);
     }
 }

@@ -15,8 +15,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use fabric::{Buffer, Cluster, ClusterConfig, Domain, MemRef, NodeId};
-use parking_lot::Mutex;
-use simcore::Simulation;
+use simcore::{SimCell, Simulation};
 use verbs::{IbFabric, QueuePair, SendWr, VerbsContext, WcStatus};
 
 struct Counting;
@@ -70,7 +69,7 @@ fn bytes_per_transfer(extra: fn(&Cluster, &Buffer)) -> u64 {
     let mut sim = Simulation::new();
     let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(2));
     let fabric = IbFabric::new(cluster.clone());
-    let measured = Arc::new(Mutex::new(None));
+    let measured = Arc::new(SimCell::new(None));
     let measured2 = measured.clone();
     sim.spawn("p", move |ctx| {
         let mem = |node, domain| MemRef {

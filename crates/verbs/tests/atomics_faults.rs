@@ -4,8 +4,7 @@
 use std::sync::Arc;
 
 use fabric::{Cluster, ClusterConfig, Domain, MemRef, NodeId};
-use parking_lot::Mutex;
-use simcore::Simulation;
+use simcore::{SimCell, Simulation};
 use verbs::{FaultPlan, IbFabric, SendWr, VerbsContext, WcOpcode, WcStatus};
 
 fn setup() -> (Simulation, Arc<IbFabric>) {
@@ -136,7 +135,7 @@ fn compare_swap_succeeds_and_fails_by_value() {
 fn atomics_pay_round_trip_latency() {
     let (mut sim, fabric) = setup();
     let f = fabric.clone();
-    let times = Arc::new(Mutex::new((0u64, 0u64)));
+    let times = Arc::new(SimCell::new((0u64, 0u64)));
     let t2 = times.clone();
     sim.spawn("p", move |ctx| {
         let cl = f.cluster().clone();

@@ -163,7 +163,7 @@ const PATHS: [Path; 4] = [Path::Posted, Path::SrqSlot, Path::Backlog, Path::SrqB
 /// Returns the receive completion, the receive region's bytes and the
 /// payload that was sent.
 fn send_over(path: Path, send_lens: [u64; 3]) -> (verbs::Wc, Vec<u8>, Vec<u8>) {
-    let out = Arc::new(parking_lot::Mutex::new(None));
+    let out = Arc::new(simcore::SimCell::new(None));
     let out2 = out.clone();
     let use_srq = matches!(path, Path::SrqSlot | Path::SrqBacklog);
     with_pair(use_srq, move |ctx, p| {

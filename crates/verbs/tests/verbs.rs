@@ -5,8 +5,7 @@
 use std::sync::Arc;
 
 use fabric::{Cluster, ClusterConfig, Domain, MemRef, NodeId};
-use parking_lot::Mutex;
-use simcore::{SimTime, Simulation};
+use simcore::{SimCell, SimDuration, SimTime, Simulation};
 use verbs::{IbFabric, RecvWr, SendWr, VerbsContext, VerbsError, WcOpcode, WcStatus};
 
 struct Rig {
@@ -32,8 +31,8 @@ fn mem(node: usize, domain: Domain) -> MemRef {
 fn rdma_write_moves_bytes_and_completes() {
     let mut r = rig(2);
     let fabric = r.fabric.clone();
-    type DoneCell = Arc<Mutex<Option<(u64, Vec<u8>)>>>;
-    let done: DoneCell = Arc::new(Mutex::new(None));
+    type DoneCell = Arc<SimCell<Option<(u64, Vec<u8>)>>>;
+    let done: DoneCell = Arc::new(SimCell::new(None));
     let done2 = done.clone();
     r.sim.spawn("writer", move |ctx| {
         let cl = fabric.cluster().clone();
@@ -73,8 +72,8 @@ fn rdma_write_moves_bytes_and_completes() {
 fn send_recv_matches_fifo_and_scatters() {
     let mut r = rig(2);
     let fabric = r.fabric.clone();
-    type GotCell = Arc<Mutex<Vec<(u64, Vec<u8>)>>>;
-    let got: GotCell = Arc::new(Mutex::new(Vec::new()));
+    type GotCell = Arc<SimCell<Vec<(u64, Vec<u8>)>>>;
+    let got: GotCell = Arc::new(SimCell::new(Vec::new()));
 
     // Receiver pre-posts two receives, sender sends two distinct payloads.
     let f1 = fabric.clone();
@@ -223,6 +222,68 @@ fn rdma_write_sge_order_tail_polling() {
         assert_eq!(hdr, [0x11; 64]);
     });
     r.sim.run_expect();
+}
+
+/// The eager ring's assumption, shared with MPICH2 over InfiniBand: the
+/// SGEs of one RDMA write land in list order, so whoever sees the tail
+/// sees the header and payload before it. The source gathers them out of
+/// address order (tail first, header last), so a delivery that followed
+/// source addresses instead of the list would place them wrong; and a
+/// reader polls the slot every virtual nanosecond until the write has
+/// completed, so a delivery that let the tail land before the rest would
+/// be seen.
+#[test]
+fn rdma_write_lands_sges_in_list_order() {
+    const HDR: usize = 64;
+    const DATA: usize = 256;
+    const TAIL: usize = 8;
+    let mut r = rig(2);
+    let fabric = r.fabric.clone();
+    let cl = fabric.cluster().clone();
+    let ring = cl.alloc_pages(mem(1, Domain::Phi), 4096).unwrap();
+    let (polls, done) = (Arc::new(SimCell::new(0u32)), Arc::new(SimCell::new(false)));
+    let (ring2, cl2, polls2, done2) = (ring.clone(), cl.clone(), polls.clone(), done.clone());
+    r.sim.spawn("poller", move |ctx| loop {
+        let mut slot = [0u8; HDR + DATA + TAIL];
+        cl2.read(&ring2, 0, &mut slot);
+        *polls2.lock() += 1;
+        let tail_seen = slot[HDR + DATA..] == [0xEE; TAIL];
+        if tail_seen || *done2.lock() {
+            assert_eq!(slot[..HDR], [0x11; HDR], "header misplaced");
+            assert_eq!(slot[HDR..HDR + DATA], [0x22; DATA], "data misplaced");
+            assert!(tail_seen, "tail misplaced");
+            return;
+        }
+        ctx.sleep(SimDuration::from_nanos(1));
+    });
+    r.sim.spawn("writer", move |ctx| {
+        let ctx_a = VerbsContext::open(fabric.clone(), NodeId(0), Domain::Phi);
+        let ctx_b = VerbsContext::open(fabric.clone(), NodeId(1), Domain::Phi);
+        let src = cl.alloc_pages(mem(0, Domain::Phi), 4096).unwrap();
+        cl.write(&src, 0, &[0xEE; TAIL]);
+        cl.write(&src, TAIL as u64, &[0x22; DATA]);
+        cl.write(&src, (TAIL + DATA) as u64, &[0x11; HDR]);
+        let mr_src = ctx_a.reg_mr(ctx, src);
+        let mr_ring = ctx_b.reg_mr_uncharged(ring);
+        let cq = ctx_a.create_cq();
+        let qp_a = ctx_a.create_qp(&cq, &cq);
+        let cq_b = ctx_b.create_cq();
+        let qp_b = ctx_b.create_qp(&cq_b, &cq_b);
+        verbs::QueuePair::connect_pair(&qp_a, &qp_b);
+        let sges = vec![
+            mr_src.sge((TAIL + DATA) as u64, HDR as u64),
+            mr_src.sge(TAIL as u64, DATA as u64),
+            mr_src.sge(0, TAIL as u64),
+        ];
+        let wr = SendWr::rdma_write(1, sges, mr_ring.addr(), mr_ring.rkey());
+        qp_a.post_send(ctx, wr).unwrap();
+        assert_eq!(cq.wait(ctx).status, WcStatus::Success);
+        *done.lock() = true;
+    });
+    r.sim.run_expect();
+    // The write took far longer than one poll: the reader looked many
+    // times before the tail landed.
+    assert!(*polls.lock() > 100, "{} polls", *polls.lock());
 }
 
 #[test]
@@ -382,7 +443,7 @@ fn sq_ordering_serializes_same_qp_transfers() {
     // Two back-to-back 1 MiB RDMA writes on one QP must not overlap.
     let mut r = rig(2);
     let fabric = r.fabric.clone();
-    let times: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let times: Arc<SimCell<Vec<u64>>> = Arc::new(SimCell::new(Vec::new()));
     let t2 = times.clone();
     r.sim.spawn("p", move |ctx| {
         let cl = fabric.cluster().clone();
@@ -424,7 +485,7 @@ fn phi_sourced_verbs_transfer_is_slow() {
     // with buffers in Phi memory (what DCFA-MPI without offload does).
     let mut r = rig(2);
     let fabric = r.fabric.clone();
-    let out: Arc<Mutex<(u64, u64)>> = Arc::new(Mutex::new((0, 0)));
+    let out: Arc<SimCell<(u64, u64)>> = Arc::new(SimCell::new((0, 0)));
     let out2 = out.clone();
     r.sim.spawn("p", move |ctx| {
         let cl = fabric.cluster().clone();
@@ -501,8 +562,8 @@ fn srq_pools_receives_across_qps_and_holds_backlog() {
     // next post_recv.
     let mut r = rig(3);
     let fabric = r.fabric.clone();
-    type GotCell = Arc<Mutex<Vec<(u64, Vec<u8>, Option<(NodeId, verbs::QpNum)>)>>>;
-    let got: GotCell = Arc::new(Mutex::new(Vec::new()));
+    type GotCell = Arc<SimCell<Vec<(u64, Vec<u8>, Option<(NodeId, verbs::QpNum)>)>>>;
+    let got: GotCell = Arc::new(SimCell::new(Vec::new()));
 
     let f1 = fabric.clone();
     let got2 = got.clone();
@@ -579,64 +640,4 @@ fn srq_pools_receives_across_qps_and_holds_backlog() {
     assert_eq!(got[1].1, vec![2u8; 1024]);
     assert_eq!(got[2].2.map(|(n, _)| n), Some(NodeId(0)));
     assert_eq!(got[2].1, vec![1u8; 1024]);
-}
-
-/// The locking rule on the data path (counted by the lock shim, debug
-/// builds only): a post takes its QP's lock and the fabric table's once
-/// each, and every channel of the path once; the delivery takes each
-/// endpoint QP's lock, the table's, and each side's arena once — however
-/// many SGEs the work request gathers.
-#[cfg(debug_assertions)]
-#[test]
-fn a_post_and_its_delivery_take_each_lock_once() {
-    use parking_lot::lock_count;
-
-    /// Acquisitions so far at the `.lock()` sites of one source file.
-    fn locks_in(file: &str) -> u64 {
-        lock_count::by_site()
-            .into_iter()
-            .filter(|(site, _)| site.file().ends_with(file))
-            .map(|(_, n)| n)
-            .sum()
-    }
-
-    let mut r = rig(2);
-    let fabric = r.fabric.clone();
-    r.sim.spawn("writer", move |ctx| {
-        let cl = fabric.cluster().clone();
-        let ctx_a = VerbsContext::open(fabric.clone(), NodeId(0), Domain::Phi);
-        let ctx_b = VerbsContext::open(fabric.clone(), NodeId(1), Domain::Phi);
-        let src_buf = cl.alloc_pages(mem(0, Domain::Phi), 4096).unwrap();
-        let dst_buf = cl.alloc_pages(mem(1, Domain::Phi), 4096).unwrap();
-        cl.write(&src_buf, 0, &[0x5A; 4096]);
-        let mr_src = ctx_a.reg_mr(ctx, src_buf);
-        let mr_dst = ctx_b.reg_mr_uncharged(dst_buf.clone());
-        let cq_a = ctx_a.create_cq();
-        let cq_b = ctx_b.create_cq();
-        let qp_a = ctx_a.create_qp(&cq_a, &cq_a);
-        let qp_b = ctx_b.create_qp(&cq_b, &cq_b);
-        verbs::QueuePair::connect_pair(&qp_a, &qp_b);
-
-        let (verbs_before, fabric_before) = (locks_in("verbs/src/api.rs"), locks_in("cluster.rs"));
-        // Header, payload and tail, the shape of an eager packet.
-        let sges = vec![
-            mr_src.sge(0, 64),
-            mr_src.sge(64, 4000),
-            mr_src.sge(4064, 32),
-        ];
-        qp_a.post_send(
-            ctx,
-            SendWr::rdma_write(1, sges, mr_dst.addr(), mr_dst.rkey()),
-        )
-        .unwrap();
-        assert_eq!(cq_a.wait(ctx).status, WcStatus::Success);
-        // Post: this QP + the table. Delivery: this QP, the table, the
-        // remote QP.
-        assert_eq!(locks_in("verbs/src/api.rs") - verbs_before, 2 + 3);
-        // Post: Phi -> Phi across the wire is four channels. Delivery: the
-        // byte plane, once for both nodes' arenas.
-        assert_eq!(locks_in("cluster.rs") - fabric_before, 4 + 1);
-        assert_eq!(cl.read_vec(&dst_buf), vec![0x5A; 4096]);
-    });
-    r.sim.run_expect();
 }

@@ -12,7 +12,7 @@ use dcfa_mpi_repro::fabric::{Cluster, ClusterConfig};
 use dcfa_mpi_repro::scif::ScifFabric;
 use dcfa_mpi_repro::simcore::Simulation;
 use dcfa_mpi_repro::verbs::IbFabric;
-use parking_lot::Mutex;
+use simcore::SimCell;
 use std::sync::Arc;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
     let ib = IbFabric::new(cluster.clone());
     let scif = ScifFabric::new(cluster);
 
-    let out: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let out: Arc<SimCell<Vec<String>>> = Arc::new(SimCell::new(Vec::new()));
     let out2 = out.clone();
 
     // A 512 x 512 grid of f64 per rank, column-partitioned: rank 0 owns

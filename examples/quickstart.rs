@@ -12,7 +12,7 @@ use dcfa_mpi_repro::fabric::{Cluster, ClusterConfig};
 use dcfa_mpi_repro::scif::ScifFabric;
 use dcfa_mpi_repro::simcore::Simulation;
 use dcfa_mpi_repro::verbs::IbFabric;
-use parking_lot::Mutex;
+use simcore::SimCell;
 
 fn main() {
     // Build the simulated machine: 2 nodes, each a host Xeon + Phi card +
@@ -22,7 +22,7 @@ fn main() {
     let ib = IbFabric::new(cluster.clone());
     let scif = ScifFabric::new(cluster);
 
-    let report: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let report: Arc<SimCell<Vec<String>>> = Arc::new(SimCell::new(Vec::new()));
     let report2 = report.clone();
 
     // DCFA-MPI: ranks live on the Phi cards; resource setup is offloaded to

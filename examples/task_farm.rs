@@ -13,7 +13,7 @@ use dcfa_mpi_repro::fabric::{Cluster, ClusterConfig};
 use dcfa_mpi_repro::scif::ScifFabric;
 use dcfa_mpi_repro::simcore::{SimDuration, Simulation};
 use dcfa_mpi_repro::verbs::IbFabric;
-use parking_lot::Mutex;
+use simcore::SimCell;
 use std::sync::Arc;
 
 const TAG_READY: u32 = 1;
@@ -30,7 +30,7 @@ fn main() {
     let ib = IbFabric::new(cluster.clone());
     let scif = ScifFabric::new(cluster);
 
-    let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let log: Arc<SimCell<Vec<String>>> = Arc::new(SimCell::new(Vec::new()));
     let l2 = log.clone();
 
     launch(

@@ -17,7 +17,7 @@ use dcfa_mpi_repro::fabric::{Cluster, ClusterConfig, Domain, MemRef, NodeId};
 use dcfa_mpi_repro::scif::ScifFabric;
 use dcfa_mpi_repro::simcore::{SimDuration, Simulation};
 use dcfa_mpi_repro::verbs::IbFabric;
-use parking_lot::Mutex;
+use simcore::SimCell;
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -62,7 +62,7 @@ fn four_ranks_survive_daemon_crash_drop_and_delay() {
         heartbeat_interval: Some(SimDuration::from_micros(200)),
         ..MpiConfig::dcfa()
     };
-    let corrupt = Arc::new(Mutex::new(0u64));
+    let corrupt = Arc::new(SimCell::new(0u64));
     let corrupt2 = corrupt.clone();
     let stats = launch(&sim, &ib, &scif, cfg, N, opts, move |ctx, comm| {
         let (r, n) = (comm.rank(), comm.size());
@@ -162,7 +162,7 @@ fn offload_exhaustion_degrades_to_direct_sends() {
         tracer: Some(tracer.clone()),
         ..Default::default()
     };
-    let reports = Arc::new(Mutex::new(Vec::new()));
+    let reports = Arc::new(SimCell::new(Vec::new()));
     let reports2 = reports.clone();
     launch(
         &sim,

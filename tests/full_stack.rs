@@ -11,7 +11,7 @@ use dcfa_mpi_repro::fabric::{Cluster, ClusterConfig, Domain, MemRef, NodeId};
 use dcfa_mpi_repro::scif::ScifFabric;
 use dcfa_mpi_repro::simcore::{SimDuration, Simulation};
 use dcfa_mpi_repro::verbs::IbFabric;
-use parking_lot::Mutex;
+use simcore::SimCell;
 
 struct Rig {
     sim: Simulation,
@@ -38,7 +38,7 @@ fn eight_ranks_mixed_traffic() {
     // Every rank sends a distinct-size message to every other rank (sizes
     // span eager, offload and rendezvous regimes) and checks content.
     let mut r = rig(8);
-    let done = Arc::new(Mutex::new(0usize));
+    let done = Arc::new(SimCell::new(0usize));
     let d2 = done.clone();
     launch(
         &r.sim,
@@ -92,7 +92,7 @@ fn two_ranks_per_node_share_the_card() {
     // 4 ranks on 2 nodes: co-located ranks share the Phi card and the
     // DCFA daemon; traffic between co-located ranks loops through the HCA.
     let mut r = rig(2);
-    let sum = Arc::new(Mutex::new(0u64));
+    let sum = Arc::new(SimCell::new(0u64));
     let s2 = sum.clone();
     let opts = LaunchOpts {
         ranks_per_node: 2,
@@ -189,7 +189,7 @@ fn offload_twins_freed_on_finalize() {
 #[test]
 fn stress_many_small_messages_across_six_ranks() {
     let mut r = rig(6);
-    let total = Arc::new(Mutex::new(0u64));
+    let total = Arc::new(SimCell::new(0u64));
     let t2 = total.clone();
     launch(
         &r.sim,
@@ -229,7 +229,7 @@ fn staggered_start_times_still_converge() {
     // Ranks entering the application at wildly different times must still
     // bootstrap and communicate (bootstrap is unsynchronized publish/wait).
     let mut r = rig(4);
-    let ok = Arc::new(Mutex::new(0usize));
+    let ok = Arc::new(SimCell::new(0usize));
     let ok2 = ok.clone();
     launch(
         &r.sim,
@@ -256,7 +256,7 @@ fn intel_phi_and_dcfa_coexist_in_one_simulation() {
     // both complete and their traffic contends on the same channels.
     use dcfa_mpi_repro::baselines::IntelPhiWorld;
     let mut r = rig(2);
-    let done = Arc::new(Mutex::new(0usize));
+    let done = Arc::new(SimCell::new(0usize));
 
     let d1 = done.clone();
     launch(

@@ -12,7 +12,7 @@ use dcfa_mpi_repro::fabric::{Cluster, ClusterConfig, Domain, MemRef, NodeId};
 use dcfa_mpi_repro::scif::ScifFabric;
 use dcfa_mpi_repro::simcore::{SimDuration, Simulation};
 use dcfa_mpi_repro::verbs::IbFabric;
-use parking_lot::Mutex;
+use simcore::SimCell;
 
 struct Rig {
     sim: Simulation,
@@ -120,7 +120,7 @@ fn eviction_waits_for_inflight_rendezvous() {
         mr_cache_capacity: 1,
         ..MpiConfig::dcfa_no_offload()
     };
-    let ok = Arc::new(Mutex::new(false));
+    let ok = Arc::new(SimCell::new(false));
     let ok2 = ok.clone();
     launch(
         &r.sim,

@@ -16,7 +16,7 @@ use dcfa_mpi_repro::fabric::{Cluster, ClusterConfig, Domain, MemRef, NodeId};
 use dcfa_mpi_repro::scif::ScifFabric;
 use dcfa_mpi_repro::simcore::{SimDuration, Simulation};
 use dcfa_mpi_repro::verbs::IbFabric;
-use parking_lot::Mutex;
+use simcore::SimCell;
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -63,7 +63,7 @@ fn killed_rank_is_detected_and_survivors_finish() {
         peer_ttl: Some(SimDuration::from_micros(50)),
         ..MpiConfig::dcfa()
     };
-    let outs: Arc<Mutex<Vec<Option<RankOut>>>> = Arc::new(Mutex::new(vec![None; N]));
+    let outs: Arc<SimCell<Vec<Option<RankOut>>>> = Arc::new(SimCell::new(vec![None; N]));
     let outs2 = outs.clone();
     launch(&sim, &ib, &scif, cfg, N, opts, move |ctx, comm| {
         let r = comm.rank();
@@ -194,7 +194,7 @@ fn revoke_drains_and_shrink_rebuilds_the_world() {
         peer_ttl: Some(SimDuration::from_micros(50)),
         ..MpiConfig::dcfa()
     };
-    let outs: Arc<Mutex<Vec<Option<RankOut>>>> = Arc::new(Mutex::new(vec![None; N]));
+    let outs: Arc<SimCell<Vec<Option<RankOut>>>> = Arc::new(SimCell::new(vec![None; N]));
     let outs2 = outs.clone();
     launch(&sim, &ib, &scif, cfg, N, opts, move |ctx, comm| {
         let (r, n) = (comm.rank(), comm.size());
@@ -363,7 +363,7 @@ fn death_mid_agreement_restarts_and_commits() {
         peer_ttl: Some(SimDuration::from_micros(50)),
         ..MpiConfig::dcfa()
     };
-    let outs: Arc<Mutex<Vec<Option<RankOut>>>> = Arc::new(Mutex::new(vec![None; N]));
+    let outs: Arc<SimCell<Vec<Option<RankOut>>>> = Arc::new(SimCell::new(vec![None; N]));
     let outs2 = outs.clone();
     launch(&sim, &ib, &scif, cfg, N, opts, move |ctx, comm| {
         let (r, n) = (comm.rank(), comm.size());
@@ -446,7 +446,7 @@ fn dropped_connect_handshake_is_retried() {
         conn_drops: Some((0, 2)),
         ..Default::default()
     };
-    let outs: Arc<Mutex<Vec<Option<RankOut>>>> = Arc::new(Mutex::new(vec![None; 2]));
+    let outs: Arc<SimCell<Vec<Option<RankOut>>>> = Arc::new(SimCell::new(vec![None; 2]));
     let outs2 = outs.clone();
     launch(
         &sim,
@@ -527,7 +527,7 @@ fn probe_fails_for_a_dead_peer_and_a_revoked_communicator() {
         peer_ttl: Some(SimDuration::from_micros(50)),
         ..MpiConfig::dcfa()
     };
-    let seen: Arc<Mutex<Vec<Vec<MpiError>>>> = Arc::new(Mutex::new(vec![Vec::new(); N]));
+    let seen: Arc<SimCell<Vec<Vec<MpiError>>>> = Arc::new(SimCell::new(vec![Vec::new(); N]));
     let seen2 = seen.clone();
     launch(&sim, &ib, &scif, cfg, N, opts, move |ctx, comm| {
         let r = comm.rank();
