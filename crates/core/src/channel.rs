@@ -44,8 +44,7 @@ use crate::resources::Resources;
 use crate::trace::{MsgStage, Recorder, TraceEvent};
 use crate::types::{MpiError, Rank};
 
-/// Completions drained from a CQ per lock acquisition (the
-/// `ibv_poll_cq` batch size).
+/// Completions drained from a CQ per poll (the `ibv_poll_cq` batch size).
 pub(crate) const CQ_BATCH: usize = 64;
 
 /// Recycled payload buffers kept for copy-out.
@@ -231,7 +230,7 @@ pub(crate) struct Channel {
     /// completion) the next *poll*, before a repost or credit reuses it.
     unread: Option<Buffer>,
     /// The world's lazy-connect directory (see [`crate::connect`]).
-    conn: Arc<ConnDirectory>,
+    pub(crate) conn: Arc<ConnDirectory>,
     conn_scratch: Vec<ConnMsg>,
     /// The connect watchdog of each unwired pair that has one, by peer:
     /// kept here, not in `Link`, which every established pair keeps for
@@ -887,6 +886,14 @@ impl Channel {
         }
         self.sweep = Some(Sweep::Pairs(next + 1, end));
         Some(Inbound::Drained(p))
+    }
+
+    /// Whether a pool completion, or a ring write past what was consumed, waits unseen by *poll*.
+    pub(crate) fn unseen_arrival(&self) -> bool {
+        let unseen = |l: &Link, n: u64| n > l.in_next_seq && l.in_idle_at != Some(n);
+        let ring = |l: &Link| l.in_ring.as_ref().map_or(0, MemoryRegion::writes);
+        let pool = self.srq.as_ref().map_or(0, |pool| pool.recv_cq.len());
+        pool > 0 || self.peers.iter().any(|e| unseen(&e.link, ring(&e.link)))
     }
 
     /// The pool half of [`Self::poll`]: finish the arrival handed out

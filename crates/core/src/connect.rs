@@ -131,6 +131,11 @@ impl ConnDirectory {
         self.queued.store(left, Ordering::Release);
     }
 
+    /// Whether a delivered message waits for `rank`.
+    pub(crate) fn holds(&self, rank: Rank) -> bool {
+        !self.idle() && !self.inner.lock()[rank].mailbox.is_empty()
+    }
+
     /// Whether no message is queued for any rank (for tests/diagnostics).
     /// Takes no lock.
     pub fn idle(&self) -> bool {

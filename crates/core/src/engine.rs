@@ -219,9 +219,8 @@ pub struct Engine {
     pub(crate) stats: CommStats,
     /// Trace ring and latency hub, shared with the channel and the cache.
     pub(crate) rec: Recorder,
-    /// Re-entrancy guard: progress() invoked from within progress() (via
-    /// a packet handler) is a no-op; the outer sweep picks up the work.
-    in_progress: bool,
+    /// Whether a sweep runs, and where the last began (see [`crate::news`]).
+    pub(crate) gate: crate::news::SweepGate,
     /// Reusable scratch: completions drained per CQ batch.
     cq_scratch: Vec<Wc>,
     /// DCFA control epoch the cache was last validated against. A bump
@@ -272,7 +271,7 @@ impl Engine {
             mpi_call,
             stats,
             rec,
-            in_progress: false,
+            gate: crate::news::SweepGate::new(),
             cq_scratch: Vec::with_capacity(CQ_BATCH),
             seen_ctrl_epoch: 0,
             offload_down: false,
@@ -913,26 +912,26 @@ impl Engine {
         self.post_tracked(ctx, dst, wr, kind);
     }
 
-    /// One progress sweep: drain CQ completions, then inbound packets.
+    /// One progress sweep: drain CQ completions, then inbound packets — if
+    /// the progress event was notified since the last began (DESIGN.md §19).
     pub fn progress(&mut self, ctx: &mut Ctx) {
-        if self.in_progress {
+        if self.gate.sweeping {
             return; // re-entered from a handler; the outer sweep continues
         }
+        if !self.gate.open(self.progress_event.epoch()) {
+            debug_assert_eq!(self.news(ctx.now()), None, "a skipped sweep had news");
+            return;
+        }
         let _hot = crate::hotpath::enter();
-        self.in_progress = true;
+        self.gate.sweeping = true;
         self.observe_health(ctx);
         self.ch
             .pump_conn(ctx, &self.res, &mut self.stats, &mut self.wr.watchdogs);
         self.pump_retries(ctx);
         self.pump_rndv_timeouts(ctx);
-        // Drain completions in batches: one CQ lock per CQ_BATCH entries
-        // instead of one per completion.
+        // Drain completions in batches of CQ_BATCH.
         let mut batch = std::mem::take(&mut self.cq_scratch);
-        loop {
-            batch.clear();
-            if self.ch.cq.poll_batch(&mut batch, CQ_BATCH) == 0 {
-                break;
-            }
+        while self.ch.cq.poll_batch(&mut batch, CQ_BATCH) > 0 {
             for wc in batch.drain(..) {
                 self.handle_wc(ctx, wc);
             }
@@ -950,6 +949,6 @@ impl Engine {
                 }
             }
         }
-        self.in_progress = false;
+        self.gate.sweeping = false;
     }
 }

@@ -51,6 +51,7 @@ pub mod hotpath;
 mod matching;
 pub mod metrics;
 mod mrcache;
+mod news;
 mod packet;
 mod peers;
 mod protocol;

@@ -116,8 +116,8 @@ pub(crate) struct Health {
     /// loads; the expensive reap runs only on a death-epoch transition.
     pub(crate) board: Option<Arc<HealthBoard>>,
     /// Death / revocation epoch last reaped / drained at.
-    seen_death_epoch: u64,
-    seen_revoke_epoch: u64,
+    pub(crate) seen_death_epoch: u64,
+    pub(crate) seen_revoke_epoch: u64,
     /// Whether the communicator is currently revoked: pending work has
     /// been drained with [`MpiError::Revoked`] and new operations outside
     /// the shrink-agreement tag band are refused.

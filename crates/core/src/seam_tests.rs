@@ -1228,3 +1228,157 @@ fn an_rtr_watchdog_reissues_to_a_deaf_sender_which_stashes_it_once() {
         assert_eq!(e.stats.handshake_reissues, 1);
     });
 }
+
+// ---- a sweep runs only on news ----------------------------------------------
+
+/// Call `progress` until a call finds no news; returns the progress epoch
+/// then, so that whatever moves it next is the one news to sweep for.
+fn quiet(ctx: &mut Ctx, e: &mut Engine) -> u64 {
+    let skipped = e.gate.skipped;
+    while e.gate.skipped == skipped {
+        e.progress(ctx);
+    }
+    e.progress_event.epoch()
+}
+
+/// Park, as `wait` does, until the progress event moves past `seen`; then
+/// `source` is the news a sweep would find, and the next call sweeps.
+/// Returns the instant the rank woke.
+fn news_from(ctx: &mut Ctx, e: &mut Engine, seen: u64, source: &str) -> SimTime {
+    ctx.wait_event(&e.progress_event, seen, "news test");
+    let woke = ctx.now();
+    assert_ne!(e.progress_event.epoch(), seen);
+    assert_eq!(e.news(ctx.now()), Some(source), "rank {}", e.rank);
+    let run = e.gate.run;
+    e.progress(ctx);
+    assert_eq!(e.gate.run, run + 1, "{source}: the next call did not sweep");
+    assert_eq!(e.news(ctx.now()), None, "{source}: the sweep left news");
+    woke
+}
+
+#[test]
+fn a_send_completion_and_an_arrival_notify_on_either_channel() {
+    for srq_depth in [None, Some(16)] {
+        world(srq_depth, |ctx, e| {
+            wire(ctx, e, 1 - e.rank);
+            let seen = quiet(ctx, e);
+            if e.rank == 1 {
+                // A ring write landing, or a completion in the pool's CQ.
+                news_from(ctx, e, seen, "an inbound arrival");
+                return;
+            }
+            ctx.sleep(SimDuration::from_micros(10));
+            let seen = quiet(ctx, e);
+            let hdr = e.credit_header(1);
+            e.transmit(ctx, 1, hdr, None, None, None);
+            news_from(ctx, e, seen, "a send completion");
+        });
+    }
+}
+
+#[test]
+fn a_connect_request_notifies() {
+    world(None, |ctx, e| {
+        if e.rank == 1 {
+            let seen = quiet(ctx, e);
+            news_from(ctx, e, seen, "a connect message");
+            return assert!(!e.ch.unwired(0), "the sweep wired the pair");
+        }
+        ctx.sleep(SimDuration::from_micros(10));
+        e.ch.connect(ctx, &e.res, &mut e.stats, 1).unwrap();
+        progress_until(ctx, e, |e| !e.ch.unwired(1));
+    });
+}
+
+#[test]
+fn a_peer_death_verdict_notifies() {
+    let opts = LaunchOpts {
+        health: Some(fabric::HealthBoard::new(2)),
+        ..LaunchOpts::default()
+    };
+    world_with(None, opts, |ctx, e| {
+        if e.rank == 1 {
+            return;
+        }
+        let seen = quiet(ctx, e);
+        let board = e.health.board.clone().expect("a health board");
+        let sched = e.res.cluster().scheduler();
+        board.promote_dead(sched, 1, ctx.now());
+        news_from(ctx, e, seen, "a health verdict");
+        assert_eq!(e.stats.peer_deaths_detected, 1);
+    });
+}
+
+#[test]
+fn a_retry_backoff_notifies_when_it_is_due() {
+    world(None, |ctx, e| {
+        wire(ctx, e, 1 - e.rank);
+        if e.rank == 1 {
+            return ctx.sleep(SimDuration::from_millis(1));
+        }
+        fail_next_write(e, WcStatus::TransportRetryExceeded);
+        let seen = quiet(ctx, e);
+        let hdr = e.credit_header(1);
+        e.transmit(ctx, 1, hdr, None, None, None);
+        // The failed completion's sweep puts the write in backoff.
+        news_from(ctx, e, seen, "a send completion");
+        let due = e.wr.retry_due.front().expect("a retry in backoff");
+        let seen = quiet(ctx, e);
+        let woke = news_from(ctx, e, seen, "a retry");
+        assert_eq!((woke, e.stats.wr_retries), (due, 1));
+        e.quiesce(ctx);
+    });
+}
+
+#[test]
+fn a_watchdog_notifies_when_it_is_due() {
+    world(None, |ctx, e| {
+        wire(ctx, e, 1 - e.rank);
+        let period = e.cfg.rndv_timeout.unwrap();
+        if e.rank == 1 {
+            return ctx.sleep(period * 2);
+        }
+        let (src, hdr) = (1, ctrl(PacketKind::Rtr, 0));
+        let req = e.reqs.insert(ReqState::RecvAwaitDone { src, hdr }.into());
+        e.arm_watchdog(ctx, TimeoutKind::Handshake { req });
+        let due = ctx.now() + period;
+        let seen = quiet(ctx, e);
+        let woke = news_from(ctx, e, seen, "a watchdog");
+        assert_eq!((woke, e.stats.handshake_reissues), (due, 1));
+        e.resolve(ctx, req, Err(MpiError::BadRequest));
+        e.reqs.remove(req);
+        e.quiesce(ctx);
+    });
+}
+
+/// Sweeps run and skipped on each rank of a 2-rank world that ping-pongs
+/// `ops` eager messages, each rank issuing one blocking operation apiece.
+fn pingpong_sweeps(srq_depth: Option<u32>, ops: u32) -> Vec<(u64, u64)> {
+    let counts = std::sync::Arc::new(simcore::SimCell::new(vec![(0, 0); 2]));
+    let out = counts.clone();
+    world(srq_depth, move |ctx, e| {
+        let (peer, buf) = (1 - e.rank, filled(e, 5));
+        for round in 0..ops {
+            let (src, tag) = (Src::Rank(peer), TagSel::Tag(round));
+            if (round + e.rank as u32).is_multiple_of(2) {
+                let req = e.isend(ctx, &buf, peer, round).unwrap();
+                e.wait(ctx, req).unwrap();
+            } else {
+                let req = e.irecv(ctx, &buf, src, tag).unwrap();
+                e.wait(ctx, req).unwrap();
+            }
+        }
+        counts.lock()[e.rank] = (e.gate.run, e.gate.skipped);
+    });
+    let counts = out.lock().clone();
+    counts
+}
+
+#[test]
+fn a_ten_op_pingpong_sweeps_only_on_news() {
+    // (sweeps run, sweeps skipped) per rank. Rank 0 issues the first send,
+    // so it waits less and skips more; the pool's arrivals need no first
+    // look at a ring, so it runs one sweep fewer per rank.
+    assert_eq!(pingpong_sweeps(None, 10), [(19, 15), (19, 10)]);
+    assert_eq!(pingpong_sweeps(Some(16), 10), [(18, 12), (18, 7)]);
+}

@@ -40,6 +40,7 @@ use std::ops::{Deref, DerefMut};
 use std::panic::Location;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 type Site = &'static Location<'static>;
 
@@ -57,6 +58,12 @@ pub(crate) struct Home {
 /// The home of every cell that was touched outside a run before any
 /// simulation touched it.
 static DETACHED: Home = Home::new();
+
+/// How long a touch outside a run waits for a home another thread holds
+/// the same way. A guard outside a run lives for a few accesses, so a wait
+/// this long means one that is never dropped, which would otherwise make
+/// every later taker wait forever.
+const HOLD_LIMIT: Duration = Duration::from_secs(1);
 
 thread_local! {
     /// This thread's id in [`Home::holder`]; 0 until first needed.
@@ -91,8 +98,8 @@ impl Home {
     }
 
     /// Hold this home, once more if this thread already does. Waits while
-    /// another thread holds it outside a run; panics while another thread
-    /// runs it.
+    /// another thread holds it outside a run, for up to [`HOLD_LIMIT`];
+    /// panics while another thread runs it.
     fn take(&self) {
         let me = thread_id() << 1;
         if self.holder.load(Ordering::Relaxed) & !1 == me {
@@ -101,6 +108,7 @@ impl Home {
             return;
         }
         let mut round = 0u32;
+        let mut waiting_since = None;
         loop {
             match self
                 .holder
@@ -113,7 +121,21 @@ impl Home {
                     std::thread::current()
                 ),
                 Err(_) if round < 64 => std::hint::spin_loop(),
-                Err(_) => std::thread::yield_now(),
+                Err(word) => {
+                    let since = *waiting_since.get_or_insert_with(Instant::now);
+                    if since.elapsed() > HOLD_LIMIT {
+                        panic!(
+                            "thread {:?} (SimCell thread #{}) waited {HOLD_LIMIT:?} for a \
+                             SimCell's home, held outside any run by SimCell thread #{}: most \
+                             likely a SimGuard that was never dropped (`mem::forget`, or a \
+                             guard stored in a value that outlived its use)",
+                            std::thread::current(),
+                            me >> 1,
+                            word >> 1
+                        );
+                    }
+                    std::thread::yield_now();
+                }
             }
             round = round.saturating_add(1);
         }

@@ -230,6 +230,31 @@ fn threads_outside_a_run_take_turns() {
     assert_eq!(*finished.lock(), THREADS * PER_THREAD);
 }
 
+/// A guard that is never dropped keeps its home for good. Another thread
+/// that then touches a cell of that home waits about a second, not
+/// forever, and panics naming the holder and the likely cause. The cell
+/// belongs to a fresh simulation's home, so no other test waits on it.
+#[test]
+fn a_forgotten_guard_fails_the_next_taker_within_a_second() {
+    let mut sim = Simulation::new();
+    let cell = Arc::new(SimCell::new(0u8));
+    let c = cell.clone();
+    sim.spawn("binder", move |_| *c.lock() += 1);
+    sim.run_expect();
+    std::mem::forget(cell.lock());
+    let c = cell.clone();
+    let start = std::time::Instant::now();
+    let taker = std::thread::spawn(move || *c.lock()).join();
+    let waited = start.elapsed();
+    let text = panic_text(taker.expect_err("the taker got a home that is held for good"));
+    assert!(text.contains("held outside any run"), "{text}");
+    assert!(text.contains("never dropped"), "{text}");
+    assert!(
+        waited < std::time::Duration::from_secs(10),
+        "waited {waited:?}"
+    );
+}
+
 /// Fails to compile if `$t: $bound` — the method is ambiguous then.
 macro_rules! assert_not_impl {
     ($t:ty, $bound:path) => {{
